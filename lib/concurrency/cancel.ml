@@ -1,21 +1,22 @@
+(* A blocked waiter: the mutex it holds around its condition and the
+   condvar it sleeps on. [cancel] and the deadline thread broadcast it. *)
+type waiter = { w_mutex : Mutex.t; w_cond : Condition.t }
+
 type t = {
   deadline : float option;  (* absolute, Unix.gettimeofday-based *)
   mutable flagged : bool;
+  mutable waiters : waiter list;  (* guarded by [registry] *)
+  mutable armed : int;  (* deadline-heap key while armed, 0 otherwise *)
 }
 
 exception Cancelled of string
 
-let none = { deadline = None; flagged = false }
+let none = { deadline = None; flagged = false; waiters = []; armed = 0 }
 
-let make ?deadline () = { deadline; flagged = false }
+let make ?deadline () = { deadline; flagged = false; waiters = []; armed = 0 }
 
 let with_deadline seconds =
   make ~deadline:(Unix.gettimeofday () +. seconds) ()
-
-(* The flag is a single mutable bool: writes are atomic under the runtime
-   lock and the flag is monotonic, so readers need no mutex — a stale
-   read only delays cancellation by one check interval. *)
-let cancel t = if t != none then t.flagged <- true
 
 let past_deadline t =
   match t.deadline with
@@ -33,9 +34,175 @@ let check t =
   if t.flagged then raise (Cancelled "cancelled")
   else if past_deadline t then raise (Cancelled "deadline exceeded")
 
-(* Ambient per-thread token: a table keyed by Thread.id. Entries exist
-   only while a [with_token] scope is live, so the table stays small
-   (one entry per active session/worker). *)
+let check_releasing t mutex =
+  match check t with
+  | () -> ()
+  | exception e ->
+    Mutex.unlock mutex;
+    raise e
+
+(* ------------------------------------------------------------------ *)
+(* Waiter registry and the deadline thread                             *)
+
+(* Armed deadlines ordered by (deadline, arming sequence number): the
+   minimum is the next one to fire, and a token is removed in O(log n)
+   when its last waiter leaves. *)
+module Heap = Map.Make (struct
+  type t = float * int
+
+  let compare (d1, k1) (d2, k2) =
+    match Float.compare d1 d2 with 0 -> Int.compare k1 k2 | c -> c
+end)
+
+(* One lock for every token's waiter list and for the heap. Lock order:
+   a waiter's own mutex, then [registry]. Nothing takes a waiter's mutex
+   while holding [registry]: wakers snapshot the list and release it
+   first. *)
+let registry = Mutex.create ()
+let heap : t Heap.t ref = ref Heap.empty
+let next_key = ref 0
+let registered = ref 0
+
+(* Deadline-thread state. [sleeping_until] is the deadline the thread is
+   blocked in [select] for ([neg_infinity] while it runs or parks), so
+   arming an earlier one knows to poke the self-pipe. *)
+let timer_idle = Condition.create ()
+let timer_pipe : (Unix.file_descr * Unix.file_descr) option ref = ref None
+let sleeping_until = ref neg_infinity
+
+let broadcast_all ws =
+  List.iter
+    (fun w ->
+      Mutex.lock w.w_mutex;
+      Condition.broadcast w.w_cond;
+      Mutex.unlock w.w_mutex)
+    ws
+
+let disarm t =
+  (match t.deadline with
+  | Some d -> heap := Heap.remove (d, t.armed) !heap
+  | None -> ());
+  t.armed <- 0
+
+let drain_pipe fd =
+  let buf = Bytes.create 64 in
+  try
+    while Unix.read fd buf 0 64 > 0 do
+      ()
+    done
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+(* Pops every expired deadline and wakes its waiters; otherwise parks
+   (empty heap) or sleeps exactly until the earliest deadline. Never
+   wakes on a fixed interval. *)
+let timer_loop rfd =
+  Mutex.lock registry;
+  while true do
+    match Heap.min_binding_opt !heap with
+    | None -> Condition.wait timer_idle registry
+    | Some ((d, _), _) ->
+      let now = Unix.gettimeofday () in
+      if d <= now then begin
+        let rec expired acc =
+          match Heap.min_binding_opt !heap with
+          | Some ((d, _), tok) when d <= now ->
+            disarm tok;
+            expired (List.rev_append tok.waiters acc)
+          | _ -> acc
+        in
+        let ws = expired [] in
+        Mutex.unlock registry;
+        broadcast_all ws;
+        Mutex.lock registry
+      end
+      else begin
+        sleeping_until := d;
+        Mutex.unlock registry;
+        (match Unix.select [ rfd ] [] [] (d -. now) with
+        | [], _, _ -> ()
+        | _ -> drain_pipe rfd
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        Mutex.lock registry;
+        sleeping_until := neg_infinity
+      end
+  done
+
+(* Called with [registry] held. *)
+let arm t d =
+  if t.armed = 0 then begin
+    let wfd =
+      match !timer_pipe with
+      | Some (_, w) -> w
+      | None ->
+        let r, w = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        timer_pipe := Some (r, w);
+        ignore (Thread.create timer_loop r);
+        w
+    in
+    incr next_key;
+    t.armed <- !next_key;
+    heap := Heap.add (d, t.armed) t !heap;
+    Condition.signal timer_idle;
+    if d < !sleeping_until then
+      try ignore (Unix.single_write wfd (Bytes.make 1 '!') 0 1)
+      with Unix.Unix_error _ -> (* pipe full: a wake-up is already pending *) ()
+  end
+
+(* The flag is monotonic and read without a lock (a stale read only
+   delays a check); the wake-up goes through [registry], so no waiter
+   that registered before the flag was set can miss it. *)
+let cancel t =
+  if t != none && not t.flagged then begin
+    t.flagged <- true;
+    Mutex.lock registry;
+    let ws = t.waiters in
+    if t.armed <> 0 then disarm t;
+    Mutex.unlock registry;
+    broadcast_all ws
+  end
+
+let wait t mutex cond =
+  if t == none then Condition.wait cond mutex
+  else begin
+    let w = { w_mutex = mutex; w_cond = cond } in
+    Mutex.lock registry;
+    (* checked under [registry]: a [cancel] that ran before this point set
+       the flag before snapshotting the waiter list, so it is seen here;
+       one that runs after sees this waiter *)
+    let live = not (cancelled t) in
+    if live then begin
+      t.waiters <- w :: t.waiters;
+      incr registered;
+      Option.iter (arm t) t.deadline
+    end;
+    Mutex.unlock registry;
+    if live then begin
+      Condition.wait cond mutex;
+      Mutex.lock registry;
+      t.waiters <- List.filter (fun x -> x != w) t.waiters;
+      decr registered;
+      (match t.waiters with [] when t.armed <> 0 -> disarm t | _ -> ());
+      Mutex.unlock registry
+    end
+  end
+
+let locked f =
+  Mutex.lock registry;
+  let n = f () in
+  Mutex.unlock registry;
+  n
+
+let waiters () = locked (fun () -> !registered)
+let armed_deadlines () = locked (fun () -> Heap.cardinal !heap)
+
+(* ------------------------------------------------------------------ *)
+(* Ambient per-thread token                                            *)
+
+(* A table keyed by Thread.id. Entries exist only while a [with_token]
+   scope is live, so the table stays small (one entry per active
+   session/worker). *)
 let ambient : (int, t) Hashtbl.t = Hashtbl.create 32
 let ambient_mutex = Mutex.create ()
 

@@ -10,9 +10,15 @@
     Propagation is ambient: a token is installed for the current thread
     with {!with_token}, and {!Pool.submit} / {!Future.detach} capture the
     submitting thread's token and re-install it in whichever thread runs
-    the task. Checks are time-comparisons (no timer threads), and
-    interruptible sleeps poll the token every couple of milliseconds, so
-    cancellation latency is bounded without per-query threads. *)
+    the task. Checks are time-comparisons. A thread that blocks on a
+    condition variable does so through {!wait}, which returns on a signal,
+    on {!cancel} or at the token's deadline: {!cancel} broadcasts to every
+    waiter registered on the token, and one lazily started deadline
+    thread (shared by all tokens) sleeps until the earliest armed
+    deadline and broadcasts its waiters. A token is armed only while one
+    of its waiters blocks, so a query that never blocks costs nothing.
+    Interruptible sleeps ({!sleepf}) still check the token every couple
+    of milliseconds. *)
 
 type t
 (** A cancellation token: an optional absolute deadline plus a flag for
@@ -36,8 +42,10 @@ val with_deadline : float -> t
 (** [with_deadline seconds] — a token expiring [seconds] from now. *)
 
 val cancel : t -> unit
-(** Flags the token; every thread it is installed in observes the flag at
-    its next {!check} or sleep chunk. Idempotent, thread-safe. *)
+(** Flags the token and wakes every thread blocked in {!wait} on it; other
+    threads it is installed in observe the flag at their next {!check} or
+    sleep chunk. Idempotent, thread-safe. Must not be called while holding
+    a mutex that a waiter on this token passed to {!wait}. *)
 
 val cancelled : t -> bool
 (** Whether the token is cancelled or past its deadline (a read, never
@@ -49,6 +57,27 @@ val remaining : t -> float option
 
 val check : t -> unit
 (** Raises {!Cancelled} if the token is cancelled or past deadline. *)
+
+val check_releasing : t -> Mutex.t -> unit
+(** {!check} for a caller holding [mutex] (as around {!wait}): releases
+    [mutex] before raising, so the exception escapes unlocked. *)
+
+(** {2 Cancellable blocking} *)
+
+val wait : t -> Mutex.t -> Condition.t -> unit
+(** [wait tok mutex cond] — [Condition.wait cond mutex] that also returns
+    when [tok] is cancelled or reaches its deadline. The caller holds
+    [mutex] on entry and on return and re-checks its own condition (and
+    the token) afterwards, exactly as after a plain condition wait;
+    spurious returns are possible. Returns at once if [tok] is already
+    cancelled. With {!none} this is a plain [Condition.wait]. *)
+
+val waiters : unit -> int
+(** Threads currently blocked in {!wait} on any token (for leak tests). *)
+
+val armed_deadlines : unit -> int
+(** Deadlines the deadline thread is currently timing: one per token
+    with a blocked waiter and a deadline (for leak tests). *)
 
 (** {2 Ambient (per-thread) token} *)
 

@@ -29,25 +29,16 @@ let create () =
     joined_count = 0;
     broken_count = 0 }
 
-(* Waits (lock held on entry and exit) until [e] leaves Pending. The
-   inert token blocks on the condvar; a real token may be fired from a
-   thread that cannot signal our condvar, so it polls in short
-   lock-released sleeps, re-raising Cancelled without the lock held
-   (same pattern as the serving layer's admission wait). *)
-let rec wait_entry t e =
-  if e.st = Pending then begin
-    let tok = Cancel.current () in
-    if tok == Cancel.none then Condition.wait t.done_ t.mutex
-    else begin
-      Mutex.unlock t.mutex;
-      (* raising here aborts only this waiter, with the lock released:
-         the flight and the other waiters are untouched *)
-      Cancel.check tok;
-      Thread.delay 0.001;
-      Mutex.lock t.mutex
-    end;
-    wait_entry t e
-  end
+(* Waits (lock held on entry and exit) until [e] leaves Pending, through
+   {!Cancel.wait} on the caller's ambient token. A fired token raises
+   Cancelled with the lock released: that aborts only this waiter, the
+   flight and the other waiters are untouched. *)
+let wait_entry t e =
+  let tok = Cancel.current () in
+  while e.st = Pending do
+    Cancel.check_releasing tok t.mutex;
+    Cancel.wait tok t.mutex t.done_
+  done
 
 let run t key compute =
   Mutex.lock t.mutex;

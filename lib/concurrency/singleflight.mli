@@ -32,9 +32,8 @@ val create : unit -> 'v t
 val run : 'v t -> string -> (unit -> 'v) -> 'v outcome
 (** [run t key compute] — become the leader for [key] (running [compute])
     if no flight is up, otherwise wait for the in-flight leader. The wait
-    consults the calling thread's ambient {!Cancel} token, polling when
-    the token is real so a deadline firing in another thread is observed
-    within ~1ms. *)
+    goes through {!Cancel.wait} on the calling thread's ambient token, so
+    a cancel or deadline wakes the follower at once. *)
 
 val flights : 'v t -> int
 (** Computations currently in flight (leaders running). *)

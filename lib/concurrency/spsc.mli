@@ -8,24 +8,27 @@
 
 type 'a t
 
-(** [create ~capacity] makes an empty queue holding at most
-    [max 1 capacity] elements. *)
+(** [create ~capacity] makes an empty queue holding elements of total
+    weight at most [max 1 capacity] (each element weighs 1 unless pushed
+    with [~weight]). *)
 val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 
-(** High-water occupancy since creation. Never exceeds {!capacity} —
-    this is the bounded-buffer guarantee the tests pin. *)
+(** High-water total weight since creation. Never exceeds {!capacity}
+    while every element weighs at most {!capacity} — this is the
+    bounded-buffer guarantee the tests pin. *)
 val peak_occupancy : 'a t -> int
 
-(** Producer: enqueue one element, blocking while the queue is full.
+(** Producer: enqueue one element of the given [weight] (default 1),
+    blocking while it does not fit; an empty queue accepts any weight.
     Returns [false] once the consumer has {!abort}ed (the element is
-    dropped and the producer should stop). A producer blocked here under
-    an ambient {!Cancel} token polls it and lets {!Cancel.Cancelled}
-    escape, so a session deadline aborts a producer stuck behind a
-    stalled consumer; the producer's cleanup should then {!fail} the
-    queue. *)
-val push : 'a t -> 'a -> bool
+    dropped and the producer should stop). A producer blocked here waits
+    through {!Cancel.wait} on its ambient token and lets
+    {!Cancel.Cancelled} escape when the token fires, so a session
+    deadline or cancel aborts a producer stuck behind a stalled consumer;
+    the producer's cleanup should then {!fail} the queue. *)
+val push : ?weight:int -> 'a t -> 'a -> bool
 
 (** Producer: clean end-of-stream. Buffered elements remain readable. *)
 val close : 'a t -> unit

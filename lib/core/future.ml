@@ -57,24 +57,15 @@ let await fut =
   | Some (Raised e) -> raise e
   | None -> assert false
 
-(* [Condition] has no timed wait in the stdlib, so the deadline is driven
-   by a timer thread that broadcasts [done_] when the window closes; the
-   waiter sleeps on the condition variable the whole time (no polling). *)
+(* [Condition] has no timed wait in the stdlib: the window is a private
+   cancellation token whose deadline the shared deadline thread fires,
+   waking the waiter through {!Cancel.wait} (no thread per await, no
+   polling). *)
 let await_timeout fut seconds =
-  let deadline = Unix.gettimeofday () +. seconds in
+  let window = Cancel.with_deadline seconds in
   Mutex.lock fut.mutex;
-  let timer_armed = fut.result = None in
-  if timer_armed then
-    ignore
-      (Thread.create
-         (fun () ->
-           Thread.delay seconds;
-           Mutex.lock fut.mutex;
-           Condition.broadcast fut.done_;
-           Mutex.unlock fut.mutex)
-         ());
-  while fut.result = None && Unix.gettimeofday () < deadline do
-    Condition.wait fut.done_ fut.mutex
+  while fut.result = None && not (Cancel.cancelled window) do
+    Cancel.wait window fut.mutex fut.done_
   done;
   let result = fut.result in
   Mutex.unlock fut.mutex;

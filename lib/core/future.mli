@@ -34,7 +34,8 @@ val await_timeout : 'a t -> float -> 'a option
 (** [await_timeout f seconds] waits at most [seconds]; [None] on timeout
     (the computation keeps running detached, its result discarded, matching
     [fn-bea:timeout]'s fail-over behaviour). Re-raises on failure within
-    the window. The wait is a condition-variable sleep woken by a timer
-    thread at the deadline — no busy-polling. *)
+    the window. The wait is a {!Cancel.wait} on a token carrying the
+    window's deadline, woken by the shared deadline thread — no thread
+    per call, no polling. *)
 
 val is_done : 'a t -> bool

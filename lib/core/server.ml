@@ -674,9 +674,8 @@ let call t ?(user = Security.admin) fn args =
 (* Serving layer: admission, deadlines, sessions, drain                *)
 
 (* Waits for an executing slot. Called with [adm_mutex] held; returns
-   with it held. Cancellable waiters (any real token: it may be flagged
-   from another thread, which cannot signal our condvar) poll in short
-   lock-released sleeps; the inert token blocks on the condvar. *)
+   with it held. The wait goes through {!Cancel.wait}, so a cancel or
+   the token's deadline wakes the waiter, which then reports [`Expired]. *)
 let rec await_slot adm tok =
   if adm.adm_active < adm.adm_max_active then begin
     adm.adm_active <- adm.adm_active + 1;
@@ -686,12 +685,7 @@ let rec await_slot adm tok =
   end
   else if Cancel.cancelled tok then `Expired
   else begin
-    if tok == Cancel.none then Condition.wait adm.adm_slot_free adm.adm_mutex
-    else begin
-      Mutex.unlock adm.adm_mutex;
-      Thread.delay 0.001;
-      Mutex.lock adm.adm_mutex
-    end;
+    Cancel.wait tok adm.adm_mutex adm.adm_slot_free;
     await_slot adm tok
   end
 
@@ -840,13 +834,21 @@ let session_cancel s =
    queue the consumer drains at its own pace. The queue is the
    backpressure boundary — a producer that outruns the consumer blocks at
    [buffer] tokens, so a slow client holds live memory to the queue
-   capacity instead of the whole result. *)
+   capacity instead of the whole result. Tokens cross the queue in
+   arrays of [stream_chunk buffer] (each weighing its length), so the
+   two threads hand off once per chunk rather than once per token. *)
 
 type stream = {
-  str_queue : Aldsp_tokens.Token.t Spsc.t;
+  str_queue : Aldsp_tokens.Token.t array Spsc.t;
   str_token : Cancel.t;
+  mutable str_chunk : Aldsp_tokens.Token.t array;  (* being read *)
+  mutable str_pos : int;  (* next token of [str_chunk] *)
   mutable str_done : bool;
 }
+
+(* A quarter of the buffer, so about four chunks are in flight, capped
+   at 64 tokens so the first one reaches the consumer early. *)
+let stream_chunk buffer = max 1 (min 64 (buffer / 4))
 
 let session_run_stream s ?deadline ?(buffer = 256) source =
   let server = s.ses_server in
@@ -873,7 +875,10 @@ let session_run_stream s ?deadline ?(buffer = 256) source =
       Error (Failed (diags_to_string ds))
     | Ok compiled ->
       let q = Spsc.create ~capacity:buffer in
-      let st = { str_queue = q; str_token = tok; str_done = false } in
+      let st =
+        { str_queue = q; str_token = tok; str_chunk = [||]; str_pos = 0;
+          str_done = false }
+      in
       let producer () =
         let finish outcome =
           (* root observability: the high-water mark of the delivery
@@ -897,13 +902,22 @@ let session_run_stream s ?deadline ?(buffer = 256) source =
             counted_tokens server
               (Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered)
           in
-          (* push until done or the consumer aborts; false from [push]
-             means [stream_cancel] already tore the queue down *)
+          (* push chunk by chunk until done or the consumer aborts; false
+             from [push] means [stream_cancel] already tore the queue
+             down *)
+          let size = stream_chunk buffer in
           let rec drain seq =
             match seq () with
             | Seq.Nil -> true
-            | Seq.Cons (token, rest) ->
-              if Spsc.push q token then drain rest else false
+            | Seq.Cons (token, rest) -> fill (Array.make size token) 1 rest
+          and fill chunk n seq =
+            if n = size then Spsc.push ~weight:n q chunk && drain seq
+            else
+              match seq () with
+              | Seq.Nil -> Spsc.push ~weight:n q (Array.sub chunk 0 n)
+              | Seq.Cons (token, rest) ->
+                chunk.(n) <- token;
+                fill chunk (n + 1) rest
           in
           drain tokens
         in
@@ -930,11 +944,19 @@ let session_run_stream s ?deadline ?(buffer = 256) source =
       ignore (Thread.create producer ());
       Ok st)
 
-let stream_read st =
-  if st.str_done then Ok None
+let rec stream_read st =
+  if st.str_pos < Array.length st.str_chunk then begin
+    let token = st.str_chunk.(st.str_pos) in
+    st.str_pos <- st.str_pos + 1;
+    Ok (Some token)
+  end
+  else if st.str_done then Ok None
   else
     match Spsc.pop st.str_queue with
-    | `Item token -> Ok (Some token)
+    | `Item chunk ->
+      st.str_chunk <- chunk;
+      st.str_pos <- 0;
+      stream_read st
     | `Closed ->
       st.str_done <- true;
       Ok None
@@ -945,7 +967,11 @@ let stream_read st =
 
 let stream_cancel st =
   Cancel.cancel st.str_token;
-  Spsc.abort st.str_queue
+  Spsc.abort st.str_queue;
+  (* the rest of the chunk being read goes like the queued ones, so the
+     next read reports the cancel *)
+  st.str_chunk <- [||];
+  st.str_pos <- 0
 
 let stream_peak_buffered st = Spsc.peak_occupancy st.str_queue
 

@@ -271,7 +271,9 @@ val session_run_stream :
     {!Overloaded} and compile failures surface immediately); execution
     then proceeds on the producer thread while the caller drains the
     returned {!type-stream}. [buffer] (default 256) is the token queue
-    capacity. The session's deadline semantics match {!session_run}, and
+    capacity; tokens cross it in chunks of [max 1 (min 64 (buffer / 4))],
+    so the producer hands off (and the first token arrives) one chunk at
+    a time. The session's deadline semantics match {!session_run}, and
     {!session_cancel} (or {!stream_cancel}) aborts the producer
     mid-stream — in-flight backend roundtrips see the token, and the
     queue is torn down. *)

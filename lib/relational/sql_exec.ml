@@ -1277,21 +1277,16 @@ let batches : (string, batch_group) Hashtbl.t = Hashtbl.create 16
 let batch_mutex = Mutex.create ()
 let batch_done = Condition.create ()
 
-(* Member side: wait (cancellation-aware, like every serving-layer wait)
-   until the leader fills the outcomes. A member whose token fires
-   abandons the batch alone; the leader serves its slot harmlessly. *)
-let rec await_batch g =
-  if not g.bg_done then begin
-    let tok = Cancel.current () in
-    if tok == Cancel.none then Condition.wait batch_done batch_mutex
-    else begin
-      Mutex.unlock batch_mutex;
-      Cancel.check tok;
-      Thread.delay 0.0005;
-      Mutex.lock batch_mutex
-    end;
-    await_batch g
-  end
+(* Member side: wait (through {!Cancel.wait}, like every serving-layer
+   wait) until the leader fills the outcomes. A member whose token fires
+   abandons the batch alone, raising with the lock released; the leader
+   serves its slot harmlessly. *)
+let await_batch g =
+  let tok = Cancel.current () in
+  while not g.bg_done do
+    Cancel.check_releasing tok batch_mutex;
+    Cancel.wait tok batch_mutex batch_done
+  done
 
 (* Leader side: hold the window open, polling in small chunks so a group
    reaching the cost-model cap dispatches early, then close and execute.
@@ -1384,8 +1379,8 @@ let batched_probe db params s keycol =
     Mutex.unlock batch_mutex;
     run_batch_leader db gkey g
   | `Member g ->
-    (* if the wait raises (member cancelled), the lock was released by
-       the polling branch — the exception must skip this unlock *)
+    (* if the wait raises (member cancelled), it released the lock
+       itself — the exception must skip this unlock *)
     await_batch g;
     Mutex.unlock batch_mutex);
   match me.bm_outcome with

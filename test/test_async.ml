@@ -129,6 +129,44 @@ let test_await_timeout () =
   check_bool "resolves before the deadline" true
     (Future.await_timeout fut 5.0 = Some 42)
 
+(* Windows are timed by the one shared deadline thread: a thousand timed
+   out awaits spawn no thread and leave no deadline armed, and a future
+   resolved mid-window wakes its waiter long before the window closes. *)
+let test_await_timeout_no_leftovers () =
+  let fresh_thread_id () =
+    let th = Thread.create ignore () in
+    Thread.join th;
+    Thread.id th
+  in
+  let never = Future.create () in
+  let before = fresh_thread_id () in
+  for _ = 1 to 1000 do
+    if Future.await_timeout never 0.0002 <> None then
+      Alcotest.fail "an unresolved future returned a value"
+  done;
+  let spawned = fresh_thread_id () - before - 1 in
+  check_bool
+    (Printf.sprintf "no thread per await (%d spawned)" spawned)
+    true (spawned <= 1);
+  check_int "no deadline left armed" 0 (Cancel.armed_deadlines ());
+  check_int "no waiter left registered" 0 (Cancel.waiters ());
+  let fut = Future.create () in
+  let resolver =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.02;
+        Future.fulfill_with fut (fun () -> 7))
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  check_bool "resolved mid-window" true (Future.await_timeout fut 2.0 = Some 7);
+  let waited = Unix.gettimeofday () -. t0 in
+  Thread.join resolver;
+  check_bool
+    (Printf.sprintf "woken by the resolution (%.0f ms)" (waited *. 1000.))
+    true (waited < 0.5);
+  check_int "window disarmed on resolution" 0 (Cancel.armed_deadlines ())
+
 (* ------------------------------------------------------------------ *)
 (* PP-k pipelining: byte equality as a property over random            *)
 (* (k, prefetch, workers) configurations                               *)
@@ -392,7 +430,9 @@ let () =
             test_pool_exception;
           Alcotest.test_case "pipeline ordering" `Quick test_pipeline_ordered ] );
       ( "future",
-        [ Alcotest.test_case "await_timeout" `Quick test_await_timeout ] );
+        [ Alcotest.test_case "await_timeout" `Quick test_await_timeout;
+          Alcotest.test_case "await_timeout leaves nothing behind" `Quick
+            test_await_timeout_no_leftovers ] );
       ( "ppk-pipeline",
         [ QCheck_alcotest.to_alcotest test_ppk_byte_equality;
           Alcotest.test_case "prefetch hint" `Quick test_ppk_prefetch_hint ] );

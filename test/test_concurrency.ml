@@ -506,6 +506,113 @@ let test_singleflight_follower_cancel () =
   check_int "remaining waiter still served" 11 !survivor
 
 (* ------------------------------------------------------------------ *)
+(* Deadline-only wake-ups: a waiter whose deadline fires while nobody  *)
+(* signals its condition ends Cancelled within 100 ms of the deadline, *)
+(* everyone else completes, and nothing stays registered.              *)
+
+(* runs [f] under a fresh token expiring in [seconds]; returns how late
+   (ms past the deadline) it raised Cancelled, failing if it returned *)
+let lateness_ms seconds f =
+  let tok = Cancel.with_deadline seconds in
+  let deadline = Unix.gettimeofday () +. seconds in
+  match Cancel.with_token tok f with
+  | _ -> Alcotest.fail "expected the deadline to cancel the wait"
+  | exception Cancel.Cancelled _ -> (Unix.gettimeofday () -. deadline) *. 1000.
+
+let check_prompt what ms =
+  check_bool (Printf.sprintf "%s ended within 100 ms of its deadline (%.1f ms late)" what ms)
+    true (ms < 100.)
+
+let check_nothing_registered () =
+  check_int "no waiter left registered" 0 (Cancel.waiters ());
+  check_int "no deadline left armed" 0 (Cancel.armed_deadlines ())
+
+let test_singleflight_follower_deadline () =
+  let sf = Singleflight.create () in
+  let wait, release = gate () in
+  let leader_v = ref (-1) and bystander_v = ref (-1) in
+  let leader =
+    Thread.create
+      (fun () ->
+        match Singleflight.run sf "k" (fun () -> wait (); 11) with
+        | Singleflight.Led v | Singleflight.Joined v -> leader_v := v)
+      ()
+  in
+  while Singleflight.flights sf = 0 do
+    Thread.yield ()
+  done;
+  (* a follower with a generous deadline of its own waits it out *)
+  let bystander =
+    Thread.create
+      (fun () ->
+        Cancel.with_token (Cancel.with_deadline 30.) (fun () ->
+            match Singleflight.run sf "k" (fun () -> 0) with
+            | Singleflight.Led v | Singleflight.Joined v -> bystander_v := v))
+      ()
+  in
+  let late =
+    lateness_ms 0.05 (fun () -> Singleflight.run sf "k" (fun () -> 0))
+  in
+  check_prompt "follower" late;
+  check_int "flight still up after the expiry" 1 (Singleflight.flights sf);
+  release ();
+  Thread.join leader;
+  Thread.join bystander;
+  check_int "leader completed" 11 !leader_v;
+  check_int "other follower served" 11 !bystander_v;
+  check_int "no flight left behind" 0 (Singleflight.flights sf);
+  check_nothing_registered ()
+
+let test_batch_member_deadline () =
+  let demo = Aldsp_demo.Demo.create ~customers:5 ~db_latency:0.002 () in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  Database.set_share_work db true;
+  (* a slow leader: it holds the accumulation window open for 300 ms *)
+  db.Database.batch_window <- 0.3;
+  let probe =
+    ok_exn (Sql_parser.parse_select "SELECT c.CID FROM CUSTOMER c WHERE c.CID = ?")
+  in
+  let run key = Sql_exec.query_shared db ~params:[| Sql_value.Str key |] probe in
+  let leader_r = ref (Error "not run") and member_r = ref (Error "not run") in
+  let leader = Thread.create (fun () -> leader_r := run "CUST0001") () in
+  Thread.delay 0.02;
+  let member = Thread.create (fun () -> member_r := run "CUST0002") () in
+  let late = lateness_ms 0.05 (fun () -> run "CUST0003") in
+  check_prompt "batch member" late;
+  Thread.join leader;
+  Thread.join member;
+  Database.set_share_work db false;
+  (match !leader_r with
+  | Ok (rs, _, false) -> check_int "leader served its probe" 1 (List.length rs.Sql_exec.rows)
+  | Ok (_, _, true) -> Alcotest.fail "the leader reported a shared result"
+  | Error m -> Alcotest.fail m);
+  (match !member_r with
+  | Ok (rs, _, true) -> check_int "member served from the batch" 1 (List.length rs.Sql_exec.rows)
+  | Ok (_, _, false) -> Alcotest.fail "the member did not join the batch"
+  | Error m -> Alcotest.fail m);
+  check_nothing_registered ()
+
+let test_admission_deadline_in_queue () =
+  let demo = Aldsp_demo.Demo.create ~customers:3 ~db_latency:0.3 () in
+  let server = slow_server demo ~max_concurrent:1 ~admission_queue:4 in
+  let holder = Thread.create (fun () -> ignore (Server.submit server scan_query)) () in
+  while (Server.admission_stats server).Server.ad_active = 0 do
+    Thread.delay 0.001
+  done;
+  let deadline = Unix.gettimeofday () +. 0.05 in
+  (match Server.submit server ~deadline:0.05 scan_query with
+  | Error (Server.Cancelled _) -> ()
+  | other -> Alcotest.failf "expected Cancelled in the queue, got %s" (serialize_submit other));
+  check_prompt "queued submission" ((Unix.gettimeofday () -. deadline) *. 1000.);
+  Thread.join holder;
+  let adm = Server.admission_stats server in
+  check_int "expiry counted" 1 adm.Server.ad_deadline_aborts;
+  check_int "holder completed" 1 adm.Server.ad_completed;
+  check_int "no slot held" 0 adm.Server.ad_active;
+  check_int "nobody queued" 0 adm.Server.ad_queued;
+  check_nothing_registered ()
+
+(* ------------------------------------------------------------------ *)
 (* Cross-session work sharing: function cache, plan cache, freshness   *)
 
 let test_function_cache_coalesced_miss () =
@@ -720,4 +827,11 @@ let () =
             test_function_cache_materialized_bound;
           Alcotest.test_case "plan-cache add/evict balance" `Quick
             test_plan_cache_balance;
-          QCheck_alcotest.to_alcotest test_sharing_freshness_property ] ) ]
+          QCheck_alcotest.to_alcotest test_sharing_freshness_property ] );
+      ( "wakeups",
+        [ Alcotest.test_case "singleflight follower deadline" `Quick
+            test_singleflight_follower_deadline;
+          Alcotest.test_case "batch member deadline" `Quick
+            test_batch_member_deadline;
+          Alcotest.test_case "admission waiter deadline" `Quick
+            test_admission_deadline_in_queue ] ) ]

@@ -311,6 +311,76 @@ let test_mid_stream_cancel () =
   check_int "cancel accounted as a deadline abort" 1
     adm.Server.ad_deadline_aborts
 
+(* Token-only wake-ups: a producer parked on a full queue whose consumer
+   never reads is released by its session token alone — no [Spsc.abort]
+   from [stream_cancel] — and nothing stays registered afterwards. *)
+
+let parked_query = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>"
+
+(* polls [cond] (a test-side observer, not the code under test) and
+   returns the time it first held *)
+let wait_until what cond =
+  let give_up = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    if cond () then Unix.gettimeofday ()
+    else if Unix.gettimeofday () > give_up then
+      Alcotest.failf "timed out waiting for %s" what
+    else begin
+      Thread.delay 0.0005;
+      go ()
+    end
+  in
+  go ()
+
+let start_parked ?deadline () =
+  let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let ses = Server.session server ?deadline () in
+  let started = Unix.gettimeofday () in
+  match Server.session_run_stream ses ~buffer:4 parked_query with
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  | Ok stream ->
+    ignore
+      (wait_until "the producer to park on the full queue" (fun () ->
+           Cancel.waiters () > 0));
+    check_int "queue full" 4 (Server.stream_peak_buffered stream);
+    (server, ses, stream, started)
+
+(* the producer has let go of its slot within 100 ms of [since], the
+   stream ends Cancelled, and no waiter or deadline is left behind *)
+let check_released server stream ~since =
+  let released =
+    wait_until "the producer to release its admission slot" (fun () ->
+        (Server.admission_stats server).Server.ad_active = 0)
+  in
+  let ms = (released -. since) *. 1000. in
+  check_bool (Printf.sprintf "released within 100 ms (%.1f ms)" ms) true
+    (ms < 100.);
+  let rec drain_to_end () =
+    match Server.stream_read stream with
+    | Ok (Some _) -> drain_to_end ()
+    | Ok None -> Alcotest.fail "cancelled stream reported clean completion"
+    | Error (Server.Cancelled _) -> ()
+    | Error e ->
+      Alcotest.failf "expected Cancelled, got %s"
+        (Server.submit_error_to_string e)
+  in
+  drain_to_end ();
+  check_int "counted as a deadline abort" 1
+    (Server.admission_stats server).Server.ad_deadline_aborts;
+  check_int "no waiter left registered" 0 (Cancel.waiters ());
+  check_int "no deadline left armed" 0 (Cancel.armed_deadlines ())
+
+let test_session_cancel_releases_parked_producer () =
+  let server, ses, stream, _ = start_parked () in
+  let since = Unix.gettimeofday () in
+  Server.session_cancel ses;
+  check_released server stream ~since
+
+let test_deadline_releases_parked_producer () =
+  let server, _, stream, started = start_parked ~deadline:0.05 () in
+  check_released server stream ~since:(started +. 0.05)
+
 let test_tokens_streamed_counter () =
   let demo = Aldsp_demo.Demo.create ~customers:20 ~orders_per_customer:0 () in
   let server = demo.Aldsp_demo.Demo.server in
@@ -382,4 +452,8 @@ let () =
           Alcotest.test_case "st_tokens_streamed counts every path" `Quick
             test_tokens_streamed_counter;
           Alcotest.test_case "ttft rides with --timings only" `Quick
-            test_explain_timings_ttft ] ) ]
+            test_explain_timings_ttft;
+          Alcotest.test_case "session cancel releases a parked producer" `Quick
+            test_session_cancel_releases_parked_producer;
+          Alcotest.test_case "deadline releases a parked producer" `Quick
+            test_deadline_releases_parked_producer ] ) ]
