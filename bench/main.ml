@@ -366,6 +366,54 @@ let bench_scan_vs_index ?(smoke = false) () =
 (* ------------------------------------------------------------------ *)
 (* Cost-based plan selection: chosen vs forced join methods             *)
 
+(* The paper's Figure 3 point lookup, getProfileByID, at 2000 customers
+   and 0.5 ms roundtrip latency. The CUSTOMER key literal prices the outer
+   at one row, so the transfer-volume gate must parameterize the card
+   region (PP-k probe on CID) rather than ship CREDIT_CARD whole: every
+   shipped region filtered, at most 5 rows shipped (1 customer, 1 card,
+   3 orders). k is 1 here — [choose_k] caps k at the outer estimate — so
+   the [5, 50] band of the join sweep does not apply. The EXPLAIN lands in
+   EXPLAIN_cost_model_point_lookup.txt for CI upload. *)
+let cost_model_point_lookup () =
+  sub "CST: point lookup (getProfileByID, 2000 customers, 0.5 ms)";
+  let demo =
+    Demo.create ~customers:2000 ~db_latency:0.0005 ~service_latency:0.001 ()
+  in
+  let q = "getProfileByID(\"CUST0042\")" in
+  let compiled =
+    match Server.compile demo.Demo.server q with
+    | Ok c -> c
+    | Error _ -> failwith "CST: point lookup does not compile"
+  in
+  Demo.reset_stats demo;
+  let t, _ = time (fun () -> ok_exn (Server.run demo.Demo.server q)) in
+  let shipped =
+    demo.Demo.customer_db.Database.stats.Database.rows_shipped
+    + demo.Demo.card_db.Database.stats.Database.rows_shipped
+  in
+  let artifact = "EXPLAIN_cost_model_point_lookup.txt" in
+  let oc = open_out artifact in
+  output_string oc (ok_exn (Server.explain demo.Demo.server q));
+  close_out oc;
+  let regions = Plan_ir.regions compiled.Server.ir in
+  Printf.printf "%d pushed regions, %d rows shipped, %.1f ms\n"
+    (List.length regions) shipped (t *. 1000.);
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith (m ^ " (see " ^ artifact ^ ")")) fmt
+  in
+  if
+    not
+      (List.exists
+         (fun r -> r.Plan_ir.sql_db = "CardDB" && r.Plan_ir.sql_params <> [])
+         regions)
+  then fail "CST: point lookup ships the card region unparameterized";
+  if shipped > 5 then fail "CST: point lookup shipped %d rows (> 5)" shipped;
+  List.iter
+    (fun r ->
+      if r.Plan_ir.sql_select.Sql_ast.where = None then
+        fail "CST: point lookup ships a whole table: %s" r.Plan_ir.sql_text)
+    regions
+
 (* The cost model prices NL vs index-NL vs PP-k from the maintained table
    statistics and each source's latency profile, then picks k and the
    prefetch depth itself. This sweep runs the same cross-database join
@@ -533,7 +581,8 @@ let bench_cost_model ?(smoke = false) () =
     "shape: the model lands at the knee of the PP-k curve (k ~ sqrt of\n\
      latency/row-cost) with the index probe path, within 20% of the best\n\
      hand-forced configuration and orders of magnitude off the scan\n\
-     baseline — without any per-query knob tuning."
+     baseline — without any per-query knob tuning.";
+  cost_model_point_lookup ()
 
 (* ------------------------------------------------------------------ *)
 (* Group-by: pre-clustered streaming vs sort fallback (§4.2, §5.2)      *)
@@ -1767,7 +1816,9 @@ let () =
   if smoke then begin
     (* CI smoke: one tiny access-path sweep point, plus the cost-model
        structural assertions at 100k rows (chosen plan is PP-k with k in
-       [5, 50] on the index probe path), with the full result plumbing *)
+       [5, 50] on the index probe path) and on the getProfileByID point
+       lookup (card region parameterized, <= 5 rows shipped), with the
+       full result plumbing *)
     bench_scan_vs_index ~smoke:true ();
     bench_cost_model ~smoke:true ();
     bench_concurrent_serving ~smoke:true ();

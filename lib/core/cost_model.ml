@@ -84,28 +84,57 @@ let rel_table registry (r : C.sql_access) =
   | None -> None
   | Some db -> (
     match r.C.select.Sql.from with
-    | Sql.Table { table; _ } -> (
+    | Sql.Table { table; alias } -> (
       match Database.find_table db table with
-      | Ok t -> Some (db, t)
+      | Ok t -> Some (t, alias)
       | Error _ -> None)
     | Sql.Derived _ -> None)
 
+let rec conjuncts = function
+  | Sql.Binop (Sql.And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+(* Rows of a [rows]-row table that a pushed WHERE keeps: the estimate of
+   its most selective AND conjunct. A literal [col = v] or
+   [col IN (v1..vn)] on a column of the FROM table (qualified by its
+   alias, as pushdown writes every column) with a single-column index
+   keeps n·rows/NDV; every other shape (OR, NOT, ranges, functions,
+   unindexed columns) keeps 1/[selection_fraction]. *)
+let where_cardinality t ~alias ~rows where =
+  let opaque = max 1 (rows / selection_fraction) in
+  let own = function Some a -> String.equal a alias | None -> false in
+  let keyed col n =
+    match Table.distinct_estimate t col with
+    | Some ndv when ndv > 0 -> min rows (max 1 (n * rows / ndv))
+    | _ -> opaque
+  in
+  let literal = function Sql.Lit _ -> true | _ -> false in
+  let conjunct = function
+    | Sql.Binop (Sql.Eq, Sql.Col (q, col), Sql.Lit _)
+    | Sql.Binop (Sql.Eq, Sql.Lit _, Sql.Col (q, col))
+      when own q ->
+      keyed col 1
+    | Sql.In_list (Sql.Col (q, col), (_ :: _ as items))
+      when own q && List.for_all literal items ->
+      keyed col (List.length items)
+    | _ -> opaque
+  in
+  List.fold_left (fun acc e -> min acc (conjunct e)) rows (conjuncts where)
+
 (* Rows one execution of a pushed region ships. Unparameterized: the
-   table's (possibly WHERE-filtered) rows. Parameterized (a PP-k probe
-   block): probes land on key columns, so the per-probe match estimate is
-   rows over the best single-column NDV — exact 1 for a unique key. *)
+   table's rows, filtered by its WHERE ([where_cardinality]). Parameterized
+   (a PP-k probe block): probes land on key columns, so the per-probe
+   match estimate is rows over the best single-column NDV — exact 1 for a
+   unique key. *)
 let rel_cardinality registry (r : C.sql_access) =
   match rel_table registry r with
   | None -> None
-  | Some (_, t) ->
+  | Some (t, alias) ->
     let rows = Table.row_count t in
-    let filtered =
+    if r.C.sql_params = [] then
       match r.C.select.Sql.where with
-      | Some _ when r.C.sql_params = [] ->
-        max 1 (rows / selection_fraction)
-      | _ -> rows
-    in
-    if r.C.sql_params = [] then Some filtered
+      | None -> Some rows
+      | Some w -> Some (where_cardinality t ~alias ~rows w)
     else
       let best_ndv =
         List.fold_left
@@ -139,30 +168,26 @@ let rec expr_cardinality registry e =
     | None, _ -> None)
   | _ -> None
 
-(* Binding tuples a clause pipeline emits. Joins use the key/foreign-key
+(* Binding tuples flowing out of one clause given the tuples flowing in;
+   [None] poisons the rest of the pipeline. Joins use the key/foreign-key
    estimate max(outer, inner): exact when the join key is unique on one
    side, which introspected equi joins (PK-FK navigation) always are. *)
+and advance registry est clause =
+  match est with
+  | None -> None
+  | Some tuples -> (
+    let times = Option.map (fun n -> tuples * n) in
+    match clause with
+    | C.For { source; _ } -> times (expr_cardinality registry source)
+    | C.Let _ | C.Group _ | C.Order _ -> Some tuples
+    | C.Where _ -> Some (max 1 (tuples / selection_fraction))
+    | C.Rel r -> times (rel_cardinality registry r)
+    | C.Join { export = C.Grouped _; _ } -> Some tuples
+    | C.Join { right; export = C.Bindings; _ } ->
+      Option.map (max tuples) (clauses_cardinality registry right))
+
 and clauses_cardinality registry clauses =
-  let join x f = match x with Some v -> f v | None -> None in
-  List.fold_left
-    (fun acc clause ->
-      join acc (fun tuples ->
-          match clause with
-          | C.For { source; _ } ->
-            join (expr_cardinality registry source) (fun n -> Some (tuples * n))
-          | C.Let _ -> Some tuples
-          | C.Where _ -> Some (max 1 (tuples / selection_fraction))
-          | C.Group _ -> Some tuples
-          | C.Order _ -> Some tuples
-          | C.Rel r ->
-            join (rel_cardinality registry r) (fun n -> Some (tuples * n))
-          | C.Join { right; export; _ } -> (
-            match export with
-            | C.Grouped _ -> Some tuples
-            | C.Bindings ->
-              join (clauses_cardinality registry right) (fun inner ->
-                  Some (max tuples inner)))))
-    (Some 1) clauses
+  List.fold_left (advance registry) (Some 1) clauses
 
 (* ------------------------------------------------------------------ *)
 (* PP-k parameter choice *)

@@ -13,8 +13,12 @@
 
     Formulas:
     - scan cardinality: exact live row count (tables, file sources)
-    - equality selectivity: [1/NDV] via a covering single-column index,
-      [1/3] otherwise; opaque predicates filter to [1/3]
+    - pushed WHERE of an unparameterized region: its most selective AND
+      conjunct, where a literal [col = v] or [col IN (v1..vn)] on a column
+      with a single-column index keeps [rows·n/NDV] (at least 1, at most
+      rows) and every other shape (OR, NOT, ranges, functions, unindexed
+      columns) keeps [rows/3]; middleware where clauses keep [1/3]
+    - parameterized probe: [rows/NDV] of the best single-column index
     - equi-join cardinality: [max(outer, inner)] (exact for the PK-FK
       joins introspection generates)
     - PP-k: [Total(k) ~ outer·latency/k + outer·row_cost·k], minimized at
@@ -55,13 +59,25 @@ val source_cost : Metadata.t -> Qname.t -> float option
     rows·row_cost. The static analogue of {!Observed.cost}. *)
 
 val rel_cardinality : Metadata.t -> Cexpr.sql_access -> int option
-(** Rows one execution of a pushed region ships: filtered table rows when
-    unparameterized, per-probe matches (rows / best indexed NDV) when
-    parameterized. *)
+(** Rows one execution of a pushed region ships. Unparameterized: the
+    table's rows without a WHERE; with one, the most selective AND
+    conjunct's estimate — [rows·n/NDV] for a literal [=] ([n = 1]) or an
+    [IN] of [n] literals on a column a single-column index covers
+    ({!Aldsp_relational.Table.distinct_estimate}), [rows/3] for anything
+    else. Parameterized: per-probe matches, rows over the best
+    single-column NDV. *)
 
 val expr_cardinality : Metadata.t -> Cexpr.t -> int option
+
+val advance : Metadata.t -> int option -> Cexpr.clause -> int option
+(** [advance registry est clause]: estimated binding tuples flowing out of
+    [clause] when [est] flow in; [None] (unknown) poisons. The one
+    clause-at-a-time walk behind {!clauses_cardinality}, the optimizer's
+    join-method choice and the plan IR's [est=] counters. *)
+
 val clauses_cardinality : Metadata.t -> Cexpr.clause list -> int option
-(** Estimated binding tuples a FLWOR clause pipeline emits. *)
+(** Estimated binding tuples a FLWOR clause pipeline emits: {!advance}
+    folded from one tuple. *)
 
 val choose_k : outer:int option -> latency:float -> int
 (** Cost-optimal PP-k block size for this outer cardinality and source

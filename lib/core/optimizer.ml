@@ -1049,33 +1049,6 @@ let rule_inverse t =
 (* ------------------------------------------------------------------ *)
 (* Join method selection (post-pushdown)                               *)
 
-(* Estimated binding tuples flowing out of a clause, threaded through
-   method selection so join methods and PP-k depth are priced against the
-   outer cardinality. [None] poisons: decisions fall back to the
-   structural heuristics. *)
-let advance_estimate registry est clause =
-  match est with
-  | None -> None
-  | Some tuples -> (
-    match clause with
-    | C.For { source; _ } -> (
-      match Cost_model.expr_cardinality registry source with
-      | Some n -> Some (tuples * n)
-      | None -> None)
-    | C.Let _ | C.Order _ | C.Group _ -> Some tuples
-    | C.Where _ -> Some (max 1 (tuples / Cost_model.selection_fraction))
-    | C.Rel r -> (
-      match Cost_model.rel_cardinality registry r with
-      | Some n -> Some (tuples * n)
-      | None -> None)
-    | C.Join { right; export; _ } -> (
-      match export with
-      | C.Grouped _ -> Some tuples
-      | C.Bindings -> (
-        match Cost_model.clauses_cardinality registry right with
-        | Some inner -> Some (max tuples inner)
-        | None -> None)))
-
 (* PP-k parameters for a parameterized right side: with cost-based
    selection on, k and prefetch come from the outer-cardinality/latency
    tradeoff of the probed database; off, the configured knobs apply
@@ -1154,7 +1127,7 @@ let rec select_methods_clauses t bound outer_est clauses =
         in
         ( clause' :: acc,
           C.clause_vars [ clause' ] @ bound,
-          advance_estimate t.registry est clause' ))
+          Cost_model.advance t.registry est clause' ))
       ([], bound, outer_est) clauses
   in
   List.rev rev_clauses

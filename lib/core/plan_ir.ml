@@ -124,32 +124,8 @@ let compile registry root =
   in
   (* Compile-time cardinality estimates, recorded alongside each
      operator's runtime counters so EXPLAIN --analyze can print
-     est=/act= pairs. [advance] mirrors {!Cost_model.clauses_cardinality}
-     one clause at a time: the estimate stored on an operator is the
-     binding tuples it is expected to emit. *)
-  let advance est clause =
-    match est with
-    | None -> None
-    | Some tuples -> (
-      match clause with
-      | C.For { source; _ } -> (
-        match Cost_model.expr_cardinality registry source with
-        | Some n -> Some (tuples * n)
-        | None -> None)
-      | C.Let _ | C.Group _ | C.Order _ -> Some tuples
-      | C.Where _ -> Some (max 1 (tuples / Cost_model.selection_fraction))
-      | C.Rel r -> (
-        match Cost_model.rel_cardinality registry r with
-        | Some n -> Some (tuples * n)
-        | None -> None)
-      | C.Join { right; export; _ } -> (
-        match export with
-        | C.Grouped _ -> Some tuples
-        | C.Bindings -> (
-          match Cost_model.clauses_cardinality registry right with
-          | Some inner -> Some (max tuples inner)
-          | None -> None)))
-  in
+     est=/act= pairs: the estimate stored on an operator is the binding
+     tuples it is expected to emit ({!Cost_model.advance}). *)
   let set_est c = function Some n -> c.c_est <- n | None -> () in
   let rec expr (e : C.t) : t =
     let p = expr_node e in
@@ -263,7 +239,7 @@ let compile registry root =
       List.iter (fun o -> set_est o.op_counters est) ops;
       ops @ lower_clauses est rest
     | clause :: rest ->
-      let est' = advance est clause in
+      let est' = Cost_model.advance registry est clause in
       let op =
         match clause with
         | C.For { var; source } -> mk_op (O_scan { var; source = expr source })
