@@ -269,8 +269,9 @@ let bench_ppk () =
         (Printf.sprintf "%d tuples" (min k customers)))
     [ 1; 5; 10; 20; 50; 100; 400 ];
   print_endline
-    "shape: latency falls ~1/k while the middleware block footprint grows\n\
-     with k; the paper's default k=20 sits at the knee of the curve."
+    "shape: latency falls ~1/k and flattens past the knee at k~20, the\n\
+     paper's default; the hashed block join keeps large k cheap in time,\n\
+     so what grows with k is the middleware block footprint."
 
 (* ------------------------------------------------------------------ *)
 (* Scan vs index access paths (backend executor)                       *)
@@ -414,6 +415,38 @@ let cost_model_point_lookup () =
         fail "CST: point lookup ships a whole table: %s" r.Plan_ir.sql_text)
     regions
 
+(* One run of [q] with fresh counters: the PP-k join's emitted rows and
+   its per-candidate reconstruction let's rows, or [None] when the plan
+   has no PP-k join with such a let. With the block hash join the let
+   runs once per matched pair, so the two are equal on an equi-join; the
+   block nested loop ran it once per (left tuple, fetched row) pair. *)
+let ppk_reconstructions server q =
+  let compiled =
+    match Server.compile server q with
+    | Ok c -> c
+    | Error _ -> failwith "CST: compile failed"
+  in
+  Plan_ir.reset_counters compiled.Server.ir;
+  ignore (ok_exn (Server.run server q));
+  match compiled.Server.ir.Plan_ir.node with
+  | Plan_ir.P_pipeline { ops; _ } ->
+    List.find_map
+      (fun (o : Plan_ir.op) ->
+        match o.Plan_ir.op_node with
+        | Plan_ir.O_join { method_ = Cexpr.Ppk _; right; _ } ->
+          List.find_map
+            (fun (r : Plan_ir.op) ->
+              match r.Plan_ir.op_node with
+              | Plan_ir.O_let _ ->
+                Some
+                  ( o.Plan_ir.op_counters.Plan_ir.c_rows,
+                    r.Plan_ir.op_counters.Plan_ir.c_rows )
+              | _ -> None)
+            right
+        | _ -> None)
+      ops
+  | _ -> None
+
 (* The cost model prices NL vs index-NL vs PP-k from the maintained table
    statistics and each source's latency profile, then picks k and the
    prefetch depth itself. This sweep runs the same cross-database join
@@ -422,7 +455,9 @@ let cost_model_point_lookup () =
    passing (k=1), the paper-default block size (k=20), and the unindexed
    full-scan baseline. In smoke mode only the 100k point runs, with
    structural assertions — the chosen plan must be PP-k with k in [5, 50]
-   probing through the index (zero full scans) — and the chosen plan's
+   probing through the index (zero full scans), hashing each block
+   ([inner=inl]) so the per-candidate let runs no more often than the
+   join emits rows — and the chosen plan's
    EXPLAIN is written to EXPLAIN_cost_model_<rows>.txt so CI can upload
    it as an artifact when the assertion trips. *)
 let bench_cost_model ?(smoke = false) () =
@@ -550,6 +585,28 @@ let bench_cost_model ?(smoke = false) () =
              "CST: chosen plan fell back to %d full scan(s) at %d rows \
               (see %s)"
              full_scans rows artifact);
+      if not (String.ends_with ~suffix:"inner=inl)" method_) then
+        failwith
+          (Printf.sprintf
+             "CST: chosen PP-k join does not hash its blocks at %d rows \
+              (method %s, see %s)"
+             rows method_ artifact);
+      (match ppk_reconstructions (Server.create demo.Demo.registry) q with
+      | Some (joined, reconstructed) when reconstructed <= joined ->
+        Printf.printf "%10s per-candidate let act=%d, join act=%d\n" ""
+          reconstructed joined
+      | Some (joined, reconstructed) ->
+        failwith
+          (Printf.sprintf
+             "CST: per-candidate let act=%d exceeds the join's act=%d at \
+              %d rows: the block join is not hashing (see %s)"
+             reconstructed joined rows artifact)
+      | None ->
+        failwith
+          (Printf.sprintf
+             "CST: chosen plan has no PP-k join with a reconstruction let \
+              at %d rows (see %s)"
+             rows artifact));
       let t_k1, _, _, _, n_k1 =
         run_variant "forced k=1" ~indexed:true (forced 1)
       in

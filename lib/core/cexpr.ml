@@ -5,9 +5,7 @@ type var = string
 type join_method =
   | Nested_loop
   | Index_nested_loop
-  | Ppk of { k : int; prefetch : int; inner : inner_method }
-
-and inner_method = Inner_nl | Inner_inl
+  | Ppk of { k : int; prefetch : int }
 
 type binop =
   | V_eq | V_ne | V_lt | V_le | V_gt | V_ge
@@ -271,6 +269,67 @@ let rec clause_vars clauses =
     clauses
 
 (* ------------------------------------------------------------------ *)
+(* Equi-join keys                                                      *)
+
+let unwrap_ebv = function Ebv e -> e | e -> e
+
+let rec conjuncts pred =
+  match unwrap_ebv pred with
+  | Binop (And, a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+let reads_only vars e =
+  let fv = free_vars e () in
+  Hashtbl.length fv > 0
+  && Hashtbl.fold (fun v _ acc -> acc && List.mem v vars) fv true
+
+let equi_join_keys ~right_vars on_ =
+  let touches_right e =
+    let fv = free_vars e () in
+    List.exists (fun v -> Hashtbl.mem fv v) right_vars
+  in
+  let classify e =
+    match unwrap_ebv e with
+    | Binop ((V_eq | G_eq), a, b) ->
+      if reads_only right_vars b && not (touches_right a) then Some (a, b)
+      else if reads_only right_vars a && not (touches_right b) then Some (b, a)
+      else None
+    | _ -> None
+  in
+  let pairs, residual =
+    List.fold_left
+      (fun (pairs, residual) conj ->
+        match classify conj with
+        | Some pair -> (pair :: pairs, residual)
+        | None -> (pairs, conj :: residual))
+      ([], []) (conjuncts on_)
+  in
+  if pairs = [] then None else Some (List.rev pairs, List.rev residual)
+
+(* Row reconstruction: element constructors over variables and constants,
+   which cannot raise — so skipping a candidate never hides an error. *)
+let rec constructor_only = function
+  | Const _ | Empty | Var _ -> true
+  | Seq es -> List.for_all constructor_only es
+  | Elem { attrs; content; _ } ->
+    List.for_all (fun a -> constructor_only a.avalue) attrs
+    && constructor_only content
+  | _ -> false
+
+let ppk_hash_keys right on_ =
+  match right with
+  | Rel r :: lets
+    when List.for_all
+           (function Let { value; _ } -> constructor_only value | _ -> false)
+           lets -> (
+    let binds = List.map (fun b -> b.bvar) r.binds in
+    let keyed (_, rk) = reads_only binds rk in
+    match equi_join_keys ~right_vars:(clause_vars right) on_ with
+    | Some (pairs, []) when List.for_all keyed pairs -> Some pairs
+    | _ -> None)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
 
 let rec substitute subst e =
@@ -464,13 +523,13 @@ let binop_name = function
   | Idiv -> "idiv" | Mod -> "mod"
   | And -> "and" | Or -> "or" | Range -> "to"
 
-let method_name = function
+let method_name ~right ~on_ = function
   | Nested_loop -> "nl"
   | Index_nested_loop -> "inl"
-  | Ppk { k; prefetch; inner } ->
+  | Ppk { k; prefetch } ->
     Printf.sprintf "pp-%d%s/%s" k
       (if prefetch > 0 then Printf.sprintf "+%d" prefetch else "")
-      (match inner with Inner_nl -> "nl" | Inner_inl -> "inl")
+      (if Option.is_none (ppk_hash_keys right on_) then "nl" else "inl")
 
 let rec pp ppf e =
   let open Format in
@@ -551,7 +610,7 @@ and pp_clause ppf c =
   | Join { kind; method_; right; on_; export } ->
     fprintf ppf "@[<v 2>%s-join[%s]%s (@,%a@,) on %a@]"
       (match kind with J_inner -> "inner" | J_left_outer -> "left-outer")
-      (method_name method_)
+      (method_name ~right ~on_ method_)
       (match export with
       | Bindings -> ""
       | Grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar)

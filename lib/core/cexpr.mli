@@ -24,13 +24,13 @@ type var = string
     [k] left tuples via a disjunctive parameterized query; [prefetch] is the
     pipeline depth — how many block queries may be in flight on the worker
     pool ahead of the block the middleware join is consuming (0 = strictly
-    sequential roundtrips). *)
+    sequential roundtrips). How each block is joined in the middleware is
+    not a choice: it hashes on the join keys when {!ppk_hash_keys} finds
+    them and falls back to a nested loop otherwise. *)
 type join_method =
   | Nested_loop
   | Index_nested_loop
-  | Ppk of { k : int; prefetch : int; inner : inner_method }
-
-and inner_method = Inner_nl | Inner_inl
+  | Ppk of { k : int; prefetch : int }
 
 type binop =
   | V_eq | V_ne | V_lt | V_le | V_gt | V_ge  (** value comparisons *)
@@ -121,6 +121,26 @@ val is_free : var -> t -> bool
 
 val clause_vars : clause list -> var list
 (** Variables a clause pipeline binds for downstream clauses. *)
+
+val unwrap_ebv : t -> t
+(** Strips one explicit effective-boolean-value wrapper. *)
+
+val conjuncts : t -> t list
+(** The AND-conjuncts of a predicate (EBV wrappers stripped). *)
+
+val equi_join_keys :
+  right_vars:var list -> t -> ((t * t) list * t list) option
+(** Splits a join predicate into (left expr = right expr) pairs plus
+    residual conjuncts; [None] when no equi-key exists. Shared by pushdown,
+    the method selector and the executor's hash joins. *)
+
+val ppk_hash_keys : clause list -> t -> (t * t) list option
+(** The (left, right) key pairs a PP-k block join over [right] can hash
+    on: [right] is a pushed region followed only by row-reconstruction
+    lets (element constructors over variables), the predicate is nothing
+    but equi-key pairs, and every right key reads only the region's bind
+    variables — so a fetched row's key is known before the row is
+    reconstructed. [None] means the block join is a nested loop. *)
 
 val count_uses : var -> clause list -> t -> int
 (** Occurrences of a variable in a clause list plus return expression —

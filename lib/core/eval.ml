@@ -4,6 +4,7 @@ module C = Cexpr
 module Sql = Aldsp_relational.Sql_ast
 module Sql_exec = Aldsp_relational.Sql_exec
 module V = Aldsp_relational.Sql_value
+module Index = Aldsp_relational.Index
 
 exception Eval_error of string
 
@@ -236,6 +237,30 @@ let value_compare op a b =
     | C.V_ge -> c >= 0
     | _ -> assert false)
   | Error m -> error "%s" m
+
+(* PP-k block hash keys. Only a single string or numeric atom normalizes,
+   numerics to one canonical float as in [Index.part_of_value], so two
+   atoms [eq] finds equal always share a key and two atoms of one class
+   compare without error. *)
+type hash_part = H_str of string | H_num of float
+
+let hash_part = function
+  | [ Atomic.String s ] -> Some (H_str s)
+  | [ Atomic.Integer i ] -> Some (H_num (Index.canon_float (float_of_int i)))
+  | [ (Atomic.Decimal f | Atomic.Double f) ] ->
+    Some (H_num (Index.canon_float f))
+  | _ -> None
+
+let same_class a b =
+  match (a, b) with H_str _, H_str _ | H_num _, H_num _ -> true | _ -> false
+
+(* One fetched block's left keys: positions by key, ascending, plus the
+   positions whose key does not normalize, which every row visits. *)
+type block_index = {
+  bi_shape : hash_part list;  (** a row key of another class visits all *)
+  bi_keys : (hash_part list, int list) Hashtbl.t;
+  bi_wild : int list;
+}
 
 let arith op a b =
   let r =
@@ -873,13 +898,14 @@ and exec_join fr env0 left kind method_ right on_ equi export =
     | Some { eq_pairs; eq_residual } ->
       inl_join fr env0 left kind right eq_pairs eq_residual export
     | None -> nl_join fr left kind right on_ export)
-  | C.Ppk { k; prefetch; inner } -> (
+  | C.Ppk { k; prefetch } -> (
     match right with
     | { op_node = O_sql r; op_counters = sqlc; _ } :: rest_lets
       when List.for_all
              (fun o -> match o.op_node with O_let _ -> true | _ -> false)
              rest_lets ->
-      ppk_join fr sqlc left kind r rest_lets ~k ~prefetch ~inner on_ export
+      let keys = Option.map (fun e -> e.eq_pairs) equi in
+      ppk_join fr sqlc left kind r rest_lets ~k ~prefetch ~keys on_ export
     | _ -> nl_join fr left kind right on_ export)
 
 and join_matches fr left_env right on_ =
@@ -932,6 +958,37 @@ and inl_join fr env0 left kind right pairs residual export =
       in
       export_tuples fr left_env (List.to_seq matches) kind export)
     left
+
+(* A join key over [exprs] in [env], or [None] when some part does not
+   normalize — including when evaluating it fails: the key's position is
+   then visited like a nested loop, which raises the error in its place. *)
+and hash_key fr env exprs =
+  match List.map (fun e -> hash_part (atomize (exec fr env e))) exprs with
+  | parts when List.for_all Option.is_some parts ->
+    Some (List.map Option.get parts)
+  | _ -> None
+  | exception e when recoverable_failure e -> None
+
+(* [None] when no left key normalizes or they mix classes; every row then
+   visits every position. *)
+and block_index fr block left_keys =
+  let keyed = Array.map (fun env -> hash_key fr env left_keys) block in
+  let keys = Hashtbl.create (Array.length block) in
+  let wild = ref [] and shape = ref None and mixed = ref false in
+  for i = Array.length block - 1 downto 0 do
+    match keyed.(i) with
+    | None -> wild := i :: !wild
+    | Some key ->
+      (match !shape with
+      | None -> shape := Some key
+      | Some s -> if not (List.for_all2 same_class s key) then mixed := true);
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt keys key) in
+      Hashtbl.replace keys key (i :: bucket)
+  done;
+  match !shape with
+  | Some s when not !mixed ->
+    Some { bi_shape = s; bi_keys = keys; bi_wild = !wild }
+  | _ -> None
 
 and bind_sql_row binds col_index base_env row =
   List.fold_left
@@ -1012,7 +1069,11 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
-   clauses (row reconstruction) applied after binding a fetched row.
+   clauses (row reconstruction) applied after binding a fetched row. With
+   [keys] (Cexpr.ppk_hash_keys) the middleware join is a hash join: the
+   block's left keys are indexed once, and a fetched row is bound,
+   reconstructed and tested only against the left tuples under its key —
+   the full [on_] still decides, the hash only picks candidates.
 
    With [prefetch] > 0 the block queries are pipelined: parameter
    evaluation and SQL generation happen on the consumer thread while
@@ -1022,7 +1083,7 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
    result is byte-identical at every depth. The backend's plan lines ride
    along with each block's result and are stored into the region on the
    consumer thread, in block order, keeping EXPLAIN capture race-free. *)
-and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
+and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
     on_ export =
   let db =
     match Metadata.find_database fr.rt.registry r.sql_db with
@@ -1030,6 +1091,7 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
     | None -> error "unknown database %s" r.sql_db
   in
   let n_params = List.length r.sql_params in
+  let left_keys, right_keys = List.split (Option.value ~default:[] keys) in
   let obs = fr.rt.observed in
   (* stage 1, consumer thread: the block query — WHERE (p_1..p_n) OR ...
      OR (p shifted (m-1)n) — and its middleware-computed parameters *)
@@ -1056,11 +1118,21 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
   let roundtrip (block, select, params) =
     let t0 = Unix.gettimeofday () in
     let result = Adaptors.relational_select_stream db select ~params in
-    let wall = Unix.gettimeofday () -. t0 in
-    Option.iter (fun o -> Observed.record_roundtrip o ~wall) obs;
+    let t1 = Unix.gettimeofday () in
+    Option.iter (fun o -> Observed.record_roundtrip o ~wall:(t1 -. t0)) obs;
     sqlc.c_roundtrips <- sqlc.c_roundtrips + 1;
-    sqlc.c_wall <- sqlc.c_wall +. wall;
-    (block, result, wall)
+    (block, result, (t0, t1))
+  in
+  (* the operator's wall is the time it had a statement in flight, added
+     on the consumer thread in block order: prefetched statements overlap
+     each other and the join, and a per-statement sum would count the
+     same wall-clock time more than once — more than the whole join took
+     once the join itself is cheap *)
+  let in_flight_until = ref 0. in
+  let account_wall (t0, t1) =
+    let fresh = t1 -. Float.max t0 !in_flight_until in
+    sqlc.c_wall <- sqlc.c_wall +. Float.max 0. fresh;
+    in_flight_until := Float.max !in_flight_until t1
   in
   (* stage 3, consumer thread: middleware join of the block, chunk by
      chunk — candidate binding, row reconstruction and the join predicate
@@ -1068,7 +1140,8 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
      matches are retained (never the raw block result set). Matches
      accumulate per left tuple so the output stays in left-block order,
      byte-identical to the all-at-once join. *)
-  let middleware_join (block, result, _wall) =
+  let middleware_join (block, result, span) =
+    account_wall span;
     match result with
     | Error msg -> error "%s" msg
     | Ok streamed ->
@@ -1095,18 +1168,52 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
           (Sql_exec.cursor_columns cur, fetch)
       in
       let col_index = List.mapi (fun i c -> (c, i)) columns in
-      ignore inner;
       let block_arr = Array.of_list block in
-      let acc = Array.make (Array.length block_arr) [] in
+      let m = Array.length block_arr in
+      let acc = Array.make m [] in
+      (* built on the first row, so an empty block evaluates no key *)
+      let index =
+        lazy
+          (match left_keys with
+          | [] -> None
+          | _ -> block_index fr block_arr left_keys)
+      in
       Seq.iter
         (fun rows ->
-          sqlc.c_rows <- sqlc.c_rows + List.length rows;
+          let rows = Array.of_list rows in
+          let n = Array.length rows in
+          sqlc.c_rows <- sqlc.c_rows + n;
+          (* visits.(i): the rows to try against left tuple i, descending.
+             A row whose key does not fit the index visits every tuple, so
+             candidates run in the nested loop's order and a skipped pair
+             is one that compares unequal without error. *)
+          let visits =
+            match if n = 0 then None else Lazy.force index with
+            | None -> Array.make m (List.init n (fun j -> n - 1 - j))
+            | Some ix ->
+              let visits = Array.make m [] in
+              Array.iteri
+                (fun j row ->
+                  let visit i = visits.(i) <- j :: visits.(i) in
+                  let row_env =
+                    bind_sql_row r.sql_binds col_index Env.empty row
+                  in
+                  match hash_key fr row_env right_keys with
+                  | Some key when List.for_all2 same_class ix.bi_shape key ->
+                    Option.iter (List.iter visit)
+                      (Hashtbl.find_opt ix.bi_keys key);
+                    List.iter visit ix.bi_wild
+                  | _ -> for i = 0 to m - 1 do visit i done)
+                rows;
+              visits
+          in
           Array.iteri
             (fun i left_env ->
               let candidates =
-                List.map
-                  (fun row -> bind_sql_row r.sql_binds col_index left_env row)
-                  rows
+                List.rev_map
+                  (fun j ->
+                    bind_sql_row r.sql_binds col_index left_env rows.(j))
+                  visits.(i)
               in
               let candidates =
                 List.concat_map
@@ -1141,9 +1248,9 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~inner
         let t0 = Unix.gettimeofday () in
         match seq () with
         | Seq.Nil -> Seq.Nil
-        | Seq.Cons (((_, _, wall) as x), rest) ->
+        | Seq.Cons (((_, _, (s0, s1)) as x), rest) ->
           let blocked = Unix.gettimeofday () -. t0 in
-          Observed.record_overlap o (wall -. blocked);
+          Observed.record_overlap o (s1 -. s0 -. blocked);
           Seq.Cons (x, timed rest)
       in
       timed seq

@@ -101,12 +101,8 @@ let count_var = C.count_occurrences
 
 let count_var_clauses v clauses return_ = C.count_uses v clauses return_
 
-let unwrap_ebv = function C.Ebv e -> e | e -> e
-
-let rec conjuncts pred =
-  match unwrap_ebv pred with
-  | C.Binop (C.And, a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
+let unwrap_ebv = C.unwrap_ebv
+let conjuncts = C.conjuncts
 
 let conjoin cs =
   let cs =
@@ -184,34 +180,6 @@ let clause_list_free_vars clauses =
 let references_any vars e =
   let fv = C.free_vars e () in
   List.exists (fun v -> Hashtbl.mem fv v) vars
-
-(* ------------------------------------------------------------------ *)
-(* Equi-key extraction (shared with the runtime INL join)              *)
-
-let equi_join_keys ~right_vars on_ =
-  let is_right_only e =
-    let fv = C.free_vars e () in
-    Hashtbl.length fv > 0
-    && Hashtbl.fold (fun v _ acc -> acc && List.mem v right_vars) fv true
-  in
-  let touches_right e = references_any right_vars e in
-  let classify e =
-    match unwrap_ebv e with
-    | C.Binop ((C.V_eq | C.G_eq), a, b) ->
-      if is_right_only b && not (touches_right a) then Some (a, b)
-      else if is_right_only a && not (touches_right b) then Some (b, a)
-      else None
-    | _ -> None
-  in
-  let pairs, residual =
-    List.fold_left
-      (fun (pairs, residual) conj ->
-        match classify conj with
-        | Some pair -> (pair :: pairs, residual)
-        | None -> (pairs, conj :: residual))
-      ([], []) (conjuncts on_)
-  in
-  if pairs = [] then None else Some (List.rev pairs, List.rev residual)
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
@@ -1065,13 +1033,8 @@ let ppk_method t ~outer (r : C.sql_access) =
         prefetch =
           max 0
             (Cost_model.choose_prefetch ~latency
-               ~default:t.opts.ppk_prefetch);
-        inner = C.Inner_inl }
-  else
-    C.Ppk
-      { k = t.opts.ppk_k;
-        prefetch = max 0 t.opts.ppk_prefetch;
-        inner = C.Inner_inl }
+               ~default:t.opts.ppk_prefetch) }
+  else C.Ppk { k = t.opts.ppk_k; prefetch = max 0 t.opts.ppk_prefetch }
 
 (* NL vs index-NL for a structurally eligible (independent, equi-keyed)
    right side: probe + expected matches per outer tuple against scanning
@@ -1109,7 +1072,7 @@ let rec select_methods_clauses t bound outer_est clauses =
                 in
                 if
                   (not depends_on_left)
-                  && equi_join_keys ~right_vars on_ <> None
+                  && C.equi_join_keys ~right_vars on_ <> None
                   && ((not t.opts.cost_based)
                      || inl_beats_nl t ~outer:est right')
                 then C.Index_nested_loop

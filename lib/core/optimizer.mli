@@ -118,9 +118,3 @@ val optimize_view : t -> Aldsp_xml.Qname.t -> Cexpr.t -> Cexpr.t
 
 val view_cache_hits : t -> int
 val view_cache_misses : t -> int
-
-val equi_join_keys :
-  right_vars:Cexpr.var list -> Cexpr.t -> ((Cexpr.t * Cexpr.t) list * Cexpr.t list) option
-(** Splits a join predicate into (left expr = right expr) pairs plus
-    residual conjuncts; [None] when no equi-key exists. Shared with the
-    runtime's index-nested-loop implementation. *)

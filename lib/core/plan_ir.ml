@@ -254,19 +254,20 @@ let compile registry root =
         | C.Order { keys } ->
           mk_op (O_sort { keys = List.map (fun (e, d) -> (expr e, d)) keys })
         | C.Join { kind; method_; right; on_; export } ->
+          let lower_equi (pairs, residual) =
+            { eq_pairs = List.map (fun (l, r) -> (expr l, expr r)) pairs;
+              eq_residual = List.map expr residual }
+          in
           let equi =
             match method_ with
-            | C.Index_nested_loop -> (
-              match
-                Optimizer.equi_join_keys ~right_vars:(C.clause_vars right) on_
-              with
-              | Some (pairs, residual) ->
-                Some
-                  { eq_pairs =
-                      List.map (fun (l, r) -> (expr l, expr r)) pairs;
-                    eq_residual = List.map expr residual }
-              | None -> None)
-            | C.Nested_loop | C.Ppk _ -> None
+            | C.Index_nested_loop ->
+              Option.map lower_equi
+                (C.equi_join_keys ~right_vars:(C.clause_vars right) on_)
+            | C.Ppk _ ->
+              Option.map
+                (fun pairs -> lower_equi (pairs, []))
+                (C.ppk_hash_keys right on_)
+            | C.Nested_loop -> None
           in
           mk_op
             (O_join
@@ -459,12 +460,15 @@ let rec summary p =
 
 let cap s = if String.length s > 90 then String.sub s 0 87 ^ "..." else s
 
-let method_label = function
+(* A PP-k join's [inner=] names how each fetched block is joined in the
+   middleware: [inl] when it carries hash keys, [nl] when it does not. *)
+let method_label method_ equi =
+  match method_ with
   | C.Nested_loop -> "nested-loop"
   | C.Index_nested_loop -> "index-nl"
-  | C.Ppk { k; prefetch; inner } ->
+  | C.Ppk { k; prefetch } ->
     Printf.sprintf "pp-k(k=%d, prefetch=%d, inner=%s)" k prefetch
-      (match inner with C.Inner_nl -> "nl" | C.Inner_inl -> "inl")
+      (if equi = None then "nl" else "inl")
 
 (* Node kinds whose subtree is rendered as a tree rather than inlined:
    the "operator" nodes themselves plus any container on the path to
@@ -541,10 +545,10 @@ let op_label o =
            (fun (e, desc) ->
              cap (summary e) ^ if desc then " descending" else "")
            keys)
-  | O_join { kind; method_; export; _ } ->
+  | O_join { kind; method_; equi; export; _ } ->
     Printf.sprintf "join[%s] method=%s%s"
       (match kind with C.J_inner -> "inner" | C.J_left_outer -> "left-outer")
-      (method_label method_)
+      (method_label method_ equi)
       (match export with
       | PE_bindings -> ""
       | PE_grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar)

@@ -134,9 +134,11 @@ and op_node =
       right : op list;
       on_ : t;
       equi : pequi option;
-          (** Precomputed for index nested loop: the hash-join keys the
-              method selector found, so the executor never re-analyzes the
-              predicate. [None] falls back to nested loop. *)
+          (** The hash-join keys, precomputed so the executor never
+              re-analyzes the predicate: for index nested loop those the
+              method selector found, for PP-k those of
+              {!Cexpr.ppk_hash_keys} (never a residual), hashing each
+              fetched block. [None] falls back to a nested loop. *)
       export : pexport;
     }
   | O_sql of sql_region

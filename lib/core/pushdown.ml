@@ -122,8 +122,6 @@ type sql_env = {
 
 exception Not_pushable
 
-let unwrap_ebv = function C.Ebv e -> e | e -> e
-
 let rec strip_typematch = function
   | C.Typematch (e, _) | C.Data e -> strip_typematch e
   | e -> e
@@ -162,7 +160,7 @@ let make_param env e =
   Sql.Param (env.param_base + List.length !(env.params))
 
 let rec translate env (e : C.t) : Sql.expr =
-  match unwrap_ebv e with
+  match C.unwrap_ebv e with
   | C.Var v -> (
     match List.assoc_opt v env.cols with
     | Some (col, _) -> col
@@ -1040,7 +1038,7 @@ let rec parameterize_joins ~gate st e =
         :: rest
         when r.C.sql_params = [] && gate ~outer:(List.rev before) r -> (
         let right_vars = C.clause_vars (C.Rel r :: right_rest) in
-        match Optimizer.equi_join_keys ~right_vars on_ with
+        match C.equi_join_keys ~right_vars on_ with
         | Some (pairs, _residual) -> (
           (* keys whose right side is a plain Rel bind become col = ? *)
           let bind_col b =

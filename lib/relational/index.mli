@@ -69,6 +69,10 @@ val probe_grouping : t -> Sql_value.t array -> int list
 (** Like {!probe} but with grouping equality: NULL matches NULL. Used for
     primary-key uniqueness, which treats NULL keys as comparable. *)
 
+val canon_float : float -> float
+(** The float image every numeric key normalizes through: one NaN, and
+    [-0.] folded into [0.], so equal numbers hash alike. *)
+
 val key_of_values : Sql_value.t array -> key
 (** Normalizes a value tuple; exposed so the executor's hash join can
     reuse the same key semantics for its build/probe tables. *)

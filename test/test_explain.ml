@@ -131,6 +131,36 @@ let test_ppk_roundtrip_counters () =
 (* A cacheable call site: first run misses (computes), second hits; the
    plan's call-site counters must agree with the function-cache rollup in
    Server.stats. *)
+(* PP-k's [inner=] says how each block is joined in the middleware, in
+   both the plan tree and the core-expression printer: [inl] for a join
+   the executor hashes on its keys, [nl] for one with a non-equi conjunct
+   it can only nest-loop. *)
+let test_ppk_inner_labels () =
+  let demo = Aldsp_demo.Demo.create ~customers:5 ~orders_per_customer:0 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let hint = "(::pragma hint ppk-k=\"3\"::) " in
+  let hashed =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let nested =
+    "for $c in CUSTOMER() return <C>{$c/CID}{for $x in CREDIT_CARD() \
+     where $x/CID eq $c/CID and $x/CCID gt $c/SINCE return $x/NUM}</C>"
+  in
+  let labels q =
+    let text = ok_exn (Server.explain ~analyze:false server (hint ^ q)) in
+    let core = Cexpr.to_string (compile_exn server (hint ^ q)).Server.plan in
+    (text, core)
+  in
+  let text, core = labels hashed in
+  check_bool "hashed: plan label" true
+    (contains text "method=pp-k(k=3, prefetch=1, inner=inl)");
+  check_bool "hashed: core label" true (contains core "pp-3+1/inl");
+  let text, core = labels nested in
+  check_bool "non-equi: plan label" true
+    (contains text "method=pp-k(k=3, prefetch=1, inner=nl)");
+  check_bool "non-equi: core label" true (contains core "pp-3+1/nl")
+
 let test_cache_hit_counters () =
   let cache = Function_cache.create (Database.create "CacheDB") in
   let demo =
@@ -351,6 +381,7 @@ let () =
       ( "counters",
         [ t "pp-k roundtrips match Observed" test_ppk_roundtrip_counters;
           t "cache hits match Server.stats" test_cache_hit_counters ] );
+      ( "labels", [ t "pp-k inner= label" test_ppk_inner_labels ] );
       ( "plan-cache",
         [ t "stale generations recompile" test_plan_cache_staleness;
           t "compile once, execute twice" test_compile_once_execute_twice ] );

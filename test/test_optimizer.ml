@@ -224,7 +224,7 @@ let test_equi_join_keys () =
                 (Cexpr.V_gt, Cexpr.Var "l2", Cexpr.Const (Atomic.Integer 3)))
          ))
   in
-  match Optimizer.equi_join_keys ~right_vars:[ "r" ] on_ with
+  match Cexpr.equi_join_keys ~right_vars:[ "r" ] on_ with
   | Some ([ (Cexpr.Var "l", Cexpr.Var "r") ], residual) ->
     check_int "one residual" 1 (List.length residual)
   | _ -> Alcotest.fail "equi key extraction"

@@ -74,6 +74,181 @@ let test_ppk_results_match_nl () =
   in
   check_bool "PP-k == NL" true (Item.serialize ppk = Item.serialize nl)
 
+(* The PP-k block hash join against the reference server (no rewrites,
+   no pushdown, nested loops): a check catalog seeded with the data the
+   hash must not get wrong — duplicate left keys in one block, NULL join
+   columns, integer against decimal keys, customers without cards. *)
+let hash_join_catalog () =
+  let module Catalog = Aldsp_check.Catalog in
+  let module V = Sql_value in
+  let cat =
+    Catalog.build
+      { Catalog.seed = 15;
+        main_vendor = Database.Oracle;
+        card_vendor = Database.Sql_server;
+        customers = 10;
+        orders_per_customer = 3;
+        cards_per_customer = 2;
+        regions = 2 }
+  in
+  let table db name = ok_exn (Database.find_table db name) in
+  let insert db name rows =
+    List.iter
+      (fun row -> ignore (ok_exn (Table.insert (table db name) row)))
+      rows
+  in
+  (* customers with no card: unmatched left tuples; CUSTY's SINCE meets
+     its cards' LIMIT_ *)
+  insert cat.Catalog.main_db "CUSTOMER"
+    (List.init 3 (fun i ->
+         [| V.Str (Printf.sprintf "CUSTX%d" i); V.Str "Nobody"; V.Null;
+            V.Str "000-00-0000"; V.Int (i + 1) |])
+    @ [ [| V.Str "CUSTY"; V.Str "Somebody"; V.Null; V.Str "000-00-0001";
+           V.Int 1000 |] ]);
+  (* AMOUNT 1.0 meets CCID 1 and 101.0 meets CCID 101; NULL AMOUNTs *)
+  insert cat.Catalog.main_db "ORDER_T"
+    [ [| V.Int 9001; V.Str "CUST0001"; V.Float 1.0 |];
+      [| V.Int 9002; V.Str "CUST0002"; V.Float 101.0 |];
+      [| V.Int 9003; V.Str "CUST0002"; V.Float 101.0 |];
+      [| V.Int 9004; V.Str "CUST0003"; V.Null |];
+      [| V.Int 9005; V.Str "CUSTY"; V.Float 1000.0 |] ];
+  (* NULL LIMIT_s on the right; an integer-keyed card with CCID 1 *)
+  insert cat.Catalog.card_db "CREDIT_CARD"
+    [ [| V.Int 1; V.Str "CUST0001"; V.Str "4400-0000-0001"; V.Null |];
+      [| V.Int 2; V.Str "CUST0002"; V.Str "4400-0000-0002"; V.Null |];
+      [| V.Int 3; V.Str "CUSTY"; V.Str "4400-0000-0003"; V.Float 1000.0 |];
+      [| V.Int 4; V.Str "CUSTY"; V.Str "4400-0000-0004"; V.Null |];
+      [| V.Int 5; V.Str "CUSTY"; V.Str "4400-0000-0005"; V.Float 1000.0 |] ];
+  cat
+
+let hash_join_config k =
+  { Aldsp_check.Oracle.workers = 2;
+    ppk_k = k;
+    ppk_prefetch = 1;
+    indexes = true;
+    cost_based = false;
+    spill = false }
+
+let hash_join_ks = [ 1; 3; 16; 64 ]
+
+(* the subject plan must be the hashed PP-k join, or the case tests
+   nothing *)
+let check_hashed_ppk cat k q =
+  let server = Aldsp_check.Oracle.subject_server cat (hash_join_config k) in
+  let plan = ok_exn (Server.explain ~analyze:false server q) in
+  let contains sub =
+    try
+      ignore (Str.search_forward (Str.regexp_string sub) plan 0);
+      true
+    with Not_found -> false
+  in
+  if not (contains "method=pp-k(" && contains "inner=inl)") then
+    Alcotest.failf "k=%d: no hashed PP-k join in\n%s" k plan
+
+let differential_hash_join q () =
+  let cat = hash_join_catalog () in
+  List.iter
+    (fun k ->
+      check_hashed_ppk cat k q;
+      match Aldsp_check.Oracle.compare_query cat (hash_join_config k) q with
+      | Ok () -> ()
+      | Error report -> Alcotest.failf "k=%d: %s" k report)
+    hash_join_ks
+
+let hash_join_cases =
+  [ ( "duplicate left keys",
+      "for $o in ORDER_T(), $x in CREDIT_CARD() where $o/CID eq $x/CID \
+       return <R>{$o/OID, $x/CCID}</R>" );
+    ( "NULL join columns",
+      "for $o in ORDER_T(), $x in CREDIT_CARD() where $o/AMOUNT eq $x/LIMIT_ \
+       return <R>{$o/OID, $x/CCID}</R>" );
+    (* the first pair is not pushed, so rows with a NULL LIMIT_ reach the
+       middleware and their key does not normalize *)
+    ( "NULL right keys",
+      "for $c in CUSTOMER() return <C>{$c/CID}{for $x in CREDIT_CARD() \
+       where $x/LIMIT_ + 0 eq $c/SINCE and $x/CID eq $c/CID \
+       return $x/CCID}</C>" );
+    ( "integer against decimal",
+      "for $o in ORDER_T(), $x in CREDIT_CARD() where $o/AMOUNT eq $x/CCID \
+       return <R>{$o/OID, $x/CCID}</R>" );
+    ( "left outer, unmatched",
+      "for $c in CUSTOMER() return <C>{$c/CID}{for $x in CREDIT_CARD() \
+       where $x/CID eq $c/CID return $x/NUM}</C>" );
+    ( "grouped export",
+      "for $o in ORDER_T() let $n := count(for $x in CREDIT_CARD() \
+       where $x/CID eq $o/CID return $x) return <N>{$o/OID}{$n}</N>" ) ]
+
+(* A composite key whose first pair compares an integer expression with
+   a string: pushdown cannot translate that pair, so the rows the second
+   pair fetches reach the middleware, where every comparison on the first
+   is a type error. The hash join must raise the reference's error, not
+   skip the rows. *)
+let test_hash_join_type_mismatch () =
+  let cat = hash_join_catalog () in
+  let q =
+    "for $c in CUSTOMER() return <C>{$c/CID}{for $x in CREDIT_CARD() \
+     where $x/CCID + 0 eq $c/CID and $x/CID eq $c/CID return $x/NUM}</C>"
+  in
+  let reference =
+    Aldsp_check.Oracle.run_serialized (Aldsp_check.Oracle.reference_server cat) q
+  in
+  let expected = err_exn reference in
+  List.iter
+    (fun k ->
+      check_hashed_ppk cat k q;
+      let server = Aldsp_check.Oracle.subject_server cat (hash_join_config k) in
+      let got = err_exn (Aldsp_check.Oracle.run_serialized server q) in
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "k=%d error" k)
+        expected got)
+    hash_join_ks
+
+(* Row reconstruction runs once per hash candidate: on a PP-k join keyed
+   on CID, the per-candidate let builds as many CREDIT_CARD elements as
+   the join emits matches, not one per (left tuple, fetched row) pair. *)
+let test_ppk_reconstructs_only_matches () =
+  let demo = setup ~customers:20 () in
+  let options =
+    { Optimizer.default_options with Optimizer.ppk_k = 5; cost_based = false }
+  in
+  let server =
+    Server.create ~optimizer_options:options demo.Aldsp_demo.Demo.registry
+  in
+  let q =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let compiled =
+    match Server.compile server q with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "compile failed"
+  in
+  Plan_ir.reset_counters compiled.Server.ir;
+  ignore (run { demo with Aldsp_demo.Demo.server } q);
+  let ops =
+    match compiled.Server.ir.Plan_ir.node with
+    | Plan_ir.P_pipeline { ops; _ } -> ops
+    | _ -> Alcotest.fail "not a pipeline"
+  in
+  let join_act, let_act =
+    match
+      List.find_map
+        (fun (o : Plan_ir.op) ->
+          match o.Plan_ir.op_node with
+          | Plan_ir.O_join
+              { method_ = Cexpr.Ppk _;
+                right = [ _; { op_node = Plan_ir.O_let _; op_counters; _ } ];
+                _ } ->
+            Some (o.op_counters.Plan_ir.c_rows, op_counters.Plan_ir.c_rows)
+          | _ -> None)
+        ops
+    with
+    | Some acts -> acts
+    | None -> Alcotest.fail "no PP-k join with a reconstruction let"
+  in
+  check_bool "join matched rows" true (join_act > 0);
+  check_int "let act = join act" join_act let_act
+
 let test_streaming_group_constant_memory_shape () =
   (* the pre-clustered group operator must be streaming: consuming the
      first group must not force the whole input *)
@@ -453,8 +628,14 @@ let () =
     [ ( "joins",
         [ t "PP-k roundtrips scale with k" test_ppk_roundtrips_scale_with_k;
           t "PP-k matches NL" test_ppk_results_match_nl;
+          t "PP-k reconstructs only matches" test_ppk_reconstructs_only_matches;
           t "streaming group" test_streaming_group_constant_memory_shape;
           t "group fallback" test_group_fallback_sorts ] );
+      ( "ppk-hash-join",
+        List.map
+          (fun (name, q) -> t name (differential_hash_join q))
+          hash_join_cases
+        @ [ t "key type mismatch" test_hash_join_type_mismatch ] );
       ( "resilience",
         [ t "async overlap" test_async_overlaps_latency;
           t "fail-over" test_fail_over_to_alternate;
