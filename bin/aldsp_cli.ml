@@ -77,10 +77,10 @@ let run_cmd =
   let output_arg =
     let doc =
       "Stream the result to $(docv) instead of printing it: the query \
-       executes on a producer thread and serialized chunks are written as \
-       tokens cross the bounded delivery queue, so the result is never \
-       materialized in memory (the server-side redirect-to-file API). \
-       Single-client only."
+       executes as the writer pulls its tokens, one chunk at a time, and \
+       serialized text is written as it is produced, so the result is \
+       never materialized in memory (the server-side redirect-to-file \
+       API). Single-client only."
     in
     Arg.(
       value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
@@ -105,7 +105,7 @@ let run_cmd =
           close_out oc;
           match result with
           | Ok () ->
-            Printf.eprintf "-- streamed to %s (peak %d tokens buffered)\n"
+            Printf.eprintf "-- streamed to %s (at most %d tokens pulled ahead)\n"
               path
               (Server.stream_peak_buffered stream);
             0

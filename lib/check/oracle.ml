@@ -290,14 +290,13 @@ let compare_concurrent cat config ~sessions queries =
   outcome
 
 (* Streaming differential: a successful scenario also runs through the
-   streamed session path — execute_stream, backend cursors, the
-   backpressured delivery queue — and the chunks that reach the consumer
-   must byte-match the materialized result pushed through the same token
-   serializer. A small queue forces real producer blocking. *)
+   streamed session path — execute_stream, backend cursors, pulled
+   delivery — and the chunks that reach the consumer must byte-match the
+   materialized result pushed through the same token serializer. *)
 let check_streamed server q items =
   let expected = Server.serialize_result server items in
   let ses = Server.session server () in
-  match Server.session_run_stream ses ~buffer:32 q with
+  match Server.session_run_stream ses q with
   | Error e ->
     Error ("streamed run failed: " ^ Server.submit_error_to_string e)
   | Ok stream -> (

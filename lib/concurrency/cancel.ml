@@ -1,6 +1,8 @@
-(* A blocked waiter: the mutex it holds around its condition and the
-   condvar it sleeps on. [cancel] and the deadline thread broadcast it. *)
-type waiter = { w_mutex : Mutex.t; w_cond : Condition.t }
+(* A registered waiter: what [cancel] or the deadline thread runs when
+   the token fires. A thread blocked in [wait] registers a broadcast of
+   its condvar; [on_cancel] registers the caller's hook. One-shot: firing
+   unregisters every waiter of the token before running them. *)
+type waiter = { wake : unit -> unit }
 
 type t = {
   deadline : float option;  (* absolute, Unix.gettimeofday-based *)
@@ -70,19 +72,22 @@ let timer_idle = Condition.create ()
 let timer_pipe : (Unix.file_descr * Unix.file_descr) option ref = ref None
 let sleeping_until = ref neg_infinity
 
-let broadcast_all ws =
-  List.iter
-    (fun w ->
-      Mutex.lock w.w_mutex;
-      Condition.broadcast w.w_cond;
-      Mutex.unlock w.w_mutex)
-    ws
-
 let disarm t =
   (match t.deadline with
   | Some d -> heap := Heap.remove (d, t.armed) !heap
   | None -> ());
   t.armed <- 0
+
+(* Called with [registry] held: unregisters every waiter of a token that
+   fired and returns them, to be woken once [registry] is released. *)
+let take_waiters t =
+  let ws = t.waiters in
+  t.waiters <- [];
+  registered := !registered - List.length ws;
+  if t.armed <> 0 then disarm t;
+  ws
+
+let wake_all ws = List.iter (fun w -> w.wake ()) ws
 
 let drain_pipe fd =
   let buf = Bytes.create 64 in
@@ -106,13 +111,12 @@ let timer_loop rfd =
         let rec expired acc =
           match Heap.min_binding_opt !heap with
           | Some ((d, _), tok) when d <= now ->
-            disarm tok;
-            expired (List.rev_append tok.waiters acc)
+            expired (List.rev_append (take_waiters tok) acc)
           | _ -> acc
         in
         let ws = expired [] in
         Mutex.unlock registry;
-        broadcast_all ws;
+        wake_all ws;
         Mutex.lock registry
       end
       else begin
@@ -157,36 +161,60 @@ let cancel t =
   if t != none && not t.flagged then begin
     t.flagged <- true;
     Mutex.lock registry;
-    let ws = t.waiters in
-    if t.armed <> 0 then disarm t;
+    let ws = take_waiters t in
     Mutex.unlock registry;
-    broadcast_all ws
+    wake_all ws
   end
+
+(* Adds [w] to a live token and arms its deadline; [false] when the token
+   has already fired. Checked under [registry]: a [cancel] that ran
+   before this point set the flag before taking the waiter list, so it is
+   seen here; one that runs after takes [w]. *)
+let register t w =
+  Mutex.lock registry;
+  let live = not (cancelled t) in
+  if live then begin
+    t.waiters <- w :: t.waiters;
+    incr registered;
+    Option.iter (arm t) t.deadline
+  end;
+  Mutex.unlock registry;
+  live
+
+(* A no-op when the token fired in the meantime (firing unregistered [w]). *)
+let unregister t w =
+  Mutex.lock registry;
+  if List.memq w t.waiters then begin
+    t.waiters <- List.filter (fun x -> x != w) t.waiters;
+    decr registered;
+    if t.waiters = [] && t.armed <> 0 then disarm t
+  end;
+  Mutex.unlock registry
 
 let wait t mutex cond =
   if t == none then Condition.wait cond mutex
   else begin
-    let w = { w_mutex = mutex; w_cond = cond } in
-    Mutex.lock registry;
-    (* checked under [registry]: a [cancel] that ran before this point set
-       the flag before snapshotting the waiter list, so it is seen here;
-       one that runs after sees this waiter *)
-    let live = not (cancelled t) in
-    if live then begin
-      t.waiters <- w :: t.waiters;
-      incr registered;
-      Option.iter (arm t) t.deadline
-    end;
-    Mutex.unlock registry;
-    if live then begin
+    let wake () =
+      Mutex.lock mutex;
+      Condition.broadcast cond;
+      Mutex.unlock mutex
+    in
+    let w = { wake } in
+    if register t w then begin
       Condition.wait cond mutex;
-      Mutex.lock registry;
-      t.waiters <- List.filter (fun x -> x != w) t.waiters;
-      decr registered;
-      (match t.waiters with [] when t.armed <> 0 -> disarm t | _ -> ());
-      Mutex.unlock registry
+      unregister t w
     end
   end
+
+let on_cancel t f =
+  if t == none then ignore
+  else
+    let w = { wake = f } in
+    if register t w then fun () -> unregister t w
+    else begin
+      f ();
+      ignore
+    end
 
 let locked f =
   Mutex.lock registry;

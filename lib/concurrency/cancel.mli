@@ -12,11 +12,12 @@
     submitting thread's token and re-install it in whichever thread runs
     the task. Checks are time-comparisons. A thread that blocks on a
     condition variable does so through {!wait}, which returns on a signal,
-    on {!cancel} or at the token's deadline: {!cancel} broadcasts to every
-    waiter registered on the token, and one lazily started deadline
-    thread (shared by all tokens) sleeps until the earliest armed
-    deadline and broadcasts its waiters. A token is armed only while one
-    of its waiters blocks, so a query that never blocks costs nothing.
+    on {!cancel} or at the token's deadline: {!cancel} wakes every waiter
+    registered on the token, and one lazily started deadline thread
+    (shared by all tokens) sleeps until the earliest armed deadline and
+    wakes its waiters. {!on_cancel} registers a one-shot hook the same
+    way. A token is armed only while it has a waiter or a hook, so a
+    query that never blocks costs nothing.
     Interruptible sleeps ({!sleepf}) still check the token every couple
     of milliseconds. *)
 
@@ -72,12 +73,26 @@ val wait : t -> Mutex.t -> Condition.t -> unit
     spurious returns are possible. Returns at once if [tok] is already
     cancelled. With {!none} this is a plain [Condition.wait]. *)
 
+val on_cancel : t -> (unit -> unit) -> unit -> unit
+(** [on_cancel tok f] runs [f] once when [tok] fires: from the thread
+    calling {!cancel}, or from the deadline thread when the deadline
+    passes, even if no thread is blocked on the token. Returns a function
+    that unregisters [f] (a no-op once it has run). Runs [f] at once when
+    [tok] has already fired, and never with {!none}. While registered,
+    [f] counts in {!waiters} and arms the token's deadline like a blocked
+    {!wait}. [f] must not raise or block for long, and must not take a
+    lock that is held around a {!cancel} of [tok]. The streamed delivery
+    of {!Server} uses it to free the admission slot of a stream nobody
+    is reading. *)
+
 val waiters : unit -> int
-(** Threads currently blocked in {!wait} on any token (for leak tests). *)
+(** Threads currently blocked in {!wait} plus {!on_cancel} hooks still
+    registered, on any token (for leak tests). *)
 
 val armed_deadlines : unit -> int
 (** Deadlines the deadline thread is currently timing: one per token
-    with a blocked waiter and a deadline (for leak tests). *)
+    with a deadline and a blocked waiter or registered hook (for leak
+    tests). *)
 
 (** {2 Ambient (per-thread) token} *)
 

@@ -1297,8 +1297,8 @@ and disjunctive_select (select : Sql.select) n_params m =
 (* ----------------------- streamed execution ----------------------- *)
 
 (* The streaming face of [exec]: items are produced on demand instead of
-   materialized, so a consumer (the serving layer's delivery queue, a file
-   sink) sees the first item while upstream operators — including backend
+   materialized, so a consumer (a streamed session's reader, a file sink)
+   sees the first item while upstream operators — including backend
    cursors — are still producing. Where a node has no incremental
    structure it falls back to [exec]; the output is byte-identical to the
    materialized path in every case. *)

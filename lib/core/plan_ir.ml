@@ -13,7 +13,6 @@ type counters = {
   mutable c_shared : int;
   mutable c_wall : float;
   mutable c_first_row_ns : float;
-  mutable c_peak_buffer : int;
   mutable c_spill_runs : int;
   mutable c_spill_rows : int;
   mutable c_spill_bytes : int;
@@ -101,8 +100,7 @@ and sql_region = {
 let zero () =
   { c_est = 0; c_starts = 0; c_rows = 0; c_roundtrips = 0; c_cache_hits = 0;
     c_cache_misses = 0; c_shared = 0; c_wall = 0.; c_first_row_ns = 0.;
-    c_peak_buffer = 0; c_spill_runs = 0; c_spill_rows = 0; c_spill_bytes = 0;
-    c_merge_fanin = 0 }
+    c_spill_runs = 0; c_spill_rows = 0; c_spill_bytes = 0; c_merge_fanin = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
@@ -400,7 +398,6 @@ let reset_counters p =
       c.c_shared <- 0;
       c.c_wall <- 0.;
       c.c_first_row_ns <- 0.;
-      c.c_peak_buffer <- 0;
       c.c_spill_runs <- 0;
       c.c_spill_rows <- 0;
       c.c_spill_bytes <- 0;
@@ -566,10 +563,6 @@ let counters_suffix ~timings c =
        else [])
     (* only under active work sharing, so golden plans are unaffected *)
     @ (if c.c_shared > 0 then [ Printf.sprintf "shared=%d" c.c_shared ]
-       else [])
-    (* only after a streamed delivery of this plan, same reasoning *)
-    @ (if c.c_peak_buffer > 0 then
-         [ Printf.sprintf "peak-buffer=%d" c.c_peak_buffer ]
        else [])
     (* only when the operator actually spilled, so zero-spill plans (and
        every golden) render exactly as before *)

@@ -43,11 +43,6 @@ type counters = {
           first emitted row (time-to-first-token on the root). Stamped
           once per reset; rendered as [ttft=] only under [timings], like
           [wall=], because it is nondeterministic. *)
-  mutable c_peak_buffer : int;
-      (** Peak tokens buffered in the streaming delivery queue while this
-          plan streamed (stamped on the root by the serving layer; bounded
-          by the queue capacity). Rendered as [peak-buffer=N] only when
-          positive, so non-streamed plans are unchanged. *)
   mutable c_spill_runs : int;
       (** Sorted runs this operator spilled to disk ({!Extsort}: ORDER BY
           and the unclustered GROUP BY fallback under a

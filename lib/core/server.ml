@@ -1,5 +1,4 @@
 open Aldsp_xml
-module Spsc = Aldsp_concurrency.Spsc
 
 type compiled = {
   source : string;
@@ -829,28 +828,44 @@ let session_cancel s =
   Cancel.cancel tok
 
 (* ------------------------------------------------------------------ *)
-(* Streamed session delivery: the query executes on a dedicated producer
-   thread pulling Eval.execute_stream, pushing tokens into a bounded SPSC
-   queue the consumer drains at its own pace. The queue is the
-   backpressure boundary — a producer that outruns the consumer blocks at
-   [buffer] tokens, so a slow client holds live memory to the queue
-   capacity instead of the whole result. Tokens cross the queue in
-   arrays of [stream_chunk buffer] (each weighing its length), so the
-   two threads hand off once per chunk rather than once per token. *)
+(* Streamed session delivery: the reader pulls the plan's token stream on
+   its own thread. Each refill pulls up to [stream_chunk] tokens under
+   the session token, and reads then hand them out one by one, so at most
+   one chunk is live between the executor and the reader. The admission
+   slot goes back exactly once: the refill that drains or fails the
+   stream releases it, and so does the first one to end after a cancel or
+   deadline. A stream nobody is reading is freed by its [on_cancel] hook,
+   run by [Cancel.cancel] or the deadline thread. [str_lock] and the
+   reading/released flags keep the reader and the hook from both
+   releasing. *)
+
+let stream_chunk = 64
 
 type stream = {
-  str_queue : Aldsp_tokens.Token.t array Spsc.t;
+  str_server : t;
   str_token : Cancel.t;
-  mutable str_chunk : Aldsp_tokens.Token.t array;  (* being read *)
-  mutable str_pos : int;  (* next token of [str_chunk] *)
-  mutable str_done : bool;
+  str_ir : Plan_ir.t;
+  str_rows_before : int list;  (* for the misestimate rollup on drain *)
+  str_chunk : Aldsp_tokens.Token.t array;
+  mutable str_len : int;  (* tokens the last refill put in [str_chunk] *)
+  mutable str_pos : int;  (* next token of [str_chunk] to hand out *)
+  mutable str_rest : Aldsp_tokens.Token.t Seq.t;  (* not yet pulled *)
+  mutable str_done : bool;  (* no refill follows *)
+  mutable str_peak : int;
+  mutable str_unhook : unit -> unit;
+  str_lock : Mutex.t;
+  mutable str_reading : bool;  (* a refill is running; under [str_lock] *)
+  mutable str_released : bool;  (* the slot went back; under [str_lock] *)
 }
 
-(* A quarter of the buffer, so about four chunks are in flight, capped
-   at 64 tokens so the first one reaches the consumer early. *)
-let stream_chunk buffer = max 1 (min 64 (buffer / 4))
+(* Called with [str_lock] held. *)
+let release_stream st outcome =
+  if not st.str_released then begin
+    st.str_released <- true;
+    release_slot st.str_server.admission ~outcome
+  end
 
-let session_run_stream s ?deadline ?(buffer = 256) source =
+let session_run_stream s ?deadline source =
   let server = s.ses_server in
   let deadline =
     match deadline with Some _ as d -> d | None -> s.ses_deadline
@@ -874,106 +889,113 @@ let session_run_stream s ?deadline ?(buffer = 256) source =
       release_slot server.admission ~outcome:`Completed;
       Error (Failed (diags_to_string ds))
     | Ok compiled ->
-      let q = Spsc.create ~capacity:buffer in
+      (* built by the first pull, so execution starts under the token *)
+      let tokens () =
+        let items = Eval.execute_stream server.runtime compiled.ir in
+        let filtered =
+          Seq.concat_map
+            (fun item ->
+              List.to_seq
+                (Security.filter_result server.security s.ses_user [ item ]))
+            items
+        in
+        counted_tokens server
+          (Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered)
+          ()
+      in
       let st =
-        { str_queue = q; str_token = tok; str_chunk = [||]; str_pos = 0;
-          str_done = false }
+        { str_server = server;
+          str_token = tok;
+          str_ir = compiled.ir;
+          str_rows_before = snapshot_rows compiled.ir;
+          str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
+          str_len = 0;
+          str_pos = 0;
+          str_rest = tokens;
+          str_done = false;
+          str_peak = 0;
+          str_unhook = ignore;
+          str_lock = Mutex.create ();
+          str_reading = false;
+          str_released = false }
       in
-      let producer () =
-        let finish outcome =
-          (* root observability: the high-water mark of the delivery
-             queue, bounded by its capacity *)
-          compiled.ir.Plan_ir.counters.Plan_ir.c_peak_buffer <-
-            max compiled.ir.Plan_ir.counters.Plan_ir.c_peak_buffer
-              (Spsc.peak_occupancy q);
-          release_slot server.admission ~outcome
-        in
-        let before = snapshot_rows compiled.ir in
-        let body () =
-          let items = Eval.execute_stream server.runtime compiled.ir in
-          let filtered =
-            Seq.concat_map
-              (fun item ->
-                List.to_seq
-                  (Security.filter_result server.security s.ses_user [ item ]))
-              items
-          in
-          let tokens =
-            counted_tokens server
-              (Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered)
-          in
-          (* push chunk by chunk until done or the consumer aborts; false
-             from [push] means [stream_cancel] already tore the queue
-             down *)
-          let size = stream_chunk buffer in
-          let rec drain seq =
-            match seq () with
-            | Seq.Nil -> true
-            | Seq.Cons (token, rest) -> fill (Array.make size token) 1 rest
-          and fill chunk n seq =
-            if n = size then Spsc.push ~weight:n q chunk && drain seq
-            else
-              match seq () with
-              | Seq.Nil -> Spsc.push ~weight:n q (Array.sub chunk 0 n)
-              | Seq.Cons (token, rest) ->
-                chunk.(n) <- token;
-                fill chunk (n + 1) rest
-          in
-          drain tokens
-        in
-        match Cancel.with_token tok body with
-        | true ->
-          note_misestimate server compiled.ir before;
-          Spsc.close q;
-          finish `Completed
-        | false ->
-          (* the consumer cancelled (abort tears the queue down): a clean
-             close here would read as a complete result *)
-          Spsc.fail q "stream cancelled";
-          finish `Deadline
-        | exception Eval.Eval_error m ->
-          Spsc.fail q m;
-          finish (if Cancel.cancelled tok then `Deadline else `Completed)
-        | exception Cancel.Cancelled m ->
-          Spsc.fail q m;
-          finish `Deadline
-        | exception e ->
-          Spsc.fail q (Printexc.to_string e);
-          finish (if Cancel.cancelled tok then `Deadline else `Completed)
-      in
-      ignore (Thread.create producer ());
+      st.str_unhook <-
+        Cancel.on_cancel tok (fun () ->
+            Mutex.lock st.str_lock;
+            if not st.str_reading then release_stream st `Deadline;
+            Mutex.unlock st.str_lock);
       Ok st)
 
+(* Pulls up to [stream_chunk] tokens into the chunk; [false] once the
+   stream has none left. Raises [Cancelled] before pulling from a fired
+   token, so nothing executes after the slot went back. *)
+let refill st =
+  Cancel.check st.str_token;
+  let rec fill n seq =
+    if n = stream_chunk then begin
+      st.str_rest <- seq;
+      (n, true)
+    end
+    else
+      match seq () with
+      | Seq.Nil -> (n, false)
+      | Seq.Cons (token, rest) ->
+        st.str_chunk.(n) <- token;
+        fill (n + 1) rest
+  in
+  let n, more = fill 0 st.str_rest in
+  st.str_len <- n;
+  st.str_pos <- 0;
+  st.str_peak <- max st.str_peak n;
+  more
+
 let rec stream_read st =
-  if st.str_pos < Array.length st.str_chunk then begin
+  if st.str_pos < st.str_len then begin
     let token = st.str_chunk.(st.str_pos) in
     st.str_pos <- st.str_pos + 1;
     Ok (Some token)
   end
   else if st.str_done then Ok None
-  else
-    match Spsc.pop st.str_queue with
-    | `Item chunk ->
-      st.str_chunk <- chunk;
-      st.str_pos <- 0;
+  else begin
+    Mutex.lock st.str_lock;
+    st.str_reading <- true;
+    Mutex.unlock st.str_lock;
+    let pulled =
+      match Cancel.with_token st.str_token (fun () -> refill st) with
+      | more -> Ok more
+      | exception e -> Error e
+    in
+    Mutex.lock st.str_lock;
+    st.str_reading <- false;
+    (* a cancel during the refill found the reader busy and left the
+       slot to it *)
+    let cancelled = Cancel.cancelled st.str_token in
+    (match pulled with
+    | Ok true -> if cancelled then release_stream st `Deadline
+    | Ok false -> release_stream st `Completed
+    | Error _ -> release_stream st (if cancelled then `Deadline else `Completed));
+    let released = st.str_released in
+    Mutex.unlock st.str_lock;
+    if released then st.str_unhook ();
+    match pulled with
+    | Ok true -> stream_read st
+    | Ok false ->
+      note_misestimate st.str_server st.str_ir st.str_rows_before;
+      st.str_done <- true;
       stream_read st
-    | `Closed ->
+    | Error e ->
       st.str_done <- true;
-      Ok None
-    | `Failed m ->
-      st.str_done <- true;
-      if Cancel.cancelled st.str_token then Error (Cancelled m)
-      else Error (Failed m)
+      let m =
+        match e with
+        | Eval.Eval_error m | Cancel.Cancelled m -> m
+        | e -> Printexc.to_string e
+      in
+      if cancelled then Error (Cancelled m) else Error (Failed m)
+  end
 
-let stream_cancel st =
-  Cancel.cancel st.str_token;
-  Spsc.abort st.str_queue;
-  (* the rest of the chunk being read goes like the queued ones, so the
-     next read reports the cancel *)
-  st.str_chunk <- [||];
-  st.str_pos <- 0
+let stream_cancel st = Cancel.cancel st.str_token
 
-let stream_peak_buffered st = Spsc.peak_occupancy st.str_queue
+let stream_peak_buffered st = st.str_peak
 
 let stream_serialize st write =
   let err = ref None in
@@ -989,7 +1011,7 @@ let stream_serialize st write =
      Seq.iter write
        (Aldsp_tokens.Token_stream.serialize_chunks (Seq.of_dispenser dispenser))
    with Invalid_argument m ->
-     (* a failed producer can truncate the stream mid-element; the cause
+     (* a failed refill can truncate the stream mid-element; the cause
         recorded by the dispenser wins over the serializer's complaint *)
      if !err = None then err := Some (Failed m));
   match !err with None -> Ok () | Some e -> Error e

@@ -252,36 +252,32 @@ val session_cancel : session -> unit
     thread; a no-op when nothing is running. *)
 
 type stream
-(** A streamed result being delivered to this consumer: a dedicated
-    producer thread executes the query through {!Eval.execute_stream}
-    and pushes tokens into a bounded single-producer/single-consumer
-    queue ({!Aldsp_concurrency.Spsc}). The queue is the backpressure
-    boundary — the producer blocks once it is [buffer] tokens ahead, so
-    a slow consumer holds live memory to the queue capacity instead of
-    the materialized result. *)
+(** A streamed result being delivered to this consumer. The reader's own
+    {!stream_read} calls execute the query: each pulls the next chunk of
+    at most 64 tokens from {!Eval.execute_stream} under the session's
+    token and hands the tokens out one by one. No other thread runs the
+    query, and at most one chunk is live between executor and reader, so
+    a slow consumer holds one chunk instead of the materialized result.
+    The stream holds its admission slot until it drains, fails or is
+    cancelled. *)
 
 val session_run_stream :
-  session ->
-  ?deadline:float ->
-  ?buffer:int ->
-  string ->
-  (stream, submit_error) result
+  session -> ?deadline:float -> string -> (stream, submit_error) result
 (** Admission-controlled streamed execution as this session's user.
-    Admission and compilation happen on the calling thread (so
-    {!Overloaded} and compile failures surface immediately); execution
-    then proceeds on the producer thread while the caller drains the
-    returned {!type-stream}. [buffer] (default 256) is the token queue
-    capacity; tokens cross it in chunks of [max 1 (min 64 (buffer / 4))],
-    so the producer hands off (and the first token arrives) one chunk at
-    a time. The session's deadline semantics match {!session_run}, and
-    {!session_cancel} (or {!stream_cancel}) aborts the producer
-    mid-stream — in-flight backend roundtrips see the token, and the
-    queue is torn down. *)
+    Admission and compilation happen here (so {!Overloaded} and compile
+    failures surface immediately); execution starts with the first
+    {!stream_read}. The session's deadline semantics match
+    {!session_run}, and {!session_cancel} (or {!stream_cancel}) from any
+    thread ends the stream: a read blocked in a backend roundtrip
+    returns [Error (Cancelled _)] promptly. A cancel or deadline also
+    frees the admission slot of a stream that nobody is reading at the
+    time. *)
 
 val stream_read : stream -> (Aldsp_tokens.Token.t option, submit_error) result
-(** Pulls the next token, blocking while the queue is empty and the
-    producer is still running. [Ok None] is end-of-stream (the query
-    completed); [Error (Cancelled _)] a deadline/cancel abort;
+(** The next token. When the current chunk is used up this pulls the
+    next one, executing the query on the calling thread. [Ok None] is
+    end-of-stream (the query completed); [Error (Cancelled _)] a
+    deadline/cancel abort, reported after the rest of the current chunk;
     [Error (Failed _)] an evaluation failure. After [None] or an error,
     subsequent reads return [Ok None]. *)
 
@@ -289,18 +285,16 @@ val stream_serialize :
   stream -> (string -> unit) -> (unit, submit_error) result
 (** Drains the whole stream through the incremental XML serializer,
     handing each text chunk to the writer as it is produced — the
-    redirect-to-file delivery of §2.2: nothing is materialized, and the
-    writer's pace backpressures the producer through the queue. *)
+    redirect-to-file delivery of §2.2: nothing is materialized, and
+    execution advances only as fast as the writer takes the text. *)
 
 val stream_cancel : stream -> unit
-(** Cancels this stream's query and unblocks both sides: the producer's
-    next push aborts, the consumer's next read reports the cancel. *)
+(** Cancels this stream's query (its session token). Safe from any
+    thread; the next read that needs a new chunk reports the cancel. *)
 
 val stream_peak_buffered : stream -> int
-(** High-water token occupancy of the delivery queue so far — never
-    exceeds the [buffer] handed to {!session_run_stream}; also stamped
-    on the plan root's [c_peak_buffer] counter when the producer
-    finishes. *)
+(** The most tokens pulled ahead of the reader so far: the largest chunk
+    filled, never more than 64. *)
 
 val admission_stats : t -> admission_stats
 (** The serving-layer counters alone (also embedded in {!stats}). *)

@@ -529,9 +529,11 @@ and eval_agg ctx kind quantifier arg =
       | Avg -> numeric_binop Div total (V.Float (float_of_int (List.length values)))
       | _ -> assert false)
 
-(* FROM clause: produce the list of row environments. Scanning a base
-   table accounts a full scan on the database's operator statistics. *)
-and scan_table_ref ctx ref_ : binding list list =
+(* FROM clause: produce the row environments. Scanning a base table
+   snapshots its rows and accounts a full scan on the database's
+   operator statistics at once, but binds the rows as they are
+   consumed. *)
+and scan_table_ref ctx ref_ : binding list Seq.t =
   match ref_ with
   | Table { table; alias } -> (
     match Database.find_table ctx.db table with
@@ -543,19 +545,24 @@ and scan_table_ref ctx ref_ : binding list list =
             stats.Database.rows_scanned + Table.row_count t);
       decide ctx "scan %s as %s (%d rows)" table alias (Table.row_count t);
       let cols = Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns) in
-      List.map
-        (fun row -> [ { alias; cols; values = row } ])
-        (Table.all_rows t))
+      let rec bind rows () =
+        match rows with
+        | [] -> Seq.Nil
+        | row :: rest -> Seq.Cons ([ { alias; cols; values = row } ], bind rest)
+      in
+      bind (Table.all_rows t))
   | Derived { query; alias } ->
     let result = run_select { ctx with group = None } query in
     let cols = Array.of_list result.columns in
-    List.map (fun row -> [ { alias; cols; values = row } ]) result.rows
+    Seq.map (fun row -> [ { alias; cols; values = row } ]) (List.to_seq result.rows)
 
 (* The base-table access path: an index probe when the WHERE implies one
    and the whole filter/join pipeline is total (so skipped rows cannot
-   change error behaviour), otherwise the historical full scan. *)
+   change error behaviour), otherwise the historical full scan. Also
+   says whether it scanned, since only a scan's rows are worth binding
+   as they are consumed. *)
 and scan_from ctx s srcs =
-  let fallback () = scan_table_ref ctx s.from in
+  let fallback () = (scan_table_ref ctx s.from, true) in
   match (srcs, s.from) with
   | Some (base :: _ as srcs), Table { table; alias } -> (
     let where_ok =
@@ -614,12 +621,14 @@ and scan_from ctx s srcs =
             let cols =
               Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
             in
-            List.filter_map
-              (fun id ->
-                match Table.get_row t id with
-                | Some row -> Some [ { alias; cols; values = row } ]
-                | None -> None)
-              ids)))
+            ( List.to_seq
+                (List.filter_map
+                   (fun id ->
+                     match Table.get_row t id with
+                     | Some row -> Some [ { alias; cols; values = row } ]
+                     | None -> None)
+                   ids),
+              false ))))
   | _ -> fallback ()
 
 and null_binding ctx ref_ : binding =
@@ -649,7 +658,7 @@ and apply_join ctx srcs left_rows join =
   let nested_loop () =
     bump (fun stats -> stats.Database.nl_joins <- stats.Database.nl_joins + 1);
     decide ctx "nested-loop join %s" jalias;
-    let right_rows = scan_table_ref ctx join.jtable in
+    let right_rows = List.of_seq (scan_table_ref ctx join.jtable) in
     let matches left =
       List.filter_map
         (fun right ->
@@ -771,7 +780,7 @@ and apply_join ctx srcs left_rows join =
       bump (fun stats ->
           stats.Database.hash_joins <- stats.Database.hash_joins + 1);
       decide ctx "hash join %s on [%s]" jalias (String.concat "," right_cols);
-      let right_rows = scan_table_ref ctx join.jtable in
+      let right_rows = List.of_seq (scan_table_ref ctx join.jtable) in
       let left_exprs = List.map snd pairs in
       let tbl = Index.Key_tbl.create 256 in
       List.iter
@@ -855,28 +864,16 @@ and expand_star ctx s =
    or access-path decisions that must land before the plan is read), but
    the final projection is a [Seq.t] forced row by row — the engine-side
    iteration a cursor fetches in chunks. DISTINCT and windowed queries
-   keep their eager dedup/early-exit tails and stream a prebuilt list. *)
+   keep their eager dedup/early-exit tails and stream a prebuilt list.
+   A select that only filters and projects a scanned source is lazy from
+   the scan's snapshot on, so a cursor's first chunk does not wait for
+   the whole scan. Its filter must be total: one that cannot raise
+   yields the rows, order and errors of the eager pipeline. *)
 and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
   let ctx = { outer_ctx with outer = Some outer_ctx; group = None } in
   let s = expand_star ctx s in
   let srcs = if ctx.db.Database.use_indexes then sources_of ctx s else None in
-  let rows = scan_from ctx s srcs in
-  let rows, _ =
-    List.fold_left
-      (fun (acc, i) j ->
-        let prefix = Option.map (take (i + 2)) srcs in
-        (apply_join ctx prefix acc j, i + 1))
-      (rows, 0) s.joins
-  in
-  let rows =
-    match s.where with
-    | None -> rows
-    | Some cond ->
-      List.filter
-        (fun env ->
-          value_to_truth (eval { ctx with env; group = None } cond) = V.True)
-        rows
-  in
+  let rows, scanned = scan_from ctx s srcs in
   let is_aggregate_query =
     s.group_by <> []
     || List.exists
@@ -896,6 +893,42 @@ and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
            in
            has_agg e)
          s.projections
+  in
+  let project (env, group) =
+    Array.of_list
+      (List.map
+         (fun (e, _) -> eval { ctx with env; group = Some group } e)
+         s.projections)
+  in
+  let keep cond env =
+    value_to_truth (eval { ctx with env; group = None } cond) = V.True
+  in
+  let filters_and_projects =
+    scanned && s.joins = [] && (not is_aggregate_query) && s.having = None
+    && s.order_by = [] && s.window = None && not s.distinct
+    &&
+    match s.where with
+    | None -> true
+    | Some w -> (
+      match sources_of ctx s with
+      | Some srcs -> total_truth ctx srcs w
+      | None -> false)
+  in
+  if filters_and_projects then
+    let rows =
+      match s.where with None -> rows | Some cond -> Seq.filter (keep cond) rows
+    in
+    (List.map snd s.projections, Seq.map (fun env -> project (env, [ env ])) rows)
+  else
+  let rows, _ =
+    List.fold_left
+      (fun (acc, i) j ->
+        let prefix = Option.map (take (i + 2)) srcs in
+        (apply_join ctx prefix acc j, i + 1))
+      (List.of_seq rows, 0) s.joins
+  in
+  let rows =
+    match s.where with None -> rows | Some cond -> List.filter (keep cond) rows
   in
   (* Each logical row of the rest of the pipeline is (env, group): for
      grouped queries env is a representative row and group holds the
@@ -973,12 +1006,6 @@ and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
         go ka kb s.order_by
       in
       List.map snd (List.stable_sort cmp keyed)
-  in
-  let project (env, group) =
-    Array.of_list
-      (List.map
-         (fun (e, _) -> eval { ctx with env; group = Some group } e)
-         s.projections)
   in
   let projected : V.t array Seq.t =
     match s.window with

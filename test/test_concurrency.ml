@@ -64,6 +64,68 @@ let test_cancel_sleep_interrupted () =
     (Printf.sprintf "interrupted promptly (%.0f ms)" (waited *. 1000.))
     true (waited < 1.0)
 
+(* [on_cancel] hooks: one-shot, fired by [cancel] or by the deadline
+   thread with nothing blocked on the token, and leaving nothing
+   registered or armed once fired or unregistered. *)
+
+let counting_hook () =
+  let fired = ref 0 in
+  (fired, fun () -> incr fired)
+
+let test_on_cancel_fires_once () =
+  let tok = Cancel.make () in
+  let fired, hook = counting_hook () in
+  let unhook = Cancel.on_cancel tok hook in
+  check_int "not fired while live" 0 !fired;
+  Cancel.cancel tok;
+  Cancel.cancel tok;
+  unhook ();
+  check_int "fired exactly once" 1 !fired;
+  check_int "no hook left registered" 0 (Cancel.waiters ())
+
+let test_on_cancel_fires_at_deadline () =
+  let tok = Cancel.with_deadline 0.03 in
+  let deadline = Unix.gettimeofday () +. 0.03 in
+  let fired_at = ref 0. in
+  let unhook = Cancel.on_cancel tok (fun () -> fired_at := Unix.gettimeofday ()) in
+  let give_up = Unix.gettimeofday () +. 5. in
+  while !fired_at = 0. && Unix.gettimeofday () < give_up do
+    Thread.delay 0.001
+  done;
+  let late = (!fired_at -. deadline) *. 1000. in
+  check_bool
+    (Printf.sprintf "fired within 100 ms of the deadline (%.1f ms late)" late)
+    true
+    (!fired_at > 0. && late >= 0. && late < 100.);
+  unhook ();
+  check_int "no hook left registered" 0 (Cancel.waiters ());
+  check_int "no deadline left armed" 0 (Cancel.armed_deadlines ())
+
+let test_on_cancel_already_fired () =
+  let tok = Cancel.make () in
+  Cancel.cancel tok;
+  let fired, hook = counting_hook () in
+  let unhook = Cancel.on_cancel tok hook in
+  check_int "ran at once" 1 !fired;
+  unhook ();
+  let expired = Cancel.with_deadline (-0.001) in
+  let unhook = Cancel.on_cancel expired hook in
+  unhook ();
+  check_int "ran at once past the deadline" 2 !fired;
+  check_int "nothing registered" 0 (Cancel.waiters ())
+
+let test_on_cancel_unregister () =
+  let tok = Cancel.with_deadline 30. in
+  let fired, hook = counting_hook () in
+  let unhook = Cancel.on_cancel tok hook in
+  check_int "hook registered" 1 (Cancel.waiters ());
+  check_int "its deadline armed" 1 (Cancel.armed_deadlines ());
+  unhook ();
+  check_int "no hook left registered" 0 (Cancel.waiters ());
+  check_int "no deadline left armed" 0 (Cancel.armed_deadlines ());
+  Cancel.cancel tok;
+  check_int "an unregistered hook never runs" 0 !fired
+
 (* ------------------------------------------------------------------ *)
 (* Pool shutdown under contention                                      *)
 
@@ -788,7 +850,15 @@ let () =
         [ Alcotest.test_case "token basics" `Quick test_cancel_basics;
           Alcotest.test_case "ambient nesting" `Quick test_cancel_ambient_nesting;
           Alcotest.test_case "interruptible sleep" `Quick
-            test_cancel_sleep_interrupted ] );
+            test_cancel_sleep_interrupted;
+          Alcotest.test_case "on_cancel fires once on cancel" `Quick
+            test_on_cancel_fires_once;
+          Alcotest.test_case "on_cancel fires at the deadline" `Quick
+            test_on_cancel_fires_at_deadline;
+          Alcotest.test_case "on_cancel on a fired token runs at once" `Quick
+            test_on_cancel_already_fired;
+          Alcotest.test_case "on_cancel unregister leaves nothing" `Quick
+            test_on_cancel_unregister ] );
       ( "pool-shutdown",
         [ Alcotest.test_case "double shutdown" `Quick test_pool_double_shutdown;
           Alcotest.test_case "shutdown with inflight work" `Quick

@@ -1,11 +1,11 @@
-(* End-to-end streaming execution: the bounded SPSC delivery queue, the
-   relational cursor API, and the streamed session path — pinned against
-   the materialized path byte-for-byte, with the bounded-buffer guarantee
-   (peak buffered tokens never exceed the queue capacity) under a slow
-   consumer, and mid-stream cancellation. *)
+(* End-to-end streaming execution: the relational cursor API and the
+   streamed session path — pinned against the materialized path
+   byte-for-byte, with the bounded-buffer guarantee (at most one 64-token
+   chunk pulled ahead of the reader) under a slow consumer, and
+   cancellation mid-stream, inside a backend roundtrip and of a stream
+   nobody reads. *)
 
 open Aldsp_core
-module Spsc = Aldsp_concurrency.Spsc
 module Db = Aldsp_relational.Database
 module Sql_ast = Aldsp_relational.Sql_ast
 module Sql_exec = Aldsp_relational.Sql_exec
@@ -14,87 +14,6 @@ module Token_stream = Aldsp_tokens.Token_stream
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
 let check_string = Alcotest.check Alcotest.string
-
-(* ------------------------------------------------------------------ *)
-(* SPSC queue units                                                    *)
-
-let test_spsc_fifo () =
-  let q = Spsc.create ~capacity:8 in
-  List.iter (fun i -> check_bool "push accepted" true (Spsc.push q i)) [ 1; 2; 3 ];
-  Spsc.close q;
-  List.iter
-    (fun i ->
-      match Spsc.pop q with
-      | `Item j -> check_int "fifo order" i j
-      | `Closed | `Failed _ -> Alcotest.fail "queue ended early")
-    [ 1; 2; 3 ];
-  check_bool "closed after drain" true (Spsc.pop q = `Closed);
-  (* close is sticky *)
-  check_bool "still closed" true (Spsc.pop q = `Closed)
-
-let test_spsc_backpressure () =
-  let n = 200 in
-  let q = Spsc.create ~capacity:4 in
-  let producer =
-    Thread.create
-      (fun () ->
-        for i = 0 to n - 1 do
-          ignore (Spsc.push q i)
-        done;
-        Spsc.close q)
-      ()
-  in
-  let received = ref [] in
-  let rec drain () =
-    match Spsc.pop q with
-    | `Item i ->
-      received := i :: !received;
-      (* a deliberately slow consumer: the producer must block, not
-         buffer past capacity *)
-      if i mod 16 = 0 then Thread.delay 0.002;
-      drain ()
-    | `Closed -> ()
-    | `Failed m -> Alcotest.failf "unexpected failure: %s" m
-  in
-  drain ();
-  Thread.join producer;
-  check_int "all elements delivered" n (List.length !received);
-  check_bool "delivered in order" true
-    (List.rev !received = List.init n Fun.id);
-  check_bool
-    (Printf.sprintf "peak occupancy %d within capacity 4"
-       (Spsc.peak_occupancy q))
-    true
-    (Spsc.peak_occupancy q <= 4)
-
-let test_spsc_fail_drains_first () =
-  let q = Spsc.create ~capacity:8 in
-  ignore (Spsc.push q "a");
-  ignore (Spsc.push q "b");
-  Spsc.fail q "boom";
-  Spsc.fail q "ignored: first failure wins";
-  check_bool "buffered items drain" true (Spsc.pop q = `Item "a");
-  check_bool "buffered items drain" true (Spsc.pop q = `Item "b");
-  check_bool "then the failure surfaces" true (Spsc.pop q = `Failed "boom")
-
-let test_spsc_abort_releases_producer () =
-  let q = Spsc.create ~capacity:2 in
-  ignore (Spsc.push q 0);
-  ignore (Spsc.push q 1);
-  let rejected = ref false in
-  let producer =
-    Thread.create
-      (fun () ->
-        (* the queue is full: this blocks until the consumer aborts,
-           then reports the abort by returning false *)
-        rejected := not (Spsc.push q 2))
-      ()
-  in
-  Thread.delay 0.01;
-  Spsc.abort q;
-  Thread.join producer;
-  check_bool "blocked push returned false after abort" true !rejected;
-  check_bool "pushes after abort are rejected too" true (not (Spsc.push q 3))
 
 (* ------------------------------------------------------------------ *)
 (* Relational cursors                                                  *)
@@ -164,6 +83,30 @@ let test_cursor_accounting () =
     db.Db.stats.Db.statements;
   check_int "rows shipped as fetched" 9 db.Db.stats.Db.rows_shipped
 
+(* A filter that only compares columns cannot raise, so a cursor binds
+   and filters a scan's rows as they are fetched. One that can raise
+   runs at open, so it fails the open as the materialized query does,
+   not a later fetch. *)
+let test_cursor_raising_filter_fails_at_open () =
+  let demo = Aldsp_demo.Demo.create ~customers:12 ~orders_per_customer:0 () in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  let select =
+    match
+      Aldsp_relational.Sql_parser.parse_select
+        "SELECT c.CID FROM CUSTOMER c WHERE 10 / (c.SINCE - c.SINCE) = 1"
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let expected =
+    match Sql_exec.query db select with
+    | Ok _ -> Alcotest.fail "the raising filter succeeded"
+    | Error m -> m
+  in
+  match Sql_exec.open_cursor db select with
+  | Ok _ -> Alcotest.fail "a filter that can raise was left for the fetch"
+  | Error m -> check_string "the open fails like the query" expected m
+
 (* ------------------------------------------------------------------ *)
 (* Streamed session delivery                                           *)
 
@@ -175,9 +118,12 @@ let stream_queries =
     "count(CUSTOMER())";
     "getProfile()" ]
 
-let streamed_bytes ?buffer server q =
+(* the most tokens a stream pulls ahead of its reader: one chunk *)
+let chunk = 64
+
+let streamed_bytes server q =
   let ses = Server.session server () in
-  match Server.session_run_stream ses ?buffer q with
+  match Server.session_run_stream ses q with
   | Error e -> Error (Server.submit_error_to_string e)
   | Ok stream -> (
     let buf = Buffer.create 256 in
@@ -195,13 +141,13 @@ let test_streamed_matches_materialized () =
         | Ok items -> Server.serialize_result server items
         | Error m -> Alcotest.failf "materialized run failed on %s: %s" q m
       in
-      match streamed_bytes ~buffer:8 server q with
+      match streamed_bytes server q with
       | Error e -> Alcotest.failf "streamed run failed on %s: %s" q e
       | Ok (got, peak) ->
         check_string q expected got;
         check_bool
-          (Printf.sprintf "peak %d within buffer 8 on %s" peak q)
-          true (peak <= 8))
+          (Printf.sprintf "peak %d within one chunk on %s" peak q)
+          true (peak <= chunk))
     stream_queries
 
 (* The qcheck property over the fuzzer's deterministic scenario stream:
@@ -224,7 +170,7 @@ let test_fuzz_scenarios_stream_identical =
       | Error _ -> true (* error scenarios are the oracle's business *)
       | Ok items -> (
         let expected = Server.serialize_result server items in
-        match streamed_bytes ~buffer:16 server q with
+        match streamed_bytes server q with
         | Error e ->
           QCheck.Test.fail_reportf
             "scenario %d: streamed run failed: %s\nquery: %s" index e q
@@ -233,9 +179,10 @@ let test_fuzz_scenarios_stream_identical =
             QCheck.Test.fail_reportf
               "scenario %d diverged\nquery: %s\nmaterialized: %s\nstreamed: %s"
               index q expected got;
-          if peak > 16 then
+          if peak > chunk then
             QCheck.Test.fail_reportf
-              "scenario %d: peak buffered %d exceeds capacity 16" index peak;
+              "scenario %d: %d tokens pulled ahead, more than one chunk"
+              index peak;
           true))
 
 let test_bounded_buffer_slow_consumer () =
@@ -243,7 +190,7 @@ let test_bounded_buffer_slow_consumer () =
   let server = demo.Aldsp_demo.Demo.server in
   let q = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}{$c/SINCE}</R>" in
   let ses = Server.session server () in
-  match Server.session_run_stream ses ~buffer:8 q with
+  match Server.session_run_stream ses q with
   | Error e -> Alcotest.fail (Server.submit_error_to_string e)
   | Ok stream ->
     let tokens = ref 0 in
@@ -251,8 +198,8 @@ let test_bounded_buffer_slow_consumer () =
       match Server.stream_read stream with
       | Ok (Some _) ->
         incr tokens;
-        (* lag hard every 32 tokens: the producer runs far ahead of the
-           consumer and must park on the full queue *)
+        (* lag hard every 32 tokens: execution must wait for the reader
+           instead of running ahead of it *)
         if !tokens mod 32 = 0 then Thread.delay 0.002;
         drain ()
       | Ok None -> ()
@@ -262,16 +209,16 @@ let test_bounded_buffer_slow_consumer () =
     let peak = Server.stream_peak_buffered stream in
     check_bool "stream produced tokens" true (!tokens > 100);
     check_bool
-      (Printf.sprintf "peak buffered %d within capacity 8" peak)
+      (Printf.sprintf "%d tokens pulled ahead, within one chunk" peak)
       true
-      (peak >= 1 && peak <= 8)
+      (peak >= 1 && peak <= chunk)
 
 let test_mid_stream_cancel () =
   let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
   let server = demo.Aldsp_demo.Demo.server in
   let q = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>" in
   let ses = Server.session server () in
-  (match Server.session_run_stream ses ~buffer:4 q with
+  (match Server.session_run_stream ses q with
   | Error e -> Alcotest.fail (Server.submit_error_to_string e)
   | Ok stream ->
     (* consume a few tokens so the query is demonstrably mid-flight,
@@ -294,13 +241,13 @@ let test_mid_stream_cancel () =
           (Server.submit_error_to_string e)
     in
     drain_to_end ());
-  (* the producer must release its admission slot: wait for quiescence *)
+  (* the stream must release its admission slot: wait for quiescence *)
   let deadline = Unix.gettimeofday () +. 5. in
   let rec wait () =
     let adm = Server.admission_stats server in
     if adm.Server.ad_active = 0 then ()
     else if Unix.gettimeofday () > deadline then
-      Alcotest.fail "producer never released its admission slot"
+      Alcotest.fail "the stream never released its admission slot"
     else begin
       Thread.delay 0.002;
       wait ()
@@ -311,11 +258,12 @@ let test_mid_stream_cancel () =
   check_int "cancel accounted as a deadline abort" 1
     adm.Server.ad_deadline_aborts
 
-(* Token-only wake-ups: a producer parked on a full queue whose consumer
-   never reads is released by its session token alone — no [Spsc.abort]
-   from [stream_cancel] — and nothing stays registered afterwards. *)
+(* Token-only wake-ups: a stream's reader blocked in a slow backend
+   roundtrip is ended by its session token alone (a cancel from another
+   thread, or the deadline), and so is a stream nobody reads; afterwards
+   the slot is back and nothing stays registered. *)
 
-let parked_query = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>"
+let slow_query = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>"
 
 (* polls [cond] (a test-side observer, not the code under test) and
    returns the time it first held *)
@@ -332,54 +280,77 @@ let wait_until what cond =
   in
   go ()
 
-let start_parked ?deadline () =
-  let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
+(* a stream over a backend whose every roundtrip takes a second *)
+let open_slow ?deadline () =
+  let demo =
+    Aldsp_demo.Demo.create ~customers:50 ~orders_per_customer:0 ~db_latency:1.0 ()
+  in
   let server = demo.Aldsp_demo.Demo.server in
   let ses = Server.session server ?deadline () in
-  let started = Unix.gettimeofday () in
-  match Server.session_run_stream ses ~buffer:4 parked_query with
+  let opened = Unix.gettimeofday () in
+  match Server.session_run_stream ses slow_query with
   | Error e -> Alcotest.fail (Server.submit_error_to_string e)
-  | Ok stream ->
-    ignore
-      (wait_until "the producer to park on the full queue" (fun () ->
-           Cancel.waiters () > 0));
-    check_int "queue full" 4 (Server.stream_peak_buffered stream);
-    (server, ses, stream, started)
+  | Ok stream -> (server, ses, stream, opened)
 
-(* the producer has let go of its slot within 100 ms of [since], the
-   stream ends Cancelled, and no waiter or deadline is left behind *)
-let check_released server stream ~since =
-  let released =
-    wait_until "the producer to release its admission slot" (fun () ->
-        (Server.admission_stats server).Server.ad_active = 0)
-  in
-  let ms = (released -. since) *. 1000. in
-  check_bool (Printf.sprintf "released within 100 ms (%.1f ms)" ms) true
-    (ms < 100.);
-  let rec drain_to_end () =
-    match Server.stream_read stream with
-    | Ok (Some _) -> drain_to_end ()
-    | Ok None -> Alcotest.fail "cancelled stream reported clean completion"
-    | Error (Server.Cancelled _) -> ()
-    | Error e ->
-      Alcotest.failf "expected Cancelled, got %s"
-        (Server.submit_error_to_string e)
-  in
-  drain_to_end ();
-  check_int "counted as a deadline abort" 1
-    (Server.admission_stats server).Server.ad_deadline_aborts;
+let expect_cancelled = function
+  | Error (Server.Cancelled _) -> ()
+  | Ok (Some _) -> Alcotest.fail "a token arrived from the cancelled stream"
+  | Ok None -> Alcotest.fail "cancelled stream reported clean completion"
+  | Error e ->
+    Alcotest.failf "expected Cancelled, got %s" (Server.submit_error_to_string e)
+
+let check_within_100ms what ms =
+  check_bool (Printf.sprintf "%s within 100 ms (%.1f ms)" what ms) true
+    (ms < 100.)
+
+(* the slot is back, counted as a deadline abort, and no hook, waiter or
+   armed deadline is left behind *)
+let check_released server =
+  let adm = Server.admission_stats server in
+  check_int "no slot held" 0 adm.Server.ad_active;
+  check_int "counted as a deadline abort" 1 adm.Server.ad_deadline_aborts;
   check_int "no waiter left registered" 0 (Cancel.waiters ());
   check_int "no deadline left armed" 0 (Cancel.armed_deadlines ())
 
-let test_session_cancel_releases_parked_producer () =
-  let server, ses, stream, _ = start_parked () in
-  let since = Unix.gettimeofday () in
-  Server.session_cancel ses;
-  check_released server stream ~since
+let test_session_cancel_ends_blocked_read () =
+  let server, ses, stream, _ = open_slow () in
+  let cancelled_at = ref 0. in
+  let canceller =
+    Thread.create
+      (fun () ->
+        (* long enough for the reader to be inside the first roundtrip *)
+        Thread.delay 0.05;
+        cancelled_at := Unix.gettimeofday ();
+        Server.session_cancel ses)
+      ()
+  in
+  let r = Server.stream_read stream in
+  let ended = Unix.gettimeofday () in
+  Thread.join canceller;
+  expect_cancelled r;
+  check_within_100ms "read ended after the cancel"
+    ((ended -. !cancelled_at) *. 1000.);
+  check_released server
 
-let test_deadline_releases_parked_producer () =
-  let server, _, stream, started = start_parked ~deadline:0.05 () in
-  check_released server stream ~since:(started +. 0.05)
+let test_deadline_ends_blocked_read () =
+  let server, _, stream, opened = open_slow ~deadline:0.05 () in
+  let r = Server.stream_read stream in
+  let ended = Unix.gettimeofday () in
+  expect_cancelled r;
+  check_within_100ms "read ended after the deadline"
+    ((ended -. (opened +. 0.05)) *. 1000.);
+  check_released server
+
+let test_deadline_frees_unread_stream () =
+  let server, _, stream, opened = open_slow ~deadline:0.05 () in
+  let released =
+    wait_until "the unread stream to release its admission slot" (fun () ->
+        (Server.admission_stats server).Server.ad_active = 0)
+  in
+  check_within_100ms "slot freed after the deadline"
+    ((released -. (opened +. 0.05)) *. 1000.);
+  expect_cancelled (Server.stream_read stream);
+  check_released server
 
 let test_tokens_streamed_counter () =
   let demo = Aldsp_demo.Demo.create ~customers:20 ~orders_per_customer:0 () in
@@ -429,19 +400,13 @@ let () = at_exit Aldsp_check.Oracle.shutdown_pools
 
 let () =
   Alcotest.run "streaming"
-    [ ( "spsc",
-        [ Alcotest.test_case "fifo and close" `Quick test_spsc_fifo;
-          Alcotest.test_case "backpressure bounds occupancy" `Quick
-            test_spsc_backpressure;
-          Alcotest.test_case "fail drains buffered items first" `Quick
-            test_spsc_fail_drains_first;
-          Alcotest.test_case "abort releases a blocked producer" `Quick
-            test_spsc_abort_releases_producer ] );
-      ( "cursor",
+    [ ( "cursor",
         [ Alcotest.test_case "chunked drain matches query" `Quick
             test_cursor_matches_query;
           Alcotest.test_case "one statement, rows shipped as fetched" `Quick
-            test_cursor_accounting ] );
+            test_cursor_accounting;
+          Alcotest.test_case "a filter that can raise fails the open" `Quick
+            test_cursor_raising_filter_fails_at_open ] );
       ( "delivery",
         [ Alcotest.test_case "streamed = materialized (fixtures)" `Quick
             test_streamed_matches_materialized;
@@ -453,7 +418,9 @@ let () =
             test_tokens_streamed_counter;
           Alcotest.test_case "ttft rides with --timings only" `Quick
             test_explain_timings_ttft;
-          Alcotest.test_case "session cancel releases a parked producer" `Quick
-            test_session_cancel_releases_parked_producer;
-          Alcotest.test_case "deadline releases a parked producer" `Quick
-            test_deadline_releases_parked_producer ] ) ]
+          Alcotest.test_case "session cancel ends a blocked read" `Quick
+            test_session_cancel_ends_blocked_read;
+          Alcotest.test_case "deadline ends a blocked read" `Quick
+            test_deadline_ends_blocked_read;
+          Alcotest.test_case "deadline frees an unread stream" `Quick
+            test_deadline_frees_unread_stream ] ) ]
