@@ -373,8 +373,11 @@ let bench_scan_vs_index ?(smoke = false) () =
    region (PP-k probe on CID) rather than ship CREDIT_CARD whole: every
    shipped region filtered, at most 5 rows shipped (1 customer, 1 card,
    3 orders). k is 1 here — [choose_k] caps k at the outer estimate — so
-   the [5, 50] band of the join sweep does not apply. The EXPLAIN lands in
-   EXPLAIN_cost_model_point_lookup.txt for CI upload. *)
+   the [5, 50] band of the join sweep does not apply. The ORDER_T nesting
+   merges into the CUSTOMER statement as an outer join (§4.2), so a
+   lookup issues 2 statements, and the merged region is priced by its
+   fan-out, so the worst est-vs-act ratio stays within 1.5. The EXPLAIN
+   lands in EXPLAIN_cost_model_point_lookup.txt for CI upload. *)
 let cost_model_point_lookup () =
   sub "CST: point lookup (getProfileByID, 2000 customers, 0.5 ms)";
   let demo =
@@ -388,17 +391,29 @@ let cost_model_point_lookup () =
   in
   Demo.reset_stats demo;
   let t, _ = time (fun () -> ok_exn (Server.run demo.Demo.server q)) in
-  let shipped =
-    demo.Demo.customer_db.Database.stats.Database.rows_shipped
-    + demo.Demo.card_db.Database.stats.Database.rows_shipped
+  let total f =
+    f demo.Demo.customer_db.Database.stats + f demo.Demo.card_db.Database.stats
+  in
+  let shipped = total (fun s -> s.Database.rows_shipped) in
+  let statements = total (fun s -> s.Database.statements) in
+  let misestimate =
+    (Server.stats demo.Demo.server).Server.st_max_misestimate
   in
   let artifact = "EXPLAIN_cost_model_point_lookup.txt" in
   let oc = open_out artifact in
   output_string oc (ok_exn (Server.explain demo.Demo.server q));
   close_out oc;
   let regions = Plan_ir.regions compiled.Server.ir in
-  Printf.printf "%d pushed regions, %d rows shipped, %.1f ms\n"
-    (List.length regions) shipped (t *. 1000.);
+  Printf.printf
+    "%d pushed regions, %d statements, %d rows shipped, worst misestimate \
+     %.2fx, %.1f ms\n"
+    (List.length regions) statements shipped misestimate (t *. 1000.);
+  record_result "CST-PL"
+    ~params:
+      [ ("statements", string_of_int statements);
+        ("rows_shipped", string_of_int shipped);
+        ("max_misestimate", Printf.sprintf "%.2f" misestimate) ]
+    t;
   let fail fmt =
     Printf.ksprintf (fun m -> failwith (m ^ " (see " ^ artifact ^ ")")) fmt
   in
@@ -409,6 +424,10 @@ let cost_model_point_lookup () =
          regions)
   then fail "CST: point lookup ships the card region unparameterized";
   if shipped > 5 then fail "CST: point lookup shipped %d rows (> 5)" shipped;
+  if statements <> 2 then
+    fail "CST: point lookup issued %d statements (expected 2)" statements;
+  if misestimate > 1.5 then
+    fail "CST: point lookup misestimates by %.2fx (> 1.5x)" misestimate;
   List.iter
     (fun r ->
       if r.Plan_ir.sql_select.Sql_ast.where = None then
@@ -1877,8 +1896,8 @@ let () =
     (* CI smoke: one tiny access-path sweep point, plus the cost-model
        structural assertions at 100k rows (chosen plan is PP-k with k in
        [5, 50] on the index probe path) and on the getProfileByID point
-       lookup (card region parameterized, <= 5 rows shipped), with the
-       full result plumbing *)
+       lookup (card region parameterized, <= 5 rows shipped, 2 statements,
+       worst misestimate <= 1.5x), with the full result plumbing *)
     bench_scan_vs_index ~smoke:true ();
     bench_cost_model ~smoke:true ();
     bench_concurrent_serving ~smoke:true ();

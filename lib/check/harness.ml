@@ -1,3 +1,5 @@
+open Aldsp_services
+
 type kind = K_oracle | K_fault | K_mutation | K_concurrent
 
 type counterexample = {
@@ -150,6 +152,13 @@ let cx_to_string cx =
     (Gen.render cx.cx_scenario.Shrink.query)
     report_lines
 
+type corpus_entry = {
+  ce_spec : Catalog.spec;
+  ce_config : Oracle.config;
+  ce_query : string;
+  ce_rating_faults : Web_service.fault list;
+}
+
 let corpus_entry_of_string text =
   let ( let* ) = Result.bind in
   let tagged tag line =
@@ -180,14 +189,38 @@ let corpus_entry_of_string text =
   let* query = find "query" in
   let* spec = Catalog.spec_of_string spec_line in
   let* config = Oracle.config_of_string config_line in
-  Ok (spec, config, query)
+  let* rating_faults =
+    match List.find_map (tagged "rating-faults") lines with
+    | None -> Ok []
+    | Some events ->
+      List.fold_right
+        (fun event acc ->
+          let* acc = acc in
+          let* fault =
+            match event with
+            | "ok" -> Ok Web_service.Fault_ok
+            | "fail" -> Ok Web_service.Fault_fail
+            | _ ->
+              Error (Printf.sprintf "corpus entry: bad rating fault %S" event)
+          in
+          Ok (fault :: acc))
+        (List.filter (( <> ) "") (String.split_on_char ' ' events))
+        (Ok [])
+  in
+  Ok
+    { ce_spec = spec;
+      ce_config = config;
+      ce_query = query;
+      ce_rating_faults = rating_faults }
 
 let replay_corpus text =
   match corpus_entry_of_string text with
   | Error e -> Error e
-  | Ok (spec, config, query) ->
-    let cat = Catalog.build spec in
-    (match Oracle.compare_query cat config query with
+  | Ok { ce_spec; ce_config; ce_query = query; ce_rating_faults } ->
+    let cat = Catalog.build ce_spec in
+    (match
+       Oracle.compare_query cat ce_config ~rating_faults:ce_rating_faults query
+     with
     | Ok () -> Ok ()
     | Error report ->
       Error (Printf.sprintf "corpus regression on %s\n%s" query report))

@@ -70,11 +70,20 @@ val cx_to_string : counterexample -> string
 (** The corpus text format: [kind:]/[seed:]/[index:]/[spec:]/[config:]/
     [query:] lines followed by the report as [#] comments. *)
 
-val corpus_entry_of_string :
-  string -> (Catalog.spec * Oracle.config * string, string) result
-(** Parses a corpus entry: the spec and config lines plus the query as
-    raw text (replay does not need the structured form). [#] comment
-    lines and [kind:]/[seed:]/[index:] lines are ignored. *)
+type corpus_entry = {
+  ce_spec : Catalog.spec;
+  ce_config : Oracle.config;
+  ce_query : string;  (** Raw text: replay does not need the structured form. *)
+  ce_rating_faults : Aldsp_services.Web_service.fault list;
+      (** From an optional [rating-faults:] line of space-separated
+          per-call events, [ok] or [fail]; empty without one.
+          Passed to {!Oracle.compare_query}'s [rating_faults]. *)
+}
+
+val corpus_entry_of_string : string -> (corpus_entry, string) result
+(** Parses a corpus entry: the spec, config and query lines and the
+    optional rating-faults line. [#] comment lines and
+    [kind:]/[seed:]/[index:] lines are ignored. *)
 
 val replay_corpus : string -> (unit, string) result
 (** Replays one corpus entry's spec/config/query through the oracle

@@ -169,8 +169,9 @@ let set_indexes (cat : Catalog.t) flag =
    same server must hit the plan cache (zero new compilations — the
    generator never emits prolog functions, so the metadata generation is
    stable across runs) and serialize to the same bytes as the first. *)
-let recheck_cached server q first =
+let recheck_cached ~prepare server q first =
   let misses_before = Server.plan_cache_misses server in
+  prepare ();
   match run_serialized server q with
   | Error e -> Error (Printf.sprintf "cached re-run failed: %s" e)
   | Ok second ->
@@ -293,9 +294,10 @@ let compare_concurrent cat config ~sessions queries =
    streamed session path — execute_stream, backend cursors, pulled
    delivery — and the chunks that reach the consumer must byte-match the
    materialized result pushed through the same token serializer. *)
-let check_streamed server q items =
+let check_streamed ~prepare server q items =
   let expected = Server.serialize_result server items in
   let ses = Server.session server () in
+  prepare ();
   match Server.session_run_stream ses q with
   | Error e ->
     Error ("streamed run failed: " ^ Server.submit_error_to_string e)
@@ -313,13 +315,22 @@ let check_streamed server q items =
              "streamed delivery diverged\nmaterialized: %s\nstreamed    : %s"
              expected got))
 
-let compare_query cat config ?(mutate = false) q =
+(* Every evaluation starts from the same scripted rating-call schedule,
+   so each side sees call n fail or succeed alike. *)
+let compare_query cat config ?(mutate = false) ?(rating_faults = []) q =
+  let rating = cat.Catalog.rating in
+  let prepare () =
+    if rating_faults <> [] then
+      Aldsp_services.Web_service.set_schedule rating rating_faults
+  in
   let reference =
     set_indexes cat false;
+    prepare ();
     run_serialized (reference_server cat) q
   in
   let subject, cached_check =
     set_indexes cat config.indexes;
+    prepare ();
     let r, chk =
       if mutate then (run_mutated (subject_server cat config) q, Ok ())
       else
@@ -329,14 +340,15 @@ let compare_query cat config ?(mutate = false) q =
         let chk =
           match (run, r) with
           | Ok items, Ok first -> (
-            match recheck_cached server q first with
+            match recheck_cached ~prepare server q first with
             | Error _ as e -> e
-            | Ok () -> check_streamed server q items)
+            | Ok () -> check_streamed ~prepare server q items)
           | _ -> Ok ()
         in
         (r, chk)
     in
     set_indexes cat true;
+    if rating_faults <> [] then Aldsp_services.Web_service.set_schedule rating [];
     (r, chk)
   in
   match (reference, subject, cached_check) with

@@ -88,11 +88,21 @@ val compare_concurrent :
     do not balance (a rejection, a phantom deadline abort, work left
     active/queued), is an [Error]. *)
 
-val compare_query : Catalog.t -> config -> ?mutate:bool -> string ->
+val compare_query :
+  Catalog.t ->
+  config ->
+  ?mutate:bool ->
+  ?rating_faults:Aldsp_services.Web_service.fault list ->
+  string ->
   (unit, string) result
 (** Runs the query on both servers ([mutate] swaps the subject evaluation
     for {!run_mutated}); [Error report] describes the disagreement, with
     both results. Matching errors on both sides count as agreement.
+
+    A non-empty [rating_faults] is installed as the rating service's
+    scripted schedule ({!Aldsp_services.Web_service.set_schedule}) before
+    every evaluation below, and cleared afterwards, so the reference and
+    every subject run see the same per-call failures in call order.
 
     When the subject run succeeds (and [mutate] is off), the query is
     executed a second time on the same subject server: the re-run must be

@@ -121,12 +121,59 @@ let where_cardinality t ~alias ~rows where =
   in
   List.fold_left (fun acc e -> min acc (conjunct e)) rows (conjuncts where)
 
-(* Rows one execution of a pushed region ships. Unparameterized: the
-   table's rows, filtered by its WHERE ([where_cardinality]). Parameterized
-   (a PP-k probe block): probes land on key columns, so the per-probe
-   match estimate is rows over the best single-column NDV — exact 1 for a
-   unique key. *)
-let rel_cardinality registry (r : C.sql_access) =
+let best_ndv t =
+  List.fold_left
+    (fun acc idx ->
+      match Index.columns idx with
+      | [ _ ] -> max acc (Index.distinct_keys idx)
+      | _ -> acc)
+    1 (Table.indexes t)
+
+(* Matches per left row of each LEFT OUTER JOIN a region carries (§4.2's
+   merged nesting): the joined table's rows over the NDV of its join
+   column, at least 1, since an unmatched left row still yields one row.
+   An unindexed join column falls back to the table's best single-column
+   NDV. A region with its own GROUP BY ships one row per group of the
+   left columns, so its joins do not fan out. *)
+let rel_fanout registry (r : C.sql_access) =
+  match Metadata.find_database registry r.C.db with
+  | Some db when r.C.select.Sql.group_by = [] ->
+    List.fold_left
+      (fun acc (j : Sql.join) ->
+        match (j.Sql.jkind, j.Sql.jtable) with
+        | Sql.Left_outer, Sql.Table { table; alias } -> (
+          match Database.find_table db table with
+          | Error _ -> acc
+          | Ok t ->
+            let own = function Some a -> String.equal a alias | None -> false in
+            let own_col = function
+              | Sql.Col (q, col) when own q -> Some col
+              | _ -> None
+            in
+            let join_col =
+              List.find_map
+                (function
+                  | Sql.Binop (Sql.Eq, a, b) -> (
+                    match own_col a with Some c -> Some c | None -> own_col b)
+                  | _ -> None)
+                (conjuncts j.Sql.on_condition)
+            in
+            let ndv =
+              match Option.bind join_col (Table.distinct_estimate t) with
+              | Some n when n > 0 -> n
+              | _ -> best_ndv t
+            in
+            acc * max 1 (Table.row_count t / ndv))
+        | _ -> acc)
+      1 r.C.select.Sql.joins
+  | _ -> 1
+
+(* Rows one execution of a pushed region ships, before [rel_fanout].
+   Unparameterized: the table's rows, filtered by its WHERE
+   ([where_cardinality]). Parameterized (a PP-k probe block): probes land
+   on key columns, so the per-probe match estimate is rows over the best
+   single-column NDV — exact 1 for a unique key. *)
+let rel_base_cardinality registry (r : C.sql_access) =
   match rel_table registry r with
   | None -> None
   | Some (t, alias) ->
@@ -135,16 +182,10 @@ let rel_cardinality registry (r : C.sql_access) =
       match r.C.select.Sql.where with
       | None -> Some rows
       | Some w -> Some (where_cardinality t ~alias ~rows w)
-    else
-      let best_ndv =
-        List.fold_left
-          (fun acc idx ->
-            match Index.columns idx with
-            | [ _ ] -> max acc (Index.distinct_keys idx)
-            | _ -> acc)
-          1 (Table.indexes t)
-      in
-      Some (max 1 (rows / max 1 best_ndv))
+    else Some (max 1 (rows / best_ndv t))
+
+let rel_cardinality registry r =
+  Option.map (fun n -> n * rel_fanout registry r) (rel_base_cardinality registry r)
 
 (* ------------------------------------------------------------------ *)
 (* Cardinality over core expressions *)
@@ -186,8 +227,31 @@ and advance registry est clause =
     | C.Join { right; export = C.Bindings; _ } ->
       Option.map (max tuples) (clauses_cardinality registry right))
 
+(* [advance] over a pipeline, one estimate per clause. A pre-clustered
+   group re-nests the flat rows of the merged region before it (§4.2),
+   one group per left row, so it is priced back at the region's estimate
+   without the outer-join fan-out. *)
+and estimates registry est clauses =
+  let step (est, renest, acc) clause =
+    let out =
+      match (clause, renest) with
+      | C.Group { clustered = true; _ }, Some _ -> renest
+      | _ -> advance registry est clause
+    in
+    let renest =
+      match (clause, est) with
+      | C.Rel r, Some tuples ->
+        Option.map (fun n -> tuples * n) (rel_base_cardinality registry r)
+      | C.Let _, _ -> renest
+      | _ -> None
+    in
+    (out, renest, out :: acc)
+  in
+  let _, _, acc = List.fold_left step (est, None, []) clauses in
+  List.rev acc
+
 and clauses_cardinality registry clauses =
-  List.fold_left (advance registry) (Some 1) clauses
+  List.fold_left (fun _ out -> out) (Some 1) (estimates registry (Some 1) clauses)
 
 (* ------------------------------------------------------------------ *)
 (* PP-k parameter choice *)

@@ -65,19 +65,25 @@ val rel_cardinality : Metadata.t -> Cexpr.sql_access -> int option
     [IN] of [n] literals on a column a single-column index covers
     ({!Aldsp_relational.Table.distinct_estimate}), [rows/3] for anything
     else. Parameterized: per-probe matches, rows over the best
-    single-column NDV. *)
+    single-column NDV. Either is multiplied by the fan-out of each
+    [LEFT OUTER JOIN] the region carries: the joined table's rows over the
+    NDV of its join column, at least 1 — unless the region has its own
+    [GROUP BY]. *)
 
 val expr_cardinality : Metadata.t -> Cexpr.t -> int option
 
-val advance : Metadata.t -> int option -> Cexpr.clause -> int option
-(** [advance registry est clause]: estimated binding tuples flowing out of
-    [clause] when [est] flow in; [None] (unknown) poisons. The one
-    clause-at-a-time walk behind {!clauses_cardinality}, the optimizer's
-    join-method choice and the plan IR's [est=] counters. *)
+val estimates :
+  Metadata.t -> int option -> Cexpr.clause list -> int option list
+(** [estimates registry est clauses]: estimated binding tuples flowing out
+    of each clause when [est] flow into the first; [None] (unknown)
+    poisons the rest. A pre-clustered group is priced back at the
+    estimate of the region it re-nests, without {!rel_cardinality}'s
+    outer-join fan-out. The one walk behind {!clauses_cardinality}, the
+    optimizer's join-method choice and the plan IR's [est=] counters. *)
 
 val clauses_cardinality : Metadata.t -> Cexpr.clause list -> int option
-(** Estimated binding tuples a FLWOR clause pipeline emits: {!advance}
-    folded from one tuple. *)
+(** Estimated binding tuples a FLWOR clause pipeline emits: the last of
+    {!estimates} from one tuple. *)
 
 val choose_k : outer:int option -> latency:float -> int
 (** Cost-optimal PP-k block size for this outer cardinality and source

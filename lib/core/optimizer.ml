@@ -1049,9 +1049,11 @@ let inl_beats_nl t ~outer right' =
   | _ -> true
 
 let rec select_methods_clauses t bound outer_est clauses =
+  (* method choice never changes a clause's cardinality, so the input
+     pipeline's estimates price every join's outer side *)
   let rev_clauses, _, _ =
-    List.fold_left
-      (fun (acc, bound, est) clause ->
+    List.fold_left2
+      (fun (acc, bound, est) clause est_out ->
         let clause' =
           match clause with
           | C.Join { kind; method_ = C.Nested_loop; right; on_; export } ->
@@ -1088,10 +1090,9 @@ let rec select_methods_clauses t bound outer_est clauses =
                 export }
           | c -> c
         in
-        ( clause' :: acc,
-          C.clause_vars [ clause' ] @ bound,
-          Cost_model.advance t.registry est clause' ))
+        (clause' :: acc, C.clause_vars [ clause' ] @ bound, est_out))
       ([], bound, outer_est) clauses
+      (Cost_model.estimates t.registry outer_est clauses)
   in
   List.rev rev_clauses
 

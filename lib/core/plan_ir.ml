@@ -225,19 +225,20 @@ let compile registry root =
         | _ -> assert false)
       run
   and lower_clauses est clauses =
-    match clauses with
-    | [] -> []
-    | C.Let _ :: _ ->
-      let rec split run = function
-        | (C.Let _ as l) :: rest -> split (l :: run) rest
-        | rest -> (List.rev run, rest)
+    lower_run est clauses (Cost_model.estimates registry est clauses)
+  and lower_run est clauses ests =
+    match (clauses, ests) with
+    | [], _ | _, [] -> []
+    | C.Let _ :: _, _ ->
+      let rec split run ests = function
+        | (C.Let _ as l) :: rest -> split (l :: run) (List.tl ests) rest
+        | rest -> (List.rev run, ests, rest)
       in
-      let run, rest = split [] clauses in
+      let run, ests, rest = split [] ests clauses in
       let ops = lower_lets run in
       List.iter (fun o -> set_est o.op_counters est) ops;
-      ops @ lower_clauses est rest
-    | clause :: rest ->
-      let est' = Cost_model.advance registry est clause in
+      ops @ lower_run est rest ests
+    | clause :: rest, est' :: ests ->
       let op =
         match clause with
         | C.For { var; source } -> mk_op (O_scan { var; source = expr source })
@@ -302,7 +303,7 @@ let compile registry root =
                  sql_backend = [] })
       in
       set_est op.op_counters est';
-      op :: lower_clauses est' rest
+      op :: lower_run est' rest ests
   in
   expr root
 
@@ -655,17 +656,38 @@ let render ?(timings = false) plan =
   node 0 "" plan;
   Buffer.contents buf
 
-(* Worst est-vs-actual ratio across operators that both carry an
+(* Counters whose est= and act= are both per-run totals: nodes the run
+   evaluates once (the expressions above the outermost pipelines), those
+   pipelines, and their operators through join right sides. An
+   expression under a pipeline is evaluated per tuple: its est= is per
+   evaluation while its act= accumulates, so it cannot be compared. *)
+let run_counters plan =
+  let acc = ref [] in
+  let rec node p =
+    if structural p then acc := p.counters :: !acc;
+    match p.node with
+    | P_pipeline { ops; _ } -> List.iter op ops
+    | P_filter { input; _ } -> node input
+    | P_quantified { source; _ } -> node source
+    | _ -> List.iter node (sub_plans p)
+  and op o =
+    acc := o.op_counters :: !acc;
+    match o.op_node with
+    | O_join { right; _ } -> List.iter op right
+    | _ -> ()
+  in
+  node plan;
+  List.rev !acc
+
+(* Worst est-vs-actual ratio across [run_counters] that both carry an
    estimate and actually produced rows; 1.0 when nothing qualifies. *)
 let max_misestimate plan =
-  let worst = ref 1. in
-  iter_counters
-    (fun c ->
+  List.fold_left
+    (fun worst c ->
       if c.c_est > 0 && c.c_rows > 0 then
-        worst :=
-          Float.max !worst (Cost_model.misestimate ~est:c.c_est ~actual:c.c_rows))
-    plan;
-  !worst
+        Float.max worst (Cost_model.misestimate ~est:c.c_est ~actual:c.c_rows)
+      else worst)
+    1. (run_counters plan)
 
 let operators plan =
   let acc = ref [] in

@@ -168,10 +168,17 @@ val reset_counters : t -> unit
 (** Zeroes every runtime counter block (and clears captured backend
     plans); compile-time estimates ([c_est]) are preserved. *)
 
+val run_counters : t -> counters list
+(** The counters whose [est=] and [act=] are both per-run totals: the
+    nodes a run evaluates once, the outermost pipelines, and their
+    operators through join right sides. Expressions under a pipeline are
+    left out: their estimate is per evaluation, their actual rows
+    accumulate over every tuple. *)
+
 val max_misestimate : t -> float
-(** Worst [max(est/act, act/est)] over operators with both a nonzero
-    estimate and nonzero actual rows; 1.0 when nothing qualifies — the
-    per-query input to {!Server.stats}' misestimation rollup. *)
+(** Worst [max(est/act, act/est)] over {!run_counters} with both a
+    nonzero estimate and nonzero actual rows; 1.0 when nothing qualifies
+    — the per-query input to {!Server.stats}' misestimation rollup. *)
 
 val operators : t -> (string * counters) list
 (** Every operator of the plan, preorder, as (render label, counters) —

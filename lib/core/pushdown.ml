@@ -448,6 +448,19 @@ and shift_select delta (s : Sql.select) : Sql.select =
 
 let uses_in var clauses return_ = C.count_uses var clauses return_
 
+(* Neither clause reads a variable the other binds, a join's right-side
+   variables included. *)
+let independent a b =
+  let bound = function
+    | C.Join { right; _ } as c -> C.clause_vars (c :: right)
+    | c -> C.clause_vars [ c ]
+  in
+  let reads c vars =
+    let fv = C.free_vars (C.Flwor { clauses = [ c ]; return_ = C.Empty }) () in
+    List.exists (Hashtbl.mem fv) vars
+  in
+  (not (reads a (bound b))) && not (reads b (bound a))
+
 let rec push_expr st (e : C.t) : C.t =
   let e = C.map_children (push_expr st) e in
   match e with
@@ -527,7 +540,9 @@ and merge_regions st clauses return_ =
     | c :: rest -> grow (c :: acc) rest return_
   (* try to absorb following clauses into region r; [pending] holds
      row-reconstruction lets that sit between the region and the clause
-     being absorbed and must be re-emitted after it *)
+     being absorbed and must be re-emitted after it, in source order (a
+     reversed re-emission would flip them on every fixpoint pass, and
+     the fixpoint would never settle) *)
   and absorb acc r pending clauses return_ =
     match caps_of r.C.db with
     | exception Not_pushable -> grow (C.Rel r :: acc) clauses return_
@@ -566,14 +581,14 @@ and merge_regions st clauses return_ =
       | (C.Let { var = _; value = (C.Elem _ | C.Var _ | C.Const _) } as l)
         :: rest ->
         (* row reconstruction or other pure cheap value: slide past it *)
-        absorb acc r (l :: pending) rest return_
+        absorb acc r (pending @ [ l ]) rest return_
       | C.Join { kind; right; on_; export; _ } :: rest -> (
         match
           try_merge_join st db caps acc r pending kind right (through on_)
             export rest return_
         with
         | Some result -> result
-        | None -> finish acc r pending clauses return_)
+        | None -> commute acc r db caps pending through [] clauses return_)
       | C.Group { aggs; keys; clustered = false } :: rest -> (
         let keys = List.map (fun (e, v) -> (through e, v)) keys in
         match try_merge_group st db caps acc r pending aggs keys rest return_ with
@@ -598,7 +613,41 @@ and merge_regions st clauses return_ =
           in
           absorb acc r' pending rest return_
         else finish acc r pending clauses return_)
-      | _ -> finish acc r pending clauses return_)
+      | _ -> commute acc r db caps pending through [] clauses return_)
+  (* A grouped left outer join emits exactly one tuple per left tuple, so
+     two of them commute, and one commutes with a let, when neither reads
+     a variable the other binds. [skipped] (source order) holds such
+     clauses between the region and the next candidate; a same-database
+     grouped join that commutes with all of them moves up next to the
+     region and merges there. Wheres, inner joins, fors, groups and
+     orders filter, multiply or reorder tuples and end the search. *)
+  and commute acc r db caps pending through skipped clauses return_ =
+    match clauses with
+    | (C.Let _ as c) :: rest ->
+      commute acc r db caps pending through (skipped @ [ c ]) rest return_
+    | (C.Join
+         { kind = C.J_left_outer as kind;
+           right;
+           on_;
+           export = C.Grouped _ as export;
+           _ } as j)
+      :: rest -> (
+      (* with nothing skipped, [absorb] has just tried this join in place;
+         a failed attempt may have drawn fresh names, which are given back
+         so that plans that do not merge stay as they were *)
+      let movable = skipped <> [] && List.for_all (independent j) skipped in
+      let saved = !(st.counter) in
+      match
+        if movable then
+          try_merge_join st db caps acc r pending kind right (through on_)
+            export (skipped @ rest) return_
+        else None
+      with
+      | Some result -> result
+      | None ->
+        st.counter := saved;
+        commute acc r db caps pending through (skipped @ [ j ]) rest return_)
+    | _ -> finish acc r pending (skipped @ clauses) return_
   and finish acc r pending clauses return_ =
     (* computed-scalar projection: push translatable scalar subexpressions
        of the return into the region's SELECT list (pattern d etc.) *)

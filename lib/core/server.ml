@@ -604,7 +604,7 @@ let diags_to_string ds = String.concat "; " (List.map Diag.to_string ds)
 (* Per-run est-vs-actual rollup. Operator counters accumulate across runs
    (by design — see Plan_ir.counters), so actual rows for THIS run are the
    deltas against a snapshot taken before execution. *)
-let snapshot_rows ir = List.map (fun (_, c) -> c.Plan_ir.c_rows) (Plan_ir.operators ir)
+let snapshot_rows ir = List.map (fun c -> c.Plan_ir.c_rows) (Plan_ir.run_counters ir)
 
 (* compare-and-update of a shared maximum: a read-modify-write, so
    locked — concurrent sessions would otherwise lose updates *)
@@ -616,13 +616,13 @@ let note_worst t worst =
 let note_misestimate t ir before =
   let worst =
     List.fold_left2
-      (fun acc (_, c) prior ->
+      (fun acc c prior ->
         let actual = c.Plan_ir.c_rows - prior in
         if c.Plan_ir.c_est > 0 && actual > 0 then
           Float.max acc
             (Cost_model.misestimate ~est:c.Plan_ir.c_est ~actual)
         else acc)
-      1. (Plan_ir.operators ir) before
+      1. (Plan_ir.run_counters ir) before
   in
   note_worst t worst
 

@@ -213,13 +213,13 @@ let test_corpus_replay () =
    forced on, compared byte-for-byte against the reference, with the
    backend index layer both on and off. *)
 let test_cost_based_agrees () =
-  let check_one what cat config query =
+  let check_one ?rating_faults what cat config query =
     List.iter
       (fun indexes ->
         let config =
           { config with Oracle.cost_based = true; indexes }
         in
-        match Oracle.compare_query cat config query with
+        match Oracle.compare_query cat config ?rating_faults query with
         | Ok () -> ()
         | Error e ->
           Alcotest.failf "%s (indexes=%b) disagrees:\n%s" what indexes e)
@@ -229,8 +229,10 @@ let test_cost_based_agrees () =
     (fun path ->
       match Harness.corpus_entry_of_string (read_file path) with
       | Error e -> Alcotest.failf "%s: %s" path e
-      | Ok (spec, config, query) ->
-        check_one path (Catalog.build spec) config query)
+      | Ok e ->
+        check_one path ~rating_faults:e.Harness.ce_rating_faults
+          (Catalog.build e.Harness.ce_spec) e.Harness.ce_config
+          e.Harness.ce_query)
     (corpus_files ());
   for index = 0 to 19 do
     let s = Harness.scenario_of ~seed:slice_seed ~index in
@@ -247,9 +249,9 @@ let test_cost_based_agrees () =
    unclustered GROUP BY spill sorted runs to disk and merge them back —
    compared byte-for-byte against the unbounded in-memory reference. *)
 let test_spill_agrees () =
-  let check_one what cat config query =
+  let check_one ?rating_faults what cat config query =
     let config = { config with Oracle.spill = true } in
-    match Oracle.compare_query cat config query with
+    match Oracle.compare_query cat config ?rating_faults query with
     | Ok () -> ()
     | Error e -> Alcotest.failf "%s (spill forced on) disagrees:\n%s" what e
   in
@@ -257,8 +259,10 @@ let test_spill_agrees () =
     (fun path ->
       match Harness.corpus_entry_of_string (read_file path) with
       | Error e -> Alcotest.failf "%s: %s" path e
-      | Ok (spec, config, query) ->
-        check_one path (Catalog.build spec) config query)
+      | Ok e ->
+        check_one path ~rating_faults:e.Harness.ce_rating_faults
+          (Catalog.build e.Harness.ce_spec) e.Harness.ce_config
+          e.Harness.ce_query)
     (corpus_files ());
   for index = 0 to 19 do
     let s = Harness.scenario_of ~seed:slice_seed ~index in

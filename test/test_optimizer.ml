@@ -388,12 +388,13 @@ let test_point_lookup_probes_card_db () =
   check_bool
     (Printf.sprintf "ships <= 5 rows (shipped %d)" shipped)
     true (shipped <= 5);
-  (* the literal-keyed regions are exact; the worst ratio left is the
-     ORDER_T probe, whose per-probe matches are priced over the best
-     single-column NDV (unique OID), not the probed CID's: 1 estimated
-     against 3 actual *)
-  Alcotest.(check (float 0.)) "worst misestimate is the ORDER_T probe" 3.0
-    (Server.stats demo.D.server).Server.st_max_misestimate
+  (* the literal-keyed regions are exact, the merged ORDER_T outer join
+     is priced by its CID fan-out and the re-nesting group back at one
+     customer *)
+  let worst = (Server.stats demo.D.server).Server.st_max_misestimate in
+  check_bool
+    (Printf.sprintf "worst misestimate <= 1.5 (got %.2f)" worst)
+    true (worst <= 1.5)
 
 let () =
   let t name f = Alcotest.test_case name `Quick f in

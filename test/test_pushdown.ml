@@ -248,6 +248,101 @@ let test_roundtrips_counted () =
     demo.Aldsp_demo.Demo.customer_db.Aldsp_relational.Database.stats
       .Aldsp_relational.Database.statements
 
+(* ------------------------------------------------------------------ *)
+(* Sibling nestings: a same-database grouped join commutes up to its    *)
+(* region past other grouped joins and lets, then merges (§4.2)         *)
+
+let matches_reference demo q =
+  let open Aldsp_demo.Demo in
+  let reference = ok_exn (Server.run (Server.reference demo.registry) q) in
+  let optimized = ok_exn (Server.run demo.server q) in
+  if Item.serialize optimized <> Item.serialize reference then
+    Alcotest.failf "%s differs from the reference:\n%s\nvs\n%s" q
+      (Item.serialize optimized) (Item.serialize reference)
+
+let pushed_sql demo q =
+  match Server.compile demo.Aldsp_demo.Demo.server q with
+  | Ok c -> c.Server.sql
+  | Error ds ->
+    Alcotest.failf "compile: %s"
+      (String.concat ";" (List.map Diag.to_string ds))
+
+let orders_merged demo q =
+  List.exists
+    (fun (db, sql) ->
+      db = "CustomerDB" && contains sql "LEFT OUTER JOIN \"ORDER_T\"")
+    (pushed_sql demo q)
+
+let test_profile_lookup_merges_orders () =
+  let module D = Aldsp_demo.Demo in
+  let module Db = Aldsp_relational.Database in
+  let demo = setup ~customers:2000 () in
+  let q = "getProfileByID(\"CUST0042\")" in
+  check_int "two pushed regions" 2 (List.length (pushed_sql demo q));
+  check_bool "ORDER_T merged into the CUSTOMER statement" true
+    (orders_merged demo q);
+  D.reset_stats demo;
+  ignore (ok_exn (Server.run demo.D.server q));
+  let total f = f demo.D.customer_db.Db.stats + f demo.D.card_db.Db.stats in
+  check_int "two statements" 2 (total (fun s -> s.Db.statements));
+  let shipped = total (fun s -> s.Db.rows_shipped) in
+  check_bool (Printf.sprintf "ships <= 4 rows (shipped %d)" shipped) true
+    (shipped <= 4);
+  (* the unpushed reference builds every profile before filtering, so it
+     runs at a smaller scale, where the plan merges the same way *)
+  let small = setup ~customers:50 () in
+  check_bool "merged at 50 customers too" true (orders_merged small q);
+  matches_reference small q
+
+let orders = "<O>{getORDER_T($c)}</O>"
+let cards = "<C>{CREDIT_CARD()[CID eq $c/CID]}</C>"
+
+let point_lookup return_ =
+  "for $c in CUSTOMER() where $c/CID eq \"CUST0042\" return <P>" ^ return_
+  ^ "</P>"
+
+let test_sibling_order_irrelevant () =
+  let demo = setup ~customers:2000 () in
+  (* aliases and column labels are numbered in rewrite order *)
+  let shape q =
+    List.map
+      (fun (db, sql) -> (db, Str.global_replace (Str.regexp "[0-9]+") "" sql))
+      (pushed_sql demo q)
+  in
+  let orders_first = point_lookup (orders ^ cards)
+  and cards_first = point_lookup (cards ^ orders) in
+  List.iter
+    (fun q ->
+      check_bool "ORDER_T merged" true (orders_merged demo q);
+      check_int "two pushed regions" 2 (List.length (pushed_sql demo q));
+      matches_reference demo q)
+    [ orders_first; cards_first ];
+  check_bool "same pushed SQL either way" true
+    (shape orders_first = shape cards_first);
+  (* a count over the moved nesting pushes as pattern (g) *)
+  let counted = point_lookup (cards ^ "<N>{count(getORDER_T($c))}</N>") in
+  check_bool "ORDER_T count merged" true (orders_merged demo counted);
+  matches_reference demo counted
+
+let test_commute_blocked () =
+  let demo = setup ~customers:20 () in
+  List.iter
+    (fun (why, q) ->
+      check_bool (why ^ ": ORDER_T not merged") false (orders_merged demo q);
+      matches_reference demo q)
+    [ ( "reads the card nesting's group variable",
+        "for $c in CUSTOMER() where $c/CID eq \"CUST0002\" let $cc := \
+         CREDIT_CARD()[CID eq $c/CID] return <P><C>{$cc}</C><O>{for $o in \
+         ORDER_T() where $o/CID eq $c/CID and exists($cc) return $o}</O></P>"
+      );
+      ( "follows a where",
+        "for $c in CUSTOMER() let $cc := CREDIT_CARD()[CID eq $c/CID] where \
+         count($cc) ge 0 and $c/CID eq \"CUST0002\" return \
+         <P><C>{$cc}</C>" ^ orders ^ "</P>" );
+      ( "follows an inner join",
+        "for $c in CUSTOMER(), $k in CREDIT_CARD() where $k/CID eq $c/CID \
+         and $c/CID eq \"CUST0002\" return <P>{$k/NUM}" ^ orders ^ "</P>" ) ]
+
 (* Property: pushdown preserves results across a family of queries with a
    random filter literal. *)
 let prop_pushdown_equivalence =
@@ -287,4 +382,7 @@ let () =
           t "column pruning" test_unused_columns_pruned;
           t "row reconstruction" test_whole_row_reconstruction;
           t "roundtrip accounting" test_roundtrips_counted;
+          t "profile lookup merges ORDER_T" test_profile_lookup_merges_orders;
+          t "sibling nesting order irrelevant" test_sibling_order_irrelevant;
+          t "commute blocked" test_commute_blocked;
           QCheck_alcotest.to_alcotest prop_pushdown_equivalence ] ) ]
