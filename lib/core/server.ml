@@ -95,7 +95,10 @@ type stats = {
   st_roundtrips : int;  (** Middleware-issued source roundtrips (PP-k). *)
   st_overlap_saved : float;  (** Seconds of source latency hidden. *)
   st_source_wall : float;  (** Total wall time inside sources. *)
-  st_tokens_streamed : int;  (** Tokens pulled through {!run_stream}. *)
+  st_tokens_streamed : int;
+      (** Tokens delivered on every result path: serialized by
+          {!serialize_result}, pulled through {!run_stream} or a streamed
+          session. *)
   st_backend : Aldsp_relational.Database.stats;
       (** Operator counters (scans, index probes, join algorithms) summed
           over every registered database. *)
@@ -640,25 +643,25 @@ let run t ?(user = Security.admin) source =
 (* Every result path that serializes or streams tokens counts them here,
    so [st_tokens_streamed] reflects all delivery — run_stream, streaming
    sessions, file redirect, and materialized results pushed through
-   [serialize_result] — not just run_stream. *)
-let counted_tokens t stream =
-  Aldsp_tokens.Token_stream.counted
-    (fun _ ->
-      Mutex.lock t.counter_lock;
-      incr t.streamed_tokens;
-      Mutex.unlock t.counter_lock)
-    stream
+   [serialize_result] — not just run_stream. Callers add a batch at a
+   time where they can: one lock per result or per stream chunk. *)
+let count_tokens t n =
+  Mutex.lock t.counter_lock;
+  t.streamed_tokens := !(t.streamed_tokens) + n;
+  Mutex.unlock t.counter_lock
 
 let serialize_result t items =
   let buf = Buffer.create 256 in
-  Aldsp_tokens.Token_stream.serialize_to buf
-    (counted_tokens t (Aldsp_tokens.Token_stream.of_sequence items));
+  count_tokens t (Aldsp_tokens.Token_stream.serialize_items buf items);
   Buffer.contents buf
 
 let run_stream t ?(user = Security.admin) source =
   match run t ~user source with
   | Ok items ->
-    Ok (counted_tokens t (Aldsp_tokens.Token_stream.of_sequence items))
+    Ok
+      (Aldsp_tokens.Token_stream.counted
+         (fun _ -> count_tokens t 1)
+         (Aldsp_tokens.Token_stream.of_sequence items))
   | Error _ as e -> e
 
 let call t ?(user = Security.admin) fn args =
@@ -899,9 +902,7 @@ let session_run_stream s ?deadline source =
                 (Security.filter_result server.security s.ses_user [ item ]))
             items
         in
-        counted_tokens server
-          (Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered)
-          ()
+        Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered ()
       in
       let st =
         { str_server = server;
@@ -928,22 +929,31 @@ let session_run_stream s ?deadline source =
 
 (* Pulls up to [stream_chunk] tokens into the chunk; [false] once the
    stream has none left. Raises [Cancelled] before pulling from a fired
-   token, so nothing executes after the slot went back. *)
+   token, so nothing executes after the slot went back. Every token
+   pulled counts in [st_tokens_streamed], once per refill, also when the
+   pull fails part way. *)
 let refill st =
   Cancel.check st.str_token;
-  let rec fill n seq =
-    if n = stream_chunk then begin
+  let pulled = ref 0 in
+  let rec fill seq =
+    if !pulled = stream_chunk then begin
       st.str_rest <- seq;
-      (n, true)
+      true
     end
     else
       match seq () with
-      | Seq.Nil -> (n, false)
+      | Seq.Nil -> false
       | Seq.Cons (token, rest) ->
-        st.str_chunk.(n) <- token;
-        fill (n + 1) rest
+        st.str_chunk.(!pulled) <- token;
+        incr pulled;
+        fill rest
   in
-  let n, more = fill 0 st.str_rest in
+  let more =
+    Fun.protect
+      ~finally:(fun () -> count_tokens st.str_server !pulled)
+      (fun () -> fill st.str_rest)
+  in
+  let n = !pulled in
   st.str_len <- n;
   st.str_pos <- 0;
   st.str_peak <- max st.str_peak n;

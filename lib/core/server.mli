@@ -61,7 +61,10 @@ type stats = {
   st_roundtrips : int;  (** Middleware-issued source roundtrips (PP-k). *)
   st_overlap_saved : float;  (** Seconds of source latency hidden. *)
   st_source_wall : float;  (** Total wall time inside sources. *)
-  st_tokens_streamed : int;  (** Tokens pulled through {!run_stream}. *)
+  st_tokens_streamed : int;
+      (** Tokens delivered on every result path: serialized by
+          {!serialize_result}, pulled through {!run_stream} or a streamed
+          session. *)
   st_backend : Aldsp_relational.Database.stats;
       (** Operator counters (scans, index probes, join algorithms) summed
           over every registered database at the time of the call. *)
@@ -188,10 +191,12 @@ val run_stream :
 (** The server-side streaming API: the result as a lazy token stream. *)
 
 val serialize_result : t -> Item.sequence -> string
-(** Serializes a materialized result through the server's counted token
-    stream — the one serialization path, so every serialized result
-    (client APIs, CLI, the differential oracle) contributes to
-    [st_tokens_streamed] rather than only {!run_stream} consumers. *)
+(** Serializes a materialized result with the token serializer's writer
+    ({!Aldsp_tokens.Token_stream.serialize_items}), byte for byte what
+    streamed delivery writes, and adds its token count to
+    [st_tokens_streamed] — so every serialized result (client APIs, CLI,
+    the differential oracle) is counted, not only {!run_stream}
+    consumers. *)
 
 val call :
   t ->
@@ -284,9 +289,12 @@ val stream_read : stream -> (Aldsp_tokens.Token.t option, submit_error) result
 val stream_serialize :
   stream -> (string -> unit) -> (unit, submit_error) result
 (** Drains the whole stream through the incremental XML serializer,
-    handing each text chunk to the writer as it is produced — the
+    handing each text chunk ({!Aldsp_tokens.Token_stream.serialize_chunks}:
+    4 KiB or more, except the last) to the writer as it is produced — the
     redirect-to-file delivery of §2.2: nothing is materialized, and
-    execution advances only as fast as the writer takes the text. *)
+    execution advances only as fast as the writer takes the text. When the
+    stream fails or is cancelled, the writer has received a prefix of the
+    result. *)
 
 val stream_cancel : stream -> unit
 (** Cancels this stream's query (its session token). Safe from any

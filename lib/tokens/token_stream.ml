@@ -106,68 +106,138 @@ let unbox = function
 
 let length stream = Seq.length stream
 
-(* Incremental serialization: a small state machine over the token stream
-   tracking whether the current element's start tag is still open (so
-   attributes can be appended) and the stack of open element names. *)
-let serialize_chunks stream =
-  let escape = Node.escape_text in
-  (* state: (pending start-tag name, open-element stack) *)
-  let rec step state seq () =
-    let in_tag, stack = state in
-    match seq () with
-    | Seq.Nil -> (
-      match (in_tag, stack) with
-      | Some name, rest ->
-        (* degenerate: unterminated element — close what we can *)
-        Seq.Cons ("/>", step (None, rest) Seq.empty) |> fun c -> ignore name; c
-      | None, _ :: _ -> invalid_arg "serialize: unterminated element"
-      | None, [] -> Seq.Nil)
-    | Seq.Cons (tok, rest) -> (
-      let close_tag k =
-        match in_tag with
-        | Some name -> Seq.Cons (">", fun () -> k (None, name :: stack))
-        | None -> k (None, stack)
-      in
-      match tok with
-      | Token.Start_element n -> (
-        let open_next state = step (Some n.Aldsp_xml.Qname.local, snd state) rest () in
-        match in_tag with
-        | Some _ -> close_tag (fun state -> Seq.Cons ("<" ^ n.Aldsp_xml.Qname.local, fun () -> open_next state))
-        | None ->
-          Seq.Cons ("<" ^ n.Aldsp_xml.Qname.local, fun () -> open_next (None, stack)))
-      | Token.Attribute (n, v) -> (
-        match in_tag with
-        | Some _ ->
-          Seq.Cons
-            ( Printf.sprintf " %s=\"%s\"" n.Aldsp_xml.Qname.local
-                (escape (Atomic.to_string v)),
-              step state rest )
-        | None -> invalid_arg "serialize: attribute outside a start tag")
-      | Token.End_element -> (
-        match in_tag with
-        | Some _ -> Seq.Cons ("/>", step (None, stack) rest)
-        | None -> (
-          match stack with
-          | name :: up -> Seq.Cons ("</" ^ name ^ ">", step (None, up) rest)
-          | [] -> invalid_arg "serialize: unbalanced end-element"))
-      | Token.Atom a ->
-        close_tag (fun state ->
-            Seq.Cons (escape (Atomic.to_string a), step state rest))
-      | Token.Text s ->
-        close_tag (fun state -> Seq.Cons (escape s, step state rest))
-      | Token.Begin_tuple ->
-        close_tag (fun state -> Seq.Cons ("<?tuple?>", step state rest))
-      | Token.End_tuple ->
-        close_tag (fun state -> Seq.Cons ("<?end-tuple?>", step state rest))
-      | Token.Field_separator ->
-        close_tag (fun state -> Seq.Cons ("<?field?>", step state rest))
-      | Token.Boxed inner ->
-        step state (Seq.append (Array.to_seq inner) rest) ())
-  in
-  step (None, []) stream
+(* Serialization: one writer appends each token's bytes straight into a
+   buffer. [stack] holds the names of the open elements; when [in_tag] is
+   set, the start tag of its head is still open for attributes. *)
+type writer = {
+  buf : Buffer.t;
+  mutable in_tag : bool;
+  mutable stack : string list;
+}
+
+let close_start w =
+  if w.in_tag then begin
+    Buffer.add_char w.buf '>';
+    w.in_tag <- false
+  end
+
+let start_element w (name : Qname.t) =
+  close_start w;
+  Buffer.add_char w.buf '<';
+  Buffer.add_string w.buf name.local;
+  w.stack <- name.local :: w.stack;
+  w.in_tag <- true
+
+let attribute w (name : Qname.t) value =
+  if not w.in_tag then invalid_arg "serialize: attribute outside a start tag";
+  Buffer.add_char w.buf ' ';
+  Buffer.add_string w.buf name.local;
+  Buffer.add_string w.buf "=\"";
+  Node.atomic_into w.buf value;
+  Buffer.add_char w.buf '"'
+
+let end_element w =
+  match w.stack with
+  | [] -> invalid_arg "serialize: unbalanced end-element"
+  | name :: up ->
+    if w.in_tag then begin
+      Buffer.add_string w.buf "/>";
+      w.in_tag <- false
+    end
+    else begin
+      Buffer.add_string w.buf "</";
+      Buffer.add_string w.buf name;
+      Buffer.add_char w.buf '>'
+    end;
+    w.stack <- up
+
+let content w add x =
+  close_start w;
+  add w.buf x
+
+let rec write w = function
+  | Token.Start_element n -> start_element w n
+  | Token.Attribute (n, v) -> attribute w n v
+  | Token.End_element -> end_element w
+  | Token.Atom a -> content w Node.atomic_into a
+  | Token.Text s -> content w Node.escape_into s
+  | Token.Begin_tuple -> content w Buffer.add_string "<?tuple?>"
+  | Token.End_tuple -> content w Buffer.add_string "<?end-tuple?>"
+  | Token.Field_separator -> content w Buffer.add_string "<?field?>"
+  | Token.Boxed inner -> Array.iter (write w) inner
+
+(* A start tag still open at the end closes as an empty element; an
+   element still open around it is an error. *)
+let finish w =
+  if w.in_tag then end_element w;
+  if w.stack <> [] then invalid_arg "serialize: unterminated element"
 
 let serialize_to buf stream =
-  Seq.iter (Buffer.add_string buf) (serialize_chunks stream)
+  let w = { buf; in_tag = false; stack = [] } in
+  Seq.iter (write w) stream;
+  finish w
+
+let chunk_bytes = 4096
+
+(* Each chunk gets a fresh writer resumed from the previous one's element
+   state, so forcing a node twice yields the same chunk. A fault first
+   hands out the bytes written before it, then re-raises. *)
+let serialize_chunks stream =
+  let rec chunks in_tag stack seq () =
+    let w = { buf = Buffer.create (2 * chunk_bytes); in_tag; stack } in
+    let rec fill seq =
+      match seq () with
+      | Seq.Nil ->
+        finish w;
+        None
+      | Seq.Cons (tok, rest) ->
+        write w tok;
+        if Buffer.length w.buf >= chunk_bytes then Some rest else fill rest
+    in
+    match fill seq with
+    | Some rest -> Seq.Cons (Buffer.contents w.buf, chunks w.in_tag w.stack rest)
+    | None ->
+      if Buffer.length w.buf = 0 then Seq.Nil
+      else Seq.Cons (Buffer.contents w.buf, Seq.empty)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      let fault () = Printexc.raise_with_backtrace e bt in
+      if Buffer.length w.buf = 0 then fault ()
+      else Seq.Cons (Buffer.contents w.buf, fault)
+  in
+  chunks false [] stream
+
+(* The same writer driven by a walk over the items, without building their
+   token stream; returns the number of tokens that stream would hold. *)
+let serialize_items buf items =
+  let w = { buf; in_tag = false; stack = [] } in
+  let rec node count = function
+    | Node.Text s ->
+      content w Node.escape_into s;
+      count + 1
+    | Node.Atom a ->
+      content w Node.atomic_into a;
+      count + 1
+    | Node.Element e ->
+      start_element w e.Node.name;
+      let count =
+        List.fold_left
+          (fun count (n, v) ->
+            attribute w n v;
+            count + 1)
+          (count + 2) e.Node.attributes
+      in
+      let count = List.fold_left node count e.Node.children in
+      end_element w;
+      count
+  in
+  List.fold_left
+    (fun count -> function
+      | Item.Atom a ->
+        content w Node.atomic_into a;
+        count + 1
+      | Item.Node n -> node count n)
+    0 items
 
 let pp ppf stream =
   Format.pp_print_seq ~pp_sep:Format.pp_print_space Token.pp ppf stream

@@ -44,14 +44,23 @@ val length : t -> int
 (** Number of tokens (forces the stream). *)
 
 val serialize_chunks : t -> string Seq.t
-(** Incremental XML serialization: one text chunk per token, produced
-    lazily — the stream is serialized without first materializing a tree
-    (the server-side redirect-to-file API of §2.2). Tuple delimiters
-    render as processing-instruction-like markers and [Boxed] tokens are
-    unboxed transparently. Raises [Invalid_argument] on a malformed
-    stream when forced. *)
+(** Incremental XML serialization, produced lazily: the stream is
+    serialized without first materializing a tree (the server-side
+    redirect-to-file API of §2.2). Each chunk holds at least 4 KiB except
+    the last, which holds the rest; an empty stream yields none. Tuple
+    delimiters render as processing-instruction-like markers and [Boxed]
+    tokens are unboxed transparently. On a malformed stream, or when
+    pulling the stream raises, the bytes written before the fault come
+    first as a chunk, then forcing the next node raises
+    ([Invalid_argument] for a malformed stream). *)
 
 val serialize_to : Buffer.t -> t -> unit
-(** Drains {!serialize_chunks} into a buffer. *)
+(** Serializes a stream into a buffer, byte for byte the concatenation of
+    {!serialize_chunks}. *)
+
+val serialize_items : Buffer.t -> Item.sequence -> int
+(** [serialize_items buf items] appends the serialization of
+    [of_sequence items] to [buf] without building that stream, and returns
+    its token count ([length (of_sequence items)]). *)
 
 val pp : Format.formatter -> t -> unit

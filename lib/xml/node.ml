@@ -75,17 +75,41 @@ let rec equal a b =
     && List.for_all2 equal x.children y.children
   | (Text _ | Atom _ | Element _), _ -> false
 
+let needs_escape = function '<' | '>' | '&' | '"' -> true | _ -> false
+
+(* Appends [s] with its special characters replaced; a string with none is
+   appended whole, without a scan-and-copy per character. *)
+let escape_into buf s =
+  let len = String.length s in
+  let start = ref 0 in
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      Buffer.add_string buf
+        (match c with
+        | '<' -> "&lt;"
+        | '>' -> "&gt;"
+        | '&' -> "&amp;"
+        | _ -> "&quot;");
+      start := i + 1
+    end
+  done;
+  if !start = 0 then Buffer.add_string buf s
+  else Buffer.add_substring buf s !start (len - !start)
+
 let escape_text s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    escape_into buf s;
+    Buffer.contents buf
+  end
+
+let atomic_into buf = function
+  | Atomic.String s | Atomic.Untyped s -> escape_into buf s
+  | Atomic.Integer i -> Buffer.add_string buf (string_of_int i)
+  | a -> escape_into buf (Atomic.to_string a)
 
 let serialize ?(indent = false) node =
   let buf = Buffer.create 256 in
@@ -96,8 +120,8 @@ let serialize ?(indent = false) node =
     end
   in
   let rec go depth first = function
-    | Text s -> Buffer.add_string buf (escape_text s)
-    | Atom a -> Buffer.add_string buf (escape_text (Atomic.to_string a))
+    | Text s -> escape_into buf s
+    | Atom a -> atomic_into buf a
     | Element e ->
       if not first then pad depth;
       Buffer.add_char buf '<';
@@ -107,7 +131,7 @@ let serialize ?(indent = false) node =
           Buffer.add_char buf ' ';
           Buffer.add_string buf n.Qname.local;
           Buffer.add_string buf "=\"";
-          Buffer.add_string buf (escape_text (Atomic.to_string v));
+          atomic_into buf v;
           Buffer.add_char buf '"')
         e.attributes;
       if e.children = [] then Buffer.add_string buf "/>"

@@ -46,8 +46,17 @@ val equal : t -> t -> bool
 (** Deep equality; typed leaves compare by value, and a text node never
     equals a typed leaf even when the lexical forms coincide. *)
 
+val escape_into : Buffer.t -> string -> unit
+(** Appends the string with ampersand, angle brackets and double quotes
+    escaped; a string without any of them is appended as is. *)
+
 val escape_text : string -> string
-(** XML character-data escaping of ampersand, angle brackets and quotes. *)
+(** {!escape_into} as a function on strings; returns its argument (no
+    copy) when nothing needs escaping. *)
+
+val atomic_into : Buffer.t -> Atomic.t -> unit
+(** Appends an atomic's escaped lexical form ({!Atomic.to_string}); string,
+    untyped and integer values are written without building it first. *)
 
 val serialize : ?indent:bool -> t -> string
 (** XML serialization. Typed leaves are emitted in their lexical form. *)

@@ -374,6 +374,68 @@ let test_tokens_streamed_counter () =
   check_int "streamed delivery is counted" expected_tokens
     (after_stream - after_serialize)
 
+(* A stream_serialize cancelled from its own writer after the first chunk
+   ends in Cancelled, and what it wrote is the start of the materialized
+   result. *)
+let test_cancelled_serialize_prefix () =
+  let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let q = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>" in
+  let expected =
+    match Server.run server q with
+    | Ok items -> Server.serialize_result server items
+    | Error m -> Alcotest.fail m
+  in
+  let ses = Server.session server () in
+  match Server.session_run_stream ses q with
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  | Ok stream ->
+    let buf = Buffer.create 256 in
+    let write chunk =
+      if Buffer.length buf = 0 then Server.stream_cancel stream;
+      Buffer.add_string buf chunk
+    in
+    (match Server.stream_serialize stream write with
+    | Error (Server.Cancelled _) -> ()
+    | Ok () -> Alcotest.fail "cancelled stream serialized to completion"
+    | Error e ->
+      Alcotest.failf "expected Cancelled, got %s"
+        (Server.submit_error_to_string e));
+    let got = Buffer.contents buf in
+    check_bool "something was written" true (String.length got > 0);
+    check_bool "less than the whole result" true
+      (String.length got < String.length expected);
+    check_string "written bytes are a prefix of the result" got
+      (String.sub expected 0 (String.length got))
+
+(* Serializing a materialized result allocates a bounded number of minor
+   words per token (about 3 on 64-bit; a closure and a string per token
+   would be about 90). The guard counts words, not time, so host load
+   cannot move it. *)
+let test_serialize_result_allocation () =
+  let demo = Aldsp_demo.Demo.create ~customers:1 ~orders_per_customer:0 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let leaf name value =
+    Aldsp_xml.Node.element (Aldsp_xml.Qname.local name)
+      [ Aldsp_xml.Node.atom (Aldsp_xml.Atomic.String value) ]
+  in
+  let items =
+    List.init 4000 (fun i ->
+        Aldsp_xml.Item.Node
+          (Aldsp_xml.Node.element (Aldsp_xml.Qname.local "R")
+             [ leaf "CID" (Printf.sprintf "CUST%04d" i);
+               leaf "LAST_NAME" (Printf.sprintf "Name%d" i) ]))
+  in
+  let tokens = Token_stream.length (Token_stream.of_sequence items) in
+  ignore (Server.serialize_result server items);
+  let before = Gc.minor_words () in
+  ignore (Server.serialize_result server items);
+  let words = Gc.minor_words () -. before in
+  let per_token = words /. float_of_int tokens in
+  check_bool
+    (Printf.sprintf "%.1f minor words per token, at most 16" per_token)
+    true (per_token <= 16.)
+
 let test_explain_timings_ttft () =
   let demo = Aldsp_demo.Demo.create ~customers:10 ~orders_per_customer:2 () in
   let q = "for $c in CUSTOMER() where $c/SINCE ge 1995 return $c/CID" in
@@ -416,6 +478,10 @@ let () =
           Alcotest.test_case "mid-stream cancel" `Quick test_mid_stream_cancel;
           Alcotest.test_case "st_tokens_streamed counts every path" `Quick
             test_tokens_streamed_counter;
+          Alcotest.test_case "cancelled serialize writes a prefix" `Quick
+            test_cancelled_serialize_prefix;
+          Alcotest.test_case "serialize_result allocation per token" `Quick
+            test_serialize_result_allocation;
           Alcotest.test_case "ttft rides with --timings only" `Quick
             test_explain_timings_ttft;
           Alcotest.test_case "session cancel ends a blocked read" `Quick
