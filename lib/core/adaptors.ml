@@ -44,27 +44,6 @@ let relational_scan db ~table ~row_name =
            (fun row -> Item.Node (row_to_element ~row_name ~columns row))
            result.Sql_exec.rows))
 
-let relational_select db select ~params = Sql_exec.query db ~params select
-
-let relational_select_explained db select ~params =
-  Sql_exec.query_explained db ~params select
-
-let relational_select_shared db select ~params =
-  Sql_exec.query_shared db ~params select
-
-let relational_select_stream db select ~params =
-  Sql_exec.query_stream db ~params select
-
-(* Asynchronous adaptor invocation (§6): the roundtrip runs on the worker
-   pool while the query thread continues; the future carries the result
-   set together with the roundtrip's wall time so the caller can account
-   how much of that latency it managed to hide. *)
-let relational_select_async pool db select ~params =
-  Pool.submit pool (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let result = Sql_exec.query db ~params select in
-      (result, Unix.gettimeofday () -. t0))
-
 let service_call service ~operation args =
   match args with
   | [ Item.Node request ] -> (

@@ -7,7 +7,12 @@
     connection management reduces to accounting, but the translation steps
     are real: relational rows become "ragged" row elements (NULL = missing
     element, §4.4), service payloads are schema-validated into typed trees,
-    and custom-function arguments are atomized. *)
+    and custom-function arguments are atomized.
+
+    Pushed SQL regions do not go through this module: the executor opens
+    their statements with {!Sql_exec.open_cursor} and binds rows chunk by
+    chunk. This module keeps the row-element mapping, whole-table reads,
+    service and custom-function calls, and parameter conversion. *)
 
 open Aldsp_xml
 open Aldsp_relational
@@ -25,54 +30,6 @@ val relational_scan :
   Database.t -> table:string -> row_name:Qname.t -> (Item.sequence, string) result
 (** Full-table read function: [SELECT * FROM table] through the executor
     (accounted as one roundtrip), rows converted to row elements. *)
-
-val relational_select :
-  Database.t ->
-  Sql_ast.select ->
-  params:Sql_value.t array ->
-  (Sql_exec.result_set, string) result
-(** Executes generated SQL with middleware-computed parameter bindings. *)
-
-val relational_select_explained :
-  Database.t ->
-  Sql_ast.select ->
-  params:Sql_value.t array ->
-  (Sql_exec.result_set * string list, string) result
-(** {!relational_select} plus the backend's access-path plan lines for the
-    statement, captured race-free with the result (the plan executor
-    stitches them under the pushed region in unified EXPLAIN). *)
-
-val relational_select_shared :
-  Database.t ->
-  Sql_ast.select ->
-  params:Sql_value.t array ->
-  (Sql_exec.result_set * string list * bool, string) result
-(** {!relational_select_explained} through {!Sql_exec.query_shared}: when
-    the database opts into cross-session work sharing, byte-identical
-    concurrent statements execute once and compatible single-key probes
-    batch into one roundtrip. The boolean reports whether this statement
-    was served from another session's work (surfaced as the plan's
-    [shared=] counter). *)
-
-val relational_select_stream :
-  Database.t ->
-  Sql_ast.select ->
-  params:Sql_value.t array ->
-  (Sql_exec.streamed, string) result
-(** The cursor-shaped face of {!relational_select_shared}: a direct
-    statement opens a {!Sql_exec.cursor} the executor drains chunk by
-    chunk; under active work sharing the materialized shared result set
-    rides along whole. *)
-
-val relational_select_async :
-  Pool.t ->
-  Database.t ->
-  Sql_ast.select ->
-  params:Sql_value.t array ->
-  ((Sql_exec.result_set, string) result * float) Future.t
-(** {!relational_select} submitted to the worker pool — the asynchronous
-    adaptor call of §6. The float is the roundtrip's wall time in seconds,
-    measured on the worker. *)
 
 val service_call :
   Web_service.t -> operation:string -> Item.sequence -> (Item.sequence, string) result

@@ -319,6 +319,27 @@ let batch_seq k (input : 'a Seq.t) : 'a list Seq.t =
   in
   go input
 
+(* A pushed statement's rows, chunk by chunk as its cursor yields them.
+   A statement served from another session's work counts as shared at
+   open; the access-path plan is complete only once the cursor drains
+   (projection-level subqueries decide lazily), so it is stored then —
+   on the consumer thread, in drain order, keeping EXPLAIN capture
+   race-free and deterministic. *)
+let cursor_chunks rt counters (r : sql_region) cur =
+  if Sql_exec.cursor_shared cur then begin
+    counters.c_shared <- counters.c_shared + 1;
+    Option.iter Observed.record_coalesced rt.observed
+  end;
+  let rec fetch () =
+    match Sql_exec.fetch_chunk cur with
+    | Error m -> error "%s" m
+    | Ok [] ->
+      r.sql_backend <- Sql_exec.cursor_plan cur;
+      Seq.Nil
+    | Ok rows -> Seq.Cons (rows, fetch)
+  in
+  fetch
+
 (* Compiled function bodies, keyed on (name, arity), re-lowered whenever
    the registry's generation moves. *)
 let body_plan rt fd body =
@@ -1024,48 +1045,23 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
          r.sql_params)
   in
   let t0 = Unix.gettimeofday () in
-  let result = Adaptors.relational_select_stream db r.sql_select ~params in
+  let result = Sql_exec.open_cursor db r.sql_select ~params in
   counters.c_roundtrips <- counters.c_roundtrips + 1;
   counters.c_wall <- counters.c_wall +. (Unix.gettimeofday () -. t0);
   match result with
   | Error m -> error "%s" m
-  | Ok (Sql_exec.Rows (result, plan_lines, shared)) ->
-    (* served by another session's in-flight work: the shared result set
-       is already materialized, ride it along whole *)
-    if shared then begin
-      counters.c_shared <- counters.c_shared + 1;
-      Option.iter Observed.record_coalesced fr.rt.observed
-    end;
-    r.sql_backend <- plan_lines;
-    let col_index =
-      List.mapi (fun i c -> (c, i)) result.Sql_exec.columns
-    in
-    List.to_seq
-      (List.map
-         (fun row -> bind_sql_row r.sql_binds col_index env row)
-         result.Sql_exec.rows)
-  | Ok (Sql_exec.Cursor cur) ->
+  | Ok cur ->
     let col_index =
       List.mapi (fun i c -> (c, i)) (Sql_exec.cursor_columns cur)
     in
-    (* chunked fetch: downstream operators see rows as the backend engine
-       produces them; the access-path plan is only complete once the
-       cursor drains (projection-level subqueries decide lazily) *)
-    let rec chunks () =
-      match Sql_exec.fetch_chunk cur with
-      | Error m -> error "%s" m
-      | Ok [] ->
-        r.sql_backend <- Sql_exec.cursor_plan cur;
-        Seq.Nil
-      | Ok rows ->
-        Seq.append
-          (List.to_seq
-             (List.map
-                (fun row -> bind_sql_row r.sql_binds col_index env row)
-                rows))
-          chunks ()
-    in
-    chunks
+    (* downstream operators see rows as the backend engine produces them *)
+    Seq.flat_map
+      (fun rows ->
+        List.to_seq
+          (List.map
+             (fun row -> bind_sql_row r.sql_binds col_index env row)
+             rows))
+      (cursor_chunks fr.rt counters r cur)
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
@@ -1117,7 +1113,7 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
      prefetch still hides them behind the previous block's join) *)
   let roundtrip (block, select, params) =
     let t0 = Unix.gettimeofday () in
-    let result = Adaptors.relational_select_stream db select ~params in
+    let result = Sql_exec.open_cursor db select ~params in
     let t1 = Unix.gettimeofday () in
     Option.iter (fun o -> Observed.record_roundtrip o ~wall:(t1 -. t0)) obs;
     sqlc.c_roundtrips <- sqlc.c_roundtrips + 1;
@@ -1144,30 +1140,11 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
     account_wall span;
     match result with
     | Error msg -> error "%s" msg
-    | Ok streamed ->
-      let columns, chunks =
-        match streamed with
-        | Sql_exec.Rows (result, plan_lines, shared) ->
-          if shared then begin
-            sqlc.c_shared <- sqlc.c_shared + 1;
-            Option.iter Observed.record_coalesced obs
-          end;
-          r.sql_backend <- plan_lines;
-          (result.Sql_exec.columns, Seq.return result.Sql_exec.rows)
-        | Sql_exec.Cursor cur ->
-          let rec fetch () =
-            match Sql_exec.fetch_chunk cur with
-            | Error msg -> error "%s" msg
-            | Ok [] ->
-              (* consumer thread, blocks drain in submission order, so
-                 EXPLAIN capture stays race-free and deterministic *)
-              r.sql_backend <- Sql_exec.cursor_plan cur;
-              Seq.Nil
-            | Ok rows -> Seq.Cons (rows, fetch)
-          in
-          (Sql_exec.cursor_columns cur, fetch)
+    | Ok cur ->
+      let chunks = cursor_chunks fr.rt sqlc r cur in
+      let col_index =
+        List.mapi (fun i c -> (c, i)) (Sql_exec.cursor_columns cur)
       in
-      let col_index = List.mapi (fun i c -> (c, i)) columns in
       let block_arr = Array.of_list block in
       let m = Array.length block_arr in
       let acc = Array.make m [] in

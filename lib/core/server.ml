@@ -97,8 +97,7 @@ type stats = {
   st_source_wall : float;  (** Total wall time inside sources. *)
   st_tokens_streamed : int;
       (** Tokens delivered on every result path: serialized by
-          {!serialize_result}, pulled through {!run_stream} or a streamed
-          session. *)
+          {!serialize_result} or pulled through a streamed session. *)
   st_backend : Aldsp_relational.Database.stats;
       (** Operator counters (scans, index probes, join algorithms) summed
           over every registered database. *)
@@ -641,10 +640,10 @@ let run t ?(user = Security.admin) source =
     | Error _ as e -> e)
 
 (* Every result path that serializes or streams tokens counts them here,
-   so [st_tokens_streamed] reflects all delivery — run_stream, streaming
-   sessions, file redirect, and materialized results pushed through
-   [serialize_result] — not just run_stream. Callers add a batch at a
-   time where they can: one lock per result or per stream chunk. *)
+   so [st_tokens_streamed] reflects all delivery — streaming sessions,
+   file redirect, and materialized results pushed through
+   [serialize_result]. Callers add a batch at a time: one lock per result
+   or per stream chunk. *)
 let count_tokens t n =
   Mutex.lock t.counter_lock;
   t.streamed_tokens := !(t.streamed_tokens) + n;
@@ -654,15 +653,6 @@ let serialize_result t items =
   let buf = Buffer.create 256 in
   count_tokens t (Aldsp_tokens.Token_stream.serialize_items buf items);
   Buffer.contents buf
-
-let run_stream t ?(user = Security.admin) source =
-  match run t ~user source with
-  | Ok items ->
-    Ok
-      (Aldsp_tokens.Token_stream.counted
-         (fun _ -> count_tokens t 1)
-         (Aldsp_tokens.Token_stream.of_sequence items))
-  | Error _ as e -> e
 
 let call t ?(user = Security.admin) fn args =
   match Security.check_call t.security user fn with

@@ -10,9 +10,10 @@
     runs last, after evaluation and after cache hits (§7).
 
     Mirroring the product's stateless client APIs, {!run} and {!call}
-    materialize their results completely before returning; {!run_stream}
-    is the server-side API that exposes the result as a token stream
-    without materializing first (§2.2). *)
+    materialize their results completely before returning;
+    {!session_run_stream} is the server-side API that delivers the result
+    as a token stream, executing as the reader pulls, without
+    materializing first (§2.2). *)
 
 open Aldsp_xml
 
@@ -63,8 +64,7 @@ type stats = {
   st_source_wall : float;  (** Total wall time inside sources. *)
   st_tokens_streamed : int;
       (** Tokens delivered on every result path: serialized by
-          {!serialize_result}, pulled through {!run_stream} or a streamed
-          session. *)
+          {!serialize_result} or pulled through a streamed session. *)
   st_backend : Aldsp_relational.Database.stats;
       (** Operator counters (scans, index probes, join algorithms) summed
           over every registered database at the time of the call. *)
@@ -185,18 +185,12 @@ val run :
 (** Compile (through the plan cache) and execute, materializing the result
     (the stateless client API). Security filtering applied. *)
 
-val run_stream :
-  t -> ?user:Security.user -> string ->
-  (Aldsp_tokens.Token.t Seq.t, string) result
-(** The server-side streaming API: the result as a lazy token stream. *)
-
 val serialize_result : t -> Item.sequence -> string
 (** Serializes a materialized result with the token serializer's writer
     ({!Aldsp_tokens.Token_stream.serialize_items}), byte for byte what
     streamed delivery writes, and adds its token count to
     [st_tokens_streamed] — so every serialized result (client APIs, CLI,
-    the differential oracle) is counted, not only {!run_stream}
-    consumers. *)
+    the differential oracle) is counted, not only streamed sessions. *)
 
 val call :
   t ->

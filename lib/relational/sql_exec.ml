@@ -1074,13 +1074,17 @@ let root_context db params =
 (* ------------------------------------------------------------------ *)
 (* Cursors: chunked fetch over the same access paths.
 
-   Opening a cursor consumes the fault schedule, runs the eager part of
-   the pipeline (scans, joins, grouping, ordering — where every
+   Opening a direct cursor consumes the fault schedule, runs the eager
+   part of the pipeline (scans, joins, grouping, ordering — where every
    access-path decision lands) and accounts the single statement
    roundtrip, latency included; fetching then forces the projection a
    chunk at a time, adding shipped rows incrementally. A fully drained
    cursor leaves the database statistics and [last_plan] exactly as the
-   materialized [query_explained] would.
+   materialized [query] would.
+
+   A replay cursor hands out rows that a work-sharing leader already
+   drained, in the same chunks. It ships nothing and touches no
+   statistics: the leader's statement accounted them.
 
    One accounting nuance: a projection that errors mid-fetch (a scalar
    subquery dividing by zero, say) has already recorded its statement —
@@ -1089,7 +1093,8 @@ let root_context db params =
    path, and success paths are byte- and counter-identical. *)
 
 type cursor = {
-  cur_db : Database.t;
+  cur_db : Database.t option;  (* [None] for a replay *)
+  cur_shared : bool;
   cur_columns : string list;
   mutable cur_rest : V.t array Seq.t;
   cur_decisions : string list ref;
@@ -1098,7 +1103,7 @@ type cursor = {
 
 let default_chunk_rows = 64
 
-let open_cursor db ?(params = [||]) s =
+let open_direct db params s =
   match Database.apply_fault db with
   | Error msg ->
     (* the statement reached the wire: account the roundtrip *)
@@ -1110,7 +1115,8 @@ let open_cursor db ?(params = [||]) s =
     | columns, rows ->
       Database.open_statement db ~params:(Array.length params);
       Ok
-        { cur_db = db;
+        { cur_db = Some db;
+          cur_shared = false;
           cur_columns = columns;
           cur_rest = rows;
           cur_decisions = ctx.decisions;
@@ -1119,7 +1125,16 @@ let open_cursor db ?(params = [||]) s =
       Database.set_last_plan db (List.rev !(ctx.decisions));
       Error msg)
 
+let replay ~shared (rs, plan) =
+  { cur_db = None;
+    cur_shared = shared;
+    cur_columns = rs.columns;
+    cur_rest = List.to_seq rs.rows;
+    cur_decisions = ref (List.rev plan);
+    cur_done = false }
+
 let cursor_columns cur = cur.cur_columns
+let cursor_shared cur = cur.cur_shared
 
 (* Plan lines are complete once the cursor is drained: projection-level
    subqueries may still append decisions while rows are being fetched. *)
@@ -1128,7 +1143,7 @@ let cursor_plan cur = List.rev !(cur.cur_decisions)
 let cursor_finish cur =
   cur.cur_done <- true;
   cur.cur_rest <- Seq.empty;
-  Database.set_last_plan cur.cur_db (cursor_plan cur)
+  Option.iter (fun db -> Database.set_last_plan db (cursor_plan cur)) cur.cur_db
 
 let fetch_chunk ?(rows = default_chunk_rows) cur =
   if cur.cur_done then Ok []
@@ -1145,7 +1160,7 @@ let fetch_chunk ?(rows = default_chunk_rows) cur =
     | chunk, rest ->
       cur.cur_rest <- rest;
       let shipped = List.length chunk in
-      Database.ship_rows cur.cur_db shipped;
+      Option.iter (fun db -> Database.ship_rows db shipped) cur.cur_db;
       if shipped < n then cursor_finish cur;
       Ok chunk
     | exception Sql_error msg ->
@@ -1153,8 +1168,9 @@ let fetch_chunk ?(rows = default_chunk_rows) cur =
       Error msg
   end
 
-let query_explained db ?(params = [||]) s =
-  match open_cursor db ~params s with
+(* A direct statement's whole result and plan lines. *)
+let drain_direct db params s =
+  match open_direct db params s with
   | Error msg -> Error msg
   | Ok cur -> (
     let rec drain acc =
@@ -1167,17 +1183,7 @@ let query_explained db ?(params = [||]) s =
     | Error msg -> Error msg
     | Ok rows -> Ok ({ columns = cursor_columns cur; rows }, cursor_plan cur))
 
-let query db ?params s =
-  match query_explained db ?params s with
-  | Ok (result, _) -> Ok result
-  | Error _ as e -> e
-
-(* How a streamed statement comes back: a live cursor for direct
-   statements, or a whole shared result set when work sharing served it
-   (followers share the leader's materialized rows). *)
-type streamed =
-  | Rows of result_set * string list * bool
-  | Cursor of cursor
+let query db ?(params = [||]) s = Result.map fst (drain_direct db params s)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-session work sharing.
@@ -1189,8 +1195,8 @@ type streamed =
    the pre-write data.
 
    1. Single-flight coalescing: byte-identical parameterized statements
-      issued concurrently execute once; the followers share the leader's
-      result set and account a saved roundtrip.
+      issued concurrently execute once; the followers replay the
+      leader's result set and account a saved roundtrip.
 
    2. Batched dispatch: compatible single-key equality probes arriving
       within a short adaptive accumulation window merge into one
@@ -1199,7 +1205,7 @@ type streamed =
 
    Sharing never runs while a fault schedule is active: scripted events
    must align with statements one-to-one, and a coalesced statement
-   would consume anothers session's scripted fault. *)
+   would consume another session's scripted fault. *)
 
 module Singleflight = Aldsp_concurrency.Singleflight
 module Cancel = Aldsp_concurrency.Cancel
@@ -1240,17 +1246,12 @@ let count_saved db ~merged =
 let coalesced_query db params s =
   match
     Singleflight.run flights (statement_key db params s) (fun () ->
-        query_explained db ~params s)
+        drain_direct db params s)
   with
-  | Singleflight.Led r -> (
-    match r with
-    | Ok (rs, plan) -> Ok (rs, plan, false)
-    | Error e -> Error e)
-  | Singleflight.Joined r -> (
+  | Singleflight.Led r -> Result.map (replay ~shared:false) r
+  | Singleflight.Joined r ->
     count_saved db ~merged:false;
-    match r with
-    | Ok (rs, plan) -> Ok (rs, plan, true)
-    | Error e -> Error e)
+    Result.map (replay ~shared:true) r
 
 (* ---- batched single-key dispatch ---------------------------------- *)
 
@@ -1410,49 +1411,27 @@ let batched_probe db params s keycol =
        itself — the exception must skip this unlock *)
     await_batch g;
     Mutex.unlock batch_mutex);
-  match me.bm_outcome with
-  | Some (Ok (rs, plan)) ->
+  (* the leader returns, and a member leaves [await_batch], only once
+     every outcome is filled — or by raising *)
+  match Option.get me.bm_outcome with
+  | Ok result ->
     let merged = match role with `Member _ -> true | `Leader _ -> false in
     if merged then count_saved db ~merged:true;
-    Ok (rs, plan, merged)
-  | Some (Error msg) -> Error msg
-  | None -> (
-    (* only reachable if the leader died before filling outcomes (it
-       executes members before any cancellable sleep, so this is a
-       crash-containment path): retry rather than inherit *)
-    match query_explained db ~params s with
-    | Ok (rs, plan) -> Ok (rs, plan, false)
-    | Error e -> Error e)
+    Ok (replay ~shared:merged result)
+  | Error msg -> Error msg
 
-(* The shared entry point: like {!query_explained} but with work sharing
-   when the database opts in; the extra boolean reports whether this
-   statement was served from another session's work (for the
-   EXPLAIN-level shared= counters). *)
-let query_shared db ?(params = [||]) s =
+(* The one way a pushed SELECT is read: a direct cursor, or with work
+   sharing on a replay of the coalesced or batched execution;
+   [cursor_shared] reports a statement served from another session's
+   work (the EXPLAIN-level shared= counters). *)
+let open_cursor db ?(params = [||]) s =
   if (not db.Database.share_work) || Database.schedule_remaining db > 0 then
-    match query_explained db ~params s with
-    | Ok (rs, plan) -> Ok (rs, plan, false)
-    | Error e -> Error e
+    open_direct db params s
   else
     match probe_shape params s with
     | Some keycol when db.Database.roundtrip_latency > 0. ->
       batched_probe db params s keycol
     | _ -> coalesced_query db params s
-
-(* The streaming entry point the executor's pushed regions drain: a
-   direct statement hands back a live cursor; under active work sharing
-   the statement goes through {!query_shared} unchanged — followers share
-   one materialized result set, which [Rows] carries whole. The gate
-   mirrors {!query_shared}'s own. *)
-let query_stream db ?(params = [||]) s =
-  if (not db.Database.share_work) || Database.schedule_remaining db > 0 then
-    match open_cursor db ~params s with
-    | Ok cur -> Ok (Cursor cur)
-    | Error e -> Error e
-  else
-    match query_shared db ~params s with
-    | Ok (rs, plan, shared) -> Ok (Rows (rs, plan, shared))
-    | Error e -> Error e
 
 let execute_dml db ?(params = [||]) dml =
   match Database.apply_fault db with

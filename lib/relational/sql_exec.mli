@@ -12,24 +12,29 @@ type result_set = {
   rows : Sql_value.t array list;
 }
 
-val query :
-  Database.t ->
-  ?params:Sql_value.t array ->
-  Sql_ast.select ->
-  (result_set, string) result
-(** Runs a SELECT. [params] supplies positional [?] bindings (1-based
-    [Param i] reads [params.(i-1)]). *)
-
 (** {2 Cursors}
 
-    Chunked fetch over the same access paths. One statement roundtrip is
-    accounted (and its simulated latency paid) when the cursor opens —
-    chunks are engine-side iteration, not extra roundtrips — and
-    [rows_shipped] grows chunk by chunk as rows cross the boundary. The
-    eager part of the pipeline (scans, joins, grouping, ordering) runs at
-    open; only the final projection is forced lazily. {!query} and
-    {!query_explained} are thin drains over a cursor, so a fully drained
-    cursor leaves statistics and [last_plan] exactly as they do. *)
+    A cursor is the one way a SELECT's rows are read. Fetching is chunked
+    over the same access paths. A direct cursor accounts one statement
+    roundtrip (and pays its simulated latency) when it opens — chunks are
+    engine-side iteration, not extra roundtrips — and [rows_shipped]
+    grows chunk by chunk as rows cross the boundary. The eager part of
+    the pipeline (scans, joins, grouping, ordering) runs at open; only
+    the final projection is forced lazily.
+
+    With cross-session work sharing on ({!Database.set_share_work}) and
+    no fault schedule pending, {!open_cursor} shares: byte-identical
+    concurrent statements coalesce on one execution (single-flight), and
+    compatible single-key equality probes arriving within the database's
+    adaptive accumulation window merge into one IN-list-shaped roundtrip.
+    A shared statement — the coalesced leader, a follower, or a batch
+    member — comes back as a {e replay} cursor over the drained rows and
+    plan lines of that one execution. A replay chunks like a direct
+    cursor but ships no rows and touches no statistics: the shared
+    execution accounted them. Sharing is keyed on
+    {!Database.stats_version}, so a DML between two readers splits them
+    into different epochs, and is suspended while a fault schedule is
+    active (scripted events align with statements one-to-one). *)
 
 type cursor
 
@@ -40,6 +45,8 @@ val open_cursor :
   ?params:Sql_value.t array ->
   Sql_ast.select ->
   (cursor, string) result
+(** Opens a SELECT. [params] supplies positional [?] bindings (1-based
+    [Param i] reads [params.(i-1)]). *)
 
 val fetch_chunk :
   ?rows:int -> cursor -> (Sql_value.t array list, string) result
@@ -50,54 +57,26 @@ val fetch_chunk :
 val cursor_columns : cursor -> string list
 
 val cursor_plan : cursor -> string list
-(** The statement's access-path plan lines so far; complete — identical
-    to what {!query_explained} returns — once the cursor is drained. *)
+(** The statement's access-path plan lines so far (the same lines
+    {!Database.explain_last} reports after a direct statement); complete
+    once the cursor is drained. Returning them with the cursor, instead
+    of reading [last_plan] afterwards, keeps plan capture race-free when
+    statements for several blocks are in flight on the worker pool
+    (PP-k prefetch). *)
 
-val query_explained :
+val cursor_shared : cursor -> bool
+(** True when the statement was served from another session's work (a
+    coalesced follower or a merged batch member): no roundtrip of its
+    own. *)
+
+val query :
   Database.t ->
   ?params:Sql_value.t array ->
   Sql_ast.select ->
-  (result_set * string list, string) result
-(** Like {!query}, also returning the statement's access-path plan lines
-    (the same lines {!Database.explain_last} would report). Returning them
-    with the result, instead of reading [last_plan] afterwards, is what
-    makes plan capture race-free when statements for several blocks are in
-    flight on the worker pool (PP-k prefetch). *)
-
-val query_shared :
-  Database.t ->
-  ?params:Sql_value.t array ->
-  Sql_ast.select ->
-  (result_set * string list * bool, string) result
-(** {!query_explained} with cross-session work sharing when the database
-    opts in ({!Database.set_share_work}): byte-identical concurrent
-    statements coalesce on one execution (single-flight), and compatible
-    single-key equality probes arriving within the database's adaptive
-    accumulation window merge into one IN-list-shaped roundtrip. The
-    extra boolean is true when this statement was served from another
-    session's work (no roundtrip of its own). Sharing is keyed on
-    {!Database.stats_version}, so a DML between two readers splits them
-    into different epochs, and is suspended while a fault schedule is
-    active (scripted events align with statements one-to-one). With
-    sharing off this is exactly {!query_explained}. *)
-
-(** How a streamed statement answers: [Cursor] for a direct statement,
-    [Rows] (result set, plan lines, served-from-another-session flag)
-    when cross-session work sharing handled it — shared results are
-    materialized by nature, every follower reads the same rows. *)
-type streamed =
-  | Rows of result_set * string list * bool
-  | Cursor of cursor
-
-val query_stream :
-  Database.t ->
-  ?params:Sql_value.t array ->
-  Sql_ast.select ->
-  (streamed, string) result
-(** The streaming face of {!query_shared}: opens a cursor when the
-    statement executes directly (sharing off, or suspended by an active
-    fault schedule), otherwise defers to {!query_shared} and wraps its
-    shared result. *)
+  (result_set, string) result
+(** Drains a direct cursor (never shared) for callers that want the whole
+    result: a fully drained cursor leaves statistics and [last_plan]
+    exactly as this does. *)
 
 val execute_dml :
   Database.t ->

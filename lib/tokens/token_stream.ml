@@ -26,13 +26,6 @@ let of_item = function
 
 let of_sequence items = Seq.concat_map of_item (List.to_seq items)
 
-let counted f stream =
-  Seq.map
-    (fun tok ->
-      f tok;
-      tok)
-    stream
-
 exception Malformed of string
 
 (* Reassembly uses an explicit cursor so element nesting is a recursion over

@@ -21,11 +21,6 @@ val of_node : Node.t -> t
 val of_item : Item.t -> t
 val of_sequence : Item.sequence -> t
 
-val counted : (Token.t -> unit) -> t -> t
-(** [counted f s] is [s] with [f] invoked on every token as it is pulled —
-    streaming instrumentation (the server counts tokens handed to
-    {!val-serialize_chunks}-style consumers without forcing the stream). *)
-
 val to_items : t -> (Item.sequence, string) result
 (** Reassembles items from a stream. Fails on unbalanced element or tuple
     delimiters. [Boxed] tokens are transparently unboxed. *)

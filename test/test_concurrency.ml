@@ -634,7 +634,16 @@ let test_batch_member_deadline () =
   let probe =
     ok_exn (Sql_parser.parse_select "SELECT c.CID FROM CUSTOMER c WHERE c.CID = ?")
   in
-  let run key = Sql_exec.query_shared db ~params:[| Sql_value.Str key |] probe in
+  let run key = Sql_exec.open_cursor db ~params:[| Sql_value.Str key |] probe in
+  let rows cur =
+    let rec drain n =
+      match Sql_exec.fetch_chunk cur with
+      | Ok [] -> n
+      | Ok chunk -> drain (n + List.length chunk)
+      | Error m -> Alcotest.fail m
+    in
+    drain 0
+  in
   let leader_r = ref (Error "not run") and member_r = ref (Error "not run") in
   let leader = Thread.create (fun () -> leader_r := run "CUST0001") () in
   Thread.delay 0.02;
@@ -645,12 +654,15 @@ let test_batch_member_deadline () =
   Thread.join member;
   Database.set_share_work db false;
   (match !leader_r with
-  | Ok (rs, _, false) -> check_int "leader served its probe" 1 (List.length rs.Sql_exec.rows)
-  | Ok (_, _, true) -> Alcotest.fail "the leader reported a shared result"
+  | Ok cur ->
+    check_bool "the leader does not report a shared result" false
+      (Sql_exec.cursor_shared cur);
+    check_int "leader served its probe" 1 (rows cur)
   | Error m -> Alcotest.fail m);
   (match !member_r with
-  | Ok (rs, _, true) -> check_int "member served from the batch" 1 (List.length rs.Sql_exec.rows)
-  | Ok (_, _, false) -> Alcotest.fail "the member did not join the batch"
+  | Ok cur ->
+    check_bool "the member joined the batch" true (Sql_exec.cursor_shared cur);
+    check_int "member served from the batch" 1 (rows cur)
   | Error m -> Alcotest.fail m);
   check_nothing_registered ()
 
@@ -759,6 +771,70 @@ let test_plan_cache_balance () =
   check_int "every find is a hit or a miss" !finds
     (Plan_cache.hits cache + Plan_cache.misses cache);
   check_bool "just-added keys always hit" true (Plan_cache.hits cache >= 20)
+
+(* Streamed sessions under work sharing: eight readers of one pushed
+   join start pulling together, so their statements (the CUSTOMER scan
+   and every PP-k block) coalesce and come back as replay cursors. Each
+   streamed answer must serialize byte for byte like the serial
+   materialized one, every saved roundtrip must show as a shared= count
+   on the plan, and no slot, waiter or deadline may be left behind. *)
+let test_streamed_sessions_share () =
+  let demo = Aldsp_demo.Demo.create ~customers:40 ~db_latency:0.01 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let q =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let expected = Server.serialize_result server (ok_exn (Server.run server q)) in
+  Server.set_work_sharing server true;
+  let n = 8 in
+  let opened = Stdlib.Atomic.make 0 in
+  let outputs = Array.make n (Error (Server.Failed "not run")) in
+  let reader i () =
+    match Server.session_run_stream (Server.session server ()) q with
+    | Error e ->
+      Stdlib.Atomic.incr opened;
+      outputs.(i) <- Error e
+    | Ok stream ->
+      (* every stream is admitted and compiled before any reads *)
+      Stdlib.Atomic.incr opened;
+      while Stdlib.Atomic.get opened < n do
+        Thread.delay 0.001
+      done;
+      let buf = Buffer.create 4096 in
+      outputs.(i) <-
+        Result.map
+          (fun () -> Buffer.contents buf)
+          (Server.stream_serialize stream (Buffer.add_string buf))
+  in
+  List.iter Thread.join (List.init n (fun i -> Thread.create (reader i) ()));
+  let st = Server.stats server in
+  Server.set_work_sharing server false;
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok text ->
+        check_bool
+          (Printf.sprintf "stream %d byte-identical to serialize_result" i)
+          true (text = expected)
+      | Error e -> Alcotest.failf "stream %d: %s" i (Server.submit_error_to_string e))
+    outputs;
+  check_bool "roundtrips saved" true (st.Server.st_dedup_roundtrips_saved > 0);
+  check_int "saved = coalesced + merged"
+    (st.Server.st_coalesced_hits + st.Server.st_batch_merges)
+    st.Server.st_dedup_roundtrips_saved;
+  let compiled =
+    match Server.compile server q with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "compile failed"
+  in
+  check_int "every saved roundtrip counted shared= on the plan"
+    st.Server.st_dedup_roundtrips_saved
+    (List.fold_left
+       (fun acc (_, c) -> acc + c.Plan_ir.c_shared)
+       0 (Plan_ir.operators compiled.Server.ir));
+  check_int "no slot held" 0 (Server.admission_stats server).Server.ad_active;
+  check_nothing_registered ()
 
 (* Freshness under sharing: a reader admitted AFTER an insert completed
    must never be served a coalesced result from before that insert — the
@@ -897,6 +973,8 @@ let () =
             test_function_cache_materialized_bound;
           Alcotest.test_case "plan-cache add/evict balance" `Quick
             test_plan_cache_balance;
+          Alcotest.test_case "streamed sessions share statements" `Quick
+            test_streamed_sessions_share;
           QCheck_alcotest.to_alcotest test_sharing_freshness_property ] );
       ( "wakeups",
         [ Alcotest.test_case "singleflight follower deadline" `Quick

@@ -249,19 +249,41 @@ let test_ppk_reconstructs_only_matches () =
   check_bool "join matched rows" true (join_act > 0);
   check_int "let act = join act" join_act let_act
 
+let read_token stream =
+  match Server.stream_read stream with
+  | Ok tok -> tok
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+
+let rec stream_tokens stream acc =
+  match read_token stream with
+  | Some tok -> stream_tokens stream (tok :: acc)
+  | None -> List.rev acc
+
 let test_streaming_group_constant_memory_shape () =
   (* the pre-clustered group operator must be streaming: consuming the
-     first group must not force the whole input *)
-  let demo = setup ~customers:50 ~orders_per_customer:2 () in
-  let stream =
-    ok_exn
-      (Server.run_stream demo.Aldsp_demo.Demo.server
-         "for $c in CUSTOMER() return <C>{$c/CID, for $o in ORDER_T() where $o/CID eq $c/CID return $o/OID}</C>")
+     first group must not force the whole input. 200 customers x 2
+     orders is 400 joined rows, several 64-row cursor fetches. *)
+  let demo = setup ~customers:200 ~orders_per_customer:2 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  let q =
+    "for $c in CUSTOMER() return <C>{$c/CID, for $o in ORDER_T() where $o/CID eq $c/CID return $o/OID}</C>"
   in
-  (* just forcing the head must succeed *)
-  match stream () with
-  | Seq.Cons (_, _) -> ()
-  | Seq.Nil -> Alcotest.fail "empty stream"
+  let stream =
+    match Server.session_run_stream (Server.session server ()) q with
+    | Ok stream -> stream
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  in
+  Aldsp_demo.Demo.reset_stats demo;
+  check_bool "first token" true (read_token stream <> None);
+  let shipped = db.Database.stats.Database.rows_shipped in
+  check_bool
+    (Printf.sprintf "first token after %d of 400 rows shipped" shipped)
+    true (shipped < 400);
+  ignore (stream_tokens stream []);
+  check_int "whole result shipped once drained" 400
+    db.Database.stats.Database.rows_shipped;
+  check_int "slot released" 0 (Server.admission_stats server).Server.ad_active
 
 let test_group_fallback_sorts () =
   (* unclustered group-by still groups correctly *)
@@ -614,12 +636,18 @@ let test_declarative_hints () =
     | p -> Alcotest.failf "view inlined despite hint: %s" (Cexpr.to_string p))
   | Error _ -> Alcotest.fail "compile failed")
 
-let test_run_stream () =
+let test_session_run_stream () =
   let demo = setup ~customers:2 () in
+  let ses = Server.session demo.Aldsp_demo.Demo.server () in
   let stream =
-    ok_exn (Server.run_stream demo.Aldsp_demo.Demo.server "getCustomerNames()")
+    match Server.session_run_stream ses "getCustomerNames()" with
+    | Ok stream -> stream
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
   in
-  let items = ok_exn (Aldsp_tokens.Token_stream.to_items stream) in
+  let items =
+    ok_exn
+      (Aldsp_tokens.Token_stream.to_items (List.to_seq (stream_tokens stream [])))
+  in
   check_int "two names" 2 (List.length items)
 
 let () =
@@ -657,4 +685,4 @@ let () =
         [ t "design-time check" test_design_time_check_reports_all;
           t "prolog variables" test_prolog_variables;
           t "declarative hints" test_declarative_hints;
-          t "streaming API" test_run_stream ] ) ]
+          t "streaming API" test_session_run_stream ] ) ]

@@ -30,6 +30,13 @@ let customer_select db =
            t.Aldsp_relational.Table.columns)
       (Sql_ast.Table { table = "CUSTOMER"; alias = "t0" })
 
+(* Each cursor test runs twice: with the database's work sharing off (a
+   direct cursor) and on, where the lone statement leads its own flight
+   and comes back as a replay of the rows its drain shipped. *)
+let share_modes = [ false; true ]
+
+let mode shared = if shared then "replay: " else "direct: "
+
 let test_cursor_matches_query () =
   let demo = Aldsp_demo.Demo.create ~customers:12 ~orders_per_customer:0 () in
   let db = demo.Aldsp_demo.Demo.customer_db in
@@ -39,49 +46,74 @@ let test_cursor_matches_query () =
     | Ok rs -> rs
     | Error m -> Alcotest.fail m
   in
-  match Sql_exec.open_cursor db select with
-  | Error m -> Alcotest.fail m
-  | Ok cur ->
-    check_bool "columns match" true
-      (Sql_exec.cursor_columns cur = expected.Sql_exec.columns);
-    let rec drain acc =
-      match Sql_exec.fetch_chunk ~rows:5 cur with
+  let direct_plan = ref None in
+  List.iter
+    (fun shared ->
+      let check_bool what = check_bool (mode shared ^ what) in
+      Db.set_share_work db shared;
+      match Sql_exec.open_cursor db select with
       | Error m -> Alcotest.fail m
-      | Ok [] -> List.rev acc
-      | Ok rows ->
-        check_bool "chunk within requested size" true (List.length rows <= 5);
-        drain (List.rev_append rows acc)
-    in
-    let rows = drain [] in
-    check_int "row count matches" (List.length expected.Sql_exec.rows)
-      (List.length rows);
-    check_bool "rows byte-identical in order" true
-      (rows = expected.Sql_exec.rows);
-    (* a drained cursor keeps answering end-of-rows *)
-    check_bool "drained cursor stays empty" true
-      (Sql_exec.fetch_chunk cur = Ok [])
+      | Ok cur ->
+        check_bool "a lone statement is not served shared" false
+          (Sql_exec.cursor_shared cur);
+        check_bool "columns match" true
+          (Sql_exec.cursor_columns cur = expected.Sql_exec.columns);
+        let rec drain acc =
+          match Sql_exec.fetch_chunk ~rows:5 cur with
+          | Error m -> Alcotest.fail m
+          | Ok [] -> List.rev acc
+          | Ok rows ->
+            check_bool "chunk within requested size" true
+              (List.length rows <= 5);
+            drain (List.rev_append rows acc)
+        in
+        let rows = drain [] in
+        check_int (mode shared ^ "row count matches")
+          (List.length expected.Sql_exec.rows) (List.length rows);
+        check_bool "rows byte-identical in order" true
+          (rows = expected.Sql_exec.rows);
+        (* a drained cursor keeps answering end-of-rows *)
+        check_bool "drained cursor stays empty" true
+          (Sql_exec.fetch_chunk cur = Ok []);
+        let plan = Sql_exec.cursor_plan cur in
+        check_bool "plan lines recorded" true (plan <> []);
+        match !direct_plan with
+        | None -> direct_plan := Some plan
+        | Some direct ->
+          check_bool "same plan lines as the direct cursor" true
+            (plan = direct))
+    share_modes
 
 let test_cursor_accounting () =
   let demo = Aldsp_demo.Demo.create ~customers:9 ~orders_per_customer:0 () in
   let db = demo.Aldsp_demo.Demo.customer_db in
   let select = customer_select db in
-  Aldsp_demo.Demo.reset_stats demo;
-  (match Sql_exec.open_cursor db select with
-  | Error m -> Alcotest.fail m
-  | Ok cur ->
-    check_int "statement accounted at open" 1 db.Db.stats.Db.statements;
-    check_int "no rows shipped before the first fetch" 0
-      db.Db.stats.Db.rows_shipped;
-    let rec drain () =
-      match Sql_exec.fetch_chunk ~rows:4 cur with
+  List.iter
+    (fun shared ->
+      let check_int what = check_int (mode shared ^ what) in
+      Db.set_share_work db shared;
+      Aldsp_demo.Demo.reset_stats demo;
+      (match Sql_exec.open_cursor db select with
       | Error m -> Alcotest.fail m
-      | Ok [] -> ()
-      | Ok _ -> drain ()
-    in
-    drain ());
-  check_int "one statement total: chunks are engine-side iteration" 1
-    db.Db.stats.Db.statements;
-  check_int "rows shipped as fetched" 9 db.Db.stats.Db.rows_shipped
+      | Ok cur ->
+        check_int "statement accounted at open" 1 db.Db.stats.Db.statements;
+        (* a replay's rows were shipped by the leader's drain *)
+        check_int "rows shipped at open" (if shared then 9 else 0)
+          db.Db.stats.Db.rows_shipped;
+        let rec drain () =
+          match Sql_exec.fetch_chunk ~rows:4 cur with
+          | Error m -> Alcotest.fail m
+          | Ok [] -> ()
+          | Ok rows ->
+            check_bool (mode shared ^ "chunk within requested size") true
+              (List.length rows <= 4);
+            drain ()
+        in
+        drain ());
+      check_int "one statement total: chunks are engine-side iteration" 1
+        db.Db.stats.Db.statements;
+      check_int "rows shipped as fetched" 9 db.Db.stats.Db.rows_shipped)
+    share_modes
 
 (* A filter that only compares columns cannot raise, so a cursor binds
    and filters a scan's rows as they are fetched. One that can raise
