@@ -487,6 +487,12 @@ let bench_cost_model ?(smoke = false) () =
   let q =
     "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
   in
+  (* the reconstruction guard needs a live per-candidate let: returning
+     the whole right element keeps it (the timed field-only text has
+     none) *)
+  let q_live =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x}</R>"
+  in
   Printf.printf
     "%d customers joined cross-database against CREDIT_CARD padded to the\n\
      sweep size; %.1f ms simulated latency per roundtrip; 'chosen' lets\n\
@@ -610,7 +616,7 @@ let bench_cost_model ?(smoke = false) () =
              "CST: chosen PP-k join does not hash its blocks at %d rows \
               (method %s, see %s)"
              rows method_ artifact);
-      (match ppk_reconstructions (Server.create demo.Demo.registry) q with
+      (match ppk_reconstructions (Server.create demo.Demo.registry) q_live with
       | Some (joined, reconstructed) when reconstructed <= joined ->
         Printf.printf "%10s per-candidate let act=%d, join act=%d\n" ""
           reconstructed joined

@@ -24,7 +24,7 @@ type order = O_none | O_cid | O_last_desc | O_since_desc
 type query =
   | Scan of { pred : pred; order : order; ret : ret }
   | Join_orders of { field : string; cmp : cmp; lit : string }
-  | Join_cards of { limit_filter : bool }
+  | Join_cards of { limit_filter : bool; whole_card : bool }
   | Group_by of { key : string }
   | View_filter of { field : string; cmp : cmp; lit : string }
   | Subseq of { order : order; start : int; len : int }
@@ -109,11 +109,12 @@ let render = function
       "for $c in CUSTOMER(), $o in ORDER_T() where $c/CID eq $o/CID and \
        $o/%s %s %s return <J>{$c/CID, $o/OID}</J>"
       field (cmp_to_string cmp) lit
-  | Join_cards { limit_filter } ->
+  | Join_cards { limit_filter; whole_card } ->
     Printf.sprintf
       "for $c in CUSTOMER(), $k in CREDIT_CARD() where $c/CID eq $k/CID%s \
-       return <K>{$c/CID, $k/NUM}</K>"
+       return <K>{$c/CID, %s}</K>"
       (if limit_filter then " and $k/LIMIT_ gt 500.0" else "")
+      (if whole_card then "$k" else "$k/NUM")
   | Group_by { key } ->
     Printf.sprintf
       "for $c in CUSTOMER() group $c as $g by $c/%s as $key order by $key \
@@ -199,7 +200,9 @@ let generate st =
       { field = pick st [| "OID"; "AMOUNT" |];
         cmp = pick st cmps;
         lit = pick st [| "1002"; "30.0"; "0"; "99999" |] }
-  | 2 -> Join_cards { limit_filter = Random.State.bool st }
+  | 2 ->
+    let limit_filter = Random.State.bool st in
+    Join_cards { limit_filter; whole_card = Random.State.bool st }
   | 3 -> Group_by { key = pick st [| "LAST_NAME"; "FIRST_NAME" |] }
   | 4 ->
     View_filter

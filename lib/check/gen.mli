@@ -42,8 +42,11 @@ type query =
   | Scan of { pred : pred; order : order; ret : ret }
   | Join_orders of { field : string; cmp : cmp; lit : string }
       (** same-database join CUSTOMER ⋈ ORDER_T *)
-  | Join_cards of { limit_filter : bool }
-      (** cross-database join CUSTOMER ⋈ CREDIT_CARD — the PP-k shape *)
+  | Join_cards of { limit_filter : bool; whole_card : bool }
+      (** cross-database join CUSTOMER ⋈ CREDIT_CARD — the PP-k shape;
+          [whole_card] returns the whole card element, so the right
+          side's row reconstruction stays live (a field-only return lets
+          the optimizer drop it and prune the unread columns) *)
   | Group_by of { key : string }  (** FLWGOR, ordered by its key *)
   | View_filter of { field : string; cmp : cmp; lit : string }
       (** predicate over the [getSummary()] data-service view *)

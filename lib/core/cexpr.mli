@@ -136,8 +136,9 @@ val equi_join_keys :
 
 val ppk_hash_keys : clause list -> t -> (t * t) list option
 (** The (left, right) key pairs a PP-k block join over [right] can hash
-    on: [right] is a pushed region followed only by row-reconstruction
-    lets (element constructors over variables), the predicate is nothing
+    on: [right] is a pushed region followed by zero or more
+    row-reconstruction lets (element constructors over variables) — none
+    when nothing reads the reconstruction — the predicate is nothing
     but equi-key pairs, and every right key reads only the region's bind
     variables — so a fetched row's key is known before the row is
     reconstructed. [None] means the block join is a nested loop. *)

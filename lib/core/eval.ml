@@ -1065,7 +1065,8 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
-   clauses (row reconstruction) applied after binding a fetched row. With
+   clauses (row reconstruction) applied after binding a fetched row — none
+   when nothing after the join reads the reconstruction. With
    [keys] (Cexpr.ppk_hash_keys) the middleware join is a hash join: the
    block's left keys are indexed once, and a fetched row is bound,
    reconstructed and tested only against the left tuples under its key —
@@ -1090,7 +1091,8 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
   let left_keys, right_keys = List.split (Option.value ~default:[] keys) in
   let obs = fr.rt.observed in
   (* stage 1, consumer thread: the block query — WHERE (p_1..p_n) OR ...
-     OR (p shifted (m-1)n) — and its middleware-computed parameters *)
+     OR (p shifted (m-1)n), or col IN (?1..?m) for a one-column key — and
+     its middleware-computed parameters *)
   let prepare (block : env list) =
     let m = List.length block in
     let select = disjunctive_select r.sql_select n_params m in
@@ -1235,10 +1237,19 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
   Seq.concat_map middleware_join (with_overlap completed)
 
 (* Build the m-way disjunctive version of a 1-tuple parameterized select:
-   the WHERE clause is OR-ed m times with parameter indices shifted. *)
+   the WHERE clause is OR-ed m times with parameter indices shifted. A
+   one-column key [col = ?] over m > 1 tuples becomes [col IN (?1, ..,
+   ?m)]: the same rows under three-valued logic and the same index probe
+   keys, without the backend evaluating m equalities per fetched row. A
+   block of one keeps [col = ?], the shape batched dispatch merges. *)
 and disjunctive_select (select : Sql.select) n_params m =
   match select.Sql.where with
   | None -> select
+  | Some (Sql.Binop (Sql.Eq, (Sql.Col _ as col), Sql.Param i))
+    when n_params = 1 && m > 1 ->
+    { select with
+      Sql.where =
+        Some (Sql.In_list (col, List.init m (fun j -> Sql.Param (i + j)))) }
   | Some where ->
     let rec shift delta (e : Sql.expr) : Sql.expr =
       match e with

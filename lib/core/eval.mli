@@ -98,6 +98,16 @@ val batch_seq : int -> 'a Seq.t -> 'a list Seq.t
     [k <= 1] degenerates to singleton blocks. Lazy: forcing block [n]
     consumes exactly the first [n*k] input elements. *)
 
+val disjunctive_select :
+  Aldsp_relational.Sql_ast.select -> int -> int ->
+  Aldsp_relational.Sql_ast.select
+(** [disjunctive_select s n m]: the PP-k block statement for [m] left
+    tuples, from the one-tuple parameterized select [s] whose WHERE reads
+    [n] parameters. The WHERE is OR-ed [m] times with parameter indices
+    shifted by [n] per tuple; a WHERE that is exactly [col = ?] becomes
+    [col IN (?1, .., ?m)] when [m > 1] and stays [col = ?] for one
+    tuple. *)
+
 val execute :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->

@@ -335,6 +335,27 @@ and rule_dead_let =
               if count_var_clauses var rest return_ = 0 then
                 Some (List.rev_append before rest)
               else drop (l :: before) rest
+            | (C.Join j as c) :: rest -> (
+              (* a right-side let (a row reconstruction, typically) that
+                 neither the later right clauses, the ON predicate, a
+                 grouped export nor anything after the join reads *)
+              let unread var later =
+                count_var_clauses var later j.on_ = 0
+                && (match j.export with
+                   | C.Bindings -> true
+                   | C.Grouped { gexpr; _ } -> count_var var gexpr = 0)
+                && count_var_clauses var rest return_ = 0
+              in
+              let rec drop_right before = function
+                | [] -> None
+                | C.Let { var; _ } :: later when unread var later ->
+                  Some (List.rev_append before later)
+                | c :: later -> drop_right (c :: before) later
+              in
+              match drop_right [] j.right with
+              | Some right ->
+                Some (List.rev_append before (C.Join { j with right } :: rest))
+              | None -> drop (c :: before) rest)
             | c :: rest -> drop (c :: before) rest
           in
           (match drop [] clauses with

@@ -1037,16 +1037,20 @@ and push_projections st r return_ clauses outer_vars =
       (!r_ref, return', clauses)
     end
 
-(* Phase C: drop binds (and their projections) that nothing references *)
+(* Phase C: drop binds (and their projections) that nothing references.
+   A join's right side is pruned too: its readers are the later right
+   clauses, the ON predicate, a grouped export and everything after the
+   join. [read_later v]: something after the clause list reads [v]. *)
 and prune_binds _st clauses return_ =
-  let rec prune before = function
-    | [] -> (List.rev before, return_)
+  let reads v clauses e = uses_in v clauses e > 0 in
+  let rec prune ~read_later before = function
+    | [] -> List.rev before
     | C.Rel r :: rest ->
       if r.C.select.Sql.group_by <> [] || r.C.select.Sql.distinct then
         (* grouped/distinct projections stay aligned with their binds *)
-        prune (C.Rel r :: before) rest
+        prune ~read_later (C.Rel r :: before) rest
       else begin
-        let used b = uses_in b.C.bvar rest return_ > 0 in
+        let used b = reads b.C.bvar rest C.Empty || read_later b.C.bvar in
         let keep, _drop = List.partition used r.C.binds in
         let keep_cols = List.map (fun b -> b.C.bcol) keep in
         let projections =
@@ -1061,11 +1065,21 @@ and prune_binds _st clauses return_ =
         let r' =
           { r with C.select = { r.C.select with Sql.projections }; binds = keep }
         in
-        prune (C.Rel r' :: before) rest
+        prune ~read_later (C.Rel r' :: before) rest
       end
-    | c :: rest -> prune (c :: before) rest
+    | C.Join j :: rest ->
+      let read_after_right v =
+        reads v [] j.on_
+        || (match j.export with
+           | C.Bindings -> false
+           | C.Grouped { gexpr; _ } -> reads v [] gexpr)
+        || reads v rest C.Empty || read_later v
+      in
+      let right = prune ~read_later:read_after_right [] j.right in
+      prune ~read_later (C.Join { j with right } :: before) rest
+    | c :: rest -> prune ~read_later (c :: before) rest
   in
-  prune [] clauses
+  (prune ~read_later:(fun v -> reads v [] return_) [] clauses, return_)
 
 (* ------------------------------------------------------------------ *)
 (* Phase D: parameterize join right sides for PP-k                      *)

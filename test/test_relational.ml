@@ -471,6 +471,70 @@ let test_index_access_path () =
   check_bool "explain shows the scan" true
     (contains (Database.explain_last db) "scan CUSTOMER")
 
+(* A PP-k block over a one-column key is sent as an IN list. Against the
+   OR chain it replaces, over the same parameters (a duplicate key, a
+   NULL key, a key with no match) and with indexes on and off, it returns
+   the same columns and rows in the same order and leaves the same
+   backend plan lines. *)
+let test_in_list_matches_or_chain () =
+  let db = Database.create ~vendor:Database.Sql_server "CardDB" in
+  let card =
+    Table.create ~primary_key:[ "CCID" ] "CREDIT_CARD"
+      [ Table.column ~nullable:false "CCID" Table.T_int;
+        Table.column "CID" Table.T_varchar;
+        Table.column "NUM" Table.T_varchar ]
+  in
+  Database.add_table db card;
+  ok_exn (Table.create_index card ~name:"card_cid" [ "CID" ]);
+  List.iteri
+    (fun i cid ->
+      ok_exn
+        (Table.insert card
+           [| V.Int i; cid; V.Str (Printf.sprintf "N%d" i) |]))
+    [ V.Str "C2"; V.Str "C1"; V.Null; V.Str "C2"; V.Str "C3"; V.Str "C1" ];
+  let base =
+    ok_exn
+      (Sql_parser.parse_select
+         "SELECT t.CCID, t.CID, t.NUM FROM CREDIT_CARD t WHERE t.CID = ?")
+  in
+  let in_list =
+    ok_exn
+      (Sql_parser.parse_select
+         "SELECT t.CCID, t.CID, t.NUM FROM CREDIT_CARD t \
+          WHERE t.CID IN (?, ?, ?, ?)")
+  in
+  let or_chain =
+    ok_exn
+      (Sql_parser.parse_select
+         "SELECT t.CCID, t.CID, t.NUM FROM CREDIT_CARD t \
+          WHERE t.CID = ? OR t.CID = ? OR t.CID = ? OR t.CID = ?")
+  in
+  check_bool "a block of four is the IN list" true
+    (Aldsp_core.Eval.disjunctive_select base 1 4 = in_list);
+  check_bool "a block of one stays col = ?" true
+    (Aldsp_core.Eval.disjunctive_select base 1 1 = base);
+  let params = [| V.Str "C1"; V.Str "C1"; V.Null; V.Str "C9" |] in
+  List.iter
+    (fun indexed ->
+      Database.set_use_indexes db indexed;
+      let run s =
+        let r = ok_exn (Sql_exec.query db ~params s) in
+        (r, Database.explain_last db)
+      in
+      let r_in, plan_in = run in_list in
+      let r_or, plan_or = run or_chain in
+      let label what = Printf.sprintf "%s (indexes %b)" what indexed in
+      check (Alcotest.list Alcotest.string) (label "columns")
+        r_or.Sql_exec.columns r_in.Sql_exec.columns;
+      check_int (label "rows") 2 (List.length r_in.Sql_exec.rows);
+      check_bool (label "same rows in the same order") true
+        (r_in.Sql_exec.rows = r_or.Sql_exec.rows);
+      check_string (label "same plan lines") plan_or plan_in;
+      check_bool (label "access path") true
+        (contains plan_in (if indexed then "index probe" else "scan")))
+    [ true; false ];
+  Database.set_use_indexes db true
+
 let test_join_algorithms () =
   let db = make_db () in
   (* right side carries the fk index on CID: index nested loop *)
@@ -856,6 +920,7 @@ let () =
           t "select *" test_select_star;
           t "params" test_params;
           t "disjunctive params (PP-k shape)" test_disjunctive_param_query;
+          t "IN list = OR chain (PP-k block)" test_in_list_matches_or_chain;
           t "string funcs + like" test_string_functions_like;
           t "derived table" test_derived_table;
           t "having" test_having;

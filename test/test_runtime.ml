@@ -214,9 +214,11 @@ let test_ppk_reconstructs_only_matches () =
   let server =
     Server.create ~optimizer_options:options demo.Aldsp_demo.Demo.registry
   in
+  (* the whole right element is returned, so the reconstruction let is
+     live (a field-only return drops it) *)
   let q =
     "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
-     return <R>{$c/CID, $x/NUM}</R>"
+     return <R>{$c/CID, $x}</R>"
   in
   let compiled =
     match Server.compile server q with
@@ -248,6 +250,97 @@ let test_ppk_reconstructs_only_matches () =
   in
   check_bool "join matched rows" true (join_act > 0);
   check_int "let act = join act" join_act let_act
+
+(* A PP-k join builds and ships only what later clauses read. Returning
+   card fields, nothing reads the right row's reconstruction: the right
+   side is the bare region, selecting and binding just the key and the
+   returned column, and the block join still hashes. Returning the whole
+   card keeps the let and every column. Both answer like the unoptimized
+   reference. *)
+let ppk_plan_shape_demo () =
+  let demo =
+    Aldsp_demo.Demo.create ~customers:200 ~orders_per_customer:0
+      ~cards_per_customer:5 ()
+  in
+  let cards =
+    ok_exn (Database.find_table demo.Aldsp_demo.Demo.card_db "CREDIT_CARD")
+  in
+  ok_exn (Table.create_index cards ~name:"card_cid" [ "CID" ]);
+  demo
+
+let ppk_right_side server q =
+  let compiled =
+    match Server.compile server q with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "compile failed"
+  in
+  let ops =
+    match compiled.Server.ir.Plan_ir.node with
+    | Plan_ir.P_pipeline { ops; _ } -> ops
+    | _ -> Alcotest.fail "not a pipeline"
+  in
+  match
+    List.find_map
+      (fun (o : Plan_ir.op) ->
+        match o.Plan_ir.op_node with
+        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; right; equi; _ } ->
+          Some (k, right, equi)
+        | _ -> None)
+      ops
+  with
+  | Some shape -> shape
+  | None -> Alcotest.fail "no PP-k join"
+
+let check_ppk_plan_shape ~ret ~let_kept ~columns () =
+  let demo = ppk_plan_shape_demo () in
+  let registry = demo.Aldsp_demo.Demo.registry in
+  let q =
+    "(::pragma hint ppk-k=\"4\"::) for $c in CUSTOMER(), $x in CREDIT_CARD() \
+     where $c/CID eq $x/CID return " ^ ret
+  in
+  let server = Server.create registry in
+  let k, right, equi = ppk_right_side server q in
+  check_int "hinted k" 4 k;
+  check_bool "inner=inl" true (equi <> None);
+  let region, lets =
+    match right with
+    | { Plan_ir.op_node = Plan_ir.O_sql r; _ } :: rest -> (r, rest)
+    | _ -> Alcotest.fail "right side does not start with a region"
+  in
+  let is_let (o : Plan_ir.op) =
+    match o.Plan_ir.op_node with Plan_ir.O_let _ -> true | _ -> false
+  in
+  check_bool "only lets after the region" true (List.for_all is_let lets);
+  check_int "reconstruction lets" (if let_kept then 1 else 0)
+    (List.length lets);
+  let strings = Alcotest.(list string) in
+  let projected =
+    List.map
+      (fun (e, alias) ->
+        match e with
+        | Sql_ast.Col (_, name) -> (name, alias)
+        | _ -> Alcotest.fail "projection is not a column")
+      region.Plan_ir.sql_select.Sql_ast.projections
+  in
+  Alcotest.check strings "projected columns" columns (List.map fst projected);
+  Alcotest.check strings "bound columns" (List.map snd projected)
+    (List.map (fun b -> b.Cexpr.bcol) region.Plan_ir.sql_binds);
+  let reference =
+    Server.create ~optimizer_options:Optimizer.reference_options registry
+  in
+  let serialized server =
+    Server.serialize_result server (ok_exn (Server.run server q))
+  in
+  Alcotest.check Alcotest.string "same answer as the reference"
+    (serialized reference) (serialized server)
+
+let test_ppk_ships_read_columns =
+  check_ppk_plan_shape ~ret:"<R>{$c/CID, $x/NUM}</R>" ~let_kept:false
+    ~columns:[ "CID"; "NUM" ]
+
+let test_ppk_keeps_live_reconstruction =
+  check_ppk_plan_shape ~ret:"<R>{$c/CID, $x}</R>" ~let_kept:true
+    ~columns:[ "CCID"; "CID"; "NUM"; "LIMIT_" ]
 
 let read_token stream =
   match Server.stream_read stream with
@@ -657,6 +750,8 @@ let () =
         [ t "PP-k roundtrips scale with k" test_ppk_roundtrips_scale_with_k;
           t "PP-k matches NL" test_ppk_results_match_nl;
           t "PP-k reconstructs only matches" test_ppk_reconstructs_only_matches;
+          t "PP-k ships only read columns" test_ppk_ships_read_columns;
+          t "PP-k keeps a live reconstruction" test_ppk_keeps_live_reconstruction;
           t "streaming group" test_streaming_group_constant_memory_shape;
           t "group fallback" test_group_fallback_sorts ] );
       ( "ppk-hash-join",
