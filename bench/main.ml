@@ -372,12 +372,13 @@ let bench_scan_vs_index ?(smoke = false) () =
    at one row, so the transfer-volume gate must parameterize the card
    region (PP-k probe on CID) rather than ship CREDIT_CARD whole: every
    shipped region filtered, at most 5 rows shipped (1 customer, 1 card,
-   3 orders). k is 1 here — [choose_k] caps k at the outer estimate — so
-   the [5, 50] band of the join sweep does not apply. The ORDER_T nesting
-   merges into the CUSTOMER statement as an outer join (§4.2), so a
-   lookup issues 2 statements, and the merged region is priced by its
-   fan-out, so the worst est-vs-act ratio stays within 1.5. The EXPLAIN
-   lands in EXPLAIN_cost_model_point_lookup.txt for CI upload. *)
+   3 orders). k is 1 here — [Cost_model.choose_ppk] caps k at the outer
+   estimate — so the [5, 50] band of the join sweep does not apply. The
+   ORDER_T nesting merges into the CUSTOMER statement as an outer join
+   (§4.2), so a lookup issues 2 statements, and the merged region is
+   priced by its fan-out, so the worst est-vs-act ratio stays within
+   1.5. The EXPLAIN lands in EXPLAIN_cost_model_point_lookup.txt for CI
+   upload. *)
 let cost_model_point_lookup () =
   sub "CST: point lookup (getProfileByID, 2000 customers, 0.5 ms)";
   let demo =
@@ -660,10 +661,12 @@ let bench_cost_model ?(smoke = false) () =
              (t_chosen *. 1000.) (best *. 1000.)))
     sweep;
   print_endline
-    "shape: the model lands at the knee of the PP-k curve (k ~ sqrt of\n\
-     latency/row-cost) with the index probe path, within 20% of the best\n\
-     hand-forced configuration and orders of magnitude off the scan\n\
-     baseline — without any per-query knob tuning.";
+    "shape: the model prices k and prefetch together (blocks of k rows,\n\
+     each roundtrip after the first hidden behind the previous block's\n\
+     join) and lands on the flat part of the PP-k curve with the index\n\
+     probe path, within 20% of the best hand-forced configuration and\n\
+     orders of magnitude off the scan baseline — without any per-query\n\
+     knob tuning.";
   cost_model_point_lookup ()
 
 (* ------------------------------------------------------------------ *)

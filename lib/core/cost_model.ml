@@ -5,10 +5,9 @@ module Sql = Sql_ast
 (* ------------------------------------------------------------------ *)
 (* Constants *)
 
-(* Middleware cost of materializing one shipped row, calibrated against
-   the PP-k bench sweep: with Total(k) ~ outer*latency/k + outer*beta*k
-   the observed optimum (k in the low tens at 0.5 ms latency) pins beta
-   near 2 microseconds per row. *)
+(* Cost of one shipped row, paid once at the backend that produces it
+   and once in the middleware that joins it: about 2 microseconds, the
+   order of a traced PP-k block's engine and join time per row. *)
 let row_cost = 2e-6
 
 (* CPU floor of issuing one statement even on a zero-latency source:
@@ -94,33 +93,6 @@ let rec conjuncts = function
   | Sql.Binop (Sql.And, a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
-(* Rows of a [rows]-row table that a pushed WHERE keeps: the estimate of
-   its most selective AND conjunct. A literal [col = v] or
-   [col IN (v1..vn)] on a column of the FROM table (qualified by its
-   alias, as pushdown writes every column) with a single-column index
-   keeps n·rows/NDV; every other shape (OR, NOT, ranges, functions,
-   unindexed columns) keeps 1/[selection_fraction]. *)
-let where_cardinality t ~alias ~rows where =
-  let opaque = max 1 (rows / selection_fraction) in
-  let own = function Some a -> String.equal a alias | None -> false in
-  let keyed col n =
-    match Table.distinct_estimate t col with
-    | Some ndv when ndv > 0 -> min rows (max 1 (n * rows / ndv))
-    | _ -> opaque
-  in
-  let literal = function Sql.Lit _ -> true | _ -> false in
-  let conjunct = function
-    | Sql.Binop (Sql.Eq, Sql.Col (q, col), Sql.Lit _)
-    | Sql.Binop (Sql.Eq, Sql.Lit _, Sql.Col (q, col))
-      when own q ->
-      keyed col 1
-    | Sql.In_list (Sql.Col (q, col), (_ :: _ as items))
-      when own q && List.for_all literal items ->
-      keyed col (List.length items)
-    | _ -> opaque
-  in
-  List.fold_left (fun acc e -> min acc (conjunct e)) rows (conjuncts where)
-
 let best_ndv t =
   List.fold_left
     (fun acc idx ->
@@ -128,6 +100,46 @@ let best_ndv t =
       | [ _ ] -> max acc (Index.distinct_keys idx)
       | _ -> acc)
     1 (Table.indexes t)
+
+let param = function Sql.Param _ -> true | _ -> false
+let constant = function Sql.Lit _ | Sql.Param _ -> true | _ -> false
+
+(* A [col = v] or [col IN (v1..vn)] conjunct of literals or parameters
+   on a column of the FROM table (qualified by its alias, as pushdown
+   writes every column): the column and the values. *)
+let keyed_conjunct ~alias e =
+  let own = function Some a -> String.equal a alias | None -> false in
+  match e with
+  | Sql.Binop (Sql.Eq, Sql.Col (q, col), v) when own q && constant v ->
+    Some (col, [ v ])
+  | Sql.Binop (Sql.Eq, v, Sql.Col (q, col)) when own q && constant v ->
+    Some (col, [ v ])
+  | Sql.In_list (Sql.Col (q, col), (_ :: _ as vs))
+    when own q && List.for_all constant vs ->
+    Some (col, vs)
+  | _ -> None
+
+(* Rows of a [rows]-row table that a pushed WHERE keeps: the estimate of
+   its most selective AND conjunct. A [keyed_conjunct] of n values on a
+   column with a single-column index keeps n·rows/NDV of that column.
+   Every other shape (OR, NOT, ranges, functions, unindexed columns)
+   keeps 1/[selection_fraction], except that a conjunct a parameter
+   reaches — a PP-k probe, which pushdown writes on key columns — keeps
+   n·rows over the table's best single-column NDV. *)
+let where_cardinality t ~alias ~rows where =
+  let opaque = max 1 (rows / selection_fraction) in
+  let probe n = min rows (max 1 (n * rows / best_ndv t)) in
+  let conjunct e =
+    match (keyed_conjunct ~alias e, e) with
+    | Some (col, vs), _ -> (
+      let n = List.length vs in
+      match Table.distinct_estimate t col with
+      | Some ndv when ndv > 0 -> min rows (max 1 (n * rows / ndv))
+      | _ -> if List.exists param vs then probe n else opaque)
+    | None, Sql.Binop (Sql.Eq, a, b) when param a || param b -> probe 1
+    | None, _ -> opaque
+  in
+  List.fold_left (fun acc e -> min acc (conjunct e)) rows (conjuncts where)
 
 (* Matches per left row of each LEFT OUTER JOIN a region carries (§4.2's
    merged nesting): the joined table's rows over the NDV of its join
@@ -168,21 +180,17 @@ let rel_fanout registry (r : C.sql_access) =
       1 r.C.select.Sql.joins
   | _ -> 1
 
-(* Rows one execution of a pushed region ships, before [rel_fanout].
-   Unparameterized: the table's rows, filtered by its WHERE
-   ([where_cardinality]). Parameterized (a PP-k probe block): probes land
-   on key columns, so the per-probe match estimate is rows over the best
-   single-column NDV — exact 1 for a unique key. *)
+(* Rows one execution of a pushed region ships, before [rel_fanout]: the
+   table's rows, filtered by its WHERE ([where_cardinality]). A
+   parameterized region (a PP-k probe) is priced per probe key. *)
 let rel_base_cardinality registry (r : C.sql_access) =
   match rel_table registry r with
   | None -> None
-  | Some (t, alias) ->
+  | Some (t, alias) -> (
     let rows = Table.row_count t in
-    if r.C.sql_params = [] then
-      match r.C.select.Sql.where with
-      | None -> Some rows
-      | Some w -> Some (where_cardinality t ~alias ~rows w)
-    else Some (max 1 (rows / best_ndv t))
+    match r.C.select.Sql.where with
+    | None -> Some rows
+    | Some w -> Some (where_cardinality t ~alias ~rows w))
 
 let rel_cardinality registry r =
   Option.map (fun n -> n * rel_fanout registry r) (rel_base_cardinality registry r)
@@ -254,24 +262,109 @@ and clauses_cardinality registry clauses =
   List.fold_left (fun _ out -> out) (Some 1) (estimates registry (Some 1) clauses)
 
 (* ------------------------------------------------------------------ *)
-(* PP-k parameter choice *)
+(* PP-k pricing *)
 
-(* Total(k) ~ outer*latency/k (roundtrips) + outer*row_cost*k (block
-   assembly and disjunct decoding) is minimized at k* = sqrt(latency /
-   row_cost); clamp to [5, 50] and never exceed the outer estimate. *)
-let k_min = 5
-let k_max = 50
+type ppk_probe = {
+  pr_profile : profile;
+  pr_matches : int;
+  pr_scan_rows : int;
+}
 
-let choose_k ~outer ~latency =
-  let raw =
-    if latency <= 0. then 0.
-    else Float.sqrt (latency /. row_cost)
+(* Whether the backend can answer a probe block from an index: some index
+   has every column compared to parameters only in a top-level
+   [keyed_conjunct], the shape its access-path selection turns into index
+   probes. *)
+let probe_indexed t ~alias where =
+  let probed =
+    List.filter_map
+      (fun e ->
+        match keyed_conjunct ~alias e with
+        | Some (col, vs) when List.for_all param vs -> Some col
+        | _ -> None)
+      (conjuncts where)
   in
-  let k = min k_max (max k_min (int_of_float (Float.round raw))) in
-  match outer with Some o when o > 0 -> max 1 (min k o) | _ -> k
+  List.exists
+    (fun idx -> List.for_all (fun c -> List.mem c probed) (Index.columns idx))
+    (Table.indexes t)
 
-let choose_prefetch ~latency ~default =
-  if latency >= 0.001 then 2 else if latency > 0. then 1 else default
+let ppk_probe registry (r : C.sql_access) =
+  let pr_profile =
+    match Metadata.find_database registry r.C.db with
+    | Some db -> db_profile db
+    | None -> local_profile
+  in
+  let pr_matches =
+    match rel_cardinality registry r with Some n -> max 1 n | None -> 1
+  in
+  let pr_scan_rows =
+    match (rel_table registry r, r.C.select.Sql.where) with
+    | Some (t, alias), Some w when probe_indexed t ~alias w -> 0
+    | Some (t, _), _ -> Table.row_count t
+    | None, _ -> 0
+  in
+  { pr_profile; pr_matches; pr_scan_rows }
+
+(* Left tuples priced when the outer estimate is unknown. *)
+let unknown_outer = 100
+
+(* The largest block priced: the backend probes an index for at most a
+   few thousand alternatives, and dialects cap IN lists near a
+   thousand. *)
+let k_max = 1000
+
+(* Seconds to run [outer] left tuples through PP-k at block size [k] and
+   prefetch depth [prefetch]. A block of k tuples is one roundtrip — the
+   source's latency, then its work: the probed table's rows when no index
+   serves the probe, and each tuple's key plus its matches — and one pass
+   in the middleware: the statement floor (SQL, parameters, decoding) and
+   a join over the same keys and matches. Without prefetch the blocks run
+   one after the other. With it, min(prefetch + 1, workers, blocks)
+   roundtrips are in flight: their latencies overlap, but the source
+   works through one block at a time. Each block after the first takes
+   the longest of its middleware pass, its source work and its share of a
+   roundtrip, so its roundtrip hides behind the previous block's join. *)
+let ppk_cost p ~outer ~workers ~k ~prefetch =
+  let blocks = (outer + k - 1) / k in
+  let block_rows =
+    float_of_int (min k outer) *. float_of_int (1 + p.pr_matches)
+    *. p.pr_profile.p_row_cost
+  in
+  let source =
+    (float_of_int p.pr_scan_rows *. p.pr_profile.p_row_cost) +. block_rows
+  in
+  let roundtrip = p.pr_profile.p_latency +. source in
+  let join = roundtrip_overhead +. block_rows in
+  let later =
+    if prefetch <= 0 then roundtrip +. join
+    else
+      let in_flight = min (prefetch + 1) (min workers blocks) in
+      Float.max (Float.max join source) (roundtrip /. float_of_int in_flight)
+  in
+  roundtrip +. join +. (float_of_int (blocks - 1) *. later)
+
+(* The cheapest (k, prefetch) with k <= the outer estimate and prefetch <
+   workers; ties keep the smaller k, then the smaller prefetch, so one
+   block gets prefetch 0. A scan only makes every statement dearer, so a
+   probe without an index searches from the k the indexed probe would
+   get: it never sends more statements. (Without that floor the overlap
+   term can hide a small scan behind the join of a later block and tip a
+   near tie toward one more block.) *)
+let rec choose_ppk p ~outer ~workers =
+  let from =
+    if p.pr_scan_rows = 0 then 1
+    else fst (choose_ppk { p with pr_scan_rows = 0 } ~outer ~workers)
+  in
+  let outer = match outer with Some o -> max 1 o | None -> unknown_outer in
+  let best = ref (from, 0, Float.infinity) in
+  for k = from to min outer k_max do
+    for prefetch = 0 to workers - 1 do
+      let cost = ppk_cost p ~outer ~workers ~k ~prefetch in
+      let _, _, best_cost = !best in
+      if cost < best_cost then best := (k, prefetch, cost)
+    done
+  done;
+  let k, prefetch, _ = !best in
+  (k, prefetch)
 
 (* ------------------------------------------------------------------ *)
 (* Join-method and pushdown-shape costing *)
@@ -282,23 +375,23 @@ let nested_loop_cost ~outer ~inner = outer *. inner *. row_cost
 let index_nl_cost ~outer ~matches = outer *. (1. +. matches) *. row_cost
 
 (* Parameterizing a join right side replaces one whole-table ship with
-   ceil(outer/k) probe-block roundtrips that ship only matching rows.
-   Beneficial unless the probe roundtrips dwarf the single shipment —
-   the 2x margin keeps marginal cases on the parameterized (PP-k) path,
-   which overlaps latency that whole-table shipping cannot. *)
-let parameterize_beneficial ~outer ~inner_rows ~latency =
+   PP-k probe blocks that ship only matching rows, priced at the (k,
+   prefetch) the join would run with. Shipping costs one roundtrip, the
+   inner rows at the backend and again in the middleware join, plus the
+   outer keys. Parameterize unless the blocks cost more than twice
+   that. *)
+let parameterize_beneficial p ~outer ~workers ~inner_rows =
+  let plan = choose_ppk p ~outer ~workers in
   match (outer, inner_rows) with
   | Some o, Some i when o > 0 ->
-    let k = choose_k ~outer:(Some o) ~latency in
-    let blocks = float_of_int ((o + k - 1) / k) in
-    let param =
-      (blocks *. (latency +. roundtrip_overhead)) +. (float_of_int o *. row_cost)
-    in
+    let k, prefetch = plan in
     let ship =
-      latency +. roundtrip_overhead +. (float_of_int i *. row_cost)
+      p.pr_profile.p_latency +. roundtrip_overhead
+      +. (float_of_int ((2 * i) + o) *. p.pr_profile.p_row_cost)
     in
-    param <= 2. *. ship
-  | _ -> true
+    if ppk_cost p ~outer:o ~workers ~k ~prefetch <= 2. *. ship then Some plan
+    else None
+  | _ -> Some plan
 
 (* ------------------------------------------------------------------ *)
 (* Misestimation *)

@@ -13,21 +13,28 @@
 
     Formulas:
     - scan cardinality: exact live row count (tables, file sources)
-    - pushed WHERE of an unparameterized region: its most selective AND
-      conjunct, where a literal [col = v] or [col IN (v1..vn)] on a column
+    - pushed WHERE of a region: its most selective AND conjunct, where a
+      literal [col = v] or [col IN (v1..vn)] on a column
       with a single-column index keeps [rows·n/NDV] (at least 1, at most
       rows) and every other shape (OR, NOT, ranges, functions, unindexed
       columns) keeps [rows/3]; middleware where clauses keep [1/3]
-    - parameterized probe: [rows/NDV] of the best single-column index
+    - parameterized probe: a [col = ?] or [col IN (?1..?n)] conjunct is
+      priced like a literal one, [n·rows/NDV] of that column; only when
+      the column is unindexed does it fall back to the table's best
+      single-column NDV
     - equi-join cardinality: [max(outer, inner)] (exact for the PK-FK
       joins introspection generates)
-    - PP-k: [Total(k) ~ outer·latency/k + outer·row_cost·k], minimized at
-      [k* = sqrt(latency/row_cost)], clamped to [5, 50] and capped by the
-      outer estimate; prefetch 2 at >= 1 ms latency, 1 when positive,
-      the configured default at zero
-    - parameterization gate: [ceil(outer/k)] probe roundtrips plus outer
-      matches shipped, vs one roundtrip shipping the whole inner table;
-      parameterize within a 2x margin (block probes overlap latency). *)
+    - PP-k: {!ppk_cost} prices [ceil(outer/k)] blocks at prefetch [d]:
+      each block is a roundtrip (latency, then the source's work: the
+      probed table's rows when no index serves the probe, and each left
+      tuple's key plus its matches) and a middleware pass (the statement
+      floor and a join of the same rows); with [d > 0],
+      [min(d+1, workers, blocks)] roundtrips are in flight and every
+      block after the first hides its roundtrip behind the previous
+      block's join. {!choose_ppk} takes the cheapest [(k, d)], k capped
+      by the outer estimate.
+    - parameterization gate: the chosen PP-k cost against one roundtrip
+      shipping the whole inner table; parameterize within a 2x margin. *)
 
 open Aldsp_xml
 
@@ -35,8 +42,8 @@ type profile = { p_latency : float; p_row_cost : float }
 (** Seconds per statement roundtrip / per shipped row. *)
 
 val row_cost : float
-(** Default middleware cost of one shipped row (~2 µs, calibrated against
-    the PP-k bench optimum). *)
+(** Default cost of one shipped row (~2 µs), at the backend and again in
+    the middleware. *)
 
 val roundtrip_overhead : float
 (** CPU floor of one statement even at zero source latency. *)
@@ -61,10 +68,11 @@ val source_cost : Metadata.t -> Qname.t -> float option
 val rel_cardinality : Metadata.t -> Cexpr.sql_access -> int option
 (** Rows one execution of a pushed region ships. Unparameterized: the
     table's rows without a WHERE; with one, the most selective AND
-    conjunct's estimate — [rows·n/NDV] for a literal [=] ([n = 1]) or an
-    [IN] of [n] literals on a column a single-column index covers
+    conjunct's estimate — [rows·n/NDV] for an [=] ([n = 1]) or an [IN] of
+    [n] literals or parameters on a column a single-column index covers
     ({!Aldsp_relational.Table.distinct_estimate}), [rows/3] for anything
-    else. Parameterized: per-probe matches, rows over the best
+    else. A parameterized region is thereby priced per probe key; a
+    parameter on an unindexed column falls back to rows over the best
     single-column NDV. Either is multiplied by the fan-out of each
     [LEFT OUTER JOIN] the region carries: the joined table's rows over the
     NDV of its join column, at least 1 — unless the region has its own
@@ -85,20 +93,47 @@ val clauses_cardinality : Metadata.t -> Cexpr.clause list -> int option
 (** Estimated binding tuples a FLWOR clause pipeline emits: the last of
     {!estimates} from one tuple. *)
 
-val choose_k : outer:int option -> latency:float -> int
-(** Cost-optimal PP-k block size for this outer cardinality and source
-    latency, clamped to [5, 50] and capped by the outer estimate. *)
+type ppk_probe = {
+  pr_profile : profile;  (** The probed database's. *)
+  pr_matches : int;
+      (** Rows one probe key ships: {!rel_cardinality} of the
+          parameterized region, at least 1. *)
+  pr_scan_rows : int;
+      (** Rows each block statement scans besides its matches: 0 when an
+          index covers the probed columns, the table's rows otherwise. *)
+}
+(** What a PP-k block costs at the probed source. *)
 
-val choose_prefetch : latency:float -> default:int -> int
+val ppk_probe : Metadata.t -> Cexpr.sql_access -> ppk_probe
+(** The probe side of a parameterized region. *)
+
+val ppk_cost :
+  ppk_probe -> outer:int -> workers:int -> k:int -> prefetch:int -> float
+(** Estimated seconds to run [outer] left tuples through PP-k in blocks
+    of [k] with [prefetch] blocks in flight ahead of the join, on a pool
+    of [workers]. *)
+
+val choose_ppk : ppk_probe -> outer:int option -> workers:int -> int * int
+(** [(k, prefetch)] minimizing {!ppk_cost}: [k] at most the outer
+    estimate (and 1000), so 1 at one outer tuple, and never smaller for a
+    probe that scans than for the same probe served by an index;
+    [prefetch] at most [workers - 1], and 0 when the outer fits one
+    block. An unknown outer is priced at 100 tuples. *)
 
 val nested_loop_cost : outer:float -> inner:float -> float
 val index_nl_cost : outer:float -> matches:float -> float
 
 val parameterize_beneficial :
-  outer:int option -> inner_rows:int option -> latency:float -> bool
-(** The pushdown transfer-volume gate: false when probing the inner
-    source block-by-block is estimated to cost more than twice shipping
-    it whole. Unknown estimates default to parameterizing (status quo). *)
+  ppk_probe ->
+  outer:int option ->
+  workers:int ->
+  inner_rows:int option ->
+  (int * int) option
+(** The pushdown transfer-volume gate: [Some (k, prefetch)], the
+    {!choose_ppk} plan the probe blocks were priced at, unless those
+    blocks are estimated to cost more than twice shipping the
+    [inner_rows]-row region whole ([None]). Unknown estimates default to
+    parameterizing (status quo). *)
 
 val misestimate : est:int -> actual:int -> float
 (** [max(est/act, act/est)]; 1.0 when either side is zero. *)

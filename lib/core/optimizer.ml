@@ -68,6 +68,7 @@ let options_fingerprint o =
 type t = {
   registry : Metadata.t;
   opts : options;
+  workers : int;  (* size of the pool PP-k prefetches on *)
   counter : int ref;
   view_cache : (Qname.t, Cexpr.t) Hashtbl.t;
   view_lock : Mutex.t;
@@ -78,9 +79,13 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(options = default_options) registry =
+let create ?(options = default_options) ?workers registry =
+  let workers =
+    match workers with Some w -> w | None -> Pool.size (Pool.default ())
+  in
   { registry;
     opts = options;
+    workers;
     counter = ref 0;
     view_cache = Hashtbl.create 32;
     view_lock = Mutex.create ();
@@ -1039,23 +1044,27 @@ let rule_inverse t =
 (* Join method selection (post-pushdown)                               *)
 
 (* PP-k parameters for a parameterized right side: with cost-based
-   selection on, k and prefetch come from the outer-cardinality/latency
-   tradeoff of the probed database; off, the configured knobs apply
-   unchanged (the explicit override path). *)
+   selection on, k and prefetch are the cheapest block plan for the outer
+   estimate against the probed region ({!Cost_model.choose_ppk}); off,
+   the configured knobs apply unchanged (the explicit override path). *)
 let ppk_method t ~outer (r : C.sql_access) =
   if t.opts.cost_based then
-    let latency =
-      match Metadata.find_database t.registry r.C.db with
-      | Some db -> (Cost_model.db_profile db).Cost_model.p_latency
-      | None -> 0.
+    let k, prefetch =
+      Cost_model.choose_ppk
+        (Cost_model.ppk_probe t.registry r)
+        ~outer ~workers:t.workers
     in
-    C.Ppk
-      { k = Cost_model.choose_k ~outer ~latency;
-        prefetch =
-          max 0
-            (Cost_model.choose_prefetch ~latency
-               ~default:t.opts.ppk_prefetch) }
+    C.Ppk { k; prefetch }
   else C.Ppk { k = t.opts.ppk_k; prefetch = max 0 t.opts.ppk_prefetch }
+
+let parameterize_gate t ~outer ~whole probe =
+  (not t.opts.cost_based)
+  || Option.is_some
+       (Cost_model.parameterize_beneficial
+          (Cost_model.ppk_probe t.registry probe)
+          ~outer:(Cost_model.clauses_cardinality t.registry outer)
+          ~workers:t.workers
+          ~inner_rows:(Cost_model.rel_cardinality t.registry whole))
 
 (* NL vs index-NL for a structurally eligible (independent, equi-keyed)
    right side: probe + expected matches per outer tuple against scanning

@@ -39,8 +39,8 @@ type options = {
   cost_based : bool;
       (** Statistics-driven plan selection via {!Cost_model}: join method
           (NL vs index-NL vs PP-k) by estimated cost, PP-k [k]/[prefetch]
-          from the outer-cardinality/latency tradeoff (overriding the
-          [ppk_k]/[ppk_prefetch] knobs), static source ordering, and the
+          as the cheapest block plan ({!Cost_model.choose_ppk}, overriding
+          the [ppk_k]/[ppk_prefetch] knobs), static source ordering, and the
           pushdown transfer-volume gate. Off, the fixed structural
           heuristics and the configured knobs apply unchanged. All
           choices are result-identical; only cost differs. Default on. *)
@@ -79,7 +79,10 @@ val reference_options : options
 
 type t
 
-val create : ?options:options -> Metadata.t -> t
+val create : ?options:options -> ?workers:int -> Metadata.t -> t
+(** [workers] is the size of the pool PP-k blocks are prefetched on
+    ({!Pool.size}); it bounds the prefetch the cost model chooses and
+    defaults to {!Pool.default}'s. *)
 
 val options : t -> options
 
@@ -89,6 +92,19 @@ val optimize : t -> Cexpr.t -> Cexpr.t * Rewrite.stats
 val select_methods : t -> Cexpr.t -> Cexpr.t
 (** Post-pushdown pass: pick join methods (PP-k / index nested loop /
     nested loop) and mark pre-clustered group-bys. *)
+
+val parameterize_gate :
+  t ->
+  outer:Cexpr.clause list ->
+  whole:Cexpr.sql_access ->
+  Cexpr.sql_access ->
+  bool
+(** [parameterize_gate t ~outer ~whole probe]: the transfer-volume gate
+    {!Pushdown.push} consults before turning a join's right side [whole]
+    into the parameterized region [probe], given the clauses before the
+    join. Always true with cost-based selection off; otherwise
+    {!Cost_model.parameterize_beneficial}, priced with the same PP-k
+    choice {!select_methods} makes. *)
 
 val reorder_by_observed_cost : t -> Observed.t -> Cexpr.t -> Cexpr.t
 (** The paper's §9 roadmap item: using only {e observed} source behaviour

@@ -1084,80 +1084,77 @@ and prune_binds _st clauses return_ =
 (* ------------------------------------------------------------------ *)
 (* Phase D: parameterize join right sides for PP-k                      *)
 
-(* [gate ~outer r] may veto parameterization of a join right side [r]
-   given the clauses preceding the join ([outer], source order): the
-   cost-based transfer-volume gate declines when probing block-by-block is
-   estimated to ship more than fetching the inner region whole. A vetoed
-   join keeps its unparameterized [Rel] right side — the same plan shape
-   produced when no key is translatable — so the executor path is
-   unchanged and results are byte-identical. *)
+(* [r] with the join's equi keys whose right side is a plain bind of [r]
+   added to its WHERE as [col = ?], or [None] when no key translates. *)
+let parameterized r on_ right_vars =
+  match C.equi_join_keys ~right_vars on_ with
+  | None -> None
+  | Some (pairs, _residual) -> (
+    let bind_col b =
+      List.assoc_opt b.C.bcol
+        (List.map (fun (pe, a) -> (a, pe)) r.C.select.Sql.projections)
+    in
+    let translatable =
+      List.filter_map
+        (fun (lexpr, rexpr) ->
+          match rexpr with
+          | C.Var v | C.Data (C.Var v) -> (
+            match List.find_opt (fun b -> b.C.bvar = v) r.C.binds with
+            | Some b -> (
+              match bind_col b with
+              | Some col -> Some (lexpr, col)
+              | None -> None)
+            | None -> None)
+          | _ -> None)
+        pairs
+    in
+    match translatable with
+    | [] -> None
+    | keys ->
+      let base = Sql.param_count (Sql.Query r.C.select) in
+      let conds =
+        List.mapi
+          (fun i (_, col) -> Sql.Binop (Sql.Eq, col, Sql.Param (base + i + 1)))
+          keys
+      in
+      let where' =
+        List.fold_left
+          (fun acc c ->
+            match acc with
+            | None -> Some c
+            | Some a -> Some (Sql.Binop (Sql.And, a, c)))
+          r.C.select.Sql.where conds
+      in
+      Some
+        { r with
+          C.select = { r.C.select with Sql.where = where' };
+          sql_params = r.C.sql_params @ List.map fst keys })
+
+(* [gate ~outer ~whole r'] may veto parameterizing a join right side
+   [whole] into [r'] given the clauses preceding the join ([outer],
+   source order): the cost-based transfer-volume gate declines when
+   probing block-by-block is estimated to cost more than fetching the
+   inner region whole. A vetoed join keeps its unparameterized [Rel]
+   right side — the same plan shape produced when no key is translatable
+   — so the executor path is unchanged and results are byte-identical. *)
 let rec parameterize_joins ~gate st e =
   let e = C.map_children (parameterize_joins ~gate st) e in
   match e with
   | C.Flwor { clauses; return_ } ->
     let rec fix before = function
       | [] -> []
-      | C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
+      | (C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
+         as c)
         :: rest
-        when r.C.sql_params = [] && gate ~outer:(List.rev before) r -> (
-        let right_vars = C.clause_vars (C.Rel r :: right_rest) in
-        match C.equi_join_keys ~right_vars on_ with
-        | Some (pairs, _residual) -> (
-          (* keys whose right side is a plain Rel bind become col = ? *)
-          let bind_col b =
-            List.assoc_opt b.C.bcol
-              (List.map (fun (pe, a) -> (a, pe)) r.C.select.Sql.projections)
-          in
-          let translatable =
-            List.filter_map
-              (fun (lexpr, rexpr) ->
-                match rexpr with
-                | C.Var v | C.Data (C.Var v) -> (
-                  match List.find_opt (fun b -> b.C.bvar = v) r.C.binds with
-                  | Some b -> (
-                    match bind_col b with
-                    | Some col -> Some (lexpr, col)
-                    | None -> None)
-                  | None -> None)
-                | _ -> None)
-              pairs
-          in
-          match translatable with
-          | [] ->
-            let c =
-              C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
-            in
-            c :: fix (c :: before) rest
-          | keys ->
-            let base = Sql.param_count (Sql.Query r.C.select) in
-            let conds =
-              List.mapi
-                (fun i (_, col) -> Sql.Binop (Sql.Eq, col, Sql.Param (base + i + 1)))
-                keys
-            in
-            let where' =
-              List.fold_left
-                (fun acc c ->
-                  match acc with
-                  | None -> Some c
-                  | Some a -> Some (Sql.Binop (Sql.And, a, c)))
-                r.C.select.Sql.where conds
-            in
-            let r' =
-              { r with
-                C.select = { r.C.select with Sql.where = where' };
-                sql_params = r.C.sql_params @ List.map fst keys }
-            in
-            let c =
-              C.Join
-                { kind; method_; right = C.Rel r' :: right_rest; on_; export }
-            in
-            c :: fix (c :: before) rest)
-        | None ->
-          let c =
-            C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
-          in
-          c :: fix (c :: before) rest)
+        when r.C.sql_params = [] ->
+        let c =
+          match parameterized r on_ (C.clause_vars (C.Rel r :: right_rest)) with
+          | Some r' when gate ~outer:(List.rev before) ~whole:r r' ->
+            C.Join
+              { kind; method_; right = C.Rel r' :: right_rest; on_; export }
+          | _ -> c
+        in
+        c :: fix (c :: before) rest
       | c :: rest -> c :: fix (c :: before) rest
     in
     C.Flwor { clauses = fix [] clauses; return_ }
@@ -1198,7 +1195,7 @@ let rec push_windows st e =
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-let push ?(gate = fun ~outer:_ _ -> true) registry e =
+let push ?(gate = fun ~outer:_ ~whole:_ _ -> true) registry e =
   let st = { registry; counter = ref 0 } in
   let rec fixpoint n e =
     if n = 0 then e

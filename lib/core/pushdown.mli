@@ -34,14 +34,19 @@
     and windows, with "base SQL92" the conservative fallback. *)
 
 val push :
-  ?gate:(outer:Cexpr.clause list -> Cexpr.sql_access -> bool) ->
+  ?gate:
+    (outer:Cexpr.clause list ->
+    whole:Cexpr.sql_access ->
+    Cexpr.sql_access ->
+    bool) ->
   Metadata.t ->
   Cexpr.t ->
   Cexpr.t
-(** [gate ~outer r] (default: always true) is consulted before a join's
-    right-side region [r] is parameterized for PP-k; [outer] is the
-    clause pipeline preceding the join. The server installs the
-    cost-based transfer-volume gate here: when probing block-by-block is
+(** [gate ~outer ~whole r'] (default: always true) is consulted before a
+    join's right-side region [whole] is replaced by its parameterized
+    form [r'] for PP-k; [outer] is the clause pipeline preceding the
+    join. The server installs the cost-based transfer-volume gate here
+    ({!Optimizer.parameterize_gate}): when probing block-by-block is
     estimated to cost more than shipping the region whole, the join keeps
     its unparameterized right side — the same (fully tested) plan shape
     produced when no equi key translates to a column — so gating never

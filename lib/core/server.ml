@@ -177,7 +177,8 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     produce ()
   in
   { registry;
-    optimizer = Optimizer.create ~options:opts registry;
+    optimizer =
+      Optimizer.create ~options:opts ~workers:(Pool.size pool) registry;
     plan_cache = Plan_cache.create ~capacity:plan_cache_capacity;
     function_cache;
     security;
@@ -504,7 +505,9 @@ let compile_no_cache t source =
       try
         let optimizer =
           match apply_hints (Optimizer.options t.optimizer) query with
-          | Some hinted -> Optimizer.create ~options:hinted t.registry
+          | Some hinted ->
+            Optimizer.create ~options:hinted ~workers:(Pool.size t.pool)
+              t.registry
           | None -> t.optimizer
         in
         (* inline prolog function declarations are registered transiently *)
@@ -534,22 +537,7 @@ let compile_no_cache t source =
         in
         let optimized, _stats = Optimizer.optimize optimizer typed in
         let do_push = opts.Optimizer.pushdown in
-        (* the transfer-volume gate: skip PP-k parameterization of a join's
-           right side when probing is estimated to cost more than shipping
-           the region whole *)
-        let gate ~outer r =
-          (not opts.Optimizer.cost_based)
-          ||
-          let latency =
-            match Metadata.find_database t.registry r.Cexpr.db with
-            | Some db -> (Cost_model.db_profile db).Cost_model.p_latency
-            | None -> 0.
-          in
-          Cost_model.parameterize_beneficial
-            ~outer:(Cost_model.clauses_cardinality t.registry outer)
-            ~inner_rows:(Cost_model.rel_cardinality t.registry r)
-            ~latency
-        in
+        let gate = Optimizer.parameterize_gate optimizer in
         let push e = if do_push then Pushdown.push ~gate t.registry e else e in
         let pushed = push optimized in
         let cleaned = Optimizer.cleanup optimizer pushed in

@@ -17,7 +17,15 @@ type context = {
   params : V.t array;
   db : Database.t;
   decisions : string list ref;  (* access-path log, newest first *)
+  in_sets : (expr * in_set Lazy.t) list;
+      (* the select's statement-constant IN lists, keyed by node *)
 }
+
+(* A statement-constant IN list hashed once per execution: the non-NULL
+   items under their comparison class (numerics by float image), each
+   bucket confirmed with the SQL comparison, so Int 2^53 and 2^53+1 share
+   a bucket and still compare unequal. *)
+and in_set = { members : (Index.key, V.t) Hashtbl.t; has_null : bool }
 
 exception Sql_error of string
 
@@ -350,6 +358,50 @@ let take n xs =
   in
   go n xs
 
+let param ctx i =
+  if i < 1 || i > Array.length ctx.params then
+    error "parameter ?%d not bound" i
+  else ctx.params.(i - 1)
+
+let in_key v = Index.key_of_values [| v |]
+
+(* [prepare_in_sets ctx where]: one lazily built set per IN list of the
+   predicate's AND/OR/NOT structure whose items are all literals or
+   parameters. Built on the first non-NULL probe value, so a NULL probe
+   still evaluates no item and an unbound parameter raises where the
+   linear evaluation would. *)
+let prepare_in_sets ctx where =
+  let constant = function Lit _ | Param _ -> true | _ -> false in
+  let build items () =
+    let vs =
+      List.map
+        (function Param i -> param ctx i | Lit v -> v | _ -> assert false)
+        items
+    in
+    let members = Hashtbl.create (List.length vs) in
+    List.iter
+      (fun v -> if not (V.is_null v) then Hashtbl.add members (in_key v) v)
+      vs;
+    { members; has_null = List.exists V.is_null vs }
+  in
+  let rec walk acc = function
+    | Binop ((And | Or), a, b) -> walk (walk acc a) b
+    | Not e -> walk acc e
+    | In_list (_, items) as e when List.for_all constant items ->
+      (e, Lazy.from_fun (build items)) :: acc
+    | _ -> acc
+  in
+  match where with Some w -> walk [] w | None -> []
+
+let in_set_mem set v =
+  if
+    List.exists
+      (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True)
+      (Hashtbl.find_all set.members (in_key v))
+  then V.Bool true
+  else if set.has_null then V.Null
+  else V.Bool false
+
 (* ------------------------------------------------------------------ *)
 
 let rec eval ctx e : V.t =
@@ -362,10 +414,7 @@ let rec eval ctx e : V.t =
         (match alias with Some a -> a ^ "." | None -> "")
         name)
   | Lit v -> v
-  | Param i ->
-    if i < 1 || i > Array.length ctx.params then
-      error "parameter ?%d not bound" i
-    else ctx.params.(i - 1)
+  | Param i -> param ctx i
   | Binop (And, a, b) ->
     truth_to_value
       (V.and_ (value_to_truth (eval ctx a)) (value_to_truth (eval ctx b)))
@@ -403,17 +452,20 @@ let rec eval ctx e : V.t =
   | Not e -> truth_to_value (V.not_ (value_to_truth (eval ctx e)))
   | Is_null e -> V.Bool (V.is_null (eval ctx e))
   | Is_not_null e -> V.Bool (not (V.is_null (eval ctx e)))
-  | In_list (e, items) ->
-    let v = eval ctx e in
+  | In_list (probe, items) -> (
+    let v = eval ctx probe in
     if V.is_null v then V.Null
     else
-      let vs = List.map (eval ctx) items in
-      let any_eq =
-        List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) vs
-      in
-      if any_eq then V.Bool true
-      else if List.exists V.is_null vs then V.Null
-      else V.Bool false
+      match List.assq_opt e ctx.in_sets with
+      | Some set -> in_set_mem (Lazy.force set) v
+      | None ->
+        let vs = List.map (eval ctx) items in
+        let any_eq =
+          List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) vs
+        in
+        if any_eq then V.Bool true
+        else if List.exists V.is_null vs then V.Null
+        else V.Bool false)
   | In_select (e, s) ->
     let v = eval ctx e in
     if V.is_null v then V.Null
@@ -871,6 +923,7 @@ and expand_star ctx s =
    yields the rows, order and errors of the eager pipeline. *)
 and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
   let ctx = { outer_ctx with outer = Some outer_ctx; group = None } in
+  let ctx = { ctx with in_sets = prepare_in_sets ctx s.where } in
   let s = expand_star ctx s in
   let srcs = if ctx.db.Database.use_indexes then sources_of ctx s else None in
   let rows, scanned = scan_from ctx s srcs in
@@ -1069,7 +1122,13 @@ and run_select outer_ctx s : result_set =
   { columns; rows = List.of_seq rows }
 
 let root_context db params =
-  { env = []; outer = None; group = None; params; db; decisions = ref [] }
+  { env = [];
+    outer = None;
+    group = None;
+    params;
+    db;
+    decisions = ref [];
+    in_sets = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Cursors: chunked fetch over the same access paths.
@@ -1276,10 +1335,11 @@ let group_key db keycol (s : select) =
     (Database.stats_version db)
     (Marshal.to_string normalized [])
 
-(* The merged statement stays worth one roundtrip only while the block
-   is small enough that probing beats shipping — the cost model's k* =
-   sqrt(latency / row_cost) block size, clamped like {!Cost_model.choose_k}
-   to [5, 50]. *)
+(* The most single-key probes merged into one IN-list statement:
+   sqrt(latency / row_cost) keys, kept within [5, 50]. The rule balances
+   the roundtrip a merge saves against the rows one merged statement
+   makes every member wait for; it is this module's own, independent of
+   how the cost model sizes PP-k blocks. *)
 let batch_cap db =
   let latency, row_cost = Database.cost_profile db in
   let k = int_of_float (Float.sqrt (latency /. Float.max row_cost 1e-9)) in

@@ -396,6 +396,127 @@ let test_point_lookup_probes_card_db () =
     (Printf.sprintf "worst misestimate <= 1.5 (got %.2f)" worst)
     true (worst <= 1.5)
 
+(* ------------------------------------------------------------------ *)
+(* PP-k block plan                                                     *)
+
+let probe ?(latency = 0.0005) ?(matches = 1) ?(scan = 0) () =
+  { Cost_model.pr_profile =
+      { Cost_model.p_latency = latency; p_row_cost = Cost_model.row_cost };
+    pr_matches = matches;
+    pr_scan_rows = scan }
+
+(* Bounds every (k, prefetch) choice keeps, over a grid of shapes: k is
+   within [1, outer], prefetch within [0, workers - 1] and 0 for a single
+   block, and scanning the probed table never shrinks the block. *)
+let test_ppk_choice_bounds () =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  List.iter
+    (fun outer ->
+      List.iter
+        (fun latency ->
+          List.iter
+            (fun matches ->
+              List.iter
+                (fun workers ->
+                  let shape =
+                    Printf.sprintf "outer=%s latency=%g matches=%d workers=%d"
+                      (match outer with
+                      | Some o -> string_of_int o
+                      | None -> "?")
+                      latency matches workers
+                  in
+                  let choose scan =
+                    Cost_model.choose_ppk
+                      (probe ~latency ~matches ~scan ())
+                      ~outer ~workers
+                  in
+                  let k, prefetch = choose 0 in
+                  let n = Option.value outer ~default:100 in
+                  if k < 1 || k > n then fail "%s: k=%d" shape k;
+                  if outer = Some 1 && k <> 1 then fail "%s: k=%d" shape k;
+                  if prefetch < 0 || prefetch > workers - 1 then
+                    fail "%s: prefetch=%d" shape prefetch;
+                  if (n + k - 1) / k = 1 && prefetch <> 0 then
+                    fail "%s: one block, prefetch=%d" shape prefetch;
+                  List.iter
+                    (fun scan ->
+                      let k', _ = choose scan in
+                      if k' < k then
+                        fail "%s: scanning %d rows gives k=%d < indexed k=%d"
+                          shape scan k' k)
+                    [ 1_000; 100_000 ])
+                [ 1; 2; 4; 16 ])
+            [ 1; 5; 50 ])
+        [ 0.; 1e-4; 5e-4; 5e-3 ])
+    [ Some 1; Some 2; Some 3; Some 7; Some 20; Some 200; Some 1000; None ];
+  check_bool (String.concat "\n" (List.rev !failures)) true (!failures = [])
+
+(* The repository benchmark's ppk_join shape: 200 customers against a
+   100k-row CREDIT_CARD with CID indexed, 0.5 ms roundtrips, a pool of 4.
+   The model prices blocks of 25 to 50 keys with at least two blocks in
+   flight, and the pushdown gate priced the same plan. *)
+let test_ppk_join_shape () =
+  let module D = Aldsp_demo.Demo in
+  let module Db = Aldsp_relational.Database in
+  let module Table = Aldsp_relational.Table in
+  let demo =
+    D.create ~customers:200 ~orders_per_customer:0 ~cards_per_customer:5
+      ~db_latency:0.0005 ()
+  in
+  let cards = Result.get_ok (Db.find_table demo.D.card_db "CREDIT_CARD") in
+  Result.get_ok (Table.create_index cards ~name:"card_cid" [ "CID" ]);
+  ignore
+    (Result.get_ok
+       (Table.insert_many cards
+          (List.init 99_000 (fun i ->
+               [| V.Int (1_000_000 + i);
+                  V.Str (Printf.sprintf "PAD%06d" i);
+                  V.Str "0000-0000-0000";
+                  V.Null |]))));
+  let workers = 4 in
+  let server =
+    Server.create ~pool:(Pool.create ~workers ()) demo.D.registry
+  in
+  let q =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let clauses =
+    match (compile_exn server q).Server.plan with
+    | Cexpr.Flwor { clauses; _ } -> clauses
+    | _ -> Alcotest.fail "plan is not a FLWOR"
+  in
+  let rec split before = function
+    | Cexpr.Join
+        { method_ = Cexpr.Ppk { k; prefetch }; right = Cexpr.Rel r :: _; _ }
+      :: _ ->
+      (List.rev before, k, prefetch, r)
+    | c :: rest -> split (c :: before) rest
+    | [] -> Alcotest.fail "no PP-k join"
+  in
+  let before, k, prefetch, r = split [] clauses in
+  check_bool (Printf.sprintf "k=%d in [25, 50]" k) true (k >= 25 && k <= 50);
+  check_bool (Printf.sprintf "prefetch=%d >= 2" prefetch) true (prefetch >= 2);
+  let registry = demo.D.registry in
+  let p = Cost_model.ppk_probe registry r in
+  check_int "an index serves the probe" 0 p.Cost_model.pr_scan_rows;
+  let whole =
+    { r with
+      Cexpr.select = { r.Cexpr.select with Sql.where = None };
+      sql_params = [] }
+  in
+  check_bool "the gate parameterizes" true
+    (Optimizer.parameterize_gate
+       (Optimizer.create ~workers registry)
+       ~outer:before ~whole r);
+  check_bool "the gate priced the plan the join runs" true
+    (Cost_model.parameterize_beneficial p
+       ~outer:(Cost_model.clauses_cardinality registry before)
+       ~workers
+       ~inner_rows:(Cost_model.rel_cardinality registry whole)
+     = Some (k, prefetch))
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   Alcotest.run "optimizer"
@@ -417,5 +538,8 @@ let () =
           t "recompile uses live NDV" test_selectivity_tracks_live_ndv;
           t "point lookup probes the card db" test_point_lookup_probes_card_db
         ] );
+      ( "ppk plan",
+        [ t "k and prefetch bounds" test_ppk_choice_bounds;
+          t "ppk_join shape" test_ppk_join_shape ] );
       ( "equivalence",
         [ t "optimized = unoptimized" test_optimizer_preserves_semantics ] ) ]

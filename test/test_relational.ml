@@ -535,6 +535,127 @@ let test_in_list_matches_or_chain () =
     [ true; false ];
   Database.set_use_indexes db true
 
+(* A statement-constant IN list is evaluated through a hashed key set.
+   Every case must keep the linear semantics: the same rows in the same
+   order for [IN] (TRUE) and [NOT (.. IN ..)] (FALSE), so NULL rows stay
+   out of both, with indexes on (index probe, then the set) and off (scan,
+   then the set). The reference evaluates the items one by one. *)
+let test_in_set_matches_linear () =
+  let db = Database.create "SetDB" in
+  let t =
+    Table.create ~primary_key:[ "ID" ] "T"
+      [ Table.column ~nullable:false "ID" Table.T_int;
+        Table.column "N" Table.T_decimal;
+        Table.column "TS" Table.T_timestamp;
+        Table.column "S" Table.T_varchar ]
+  in
+  Database.add_table db t;
+  List.iter
+    (fun c -> ok_exn (Table.create_index t ~name:("ix_" ^ c) [ c ]))
+    [ "N"; "TS"; "S" ];
+  let big = 1 lsl 53 in
+  let ns =
+    [ V.Int 1; V.Float 1.; V.Float 2.5; V.Int big; V.Int (big + 1);
+      V.Float (float_of_int big); V.Float Float.nan; V.Float (-0.);
+      V.Float 0.; V.Int 0; V.Null; V.Int 7; V.Int 150; V.Float 150.5 ]
+  in
+  let tss = [ V.Timestamp 1.; V.Int 2; V.Null; V.Timestamp 7. ] in
+  let ss = [ V.Str "a"; V.Str "b"; V.Str "A"; V.Str ""; V.Null; V.Str "1" ] in
+  let nth l i = List.nth l (i mod List.length l) in
+  let rows = 3 * List.length ns in
+  for i = 0 to rows - 1 do
+    ok_exn (Table.insert t [| V.Int i; nth ns i; nth tss i; nth ss i |])
+  done;
+  let column = function "N" -> 1 | "TS" -> 2 | _ -> 3 in
+  let linear v items =
+    if V.is_null v then V.Unknown
+    else if
+      List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) items
+    then V.True
+    else if List.exists V.is_null items then V.Unknown
+    else V.False
+  in
+  let lit v = Sql_ast.Lit v in
+  let cases =
+    [ ( "mixed numerics",
+        "N",
+        [ V.Int 1; V.Float 2.5; V.Timestamp 7.; V.Int 0 ] );
+      ("2^53", "N", [ V.Int big ]);
+      ("2^53+1", "N", [ V.Int (big + 1) ]);
+      ("float 2^53", "N", [ V.Float (float_of_int big) ]);
+      ("NaN", "N", [ V.Float Float.nan ]);
+      ("-0.0", "N", [ V.Float (-0.) ]);
+      ("timestamps", "TS", [ V.Int 2; V.Timestamp 1.; V.Float 7. ]);
+      ("strings", "S", [ V.Str "a"; V.Str "" ]);
+      ("duplicates", "S", [ V.Str "b"; V.Str "b"; V.Str "a"; V.Str "b" ]);
+      ("NULL item, match", "S", [ V.Str "a"; V.Null ]);
+      ("NULL item, no match", "S", [ V.Str "zz"; V.Null ]);
+      ("NULL probe value", "S", [ V.Str "A" ]);
+      ("other class", "S", [ V.Int 1; V.Bool true ]);
+      ( "200 items",
+        "N",
+        List.init 200 (fun i ->
+            if i mod 2 = 0 then V.Int i else V.Float (float_of_int i +. 0.5)) )
+    ]
+  in
+  let ids r = List.map (fun row -> row.(0)) r.Sql_exec.rows in
+  let all_rows =
+    List.init rows (fun i ->
+        match Table.get_row t i with
+        | Some row -> row
+        | None -> Alcotest.failf "row %d missing" i)
+  in
+  List.iter
+    (fun (name, col, values) ->
+      let expect truth =
+        List.filter_map
+          (fun row ->
+            if linear row.(column col) values = truth then Some row.(0)
+            else None)
+          all_rows
+      in
+      (* the same list three ways: literals, parameters, and half each *)
+      let n = List.length values in
+      let params = Array.of_list values in
+      let shapes =
+        [ ("literals", List.map lit values);
+          ("params", List.init n (fun i -> Sql_ast.Param (i + 1)));
+          ( "mixed",
+            List.mapi
+              (fun i v -> if i mod 2 = 0 then lit v else Sql_ast.Param (i + 1))
+              values ) ]
+      in
+      List.iter
+        (fun (shape, items) ->
+          let select where =
+            Sql_ast.select ~where
+              ~projections:[ (Sql_ast.col "t" "ID", "ID") ]
+              (Sql_ast.table ~alias:"t" "T")
+          in
+          let pred = Sql_ast.In_list (Sql_ast.col "t" col, items) in
+          List.iter
+            (fun indexed ->
+              Database.set_use_indexes db indexed;
+              let label what =
+                Printf.sprintf "%s, %s, indexes %b: %s" name shape indexed what
+              in
+              let query where =
+                ok_exn (Sql_exec.query db ~params (select where))
+              in
+              let check_ids what expected got =
+                check_bool (label what) true (expected = got)
+              in
+              check_ids "TRUE rows" (expect V.True) (ids (query pred));
+              if indexed then
+                check_bool (label "index probe") true
+                  (contains (Database.explain_last db) "index probe");
+              check_ids "FALSE rows" (expect V.False)
+                (ids (query (Sql_ast.Not pred))))
+            [ true; false ])
+        shapes)
+    cases;
+  Database.set_use_indexes db true
+
 let test_join_algorithms () =
   let db = make_db () in
   (* right side carries the fk index on CID: index nested loop *)
@@ -921,6 +1042,7 @@ let () =
           t "params" test_params;
           t "disjunctive params (PP-k shape)" test_disjunctive_param_query;
           t "IN list = OR chain (PP-k block)" test_in_list_matches_or_chain;
+          t "hashed IN list = linear IN list" test_in_set_matches_linear;
           t "string funcs + like" test_string_functions_like;
           t "derived table" test_derived_table;
           t "having" test_having;
