@@ -17,6 +17,8 @@ type ret =
   | R_pair
   | R_orders
   | R_count
+  | R_attrs
+  | R_optional
   | R_rating of adaptor
 
 type order = O_none | O_cid | O_last_desc | O_since_desc
@@ -77,6 +79,10 @@ let ret_to_string = function
   | R_count ->
     "<R>{$c/CID, <N>{count(for $o in ORDER_T() where $o/CID eq $c/CID \
      return $o)}</N>}</R>"
+  | R_attrs ->
+    "<R id=\"{$c/CID}\" n=\"{$c/LAST_NAME, $c/SINCE}\" \
+     f?=\"{$c/FIRST_NAME}\">{$c/LAST_NAME}</R>"
+  | R_optional -> "<R>{$c/CID}<F?>{$c/FIRST_NAME}</F></R>"
   | R_rating a ->
     let call =
       Printf.sprintf "fn:data(%s/getRatingResult)"
@@ -179,14 +185,16 @@ let rec gen_pred st depth =
     | _ -> base ()
 
 let gen_ret st =
-  match Random.State.int st 8 with
+  match Random.State.int st 10 with
   | 0 -> R_last_name
   | 1 -> R_cid
   | 2 -> R_pair
   | 3 -> R_orders
   | 4 -> R_count
-  | 5 -> R_rating A_plain
-  | 6 -> R_rating A_failover
+  | 5 -> R_attrs
+  | 6 -> R_optional
+  | 7 -> R_rating A_plain
+  | 8 -> R_rating A_failover
   | _ -> R_rating A_timeout
 
 let gen_order st = pick st [| O_none; O_cid; O_last_desc; O_since_desc |]

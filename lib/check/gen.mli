@@ -34,6 +34,10 @@ type ret =
   | R_pair
   | R_orders  (** nested construction over the customer's orders *)
   | R_count
+  | R_attrs
+      (** computed attributes: one atom, two atoms joined with a space,
+          and an optional one that a NULL FIRST_NAME drops *)
+  | R_optional  (** [<F?>] over FIRST_NAME: absent when it is NULL *)
   | R_rating of adaptor  (** calls the rating web service per row *)
 
 type order = O_none | O_cid | O_last_desc | O_since_desc

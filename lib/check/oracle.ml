@@ -291,7 +291,7 @@ let compare_concurrent cat config ~sessions queries =
   outcome
 
 (* Streaming differential: a successful scenario also runs through the
-   streamed session path — execute_stream, backend cursors, pulled
+   streamed session path — the token emitter, backend cursors, pulled
    delivery — and the chunks that reach the consumer must byte-match the
    materialized result pushed through the same token serializer. *)
 let check_streamed ~prepare server q items =

@@ -5,6 +5,8 @@ module Sql = Aldsp_relational.Sql_ast
 module Sql_exec = Aldsp_relational.Sql_exec
 module V = Aldsp_relational.Sql_value
 module Index = Aldsp_relational.Index
+module Token = Aldsp_tokens.Token
+module Token_stream = Aldsp_tokens.Token_stream
 
 exception Eval_error of string
 
@@ -514,22 +516,26 @@ and exec_children fr env es =
     (function Now seq -> seq | Later (pool, fut) -> Pool.await pool fut)
     started
 
+(* A constructor's attributes, evaluated in order before its content:
+   each value atomized, several atoms joined with spaces, a missing
+   optional attribute dropped. *)
+and attributes fr env attrs =
+  List.concat_map
+    (fun a ->
+      let value = exec fr env a.p_avalue in
+      match atomize value with
+      | [] ->
+        if a.p_aoptional then []
+        else [ (a.p_aname, Atomic.String "") ]
+      | [ atom ] -> [ (a.p_aname, atom) ]
+      | atoms ->
+        [ ( a.p_aname,
+            Atomic.String
+              (String.concat " " (List.map Atomic.to_string atoms)) ) ])
+    attrs
+
 and exec_element fr env name optional attrs content =
-  let attributes =
-    List.concat_map
-      (fun a ->
-        let value = exec fr env a.p_avalue in
-        match atomize value with
-        | [] ->
-          if a.p_aoptional then []
-          else [ (a.p_aname, Atomic.String "") ]
-        | [ atom ] -> [ (a.p_aname, atom) ]
-        | atoms ->
-          [ ( a.p_aname,
-              Atomic.String
-                (String.concat " " (List.map Atomic.to_string atoms)) ) ])
-      attrs
-  in
+  let attributes = attributes fr env attrs in
   let content_items = exec fr env content in
   if optional && content_items = [] && attributes = [] then []
   else
@@ -1342,6 +1348,54 @@ and stream_call fr env (p : Plan_ir.t) fn args =
       (Seq.memoize (fr.rt.stream_wrapper fd values produce))
   | _ -> List.to_seq (exec_call fr env p fn args)
 
+(* ------------------------- token emission ------------------------- *)
+
+(* The token face of [exec] for a delivered result: pushes the tokens of
+   the items [exec] would return, in the same order and with the same
+   counters, and returns how many items they are. Constructors and plain
+   sequences push straight from the tuple without building a node tree;
+   every other node runs [exec] and walks its items. *)
+let rec emit_plan fr env push (p : Plan_ir.t) =
+  match p.node with
+  | P_construct { name; optional; attrs; content } ->
+    let attributes = attributes fr env attrs in
+    let n =
+      if optional && attributes = [] then begin
+        (* <E?> opens only once its content produces a token *)
+        let opened = ref false in
+        let push_content token =
+          if not !opened then begin
+            opened := true;
+            push (Token.Start_element name)
+          end;
+          push token
+        in
+        ignore (emit_plan fr env push_content content);
+        if !opened then push Token.End_element;
+        Bool.to_int !opened
+      end
+      else begin
+        push (Token.Start_element name);
+        List.iter (fun (n, v) -> push (Token.Attribute (n, v))) attributes;
+        ignore (emit_plan fr env push content);
+        push Token.End_element;
+        1
+      end
+    in
+    tally p.counters n;
+    n
+  | P_seq es
+    when not
+           (List.exists
+              (fun (e : Plan_ir.t) ->
+                match e.node with P_async _ -> true | _ -> false)
+              es) ->
+    List.fold_left (fun n e -> n + emit_plan fr env push e) 0 es
+  | _ ->
+    let items = exec fr env p in
+    List.iter (Token_stream.iter_item push) items;
+    List.length items
+
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
@@ -1369,6 +1423,38 @@ let execute_stream rt ?(bindings = []) plan =
         plan.counters.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9;
       item)
     items
+
+(* A root pipeline pushes each tuple's return straight into [push]; any
+   other root walks the items [stream_plan] produces. The root's rows and
+   time-to-first-row are counted as [execute_stream] counts them. *)
+let emit rt ?(bindings = []) plan push =
+  let env =
+    List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
+  in
+  let fr = { rt; depth = 0 } in
+  let c = plan.counters in
+  let t0 = Unix.gettimeofday () in
+  let first_row () =
+    if c.c_first_row_ns = 0. then
+      c.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9
+  in
+  match plan.node with
+  | P_pipeline { ops; return_ } ->
+    c.c_starts <- c.c_starts + 1;
+    Seq.iter
+      (fun env' ->
+        let n = emit_plan fr env' push return_ in
+        if n > 0 then begin
+          first_row ();
+          c.c_rows <- c.c_rows + n
+        end)
+      (tuples fr env (Seq.return env) ops)
+  | _ ->
+    Seq.iter
+      (fun item ->
+        first_row ();
+        Token_stream.iter_item push item)
+      (stream_plan fr env plan)
 
 (* A deadline abort surfaces like any other evaluation error at the API
    boundary: callers see [Error] with the cause, never the exception.

@@ -42,9 +42,9 @@ type call_wrapper =
   Item.sequence
 
 (** The streamed counterpart of {!call_wrapper}, invoked around
-    non-cacheable user-function calls reached under {!execute_stream}: the
-    thunk produces the body's items on demand, and the wrapper's result is
-    what flows downstream — the server filters security item by item here.
+    non-cacheable user-function calls reached under {!execute_stream} (or
+    a root call under {!emit}): the thunk produces the body's items on
+    demand, and the wrapper's result is what flows downstream.
     The executor memoizes the wrapped stream ({!Seq.memoize}), so a wrapper
     (or consumer) that pulls it twice replays buffered items rather than
     re-running the body — the materialize-on-first-reuse escape hatch.
@@ -138,7 +138,32 @@ val execute_stream :
     stream; other node shapes fall back to materialized evaluation of
     that node. Evaluation errors surface at pull time as {!Eval_error}
     (or {!Aldsp_concurrency.Cancel.Cancelled} on abort), so consumers
-    must be prepared for a mid-stream raise. *)
+    must be prepared for a mid-stream raise. The server delivers through
+    {!emit}; it pulls items here only to filter them for a user an
+    element-level policy restricts. *)
+
+val emit :
+  rt ->
+  ?bindings:(Cexpr.var * Item.sequence) list ->
+  Plan_ir.t ->
+  (Aldsp_tokens.Token.t -> unit) ->
+  unit
+(** Streamed delivery as tokens: runs the plan and pushes its result's
+    tokens into the sink — the tokens
+    {!Aldsp_tokens.Token_stream.iter_item} would produce for
+    {!execute_exn}'s items, in the same order, with the same counters.
+    A root pipeline pushes each tuple's return as the tuple arrives: an
+    element constructor pushes its start tag, its attributes (evaluated
+    first, as {!execute} does), its content and its end tag, without
+    building a node tree; an optional constructor ([<E?>]) opens only
+    once its content produces a token. Sequences without an async child
+    push their children in order; any other node is evaluated as
+    {!execute} would and its items walked. A root that is not a pipeline
+    walks the items {!execute_stream} produces. The sink is called only
+    from this walk — never from inside an operator, a backend cursor or
+    code holding a lock — so it may suspend the emitter (an effect
+    handler around the call) and resume it later, on any thread. Raises
+    like {!execute_stream}, possibly after part of an item's tokens. *)
 
 val eval :
   rt ->

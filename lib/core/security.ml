@@ -55,13 +55,16 @@ let check_call t user fn =
            (Qname.to_string fn))
     end
 
+let failing t user =
+  List.filter (fun p -> not (has_role user p.allowed_roles)) t.resources
+
+let restricts t user = failing t user <> []
+
 (* Walks the result trees; [path] is the chain of element names from the
    root. A policy fires when its path matches and the user lacks every
    allowed role. *)
 let filter_result t user seq =
-  let failing =
-    List.filter (fun p -> not (has_role user p.allowed_roles)) t.resources
-  in
+  let failing = failing t user in
   if failing = [] then seq
   else begin
     let rec filter_node path node =

@@ -50,4 +50,8 @@ val filter_result : t -> user -> Item.sequence -> Item.sequence
     are removed or replaced. Applied after evaluation and after cache
     hits. *)
 
+val restricts : t -> user -> bool
+(** Whether any element-level policy fails for the user; when none does,
+    {!filter_result} returns its input unchanged. *)
+
 val policies : t -> resource_policy list

@@ -809,28 +809,41 @@ let session_cancel s =
   Cancel.cancel tok
 
 (* ------------------------------------------------------------------ *)
-(* Streamed session delivery: the reader pulls the plan's token stream on
-   its own thread. Each refill pulls up to [stream_chunk] tokens under
-   the session token, and reads then hand them out one by one, so at most
-   one chunk is live between the executor and the reader. The admission
-   slot goes back exactly once: the refill that drains or fails the
-   stream releases it, and so does the first one to end after a cancel or
-   deadline. A stream nobody is reading is freed by its [on_cancel] hook,
-   run by [Cancel.cancel] or the deadline thread. [str_lock] and the
+(* Streamed session delivery: the reader runs the plan's token emitter on
+   its own thread. The emitter pushes tokens into a chunk of
+   [stream_chunk]; when the chunk is full, the push performs [Chunk_full],
+   the refill's handler keeps the emitter's continuation and returns, and
+   the next refill resumes it. Reads hand the chunk out token by token,
+   so at most one chunk is live between the executor and the reader,
+   also inside a tuple wider than a chunk. The admission slot goes back
+   exactly once: the refill that drains or fails the stream releases it,
+   and so does the first one to end after a cancel or deadline. A stream
+   nobody is reading is freed by its [on_cancel] hook, run by
+   [Cancel.cancel] or the deadline thread. [str_lock] and the
    reading/released flags keep the reader and the hook from both
-   releasing. *)
+   releasing. Only a refill ever resumes the emitter, and none does once
+   the stream has ended. *)
 
 let stream_chunk = 64
+
+type _ Effect.t += Chunk_full : unit Effect.t
+
+type next =
+  | Start of ((Aldsp_tokens.Token.t -> unit) -> unit)
+      (* the emitter, not run yet *)
+  | Resume of (unit, bool) Effect.Deep.continuation
+      (* suspended on a full chunk *)
+  | Stopped  (* ended, failed, or running in a refill *)
 
 type stream = {
   str_server : t;
   str_token : Cancel.t;
   str_ir : Plan_ir.t;
   str_rows_before : int list;  (* for the misestimate rollup on drain *)
+  mutable str_next : next;
   str_chunk : Aldsp_tokens.Token.t array;
   mutable str_len : int;  (* tokens the last refill put in [str_chunk] *)
   mutable str_pos : int;  (* next token of [str_chunk] to hand out *)
-  mutable str_rest : Aldsp_tokens.Token.t Seq.t;  (* not yet pulled *)
   mutable str_done : bool;  (* no refill follows *)
   mutable str_peak : int;
   mutable str_unhook : unit -> unit;
@@ -870,27 +883,27 @@ let session_run_stream s ?deadline source =
       release_slot server.admission ~outcome:`Completed;
       Error (Failed (diags_to_string ds))
     | Ok compiled ->
-      (* built by the first pull, so execution starts under the token *)
-      let tokens () =
-        let items = Eval.execute_stream server.runtime compiled.ir in
-        let filtered =
-          Seq.concat_map
+      (* a user some element-level policy restricts gets the node path:
+         each item filtered, then walked *)
+      let emit =
+        if Security.restricts server.security s.ses_user then fun push ->
+          Seq.iter
             (fun item ->
-              List.to_seq
+              List.iter
+                (Aldsp_tokens.Token_stream.iter_item push)
                 (Security.filter_result server.security s.ses_user [ item ]))
-            items
-        in
-        Seq.concat_map Aldsp_tokens.Token_stream.of_item filtered ()
+            (Eval.execute_stream server.runtime compiled.ir)
+        else Eval.emit server.runtime compiled.ir
       in
       let st =
         { str_server = server;
           str_token = tok;
           str_ir = compiled.ir;
           str_rows_before = snapshot_rows compiled.ir;
+          str_next = Start emit;
           str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
           str_len = 0;
           str_pos = 0;
-          str_rest = tokens;
           str_done = false;
           str_peak = 0;
           str_unhook = ignore;
@@ -905,37 +918,83 @@ let session_run_stream s ?deadline source =
             Mutex.unlock st.str_lock);
       Ok st)
 
-(* Pulls up to [stream_chunk] tokens into the chunk; [false] once the
-   stream has none left. Raises [Cancelled] before pulling from a fired
-   token, so nothing executes after the slot went back. Every token
-   pulled counts in [st_tokens_streamed], once per refill, also when the
-   pull fails part way. *)
+let push st token =
+  st.str_chunk.(st.str_len) <- token;
+  st.str_len <- st.str_len + 1;
+  if st.str_len = stream_chunk then Effect.perform Chunk_full
+
+(* Runs the emitter until it fills the chunk ([true]) or ends ([false]).
+   Raises [Cancelled] before running on a fired token, so nothing
+   executes after the slot went back. Every token pushed counts in
+   [st_tokens_streamed], once per refill, also when the emitter fails
+   part way. *)
 let refill st =
   Cancel.check st.str_token;
-  let pulled = ref 0 in
-  let rec fill seq =
-    if !pulled = stream_chunk then begin
-      st.str_rest <- seq;
-      true
-    end
-    else
-      match seq () with
-      | Seq.Nil -> false
-      | Seq.Cons (token, rest) ->
-        st.str_chunk.(!pulled) <- token;
-        incr pulled;
-        fill rest
-  in
-  let more =
-    Fun.protect
-      ~finally:(fun () -> count_tokens st.str_server !pulled)
-      (fun () -> fill st.str_rest)
-  in
-  let n = !pulled in
-  st.str_len <- n;
+  let next = st.str_next in
+  st.str_next <- Stopped;
+  st.str_len <- 0;
   st.str_pos <- 0;
-  st.str_peak <- max st.str_peak n;
-  more
+  Fun.protect
+    ~finally:(fun () ->
+      count_tokens st.str_server st.str_len;
+      st.str_peak <- max st.str_peak st.str_len)
+    (fun () ->
+      match next with
+      | Start emit ->
+        Effect.Deep.match_with emit (push st)
+          { retc = (fun () -> false);
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Chunk_full ->
+                  Some
+                    (fun (k : (a, bool) Effect.Deep.continuation) ->
+                      st.str_next <- Resume k;
+                      true)
+                | _ -> None) }
+      | Resume k -> Effect.Deep.continue k ()
+      | Stopped -> false)
+
+(* The refill half of a read, on the calling thread: afterwards the chunk
+   holds the next tokens (possibly none), and [str_done] says whether
+   another refill follows. A failed refill hands out none of its tokens. *)
+let advance st =
+  Mutex.lock st.str_lock;
+  st.str_reading <- true;
+  Mutex.unlock st.str_lock;
+  let pulled =
+    match Cancel.with_token st.str_token (fun () -> refill st) with
+    | more -> Ok more
+    | exception e -> Error e
+  in
+  Mutex.lock st.str_lock;
+  st.str_reading <- false;
+  (* a cancel during the refill found the reader busy and left the
+     slot to it *)
+  let cancelled = Cancel.cancelled st.str_token in
+  (match pulled with
+  | Ok true -> if cancelled then release_stream st `Deadline
+  | Ok false -> release_stream st `Completed
+  | Error _ -> release_stream st (if cancelled then `Deadline else `Completed));
+  let released = st.str_released in
+  Mutex.unlock st.str_lock;
+  if released then st.str_unhook ();
+  match pulled with
+  | Ok true -> Ok ()
+  | Ok false ->
+    note_misestimate st.str_server st.str_ir st.str_rows_before;
+    st.str_done <- true;
+    Ok ()
+  | Error e ->
+    st.str_done <- true;
+    st.str_len <- 0;
+    let m =
+      match e with
+      | Eval.Eval_error m | Cancel.Cancelled m -> m
+      | e -> Printexc.to_string e
+    in
+    if cancelled then Error (Cancelled m) else Error (Failed m)
 
 let rec stream_read st =
   if st.str_pos < st.str_len then begin
@@ -944,65 +1003,28 @@ let rec stream_read st =
     Ok (Some token)
   end
   else if st.str_done then Ok None
-  else begin
-    Mutex.lock st.str_lock;
-    st.str_reading <- true;
-    Mutex.unlock st.str_lock;
-    let pulled =
-      match Cancel.with_token st.str_token (fun () -> refill st) with
-      | more -> Ok more
-      | exception e -> Error e
-    in
-    Mutex.lock st.str_lock;
-    st.str_reading <- false;
-    (* a cancel during the refill found the reader busy and left the
-       slot to it *)
-    let cancelled = Cancel.cancelled st.str_token in
-    (match pulled with
-    | Ok true -> if cancelled then release_stream st `Deadline
-    | Ok false -> release_stream st `Completed
-    | Error _ -> release_stream st (if cancelled then `Deadline else `Completed));
-    let released = st.str_released in
-    Mutex.unlock st.str_lock;
-    if released then st.str_unhook ();
-    match pulled with
-    | Ok true -> stream_read st
-    | Ok false ->
-      note_misestimate st.str_server st.str_ir st.str_rows_before;
-      st.str_done <- true;
-      stream_read st
-    | Error e ->
-      st.str_done <- true;
-      let m =
-        match e with
-        | Eval.Eval_error m | Cancel.Cancelled m -> m
-        | e -> Printexc.to_string e
-      in
-      if cancelled then Error (Cancelled m) else Error (Failed m)
-  end
+  else Result.bind (advance st) (fun () -> stream_read st)
 
 let stream_cancel st = Cancel.cancel st.str_token
 
 let stream_peak_buffered st = st.str_peak
 
-let stream_serialize st write =
-  let err = ref None in
-  let dispenser () =
-    match stream_read st with
-    | Ok (Some token) -> Some token
-    | Ok None -> None
-    | Error e ->
-      err := Some e;
-      None
+let stream_serialize st out =
+  let w = Aldsp_tokens.Token_stream.chunk_writer out in
+  let rec drain () =
+    for i = st.str_pos to st.str_len - 1 do
+      Aldsp_tokens.Token_stream.chunk_write w st.str_chunk.(i)
+    done;
+    st.str_pos <- st.str_len;
+    if st.str_done then Ok (Aldsp_tokens.Token_stream.chunk_close w)
+    else
+      match advance st with
+      | Ok () -> drain ()
+      | Error _ as e ->
+        Aldsp_tokens.Token_stream.chunk_flush w;
+        e
   in
-  (try
-     Seq.iter write
-       (Aldsp_tokens.Token_stream.serialize_chunks (Seq.of_dispenser dispenser))
-   with Invalid_argument m ->
-     (* a failed refill can truncate the stream mid-element; the cause
-        recorded by the dispenser wins over the serializer's complaint *)
-     if !err = None then err := Some (Failed m));
-  match !err with None -> Ok () | Some e -> Error e
+  drain ()
 
 let explain t ?(analyze = true) ?(timings = false) source =
   (* serialized: --analyze resets the (shared, cached) plan's counters,

@@ -252,9 +252,11 @@ val session_cancel : session -> unit
 
 type stream
 (** A streamed result being delivered to this consumer. The reader's own
-    {!stream_read} calls execute the query: each pulls the next chunk of
-    at most 64 tokens from {!Eval.execute_stream} under the session's
-    token and hands the tokens out one by one. No other thread runs the
+    {!stream_read} calls execute the query: each refill runs the plan's
+    token emitter ({!Eval.emit}) under the session's token until it has
+    pushed a chunk of 64 tokens, suspends it there — also in the middle
+    of a tuple — and hands the tokens out one by one; the next refill
+    resumes it, on whichever thread reads. No other thread runs the
     query, and at most one chunk is live between executor and reader, so
     a slow consumer holds one chunk instead of the materialized result.
     The stream holds its admission slot until it drains, fails or is
@@ -265,30 +267,38 @@ val session_run_stream :
 (** Admission-controlled streamed execution as this session's user.
     Admission and compilation happen here (so {!Overloaded} and compile
     failures surface immediately); execution starts with the first
-    {!stream_read}. The session's deadline semantics match
-    {!session_run}, and {!session_cancel} (or {!stream_cancel}) from any
-    thread ends the stream: a read blocked in a backend roundtrip
-    returns [Error (Cancelled _)] promptly. A cancel or deadline also
-    frees the admission slot of a stream that nobody is reading at the
-    time. *)
+    {!stream_read}. Constructors in a root pipeline's return push their
+    tokens straight from each tuple, without building node trees. When
+    an element-level policy fails for the user ({!Security.restricts}),
+    each item is built, filtered by {!Security.filter_result} and then
+    walked instead, so the bytes match {!run}'s filtered result. The
+    session's deadline semantics match {!session_run}, and
+    {!session_cancel} (or {!stream_cancel}) from any thread ends the
+    stream: a read blocked in a backend roundtrip returns
+    [Error (Cancelled _)] promptly. A cancel or deadline also frees the
+    admission slot of a stream that nobody is reading at the time. *)
 
 val stream_read : stream -> (Aldsp_tokens.Token.t option, submit_error) result
-(** The next token. When the current chunk is used up this pulls the
-    next one, executing the query on the calling thread. [Ok None] is
+(** The next token. When the current chunk is used up this refills it,
+    executing the query on the calling thread. [Ok None] is
     end-of-stream (the query completed); [Error (Cancelled _)] a
     deadline/cancel abort, reported after the rest of the current chunk;
-    [Error (Failed _)] an evaluation failure. After [None] or an error,
-    subsequent reads return [Ok None]. *)
+    [Error (Failed _)] an evaluation failure. A failed refill hands out
+    none of the tokens it pushed. After [None] or an error, subsequent
+    reads return [Ok None]. *)
 
 val stream_serialize :
   stream -> (string -> unit) -> (unit, submit_error) result
-(** Drains the whole stream through the incremental XML serializer,
-    handing each text chunk ({!Aldsp_tokens.Token_stream.serialize_chunks}:
-    4 KiB or more, except the last) to the writer as it is produced — the
-    redirect-to-file delivery of §2.2: nothing is materialized, and
-    execution advances only as fast as the writer takes the text. When the
-    stream fails or is cancelled, the writer has received a prefix of the
-    result. *)
+(** Drains the rest of the stream through one incremental XML writer
+    ({!Aldsp_tokens.Token_stream.chunk_writer}: one reused buffer, the
+    same 4 KiB-or-more chunks as
+    {!Aldsp_tokens.Token_stream.serialize_chunks}), handing each text
+    chunk to the callback as it fills — the redirect-to-file delivery of
+    §2.2: nothing is materialized, and execution advances only as fast
+    as the callback takes the text. It refills chunk by chunk, as
+    {!stream_read} does. When the stream fails or is cancelled, the
+    callback receives the partial chunk written so far, a prefix of the
+    result, and the first cause is returned. *)
 
 val stream_cancel : stream -> unit
 (** Cancels this stream's query (its session token). Safe from any
@@ -296,7 +306,8 @@ val stream_cancel : stream -> unit
 
 val stream_peak_buffered : stream -> int
 (** The most tokens pulled ahead of the reader so far: the largest chunk
-    filled, never more than 64. *)
+    a refill filled, never more than 64, also inside a tuple wider than
+    that. *)
 
 val admission_stats : t -> admission_stats
 (** The serving-layer counters alone (also embedded in {!stats}). *)

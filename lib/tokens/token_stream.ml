@@ -26,6 +26,19 @@ let of_item = function
 
 let of_sequence items = Seq.concat_map of_item (List.to_seq items)
 
+let rec iter_node f = function
+  | Node.Text s -> f (Token.Text s)
+  | Node.Atom a -> f (Token.Atom a)
+  | Node.Element e ->
+    f (Token.Start_element e.Node.name);
+    List.iter (fun (n, v) -> f (Token.Attribute (n, v))) e.Node.attributes;
+    List.iter (iter_node f) e.Node.children;
+    f Token.End_element
+
+let iter_item f = function
+  | Item.Atom a -> f (Token.Atom a)
+  | Item.Node n -> iter_node f n
+
 exception Malformed of string
 
 (* Reassembly uses an explicit cursor so element nesting is a recursion over
@@ -199,6 +212,28 @@ let serialize_chunks stream =
       else Seq.Cons (Buffer.contents w.buf, fault)
   in
   chunks false [] stream
+
+(* One writer for a whole stream, handing out its buffer's bytes each
+   time they reach [chunk_bytes] and then reusing the buffer. *)
+type chunk_writer = { cw : writer; out : string -> unit }
+
+let chunk_writer out =
+  { cw = { buf = Buffer.create (2 * chunk_bytes); in_tag = false; stack = [] };
+    out }
+
+let chunk_flush c =
+  if Buffer.length c.cw.buf > 0 then begin
+    c.out (Buffer.contents c.cw.buf);
+    Buffer.clear c.cw.buf
+  end
+
+let chunk_write c token =
+  write c.cw token;
+  if Buffer.length c.cw.buf >= chunk_bytes then chunk_flush c
+
+let chunk_close c =
+  finish c.cw;
+  chunk_flush c
 
 (* The same writer driven by a walk over the items, without building their
    token stream; returns the number of tokens that stream would hold. *)

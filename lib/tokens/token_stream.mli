@@ -21,6 +21,10 @@ val of_node : Node.t -> t
 val of_item : Item.t -> t
 val of_sequence : Item.sequence -> t
 
+val iter_item : (Token.t -> unit) -> Item.t -> unit
+(** [iter_item f item] calls [f] on each token of [of_item item], in
+    order, without building the stream. *)
+
 val to_items : t -> (Item.sequence, string) result
 (** Reassembles items from a stream. Fails on unbalanced element or tuple
     delimiters. [Boxed] tokens are transparently unboxed. *)
@@ -48,6 +52,27 @@ val serialize_chunks : t -> string Seq.t
     pulling the stream raises, the bytes written before the fault come
     first as a chunk, then forcing the next node raises
     ([Invalid_argument] for a malformed stream). *)
+
+type chunk_writer
+(** The serializer of {!serialize_chunks} driven token by token: it hands
+    out the same chunks, in order, to a callback, through one buffer
+    reused for the whole stream. *)
+
+val chunk_writer : (string -> unit) -> chunk_writer
+(** A writer at the start of a stream, handing its chunks to the
+    callback. *)
+
+val chunk_write : chunk_writer -> Token.t -> unit
+(** Serializes one token; hands out a chunk as soon as the buffered bytes
+    reach 4 KiB. Raises [Invalid_argument] on a malformed stream. *)
+
+val chunk_flush : chunk_writer -> unit
+(** Hands out the bytes buffered so far, if any, as they stand: the
+    partial chunk written before a fault. *)
+
+val chunk_close : chunk_writer -> unit
+(** Ends the stream: closes a start tag still open, hands out the rest.
+    Raises [Invalid_argument] when an element is still open. *)
 
 val serialize_to : Buffer.t -> t -> unit
 (** Serializes a stream into a buffer, byte for byte the concatenation of

@@ -153,8 +153,8 @@ let stream_queries =
 (* the most tokens a stream pulls ahead of its reader: one chunk *)
 let chunk = 64
 
-let streamed_bytes server q =
-  let ses = Server.session server () in
+let streamed_bytes ?user server q =
+  let ses = Server.session server ?user () in
   match Server.session_run_stream ses q with
   | Error e -> Error (Server.submit_error_to_string e)
   | Ok stream -> (
@@ -406,6 +406,192 @@ let test_tokens_streamed_counter () =
   check_int "streamed delivery is counted" expected_tokens
     (after_stream - after_serialize)
 
+(* Constructor shapes the token emitter builds without node trees, and
+   the node-path fallbacks beside them. Each runs materialized, then
+   streamed, from reset counters: the bytes, the tokens counted in
+   [st_tokens_streamed] and the plan's EXPLAIN ANALYZE counters must
+   match, and no stream pulls more than a chunk ahead. *)
+let wide_query =
+  "for $c in CUSTOMER() where $c/CID eq \"CUST0002\" return <C id=\"{$c/CID}\">\
+   {for $o in ORDER_T() order by $o/OID return <O>{$o/OID}{$o/AMOUNT}</O>}</C>"
+
+let constructor_shapes =
+  [ (* computed attributes: one atom, two atoms joined with a space, an
+       optional one a NULL FIRST_NAME drops, and text to escape *)
+    "for $c in CUSTOMER() return <R id=\"{$c/CID}\" n=\"{$c/LAST_NAME, \
+     $c/SINCE}\" f?=\"{$c/FIRST_NAME}\" e=\"{concat('x&y<z', '\"')}\">{$c/CID}</R>";
+    (* <E?> with empty and non-empty content; a NULL column in <G> *)
+    "for $c in CUSTOMER() return <R><F?>{$c/FIRST_NAME}</F><G>{$c/FIRST_NAME}</G></R>";
+    "for $c in CUSTOMER() return <R><F? a=\"{$c/CID}\">{$c/FIRST_NAME}</F></R>";
+    (* escaped text, nested constructors, atoms mixed with elements *)
+    "for $c in CUSTOMER() return <T>{'a&b<c\"d'}{$c/SINCE}<N><M>{$c/CID}</M>{\"t\"}\
+     </N>{data($c/LAST_NAME)}<X/></T>";
+    (* a sequence with an async child falls back to the node path *)
+    "for $c in CUSTOMER() return <R>{fn-bea:async($c/CID), $c/LAST_NAME}</R>";
+    (* a tuple wider than one chunk: every order under one customer *)
+    wide_query ]
+
+(* Element-level policies over the shapes above: a user without
+   "sales" loses every <G>, one without "credit" sees <M> masked. *)
+let remove_user = { Security.user_name = "remover"; roles = [ "credit" ] }
+let replace_user = { Security.user_name = "replacer"; roles = [ "sales" ] }
+
+let add_policies server =
+  let sec = Server.security server in
+  Security.add_resource sec
+    { Security.resource_label = "g";
+      resource_path = [ Aldsp_xml.Qname.local "R"; Aldsp_xml.Qname.local "G" ];
+      allowed_roles = [ "sales" ];
+      on_deny = Security.Remove };
+  Security.add_resource sec
+    { Security.resource_label = "m";
+      resource_path =
+        [ Aldsp_xml.Qname.local "T"; Aldsp_xml.Qname.local "N";
+          Aldsp_xml.Qname.local "M" ];
+      allowed_roles = [ "credit" ];
+      on_deny = Security.Replace (Aldsp_xml.Atomic.String "***") }
+
+let tokens_streamed server = (Server.stats server).Server.st_tokens_streamed
+
+let test_constructor_shapes () =
+  let demo = Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  add_policies server;
+  List.iter
+    (fun (user, who) ->
+      List.iter
+        (fun q ->
+          let what = Printf.sprintf "%s: %s" who q in
+          let ir =
+            match Server.compile server q with
+            | Ok compiled -> compiled.Server.ir
+            | Error _ -> Alcotest.failf "compile failed on %s" what
+          in
+          Plan_ir.reset_counters ir;
+          let ses = Server.session server ~user () in
+          let before = tokens_streamed server in
+          let expected =
+            match Server.session_run ses q with
+            | Ok items -> Server.serialize_result server items
+            | Error e ->
+              Alcotest.failf "materialized run failed on %s: %s" what
+                (Server.submit_error_to_string e)
+          in
+          let materialized_tokens = tokens_streamed server - before in
+          let materialized_counters = Plan_ir.render ir in
+          Plan_ir.reset_counters ir;
+          let before = tokens_streamed server in
+          (match streamed_bytes ~user server q with
+          | Error e -> Alcotest.failf "streamed run failed on %s: %s" what e
+          | Ok (got, peak) ->
+            check_string ("bytes, " ^ what) expected got;
+            check_bool
+              (Printf.sprintf "peak %d within one chunk on %s" peak what)
+              true (peak <= chunk));
+          check_int ("tokens, " ^ what) materialized_tokens
+            (tokens_streamed server - before);
+          check_string ("EXPLAIN ANALYZE counters, " ^ what)
+            materialized_counters (Plan_ir.render ir))
+        constructor_shapes)
+    [ (Security.admin, "admin");
+      (remove_user, "remove");
+      (replace_user, "replace") ];
+  (* the policies fired: the filtered users saw other bytes than admin *)
+  let bytes user q =
+    match Server.session_run (Server.session server ~user ()) q with
+    | Ok items -> Server.serialize_result server items
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  in
+  List.iter
+    (fun (user, q) ->
+      check_bool "the policy changed the result" false
+        (String.equal (bytes Security.admin q) (bytes user q)))
+    [ (remove_user, List.nth constructor_shapes 1);
+      (replace_user, List.nth constructor_shapes 3) ]
+
+(* A cancel after the first chunk of a tuple wider than a chunk ends the
+   stream at the next read; the slot goes back once, and the tokens
+   handed out serialize to a prefix of the materialized result. *)
+let test_cancel_inside_wide_tuple () =
+  let demo = Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let expected =
+    match Server.run server wide_query with
+    | Ok items -> Server.serialize_result server items
+    | Error m -> Alcotest.fail m
+  in
+  let ses = Server.session server () in
+  match Server.session_run_stream ses wide_query with
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  | Ok stream ->
+    let got = Buffer.create 256 in
+    let w = Token_stream.chunk_writer (Buffer.add_string got) in
+    for _ = 1 to chunk do
+      match Server.stream_read stream with
+      | Ok (Some token) -> Token_stream.chunk_write w token
+      | Ok None -> Alcotest.fail "the wide tuple ended within one chunk"
+      | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+    done;
+    Token_stream.chunk_flush w;
+    check_int "one full chunk pulled" chunk
+      (Server.stream_peak_buffered stream);
+    Server.stream_cancel stream;
+    expect_cancelled (Server.stream_read stream);
+    check_bool "the ended stream stays ended" true
+      (Server.stream_read stream = Ok None);
+    let got = Buffer.contents got in
+    check_bool "less than the whole result" true
+      (String.length got < String.length expected);
+    check_string "handed-out tokens are a prefix of the result" got
+      (String.sub expected 0 (String.length got));
+    check_released server;
+    let adm = Server.admission_stats server in
+    check_int "admitted = completed + aborted + active" adm.Server.ad_admitted
+      (adm.Server.ad_completed + adm.Server.ad_deadline_aborts
+     + adm.Server.ad_active);
+    check_int "submitted = admitted + rejected" adm.Server.ad_submitted
+      (adm.Server.ad_admitted + adm.Server.ad_rejected)
+
+(* The emitter suspended on one thread resumes on another: a stream
+   opened here, read part way into its wide tuple on one thread and
+   drained on a second, delivers the materialized bytes. *)
+let test_drain_on_another_thread () =
+  let demo = Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let expected =
+    match Server.run server wide_query with
+    | Ok items -> Server.serialize_result server items
+    | Error m -> Alcotest.fail m
+  in
+  let ses = Server.session server () in
+  match Server.session_run_stream ses wide_query with
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  | Ok stream ->
+    let got = Buffer.create 256 in
+    let w = Token_stream.chunk_writer (Buffer.add_string got) in
+    let read n =
+      Thread.join
+        (Thread.create
+           (fun () ->
+             let rec go n =
+               if n > 0 then
+                 match Server.stream_read stream with
+                 | Ok (Some token) ->
+                   Token_stream.chunk_write w token;
+                   go (n - 1)
+                 | Ok None -> ()
+                 | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+             in
+             go n)
+           ())
+    in
+    read (chunk + 10);
+    read max_int;
+    Token_stream.chunk_close w;
+    check_string "bytes across threads" expected (Buffer.contents got);
+    check_bool "at most one chunk ahead" true
+      (Server.stream_peak_buffered stream <= chunk)
+
 (* A stream_serialize cancelled from its own writer after the first chunk
    ends in Cancelled, and what it wrote is the start of the materialized
    result. *)
@@ -512,6 +698,12 @@ let () =
             test_tokens_streamed_counter;
           Alcotest.test_case "cancelled serialize writes a prefix" `Quick
             test_cancelled_serialize_prefix;
+          Alcotest.test_case "constructor shapes: streamed = materialized"
+            `Quick test_constructor_shapes;
+          Alcotest.test_case "cancel inside a tuple wider than a chunk" `Quick
+            test_cancel_inside_wide_tuple;
+          Alcotest.test_case "drained on another thread" `Quick
+            test_drain_on_another_thread;
           Alcotest.test_case "serialize_result allocation per token" `Quick
             test_serialize_result_allocation;
           Alcotest.test_case "ttft rides with --timings only" `Quick

@@ -294,6 +294,24 @@ let test_serialize_pull_fault () =
   Alcotest.check Alcotest.string "bytes before the fault" rows_text
     (String.concat "" (List.rev !chunks))
 
+(* The chunk writer hands out the chunks [serialize_chunks] yields, and
+   on a fault its flush hands out the partial chunk they would. *)
+let test_chunk_writer_matches_chunks () =
+  let stream = rows_prefix @ [ Token.End_element ] in
+  let written = ref [] in
+  let w = Token_stream.chunk_writer (fun c -> written := c :: !written) in
+  List.iter (Token_stream.chunk_write w) stream;
+  Token_stream.chunk_close w;
+  let _, chunks, _ = drain_chunks (List.to_seq stream) in
+  check_bool "more than one chunk" true (List.length chunks > 1);
+  check_bool "same chunks" true (List.rev !written = chunks);
+  let written = ref [] in
+  let w = Token_stream.chunk_writer (fun c -> written := c :: !written) in
+  List.iter (Token_stream.chunk_write w) rows_prefix;
+  Token_stream.chunk_flush w;
+  Alcotest.check Alcotest.string "flushed bytes" rows_text
+    (String.concat "" (List.rev !written))
+
 (* Generators for the serializer properties: trees at least three levels
    deep with attributes, text holding every escaped character, and atoms
    of the types with their own lexical forms. *)
@@ -366,7 +384,8 @@ let chunked_text stream =
 
 (* Property: the streaming serializer, its chunked form and the item
    walk all agree with the tree serializer, and the walk counts the
-   tokens of the stream. *)
+   tokens of the stream. [iter_item] visits the stream's tokens, and the
+   chunk writer fed by it hands out [serialize_chunks]'s chunks. *)
 let prop_serialize_agree =
   QCheck.Test.make ~name:"streaming serializer agrees with tree serializer"
     ~count:200
@@ -378,8 +397,16 @@ let prop_serialize_agree =
       Token_stream.serialize_to buf stream;
       let walked = Buffer.create 64 in
       let count = Token_stream.serialize_items walked items in
+      let visited = ref [] in
+      List.iter (Token_stream.iter_item (fun t -> visited := t :: !visited)) items;
+      let written = ref [] in
+      let w = Token_stream.chunk_writer (fun c -> written := c :: !written) in
+      List.iter (Token_stream.iter_item (Token_stream.chunk_write w)) items;
+      Token_stream.chunk_close w;
       String.equal expected (Buffer.contents buf)
       && String.equal expected (chunked_text stream)
+      && List.equal Token.equal (List.of_seq stream) (List.rev !visited)
+      && List.rev !written = List.of_seq (Token_stream.serialize_chunks stream)
       && String.equal expected (Buffer.contents walked)
       && count = Token_stream.length stream)
 
@@ -484,6 +511,7 @@ let () =
           t "malformed" test_serialize_malformed;
           t "fault delivers the bytes before it" test_serialize_fault_delivers_prefix;
           t "source fault delivers the bytes before it" test_serialize_pull_fault;
+          t "chunk writer hands out the same chunks" test_chunk_writer_matches_chunks;
           QCheck_alcotest.to_alcotest prop_serialize_agree;
           QCheck_alcotest.to_alcotest prop_serialize_tuples ] );
       ( "tuple",
