@@ -25,16 +25,12 @@ type call_wrapper =
   Metadata.function_def -> Item.sequence list -> (unit -> Item.sequence) ->
   Item.sequence
 
-type stream_wrapper =
-  Metadata.function_def -> Item.sequence list -> (unit -> Item.t Seq.t) ->
-  Item.t Seq.t
-
 type spill_report = runs:int -> rows:int -> bytes:int -> peak:int -> unit
 
 type rt = {
   registry : Metadata.t;
   call_wrapper : call_wrapper;
-  stream_wrapper : stream_wrapper;
+  audit : Audit.t option;
   max_depth : int;
   pool : Pool.t;
   observed : Observed.t option;
@@ -54,12 +50,11 @@ type rt = {
   mutable body_gen : int;
 }
 
-let runtime ?(call_wrapper = fun _ _ k -> k ())
-    ?(stream_wrapper = fun _ _ k -> k ()) ?pool ?observed
+let runtime ?(call_wrapper = fun _ _ k -> k ()) ?audit ?pool ?observed
     ?(concurrent_lets = true) ?sort_budget_rows
     ?(on_spill = fun ~runs:_ ~rows:_ ~bytes:_ ~peak:_ -> ()) registry =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  { registry; call_wrapper; stream_wrapper; max_depth = 256; pool; observed;
+  { registry; call_wrapper; audit; max_depth = 256; pool; observed;
     concurrent_lets; sort_budget_rows; on_spill;
     body_plans = Hashtbl.create 16; body_mu = Mutex.create ();
     body_gen = Metadata.generation registry }
@@ -85,6 +80,16 @@ let lookup env v =
   | None -> error "unbound variable $%s at runtime" v
 
 let bind env v seq = Env.add v (Now seq) env
+
+let env_of bindings =
+  List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
+
+(* A function body's environment: its parameters bound to the argument
+   values. *)
+let fn_env fd values =
+  List.fold_left2
+    (fun acc (param, _) value -> bind acc param value)
+    Env.empty fd.Metadata.fd_params values
 
 (* Spilling an environment to disk requires it to be pure data: [Later]
    bindings hold pool futures (closures), so they are awaited into values
@@ -284,16 +289,17 @@ let tally c n =
   c.c_starts <- c.c_starts + 1;
   c.c_rows <- c.c_rows + n
 
-(* [t0] (the stream's construction time) stamps the operator's
-   time-to-first-row the first time a row comes through since the last
-   counter reset. *)
-let count_rows ?t0 c seq =
+(* Stamps the operator's time-to-first-row, counted from [t0] (when it
+   started), the first time a row comes through since the last counter
+   reset. *)
+let first_row c t0 =
+  if c.c_first_row_ns = 0. then
+    c.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9
+
+let count_rows ~t0 c seq =
   Seq.map
     (fun x ->
-      (match t0 with
-      | Some t0 when c.c_first_row_ns = 0. ->
-        c.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9
-      | _ -> ());
+      first_row c t0;
       c.c_rows <- c.c_rows + 1;
       x)
     seq
@@ -363,6 +369,17 @@ let body_plan rt fd body =
         let plan = Plan_ir.compile rt.registry body in
         Hashtbl.add rt.body_plans key plan;
         plan)
+
+(* Every data-service call is audited here, on the materialized and the
+   emitted path alike, before the function cache can serve it. *)
+let audit_call rt fd values =
+  match rt.audit with
+  | Some a when Audit.level a <> Audit.Off ->
+    Audit.record a ~category:"service-call"
+      (Printf.sprintf "call %s/%d"
+         (Qname.to_string fd.Metadata.fd_name)
+         (List.length values))
+  | _ -> ()
 
 let rec exec fr env (p : Plan_ir.t) : Item.sequence =
   match p.node with
@@ -500,21 +517,24 @@ let rec exec fr env (p : Plan_ir.t) : Item.sequence =
     [ Item.boolean (matches_stype (exec fr env input) ty) ]
   | P_error msg -> error "evaluated an error expression: %s" msg
 
-(* fn-bea:async children are submitted to the worker pool before their
-   siblings are evaluated, so independent slow calls overlap (§5.4). *)
+(* fn-bea:async children are submitted to the worker pool before any
+   sibling is evaluated, so independent slow calls overlap (§5.4); each
+   is awaited in its place. *)
 and exec_children fr env es =
-  let started =
-    List.map
-      (fun (e : Plan_ir.t) ->
-        match e.node with
-        | P_async _ ->
-          Later (fr.rt.pool, Pool.submit fr.rt.pool (fun () -> exec fr env e))
-        | _ -> Now (exec fr env e))
-      es
-  in
+  let futures = submit_async fr env es in
   List.concat_map
-    (function Now seq -> seq | Later (pool, fut) -> Pool.await pool fut)
-    started
+    (fun e ->
+      match List.assq_opt e futures with
+      | Some fut -> Pool.await fr.rt.pool fut
+      | None -> exec fr env e)
+    es
+
+and submit_async fr env = function
+  | [] -> []
+  | ({ node = P_async _; _ } as e) :: es ->
+    (e, Pool.submit fr.rt.pool (fun () -> exec fr env e))
+    :: submit_async fr env es
+  | _ :: es -> submit_async fr env es
 
 (* A constructor's attributes, evaluated in order before its content:
    each value atomized, several atoms joined with spaces, a missing
@@ -657,15 +677,11 @@ and apply_plan_function fr counters fd values =
     computed := true;
     match fd.Metadata.fd_impl with
     | Metadata.Body body ->
-      let plan = body_plan fr.rt fd body in
-      let fn_env =
-        List.fold_left2
-          (fun acc (param, _) value -> bind acc param value)
-          Env.empty fd.Metadata.fd_params values
-      in
-      exec { fr with depth = fr.depth + 1 } fn_env plan
+      exec { fr with depth = fr.depth + 1 } (fn_env fd values)
+        (body_plan fr.rt fd body)
     | Metadata.External source -> eval_external fr source fd values
   in
+  audit_call fr.rt fd values;
   let v = fr.rt.call_wrapper fd values compute in
   (* a cacheable call site that came back without running its thunk was
      served by the function cache (§5.5) *)
@@ -1288,73 +1304,18 @@ and disjunctive_select (select : Sql.select) n_params m =
     in
     { select with Sql.where = Some where' }
 
-(* ----------------------- streamed execution ----------------------- *)
-
-(* The streaming face of [exec]: items are produced on demand instead of
-   materialized, so a consumer (a streamed session's reader, a file sink)
-   sees the first item while upstream operators — including backend
-   cursors — are still producing. Where a node has no incremental
-   structure it falls back to [exec]; the output is byte-identical to the
-   materialized path in every case. *)
-and stream_plan fr env (p : Plan_ir.t) : Item.t Seq.t =
-  match p.node with
-  | P_pipeline { ops; return_ } ->
-    p.counters.c_starts <- p.counters.c_starts + 1;
-    let t0 = Unix.gettimeofday () in
-    let stream = tuples fr env (List.to_seq [ env ]) ops in
-    count_rows ~t0 p.counters
-      (Seq.concat_map (fun env' -> List.to_seq (exec fr env' return_)) stream)
-  | P_seq es ->
-    (* async children are submitted before anything is pulled, exactly as
-       in the materialized path; the others stream lazily in order *)
-    let started =
-      List.map
-        (fun (e : Plan_ir.t) ->
-          match e.node with
-          | P_async _ ->
-            let fut = Pool.submit fr.rt.pool (fun () -> exec fr env e) in
-            fun () -> List.to_seq (Pool.await fr.rt.pool fut)
-          | _ -> fun () -> stream_plan fr env e)
-        es
-    in
-    Seq.concat_map (fun produce -> produce ()) (List.to_seq started)
-  | P_call { fn; args; _ } -> stream_call fr env p fn args
-  | _ -> List.to_seq (exec fr env p)
-
-(* The streamed call boundary: a non-cacheable user-function body streams
-   through [stream_wrapper] (security filtering happens item by item);
-   [Seq.memoize] is the materialize-on-first-reuse escape hatch — a
-   wrapper or consumer that pulls twice replays buffered items instead of
-   re-running the body. Cacheable call sites fall back to the materialized
-   path because the function cache stores whole values. *)
-and stream_call fr env (p : Plan_ir.t) fn args =
-  Cancel.check_current ();
-  let arity = List.length args in
-  match Metadata.resolve_call fr.rt.registry fn arity with
-  | Some
-      ({ Metadata.fd_impl = Metadata.Body body; fd_cacheable = false; _ } as
-       fd)
-    when fr.depth < fr.rt.max_depth ->
-    p.counters.c_starts <- p.counters.c_starts + 1;
-    let values = List.map (exec fr env) args in
-    let fn_env =
-      List.fold_left2
-        (fun acc (param, _) value -> bind acc param value)
-        Env.empty fd.Metadata.fd_params values
-    in
-    let plan = body_plan fr.rt fd body in
-    let produce () = stream_plan { fr with depth = fr.depth + 1 } fn_env plan in
-    count_rows p.counters
-      (Seq.memoize (fr.rt.stream_wrapper fd values produce))
-  | _ -> List.to_seq (exec_call fr env p fn args)
-
 (* ------------------------- token emission ------------------------- *)
+
+let walk push items =
+  List.iter (Token_stream.iter_item push) items;
+  List.length items
 
 (* The token face of [exec] for a delivered result: pushes the tokens of
    the items [exec] would return, in the same order and with the same
-   counters, and returns how many items they are. Constructors and plain
-   sequences push straight from the tuple without building a node tree;
-   every other node runs [exec] and walks its items. *)
+   counters, and returns how many items they are. Pipelines, sequences,
+   constructors and non-cacheable body calls push straight from each
+   tuple without building a node tree; every other node runs [exec] and
+   walks its items. *)
 let rec emit_plan fr env push (p : Plan_ir.t) =
   match p.node with
   | P_construct { name; optional; attrs; content } ->
@@ -1384,77 +1345,72 @@ let rec emit_plan fr env push (p : Plan_ir.t) =
     in
     tally p.counters n;
     n
-  | P_seq es
-    when not
-           (List.exists
-              (fun (e : Plan_ir.t) ->
-                match e.node with P_async _ -> true | _ -> false)
-              es) ->
-    List.fold_left (fun n e -> n + emit_plan fr env push e) 0 es
-  | _ ->
-    let items = exec fr env p in
-    List.iter (Token_stream.iter_item push) items;
-    List.length items
+  | P_pipeline { ops; return_ } ->
+    (* a pipeline streams here, so its first row is stamped as the tuple
+       operators stamp theirs *)
+    let t0 = Unix.gettimeofday () in
+    let n =
+      Seq.fold_left
+        (fun n env' ->
+          let m = emit_plan fr env' push return_ in
+          if m > 0 then first_row p.counters t0;
+          n + m)
+        0
+        (tuples fr env (Seq.return env) ops)
+    in
+    tally p.counters n;
+    n
+  | P_seq es -> emit_children fr env push (submit_async fr env es) 0 es
+  | P_call { fn; args; _ } -> (
+    (* a non-cacheable body runs in place, one level deeper; cacheable
+       calls and externals take [exec_call], where the function cache
+       stores whole values *)
+    Cancel.check_current ();
+    match Metadata.resolve_call fr.rt.registry fn (List.length args) with
+    | Some
+        ({ Metadata.fd_impl = Metadata.Body body; fd_cacheable = false; _ } as
+         fd)
+      when fr.depth < fr.rt.max_depth ->
+      let values = List.map (exec fr env) args in
+      audit_call fr.rt fd values;
+      let n =
+        emit_plan { fr with depth = fr.depth + 1 } (fn_env fd values) push
+          (body_plan fr.rt fd body)
+      in
+      tally p.counters n;
+      n
+    | _ -> walk push (exec fr env p))
+  | _ -> walk push (exec fr env p)
+
+(* [exec_children] as tokens: each awaited value is walked in its
+   child's place. *)
+and emit_children fr env push futures n = function
+  | [] -> n
+  | e :: es ->
+    let m =
+      match List.assq_opt e futures with
+      | Some fut -> walk push (Pool.await fr.rt.pool fut)
+      | None -> emit_plan fr env push e
+    in
+    emit_children fr env push futures (n + m) es
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
 let execute_exn rt ?(bindings = []) plan =
-  let env =
-    List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
-  in
   let t0 = Unix.gettimeofday () in
-  let v = exec { rt; depth = 0 } env plan in
+  let v = exec { rt; depth = 0 } (env_of bindings) plan in
   (* materialized delivery: the first item reaches the caller only when
      the whole result does, and the root's time-to-first-row says so *)
-  if v <> [] && plan.counters.c_first_row_ns = 0. then
-    plan.counters.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9;
+  if v <> [] then first_row plan.counters t0;
   v
 
-let execute_stream rt ?(bindings = []) plan =
-  let env =
-    List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
-  in
-  let t0 = Unix.gettimeofday () in
-  let items = stream_plan { rt; depth = 0 } env plan in
-  Seq.map
-    (fun item ->
-      if plan.counters.c_first_row_ns = 0. then
-        plan.counters.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9;
-      item)
-    items
-
-(* A root pipeline pushes each tuple's return straight into [push]; any
-   other root walks the items [stream_plan] produces. The root's rows and
-   time-to-first-row are counted as [execute_stream] counts them. *)
+(* A root pipeline has stamped its first row as it came; a root of
+   another shape is stamped as [execute_exn] stamps it. *)
 let emit rt ?(bindings = []) plan push =
-  let env =
-    List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
-  in
-  let fr = { rt; depth = 0 } in
-  let c = plan.counters in
   let t0 = Unix.gettimeofday () in
-  let first_row () =
-    if c.c_first_row_ns = 0. then
-      c.c_first_row_ns <- (Unix.gettimeofday () -. t0) *. 1e9
-  in
-  match plan.node with
-  | P_pipeline { ops; return_ } ->
-    c.c_starts <- c.c_starts + 1;
-    Seq.iter
-      (fun env' ->
-        let n = emit_plan fr env' push return_ in
-        if n > 0 then begin
-          first_row ();
-          c.c_rows <- c.c_rows + n
-        end)
-      (tuples fr env (Seq.return env) ops)
-  | _ ->
-    Seq.iter
-      (fun item ->
-        first_row ();
-        Token_stream.iter_item push item)
-      (stream_plan fr env plan)
+  let n = emit_plan { rt; depth = 0 } (env_of bindings) push plan in
+  if n > 0 then first_row plan.counters t0
 
 (* A deadline abort surfaces like any other evaluation error at the API
    boundary: callers see [Error] with the cause, never the exception.

@@ -26,8 +26,9 @@
     pool ahead of time and awaited at first use; [fail-over] and [timeout]
     guard slow or unavailable sources (§5.6).
 
-    A hook lets the server interpose the function cache (§5.5) and security
-    filters (§7) around data-service function calls. *)
+    A hook lets the server interpose the function cache (§5.5) and
+    observation around data-service function calls; every such call is
+    recorded in the audit trail (§7). *)
 
 open Aldsp_xml
 
@@ -35,25 +36,13 @@ type rt
 
 exception Eval_error of string
 
-(** Wrapper invoked around every metadata function call; the default just
-    runs the thunk. The server installs caching/auditing here. *)
+(** Wrapper invoked around every materialized metadata function call;
+    the default just runs the thunk. The server installs the function
+    cache and observation here. A non-cacheable body call that {!emit}
+    runs in place does not pass through it. *)
 type call_wrapper =
   Metadata.function_def -> Item.sequence list -> (unit -> Item.sequence) ->
   Item.sequence
-
-(** The streamed counterpart of {!call_wrapper}, invoked around
-    non-cacheable user-function calls reached under {!execute_stream} (or
-    a root call under {!emit}): the thunk produces the body's items on
-    demand, and the wrapper's result is what flows downstream.
-    The executor memoizes the wrapped stream ({!Seq.memoize}), so a wrapper
-    (or consumer) that pulls it twice replays buffered items rather than
-    re-running the body — the materialize-on-first-reuse escape hatch.
-    Cacheable call sites never reach this wrapper; they take the
-    materialized {!call_wrapper} path because the function cache stores
-    whole values. *)
-type stream_wrapper =
-  Metadata.function_def -> Item.sequence list -> (unit -> Item.t Seq.t) ->
-  Item.t Seq.t
 
 (** Invoked once per sort that actually spilled, with that sort's totals
     (runs/rows/bytes written, peak resident rows) — the server rolls these
@@ -62,7 +51,7 @@ type spill_report = runs:int -> rows:int -> bytes:int -> peak:int -> unit
 
 val runtime :
   ?call_wrapper:call_wrapper ->
-  ?stream_wrapper:stream_wrapper ->
+  ?audit:Audit.t ->
   ?pool:Pool.t ->
   ?observed:Observed.t ->
   ?concurrent_lets:bool ->
@@ -70,8 +59,11 @@ val runtime :
   ?on_spill:spill_report ->
   Metadata.t ->
   rt
-(** [pool] (default {!Pool.default}) runs asynchronous source work —
-    PP-k prefetch, [fn-bea:async], concurrent independent lets. [observed]
+(** [audit] receives a ["service-call"] event for every data-service
+    function call, materialized or emitted, before the call wrapper (and
+    so the function cache) sees it. [pool] (default {!Pool.default}) runs
+    asynchronous source work — PP-k prefetch, [fn-bea:async], concurrent
+    independent lets. [observed]
     receives roundtrip counts and overlap-time-saved accounting from the
     PP-k pipeline in addition to whatever the call wrapper records.
     [concurrent_lets] (default true) allows [fn-bea:async] arguments and
@@ -125,23 +117,6 @@ val execute_exn :
   Item.sequence
 (** Like {!execute} but raises {!Eval_error}. *)
 
-val execute_stream :
-  rt ->
-  ?bindings:(Cexpr.var * Item.sequence) list ->
-  Plan_ir.t ->
-  Item.t Seq.t
-(** Streamed execution: the same plan, the same counters, the same items
-    in the same order as {!execute_exn} — but produced on demand, so the
-    consumer sees the first item while upstream operators (including
-    backend cursors opened by pushed-SQL regions) are still producing.
-    Root pipelines, top-level sequences and non-cacheable function calls
-    stream; other node shapes fall back to materialized evaluation of
-    that node. Evaluation errors surface at pull time as {!Eval_error}
-    (or {!Aldsp_concurrency.Cancel.Cancelled} on abort), so consumers
-    must be prepared for a mid-stream raise. The server delivers through
-    {!emit}; it pulls items here only to filter them for a user an
-    element-level policy restricts. *)
-
 val emit :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
@@ -152,18 +127,25 @@ val emit :
     tokens into the sink — the tokens
     {!Aldsp_tokens.Token_stream.iter_item} would produce for
     {!execute_exn}'s items, in the same order, with the same counters.
-    A root pipeline pushes each tuple's return as the tuple arrives: an
-    element constructor pushes its start tag, its attributes (evaluated
-    first, as {!execute} does), its content and its end tag, without
-    building a node tree; an optional constructor ([<E?>]) opens only
-    once its content produces a token. Sequences without an async child
-    push their children in order; any other node is evaluated as
-    {!execute} would and its items walked. A root that is not a pipeline
-    walks the items {!execute_stream} produces. The sink is called only
-    from this walk — never from inside an operator, a backend cursor or
-    code holding a lock — so it may suspend the emitter (an effect
-    handler around the call) and resume it later, on any thread. Raises
-    like {!execute_stream}, possibly after part of an item's tokens. *)
+    Nothing is built for a delivered value the emitter can push as it
+    is produced: a pipeline, at any depth, pushes each tuple's return as
+    the tuple arrives; an element constructor pushes its start tag, its
+    attributes (evaluated first, as {!execute} does), its content and its
+    end tag, and an optional constructor ([<E?>]) opens only once its
+    content produces a token; a sequence submits its [fn-bea:async]
+    children first, then pushes its children in order, walking each
+    awaited value in its place; a call to a non-cacheable function body
+    pushes the body's tokens. Any other node — cacheable and external
+    calls among them — is evaluated as {!execute} would and its items
+    walked. An emitted pipeline stamps its time-to-first-row as its
+    first row comes through, as the tuple operators do; a root of
+    another shape is stamped when it ends, as by {!execute}.
+    The sink is called only from this walk — never from inside an
+    operator, a backend cursor or code holding a lock — so it may
+    suspend the emitter (an effect handler around the call) and resume
+    it later, on any thread. Evaluation errors surface as {!Eval_error}
+    (or {!Aldsp_concurrency.Cancel.Cancelled} on abort), possibly after
+    part of an item's tokens. *)
 
 val eval :
   rt ->

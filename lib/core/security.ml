@@ -1,4 +1,6 @@
 open Aldsp_xml
+module Token = Aldsp_tokens.Token
+module Token_stream = Aldsp_tokens.Token_stream
 
 type user = { user_name : string; roles : string list }
 
@@ -58,51 +60,109 @@ let check_call t user fn =
 let failing t user =
   List.filter (fun p -> not (has_role user p.allowed_roles)) t.resources
 
-let restricts t user = failing t user <> []
+(* The token filter's position: passing tokens through, letting a
+   replaced element's attributes through before its replacement value,
+   or skipping a subtree — [depth] elements are open in it — and running
+   [closed] once it has ended. [capture] sees every skipped token. *)
+type filter_state =
+  | Pass
+  | Attributes of Atomic.t
+  | Skip of {
+      mutable depth : int;
+      capture : Token.t -> unit;
+      closed : unit -> unit;
+    }
 
-(* Walks the result trees; [path] is the chain of element names from the
-   root. A policy fires when its path matches and the user lacks every
-   allowed role. *)
-let filter_result t user seq =
-  let failing = failing t user in
-  if failing = [] then seq
-  else begin
-    let rec filter_node path node =
-      match node with
-      | Node.Element e -> (
-        let here = path @ [ e.Node.name ] in
-        let fired =
-          List.find_opt
-            (fun p ->
-              List.length p.resource_path = List.length here
-              && List.for_all2 Qname.equal p.resource_path here)
-            failing
-        in
-        match fired with
-        | Some { on_deny = Remove; resource_label; _ } ->
-          audit_record t ~category:"security"
-            ~detail:(Node.serialize node)
-            (Printf.sprintf "remove resource %s for %s" resource_label
-               user.user_name);
-          []
-        | Some { on_deny = Replace v; resource_label; _ } ->
-          audit_record t ~category:"security"
-            (Printf.sprintf "replace resource %s for %s" resource_label
-               user.user_name);
-          [ Node.element ~attributes:e.Node.attributes e.Node.name
-              [ Node.atom v ] ]
-        | None ->
-          [ Node.Element
-              { e with
-                Node.children =
-                  List.concat_map (filter_node here) e.Node.children } ])
-      | Node.Text _ | Node.Atom _ -> [ node ]
+(* [path] holds the names of the open elements, innermost first; a policy
+   fires at the start tag where it equals the policy's path reversed.
+   Nothing inside a removed or replaced subtree is examined, so a policy
+   nested in one never fires. *)
+let filter_tokens t user push =
+  match failing t user with
+  | [] -> push
+  | failing ->
+    let policies = List.map (fun p -> (List.rev p.resource_path, p)) failing in
+    let path = ref [] in
+    let state = ref Pass in
+    let event verb label =
+      Printf.sprintf "%s resource %s for %s" verb label user.user_name
     in
-    List.concat_map
-      (function
-        | Item.Node n -> List.map (fun n -> Item.Node n) (filter_node [] n)
-        | Item.Atom _ as a -> [ a ])
-      seq
+    (* a removed subtree is audited once it has ended; at [Detailed] the
+       detail is its bytes, written from the skipped tokens *)
+    let remove label =
+      let capture, detail =
+        match t.audit with
+        | Some a when Audit.level a = Audit.Detailed ->
+          let buf = Buffer.create 256 in
+          let w = Token_stream.chunk_writer (Buffer.add_string buf) in
+          ( Token_stream.chunk_write w,
+            fun () ->
+              Token_stream.chunk_close w;
+              Some (Buffer.contents buf) )
+        | _ -> (ignore, fun () -> None)
+      in
+      let closed () =
+        audit_record t ~category:"security" ?detail:(detail ())
+          (event "remove" label)
+      in
+      Skip { depth = 0; capture; closed }
+    in
+    let rec filter token =
+      match (!state, token) with
+      | Pass, Token.Start_element name -> (
+        let here = name :: !path in
+        match
+          List.find_opt
+            (fun (rev, _) -> List.equal Qname.equal rev here)
+            policies
+        with
+        | None ->
+          path := here;
+          push token
+        | Some (_, { on_deny = Remove; resource_label; _ }) ->
+          state := remove resource_label;
+          filter token
+        | Some (_, { on_deny = Replace v; resource_label; _ }) ->
+          audit_record t ~category:"security" (event "replace" resource_label);
+          push token;
+          state := Attributes v)
+      | Pass, Token.End_element ->
+        (match !path with _ :: up -> path := up | [] -> ());
+        push token
+      | Pass, _ | Attributes _, Token.Attribute _ -> push token
+      | Attributes v, _ ->
+        push (Token.Atom v);
+        state :=
+          Skip
+            { depth = 1;
+              capture = ignore;
+              closed = (fun () -> push Token.End_element) };
+        filter token
+      | Skip s, _ -> (
+        s.capture token;
+        match token with
+        | Token.Start_element _ -> s.depth <- s.depth + 1
+        | Token.End_element ->
+          s.depth <- s.depth - 1;
+          if s.depth = 0 then begin
+            state := Pass;
+            s.closed ()
+          end
+        | _ -> ())
+    in
+    filter
+
+(* The late-stage filter on a materialized result: its tokens through
+   [filter_tokens], reassembled into items. *)
+let filter_result t user seq =
+  let tokens = ref [] in
+  let keep token = tokens := token :: !tokens in
+  let filter = filter_tokens t user keep in
+  if filter == keep then seq
+  else begin
+    List.iter (Token_stream.iter_item filter) seq;
+    (* the filter keeps every element it passes balanced *)
+    Result.get_ok (Token_stream.to_items (List.to_seq (List.rev !tokens)))
   end
 
 let policies t = t.resources

@@ -45,13 +45,25 @@ val add_resource : t -> resource_policy -> unit
 
 val check_call : t -> user -> Qname.t -> (unit, string) result
 
-val filter_result : t -> user -> Item.sequence -> Item.sequence
-(** Applies every element-level policy the user fails: matching subtrees
-    are removed or replaced. Applied after evaluation and after cache
-    hits. *)
+val filter_tokens :
+  t -> user -> (Aldsp_tokens.Token.t -> unit) -> Aldsp_tokens.Token.t -> unit
+(** [filter_tokens t user push] is a token sink that applies every
+    element-level policy the user fails to the stream fed into it and
+    passes what is left to [push]. It tracks the names of the open
+    elements; at a start tag whose path from the result root matches a
+    failing policy (the first such, in the order the policies were
+    added), a [Remove] policy skips the whole subtree and a [Replace]
+    policy passes the start tag and its attributes, then the replacement
+    atom in place of the content. Nothing inside a removed or replaced
+    subtree is examined. Each firing records a ["security"] audit event:
+    a replacement at its start tag, a removal once its subtree has ended,
+    with the subtree's serialized bytes as the detail at
+    {!Audit.Detailed}. When no policy fails for the user, the result is
+    [push] itself, so an unrestricted stream pays nothing. *)
 
-val restricts : t -> user -> bool
-(** Whether any element-level policy fails for the user; when none does,
-    {!filter_result} returns its input unchanged. *)
+val filter_result : t -> user -> Item.sequence -> Item.sequence
+(** {!filter_tokens} over a materialized result: the items' tokens
+    filtered, then reassembled. Returns its input itself when no policy
+    fails for the user. Applied after evaluation and after cache hits. *)
 
 val policies : t -> resource_policy list

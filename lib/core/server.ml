@@ -153,10 +153,6 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     Mutex.unlock counter_lock
   in
   let call_wrapper fd args compute =
-    Audit.record audit ~category:"service-call"
-      (Printf.sprintf "call %s/%d"
-         (Qname.to_string fd.Metadata.fd_name)
-         (List.length args));
     let compute =
       match observed with
       | Some obs -> fun () -> Observed.wrapper obs fd args compute
@@ -165,16 +161,6 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     match function_cache with
     | Some cache -> Function_cache.wrapper cache fd args compute
     | None -> compute ()
-  in
-  (* the streamed call boundary: only non-cacheable body calls reach it
-     (cacheable sites stay on the materialized wrapper above, where the
-     function cache lives), so auditing is the whole job here *)
-  let stream_wrapper fd args produce =
-    Audit.record audit ~category:"service-call"
-      (Printf.sprintf "call %s/%d"
-         (Qname.to_string fd.Metadata.fd_name)
-         (List.length args));
-    produce ()
   in
   { registry;
     optimizer =
@@ -186,7 +172,7 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     observed;
     pool;
     runtime =
-      Eval.runtime ~call_wrapper ~stream_wrapper ~pool ?observed
+      Eval.runtime ~call_wrapper ~audit ~pool ?observed
         ?concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
         ~on_spill registry;
     admission =
@@ -883,17 +869,9 @@ let session_run_stream s ?deadline source =
       release_slot server.admission ~outcome:`Completed;
       Error (Failed (diags_to_string ds))
     | Ok compiled ->
-      (* a user some element-level policy restricts gets the node path:
-         each item filtered, then walked *)
-      let emit =
-        if Security.restricts server.security s.ses_user then fun push ->
-          Seq.iter
-            (fun item ->
-              List.iter
-                (Aldsp_tokens.Token_stream.iter_item push)
-                (Security.filter_result server.security s.ses_user [ item ]))
-            (Eval.execute_stream server.runtime compiled.ir)
-        else Eval.emit server.runtime compiled.ir
+      let emit push =
+        Eval.emit server.runtime compiled.ir
+          (Security.filter_tokens server.security s.ses_user push)
       in
       let st =
         { str_server = server;

@@ -267,11 +267,12 @@ val session_run_stream :
 (** Admission-controlled streamed execution as this session's user.
     Admission and compilation happen here (so {!Overloaded} and compile
     failures surface immediately); execution starts with the first
-    {!stream_read}. Constructors in a root pipeline's return push their
-    tokens straight from each tuple, without building node trees. When
-    an element-level policy fails for the user ({!Security.restricts}),
-    each item is built, filtered by {!Security.filter_result} and then
-    walked instead, so the bytes match {!run}'s filtered result. The
+    {!stream_read}. The plan runs through {!Eval.emit}, so pipelines,
+    constructors and non-cacheable body calls push their tokens straight
+    from each tuple, without building node trees, and every token passes
+    through {!Security.filter_tokens} for the session's user — the same
+    filter {!run} applies to its items, so the bytes match {!run}'s
+    filtered result. The
     session's deadline semantics match {!session_run}, and
     {!session_cancel} (or {!stream_cancel}) from any thread ends the
     stream: a read blocked in a backend roundtrip returns

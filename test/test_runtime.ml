@@ -674,6 +674,137 @@ let test_audit_records () =
   check_bool "summary drops detail" true
     (List.for_all (fun e -> e.Audit.detail = None) (Audit.events audit))
 
+(* The token filter against goldens captured from the tree walk it
+   replaced: one hand-made sequence — atoms between items, a text item,
+   a root-level path that drops a whole item, matches at depth 2 and 3, a
+   replacement on an element with attributes and on an empty one, and
+   policies nested inside a removed and inside a replaced subtree, which
+   must not fire — filtered for three users. The audit events, details
+   included, are the tree walk's too. *)
+let security_sequence =
+  let el ?(attributes = []) name children =
+    Node.element ~attributes (Qname.local name) children
+  in
+  let txt s = Node.atom (Atomic.String s) in
+  [ Item.Atom (Atomic.String "lead");
+    Item.Node
+      (el ~attributes:[ (Qname.local "id", Atomic.Integer 1) ] "A"
+         [ el "B" [ el "C" [ txt "c1" ]; el "D" [ txt "d&1" ] ];
+           el ~attributes:[ (Qname.local "x", Atomic.String "y\"") ] "E"
+             [ el "K" [ txt "k" ] ];
+           el "F" [ el "G" [ el "H" [ txt "h" ] ]; Node.text "f" ] ]);
+    Item.Atom (Atomic.Integer 42);
+    Item.Node (el "Z" [ el "A" [ el "E" [ txt "z" ] ] ]);
+    Item.Node
+      (el ~attributes:[ (Qname.local "id", Atomic.Integer 2) ] "A"
+         [ el "B" [ el "C" []; el "C" [ txt "c3" ] ]; el "E" [] ]);
+    Item.Node (Node.text "t<x");
+    Item.Atom (Atomic.Decimal 1.5) ]
+
+let security_policies =
+  let policy label names roles on_deny =
+    { Security.resource_label = label;
+      resource_path = List.map Qname.local names;
+      allowed_roles = roles;
+      on_deny }
+  in
+  [ policy "c" [ "A"; "B"; "C" ] [ "sales" ] Security.Remove;
+    policy "e" [ "A"; "E" ] [ "credit" ]
+      (Security.Replace (Atomic.String "***"));
+    policy "f" [ "A"; "F" ] [ "sales" ] Security.Remove;
+    policy "g" [ "A"; "F"; "G" ] [ "hr" ] (Security.Replace (Atomic.Integer 0));
+    policy "k" [ "A"; "E"; "K" ] [ "hr" ] Security.Remove;
+    policy "z" [ "Z" ] [ "hr" ] Security.Remove ]
+
+let security_goldens =
+  [ ( { Security.user_name = "nobody"; roles = [] },
+      "lead<A id=\"1\"><B><D>d&amp;1</D></B><E x=\"y&quot;\">***</E></A>42<A \
+       id=\"2\"><B/><E>***</E></A>t&lt;x1.5",
+      [ ("security", "remove resource c for nobody", Some "<C>c1</C>");
+        ("security", "replace resource e for nobody", None);
+        ( "security",
+          "remove resource f for nobody",
+          Some "<F><G><H>h</H></G>f</F>" );
+        ( "security",
+          "remove resource z for nobody",
+          Some "<Z><A><E>z</E></A></Z>" );
+        ("security", "remove resource c for nobody", Some "<C/>");
+        ("security", "remove resource c for nobody", Some "<C>c3</C>");
+        ("security", "replace resource e for nobody", None) ] );
+    ( { Security.user_name = "seller"; roles = [ "sales" ] },
+      "lead<A id=\"1\"><B><C>c1</C><D>d&amp;1</D></B><E \
+       x=\"y&quot;\">***</E><F><G>0</G>f</F></A>42<A \
+       id=\"2\"><B><C/><C>c3</C></B><E>***</E></A>t&lt;x1.5",
+      [ ("security", "replace resource e for seller", None);
+        ("security", "replace resource g for seller", None);
+        ( "security",
+          "remove resource z for seller",
+          Some "<Z><A><E>z</E></A></Z>" );
+        ("security", "replace resource e for seller", None) ] );
+    ( { Security.user_name = "lender"; roles = [ "credit" ] },
+      "lead<A id=\"1\"><B><D>d&amp;1</D></B><E x=\"y&quot;\"/></A>42<A \
+       id=\"2\"><B/><E/></A>t&lt;x1.5",
+      [ ("security", "remove resource c for lender", Some "<C>c1</C>");
+        ("security", "remove resource k for lender", Some "<K>k</K>");
+        ( "security",
+          "remove resource f for lender",
+          Some "<F><G><H>h</H></G>f</F>" );
+        ( "security",
+          "remove resource z for lender",
+          Some "<Z><A><E>z</E></A></Z>" );
+        ("security", "remove resource c for lender", Some "<C/>");
+        ("security", "remove resource c for lender", Some "<C>c3</C>") ] ) ]
+
+let test_token_filter_goldens () =
+  let check_string = Alcotest.check Alcotest.string in
+  let events =
+    Alcotest.(list (triple string string (option string)))
+  in
+  let security level =
+    let audit = Audit.create ~level () in
+    let sec = Security.create ~audit () in
+    List.iter (Security.add_resource sec) security_policies;
+    (sec, audit)
+  in
+  let recorded audit =
+    List.map
+      (fun e -> (e.Audit.category, e.Audit.summary, e.Audit.detail))
+      (Audit.events audit)
+  in
+  List.iter
+    (fun (user, bytes, expected) ->
+      let who = user.Security.user_name in
+      (* the materialized result, filtered and reassembled *)
+      let sec, audit = security Audit.Detailed in
+      let items = Security.filter_result sec user security_sequence in
+      let buf = Buffer.create 256 in
+      ignore (Aldsp_tokens.Token_stream.serialize_items buf items);
+      check_string ("filtered items, " ^ who) bytes (Buffer.contents buf);
+      Alcotest.check events ("audit, " ^ who) expected (recorded audit);
+      (* the filter alone, token by token into the writer *)
+      let sec, audit = security Audit.Summary in
+      let buf = Buffer.create 256 in
+      let w = Aldsp_tokens.Token_stream.chunk_writer (Buffer.add_string buf) in
+      let filter =
+        Security.filter_tokens sec user (Aldsp_tokens.Token_stream.chunk_write w)
+      in
+      List.iter (Aldsp_tokens.Token_stream.iter_item filter) security_sequence;
+      Aldsp_tokens.Token_stream.chunk_close w;
+      check_string ("filtered tokens, " ^ who) bytes (Buffer.contents buf);
+      Alcotest.check events ("summary audit, " ^ who)
+        (List.map (fun (c, s, _) -> (c, s, None)) expected)
+        (recorded audit))
+    security_goldens;
+  (* a user no policy fails gets the sink and the items back untouched *)
+  let sec, audit = security Audit.Detailed in
+  let push (_ : Aldsp_tokens.Token.t) = () in
+  check_bool "admin's filter is the sink itself" true
+    (Security.filter_tokens sec Security.admin push == push);
+  check_bool "admin's items are the input itself" true
+    (Security.filter_result sec Security.admin security_sequence
+    == security_sequence);
+  check_int "nothing audited for admin" 0 (List.length (Audit.events audit))
+
 (* ------------------------------------------------------------------ *)
 (* Server APIs                                                          *)
 
@@ -775,7 +906,8 @@ let () =
         [ t "function ACL" test_function_acl;
           t "element filtering" test_element_level_filtering;
           t "filter after cache" test_security_after_cache;
-          t "audit" test_audit_records ] );
+          t "audit" test_audit_records;
+          t "token filter goldens" test_token_filter_goldens ] );
       ( "server",
         [ t "design-time check" test_design_time_check_reports_all;
           t "prolog variables" test_prolog_variables;

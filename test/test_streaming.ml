@@ -431,126 +431,193 @@ let constructor_shapes =
     (* a tuple wider than one chunk: every order under one customer *)
     wide_query ]
 
-(* Element-level policies over the shapes above: a user without
-   "sales" loses every <G>, one without "credit" sees <M> masked. *)
+(* Calls kept as calls by the reference optimizer options: the emitter
+   runs a non-cacheable body in place, a root sequence pushes its
+   children in order and awaits an async child in its place. *)
+let call_shapes =
+  [ "getProfile()";
+    "getProfileByID(\"CUST0001\")";
+    "(getCustomerNames(), getProfile())";
+    "(fn-bea:async(getProfileByID(\"CUST0002\")), getCustomerNames())" ]
+
+(* Element-level policies over the shapes above. A user without "sales"
+   loses every <G>, a profile's <ORDERS> and the wide tuple's <AMOUNT>s;
+   one without "credit" sees <M>, a profile's <RATING>, every <NAME> and
+   the wide tuple's <OID>s masked. *)
 let remove_user = { Security.user_name = "remover"; roles = [ "credit" ] }
 let replace_user = { Security.user_name = "replacer"; roles = [ "sales" ] }
 
 let add_policies server =
   let sec = Server.security server in
-  Security.add_resource sec
-    { Security.resource_label = "g";
-      resource_path = [ Aldsp_xml.Qname.local "R"; Aldsp_xml.Qname.local "G" ];
-      allowed_roles = [ "sales" ];
-      on_deny = Security.Remove };
-  Security.add_resource sec
-    { Security.resource_label = "m";
-      resource_path =
-        [ Aldsp_xml.Qname.local "T"; Aldsp_xml.Qname.local "N";
-          Aldsp_xml.Qname.local "M" ];
-      allowed_roles = [ "credit" ];
-      on_deny = Security.Replace (Aldsp_xml.Atomic.String "***") }
+  let add label names roles on_deny =
+    Security.add_resource sec
+      { Security.resource_label = label;
+        resource_path = List.map Aldsp_xml.Qname.local names;
+        allowed_roles = roles;
+        on_deny }
+  in
+  let masked = Security.Replace (Aldsp_xml.Atomic.String "***") in
+  add "g" [ "R"; "G" ] [ "sales" ] Security.Remove;
+  add "m" [ "T"; "N"; "M" ] [ "credit" ] masked;
+  add "orders" [ "PROFILE"; "ORDERS" ] [ "sales" ] Security.Remove;
+  add "rating" [ "PROFILE"; "RATING" ] [ "credit" ] masked;
+  add "name" [ "NAME" ] [ "credit" ] masked;
+  add "amount" [ "C"; "O"; "AMOUNT" ] [ "sales" ] Security.Remove;
+  add "oid" [ "C"; "O"; "OID" ] [ "credit" ] masked
 
 let tokens_streamed server = (Server.stats server).Server.st_tokens_streamed
 
+(* The audit events of one category, in the order recorded — sorted when
+   an async child records from a pool worker. *)
+let audited audit q category =
+  let events =
+    List.filter_map
+      (fun e ->
+        if e.Audit.category = category then Some e.Audit.summary else None)
+      (Audit.events audit)
+  in
+  if Str.string_match (Str.regexp ".*fn-bea:async") q 0 then
+    List.sort compare events
+  else events
+
+(* Each shape runs as each user on a server built with its optimizer
+   options: the constructor shapes on the default options, the call
+   shapes on the reference ones. *)
 let test_constructor_shapes () =
-  let demo = Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 () in
-  let server = demo.Aldsp_demo.Demo.server in
-  add_policies server;
+  let shapes_server optimizer_options shapes =
+    let audit = Audit.create ~level:Audit.Summary () in
+    let demo =
+      Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 ~audit
+        ?optimizer_options ()
+    in
+    let server = demo.Aldsp_demo.Demo.server in
+    add_policies server;
+    (server, audit, shapes)
+  in
+  let servers =
+    [ shapes_server None constructor_shapes;
+      shapes_server (Some Optimizer.reference_options) call_shapes ]
+  in
+  let check_shape (server, audit, _) (user, who) q =
+    let what = Printf.sprintf "%s: %s" who q in
+    let ir =
+      match Server.compile server q with
+      | Ok compiled -> compiled.Server.ir
+      | Error _ -> Alcotest.failf "compile failed on %s" what
+    in
+    Plan_ir.reset_counters ir;
+    let ses = Server.session server ~user () in
+    let before = tokens_streamed server in
+    Audit.clear audit;
+    let expected =
+      match Server.session_run ses q with
+      | Ok items -> Server.serialize_result server items
+      | Error e ->
+        Alcotest.failf "materialized run failed on %s: %s" what
+          (Server.submit_error_to_string e)
+    in
+    let materialized_tokens = tokens_streamed server - before in
+    let materialized_counters = Plan_ir.render ir in
+    let materialized_calls = audited audit q "service-call" in
+    let materialized_filtered = audited audit q "security" in
+    Plan_ir.reset_counters ir;
+    let before = tokens_streamed server in
+    Audit.clear audit;
+    (match streamed_bytes ~user server q with
+    | Error e -> Alcotest.failf "streamed run failed on %s: %s" what e
+    | Ok (got, peak) ->
+      check_string ("bytes, " ^ what) expected got;
+      check_bool
+        (Printf.sprintf "peak %d within one chunk on %s" peak what)
+        true (peak <= chunk));
+    check_int ("tokens, " ^ what) materialized_tokens
+      (tokens_streamed server - before);
+    check_string ("EXPLAIN ANALYZE counters, " ^ what) materialized_counters
+      (Plan_ir.render ir);
+    let check_events what = Alcotest.check Alcotest.(list string) what in
+    check_events ("service calls audited, " ^ what) materialized_calls
+      (audited audit q "service-call");
+    check_events ("policies audited, " ^ what) materialized_filtered
+      (audited audit q "security")
+  in
   List.iter
-    (fun (user, who) ->
+    (fun user ->
       List.iter
-        (fun q ->
-          let what = Printf.sprintf "%s: %s" who q in
-          let ir =
-            match Server.compile server q with
-            | Ok compiled -> compiled.Server.ir
-            | Error _ -> Alcotest.failf "compile failed on %s" what
-          in
-          Plan_ir.reset_counters ir;
-          let ses = Server.session server ~user () in
-          let before = tokens_streamed server in
-          let expected =
-            match Server.session_run ses q with
-            | Ok items -> Server.serialize_result server items
-            | Error e ->
-              Alcotest.failf "materialized run failed on %s: %s" what
-                (Server.submit_error_to_string e)
-          in
-          let materialized_tokens = tokens_streamed server - before in
-          let materialized_counters = Plan_ir.render ir in
-          Plan_ir.reset_counters ir;
-          let before = tokens_streamed server in
-          (match streamed_bytes ~user server q with
-          | Error e -> Alcotest.failf "streamed run failed on %s: %s" what e
-          | Ok (got, peak) ->
-            check_string ("bytes, " ^ what) expected got;
-            check_bool
-              (Printf.sprintf "peak %d within one chunk on %s" peak what)
-              true (peak <= chunk));
-          check_int ("tokens, " ^ what) materialized_tokens
-            (tokens_streamed server - before);
-          check_string ("EXPLAIN ANALYZE counters, " ^ what)
-            materialized_counters (Plan_ir.render ir))
-        constructor_shapes)
+        (fun ((_, _, shapes) as server) ->
+          List.iter (check_shape server user) shapes)
+        servers)
     [ (Security.admin, "admin");
       (remove_user, "remove");
       (replace_user, "replace") ];
   (* the policies fired: the filtered users saw other bytes than admin *)
-  let bytes user q =
+  let bytes (server, _, _) user q =
     match Server.session_run (Server.session server ~user ()) q with
     | Ok items -> Server.serialize_result server items
     | Error e -> Alcotest.fail (Server.submit_error_to_string e)
   in
+  let shapes = List.nth servers 0 and calls = List.nth servers 1 in
   List.iter
-    (fun (user, q) ->
-      check_bool "the policy changed the result" false
-        (String.equal (bytes Security.admin q) (bytes user q)))
-    [ (remove_user, List.nth constructor_shapes 1);
-      (replace_user, List.nth constructor_shapes 3) ]
+    (fun (server, user, q) ->
+      check_bool ("the policy changed the result of " ^ q) false
+        (String.equal (bytes server Security.admin q) (bytes server user q)))
+    [ (shapes, remove_user, List.nth constructor_shapes 1);
+      (shapes, replace_user, List.nth constructor_shapes 3);
+      (shapes, remove_user, wide_query);
+      (shapes, replace_user, wide_query);
+      (calls, remove_user, List.nth call_shapes 0);
+      (calls, replace_user, List.nth call_shapes 2) ]
 
 (* A cancel after the first chunk of a tuple wider than a chunk ends the
    stream at the next read; the slot goes back once, and the tokens
-   handed out serialize to a prefix of the materialized result. *)
+   handed out serialize to a prefix of the materialized result. For a
+   restricted user the emitter suspends inside the security filter, and
+   the prefix is of that user's filtered result. *)
 let test_cancel_inside_wide_tuple () =
-  let demo = Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 () in
-  let server = demo.Aldsp_demo.Demo.server in
-  let expected =
-    match Server.run server wide_query with
-    | Ok items -> Server.serialize_result server items
-    | Error m -> Alcotest.fail m
-  in
-  let ses = Server.session server () in
-  match Server.session_run_stream ses wide_query with
-  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
-  | Ok stream ->
-    let got = Buffer.create 256 in
-    let w = Token_stream.chunk_writer (Buffer.add_string got) in
-    for _ = 1 to chunk do
-      match Server.stream_read stream with
-      | Ok (Some token) -> Token_stream.chunk_write w token
-      | Ok None -> Alcotest.fail "the wide tuple ended within one chunk"
+  List.iter
+    (fun user ->
+      let demo =
+        Aldsp_demo.Demo.create ~customers:30 ~orders_per_customer:4 ()
+      in
+      let server = demo.Aldsp_demo.Demo.server in
+      add_policies server;
+      let expected =
+        match Server.run server ~user wide_query with
+        | Ok items -> Server.serialize_result server items
+        | Error m -> Alcotest.fail m
+      in
+      let ses = Server.session server ~user () in
+      match Server.session_run_stream ses wide_query with
       | Error e -> Alcotest.fail (Server.submit_error_to_string e)
-    done;
-    Token_stream.chunk_flush w;
-    check_int "one full chunk pulled" chunk
-      (Server.stream_peak_buffered stream);
-    Server.stream_cancel stream;
-    expect_cancelled (Server.stream_read stream);
-    check_bool "the ended stream stays ended" true
-      (Server.stream_read stream = Ok None);
-    let got = Buffer.contents got in
-    check_bool "less than the whole result" true
-      (String.length got < String.length expected);
-    check_string "handed-out tokens are a prefix of the result" got
-      (String.sub expected 0 (String.length got));
-    check_released server;
-    let adm = Server.admission_stats server in
-    check_int "admitted = completed + aborted + active" adm.Server.ad_admitted
-      (adm.Server.ad_completed + adm.Server.ad_deadline_aborts
-     + adm.Server.ad_active);
-    check_int "submitted = admitted + rejected" adm.Server.ad_submitted
-      (adm.Server.ad_admitted + adm.Server.ad_rejected)
+      | Ok stream ->
+        let got = Buffer.create 256 in
+        let w = Token_stream.chunk_writer (Buffer.add_string got) in
+        for _ = 1 to chunk do
+          match Server.stream_read stream with
+          | Ok (Some token) -> Token_stream.chunk_write w token
+          | Ok None -> Alcotest.fail "the wide tuple ended within one chunk"
+          | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+        done;
+        Token_stream.chunk_flush w;
+        check_int "one full chunk pulled" chunk
+          (Server.stream_peak_buffered stream);
+        Server.stream_cancel stream;
+        expect_cancelled (Server.stream_read stream);
+        check_bool "the ended stream stays ended" true
+          (Server.stream_read stream = Ok None);
+        let got = Buffer.contents got in
+        check_bool "less than the whole result" true
+          (String.length got < String.length expected);
+        check_string "handed-out tokens are a prefix of the result" got
+          (String.sub expected 0 (String.length got));
+        check_released server;
+        let adm = Server.admission_stats server in
+        check_int "admitted = completed + aborted + active"
+          adm.Server.ad_admitted
+          (adm.Server.ad_completed + adm.Server.ad_deadline_aborts
+         + adm.Server.ad_active);
+        check_int "submitted = admitted + rejected" adm.Server.ad_submitted
+          (adm.Server.ad_admitted + adm.Server.ad_rejected))
+    [ Security.admin; remove_user; replace_user ]
 
 (* The emitter suspended on one thread resumes on another: a stream
    opened here, read part way into its wide tuple on one thread and
