@@ -377,8 +377,10 @@ let bench_scan_vs_index ?(smoke = false) () =
    ORDER_T nesting merges into the CUSTOMER statement as an outer join
    (§4.2), so a lookup issues 2 statements, and the merged region is
    priced by its fan-out, so the worst est-vs-act ratio stays within
-   1.5. The EXPLAIN lands in EXPLAIN_cost_model_point_lookup.txt for CI
-   upload. *)
+   1.5. The next key, CUST0043, must reuse the compiled call shape: zero
+   new full compiles, and the same 2 statements and at most 5 rows
+   shipped. The EXPLAIN lands in EXPLAIN_cost_model_point_lookup.txt for
+   CI upload. *)
 let cost_model_point_lookup () =
   sub "CST: point lookup (getProfileByID, 2000 customers, 0.5 ms)";
   let demo =
@@ -433,7 +435,29 @@ let cost_model_point_lookup () =
     (fun r ->
       if r.Plan_ir.sql_select.Sql_ast.where = None then
         fail "CST: point lookup ships a whole table: %s" r.Plan_ir.sql_text)
-    regions
+    regions;
+  (* the next key is the same call shape: its plan is an instance of the
+     one just compiled, with the key bound as the CUSTOMER parameter *)
+  let q' = "getProfileByID(\"CUST0043\")" in
+  let misses = Server.plan_cache_misses demo.Demo.server in
+  (match Server.compile demo.Demo.server q' with
+  | Ok _ -> ()
+  | Error _ -> failwith "CST: second point lookup does not compile");
+  Demo.reset_stats demo;
+  ignore (ok_exn (Server.run demo.Demo.server q'));
+  let compiles = Server.plan_cache_misses demo.Demo.server - misses in
+  let shipped' = total (fun s -> s.Database.rows_shipped) in
+  let statements' = total (fun s -> s.Database.statements) in
+  Printf.printf
+    "next key: %d full compiles, %d statements, %d rows shipped\n" compiles
+    statements' shipped';
+  if compiles <> 0 then
+    fail "CST: next point-lookup key compiled %d times (expected 0)" compiles;
+  if shipped' > 5 then
+    fail "CST: next point-lookup key shipped %d rows (> 5)" shipped';
+  if statements' <> 2 then
+    fail "CST: next point-lookup key issued %d statements (expected 2)"
+      statements'
 
 (* One run of [q] with fresh counters: the PP-k join's emitted rows and
    its per-candidate reconstruction let's rows, or [None] when the plan

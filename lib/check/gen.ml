@@ -33,6 +33,7 @@ type query =
   | Aggregate of { pred : pred }
   | Region_scan of { min_pop : int }
   | Async_lets of { n : int }
+  | By_id of { lit : string }
 
 let minimal = Scan { pred = P_true; order = O_none; ret = R_cid }
 
@@ -157,6 +158,7 @@ let render = function
     in
     Printf.sprintf "%s return <R>{%s}</R>" (String.concat " " lets)
       (String.concat ", " uses)
+  | By_id { lit } -> Printf.sprintf "getSummaryByID(\"%s\")" lit
 
 let size q = String.length (render q)
 
@@ -168,6 +170,18 @@ let pick st xs = xs.(Random.State.int st (Array.length xs))
 let cmps = [| Eq; Ne; Lt; Le; Gt; Ge |]
 let string_fields = [| "CID"; "LAST_NAME"; "SSN" |]
 let string_lits = [| "CUST0001"; "CUST0003"; "Jones"; "Smith"; "zzz" |]
+
+(* the next literal along, so the swap always changes the text *)
+let swap_literal = function
+  | By_id { lit } ->
+    let n = Array.length string_lits in
+    let i =
+      match Array.find_index (String.equal lit) string_lits with
+      | Some i -> i
+      | None -> n - 1
+    in
+    Some (By_id { lit = string_lits.((i + 1) mod n) })
+  | _ -> None
 
 let rec gen_pred st depth =
   let base () =
@@ -200,7 +214,7 @@ let gen_ret st =
 let gen_order st = pick st [| O_none; O_cid; O_last_desc; O_since_desc |]
 
 let generate st =
-  match Random.State.int st 9 with
+  match Random.State.int st 10 with
   | 0 ->
     Scan { pred = gen_pred st 1; order = gen_order st; ret = gen_ret st }
   | 1 ->
@@ -224,7 +238,8 @@ let generate st =
         len = 1 + Random.State.int st 5 }
   | 6 -> Aggregate { pred = gen_pred st 0 }
   | 7 -> Region_scan { min_pop = Random.State.int st 50000 }
-  | _ -> Async_lets { n = 1 + Random.State.int st 3 }
+  | 8 -> Async_lets { n = 1 + Random.State.int st 3 }
+  | _ -> By_id { lit = pick st string_lits }
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -250,7 +265,7 @@ let shrink_candidates q =
       @ List.map (fun o -> Scan { pred; order = o; ret }) (shrink_order order)
       @ List.map (fun r -> Scan { pred; order; ret = r }) (shrink_ret ret)
     | Join_orders _ | Join_cards _ | Group_by _ | View_filter _
-    | Region_scan _ ->
+    | Region_scan _ | By_id _ ->
       [ minimal ]
     | Subseq { order; start; len } ->
       [ minimal ]

@@ -59,6 +59,9 @@ type query =
   | Region_scan of { min_pop : int }  (** the CSV source *)
   | Async_lets of { n : int }
       (** [n] independent [fn-bea:async] rating lets (§5.4) *)
+  | By_id of { lit : string }
+      (** [getSummaryByID("lit")]: a data-service call with a literal
+          argument, which the plan cache lifts into a bound parameter *)
 
 val minimal : query
 (** [for $c in CUSTOMER() return fn:data($c/CID)] — the smallest shape. *)
@@ -67,6 +70,11 @@ val generate : Random.State.t -> query
 
 val render : query -> string
 (** Deterministic XQuery text; equal queries render equally. *)
+
+val swap_literal : query -> query option
+(** The same call shape with a different literal from the generator's
+    string literals, for a scenario whose literal the plan cache lifts
+    ([By_id]); [None] for every other scenario. *)
 
 val size : query -> int
 (** Rendered length; {!shrink_candidates} only proposes smaller sizes. *)

@@ -21,6 +21,7 @@ let check ?(mutate = false) (s : Shrink.scenario) =
   let cat = Catalog.build s.Shrink.spec in
   match
     Oracle.compare_query cat s.Shrink.config ~mutate
+      ?swap:(Option.map Gen.render (Gen.swap_literal s.Shrink.query))
       (Gen.render s.Shrink.query)
   with
   | Ok () -> None

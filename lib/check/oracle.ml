@@ -168,8 +168,11 @@ let set_indexes (cat : Catalog.t) flag =
 (* Plan-cache determinism: the second execution of the same query on the
    same server must hit the plan cache (zero new compilations — the
    generator never emits prolog functions, so the metadata generation is
-   stable across runs) and serialize to the same bytes as the first. *)
-let recheck_cached ~prepare server q first =
+   stable across runs) and serialize to the same bytes as the first. A
+   [swap] text, the same call shape with another literal, must then run
+   from the shape's plan, also with zero new compilations, and match its
+   own reference result. *)
+let recheck_cached ~prepare ?swap server q first =
   let misses_before = Server.plan_cache_misses server in
   prepare ();
   match run_serialized server q with
@@ -181,7 +184,25 @@ let recheck_cached ~prepare server q first =
            first second)
     else if Server.plan_cache_misses server <> misses_before then
       Error "cached re-run recompiled: expected a plan-cache hit"
-    else Ok ()
+    else
+      match swap with
+      | None -> Ok ()
+      | Some (swapped, expected) -> (
+        prepare ();
+        let got = run_serialized server swapped in
+        if Server.plan_cache_misses server <> misses_before then
+          Error
+            (Printf.sprintf
+               "literal swap %s recompiled: expected its call shape's plan"
+               swapped)
+        else
+          match (expected, got) with
+          | Ok a, Ok b when String.equal a b -> Ok ()
+          | Error a, Error b when String.equal a b -> Ok ()
+          | _ ->
+            Error
+              (Printf.sprintf "literal swap %s diverged\nreference %s\nsubject   %s"
+                 swapped (describe expected) (describe got)))
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent serving-layer oracle: the serial reference answers each
@@ -317,16 +338,22 @@ let check_streamed ~prepare server q items =
 
 (* Every evaluation starts from the same scripted rating-call schedule,
    so each side sees call n fail or succeed alike. *)
-let compare_query cat config ?(mutate = false) ?(rating_faults = []) q =
+let compare_query cat config ?(mutate = false) ?(rating_faults = []) ?swap q =
   let rating = cat.Catalog.rating in
   let prepare () =
     if rating_faults <> [] then
       Aldsp_services.Web_service.set_schedule rating rating_faults
   in
-  let reference =
+  let reference, swap =
     set_indexes cat false;
     prepare ();
-    run_serialized (reference_server cat) q
+    let reference = run_serialized (reference_server cat) q in
+    ( reference,
+      Option.map
+        (fun swapped ->
+          prepare ();
+          (swapped, run_serialized (reference_server cat) swapped))
+        swap )
   in
   let subject, cached_check =
     set_indexes cat config.indexes;
@@ -340,7 +367,7 @@ let compare_query cat config ?(mutate = false) ?(rating_faults = []) q =
         let chk =
           match (run, r) with
           | Ok items, Ok first -> (
-            match recheck_cached ~prepare server q first with
+            match recheck_cached ~prepare ?swap server q first with
             | Error _ as e -> e
             | Ok () -> check_streamed ~prepare server q items)
           | _ -> Ok ()

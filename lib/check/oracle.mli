@@ -93,6 +93,7 @@ val compare_query :
   config ->
   ?mutate:bool ->
   ?rating_faults:Aldsp_services.Web_service.fault list ->
+  ?swap:string ->
   string ->
   (unit, string) result
 (** Runs the query on both servers ([mutate] swaps the subject evaluation
@@ -107,7 +108,11 @@ val compare_query :
     When the subject run succeeds (and [mutate] is off), the query is
     executed a second time on the same subject server: the re-run must be
     served from the plan cache (zero new compilations) and serialize to
-    exactly the same bytes — the plan-cache determinism oracle.
+    exactly the same bytes — the plan-cache determinism oracle. [swap]
+    is the same call shape with a different lifted literal
+    ({!Gen.swap_literal}): it then runs on that subject server too, must
+    compile nothing (the shape's plan serves it) and must match the
+    reference server's result for that text byte for byte.
 
     A successful scenario then runs a third time through the streamed
     session path ({!Server.session_run_stream}: streamed execution over

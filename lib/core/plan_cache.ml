@@ -30,6 +30,9 @@ type 'plan t = {
          touching are multi-step, and concurrent sessions share one
          cache *)
   mutable recency : string IntMap.t;  (* tick -> key, oldest first *)
+  mutable purged : (int * int) option;
+      (* the (generation, stats) pair every entry carries, when one does:
+         set by a purge, kept by adds under that pair *)
   mutable tick : int;
   mutable hit_count : int;
   mutable miss_count : int;
@@ -41,6 +44,7 @@ let create ~capacity =
     table = Hashtbl.create 32;
     mutex = Mutex.create ();
     recency = IntMap.empty;
+    purged = None;
     tick = 0;
     hit_count = 0;
     miss_count = 0;
@@ -84,31 +88,38 @@ let add t key plan =
         t.eviction_count <- t.eviction_count + 1
       | None -> ()
     end);
+  if t.purged <> Some (key.k_generation, key.k_stats) then t.purged <- None;
   t.tick <- t.tick + 1;
   Hashtbl.replace t.table ks { e_key = key; e_plan = plan; e_tick = t.tick };
   t.recency <- IntMap.add t.tick ks t.recency
 
+(* Nothing to scan while every entry carries the pair the last purge
+   kept, which is every compile between two mutations. *)
 let purge_stale t ~generation ~stats =
   locked t @@ fun () ->
-  let stale =
-    Hashtbl.fold
-      (fun ks entry acc ->
-        if entry.e_key.k_generation <> generation
-           || entry.e_key.k_stats <> stats
-        then (ks, entry.e_tick) :: acc
-        else acc)
-      t.table []
-  in
-  List.iter
-    (fun (ks, tick) ->
-      Hashtbl.remove t.table ks;
-      t.recency <- IntMap.remove tick t.recency)
-    stale
+  if t.purged <> Some (generation, stats) then begin
+    t.purged <- Some (generation, stats);
+    let stale =
+      Hashtbl.fold
+        (fun ks entry acc ->
+          if entry.e_key.k_generation <> generation
+             || entry.e_key.k_stats <> stats
+          then (ks, entry.e_tick) :: acc
+          else acc)
+        t.table []
+    in
+    List.iter
+      (fun (ks, tick) ->
+        Hashtbl.remove t.table ks;
+        t.recency <- IntMap.remove tick t.recency)
+      stale
+  end
 
 let clear t =
   locked t @@ fun () ->
   Hashtbl.reset t.table;
-  t.recency <- IntMap.empty
+  t.recency <- IntMap.empty;
+  t.purged <- None
 
 let size t = locked t @@ fun () -> Hashtbl.length t.table
 let hits t = locked t @@ fun () -> t.hit_count

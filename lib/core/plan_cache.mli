@@ -15,7 +15,7 @@
     by older generations. *)
 
 type key = {
-  k_query : string;  (** The query text. *)
+  k_query : string;  (** The query text, or a call shape's {!Shape.key}. *)
   k_options : string;  (** {!Optimizer.options_fingerprint} in force. *)
   k_generation : int;  (** {!Metadata.generation} at compile time. *)
   k_stats : int;
@@ -37,7 +37,10 @@ val add : 'plan t -> key -> 'plan -> unit
 val purge_stale : 'plan t -> generation:int -> stats:int -> unit
 (** Drops every entry compiled under a different metadata generation or
     statistics generation (the invalidation sweep run after registry or
-    data mutations). Does not touch hit / miss statistics. *)
+    data mutations). Does not touch hit / miss statistics. Scans only
+    when the pair differs from the last purge's or an entry under
+    another pair was added since, so a call between two mutations costs
+    one comparison. *)
 
 val clear : 'plan t -> unit
 val size : 'plan t -> int

@@ -582,7 +582,23 @@ let counters_suffix ~timings c =
   in
   " (" ^ String.concat " " parts ^ ")"
 
-let render ?(timings = false) plan =
+(* The variable a parameter slot reads whole, if it reads one. *)
+let rec whole_var p =
+  match p.node with
+  | P_var v -> Some v
+  | P_data p -> whole_var p
+  | _ -> None
+
+(* A parameter slot that reads one bound variable whole prints the
+   value it is bound to, as the statement would have inlined it. *)
+let param_label bindings p =
+  match Option.bind (whole_var p) (fun v -> List.assoc_opt v bindings) with
+  | Some [ Item.Atom (Atomic.String s) ] ->
+    Aldsp_relational.Sql_value.to_string (Aldsp_relational.Sql_value.Str s)
+  | Some [ Item.Atom a ] -> Atomic.to_string a
+  | _ -> cap (summary p)
+
+let render ?(timings = false) ?(bindings = []) plan =
   let buf = Buffer.create 1024 in
   let line indent text =
     Buffer.add_string buf (String.make (indent * 2) ' ');
@@ -641,7 +657,7 @@ let render ?(timings = false) plan =
       List.iteri
         (fun i p ->
           line (indent + 1)
-            (Printf.sprintf "param ?%d := %s" (i + 1) (cap (summary p))))
+            (Printf.sprintf "param ?%d := %s" (i + 1) (param_label bindings p)))
         r.sql_params;
       if r.sql_binds <> [] then
         line (indent + 1)
@@ -655,6 +671,30 @@ let render ?(timings = false) plan =
   in
   node 0 "" plan;
   Buffer.contents buf
+
+(* Whether [vars] are read only as whole pushed-SQL parameters: the plan
+   a statement runs is then the same for every value bound to them. *)
+let params_only plan vars =
+  let bound v = List.mem v vars in
+  let whole p = Option.fold ~none:false ~some:bound (whole_var p) in
+  let rec clean p =
+    match p.node with
+    | P_var v -> not (bound v)
+    | P_pipeline { ops; return_ } -> List.for_all op ops && clean return_
+    | _ -> List.for_all clean (sub_plans p)
+  and op o =
+    match o.op_node with
+    | O_sql r -> List.for_all (fun p -> whole p || clean p) r.sql_params
+    | O_group { aggs; _ }
+      when List.exists (fun (a, b) -> bound a || bound b) aggs ->
+      false
+    | O_join ({ right; _ } as j) ->
+      List.for_all op right
+      && List.for_all clean
+           (op_sub_plans { o with op_node = O_join { j with right = [] } })
+    | _ -> List.for_all clean (op_sub_plans o)
+  in
+  clean plan
 
 (* Counters whose est= and act= are both per-run totals: nodes the run
    evaluates once (the expressions above the outermost pipelines), those

@@ -9,8 +9,9 @@
     placement, cacheable-call marking) plus a mutable counter block that
     the executor fills in as the plan runs.
 
-    {!Eval} executes this IR; {!Plan_cache} caches it per
-    (query, optimizer options, metadata generation); {!Server.explain}
+    {!Eval} executes this IR; {!Server.compile} caches one per query
+    text, also when the text's call shape was compiled once for many
+    texts; {!Server.explain}
     renders it — one tree covering the middleware operators with their
     runtime counters and, nested under each pushed region, the backend's
     own access-path plan lines captured at execution time. *)
@@ -188,10 +189,21 @@ val operators : t -> (string * counters) list
 val regions : t -> sql_region list
 (** All pushed SQL regions, preorder. *)
 
-val render : ?timings:bool -> t -> string
+val params_only : t -> Cexpr.var list -> bool
+(** Whether the plan reads each of the variables only as a whole pushed-SQL
+    parameter ([param ?n := $v]): nowhere in the middleware, in no
+    argument of a call left in place, in no expression a parameter
+    computes. Such a plan is the same for every value bound to them, which
+    is what lets one plan serve every literal of a call shape
+    ({!Shape}). *)
+
+val render :
+  ?timings:bool -> ?bindings:(Cexpr.var * Item.sequence) list -> t -> string
 (** The unified EXPLAIN rendering: one indented tree of middleware
     operators, each with its counters, and under each pushed region the
     region's dialect SQL, parameter slots, column bindings and the
-    backend's captured access-path lines. [timings] adds wall-clock
+    backend's captured access-path lines. A parameter slot that reads a
+    variable of [bindings] prints its bound value ([param ?1 :=
+    'CUST0042']) instead of the variable. [timings] adds wall-clock
     fields (off by default so the output is byte-stable for golden
     tests). *)

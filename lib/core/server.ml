@@ -4,6 +4,7 @@ type compiled = {
   source : string;
   plan : Cexpr.t;
   ir : Plan_ir.t;
+  bindings : (Cexpr.var * Item.sequence) list;
   static_type : Stype.t;
   diagnostics : Diag.t list;
   sql : (string * string) list;
@@ -58,10 +59,22 @@ let submit_error_to_string = function
   | Cancelled m -> m
   | Failed m -> m
 
+(* A call shape's entry in the second cache level: the plan compiled with
+   its lifted literals as variables, or the finding that some literal
+   shaped that plan, so each text compiles with its literals inline. *)
+type shape =
+  | Lifted of compiled
+  | Inline
+
 type t = {
   registry : Metadata.t;
   optimizer : Optimizer.t;
-  plan_cache : compiled Plan_cache.t;
+  plan_cache : compiled Plan_cache.t;  (* per query text *)
+  shape_cache : shape Plan_cache.t;
+  fingerprint : string;  (* of the optimizer options, fixed at creation *)
+  compile_hits : int Stdlib.Atomic.t;
+  compile_misses : int Stdlib.Atomic.t;
+      (* [compile] calls that ran no compile pipeline / that ran it *)
   function_cache : Function_cache.t option;
   security : Security.t;
   audit : Audit.t;
@@ -166,6 +179,10 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     optimizer =
       Optimizer.create ~options:opts ~workers:(Pool.size pool) registry;
     plan_cache = Plan_cache.create ~capacity:plan_cache_capacity;
+    shape_cache = Plan_cache.create ~capacity:plan_cache_capacity;
+    fingerprint = Optimizer.options_fingerprint opts;
+    compile_hits = Stdlib.Atomic.make 0;
+    compile_misses = Stdlib.Atomic.make 0;
     function_cache;
     security;
     audit;
@@ -237,8 +254,8 @@ let stats t =
   List.iter
     (fun db -> Aldsp_relational.Database.add_stats backend db.Aldsp_relational.Database.stats)
     (Metadata.databases t.registry);
-  { st_plan_cache_hits = Plan_cache.hits t.plan_cache;
-    st_plan_cache_misses = Plan_cache.misses t.plan_cache;
+  { st_plan_cache_hits = Stdlib.Atomic.get t.compile_hits;
+    st_plan_cache_misses = Stdlib.Atomic.get t.compile_misses;
     st_function_cache_hits =
       (match t.function_cache with Some c -> Function_cache.hits c | None -> 0);
     st_function_cache_misses =
@@ -414,7 +431,8 @@ let design_time_check t source =
   let shadow =
     { t with
       registry = Metadata.copy t.registry;
-      plan_cache = Plan_cache.create ~capacity:1 }
+      plan_cache = Plan_cache.create ~capacity:1;
+      shape_cache = Plan_cache.create ~capacity:1 }
   in
   (try ignore (register_functions shadow ~diag query.Xq_ast.prolog)
    with Diag.Compile_error d ->
@@ -475,77 +493,128 @@ let apply_hints base_options (query : Xq_ast.query) =
         introduce_joins =
           bool_hint "join-introduction" base_options.introduce_joins }
 
-let compile_no_cache t source =
+(* The compile pipeline on a parsed query. [lifted] are the placeholder
+   variables of a call shape ({!Shape.lift}), external variables of the
+   literal's type. *)
+let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
   let diag = Diag.collector Diag.Fail_fast in
-  match Xq_parser.parse_query source with
-  | Error msg ->
-    Error [ { Diag.severity = Diag.Error; phase = "parse"; message = msg } ]
-  | Ok query -> (
-    match query.Xq_ast.body with
-    | None ->
-      Error
-        [ { Diag.severity = Diag.Error;
-            phase = "parse";
-            message = "query has no body expression" } ]
-    | Some body_ast -> (
-      try
-        let optimizer =
-          match apply_hints (Optimizer.options t.optimizer) query with
-          | Some hinted ->
-            Optimizer.create ~options:hinted ~workers:(Pool.size t.pool)
-              t.registry
-          | None -> t.optimizer
-        in
-        (* inline prolog function declarations are registered transiently *)
-        ignore (register_functions t ~diag query.Xq_ast.prolog);
-        let ctx =
-          Normalize.of_prolog
-            ~schema_lookup:(Metadata.find_schema t.registry)
-            diag query.Xq_ast.prolog
-        in
-        let var_scope, var_lets = prolog_variable_bindings ctx query.Xq_ast.prolog in
-        let core =
-          wrap_lets var_lets (Normalize.expr ~params:var_scope ctx body_ast)
-        in
-        let tenv = Typecheck.env t.registry diag in
-        let static_type, typed = Typecheck.check tenv core in
-        let opts = Optimizer.options optimizer in
-        let typed =
-          (* source reordering must see the raw for-clauses, before join
-             introduction (§9): statically costed when the cost model is
-             on (observed samples as fallback), observed-only otherwise *)
-          if opts.Optimizer.cost_based then
-            Optimizer.reorder_sources optimizer ?observed:t.observed typed
-          else
-            match t.observed with
-            | Some obs -> Optimizer.reorder_by_observed_cost optimizer obs typed
-            | None -> typed
-        in
-        let optimized, _stats = Optimizer.optimize optimizer typed in
-        let do_push = opts.Optimizer.pushdown in
-        let gate = Optimizer.parameterize_gate optimizer in
-        let push e = if do_push then Pushdown.push ~gate t.registry e else e in
-        let pushed = push optimized in
-        let cleaned = Optimizer.cleanup optimizer pushed in
-        (* a second pass prunes columns whose only consumer the cleanup
-           removed (source-access elimination, §4.2) *)
-        let pushed = push cleaned in
-        let plan = Optimizer.select_methods optimizer pushed in
-        Ok
-          { source;
-            plan;
-            ir = Plan_ir.compile t.registry plan;
-            static_type;
-            diagnostics = Diag.diagnostics diag;
-            sql = Pushdown.pushed_sql t.registry plan }
-      with Diag.Compile_error d -> Error [ d ]))
+  match query.Xq_ast.body with
+  | None ->
+    Error
+      [ { Diag.severity = Diag.Error;
+          phase = "parse";
+          message = "query has no body expression" } ]
+  | Some body_ast -> (
+    try
+      let optimizer =
+        match apply_hints (Optimizer.options t.optimizer) query with
+        | Some hinted ->
+          Optimizer.create ~options:hinted ~workers:(Pool.size t.pool)
+            t.registry
+        | None -> t.optimizer
+      in
+      (* inline prolog function declarations are registered transiently *)
+      ignore (register_functions t ~diag query.Xq_ast.prolog);
+      let ctx =
+        Normalize.of_prolog
+          ~schema_lookup:(Metadata.find_schema t.registry)
+          diag query.Xq_ast.prolog
+      in
+      let var_scope, var_lets = prolog_variable_bindings ctx query.Xq_ast.prolog in
+      let params = List.map (fun (v, _) -> (v, v)) lifted @ var_scope in
+      let core = wrap_lets var_lets (Normalize.expr ~params ctx body_ast) in
+      let tenv =
+        Typecheck.env
+          ~vars:
+            (List.map (fun (v, a) -> (v, Stype.atomic (Atomic.type_of a))) lifted)
+          t.registry diag
+      in
+      let static_type, typed = Typecheck.check tenv core in
+      let opts = Optimizer.options optimizer in
+      let typed =
+        (* source reordering must see the raw for-clauses, before join
+           introduction (§9): statically costed when the cost model is
+           on (observed samples as fallback), observed-only otherwise *)
+        if opts.Optimizer.cost_based then
+          Optimizer.reorder_sources optimizer ?observed:t.observed typed
+        else
+          match t.observed with
+          | Some obs -> Optimizer.reorder_by_observed_cost optimizer obs typed
+          | None -> typed
+      in
+      let optimized, _stats = Optimizer.optimize optimizer typed in
+      let do_push = opts.Optimizer.pushdown in
+      let gate = Optimizer.parameterize_gate optimizer in
+      let push e = if do_push then Pushdown.push ~gate t.registry e else e in
+      let pushed = push optimized in
+      let cleaned = Optimizer.cleanup optimizer pushed in
+      (* a second pass prunes columns whose only consumer the cleanup
+         removed (source-access elimination, §4.2) *)
+      let pushed = push cleaned in
+      let plan = Optimizer.select_methods optimizer pushed in
+      Ok
+        { source;
+          plan;
+          ir = Plan_ir.compile t.registry plan;
+          bindings = [];
+          static_type;
+          diagnostics = Diag.diagnostics diag;
+          sql = Pushdown.pushed_sql t.registry plan }
+    with Diag.Compile_error d -> Error [ d ])
 
-let cache_key t ~generation ~stats source =
-  { Plan_cache.k_query = source;
-    k_options =
-      Optimizer.options_fingerprint (Optimizer.options t.optimizer);
+let cache_key t ~generation ~stats query =
+  { Plan_cache.k_query = query;
+    k_options = t.fingerprint;
     k_generation = generation;
     k_stats = stats }
+
+(* Post-compile generations: compilation itself may move the generation
+   (transient prolog function registration), and keying under the new one
+   lets an identical recompile — which would re-register the same
+   definitions — hit. *)
+let add_after_compile t cache query entry =
+  Plan_cache.add cache
+    (cache_key t
+       ~generation:(Metadata.generation t.registry)
+       ~stats:(Metadata.stats_generation t.registry)
+       query)
+    entry
+
+(* A text miss: compile the text's call shape once and give the text its
+   own plan object, lowered from the shape's optimized plan, with its
+   literals as the bindings; or compile the text itself when it has
+   nothing to lift or its shape is [Inline]. Returns whether the compile
+   pipeline ran. *)
+let compile_text t source query =
+  let full () = (true, compile_query t source query) in
+  match Shape.lift t.registry query with
+  | None -> full ()
+  | Some (lifted_query, lifted) -> (
+    let vars = List.map fst lifted in
+    let bindings = List.map (fun (v, a) -> (v, [ Item.Atom a ])) lifted in
+    let shape_key = Shape.key lifted_query lifted in
+    let generation = Metadata.generation t.registry in
+    let stats = Metadata.stats_generation t.registry in
+    match
+      Plan_cache.find t.shape_cache (cache_key t ~generation ~stats shape_key)
+    with
+    | Some (Lifted template) ->
+      ( false,
+        Ok
+          { template with
+            source;
+            ir = Plan_ir.compile t.registry template.plan;
+            bindings } )
+    | Some Inline -> full ()
+    | None -> (
+      match compile_query t ~lifted source lifted_query with
+      | Ok template when Plan_ir.params_only template.ir vars ->
+        add_after_compile t t.shape_cache shape_key (Lifted template);
+        (* the template's own plan object goes to this first text only *)
+        (true, Ok { template with bindings })
+      | Ok _ | Error _ ->
+        add_after_compile t t.shape_cache shape_key Inline;
+        full ()))
 
 let compile t source =
   (* drop plans compiled against an older registry — or, since cost-based
@@ -554,23 +623,21 @@ let compile t source =
   let generation = Metadata.generation t.registry in
   let stats = Metadata.stats_generation t.registry in
   Plan_cache.purge_stale t.plan_cache ~generation ~stats;
+  Plan_cache.purge_stale t.shape_cache ~generation ~stats;
   match Plan_cache.find t.plan_cache (cache_key t ~generation ~stats source) with
-  | Some compiled -> Ok compiled
+  | Some compiled ->
+    Stdlib.Atomic.incr t.compile_hits;
+    Ok compiled
   | None -> (
-    match compile_no_cache t source with
-    | Ok compiled ->
-      (* compilation itself may move the generation (transient prolog
-         function registration); key under the post-compile generation so
-         an identical recompile — which would re-register the same
-         definitions — can hit *)
-      Plan_cache.add t.plan_cache
-        (cache_key t
-           ~generation:(Metadata.generation t.registry)
-           ~stats:(Metadata.stats_generation t.registry)
-           source)
-        compiled;
-      Ok compiled
-    | Error _ as e -> e)
+    match Xq_parser.parse_query source with
+    | Error msg ->
+      Stdlib.Atomic.incr t.compile_misses;
+      Error [ { Diag.severity = Diag.Error; phase = "parse"; message = msg } ]
+    | Ok query ->
+      let ran, result = compile_text t source query in
+      Stdlib.Atomic.incr (if ran then t.compile_misses else t.compile_hits);
+      Result.iter (add_after_compile t t.plan_cache source) result;
+      result)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -607,7 +674,7 @@ let run t ?(user = Security.admin) source =
   | Error ds -> Error (diags_to_string ds)
   | Ok compiled -> (
     let before = snapshot_rows compiled.ir in
-    match Eval.execute t.runtime compiled.ir with
+    match Eval.execute t.runtime ~bindings:compiled.bindings compiled.ir with
     | Ok items ->
       note_misestimate t compiled.ir before;
       Ok (Security.filter_result t.security user items)
@@ -870,7 +937,7 @@ let session_run_stream s ?deadline source =
       Error (Failed (diags_to_string ds))
     | Ok compiled ->
       let emit push =
-        Eval.emit server.runtime compiled.ir
+        Eval.emit server.runtime ~bindings:compiled.bindings compiled.ir
           (Security.filter_tokens server.security s.ses_user push)
       in
       let st =
@@ -1019,13 +1086,14 @@ let explain t ?(analyze = true) ?(timings = false) source =
          (Stype.to_string compiled.static_type));
     if analyze then begin
       Plan_ir.reset_counters compiled.ir;
-      match Eval.execute t.runtime compiled.ir with
+      match Eval.execute t.runtime ~bindings:compiled.bindings compiled.ir with
       | Ok _ -> note_worst t (Plan_ir.max_misestimate compiled.ir)
       | Error m -> Buffer.add_string buf (Printf.sprintf "error: %s\n" m)
     end;
     Buffer.add_string buf "plan:\n";
-    Buffer.add_string buf (Plan_ir.render ~timings compiled.ir);
+    Buffer.add_string buf
+      (Plan_ir.render ~timings ~bindings:compiled.bindings compiled.ir);
     Ok (Buffer.contents buf)
 
-let plan_cache_hits t = Plan_cache.hits t.plan_cache
-let plan_cache_misses t = Plan_cache.misses t.plan_cache
+let plan_cache_hits t = Stdlib.Atomic.get t.compile_hits
+let plan_cache_misses t = Stdlib.Atomic.get t.compile_misses

@@ -3,7 +3,8 @@
 
     Query processing follows the phases of §3.3 — parsing, expression tree
     construction, normalization, type checking, optimization, code
-    generation — then execution. Compiled plans are cached by query text;
+    generation — then execution. Compiled plans are cached by query text
+    and by call shape (see {!compile});
     view bodies are sub-optimized and cached per function with eviction;
     the function cache (when configured) intercepts calls to
     cache-enabled data service functions; element-level security filtering
@@ -21,8 +22,20 @@ type t
 
 type compiled = {
   source : string;
-  plan : Cexpr.t;  (** The optimized core expression (pre-lowering). *)
-  ir : Plan_ir.t;  (** The physical plan the executor runs. *)
+  plan : Cexpr.t;
+      (** The optimized core expression (pre-lowering). For a text whose
+          call shape was lifted, the shape's plan, shared by every text
+          of that shape. *)
+  ir : Plan_ir.t;
+      (** The physical plan the executor runs. Owned by this text alone:
+          {!compile} hands out the same object for the same text while it
+          stays cached, and never one object for two texts, so the
+          counters it accumulates (EXPLAIN ANALYZE, the misestimate
+          rollup) are this text's. *)
+  bindings : (Cexpr.var * Item.sequence) list;
+      (** The text's lifted literals, one per placeholder variable of its
+          call shape; every execution binds them. Empty when nothing was
+          lifted. *)
   static_type : Stype.t;
   diagnostics : Diag.t list;
   sql : (string * string) list;  (** Pushed (database, SQL) regions. *)
@@ -174,11 +187,24 @@ val design_time_check : t -> string -> Diag.t list
 
 val compile : t -> string -> (compiled, Diag.t list) result
 (** Full pipeline on an ad hoc query, ending in the lowered {!Plan_ir}
-    plan. Plans are cached keyed on (query text, optimizer options
-    fingerprint, metadata generation, statistics generation); entries from
-    older generations are purged before lookup, so neither a registry
-    mutation nor a data mutation (which moves the table statistics the
-    cost model priced the plan against) can be served a stale plan. *)
+    plan, through a two-level plan cache. Both levels key on the optimizer
+    options fingerprint, the metadata generation and the statistics
+    generation besides their query; entries from older generations are
+    purged before lookup, so neither a registry mutation nor a data
+    mutation (which moves the table statistics the cost model priced the
+    plan against) can be served a stale plan.
+
+    The first level maps the query text to its compiled plan. On a miss
+    the text is parsed once and its call shape taken ({!Shape.lift}): the
+    literal arguments of its data-service calls become typed external
+    variables. The second level maps the shape to its plan, compiled once
+    with those variables. The shape serves a text only when its plan reads
+    every lifted variable as a whole pushed-SQL parameter
+    ({!Plan_ir.params_only}); then the text gets a fresh {!Plan_ir}
+    lowered from the shape's optimized plan, with its literals as
+    [bindings]. Otherwise the shape is recorded as inline and each of its
+    texts compiles with its literals in place, as does a text with nothing
+    to lift. Both levels hold up to [plan_cache_capacity] entries. *)
 
 val run :
   t -> ?user:Security.user -> string -> (Item.sequence, string) result
@@ -328,4 +354,12 @@ val explain :
     golden-testable. *)
 
 val plan_cache_hits : t -> int
+(** {!compile} calls that ran no compile pipeline: a text found in the
+    first level, or a text instantiated from a cached call shape. *)
+
 val plan_cache_misses : t -> int
+(** {!compile} calls that ran the compile pipeline (parse errors
+    included). A call is one miss even when it runs the pipeline twice:
+    the first text of a shape that turns out inline compiles the shape,
+    then itself. [st_plan_cache_hits] and [st_plan_cache_misses] of
+    {!stats} are these two counters. *)

@@ -234,6 +234,116 @@ let test_compile_once_execute_twice () =
     (Server.plan_cache_misses server)
 
 (* ------------------------------------------------------------------ *)
+(* Call shapes: a data-service call's literal arguments are lifted into
+   bound parameters, so one compile serves every literal                *)
+
+let shape_service =
+  {|(::pragma function kind="read" ::)
+declare function orderByID($id) as element(ORDER_T)* {
+  for $o in ORDER_T() where $o/OID eq $id return $o
+};
+(::pragma function kind="read" ::)
+declare function tagged($s as xs:string) as element(T) { <T>{$s}</T> };
+(::pragma function kind="read" ::)
+declare function firstCIDs($n as xs:integer) as xs:string* {
+  fn:subsequence(for $c in CUSTOMER() order by $c/CID return fn:data($c/CID), 1, $n)
+};|}
+
+let shape_demo () =
+  let demo = Aldsp_demo.Demo.create ~customers:50 ~orders_per_customer:2 () in
+  (match
+     Server.register_data_service demo.Aldsp_demo.Demo.server ~name:"ShapeDS"
+       shape_service
+   with
+  | Ok () -> ()
+  | Error ds ->
+    Alcotest.failf "register: %s" (String.concat "; " (List.map Diag.to_string ds)));
+  demo
+
+(* [q] on [server] must serialize exactly as on a reference server over
+   the same registry *)
+let check_reference server q =
+  let reference = Server.reference (Server.registry server) in
+  let run s = Item.serialize (ok_exn (Server.run s q)) in
+  check_string (q ^ " matches the reference") (run reference) (run server)
+
+let test_one_compile_per_shape () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let misses = Server.plan_cache_misses server in
+  for i = 1 to 50 do
+    check_reference server (Printf.sprintf "getProfileByID(\"CUST%04d\")" i)
+  done;
+  check_int "one full compile for 50 keys" (misses + 1)
+    (Server.plan_cache_misses server);
+  let text =
+    ok_exn (Server.explain server "getProfileByID(\"CUST0042\")")
+  in
+  check_bool "the key is a SQL parameter" true
+    (contains text "WHERE t1.\"CID\" = ?");
+  check_bool "EXPLAIN prints the bound value" true
+    (contains text "param ?1 := 'CUST0042'");
+  check_bool "still probes the primary key" true
+    (contains text "index probe CUSTOMER.pk_CUSTOMER")
+
+let test_plan_object_per_text () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let a = compile_exn server "getProfileByID(\"CUST0001\")" in
+  let a' = compile_exn server "getProfileByID(\"CUST0001\")" in
+  let b = compile_exn server "getProfileByID(\"CUST0002\")" in
+  check_bool "one text, one plan object" true (a.Server.ir == a'.Server.ir);
+  check_bool "two texts, two plan objects" true (a.Server.ir != b.Server.ir);
+  check_bool "the shape's plan is shared" true (a.Server.plan == b.Server.plan);
+  check_bool "each text binds its own literal" true
+    (a.Server.bindings <> b.Server.bindings)
+
+let test_literal_types_own_shapes () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let misses = Server.plan_cache_misses server in
+  check_reference server "orderByID(1001)";
+  check_reference server "orderByID(2002)";
+  check_int "integer keys share a shape" (misses + 1)
+    (Server.plan_cache_misses server);
+  check_reference server "orderByID(1001.0)";
+  check_int "a decimal key is another shape" (misses + 2)
+    (Server.plan_cache_misses server);
+  check_reference server "orderByID(2002.0)";
+  check_int "which later decimal keys share" (misses + 2)
+    (Server.plan_cache_misses server)
+
+let test_plan_shaping_literals_stay_inline () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  List.iter
+    (fun texts ->
+      let misses = Server.plan_cache_misses server in
+      List.iter (check_reference server) texts;
+      check_int
+        (String.concat ", " texts ^ ": one full compile per text")
+        (misses + List.length texts)
+        (Server.plan_cache_misses server))
+    [ [ "tagged(\"a\")"; "tagged(\"b\")"; "tagged(\"c\")" ];
+      [ "firstCIDs(2)"; "firstCIDs(3)"; "firstCIDs(4)" ] ]
+
+let test_shape_staleness () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  ignore (compile_exn server "getProfileByID(\"CUST0001\")");
+  let misses = Server.plan_cache_misses server in
+  Metadata.set_cacheable demo.Aldsp_demo.Demo.registry
+    (Qname.make ~uri:"fn" "getCustomerNames")
+    true;
+  ignore (compile_exn server "getProfileByID(\"CUST0002\")");
+  check_int "a metadata change recompiles the shape" (misses + 1)
+    (Server.plan_cache_misses server);
+  ignore (compile_exn server "getProfileByID(\"CUST0003\")");
+  check_int "and the new shape serves the next key" (misses + 1)
+    (Server.plan_cache_misses server);
+  check_reference server "getProfileByID(\"CUST0003\")"
+
+(* ------------------------------------------------------------------ *)
 (* spill= rendering: present with its companions exactly when the sort
    overflowed its budget, absent otherwise                              *)
 
@@ -384,7 +494,13 @@ let () =
       ( "labels", [ t "pp-k inner= label" test_ppk_inner_labels ] );
       ( "plan-cache",
         [ t "stale generations recompile" test_plan_cache_staleness;
-          t "compile once, execute twice" test_compile_once_execute_twice ] );
+          t "compile once, execute twice" test_compile_once_execute_twice;
+          t "one compile per call shape" test_one_compile_per_shape;
+          t "one plan object per text" test_plan_object_per_text;
+          t "literal types get their own shapes" test_literal_types_own_shapes;
+          t "plan-shaping literals stay inline"
+            test_plan_shaping_literals_stay_inline;
+          t "stale shapes recompile" test_shape_staleness ] );
       ( "spill",
         [ t "spill= counters on a spilled sort" test_spill_counters;
           t "zero-spill plans render as before"
