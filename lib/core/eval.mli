@@ -5,10 +5,10 @@
     pre-clustered grouping, joins over streamed inputs) work
     incrementally; only sorting, hash-building and group-by over
     unclustered input materialize. As a plan runs, the executor fills in
-    each operator's {!Plan_ir.counters} (rows out, source roundtrips,
-    function-cache hits, wall time in roundtrips) and stores the backend's
-    access-path lines into each pushed region — the data unified EXPLAIN
-    renders.
+    the execution's {!Plan_ir.run}: each operator's counters (rows out,
+    source roundtrips, function-cache hits, wall time in roundtrips) and
+    each pushed region's backend access-path lines — the data unified
+    EXPLAIN renders. The plan tree itself is never written.
 
     Join clauses execute with the method the optimizer picked (§5.2):
     nested loop, index nested loop (a hash probe on extracted equi-keys),
@@ -103,30 +103,26 @@ val disjunctive_select :
 val execute :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
+  counters:Plan_ir.run ->
   Plan_ir.t ->
   (Item.sequence, string) result
-(** Runs a compiled plan, accumulating per-operator counters into it.
-    Function bodies reached by calls are themselves lowered on first use
-    and memoized in the runtime, keyed on (name, arity) and invalidated
-    when {!Metadata.generation} moves. *)
-
-val execute_exn :
-  rt ->
-  ?bindings:(Cexpr.var * Item.sequence) list ->
-  Plan_ir.t ->
-  Item.sequence
-(** Like {!execute} but raises {!Eval_error}. *)
+(** Runs a compiled plan's tree, counting into [counters] (from
+    {!Plan_ir.new_run} on the same view); folding them into a view is the
+    caller's choice. Function bodies reached by calls are themselves
+    lowered on first use and memoized in the runtime, keyed on (name,
+    arity) and invalidated when {!Metadata.generation} moves. *)
 
 val emit :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
+  counters:Plan_ir.run ->
   Plan_ir.t ->
   (Aldsp_tokens.Token.t -> unit) ->
   unit
 (** Streamed delivery as tokens: runs the plan and pushes its result's
     tokens into the sink — the tokens
     {!Aldsp_tokens.Token_stream.iter_item} would produce for
-    {!execute_exn}'s items, in the same order, with the same counters.
+    {!execute}'s items, in the same order, with the same counters.
     Nothing is built for a delivered value the emitter can push as it
     is produced: a pipeline, at any depth, pushes each tuple's return as
     the tuple arrives; an element constructor pushes its start tag, its
@@ -152,13 +148,10 @@ val eval :
   ?bindings:(Cexpr.var * Item.sequence) list ->
   Cexpr.t ->
   (Item.sequence, string) result
-(** Convenience: {!Plan_ir.compile} then {!execute}. Each call lowers the
-    expression afresh; callers that run the same expression repeatedly
-    should compile once and {!execute} the plan. *)
-
-val eval_exn :
-  rt -> ?bindings:(Cexpr.var * Item.sequence) list -> Cexpr.t -> Item.sequence
-(** Like {!eval} but raises {!Eval_error}. *)
+(** Convenience: {!Plan_ir.compile} then {!execute}, counting into the
+    fresh view's own totals. Each call lowers the expression afresh;
+    callers that run the same expression repeatedly should compile once
+    and {!execute} the plan. *)
 
 val call_function :
   rt -> Aldsp_xml.Qname.t -> Item.sequence list -> (Item.sequence, string) result

@@ -4,7 +4,6 @@ module Database = Aldsp_relational.Database
 module Sql_print = Aldsp_relational.Sql_print
 
 type counters = {
-  mutable c_est : int;
   mutable c_starts : int;
   mutable c_rows : int;
   mutable c_roundtrips : int;
@@ -17,7 +16,10 @@ type counters = {
   mutable c_spill_rows : int;
   mutable c_spill_bytes : int;
   mutable c_merge_fanin : int;
+  mutable c_backend : string list;
 }
+
+type run = counters array
 
 type call_target =
   | T_function of { cacheable : bool; external_ : bool }
@@ -26,90 +28,129 @@ type call_target =
 
 type let_mode = L_plain | L_async | L_concurrent
 
-type t = { id : int; counters : counters; node : node }
+type plan = { id : int; est : int; node : node }
 
 and node =
   | P_const of Atomic.t
   | P_empty
-  | P_seq of t list
+  | P_seq of plan list
   | P_var of C.var
   | P_construct of {
       name : Qname.t;
       optional : bool;
       attrs : pattr list;
-      content : t;
+      content : plan;
     }
-  | P_if of { cond : t; then_ : t; else_ : t }
-  | P_quantified of { universal : bool; var : C.var; source : t; pred : t }
-  | P_call of { fn : Qname.t; target : call_target; args : t list }
-  | P_async of t
-  | P_fail_over of { primary : t; alternate : t }
-  | P_timeout of { primary : t; millis : t; alternate : t }
-  | P_child of t * Qname.t
-  | P_child_wild of t
-  | P_attr_of of t * Qname.t
-  | P_filter of { input : t; dot : C.var; pos : C.var; pred : t }
-  | P_data of t
-  | P_ebv of t
-  | P_binop of C.binop * t * t
-  | P_typematch of t * Stype.t
-  | P_cast of t * Atomic.atomic_type
-  | P_castable of t * Atomic.atomic_type
-  | P_instance_of of t * Stype.t
+  | P_if of { cond : plan; then_ : plan; else_ : plan }
+  | P_quantified of {
+      universal : bool;
+      var : C.var;
+      source : plan;
+      pred : plan;
+    }
+  | P_call of { fn : Qname.t; target : call_target; args : plan list }
+  | P_async of plan
+  | P_fail_over of { primary : plan; alternate : plan }
+  | P_timeout of { primary : plan; millis : plan; alternate : plan }
+  | P_child of plan * Qname.t
+  | P_child_wild of plan
+  | P_attr_of of plan * Qname.t
+  | P_filter of { input : plan; dot : C.var; pos : C.var; pred : plan }
+  | P_data of plan
+  | P_ebv of plan
+  | P_binop of C.binop * plan * plan
+  | P_typematch of plan * Stype.t
+  | P_cast of plan * Atomic.atomic_type
+  | P_castable of plan * Atomic.atomic_type
+  | P_instance_of of plan * Stype.t
   | P_error of string
-  | P_pipeline of { ops : op list; return_ : t }
+  | P_pipeline of { ops : op list; return_ : plan }
 
-and pattr = { p_aname : Qname.t; p_avalue : t; p_aoptional : bool }
+and pattr = { p_aname : Qname.t; p_avalue : plan; p_aoptional : bool }
 
-and op = { op_id : int; op_counters : counters; op_node : op_node }
+and op = { op_id : int; op_est : int; op_node : op_node }
 
 and op_node =
-  | O_scan of { var : C.var; source : t }
-  | O_let of { var : C.var; value : t; mode : let_mode }
-  | O_select of t
+  | O_scan of { var : C.var; source : plan }
+  | O_let of { var : C.var; value : plan; mode : let_mode }
+  | O_select of plan
   | O_group of {
       aggs : (C.var * C.var) list;
-      keys : (t * C.var) list;
+      keys : (plan * C.var) list;
       clustered : bool;
     }
-  | O_sort of { keys : (t * bool) list }
+  | O_sort of { keys : (plan * bool) list }
   | O_join of {
       kind : C.join_kind;
       method_ : C.join_method;
       right : op list;
-      on_ : t;
+      on_ : plan;
       equi : pequi option;
       export : pexport;
     }
   | O_sql of sql_region
 
-and pequi = { eq_pairs : (t * t) list; eq_residual : t list }
+and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
 
-and pexport = PE_bindings | PE_grouped of { gvar : C.var; gexpr : t }
+and pexport = PE_bindings | PE_grouped of { gvar : C.var; gexpr : plan }
 
 and sql_region = {
   sql_db : string;
   sql_dialect : string;
   sql_text : string;
   sql_select : Aldsp_relational.Sql_ast.select;
-  sql_params : t list;
+  sql_params : plan list;
   sql_binds : C.sql_bind list;
-  mutable sql_backend : string list;
 }
 
+type t = { tree : plan; totals : run }
+
 let zero () =
-  { c_est = 0; c_starts = 0; c_rows = 0; c_roundtrips = 0; c_cache_hits = 0;
+  { c_starts = 0; c_rows = 0; c_roundtrips = 0; c_cache_hits = 0;
     c_cache_misses = 0; c_shared = 0; c_wall = 0.; c_first_row_ns = 0.;
-    c_spill_runs = 0; c_spill_rows = 0; c_spill_bytes = 0; c_merge_fanin = 0 }
+    c_spill_runs = 0; c_spill_rows = 0; c_spill_bytes = 0; c_merge_fanin = 0;
+    c_backend = [] }
+
+let new_run view = Array.init (Array.length view.totals) (fun _ -> zero ())
+
+let instance view = { view with totals = new_run view }
+
+(* Sums, except the high-water fan-in, the first stamped time to first
+   row, and the backend lines of the latest run that captured any. *)
+let add total c =
+  total.c_starts <- total.c_starts + c.c_starts;
+  total.c_rows <- total.c_rows + c.c_rows;
+  total.c_roundtrips <- total.c_roundtrips + c.c_roundtrips;
+  total.c_cache_hits <- total.c_cache_hits + c.c_cache_hits;
+  total.c_cache_misses <- total.c_cache_misses + c.c_cache_misses;
+  total.c_shared <- total.c_shared + c.c_shared;
+  total.c_wall <- total.c_wall +. c.c_wall;
+  if total.c_first_row_ns = 0. then total.c_first_row_ns <- c.c_first_row_ns;
+  total.c_spill_runs <- total.c_spill_runs + c.c_spill_runs;
+  total.c_spill_rows <- total.c_spill_rows + c.c_spill_rows;
+  total.c_spill_bytes <- total.c_spill_bytes + c.c_spill_bytes;
+  total.c_merge_fanin <- max total.c_merge_fanin c.c_merge_fanin;
+  if c.c_backend <> [] then total.c_backend <- c.c_backend
+
+(* One lock for every view: a fold is a handful of word writes per
+   operator, once per execution. *)
+let fold_lock = Mutex.create ()
+
+let fold view run =
+  Mutex.lock fold_lock;
+  Array.iter2 add view.totals run;
+  Mutex.unlock fold_lock
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 
+(* Operators are numbered densely from 0: an execution's counters are
+   the array those ids index. *)
 let compile registry root =
   let next = ref 0 in
-  let fresh () = incr next; !next in
-  let mk node = { id = fresh (); counters = zero (); node } in
-  let mk_op op_node = { op_id = fresh (); op_counters = zero (); op_node } in
+  let fresh () = let id = !next in incr next; id in
+  let est_of = Option.value ~default:0 in
+  let mk_op est op_node = { op_id = fresh (); op_est = est_of est; op_node } in
   let external_call = function
     | C.Call { fn; args } -> (
       match Metadata.resolve_call registry fn (List.length args) with
@@ -120,16 +161,13 @@ let compile registry root =
       | None -> false)
     | _ -> false
   in
-  (* Compile-time cardinality estimates, recorded alongside each
-     operator's runtime counters so EXPLAIN --analyze can print
-     est=/act= pairs: the estimate stored on an operator is the binding
-     tuples it is expected to emit ({!Cost_model.advance}). *)
-  let set_est c = function Some n -> c.c_est <- n | None -> () in
-  let rec expr (e : C.t) : t =
-    let p = expr_node e in
-    set_est p.counters (Cost_model.expr_cardinality registry e);
-    p
-  and expr_node (e : C.t) : t =
+  (* Compile-time cardinality estimates, fixed on each operator so
+     EXPLAIN --analyze can print est=/act= pairs: the estimate of an
+     operator is the binding tuples it is expected to emit
+     ({!Cost_model.advance}). *)
+  let rec expr (e : C.t) : plan =
+    let est = est_of (Cost_model.expr_cardinality registry e) in
+    let mk node = { id = fresh (); est; node } in
     match e with
     | C.Const a -> mk (P_const a)
     | C.Empty -> mk P_empty
@@ -199,7 +237,7 @@ let compile registry root =
      executor's binding step: an explicit fn-bea:async value, or an
      external-source call with no data dependence on the run's other
      bindings, is marked for ahead-of-use submission (§5.4). *)
-  and lower_lets run =
+  and lower_lets est run =
     let run_vars =
       List.filter_map (function C.Let { var; _ } -> Some var | _ -> None) run
     in
@@ -221,7 +259,7 @@ let compile registry root =
               L_concurrent
             | _ -> L_plain
           in
-          mk_op (O_let { var; value = expr value; mode })
+          mk_op est (O_let { var; value = expr value; mode })
         | _ -> assert false)
       run
   and lower_clauses est clauses =
@@ -235,23 +273,23 @@ let compile registry root =
         | rest -> (List.rev run, ests, rest)
       in
       let run, ests, rest = split [] ests clauses in
-      let ops = lower_lets run in
-      List.iter (fun o -> set_est o.op_counters est) ops;
+      let ops = lower_lets est run in
       ops @ lower_run est rest ests
     | clause :: rest, est' :: ests ->
       let op =
+        mk_op est'
+        @@
         match clause with
-        | C.For { var; source } -> mk_op (O_scan { var; source = expr source })
+        | C.For { var; source } -> O_scan { var; source = expr source }
         | C.Let _ -> assert false
-        | C.Where cond -> mk_op (O_select (expr cond))
+        | C.Where cond -> O_select (expr cond)
         | C.Group { aggs; keys; clustered } ->
-          mk_op
-            (O_group
-               { aggs;
-                 keys = List.map (fun (e, v) -> (expr e, v)) keys;
-                 clustered })
+          O_group
+            { aggs;
+              keys = List.map (fun (e, v) -> (expr e, v)) keys;
+              clustered }
         | C.Order { keys } ->
-          mk_op (O_sort { keys = List.map (fun (e, d) -> (expr e, d)) keys })
+          O_sort { keys = List.map (fun (e, d) -> (expr e, d)) keys }
         | C.Join { kind; method_; right; on_; export } ->
           let lower_equi (pairs, residual) =
             { eq_pairs = List.map (fun (l, r) -> (expr l, expr r)) pairs;
@@ -268,18 +306,17 @@ let compile registry root =
                 (C.ppk_hash_keys right on_)
             | C.Nested_loop -> None
           in
-          mk_op
-            (O_join
-               { kind;
-                 method_;
-                 right = lower_clauses est right;
-                 on_ = expr on_;
-                 equi;
-                 export =
-                   (match export with
-                   | C.Bindings -> PE_bindings
-                   | C.Grouped { gvar; gexpr } ->
-                     PE_grouped { gvar; gexpr = expr gexpr }) })
+          O_join
+            { kind;
+              method_;
+              right = lower_clauses est right;
+              on_ = expr on_;
+              equi;
+              export =
+                (match export with
+                | C.Bindings -> PE_bindings
+                | C.Grouped { gvar; gexpr } ->
+                  PE_grouped { gvar; gexpr = expr gexpr }) }
         | C.Rel r ->
           let dialect, vendor =
             match Metadata.find_database registry r.C.db with
@@ -292,20 +329,18 @@ let compile registry root =
             with Sql_print.Unsupported reason ->
               "<unprintable: " ^ reason ^ ">"
           in
-          mk_op
-            (O_sql
-               { sql_db = r.C.db;
-                 sql_dialect = dialect;
-                 sql_text;
-                 sql_select = r.C.select;
-                 sql_params = List.map expr r.C.sql_params;
-                 sql_binds = r.C.binds;
-                 sql_backend = [] })
+          O_sql
+            { sql_db = r.C.db;
+              sql_dialect = dialect;
+              sql_text;
+              sql_select = r.C.select;
+              sql_params = List.map expr r.C.sql_params;
+              sql_binds = r.C.binds }
       in
-      set_est op.op_counters est';
       op :: lower_run est' rest ests
   in
-  expr root
+  let tree = expr root in
+  { tree; totals = Array.init !next (fun _ -> zero ()) }
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)
@@ -349,62 +384,32 @@ and op_sub_plans o =
     @ (match export with PE_bindings -> [] | PE_grouped { gexpr; _ } -> [ gexpr ])
   | O_sql r -> r.sql_params
 
-let rec iter_counters f p =
-  f p.counters;
-  (match p.node with
-  | P_pipeline { ops; _ } -> List.iter (iter_op_counters f) ops
-  | _ -> ());
-  List.iter (iter_counters f)
-    (match p.node with
-    | P_pipeline { return_; _ } -> [ return_ ]
-    | _ -> sub_plans p)
-
-and iter_op_counters f o =
-  f o.op_counters;
-  (match o.op_node with
-  | O_join { right; _ } -> List.iter (iter_op_counters f) right
-  | _ -> ());
-  List.iter (iter_counters f) (op_sub_plans o)
-
-let rec iter_regions f p =
-  (match p.node with
-  | P_pipeline { ops; _ } -> List.iter (iter_region_op f) ops
-  | _ -> ());
-  List.iter (iter_regions f)
-    (match p.node with
-    | P_pipeline { return_; _ } -> [ return_ ]
-    | _ -> sub_plans p)
-
-and iter_region_op f o =
-  (match o.op_node with
-  | O_sql r -> f r
-  | O_join { right; _ } -> List.iter (iter_region_op f) right
-  | _ -> ());
-  List.iter (iter_regions f) (op_sub_plans o)
-
-let regions p =
+(* Every node and tuple operator in preorder, keeping what [node] and
+   [op] pick out. *)
+let preorder ~node:pick_node ~op:pick_op plan =
   let acc = ref [] in
-  iter_regions (fun r -> acc := r :: !acc) p;
+  let keep = Option.iter (fun x -> acc := x :: !acc) in
+  let rec node p =
+    keep (pick_node p);
+    (match p.node with P_pipeline { ops; _ } -> List.iter op ops | _ -> ());
+    List.iter node
+      (match p.node with
+      | P_pipeline { return_; _ } -> [ return_ ]
+      | _ -> sub_plans p)
+  and op o =
+    keep (pick_op o);
+    (match o.op_node with
+    | O_join { right; _ } -> List.iter op right
+    | _ -> ());
+    List.iter node (op_sub_plans o)
+  in
+  node plan;
   List.rev !acc
 
-(* c_est is a compile-time quantity and survives counter resets. *)
-let reset_counters p =
-  iter_counters
-    (fun c ->
-      c.c_starts <- 0;
-      c.c_rows <- 0;
-      c.c_roundtrips <- 0;
-      c.c_cache_hits <- 0;
-      c.c_cache_misses <- 0;
-      c.c_shared <- 0;
-      c.c_wall <- 0.;
-      c.c_first_row_ns <- 0.;
-      c.c_spill_runs <- 0;
-      c.c_spill_rows <- 0;
-      c.c_spill_bytes <- 0;
-      c.c_merge_fanin <- 0)
-    p;
-  List.iter (fun r -> r.sql_backend <- []) (regions p)
+let regions view =
+  preorder view.tree
+    ~node:(fun _ -> None)
+    ~op:(fun o -> match o.op_node with O_sql r -> Some r | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -552,9 +557,9 @@ let op_label o =
       | PE_grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar)
   | O_sql r -> Printf.sprintf "sql[%s dialect=%s]" r.sql_db r.sql_dialect
 
-let counters_suffix ~timings c =
+let counters_suffix ~timings est c =
   let parts =
-    [ Printf.sprintf "est=%d act=%d" c.c_est c.c_rows ]
+    [ Printf.sprintf "est=%d act=%d" est c.c_rows ]
     @ (if c.c_roundtrips > 0 then
          [ Printf.sprintf "roundtrips=%d" c.c_roundtrips ]
        else [])
@@ -598,7 +603,8 @@ let param_label bindings p =
   | Some [ Item.Atom a ] -> Atomic.to_string a
   | _ -> cap (summary p)
 
-let render ?(timings = false) ?(bindings = []) plan =
+let render ?(timings = false) ?(bindings = []) ?counters view =
+  let counters = Option.value counters ~default:view.totals in
   let buf = Buffer.create 1024 in
   let line indent text =
     Buffer.add_string buf (String.make (indent * 2) ' ');
@@ -608,7 +614,8 @@ let render ?(timings = false) ?(bindings = []) plan =
   let rec node indent prefix p =
     if structural p then begin
       line indent
-        (prefix ^ node_label p ^ counters_suffix ~timings p.counters);
+        (prefix ^ node_label p
+        ^ counters_suffix ~timings p.est counters.(p.id));
       match p.node with
       | P_pipeline { ops; return_ } ->
         List.iter (op (indent + 1)) ops;
@@ -638,7 +645,8 @@ let render ?(timings = false) ?(bindings = []) plan =
     end
     else line indent (prefix ^ cap (summary p))
   and op indent o =
-    line indent (op_label o ^ counters_suffix ~timings o.op_counters);
+    let c = counters.(o.op_id) in
+    line indent (op_label o ^ counters_suffix ~timings o.op_est c);
     match o.op_node with
     | O_scan { source; _ } -> if structural source then node (indent + 1) "" source
     | O_let { value; _ } -> if structural value then node (indent + 1) "" value
@@ -667,14 +675,14 @@ let render ?(timings = false) ?(bindings = []) plan =
                  (fun (b : C.sql_bind) ->
                    Printf.sprintf "$%s <- %s" b.C.bvar b.C.bcol)
                  r.sql_binds));
-      List.iter (fun l -> line (indent + 1) ("backend: " ^ l)) r.sql_backend
+      List.iter (fun l -> line (indent + 1) ("backend: " ^ l)) c.c_backend
   in
-  node 0 "" plan;
+  node 0 "" view.tree;
   Buffer.contents buf
 
 (* Whether [vars] are read only as whole pushed-SQL parameters: the plan
    a statement runs is then the same for every value bound to them. *)
-let params_only plan vars =
+let params_only view vars =
   let bound v = List.mem v vars in
   let whole p = Option.fold ~none:false ~some:bound (whole_var p) in
   let rec clean p =
@@ -694,58 +702,46 @@ let params_only plan vars =
            (op_sub_plans { o with op_node = O_join { j with right = [] } })
     | _ -> List.for_all clean (op_sub_plans o)
   in
-  clean plan
+  clean view.tree
 
-(* Counters whose est= and act= are both per-run totals: nodes the run
-   evaluates once (the expressions above the outermost pipelines), those
-   pipelines, and their operators through join right sides. An
-   expression under a pipeline is evaluated per tuple: its est= is per
-   evaluation while its act= accumulates, so it cannot be compared. *)
-let run_counters plan =
+(* (estimate, id) of the operators whose est= and act= are both per-run
+   totals: nodes the run evaluates once (the expressions above the
+   outermost pipelines), those pipelines, and their operators through
+   join right sides. An expression under a pipeline is evaluated per
+   tuple: its est= is per evaluation while its act= accumulates, so it
+   cannot be compared. *)
+let per_run_operators plan =
   let acc = ref [] in
   let rec node p =
-    if structural p then acc := p.counters :: !acc;
+    if structural p then acc := (p.est, p.id) :: !acc;
     match p.node with
     | P_pipeline { ops; _ } -> List.iter op ops
     | P_filter { input; _ } -> node input
     | P_quantified { source; _ } -> node source
     | _ -> List.iter node (sub_plans p)
   and op o =
-    acc := o.op_counters :: !acc;
+    acc := (o.op_est, o.op_id) :: !acc;
     match o.op_node with
     | O_join { right; _ } -> List.iter op right
     | _ -> ()
   in
   node plan;
-  List.rev !acc
+  !acc
 
-(* Worst est-vs-actual ratio across [run_counters] that both carry an
-   estimate and actually produced rows; 1.0 when nothing qualifies. *)
-let max_misestimate plan =
+(* Worst est-vs-actual ratio across [per_run_operators] that both carry
+   an estimate and actually produced rows; 1.0 when nothing qualifies. *)
+let max_misestimate ~counters view =
   List.fold_left
-    (fun worst c ->
-      if c.c_est > 0 && c.c_rows > 0 then
-        Float.max worst (Cost_model.misestimate ~est:c.c_est ~actual:c.c_rows)
+    (fun worst (est, id) ->
+      let actual = counters.(id).c_rows in
+      if est > 0 && actual > 0 then
+        Float.max worst (Cost_model.misestimate ~est ~actual)
       else worst)
-    1. (run_counters plan)
+    1. (per_run_operators view.tree)
 
-let operators plan =
-  let acc = ref [] in
-  let rec node p =
-    if structural p then acc := (node_label p, p.counters) :: !acc;
-    (match p.node with
-    | P_pipeline { ops; _ } -> List.iter op ops
-    | _ -> ());
-    List.iter node
-      (match p.node with
-      | P_pipeline { return_; _ } -> [ return_ ]
-      | _ -> sub_plans p)
-  and op o =
-    acc := (op_label o, o.op_counters) :: !acc;
-    (match o.op_node with
-    | O_join { right; _ } -> List.iter op right
-    | _ -> ());
-    List.iter node (op_sub_plans o)
-  in
-  node plan;
-  List.rev !acc
+let operators ?counters view =
+  let counters = Option.value counters ~default:view.totals in
+  preorder view.tree
+    ~node:(fun p ->
+      if structural p then Some (node_label p, counters.(p.id)) else None)
+    ~op:(fun o -> Some (op_label o, counters.(o.op_id)))

@@ -6,28 +6,25 @@
     operator tree whose nodes carry everything the runtime decided at
     compile time (join method with its k and prefetch depth, pushed-SQL
     regions with their dialect and parameter slots, async-let and guard
-    placement, cacheable-call marking) plus a mutable counter block that
-    the executor fills in as the plan runs.
+    placement, cacheable-call marking, cardinality estimates). The tree
+    is immutable; each execution counts into its own {!run}, an array
+    indexed by the operator ids lowering numbers densely.
 
-    {!Eval} executes this IR; {!Server.compile} caches one per query
-    text, also when the text's call shape was compiled once for many
-    texts; {!Server.explain}
-    renders it — one tree covering the middleware operators with their
-    runtime counters and, nested under each pushed region, the backend's
-    own access-path plan lines captured at execution time. *)
+    A {!t} is a view: the tree plus the totals of the runs folded into
+    it. {!Server.compile} caches a view per query text; the texts of one
+    call shape share the tree, each through its own {!instance}.
+    {!Eval} executes a tree into a run; {!Server.explain} renders one —
+    the middleware operators with their counters and, nested under each
+    pushed region, the backend's own access-path plan lines. *)
 
 open Aldsp_xml
 
-(** Per-operator runtime counters. Zero at compile time; the executor
-    accumulates across runs (use {!reset_counters} for per-run numbers).
-    Updated without a lock, like the backend's operator statistics: single
-    word writes, and the only concurrent writers (PP-k roundtrips on pool
-    workers) touch counters no consumer reads mid-run. *)
+(** One operator's counters in one execution, or summed over the
+    executions folded into a view. Updated without a lock, like the
+    backend's operator statistics: single word writes, and the only
+    concurrent writers (PP-k roundtrips on pool workers) touch counters
+    no consumer reads mid-run. *)
 type counters = {
-  mutable c_est : int;
-      (** Estimated items / binding tuples ({!Cost_model}), fixed at
-          compile time; 0 when the model could not price the operator.
-          Survives {!reset_counters}, so EXPLAIN prints [est=N act=M]. *)
   mutable c_starts : int;  (** Times the operator began producing. *)
   mutable c_rows : int;  (** Items / binding tuples emitted. *)
   mutable c_roundtrips : int;  (** Source statements this operator issued. *)
@@ -42,8 +39,9 @@ type counters = {
   mutable c_first_row_ns : float;
       (** Wall-clock nanoseconds from the operator's first start to its
           first emitted row (time-to-first-token on the root). Stamped
-          once per reset; rendered as [ttft=] only under [timings], like
-          [wall=], because it is nondeterministic. *)
+          once per execution; a view keeps the first it was given.
+          Rendered as [ttft=] only under [timings], like [wall=], because
+          it is nondeterministic. *)
   mutable c_spill_runs : int;
       (** Sorted runs this operator spilled to disk ({!Extsort}: ORDER BY
           and the unclustered GROUP BY fallback under a
@@ -54,7 +52,14 @@ type counters = {
   mutable c_spill_rows : int;  (** Rows written to spill files. *)
   mutable c_spill_bytes : int;  (** Marshal frame bytes spilled. *)
   mutable c_merge_fanin : int;  (** Widest merge fan-in performed. *)
+  mutable c_backend : string list;
+      (** On a pushed region: the backend's access-path plan for its most
+          recent statement (in block order for PP-k, so deterministic). A
+          view keeps the latest any folded run captured. *)
 }
+
+(** One execution's counters, indexed by operator id. *)
+type run = counters array
 
 (** What a call site resolved to at compile time (informational — the
     executor re-resolves so transiently registered prolog functions keep
@@ -70,65 +75,69 @@ type call_target =
     place. *)
 type let_mode = L_plain | L_async | L_concurrent
 
-type t = { id : int; counters : counters; node : node }
+(** An operator of the immutable tree. [est] is its estimated items /
+    binding tuples ({!Cost_model}), fixed at compile time; 0 when the
+    model could not price it. *)
+type plan = { id : int; est : int; node : node }
 
 and node =
   | P_const of Atomic.t
   | P_empty
-  | P_seq of t list
+  | P_seq of plan list
   | P_var of Cexpr.var
   | P_construct of {
       name : Qname.t;
       optional : bool;
       attrs : pattr list;
-      content : t;
+      content : plan;
     }
-  | P_if of { cond : t; then_ : t; else_ : t }
+  | P_if of { cond : plan; then_ : plan; else_ : plan }
   | P_quantified of {
       universal : bool;
       var : Cexpr.var;
-      source : t;
-      pred : t;
+      source : plan;
+      pred : plan;
     }
-  | P_call of { fn : Qname.t; target : call_target; args : t list }
-  | P_async of t  (** [fn-bea:async]: eligible for ahead-of-use submission. *)
-  | P_fail_over of { primary : t; alternate : t }
-  | P_timeout of { primary : t; millis : t; alternate : t }
-  | P_child of t * Qname.t
-  | P_child_wild of t
-  | P_attr_of of t * Qname.t
-  | P_filter of { input : t; dot : Cexpr.var; pos : Cexpr.var; pred : t }
-  | P_data of t
-  | P_ebv of t
-  | P_binop of Cexpr.binop * t * t
-  | P_typematch of t * Stype.t
-  | P_cast of t * Atomic.atomic_type
-  | P_castable of t * Atomic.atomic_type
-  | P_instance_of of t * Stype.t
+  | P_call of { fn : Qname.t; target : call_target; args : plan list }
+  | P_async of plan
+      (** [fn-bea:async]: eligible for ahead-of-use submission. *)
+  | P_fail_over of { primary : plan; alternate : plan }
+  | P_timeout of { primary : plan; millis : plan; alternate : plan }
+  | P_child of plan * Qname.t
+  | P_child_wild of plan
+  | P_attr_of of plan * Qname.t
+  | P_filter of { input : plan; dot : Cexpr.var; pos : Cexpr.var; pred : plan }
+  | P_data of plan
+  | P_ebv of plan
+  | P_binop of Cexpr.binop * plan * plan
+  | P_typematch of plan * Stype.t
+  | P_cast of plan * Atomic.atomic_type
+  | P_castable of plan * Atomic.atomic_type
+  | P_instance_of of plan * Stype.t
   | P_error of string
-  | P_pipeline of { ops : op list; return_ : t }
+  | P_pipeline of { ops : op list; return_ : plan }
       (** A FLWOR block: a pipeline of tuple operators over binding
           tuples (§5.1). *)
 
-and pattr = { p_aname : Qname.t; p_avalue : t; p_aoptional : bool }
+and pattr = { p_aname : Qname.t; p_avalue : plan; p_aoptional : bool }
 
-and op = { op_id : int; op_counters : counters; op_node : op_node }
+and op = { op_id : int; op_est : int; op_node : op_node }
 
 and op_node =
-  | O_scan of { var : Cexpr.var; source : t }
-  | O_let of { var : Cexpr.var; value : t; mode : let_mode }
-  | O_select of t
+  | O_scan of { var : Cexpr.var; source : plan }
+  | O_let of { var : Cexpr.var; value : plan; mode : let_mode }
+  | O_select of plan
   | O_group of {
       aggs : (Cexpr.var * Cexpr.var) list;
-      keys : (t * Cexpr.var) list;
+      keys : (plan * Cexpr.var) list;
       clustered : bool;
     }
-  | O_sort of { keys : (t * bool) list }
+  | O_sort of { keys : (plan * bool) list }
   | O_join of {
       kind : Cexpr.join_kind;
       method_ : Cexpr.join_method;
       right : op list;
-      on_ : t;
+      on_ : plan;
       equi : pequi option;
           (** The hash-join keys, precomputed so the executor never
               re-analyzes the predicate: for index nested loop those the
@@ -139,24 +148,25 @@ and op_node =
     }
   | O_sql of sql_region
 
-and pequi = { eq_pairs : (t * t) list; eq_residual : t list }
+and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
     (** (left key, right key) pairs plus residual conjuncts. *)
 
-and pexport = PE_bindings | PE_grouped of { gvar : Cexpr.var; gexpr : t }
+and pexport = PE_bindings | PE_grouped of { gvar : Cexpr.var; gexpr : plan }
 
 (** A pushed SQL region: the statement is rendered once, at compile time,
-    in the owning database's dialect; [sql_backend] is the backend's own
-    access-path plan for the region's most recent statement, captured by
-    the executor (in block order for PP-k, so it is deterministic). *)
+    in the owning database's dialect. *)
 and sql_region = {
   sql_db : string;
   sql_dialect : string;
   sql_text : string;
   sql_select : Aldsp_relational.Sql_ast.select;
-  sql_params : t list;  (** Middleware expressions bound to [?] slots. *)
+  sql_params : plan list;  (** Middleware expressions bound to [?] slots. *)
   sql_binds : Cexpr.sql_bind list;
-  mutable sql_backend : string list;
 }
+
+(** A view of a tree: the tree plus the counters of the executions folded
+    into it. *)
+type t = { tree : plan; totals : run }
 
 val compile : Metadata.t -> Cexpr.t -> t
 (** Lowers an optimized core expression into the physical IR: special
@@ -165,25 +175,30 @@ val compile : Metadata.t -> Cexpr.t -> t
     concurrency eligibility, and every pushed region's SQL is rendered in
     its database's dialect. Pure — never executes anything. *)
 
-val reset_counters : t -> unit
-(** Zeroes every runtime counter block (and clears captured backend
-    plans); compile-time estimates ([c_est]) are preserved. *)
+val instance : t -> t
+(** Another view of the same tree, with zero totals: what a text of an
+    already-compiled call shape gets. Allocates only the counters. *)
 
-val run_counters : t -> counters list
-(** The counters whose [est=] and [act=] are both per-run totals: the
-    nodes a run evaluates once, the outermost pipelines, and their
-    operators through join right sides. Expressions under a pipeline are
-    left out: their estimate is per evaluation, their actual rows
-    accumulate over every tuple. *)
+val new_run : t -> run
+(** Zeroed counters for one execution of the view's tree. *)
 
-val max_misestimate : t -> float
-(** Worst [max(est/act, act/est)] over {!run_counters} with both a
-    nonzero estimate and nonzero actual rows; 1.0 when nothing qualifies
-    — the per-query input to {!Server.stats}' misestimation rollup. *)
+val fold : t -> run -> unit
+(** Adds one execution's counters into the view's totals, under a lock,
+    so concurrent executions of one view each fold whole. *)
 
-val operators : t -> (string * counters) list
+val max_misestimate : counters:run -> t -> float
+(** Worst [max(est/act, act/est)] in one execution's [counters] over the
+    operators whose [est=] and [act=] are both per-run totals — the nodes
+    a run evaluates once, the outermost pipelines, and their operators
+    through join right sides — that have a nonzero estimate and nonzero
+    actual rows; 1.0 when nothing qualifies. The per-query input to
+    {!Server.stats}' misestimation rollup. A view's totals sum several
+    runs, so they are not its input. *)
+
+val operators : ?counters:run -> t -> (string * counters) list
 (** Every operator of the plan, preorder, as (render label, counters) —
-    the label is the same text {!render} prints for the operator's line.
+    the label is the same text {!render} prints for the operator's line,
+    the counters those of [counters] (default: the view's totals).
     Used by tests to assert counter values without parsing the tree. *)
 
 val regions : t -> sql_region list
@@ -198,11 +213,16 @@ val params_only : t -> Cexpr.var list -> bool
     ({!Shape}). *)
 
 val render :
-  ?timings:bool -> ?bindings:(Cexpr.var * Item.sequence) list -> t -> string
+  ?timings:bool ->
+  ?bindings:(Cexpr.var * Item.sequence) list ->
+  ?counters:run ->
+  t ->
+  string
 (** The unified EXPLAIN rendering: one indented tree of middleware
     operators, each with its counters, and under each pushed region the
     region's dialect SQL, parameter slots, column bindings and the
-    backend's captured access-path lines. A parameter slot that reads a
+    backend's captured access-path lines, from [counters] (default: the
+    view's totals). A parameter slot that reads a
     variable of [bindings] prints its bound value ([param ?1 :=
     'CUST0042']) instead of the variable. [timings] adds wall-clock
     fields (off by default so the output is byte-stable for golden

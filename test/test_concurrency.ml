@@ -836,6 +836,78 @@ let test_streamed_sessions_share () =
   check_int "no slot held" 0 (Server.admission_stats server).Server.ad_active;
   check_nothing_registered ()
 
+(* Every execution counts into its own array, so work interleaved with a
+   stream cannot leak into the stream's numbers. The stream opens, a
+   second session runs the same text to completion, then the stream
+   drains: the misestimate rollup must read what a serial run reads, not
+   the two runs' rows summed against one estimate. *)
+let test_stream_misestimate_own_run () =
+  let q = "getProfileByID(\"CUST0001\")" in
+  let serial = (Aldsp_demo.Demo.create ~customers:20 ()).Aldsp_demo.Demo.server in
+  ignore (ok_exn (Server.run serial q));
+  let expected = (Server.stats serial).Server.st_max_misestimate in
+  Alcotest.(check (float 1e-9)) "serial estimate holds" 1. expected;
+  let server = (Aldsp_demo.Demo.create ~customers:20 ()).Aldsp_demo.Demo.server in
+  let stream =
+    match Server.session_run_stream (Server.session server ()) q with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  in
+  (match Server.session_run (Server.session server ()) q with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e));
+  (match Server.stream_serialize stream ignore with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e));
+  Alcotest.(check (float 1e-9)) "interleaved = serial" expected
+    (Server.stats server).Server.st_max_misestimate
+
+(* EXPLAIN ANALYZE renders its own execution: run while a stream of the
+   same text is half read, it prints what a serial EXPLAIN on a fresh
+   server prints, and the text's view then holds both runs. *)
+let test_explain_beside_open_stream () =
+  let q =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let server () =
+    (Aldsp_demo.Demo.create ~customers:40 ()).Aldsp_demo.Demo.server
+  in
+  let expected = ok_exn (Server.explain (server ()) q) in
+  let server = server () in
+  let stream =
+    match Server.session_run_stream (Server.session server ()) q with
+    | Ok st -> st
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  in
+  (* 8 tokens per <R>: 160 is half the 40 rows *)
+  for _ = 1 to 160 do
+    match Server.stream_read stream with
+    | Ok (Some _) -> ()
+    | Ok None -> Alcotest.fail "stream ended before half way"
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  done;
+  let explained = ok_exn (Server.explain server q) in
+  let rec finish () =
+    match Server.stream_read stream with
+    | Ok (Some _) -> finish ()
+    | Ok None -> ()
+    | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  in
+  finish ();
+  Alcotest.(check string) "EXPLAIN = a serial one on a fresh server" expected
+    explained;
+  let compiled =
+    match Server.compile server q with
+    | Ok c -> c
+    | Error _ -> Alcotest.fail "compile failed"
+  in
+  let ir = compiled.Server.ir in
+  let root = ir.Plan_ir.tree.Plan_ir.id in
+  check_int "the view holds the stream's and EXPLAIN's 40 rows each" 80
+    ir.Plan_ir.totals.(root).Plan_ir.c_rows;
+  check_int "no slot held" 0 (Server.admission_stats server).Server.ad_active
+
 (* Freshness under sharing: a reader admitted AFTER an insert completed
    must never be served a coalesced result from before that insert — the
    statement-sharing key carries the backend's statistics version, so a
@@ -975,6 +1047,10 @@ let () =
             test_plan_cache_balance;
           Alcotest.test_case "streamed sessions share statements" `Quick
             test_streamed_sessions_share;
+          Alcotest.test_case "a stream's misestimate counts its own run"
+            `Quick test_stream_misestimate_own_run;
+          Alcotest.test_case "EXPLAIN ANALYZE beside an open stream" `Quick
+            test_explain_beside_open_stream;
           QCheck_alcotest.to_alcotest test_sharing_freshness_property ] );
       ( "wakeups",
         [ Alcotest.test_case "singleflight follower deadline" `Quick

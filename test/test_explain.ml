@@ -105,9 +105,7 @@ let test_ppk_roundtrip_counters () =
   (match Plan_ir.regions compiled.Server.ir with
   | [ outer; inner ] ->
     check_string "outer region db" "CustomerDB" outer.Plan_ir.sql_db;
-    check_string "inner region db" "CardDB" inner.Plan_ir.sql_db;
-    check_bool "backend plan captured for inner region" true
-      (inner.Plan_ir.sql_backend <> [])
+    check_string "inner region db" "CardDB" inner.Plan_ir.sql_db
   | rs -> Alcotest.failf "expected 2 pushed regions, found %d" (List.length rs));
   (* counters live on the operator lines (same labels render prints) *)
   let sql_ops =
@@ -122,7 +120,9 @@ let test_ppk_roundtrip_counters () =
     check_int "outer: one statement" 1 outer_c.Plan_ir.c_roundtrips;
     check_int "outer: all customers shipped" 6 outer_c.Plan_ir.c_rows;
     check_int "inner: ceil(6/2) PP-k blocks" 3 inner_c.Plan_ir.c_roundtrips;
-    check_int "inner: six card rows" 6 inner_c.Plan_ir.c_rows
+    check_int "inner: six card rows" 6 inner_c.Plan_ir.c_rows;
+    check_bool "backend plan captured for inner region" true
+      (inner_c.Plan_ir.c_backend <> [])
   | ops -> Alcotest.failf "expected 2 sql operators, found %d" (List.length ops));
   let stats = Server.stats server in
   check_int "EXPLAIN roundtrips match Observed rollup" 3
@@ -286,17 +286,86 @@ let test_one_compile_per_shape () =
   check_bool "still probes the primary key" true
     (contains text "index probe CUSTOMER.pk_CUSTOMER")
 
+(* The texts of one call shape share the lowered tree; each text has its
+   own view of it, whose totals count that text's runs only. *)
 let test_plan_object_per_text () =
   let demo = shape_demo () in
   let server = demo.Aldsp_demo.Demo.server in
-  let a = compile_exn server "getProfileByID(\"CUST0001\")" in
-  let a' = compile_exn server "getProfileByID(\"CUST0001\")" in
-  let b = compile_exn server "getProfileByID(\"CUST0002\")" in
-  check_bool "one text, one plan object" true (a.Server.ir == a'.Server.ir);
-  check_bool "two texts, two plan objects" true (a.Server.ir != b.Server.ir);
+  let qa = "getProfileByID(\"CUST0001\")" in
+  let qb = "getProfileByID(\"CUST0002\")" in
+  let a = compile_exn server qa in
+  let a' = compile_exn server qa in
+  let b = compile_exn server qb in
+  check_bool "one text, one view" true (a.Server.ir == a'.Server.ir);
+  check_bool "two texts, two views" true (a.Server.ir != b.Server.ir);
+  check_bool "one lowered tree for the shape" true
+    (a.Server.ir.Plan_ir.tree == b.Server.ir.Plan_ir.tree);
   check_bool "the shape's plan is shared" true (a.Server.plan == b.Server.plan);
   check_bool "each text binds its own literal" true
-    (a.Server.bindings <> b.Server.bindings)
+    (a.Server.bindings <> b.Server.bindings);
+  ignore (ok_exn (Server.run server qa));
+  ignore (ok_exn (Server.run server qa));
+  ignore (ok_exn (Server.run server qb));
+  let root_rows (c : Server.compiled) =
+    let ir = c.Server.ir in
+    ir.Plan_ir.totals.(ir.Plan_ir.tree.Plan_ir.id).Plan_ir.c_rows
+  in
+  check_bool "B's root emitted rows" true (root_rows b > 0);
+  check_int "A's root counts its two runs, B's its one" (2 * root_rows b)
+    (root_rows a)
+
+(* The paper's Figure 3 point lookup at 2000 customers and 0.5 ms
+   roundtrips. The CUSTOMER key literal prices the outer at one row, so
+   the card region is parameterized (a PP-k probe on CID) rather than
+   shipped whole, every shipped region is filtered, and at most 5 rows
+   ship (1 customer, 1 card, 3 orders). The ORDER_T nesting merges into
+   the CUSTOMER statement as an outer join (§4.2), so a lookup issues 2
+   statements, and the merged region is priced by its fan-out, so the
+   worst est-vs-act ratio stays within 1.5. The next key, CUST0043,
+   reuses the compiled call shape: no full compile, and the same
+   statements and rows. *)
+let test_point_lookup_counts () =
+  let module D = Aldsp_demo.Demo in
+  let demo =
+    D.create ~customers:2000 ~db_latency:0.0005 ~service_latency:0.001 ()
+  in
+  let server = demo.D.server in
+  let lookup key =
+    let q = Printf.sprintf "getProfileByID(\"%s\")" key in
+    let misses = Server.plan_cache_misses server in
+    let compiled = compile_exn server q in
+    D.reset_stats demo;
+    ignore (ok_exn (Server.run server q));
+    let total f =
+      f demo.D.customer_db.Database.stats + f demo.D.card_db.Database.stats
+    in
+    ( compiled,
+      Server.plan_cache_misses server - misses,
+      total (fun s -> s.Database.statements),
+      total (fun s -> s.Database.rows_shipped) )
+  in
+  let compiled, _, statements, shipped = lookup "CUST0042" in
+  let regions = Plan_ir.regions compiled.Server.ir in
+  check_bool "card region parameterized" true
+    (List.exists
+       (fun r -> r.Plan_ir.sql_db = "CardDB" && r.Plan_ir.sql_params <> [])
+       regions);
+  List.iter
+    (fun r ->
+      check_bool ("filtered: " ^ r.Plan_ir.sql_text) true
+        (r.Plan_ir.sql_select.Sql_ast.where <> None))
+    regions;
+  check_int "2 statements" 2 statements;
+  check_bool (Printf.sprintf "<= 5 rows shipped (%d)" shipped) true
+    (shipped <= 5);
+  let worst = (Server.stats server).Server.st_max_misestimate in
+  check_bool (Printf.sprintf "worst misestimate <= 1.5 (%.2f)" worst) true
+    (worst <= 1.5);
+  let _, compiles, statements, shipped = lookup "CUST0043" in
+  check_int "next key: no full compile" 0 compiles;
+  check_int "next key: 2 statements" 2 statements;
+  check_bool (Printf.sprintf "next key: <= 5 rows shipped (%d)" shipped) true
+    (shipped <= 5)
 
 let test_literal_types_own_shapes () =
   let demo = shape_demo () in
@@ -497,6 +566,7 @@ let () =
           t "compile once, execute twice" test_compile_once_execute_twice;
           t "one compile per call shape" test_one_compile_per_shape;
           t "one plan object per text" test_plan_object_per_text;
+          t "point lookup counts" test_point_lookup_counts;
           t "literal types get their own shapes" test_literal_types_own_shapes;
           t "plan-shaping literals stay inline"
             test_plan_shaping_literals_stay_inline;

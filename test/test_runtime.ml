@@ -225,10 +225,12 @@ let test_ppk_reconstructs_only_matches () =
     | Ok c -> c
     | Error _ -> Alcotest.fail "compile failed"
   in
-  Plan_ir.reset_counters compiled.Server.ir;
+  (* the text's first run, so its view holds this run's counters only *)
   ignore (run { demo with Aldsp_demo.Demo.server } q);
+  let ir = compiled.Server.ir in
+  let rows (o : Plan_ir.op) = ir.Plan_ir.totals.(o.Plan_ir.op_id).Plan_ir.c_rows in
   let ops =
-    match compiled.Server.ir.Plan_ir.node with
+    match ir.Plan_ir.tree.Plan_ir.node with
     | Plan_ir.P_pipeline { ops; _ } -> ops
     | _ -> Alcotest.fail "not a pipeline"
   in
@@ -239,9 +241,9 @@ let test_ppk_reconstructs_only_matches () =
           match o.Plan_ir.op_node with
           | Plan_ir.O_join
               { method_ = Cexpr.Ppk _;
-                right = [ _; { op_node = Plan_ir.O_let _; op_counters; _ } ];
+                right = [ _; ({ op_node = Plan_ir.O_let _; _ } as let_) ];
                 _ } ->
-            Some (o.op_counters.Plan_ir.c_rows, op_counters.Plan_ir.c_rows)
+            Some (rows o, rows let_)
           | _ -> None)
         ops
     with
@@ -275,7 +277,7 @@ let ppk_right_side server q =
     | Error _ -> Alcotest.fail "compile failed"
   in
   let ops =
-    match compiled.Server.ir.Plan_ir.node with
+    match compiled.Server.ir.Plan_ir.tree.Plan_ir.node with
     | Plan_ir.P_pipeline { ops; _ } -> ops
     | _ -> Alcotest.fail "not a pipeline"
   in
