@@ -142,10 +142,66 @@ let fold view run =
   Mutex.unlock fold_lock
 
 (* ------------------------------------------------------------------ *)
+(* Traversal                                                           *)
+
+let rec sub_plans p =
+  match p.node with
+  | P_const _ | P_empty | P_var _ | P_error _ -> []
+  | P_seq es -> es
+  | P_construct { attrs; content; _ } ->
+    List.map (fun a -> a.p_avalue) attrs @ [ content ]
+  | P_if { cond; then_; else_ } -> [ cond; then_; else_ ]
+  | P_quantified { source; pred; _ } -> [ source; pred ]
+  | P_call { args; _ } -> args
+  | P_async p -> [ p ]
+  | P_fail_over { primary; alternate } -> [ primary; alternate ]
+  | P_timeout { primary; millis; alternate } -> [ primary; millis; alternate ]
+  | P_child (p, _) | P_attr_of (p, _) | P_child_wild p -> [ p ]
+  | P_filter { input; pred; _ } -> [ input; pred ]
+  | P_data p | P_ebv p -> [ p ]
+  | P_binop (_, a, b) -> [ a; b ]
+  | P_typematch (p, _) | P_cast (p, _) | P_castable (p, _)
+  | P_instance_of (p, _) ->
+    [ p ]
+  | P_pipeline { ops; return_ } ->
+    List.concat_map op_sub_plans ops @ [ return_ ]
+
+and op_sub_plans o =
+  match o.op_node with
+  | O_scan { source; _ } -> [ source ]
+  | O_let { value; _ } -> [ value ]
+  | O_select p -> [ p ]
+  | O_group { keys; _ } -> List.map fst keys
+  | O_sort { keys } -> List.map fst keys
+  | O_join { right; on_; equi; export; _ } ->
+    List.concat_map op_sub_plans right
+    @ [ on_ ]
+    @ (match equi with
+      | None -> []
+      | Some { eq_pairs; eq_residual } ->
+        List.concat_map (fun (l, r) -> [ l; r ]) eq_pairs @ eq_residual)
+    @ (match export with PE_bindings -> [] | PE_grouped { gexpr; _ } -> [ gexpr ])
+  | O_sql r -> r.sql_params
+
+(* Nodes whose subtree is rendered as a tree rather than inlined: the
+   "operator" nodes themselves plus any container on the path to one.
+   Lowering gives exactly the structural nodes below the root an id, so
+   a child is structural when it has one. *)
+let structural p =
+  match p.node with
+  | P_pipeline _ | P_construct _ | P_async _ | P_fail_over _ | P_timeout _
+  | P_call { target = T_function _; _ } ->
+    true
+  | _ -> List.exists (fun c -> c.id >= 0) (sub_plans p)
+
+(* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 
-(* Operators are numbered densely from 0: an execution's counters are
-   the array those ids index. *)
+(* The counted nodes are numbered densely from 0: an execution's
+   counters are the array those ids index. A node is counted when EXPLAIN
+   renders it with counters (every tuple operator, every [structural]
+   node) and so is the root; any other node has id -1. Children are
+   lowered before their parent. *)
 let compile registry root =
   let next = ref 0 in
   let fresh () = let id = !next in incr next; id in
@@ -167,7 +223,10 @@ let compile registry root =
      ({!Cost_model.advance}). *)
   let rec expr (e : C.t) : plan =
     let est = est_of (Cost_model.expr_cardinality registry e) in
-    let mk node = { id = fresh (); est; node } in
+    let mk node =
+      let p = { id = -1; est; node } in
+      if structural p then { p with id = fresh () } else p
+    in
     match e with
     | C.Const a -> mk (P_const a)
     | C.Empty -> mk P_empty
@@ -340,49 +399,8 @@ let compile registry root =
       op :: lower_run est' rest ests
   in
   let tree = expr root in
+  let tree = if tree.id < 0 then { tree with id = fresh () } else tree in
   { tree; totals = Array.init !next (fun _ -> zero ()) }
-
-(* ------------------------------------------------------------------ *)
-(* Traversal                                                           *)
-
-let rec sub_plans p =
-  match p.node with
-  | P_const _ | P_empty | P_var _ | P_error _ -> []
-  | P_seq es -> es
-  | P_construct { attrs; content; _ } ->
-    List.map (fun a -> a.p_avalue) attrs @ [ content ]
-  | P_if { cond; then_; else_ } -> [ cond; then_; else_ ]
-  | P_quantified { source; pred; _ } -> [ source; pred ]
-  | P_call { args; _ } -> args
-  | P_async p -> [ p ]
-  | P_fail_over { primary; alternate } -> [ primary; alternate ]
-  | P_timeout { primary; millis; alternate } -> [ primary; millis; alternate ]
-  | P_child (p, _) | P_attr_of (p, _) | P_child_wild p -> [ p ]
-  | P_filter { input; pred; _ } -> [ input; pred ]
-  | P_data p | P_ebv p -> [ p ]
-  | P_binop (_, a, b) -> [ a; b ]
-  | P_typematch (p, _) | P_cast (p, _) | P_castable (p, _)
-  | P_instance_of (p, _) ->
-    [ p ]
-  | P_pipeline { ops; return_ } ->
-    List.concat_map op_sub_plans ops @ [ return_ ]
-
-and op_sub_plans o =
-  match o.op_node with
-  | O_scan { source; _ } -> [ source ]
-  | O_let { value; _ } -> [ value ]
-  | O_select p -> [ p ]
-  | O_group { keys; _ } -> List.map fst keys
-  | O_sort { keys } -> List.map fst keys
-  | O_join { right; on_; equi; export; _ } ->
-    List.concat_map op_sub_plans right
-    @ [ on_ ]
-    @ (match equi with
-      | None -> []
-      | Some { eq_pairs; eq_residual } ->
-        List.concat_map (fun (l, r) -> [ l; r ]) eq_pairs @ eq_residual)
-    @ (match export with PE_bindings -> [] | PE_grouped { gexpr; _ } -> [ gexpr ])
-  | O_sql r -> r.sql_params
 
 (* Every node and tuple operator in preorder, keeping what [node] and
    [op] pick out. *)
@@ -472,16 +490,6 @@ let method_label method_ equi =
   | C.Ppk { k; prefetch } ->
     Printf.sprintf "pp-k(k=%d, prefetch=%d, inner=%s)" k prefetch
       (if equi = None then "nl" else "inl")
-
-(* Node kinds whose subtree is rendered as a tree rather than inlined:
-   the "operator" nodes themselves plus any container on the path to
-   one. *)
-let rec structural p =
-  match p.node with
-  | P_pipeline _ | P_construct _ | P_async _ | P_fail_over _ | P_timeout _ ->
-    true
-  | P_call { target = T_function _; _ } -> true
-  | _ -> List.exists structural (sub_plans p)
 
 let node_label p =
   match p.node with

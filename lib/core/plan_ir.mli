@@ -58,7 +58,9 @@ type counters = {
           view keeps the latest any folded run captured. *)
 }
 
-(** One execution's counters, indexed by operator id. *)
+(** One execution's counters, indexed by operator id: one per tuple
+    operator, per node EXPLAIN renders with counters, and for the
+    root. *)
 type run = counters array
 
 (** What a call site resolved to at compile time (informational — the
@@ -77,7 +79,8 @@ type let_mode = L_plain | L_async | L_concurrent
 
 (** An operator of the immutable tree. [est] is its estimated items /
     binding tuples ({!Cost_model}), fixed at compile time; 0 when the
-    model could not price it. *)
+    model could not price it. [id] indexes a {!run}, or is -1 for a node
+    no counter is kept for (one EXPLAIN inlines, not the root). *)
 type plan = { id : int; est : int; node : node }
 
 and node =

@@ -1039,6 +1039,21 @@ let stream_cancel st = Cancel.cancel st.str_token
 
 let stream_peak_buffered st = st.str_peak
 
+(* Ends a stream on the reader's side: no refill follows, and the slot
+   goes back unless it already has. *)
+let abandon st =
+  st.str_next <- Stopped;
+  st.str_done <- true;
+  st.str_pos <- st.str_len;
+  Mutex.lock st.str_lock;
+  release_stream st `Completed;
+  Mutex.unlock st.str_lock;
+  st.str_unhook ()
+
+(* The rest of the stream, serialized. Tokens that [stream_read] already
+   handed out are not written, so after a read that stopped inside an
+   element the writer meets an end tag it never saw open: that fails the
+   stream. *)
 let stream_serialize st out =
   let w = Aldsp_tokens.Token_stream.chunk_writer out in
   let rec drain () =
@@ -1054,7 +1069,12 @@ let stream_serialize st out =
         Aldsp_tokens.Token_stream.chunk_flush w;
         e
   in
-  drain ()
+  match drain () with
+  | result -> result
+  | exception Invalid_argument m ->
+    Aldsp_tokens.Token_stream.chunk_flush w;
+    abandon st;
+    Error (Failed m)
 
 let explain t ?(analyze = true) ?(timings = false) source =
   match compile t source with

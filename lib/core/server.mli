@@ -325,7 +325,10 @@ val stream_serialize :
     as the callback takes the text. It refills chunk by chunk, as
     {!stream_read} does. When the stream fails or is cancelled, the
     callback receives the partial chunk written so far, a prefix of the
-    result, and the first cause is returned. *)
+    result, and the first cause is returned. Tokens {!stream_read}
+    already handed out are not written: after a read that stopped inside
+    an element, the writer meets an end tag it never saw open, and the
+    stream fails with [Failed] and gives its slot back. *)
 
 val stream_cancel : stream -> unit
 (** Cancels this stream's query (its session token). Safe from any

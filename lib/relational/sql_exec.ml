@@ -6,57 +6,97 @@ type result_set = {
   rows : V.t array list;
 }
 
-(* A binding maps an alias to one row: column names (positional) plus the
-   row values. Derived tables bind their projection aliases. *)
-type binding = { alias : string; cols : string array; values : V.t array }
+exception Sql_error of string
 
-type context = {
-  env : binding list;
-  outer : context option;  (* for correlated subqueries *)
-  group : binding list list option;  (* rows of the current group *)
-  params : V.t array;
-  db : Database.t;
-  decisions : string list ref;  (* access-path log, newest first *)
-  in_sets : (expr * in_set Lazy.t) list;
-      (* the select's statement-constant IN lists, keyed by node *)
+let error fmt = Printf.ksprintf (fun msg -> raise (Sql_error msg)) fmt
+
+(* ------------------------------------------------------------------ *)
+(* Compiled statements.
+
+   Each execution of a statement compiles every expression it evaluates
+   once, against the sources the expression sees, into a closure over
+   the row. A row holds one value array per source bound so far: FROM
+   first, then each join in order. A column reference resolves at compile
+   time to its (source, column) slot or, in a correlated subquery, to the
+   value of the enclosing row: a subquery is compiled each time it is
+   evaluated, for the row it is evaluated on. Compiling raises nothing. A
+   name that resolves nowhere, or an unbound parameter, compiles to a
+   closure that raises when a row is evaluated: a statement over no rows
+   raises no such error. *)
+
+type row = V.t array array
+
+(* One statement execution: its database, its bound parameters and its
+   access-path log, newest first. *)
+type stmt = { db : Database.t; params : V.t array; decisions : string list ref }
+
+(* What an expression is compiled against: its select's sources bound at
+   that point, by slot (alias and column names), and for a subquery the
+   enclosing scope with the row it is evaluated on. *)
+type scope = {
+  st : stmt;
+  locals : (string * string array) array;
+  outer : (scope * row) option;
 }
+
+(* A compiled expression: its value on a row, given the members of the
+   row's group (read only by the aggregates of a grouped clause). *)
+type compiled = row -> row list -> V.t
+
+(* How a clause sees aggregates: not at all (WHERE, ON, GROUP BY keys,
+   aggregate arguments, DML), over its row alone (the clauses of a select
+   that does not group), or over the members of its group. *)
+type grouping = Ungrouped | Single | Grouped
 
 (* A statement-constant IN list hashed once per execution: the non-NULL
    items under their comparison class (numerics by float image), each
    bucket confirmed with the SQL comparison, so Int 2^53 and 2^53+1 share
    a bucket and still compare unequal. *)
-and in_set = { members : (Index.key, V.t) Hashtbl.t; has_null : bool }
+type in_set = { members : (Index.key, V.t) Hashtbl.t; has_null : bool }
 
-exception Sql_error of string
+let decide st fmt =
+  Printf.ksprintf (fun line -> st.decisions := line :: !(st.decisions)) fmt
 
-let error fmt = Printf.ksprintf (fun msg -> raise (Sql_error msg)) fmt
+let alias_of = function Table { alias; _ } | Derived { alias; _ } -> alias
 
-let decide ctx fmt =
-  Printf.ksprintf (fun line -> ctx.decisions := line :: !(ctx.decisions)) fmt
+let column_names t =
+  Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
 
-let lookup_in_binding b name =
-  let rec go i =
-    if i >= Array.length b.cols then None
-    else if String.equal b.cols.(i) name then Some b.values.(i)
-    else go (i + 1)
+let position cols name = Array.find_index (String.equal name) cols
+
+(* The slot and column a name reads among [locals]: the latest-joined
+   source first, as a joined row binds them; a qualified name skips the
+   sources of other aliases and those of its alias that lack the
+   column. *)
+let resolve locals alias name =
+  let rec go slot =
+    if slot < 0 then None
+    else
+      let a, cols = locals.(slot) in
+      let here =
+        match alias with
+        | Some a' when not (String.equal a a') -> None
+        | _ -> position cols name
+      in
+      match here with Some i -> Some (slot, i) | None -> go (slot - 1)
   in
-  go 0
+  go (Array.length locals - 1)
 
-let rec lookup_col ctx alias name =
-  let here =
-    match alias with
-    | Some a ->
-      List.find_map
-        (fun b -> if String.equal b.alias a then lookup_in_binding b name else None)
-        ctx.env
-    | None -> List.find_map (fun b -> lookup_in_binding b name) ctx.env
-  in
-  match here with
-  | Some v -> Some v
-  | None -> (
-    match ctx.outer with
-    | Some outer -> lookup_col outer alias name
-    | None -> None)
+(* A name read from the enclosing selects, innermost first. *)
+let rec outer_value sc alias name =
+  match sc.outer with
+  | None -> None
+  | Some (up, row) -> (
+    match resolve up.locals alias name with
+    | Some (slot, i) -> Some row.(slot).(i)
+    | None -> outer_value up alias name)
+
+(* A row extended by one more source. *)
+let extend (row : row) values =
+  let n = Array.length row in
+  let r = Array.make (n + 1) values in
+  Array.blit row 0 r 0 n;
+  r
 
 let truth_to_value = function
   | V.True -> V.Bool true
@@ -124,7 +164,8 @@ let like_match pattern text =
    vs scan execution byte-for-byte including error strings, so the
    analysis below is deliberately conservative — an expression whose
    evaluation could raise on rows the fast path would skip ("not total")
-   disqualifies the optimization. *)
+   disqualifies the optimization. Outer references are constant for the
+   whole select, so they are checked against the enclosing rows. *)
 
 (* One FROM/JOIN source as the analysis sees it. *)
 type src = {
@@ -142,10 +183,10 @@ type colclass =
 (* The select's sources in order (FROM first, then joins), or [None] when
    analysis cannot be trusted: unknown table, duplicate aliases, or a
    derived table whose projection list still contains a star. *)
-let sources_of ctx s =
+let sources_of st s =
   let of_ref = function
     | Table { table; alias } -> (
-      match Database.find_table ctx.db table with
+      match Database.find_table st.db table with
       | Ok t ->
         Some
           { s_alias = alias;
@@ -182,39 +223,34 @@ let classify srcs alias name =
     | [] -> C_outer
     | _ -> C_ambiguous)
 
-(* Outer references are constant for the whole select, so they can be
-   checked (and later evaluated) once against an environment with no
-   local bindings. *)
-let outer_lookup ctx alias name = lookup_col { ctx with env = [] } alias name
-
 (* [total_value]: evaluation cannot raise, in value position. Everything
    not listed (arithmetic, LIKE, functions, CASE, subqueries, aggregates)
    is treated as potentially raising. *)
-let rec total_value ctx srcs e =
+let rec total_value sc srcs e =
   match e with
   | Lit _ -> true
-  | Param i -> i >= 1 && i <= Array.length ctx.params
+  | Param i -> i >= 1 && i <= Array.length sc.st.params
   | Col (alias, name) -> (
     match classify srcs alias name with
     | C_local _ | C_ambiguous -> true
     | C_missing -> false
-    | C_outer -> outer_lookup ctx alias name <> None)
+    | C_outer -> outer_value sc alias name <> None)
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge | Concat), a, b) ->
-    total_value ctx srcs a && total_value ctx srcs b
-  | Binop ((And | Or), a, b) -> total_truth ctx srcs a && total_truth ctx srcs b
-  | Not a -> total_truth ctx srcs a
-  | Is_null a | Is_not_null a -> total_value ctx srcs a
+    total_value sc srcs a && total_value sc srcs b
+  | Binop ((And | Or), a, b) -> total_truth sc srcs a && total_truth sc srcs b
+  | Not a -> total_truth sc srcs a
+  | Is_null a | Is_not_null a -> total_value sc srcs a
   | In_list (a, items) ->
-    total_value ctx srcs a && List.for_all (total_value ctx srcs) items
+    total_value sc srcs a && List.for_all (total_value sc srcs) items
   | _ -> false
 
 (* [total_truth]: additionally, [value_to_truth] of the result cannot
    raise — the value is known to be boolean-ish (Bool/Int/Null). *)
-and total_truth ctx srcs e =
+and total_truth sc srcs e =
   match e with
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge | And | Or), _, _)
   | Not _ | Is_null _ | Is_not_null _ | In_list _ ->
-    total_value ctx srcs e
+    total_value sc srcs e
   | Lit (V.Bool _ | V.Null | V.Int _) -> true
   | Col (alias, name) -> (
     match classify srcs alias name with
@@ -224,13 +260,13 @@ and total_truth ctx srcs e =
       | _ -> false)
     | C_local _ | C_ambiguous | C_missing -> false
     | C_outer -> (
-      match outer_lookup ctx alias name with
+      match outer_value sc alias name with
       | Some (V.Null | V.Bool _ | V.Int _) -> true
       | _ -> false))
   | Param i ->
     i >= 1
-    && i <= Array.length ctx.params
-    && (match ctx.params.(i - 1) with
+    && i <= Array.length sc.st.params
+    && (match sc.st.params.(i - 1) with
        | V.Null | V.Bool _ | V.Int _ -> true
        | _ -> false)
   | _ -> false
@@ -238,13 +274,13 @@ and total_truth ctx srcs e =
 (* A probe key expression: total and constant across the scanned rows
    (no reference to any of this select's own sources). Covers the PP-k
    parameter shape (literals/params) and outer-correlated columns. *)
-let probe_value_ok ctx srcs e =
+let probe_value_ok sc srcs e =
   match e with
   | Lit _ -> true
-  | Param i -> i >= 1 && i <= Array.length ctx.params
+  | Param i -> i >= 1 && i <= Array.length sc.st.params
   | Col (alias, name) -> (
     match classify srcs alias name with
-    | C_outer -> outer_lookup ctx alias name <> None
+    | C_outer -> outer_value sc alias name <> None
     | _ -> false)
   | _ -> false
 
@@ -266,11 +302,11 @@ let base_col srcs base e =
    arm can only be True when, for some alternative, all its (column =
    value) equalities hold. IN-lists expand to one alternative per item;
    a conjunctive arm contributes its equality conjuncts. *)
-let arm_alternatives ctx srcs base arm =
+let arm_alternatives sc srcs base arm =
   match arm with
   | In_list (col, items)
     when base_col srcs base col <> None
-         && List.for_all (probe_value_ok ctx srcs) items ->
+         && List.for_all (probe_value_ok sc srcs) items ->
     let name = Option.get (base_col srcs base col) in
     Some (List.map (fun item -> [ (name, item) ]) items)
   | _ ->
@@ -280,10 +316,10 @@ let arm_alternatives ctx srcs base arm =
           match c with
           | Binop (Eq, a, b) -> (
             match base_col srcs base a with
-            | Some n when probe_value_ok ctx srcs b -> Some (n, b)
+            | Some n when probe_value_ok sc srcs b -> Some (n, b)
             | _ -> (
               match base_col srcs base b with
-              | Some n when probe_value_ok ctx srcs a -> Some (n, a)
+              | Some n when probe_value_ok sc srcs a -> Some (n, a)
               | _ -> None))
           | _ -> None)
         (conjuncts arm)
@@ -294,14 +330,14 @@ let arm_alternatives ctx srcs base arm =
    table, if some top-level conjunct is a disjunction of equality
    alternatives covering an index. Soundness: every row on which [where]
    could evaluate to True carries one of the returned keys. *)
-let probe_plan ctx srcs base where =
+let probe_plan sc srcs base where =
   match base.s_table with
   | None -> None
   | Some table ->
     if Table.indexes table = [] then None
     else
       let try_conjunct conj =
-        let arms = List.map (arm_alternatives ctx srcs base) (disjuncts conj) in
+        let arms = List.map (arm_alternatives sc srcs base) (disjuncts conj) in
         if List.exists Option.is_none arms then None
         else
           let alts = List.concat_map Option.get arms in
@@ -358,40 +394,28 @@ let take n xs =
   in
   go n xs
 
-let param ctx i =
-  if i < 1 || i > Array.length ctx.params then
+let param st i =
+  if i < 1 || i > Array.length st.params then
     error "parameter ?%d not bound" i
-  else ctx.params.(i - 1)
+  else st.params.(i - 1)
 
 let in_key v = Index.key_of_values [| v |]
 
-(* [prepare_in_sets ctx where]: one lazily built set per IN list of the
-   predicate's AND/OR/NOT structure whose items are all literals or
-   parameters. Built on the first non-NULL probe value, so a NULL probe
-   still evaluates no item and an unbound parameter raises where the
-   linear evaluation would. *)
-let prepare_in_sets ctx where =
-  let constant = function Lit _ | Param _ -> true | _ -> false in
-  let build items () =
-    let vs =
-      List.map
-        (function Param i -> param ctx i | Lit v -> v | _ -> assert false)
-        items
-    in
-    let members = Hashtbl.create (List.length vs) in
-    List.iter
-      (fun v -> if not (V.is_null v) then Hashtbl.add members (in_key v) v)
-      vs;
-    { members; has_null = List.exists V.is_null vs }
-  in
-  let rec walk acc = function
-    | Binop ((And | Or), a, b) -> walk (walk acc a) b
-    | Not e -> walk acc e
-    | In_list (_, items) as e when List.for_all constant items ->
-      (e, Lazy.from_fun (build items)) :: acc
-    | _ -> acc
-  in
-  match where with Some w -> walk [] w | None -> []
+(* The set of a statement-constant IN list, built on the first non-NULL
+   probe value, so a NULL probe still evaluates no item and an unbound
+   parameter raises where the linear evaluation would. *)
+let in_set st items =
+  lazy
+    (let vs =
+       List.map
+         (function Param i -> param st i | Lit v -> v | _ -> assert false)
+         items
+     in
+     let members = Hashtbl.create (List.length vs) in
+     List.iter
+       (fun v -> if not (V.is_null v) then Hashtbl.add members (in_key v) v)
+       vs;
+     { members; has_null = List.exists V.is_null vs })
 
 let in_set_mem set v =
   if
@@ -402,109 +426,13 @@ let in_set_mem set v =
   else if set.has_null then V.Null
   else V.Bool false
 
-(* ------------------------------------------------------------------ *)
+let in_values v vs =
+  if List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) vs
+  then V.Bool true
+  else if List.exists V.is_null vs then V.Null
+  else V.Bool false
 
-let rec eval ctx e : V.t =
-  match e with
-  | Col (alias, name) -> (
-    match lookup_col ctx alias name with
-    | Some v -> v
-    | None ->
-      error "unknown column %s%s"
-        (match alias with Some a -> a ^ "." | None -> "")
-        name)
-  | Lit v -> v
-  | Param i -> param ctx i
-  | Binop (And, a, b) ->
-    truth_to_value
-      (V.and_ (value_to_truth (eval ctx a)) (value_to_truth (eval ctx b)))
-  | Binop (Or, a, b) ->
-    truth_to_value
-      (V.or_ (value_to_truth (eval ctx a)) (value_to_truth (eval ctx b)))
-  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
-    let pred =
-      match op with
-      | Eq -> fun c -> c = 0
-      | Neq -> fun c -> c <> 0
-      | Lt -> fun c -> c < 0
-      | Le -> fun c -> c <= 0
-      | Gt -> fun c -> c > 0
-      | Ge -> fun c -> c >= 0
-      | _ -> assert false
-    in
-    truth_to_value (V.truth_of_comparison pred (eval ctx a) (eval ctx b))
-  | Binop (((Add | Sub | Mul | Div) as op), a, b) ->
-    numeric_binop op (eval ctx a) (eval ctx b)
-  | Binop (Concat, a, b) -> (
-    match (eval ctx a, eval ctx b) with
-    | V.Null, _ | _, V.Null -> V.Null
-    | x, y ->
-      let plain = function
-        | V.Str s -> s
-        | v -> V.to_string v
-      in
-      V.Str (plain x ^ plain y))
-  | Binop (Like, a, b) -> (
-    match (eval ctx a, eval ctx b) with
-    | V.Null, _ | _, V.Null -> V.Null
-    | V.Str text, V.Str pattern -> V.Bool (like_match pattern text)
-    | _ -> error "LIKE requires string operands")
-  | Not e -> truth_to_value (V.not_ (value_to_truth (eval ctx e)))
-  | Is_null e -> V.Bool (V.is_null (eval ctx e))
-  | Is_not_null e -> V.Bool (not (V.is_null (eval ctx e)))
-  | In_list (probe, items) -> (
-    let v = eval ctx probe in
-    if V.is_null v then V.Null
-    else
-      match List.assq_opt e ctx.in_sets with
-      | Some set -> in_set_mem (Lazy.force set) v
-      | None ->
-        let vs = List.map (eval ctx) items in
-        let any_eq =
-          List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) vs
-        in
-        if any_eq then V.Bool true
-        else if List.exists V.is_null vs then V.Null
-        else V.Bool false)
-  | In_select (e, s) ->
-    let v = eval ctx e in
-    if V.is_null v then V.Null
-    else
-      let result = run_select { ctx with group = None } s in
-      let col_values = List.map (fun row -> row.(0)) result.rows in
-      if List.exists (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True) col_values
-      then V.Bool true
-      else if List.exists V.is_null col_values then V.Null
-      else V.Bool false
-  | Exists s ->
-    let result = run_select { ctx with group = None } s in
-    V.Bool (result.rows <> [])
-  | Not_exists s ->
-    let result = run_select { ctx with group = None } s in
-    V.Bool (result.rows = [])
-  | Case (branches, default) ->
-    let rec try_branches = function
-      | [] -> ( match default with Some d -> eval ctx d | None -> V.Null)
-      | (cond, value) :: rest -> (
-        match value_to_truth (eval ctx cond) with
-        | V.True -> eval ctx value
-        | V.False | V.Unknown -> try_branches rest)
-    in
-    try_branches branches
-  | Func (f, args) -> eval_func ctx f (List.map (eval ctx) args)
-  | Count_star -> (
-    match ctx.group with
-    | Some rows -> V.Int (List.length rows)
-    | None -> error "COUNT(*) outside a grouped query")
-  | Agg (kind, quantifier, arg) -> eval_agg ctx kind quantifier arg
-  | Scalar_select s -> (
-    let result = run_select { ctx with group = None } s in
-    match result.rows with
-    | [] -> V.Null
-    | [ row ] -> row.(0)
-    | _ :: _ :: _ -> error "scalar subquery returned more than one row")
-
-and eval_func _ctx f args =
+let eval_func f args =
   if f <> Coalesce && List.exists V.is_null args then V.Null
   else
     match (f, args) with
@@ -532,19 +460,8 @@ and eval_func _ctx f args =
       if y = 0 then error "modulo by zero" else V.Int (x mod y)
     | _ -> error "bad arguments to SQL function"
 
-and eval_agg ctx kind quantifier arg =
-  let rows =
-    match ctx.group with
-    | Some rows -> rows
-    | None -> error "aggregate outside a grouped query"
-  in
-  let values =
-    List.filter_map
-      (fun row_env ->
-        let v = eval { ctx with env = row_env; group = None } arg in
-        if V.is_null v then None else Some v)
-      rows
-  in
+(* An aggregate over the non-NULL values of its argument. *)
+let aggregate kind quantifier values =
   let values =
     match quantifier with
     | All -> values
@@ -581,67 +498,258 @@ and eval_agg ctx kind quantifier arg =
       | Avg -> numeric_binop Div total (V.Float (float_of_int (List.length values)))
       | _ -> assert false)
 
-(* FROM clause: produce the row environments. Scanning a base table
-   snapshots its rows and accounts a full scan on the database's
-   operator statistics at once, but binds the rows as they are
-   consumed. *)
-and scan_table_ref ctx ref_ : binding list Seq.t =
+let comparison = function
+  | Eq -> fun c -> c = 0
+  | Neq -> fun c -> c <> 0
+  | Lt -> fun c -> c < 0
+  | Le -> fun c -> c <= 0
+  | Gt -> fun c -> c > 0
+  | Ge -> fun c -> c >= 0
+  | _ -> assert false
+
+let fails msg : compiled = fun _ _ -> raise (Sql_error msg)
+let const v : compiled = fun _ _ -> v
+
+(* The columns [SELECT *] expands a source to: a table's schema, a
+   derived table's projection names as written. *)
+let declared_columns st = function
+  | Table { table; _ } -> (
+    match Database.find_table st.db table with
+    | Error msg -> error "%s" msg
+    | Ok t -> Array.to_list (column_names t))
+  | Derived { query; _ } -> List.map snd query.projections
+
+(* [SELECT *] expansion: replace a star projection with one column per
+   column of every FROM/JOIN source, qualified by alias. *)
+let expand_star st s =
+  let is_star = function Col (None, "*"), _ -> true | _ -> false in
+  if not (List.exists is_star s.projections) then s
+  else
+    let refs = s.from :: List.map (fun j -> j.jtable) s.joins in
+    let expanded =
+      List.concat_map
+        (fun ref_ ->
+          let alias = alias_of ref_ in
+          List.map (fun c -> (Col (Some alias, c), c)) (declared_columns st ref_))
+        refs
+    in
+    let projections =
+      List.concat_map
+        (fun p -> if is_star p then expanded else [ p ])
+        s.projections
+    in
+    { s with projections }
+
+let rec has_agg = function
+  | Count_star | Agg _ -> true
+  | Binop (_, a, b) -> has_agg a || has_agg b
+  | Not e | Is_null e | Is_not_null e -> has_agg e
+  | Case (branches, default) ->
+    List.exists (fun (c, v) -> has_agg c || has_agg v) branches
+    || Option.fold ~none:false ~some:has_agg default
+  | Func (_, args) -> List.exists has_agg args
+  | In_list (e, es) -> has_agg e || List.exists has_agg es
+  | Col _ | Lit _ | Param _ | In_select _ | Exists _ | Not_exists _
+  | Scalar_select _ ->
+    false
+
+(* A base table's rows, accounted as one full scan. *)
+let scan_table db t =
+  let ids, rows = Table.scan t in
+  Database.record_operator db (fun stats ->
+      stats.Database.full_scans <- stats.Database.full_scans + 1;
+      stats.Database.rows_scanned <-
+        stats.Database.rows_scanned + Array.length rows);
+  (ids, rows)
+
+(* ------------------------------------------------------------------ *)
+
+(* Operands evaluate right to left, except the pairs of || and LIKE,
+   left to right: the order decides which of two failing operands
+   raises, so it is part of the engine's error behaviour.
+   [sets]: the expression sits in a WHERE's AND/OR/NOT structure, where
+   an IN list of literals and parameters is hashed once per execution. *)
+let rec compile ?(sets = false) sc grouping e : compiled =
+  let c e = compile sc grouping e in
+  match e with
+  | Col (alias, name) -> (
+    match resolve sc.locals alias name with
+    | Some (slot, i) -> fun row _ -> row.(slot).(i)
+    | None -> (
+      match outer_value sc alias name with
+      | Some v -> const v
+      | None ->
+        fails
+          (Printf.sprintf "unknown column %s%s"
+             (match alias with Some a -> a ^ "." | None -> "")
+             name)))
+  | Lit v -> const v
+  | Param i -> (
+    match param sc.st i with v -> const v | exception Sql_error msg -> fails msg)
+  | Binop (((And | Or) as op), a, b) ->
+    let a = compile ~sets sc grouping a and b = compile ~sets sc grouping b in
+    let combine = if op = And then V.and_ else V.or_ in
+    fun row g ->
+      let tb = value_to_truth (b row g) in
+      truth_to_value (combine (value_to_truth (a row g)) tb)
+  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
+    let pred = comparison op and a = c a and b = c b in
+    fun row g ->
+      let y = b row g in
+      truth_to_value (V.truth_of_comparison pred (a row g) y)
+  | Binop (((Add | Sub | Mul | Div) as op), a, b) ->
+    let a = c a and b = c b in
+    fun row g ->
+      let y = b row g in
+      numeric_binop op (a row g) y
+  | Binop (Concat, a, b) -> (
+    let a = c a and b = c b in
+    fun row g ->
+      match (a row g, b row g) with
+      | V.Null, _ | _, V.Null -> V.Null
+      | x, y ->
+        let plain = function V.Str s -> s | v -> V.to_string v in
+        V.Str (plain x ^ plain y))
+  | Binop (Like, a, b) -> (
+    let a = c a and b = c b in
+    fun row g ->
+      match (a row g, b row g) with
+      | V.Null, _ | _, V.Null -> V.Null
+      | V.Str text, V.Str pattern -> V.Bool (like_match pattern text)
+      | _ -> error "LIKE requires string operands")
+  | Not e ->
+    let e = compile ~sets sc grouping e in
+    fun row g -> truth_to_value (V.not_ (value_to_truth (e row g)))
+  | Is_null e ->
+    let e = c e in
+    fun row g -> V.Bool (V.is_null (e row g))
+  | Is_not_null e ->
+    let e = c e in
+    fun row g -> V.Bool (not (V.is_null (e row g)))
+  | In_list (probe, items)
+    when sets && List.for_all (function Lit _ | Param _ -> true | _ -> false) items
+    ->
+    let probe = c probe and set = in_set sc.st items in
+    fun row g ->
+      let v = probe row g in
+      if V.is_null v then V.Null else in_set_mem (Lazy.force set) v
+  | In_list (probe, items) ->
+    let probe = c probe and items = List.map c items in
+    fun row g ->
+      let v = probe row g in
+      if V.is_null v then V.Null
+      else in_values v (List.map (fun item -> item row g) items)
+  | In_select (e, s) ->
+    let e = c e in
+    fun row g ->
+      let v = e row g in
+      if V.is_null v then V.Null
+      else
+        let result = run_select sc.st (Some (sc, row)) s in
+        in_values v (List.map (fun r -> r.(0)) result.rows)
+  | Exists s ->
+    fun row _ -> V.Bool ((run_select sc.st (Some (sc, row)) s).rows <> [])
+  | Not_exists s ->
+    fun row _ -> V.Bool ((run_select sc.st (Some (sc, row)) s).rows = [])
+  | Scalar_select s -> (
+    fun row _ ->
+      match (run_select sc.st (Some (sc, row)) s).rows with
+      | [] -> V.Null
+      | [ r ] -> r.(0)
+      | _ :: _ :: _ -> error "scalar subquery returned more than one row")
+  | Case (branches, default) ->
+    let branches = List.map (fun (cond, value) -> (c cond, c value)) branches in
+    let default = Option.map c default in
+    fun row g ->
+      let rec try_branches = function
+        | [] -> ( match default with Some d -> d row g | None -> V.Null)
+        | (cond, value) :: rest -> (
+          match value_to_truth (cond row g) with
+          | V.True -> value row g
+          | V.False | V.Unknown -> try_branches rest)
+      in
+      try_branches branches
+  | Func (f, args) ->
+    let args = List.map c args in
+    fun row g -> eval_func f (List.map (fun a -> a row g) args)
+  | Count_star -> (
+    match grouping with
+    | Ungrouped -> fails "COUNT(*) outside a grouped query"
+    | Single -> const (V.Int 1)
+    | Grouped -> fun _ g -> V.Int (List.length g))
+  | Agg _ when grouping = Ungrouped -> fails "aggregate outside a grouped query"
+  | Agg (kind, quantifier, arg) -> (
+    let arg = compile sc Ungrouped arg in
+    let non_null m = let v = arg m [] in if V.is_null v then None else Some v in
+    match grouping with
+    | Single ->
+      fun row _ -> aggregate kind quantifier (Option.to_list (non_null row))
+    | Grouped | Ungrouped ->
+      fun _ g -> aggregate kind quantifier (List.filter_map non_null g))
+
+(* The rows on which a condition holds. *)
+and selects ?sets sc = function
+  | None -> fun _ -> true
+  | Some cond ->
+    let cond = compile ?sets sc Ungrouped cond in
+    fun row -> value_to_truth (cond row []) = V.True
+
+(* A FROM or JOIN source's columns and rows. A base table is read from
+   one snapshot; a derived table runs its select, which sees the same
+   enclosing rows as the select it feeds. *)
+and scan_source st outer ref_ : string array * V.t array array =
   match ref_ with
   | Table { table; alias } -> (
-    match Database.find_table ctx.db table with
+    match Database.find_table st.db table with
     | Error msg -> error "%s" msg
     | Ok t ->
-      Database.record_operator ctx.db (fun stats ->
-          stats.Database.full_scans <- stats.Database.full_scans + 1;
-          stats.Database.rows_scanned <-
-            stats.Database.rows_scanned + Table.row_count t);
-      decide ctx "scan %s as %s (%d rows)" table alias (Table.row_count t);
-      let cols = Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns) in
-      let rec bind rows () =
-        match rows with
-        | [] -> Seq.Nil
-        | row :: rest -> Seq.Cons ([ { alias; cols; values = row } ], bind rest)
-      in
-      bind (Table.all_rows t))
-  | Derived { query; alias } ->
-    let result = run_select { ctx with group = None } query in
-    let cols = Array.of_list result.columns in
-    Seq.map (fun row -> [ { alias; cols; values = row } ]) (List.to_seq result.rows)
+      let _, rows = scan_table st.db t in
+      decide st "scan %s as %s (%d rows)" table alias (Array.length rows);
+      (column_names t, rows))
+  | Derived { query; _ } ->
+    let result = run_select st outer query in
+    (Array.of_list result.columns, Array.of_list result.rows)
 
 (* The base-table access path: an index probe when the WHERE implies one
    and the whole filter/join pipeline is total (so skipped rows cannot
    change error behaviour), otherwise the historical full scan. Also
-   says whether it scanned, since only a scan's rows are worth binding
-   as they are consumed. *)
-and scan_from ctx s srcs =
-  let fallback () = (scan_table_ref ctx s.from, true) in
+   says whether it scanned, since only a scan's rows are worth filtering
+   as they are consumed. [sc] is the select's scope before any source is
+   bound. *)
+and scan_from sc s srcs =
+  let fallback () =
+    let cols, rows = scan_source sc.st sc.outer s.from in
+    (cols, rows, true)
+  in
   match (srcs, s.from) with
-  | Some (base :: _ as srcs), Table { table; alias } -> (
+  | Some (base :: _ as srcs), Table { table; _ } -> (
     let where_ok =
       match s.where with
-      | Some w -> total_truth ctx srcs w
+      | Some w -> total_truth sc srcs w
       | None -> false
     in
     let joins_ok =
       (* join ON conditions see only the sources bound so far *)
       List.for_all2
-        (fun j n -> total_truth ctx (take (n + 2) srcs) j.on_condition)
+        (fun j n -> total_truth sc (take (n + 2) srcs) j.on_condition)
         s.joins
         (List.mapi (fun i _ -> i) s.joins)
     in
     if not (where_ok && joins_ok) then fallback ()
     else
-      match probe_plan ctx srcs base (Option.get s.where) with
+      match probe_plan sc srcs base (Option.get s.where) with
       | None -> fallback ()
       | Some (idx, keys) -> (
-        match Database.find_table ctx.db table with
+        match Database.find_table sc.st.db table with
         | Error msg -> error "%s" msg
         | Ok t -> (
-          let ctx0 = { ctx with env = []; group = None } in
           match
             List.map
               (fun key_exprs ->
-                Array.of_list (List.map (eval ctx0) key_exprs))
+                Array.of_list
+                  (List.map
+                     (fun e -> compile sc Ungrouped e [||] [])
+                     key_exprs))
               keys
           with
           | exception Sql_error _ ->
@@ -649,7 +757,7 @@ and scan_from ctx s srcs =
                every row; reproduce that behaviour exactly *)
             fallback ()
           | key_values ->
-            Database.record_operator ctx.db (fun stats ->
+            Database.record_operator sc.st.db (fun stats ->
                 stats.Database.index_lookups <-
                   stats.Database.index_lookups + List.length key_values);
             let seen = Hashtbl.create 64 in
@@ -663,72 +771,62 @@ and scan_from ctx s srcs =
               Hashtbl.fold (fun id () acc -> id :: acc) seen []
               |> List.sort compare
             in
-            Database.record_operator ctx.db (fun stats ->
+            Database.record_operator sc.st.db (fun stats ->
                 stats.Database.index_rows <-
                   stats.Database.index_rows + List.length ids);
-            decide ctx "index probe %s.%s [%s] keys=%d rows=%d" table
+            decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" table
               (Index.name idx)
               (String.concat "," (Index.columns idx))
               (List.length key_values) (List.length ids);
-            let cols =
-              Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
-            in
-            ( List.to_seq
-                (List.filter_map
-                   (fun id ->
-                     match Table.get_row t id with
-                     | Some row -> Some [ { alias; cols; values = row } ]
-                     | None -> None)
-                   ids),
+            ( column_names t,
+              Array.of_list (List.filter_map (Table.get_row t) ids),
               false ))))
   | _ -> fallback ()
-
-and null_binding ctx ref_ : binding =
-  match ref_ with
-  | Table { table; alias } -> (
-    match Database.find_table ctx.db table with
-    | Error msg -> error "%s" msg
-    | Ok t ->
-      let cols = Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns) in
-      { alias; cols; values = Array.make (Array.length cols) V.Null })
-  | Derived { query; alias } ->
-    let cols = Array.of_list (List.map snd query.projections) in
-    { alias; cols; values = Array.make (Array.length cols) V.Null }
 
 (* Join algorithm selection. [srcs] is the prefix of sources visible to
    this join (base, earlier joins, then this join's source last). The
    candidate-generating paths re-evaluate the full ON condition on every
    candidate pair, so they agree with the nested loop exactly; they
    require the ON condition to be total because the nested loop also
-   evaluates it on the pairs they skip. *)
-and apply_join ctx srcs left_rows join =
-  let bump f = Database.record_operator ctx.db f in
-  let jalias =
-    match join.jtable with
-    | Table { alias; _ } | Derived { alias; _ } -> alias
+   evaluates it on the pairs they skip. [sc] is the scope of the left
+   rows; returns the scope and rows with the joined source added. *)
+and apply_join sc srcs left_rows join =
+  let st = sc.st in
+  let bump f = Database.record_operator st.db f in
+  let jalias = alias_of join.jtable in
+  let width = Array.length sc.locals in
+  let joined cols =
+    { sc with locals = Array.append sc.locals [| (jalias, cols) |] }
+  in
+  (* the ON condition over a left row and each candidate, evaluated on
+     one scratch row per left row; a match is copied out *)
+  let matcher jsc =
+    let on = selects jsc (Some join.on_condition) in
+    fun left ->
+      let scratch = extend left [||] in
+      fun right ->
+        scratch.(width) <- right;
+        if on scratch then Some (Array.copy scratch) else None
+  in
+  let filter_in_order test candidates =
+    List.rev
+      (Array.fold_left
+         (fun acc r -> match test r with Some m -> m :: acc | None -> acc)
+         [] candidates)
   in
   let nested_loop () =
     bump (fun stats -> stats.Database.nl_joins <- stats.Database.nl_joins + 1);
-    decide ctx "nested-loop join %s" jalias;
-    let right_rows = List.of_seq (scan_table_ref ctx join.jtable) in
-    let matches left =
-      List.filter_map
-        (fun right ->
-          let env = right @ left in
-          match
-            value_to_truth (eval { ctx with env; group = None } join.on_condition)
-          with
-          | V.True -> Some env
-          | V.False | V.Unknown -> None)
-        right_rows
-    in
-    join_shape ctx join matches left_rows
+    decide st "nested-loop join %s" jalias;
+    let cols, right_rows = scan_source st sc.outer join.jtable in
+    let jsc = joined cols in
+    let on = matcher jsc in
+    (jsc, join_shape join cols (fun left -> filter_in_order (on left) right_rows) left_rows)
   in
   let equi =
     match srcs with
     | None -> None
     | Some srcs ->
-      if not (total_truth ctx srcs join.on_condition) then None
+      if not (total_truth sc srcs join.on_condition) then None
       else
         let jsrc =
           List.find_opt (fun s -> String.equal s.s_alias jalias) srcs
@@ -743,16 +841,16 @@ and apply_join ctx srcs left_rows join =
               | _ -> None
             in
             (* a left key: total, constant w.r.t. the joined source, and
-               evaluable against the left environment alone *)
+               evaluable against the left row alone *)
             let left_ok e =
               match e with
               | Lit _ -> true
-              | Param i -> i >= 1 && i <= Array.length ctx.params
+              | Param i -> i >= 1 && i <= Array.length st.params
               | Col (alias, name) -> (
                 match classify srcs alias name with
                 | C_local src -> src != jsrc
                 | C_ambiguous | C_missing -> false
-                | C_outer -> outer_lookup ctx alias name <> None)
+                | C_outer -> outer_value sc alias name <> None)
               | _ -> false
             in
             let pairs =
@@ -770,6 +868,10 @@ and apply_join ctx srcs left_rows join =
                 (conjuncts join.on_condition)
             in
             if pairs = [] then None else Some (jsrc, pairs))
+  in
+  let left_keys exprs =
+    let keys = List.map (compile sc Ungrouped) exprs in
+    fun left -> Array.of_list (List.map (fun k -> k left []) keys)
   in
   match equi with
   | None -> nested_loop ()
@@ -797,119 +899,72 @@ and apply_join ctx srcs left_rows join =
       (* index nested loop: probe the right table per left row *)
       bump (fun stats ->
           stats.Database.index_joins <- stats.Database.index_joins + 1);
-      decide ctx "index-nl join %s via %s.%s" jalias t.Table.table_name
+      decide st "index-nl join %s via %s.%s" jalias t.Table.table_name
         (Index.name idx);
-      let key_exprs = List.map (fun c -> List.assoc c pairs) (Index.columns idx) in
-      let cols =
-        Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
-      in
+      let cols = column_names t in
+      let jsc = joined cols in
+      let keys = left_keys (List.map (fun c -> List.assoc c pairs) (Index.columns idx)) in
+      let on = matcher jsc in
       let matches left =
-        let lctx = { ctx with env = left; group = None } in
-        let values = Array.of_list (List.map (eval lctx) key_exprs) in
-        let ids = Table.probe_index t idx values in
+        let ids = Table.probe_index t idx (keys left) in
         bump (fun stats ->
             stats.Database.index_lookups <- stats.Database.index_lookups + 1;
             stats.Database.index_rows <-
               stats.Database.index_rows + List.length ids);
+        let test = on left in
         List.filter_map
-          (fun id ->
-            match Table.get_row t id with
-            | None -> None
-            | Some row ->
-              let env = { alias = jalias; cols; values = row } :: left in
-              (match
-                 value_to_truth
-                   (eval { ctx with env; group = None } join.on_condition)
-               with
-              | V.True -> Some env
-              | V.False | V.Unknown -> None))
+          (fun id -> Option.bind (Table.get_row t id) test)
           ids
       in
-      join_shape ctx join matches left_rows
+      (jsc, join_shape join cols matches left_rows)
     | None ->
       (* hash equi-join: build once over the right side, probe per left
          row; buckets keep right-scan order *)
       bump (fun stats ->
           stats.Database.hash_joins <- stats.Database.hash_joins + 1);
-      decide ctx "hash join %s on [%s]" jalias (String.concat "," right_cols);
-      let right_rows = List.of_seq (scan_table_ref ctx join.jtable) in
-      let left_exprs = List.map snd pairs in
+      decide st "hash join %s on [%s]" jalias (String.concat "," right_cols);
+      let cols, right_rows = scan_source st sc.outer join.jtable in
+      let jsc = joined cols in
+      let keys = left_keys (List.map snd pairs) in
+      let positions = List.map (position cols) right_cols in
       let tbl = Index.Key_tbl.create 256 in
-      List.iter
+      Array.iter
         (fun right ->
-          match right with
-          | [ b ] -> (
-            let values =
-              Array.of_list
-                (List.map
-                   (fun c ->
-                     match lookup_in_binding b c with
-                     | Some v -> v
-                     | None -> V.Null)
-                   right_cols)
-            in
-            if not (Array.exists V.is_null values) then
-              let key = Index.key_of_values values in
-              match Index.Key_tbl.find_opt tbl key with
-              | Some bucket -> bucket := right :: !bucket
-              | None -> Index.Key_tbl.add tbl key (ref [ right ]))
-          | _ -> ())
+          let values =
+            Array.of_list
+              (List.map
+                 (function Some i -> right.(i) | None -> V.Null)
+                 positions)
+          in
+          if not (Array.exists V.is_null values) then
+            let key = Index.key_of_values values in
+            match Index.Key_tbl.find_opt tbl key with
+            | Some bucket -> bucket := right :: !bucket
+            | None -> Index.Key_tbl.add tbl key (ref [ right ]))
         right_rows;
       Index.Key_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) tbl;
+      let on = matcher jsc in
       let matches left =
-        let lctx = { ctx with env = left; group = None } in
-        let values = Array.of_list (List.map (eval lctx) left_exprs) in
+        let values = keys left in
         if Array.exists V.is_null values then []
         else
           match Index.Key_tbl.find_opt tbl (Index.key_of_values values) with
           | None -> []
-          | Some bucket ->
-            List.filter_map
-              (fun right ->
-                let env = right @ left in
-                match
-                  value_to_truth
-                    (eval { ctx with env; group = None } join.on_condition)
-                with
-                | V.True -> Some env
-                | V.False | V.Unknown -> None)
-              !bucket
+          | Some bucket -> List.filter_map (on left) !bucket
       in
-      join_shape ctx join matches left_rows)
+      (jsc, join_shape join cols matches left_rows))
 
-and join_shape ctx join matches left_rows =
+and join_shape join cols matches left_rows =
   match join.jkind with
   | Inner -> List.concat_map matches left_rows
   | Left_outer ->
-    let null_right = null_binding ctx join.jtable in
+    let null_right = Array.make (Array.length cols) V.Null in
     List.concat_map
       (fun left ->
         match matches left with
-        | [] -> [ null_right :: left ]
+        | [] -> [ extend left null_right ]
         | found -> found)
       left_rows
-
-(* [SELECT *] expansion: replace a star projection with one column per
-   column of every FROM/JOIN binding, qualified by alias. *)
-and expand_star ctx s =
-  let is_star = function Col (None, "*"), _ -> true | _ -> false in
-  if not (List.exists is_star s.projections) then s
-  else
-    let refs = s.from :: List.map (fun j -> j.jtable) s.joins in
-    let expanded =
-      List.concat_map
-        (fun ref_ ->
-          let b = null_binding ctx ref_ in
-          Array.to_list b.cols
-          |> List.map (fun c -> (Col (Some b.alias, c), c)))
-        refs
-    in
-    let projections =
-      List.concat_map
-        (fun p -> if is_star p then expanded else [ p ])
-        s.projections
-    in
-    { s with projections }
 
 (* The SELECT pipeline with a lazy tail: everything through grouping,
    HAVING and ORDER BY runs eagerly (those stages are pipeline breakers
@@ -919,42 +974,31 @@ and expand_star ctx s =
    keep their eager dedup/early-exit tails and stream a prebuilt list.
    A select that only filters and projects a scanned source is lazy from
    the scan's snapshot on, so a cursor's first chunk does not wait for
-   the whole scan. Its filter must be total: one that cannot raise
-   yields the rows, order and errors of the eager pipeline. *)
-and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
-  let ctx = { outer_ctx with outer = Some outer_ctx; group = None } in
-  let ctx = { ctx with in_sets = prepare_in_sets ctx s.where } in
-  let s = expand_star ctx s in
-  let srcs = if ctx.db.Database.use_indexes then sources_of ctx s else None in
-  let rows, scanned = scan_from ctx s srcs in
+   the whole scan; its rows pass through one scratch row, so a row the
+   filter drops allocates nothing. Its filter must be total: one that
+   cannot raise yields the rows, order and errors of the eager
+   pipeline. *)
+and run_select_streamed st outer s : string list * V.t array Seq.t =
+  let base = { st; locals = [||]; outer } in
+  let s = expand_star st s in
+  let srcs = if st.db.Database.use_indexes then sources_of st s else None in
+  let from_cols, from_rows, scanned = scan_from base s srcs in
+  let sc = { base with locals = [| (alias_of s.from, from_cols) |] } in
   let is_aggregate_query =
-    s.group_by <> []
-    || List.exists
-         (fun (e, _) ->
-           let rec has_agg = function
-             | Count_star | Agg _ -> true
-             | Binop (_, a, b) -> has_agg a || has_agg b
-             | Not e | Is_null e | Is_not_null e -> has_agg e
-             | Case (branches, default) ->
-               List.exists (fun (c, v) -> has_agg c || has_agg v) branches
-               || Option.fold ~none:false ~some:has_agg default
-             | Func (_, args) -> List.exists has_agg args
-             | In_list (e, es) -> has_agg e || List.exists has_agg es
-             | Col _ | Lit _ | Param _ | In_select _ | Exists _ | Not_exists _
-             | Scalar_select _ ->
-               false
-           in
-           has_agg e)
-         s.projections
+    s.group_by <> [] || List.exists (fun (e, _) -> has_agg e) s.projections
   in
-  let project (env, group) =
-    Array.of_list
-      (List.map
-         (fun (e, _) -> eval { ctx with env; group = Some group } e)
-         s.projections)
-  in
-  let keep cond env =
-    value_to_truth (eval { ctx with env; group = None } cond) = V.True
+  let columns = List.map snd s.projections in
+  let projector sc grouping =
+    let ps =
+      Array.of_list
+        (List.map (fun (e, _) -> compile sc grouping e) s.projections)
+    in
+    fun row g ->
+      let out = Array.make (Array.length ps) V.Null in
+      for i = 0 to Array.length ps - 1 do
+        out.(i) <- ps.(i) row g
+      done;
+      out
   in
   let filters_and_projects =
     scanned && s.joins = [] && (not is_aggregate_query) && s.having = None
@@ -963,80 +1007,85 @@ and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
     match s.where with
     | None -> true
     | Some w -> (
-      match sources_of ctx s with
-      | Some srcs -> total_truth ctx srcs w
+      match sources_of st s with
+      | Some srcs -> total_truth base srcs w
       | None -> false)
   in
-  if filters_and_projects then
-    let rows =
-      match s.where with None -> rows | Some cond -> Seq.filter (keep cond) rows
+  if filters_and_projects then begin
+    let keep = selects ~sets:true sc s.where in
+    let project = projector sc Single in
+    let n = Array.length from_rows in
+    let row = [| [||] |] in
+    let rec next i () =
+      if i >= n then Seq.Nil
+      else begin
+        row.(0) <- from_rows.(i);
+        if keep row then Seq.Cons (project row [], next (i + 1))
+        else next (i + 1) ()
+      end
     in
-    (List.map snd s.projections, Seq.map (fun env -> project (env, [ env ])) rows)
+    (columns, next 0)
+  end
   else
-  let rows, _ =
+  let sc, rows, _ =
     List.fold_left
-      (fun (acc, i) j ->
+      (fun (sc, rows, i) j ->
         let prefix = Option.map (take (i + 2)) srcs in
-        (apply_join ctx prefix acc j, i + 1))
-      (List.of_seq rows, 0) s.joins
+        let sc, rows = apply_join sc prefix rows j in
+        (sc, rows, i + 1))
+      (sc, Array.fold_right (fun r acc -> [| r |] :: acc) from_rows [], 0)
+      s.joins
   in
-  let rows =
-    match s.where with None -> rows | Some cond -> List.filter (keep cond) rows
-  in
-  (* Each logical row of the rest of the pipeline is (env, group): for
-     grouped queries env is a representative row and group holds the
-     members; otherwise group is a singleton. *)
-  let logical_rows =
-    if not is_aggregate_query then List.map (fun env -> (env, [ env ])) rows
+  let rows = List.filter (selects ~sets:true sc s.where) rows in
+  (* Each logical row of the rest of the pipeline is (row, group): for
+     grouped queries row is a representative and group holds the
+     members; otherwise the clauses see the row alone. *)
+  let sc, grouping, logical_rows =
+    if not is_aggregate_query then (sc, Single, List.map (fun r -> (r, [])) rows)
     else if s.group_by = [] then
-      (* implicit single group, even when empty *)
+      (* implicit single group, even when empty: then no source is bound *)
       match rows with
-      | [] -> [ ([], []) ]
-      | first :: _ -> [ (first, rows) ]
+      | [] -> ({ sc with locals = [||] }, Grouped, [ ([||], []) ])
+      | first :: _ -> (sc, Grouped, [ (first, rows) ])
     else begin
-      let groups : (V.t list * binding list list ref) list ref = ref [] in
+      let keys = List.map (compile sc Ungrouped) s.group_by in
+      let groups : (V.t list * row list ref) list ref = ref [] in
       List.iter
-        (fun env ->
-          let key =
-            List.map (fun e -> eval { ctx with env; group = None } e) s.group_by
-          in
+        (fun row ->
+          let key = List.map (fun k -> k row []) keys in
           match
             List.find_opt (fun (k, _) -> List.for_all2 V.equal k key) !groups
           with
-          | Some (_, members) -> members := env :: !members
-          | None -> groups := !groups @ [ (key, ref [ env ]) ])
+          | Some (_, members) -> members := row :: !members
+          | None -> groups := !groups @ [ (key, ref [ row ]) ])
         rows;
-      List.map
-        (fun (_, members) ->
-          let members = List.rev !members in
-          match members with
-          | [] -> assert false
-          | first :: _ -> (first, members))
-        !groups
+      ( sc,
+        Grouped,
+        List.map
+          (fun (_, members) ->
+            let members = List.rev !members in
+            match members with
+            | [] -> assert false
+            | first :: _ -> (first, members))
+          !groups )
     end
   in
   let logical_rows =
     match s.having with
     | None -> logical_rows
     | Some cond ->
+      let cond = compile sc grouping cond in
       List.filter
-        (fun (env, group) ->
-          value_to_truth (eval { ctx with env; group = Some group } cond)
-          = V.True)
+        (fun (row, g) -> value_to_truth (cond row g) = V.True)
         logical_rows
   in
   let logical_rows =
     if s.order_by = [] then logical_rows
     else
+      let sort_keys = List.map (fun o -> compile sc grouping o.sort_expr) s.order_by in
       let keyed =
         List.map
-          (fun (env, group) ->
-            let keys =
-              List.map
-                (fun o -> eval { ctx with env; group = Some group } o.sort_expr)
-                s.order_by
-            in
-            (keys, (env, group)))
+          (fun ((row, g) as lr) -> (List.map (fun k -> k row g) sort_keys, lr))
           logical_rows
       in
       let cmp (ka, _) (kb, _) =
@@ -1059,6 +1108,10 @@ and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
         go ka kb s.order_by
       in
       List.map snd (List.stable_sort cmp keyed)
+  in
+  let project =
+    let project = projector sc grouping in
+    fun (row, g) -> project row g
   in
   let projected : V.t array Seq.t =
     match s.window with
@@ -1115,20 +1168,11 @@ and run_select_streamed outer_ctx s : string list * V.t array Seq.t =
        with Done -> ());
       List.to_seq (List.rev !kept)
   in
-  (List.map snd s.projections, projected)
+  (columns, projected)
 
-and run_select outer_ctx s : result_set =
-  let columns, rows = run_select_streamed outer_ctx s in
+and run_select st outer s : result_set =
+  let columns, rows = run_select_streamed st outer s in
   { columns; rows = List.of_seq rows }
-
-let root_context db params =
-  { env = [];
-    outer = None;
-    group = None;
-    params;
-    db;
-    decisions = ref [];
-    in_sets = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Cursors: chunked fetch over the same access paths.
@@ -1169,8 +1213,8 @@ let open_direct db params s =
     Database.open_statement db ~params:(Array.length params);
     Error msg
   | Ok () -> (
-    let ctx = root_context db params in
-    match run_select_streamed ctx s with
+    let st = { db; params; decisions = ref [] } in
+    match run_select_streamed st None s with
     | columns, rows ->
       Database.open_statement db ~params:(Array.length params);
       Ok
@@ -1178,10 +1222,10 @@ let open_direct db params s =
           cur_shared = false;
           cur_columns = columns;
           cur_rest = rows;
-          cur_decisions = ctx.decisions;
+          cur_decisions = st.decisions;
           cur_done = false }
     | exception Sql_error msg ->
-      Database.set_last_plan db (List.rev !(ctx.decisions));
+      Database.set_last_plan db (List.rev !(st.decisions));
       Error msg)
 
 let replay ~shared (rs, plan) =
@@ -1285,14 +1329,14 @@ let flights : (result_set * string list, string) result Singleflight.t =
    accounting or latency. Work sharing uses it to serve each member of a
    merged batch from the one accounted wire statement. *)
 let engine_exec db params s =
-  let ctx = root_context db params in
-  match run_select ctx s with
+  let st = { db; params; decisions = ref [] } in
+  match run_select st None s with
   | result ->
-    let plan = List.rev !(ctx.decisions) in
+    let plan = List.rev !(st.decisions) in
     Database.set_last_plan db plan;
     Ok (result, plan)
   | exception Sql_error msg ->
-    Database.set_last_plan db (List.rev !(ctx.decisions));
+    Database.set_last_plan db (List.rev !(st.decisions));
     Error msg
 
 let count_saved db ~merged =
@@ -1493,20 +1537,40 @@ let open_cursor db ?(params = [||]) s =
       batched_probe db params s keycol
     | _ -> coalesced_query db params s
 
+(* UPDATE and DELETE compile their WHERE (and SET) against the one
+   table and run them over a full scan of it. *)
 let execute_dml db ?(params = [||]) dml =
   match Database.apply_fault db with
   | Error msg ->
     Database.record_statement db ~params:(Array.length params) ~rows:0;
     Error msg
   | Ok () ->
-  let ctx = root_context db params in
+  let st = { db; params; decisions = ref [] } in
+  let scope locals = { st; locals; outer = None } in
+  let record rows =
+    Database.record_statement db ~params:(Array.length params) ~rows
+  in
+  (* [f id row values] on each row of [t]'s snapshot that [where]
+     selects, in order; [row] binds the values for compiled clauses *)
+  let each_selected t sc where f =
+    let keep = selects sc where in
+    let ids, rows = scan_table db t in
+    let row = [| [||] |] in
+    Array.iteri
+      (fun k values ->
+        row.(0) <- values;
+        if keep row then f ids.(k) row values)
+      rows
+  in
   match dml with
   | Insert { table; columns; values } -> (
     match Database.find_table db table with
     | Error msg -> Error msg
     | Ok t -> (
       match
-        let provided = List.map (eval ctx) values in
+        let provided =
+          List.map (fun e -> compile (scope [||]) Ungrouped e [||] []) values
+        in
         let row =
           Array.of_list
             (List.map
@@ -1523,7 +1587,7 @@ let execute_dml db ?(params = [||]) dml =
         Table.insert t row
       with
       | Ok () ->
-        Database.record_statement db ~params:(Array.length params) ~rows:1;
+        record 1;
         Ok 1
       | Error msg -> Error msg
       | exception Sql_error msg -> Error msg))
@@ -1532,59 +1596,40 @@ let execute_dml db ?(params = [||]) dml =
     | Error msg -> Error msg
     | Ok t -> (
       try
-        let cols =
-          Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
+        let sc = scope [| (table, column_names t) |] in
+        let assign =
+          List.map
+            (fun (c, e) ->
+              match Table.column_index t c with
+              | Some i ->
+                let e = compile sc Ungrouped e in
+                fun row updated -> updated.(i) <- e row []
+              | None ->
+                let msg = Printf.sprintf "no column %s in table %s" c table in
+                fun _ _ -> raise (Sql_error msg))
+            assignments
         in
         (* decide every update first, then apply: an evaluation error
-           leaves the table untouched, as the historical list-rebuild
-           did *)
+           leaves the table untouched *)
         let updates = ref [] in
-        Table.iter_rows t (fun id row ->
-            let env = [ { alias = table; cols; values = row } ] in
-            let selected =
-              match where with
-              | None -> true
-              | Some cond ->
-                value_to_truth (eval { ctx with env } cond) = V.True
-            in
-            if selected then begin
-              let row' = Array.copy row in
-              List.iter
-                (fun (c, e) ->
-                  match Table.column_index t c with
-                  | Some i -> row'.(i) <- eval { ctx with env } e
-                  | None -> error "no column %s in table %s" c table)
-                assignments;
-              updates := (id, row') :: !updates
-            end);
+        each_selected t sc where (fun id row values ->
+            let updated = Array.copy values in
+            List.iter (fun set -> set row updated) assign;
+            updates := (id, updated) :: !updates);
         let updates = List.rev !updates in
-        List.iter (fun (id, row') -> Table.update_row t id row') updates;
-        let affected = List.length updates in
-        Database.record_statement db ~params:(Array.length params)
-          ~rows:affected;
-        Ok affected
+        List.iter (fun (id, updated) -> Table.update_row t id updated) updates;
+        record (List.length updates);
+        Ok (List.length updates)
       with Sql_error msg -> Error msg))
   | Delete { table; where } -> (
     match Database.find_table db table with
     | Error msg -> Error msg
     | Ok t -> (
       try
-        let cols =
-          Array.of_list (List.map (fun c -> c.Table.col_name) t.Table.columns)
-        in
         let victims = ref [] in
-        Table.iter_rows t (fun id row ->
-            let env = [ { alias = table; cols; values = row } ] in
-            let selected =
-              match where with
-              | None -> true
-              | Some cond ->
-                value_to_truth (eval { ctx with env } cond) = V.True
-            in
-            if selected then victims := id :: !victims);
+        each_selected t (scope [| (table, column_names t) |]) where
+          (fun id _ _ -> victims := id :: !victims);
         List.iter (Table.delete_row t) !victims;
-        let dropped = List.length !victims in
-        Database.record_statement db ~params:(Array.length params)
-          ~rows:dropped;
-        Ok dropped
+        record (List.length !victims);
+        Ok (List.length !victims)
       with Sql_error msg -> Error msg))

@@ -18,28 +18,35 @@ let as_float = function
   | Timestamp f -> Some f
   | Null | Str _ | Bool _ -> None
 
-let compare_sql a b =
+(* [compare_sql] without the option: [incomparable] stands for [None] (no
+   comparison below returns it), so a per-row comparison allocates
+   nothing. *)
+let incomparable = min_int
+
+let compare_raw a b =
   match (a, b) with
-  | Null, _ | _, Null -> None
-  | Int x, Int y -> Some (compare x y)
-  | Str x, Str y -> Some (String.compare x y)
-  | Bool x, Bool y -> Some (compare x y)
-  | Timestamp x, Timestamp y -> Some (Float.compare x y)
+  | Null, _ | _, Null -> incomparable
+  | Int x, Int y -> compare x y
+  | Str x, Str y -> String.compare x y
+  | Bool x, Bool y -> compare x y
+  | Timestamp x, Timestamp y -> Float.compare x y
   | _ -> (
     match (as_float a, as_float b) with
-    | Some x, Some y -> Some (Float.compare x y)
-    | _ -> None)
+    | Some x, Some y -> Float.compare x y
+    | _ -> incomparable)
+
+let compare_sql a b =
+  let c = compare_raw a b in
+  if c = incomparable then None else Some c
 
 let equal a b =
   match (a, b) with
   | Null, Null -> true
-  | Null, _ | _, Null -> false
-  | _ -> compare_sql a b = Some 0
+  | _ -> compare_raw a b = 0
 
 let truth_of_comparison pred a b =
-  match compare_sql a b with
-  | None -> Unknown
-  | Some c -> if pred c then True else False
+  let c = compare_raw a b in
+  if c = incomparable then Unknown else if pred c then True else False
 
 let and_ a b =
   match (a, b) with

@@ -30,6 +30,8 @@ type t = {
   mutable indexes : Index.t list;
   mutable pk_index : Index.t option;  (* member of [indexes] *)
   mutable version : int;  (* bumped on every row mutation *)
+  mutable last_scan : (int * int array * Sql_value.t array array) option;
+      (* the latest [scan] and the [version] it was taken at *)
 }
 
 let with_lock t f =
@@ -113,7 +115,8 @@ let create ?(primary_key = []) ?(foreign_keys = []) table_name columns =
       live_count = 0;
       indexes = [];
       pk_index = None;
-      version = 0 }
+      version = 0;
+      last_scan = None }
   in
   if primary_key <> [] then
     t.pk_index <- register_index t ~unique:true ~name:("pk_" ^ table_name)
@@ -163,26 +166,26 @@ let is_live t id = with_lock t @@ fun () -> is_live_u t id
 let get_row t id =
   with_lock t @@ fun () -> if is_live_u t id then Some t.store.(id) else None
 
-(* The public iteration collects the live rows under the lock and runs
-   the callback outside it: callbacks evaluate arbitrary expressions
-   (UPDATE/DELETE selection may read this same table), which must not
-   re-enter the non-reentrant lock. Callers therefore iterate a
-   consistent snapshot; row arrays are never mutated in place, so
-   sharing them is safe. *)
-let iter_rows t f =
-  let rows =
-    with_lock t (fun () ->
-        let acc = ref [] in
-        iter_rows_u t (fun id row -> acc := (id, row) :: !acc);
-        List.rev !acc)
-  in
-  List.iter (fun (id, row) -> f id row) rows
-
-let all_rows t =
+(* A snapshot of the live rows and their ids, taken under the lock.
+   Callers read it outside the lock: evaluating a row may query (or
+   mutate) this same table, which must not re-enter the non-reentrant
+   lock. Row arrays are never mutated in place, so sharing them is
+   safe, and every mutation bumps [version], so scans of an unchanged
+   table share one snapshot. *)
+let scan t =
   with_lock t @@ fun () ->
-  let acc = ref [] in
-  iter_rows_u t (fun _ row -> acc := row :: !acc);
-  List.rev !acc
+  match t.last_scan with
+  | Some (version, ids, rows) when version = t.version -> (ids, rows)
+  | _ ->
+    let ids = Array.make t.live_count 0 in
+    let rows = Array.make t.live_count [||] in
+    let k = ref 0 in
+    iter_rows_u t (fun id row ->
+        ids.(!k) <- id;
+        rows.(!k) <- row;
+        incr k);
+    t.last_scan <- Some (t.version, ids, rows);
+    (ids, rows)
 
 (* a single word-sized field: torn reads are impossible, so the planner
    can read row counts without taking the lock *)
@@ -224,9 +227,10 @@ let pk_duplicate t key =
       (fun id -> List.for_all2 Sql_value.equal key (key_of_row t t.store.(id)))
       (Index.probe_grouping idx (Array.of_list key))
   | None ->
-    (* the declared key names a column the schema lacks: scan, as before *)
+    (* the declared key names a column the schema lacks: scan, as before
+       (the caller holds the lock) *)
     let dup = ref false in
-    iter_rows t (fun _ row ->
+    iter_rows_u t (fun _ row ->
         if
           (not !dup)
           && List.for_all2 Sql_value.equal key (key_of_row t row)

@@ -37,6 +37,8 @@ type t = private {
   mutable indexes : Index.t list;
   mutable pk_index : Index.t option;
   mutable version : int;
+  mutable last_scan : (int * int array * Sql_value.t array array) option;
+      (** The latest {!scan} and the {!version} it was taken at. *)
 }
 
 val create :
@@ -77,16 +79,13 @@ val insert_many : t -> Sql_value.t array list -> (int, string) result
     call are removed and the error returned. [Ok n] is the number
     inserted. *)
 
-val all_rows : t -> Sql_value.t array list
-(** Rows in insertion order. *)
-
 val row_count : t -> int
 
-val iter_rows : t -> (int -> Sql_value.t array -> unit) -> unit
-(** Live rows in insertion order, with their ids. The callback runs
-    outside the table lock, over the set of rows live when iteration
-    began: it may itself query (or mutate) this table, and concurrent
-    mutations do not affect the iteration. *)
+val scan : t -> int array * Sql_value.t array array
+(** The live rows in insertion order and their ids, one snapshot taken
+    under the table lock: later mutations do not change it. Scans of an
+    unchanged table return the same arrays, so callers must not mutate
+    them. *)
 
 val get_row : t -> int -> Sql_value.t array option
 (** The row at this id, if live. *)

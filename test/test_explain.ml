@@ -314,6 +314,29 @@ let test_plan_object_per_text () =
   check_int "A's root counts its two runs, B's its one" (2 * root_rows b)
     (root_rows a)
 
+(* An execution keeps one counter per line EXPLAIN renders with
+   counters, plus the root when it is inlined: 36 of the 70 nodes of
+   getProfileByID's tree. *)
+let test_counters_per_rendered_operator () =
+  let demo = shape_demo () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let counted_lines text =
+    List.length
+      (List.filter
+         (fun line -> contains line "(est=")
+         (String.split_on_char '\n' text))
+  in
+  List.iter
+    (fun (q, extra) ->
+      let ir = (compile_exn server q).Server.ir in
+      check_int ("counters of " ^ q)
+        (counted_lines (Plan_ir.render ir) + extra)
+        (Array.length (Plan_ir.new_run ir)))
+    [ ("getProfileByID(\"CUST0001\")", 0);
+      ("for $c in CUSTOMER() return <R>{$c/CID}</R>", 0);
+      ("count(CUSTOMER())", 0);
+      ("concat(\"a\", \"b\")", 1) ]
+
 (* The paper's Figure 3 point lookup at 2000 customers and 0.5 ms
    roundtrips. The CUSTOMER key literal prices the outer at one row, so
    the card region is parameterized (a PP-k probe on CID) rather than
@@ -567,6 +590,8 @@ let () =
           t "one compile per call shape" test_one_compile_per_shape;
           t "one plan object per text" test_plan_object_per_text;
           t "point lookup counts" test_point_lookup_counts;
+          t "counters per rendered operator"
+            test_counters_per_rendered_operator;
           t "literal types get their own shapes" test_literal_types_own_shapes;
           t "plan-shaping literals stay inline"
             test_plan_shaping_literals_stay_inline;

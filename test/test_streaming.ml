@@ -700,6 +700,36 @@ let test_cancelled_serialize_prefix () =
     check_string "written bytes are a prefix of the result" got
       (String.sub expected 0 (String.length got))
 
+(* stream_serialize after stream_reads that stopped inside an element:
+   the writer meets an end tag it never saw open. The stream fails with
+   Failed instead of raising, and gives its admission slot back once. *)
+let test_serialize_after_partial_read () =
+  let demo = Aldsp_demo.Demo.create ~customers:40 ~orders_per_customer:0 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let ses = Server.session server () in
+  match
+    Server.session_run_stream ses "for $c in CUSTOMER() return <R>{$c/CID}</R>"
+  with
+  | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+  | Ok stream ->
+    for _ = 1 to 3 do
+      match Server.stream_read stream with
+      | Ok (Some _) -> ()
+      | Ok None -> Alcotest.fail "stream ended early"
+      | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+    done;
+    (match Server.stream_serialize stream ignore with
+    | Error (Server.Failed _) -> ()
+    | Ok () -> Alcotest.fail "an unbalanced rest serialized"
+    | Error e ->
+      Alcotest.failf "expected Failed, got %s"
+        (Server.submit_error_to_string e));
+    let adm = Server.admission_stats server in
+    check_int "no slot held" 0 adm.Server.ad_active;
+    check_int "released once" 1 adm.Server.ad_completed;
+    check_bool "the stream has ended" true
+      (Server.stream_read stream = Ok None)
+
 (* Serializing a materialized result allocates a bounded number of minor
    words per token (about 3 on 64-bit; a closure and a string per token
    would be about 90). The guard counts words, not time, so host load
@@ -772,6 +802,8 @@ let () =
             test_tokens_streamed_counter;
           Alcotest.test_case "cancelled serialize writes a prefix" `Quick
             test_cancelled_serialize_prefix;
+          Alcotest.test_case "serialize after a partial read fails" `Quick
+            test_serialize_after_partial_read;
           Alcotest.test_case "constructor shapes: streamed = materialized"
             `Quick test_constructor_shapes;
           Alcotest.test_case "cancel inside a tuple wider than a chunk" `Quick
