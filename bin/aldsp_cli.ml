@@ -115,7 +115,7 @@ let run_cmd =
       | None -> (
         match Server.run server query with
         | Ok items ->
-          print_endline (Aldsp_xml.Item.serialize items);
+          print_endline (Server.serialize_result server items);
           0
         | Error msg ->
           prerr_endline msg;
@@ -154,13 +154,13 @@ let run_cmd =
         report ();
         1
       | Ok items ->
-        let expected = Aldsp_xml.Item.serialize items in
+        let expected = Server.serialize_result server items in
         let divergent = ref 0 in
         Array.iteri
           (fun i r ->
             if i > 0 then
               match r with
-              | Ok items when Aldsp_xml.Item.serialize items = expected -> ()
+              | Ok items when Server.serialize_result server items = expected -> ()
               | Ok _ ->
                 incr divergent;
                 Printf.eprintf "client %d: answer diverged from client 0\n" i

@@ -312,9 +312,10 @@ let compare_concurrent cat config ~sessions queries =
   outcome
 
 (* Streaming differential: a successful scenario also runs through the
-   streamed session path — the token emitter, backend cursors, pulled
-   delivery — and the chunks that reach the consumer must byte-match the
-   materialized result pushed through the same token serializer. *)
+   streamed session path. Both runs go through the one emitter, so this
+   checks its two sinks against each other: the items the building sink
+   built, serialized by [serialize_items], must byte-match what the
+   token sink and the chunk writer delivered through pulled chunks. *)
 let check_streamed ~prepare server q items =
   let expected = Server.serialize_result server items in
   let ses = Server.session server () in

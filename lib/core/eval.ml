@@ -376,8 +376,8 @@ let body_plan rt fd body =
         Hashtbl.add rt.body_plans key plan;
         plan)
 
-(* Every data-service call is audited here, on the materialized and the
-   emitted path alike, before the function cache can serve it. *)
+(* Every data-service call is audited here, before the function cache
+   can serve it. *)
 let audit_call rt fd values =
   match rt.audit with
   | Some a when Audit.level a <> Audit.Off ->
@@ -416,24 +416,43 @@ let sql_binder (binds : C.sql_bind list) columns =
         bind acc b.C.bvar value)
       base_env positions
 
+let deliver (sink : Token_stream.sink) items =
+  sink.items items;
+  List.length items
+
+(* A loop rather than [List.iter]: no closure per constructor. *)
+let rec push_attributes (sink : Token_stream.sink) = function
+  | [] -> ()
+  | (n, v) :: rest ->
+    sink.token (Token.Attribute (n, v));
+    push_attributes sink rest
+
+(* The items a value's emission builds. *)
+let build emit =
+  let sink, built = Token_stream.building_sink () in
+  ignore (emit sink);
+  built ()
+
+(* Every data-service call that runs (not a function-cache hit) is
+   observed here: its wall time, and [count] of its result. *)
+let observe rt fd count run =
+  match rt.observed with
+  | None -> run ()
+  | Some o ->
+    let t0 = Unix.gettimeofday () in
+    let result = run () in
+    Observed.record o fd.Metadata.fd_name
+      ~latency:(Unix.gettimeofday () -. t0)
+      ~cardinality:(count result);
+    result
+
 let rec exec fr env (p : plan) : Item.sequence =
   match p.node with
   | P_const a -> [ Item.Atom a ]
   | P_empty -> []
-  | P_seq es -> exec_children fr env es
   | P_var v -> lookup env v
-  | P_construct { name; optional; attrs; content } ->
-    let v = exec_element fr env name optional attrs content in
-    tally fr.counters.(p.id) (List.length v);
-    v
-  | P_pipeline { ops; return_ } ->
-    let stream = tuples fr env (List.to_seq [ env ]) ops in
-    let v =
-      List.concat
-        (List.of_seq (Seq.map (fun env' -> exec fr env' return_) stream))
-    in
-    tally fr.counters.(p.id) (List.length v);
-    v
+  | P_construct _ | P_pipeline _ | P_seq _ ->
+    build (fun sink -> emit_plan fr env sink p)
   | P_if { cond; then_; else_ } ->
     if ebv (exec fr env cond) then exec fr env then_ else exec fr env else_
   | P_quantified { universal; var; source; pred } ->
@@ -552,18 +571,6 @@ let rec exec fr env (p : plan) : Item.sequence =
     [ Item.boolean (matches_stype (exec fr env input) ty) ]
   | P_error msg -> error "evaluated an error expression: %s" msg
 
-(* fn-bea:async children are submitted to the worker pool before any
-   sibling is evaluated, so independent slow calls overlap (§5.4); each
-   is awaited in its place. *)
-and exec_children fr env es =
-  let futures = submit_async fr env es in
-  List.concat_map
-    (fun e ->
-      match List.assq_opt e futures with
-      | Some fut -> Pool.await fr.rt.pool fut
-      | None -> exec fr env e)
-    es
-
 and submit_async fr env = function
   | [] -> []
   | ({ node = P_async _; _ } as e) :: es ->
@@ -588,20 +595,6 @@ and attributes fr env attrs =
             Atomic.String
               (String.concat " " (List.map Atomic.to_string atoms)) ) ])
     attrs
-
-and exec_element fr env name optional attrs content =
-  let attributes = attributes fr env attrs in
-  let content_items = exec fr env content in
-  if optional && content_items = [] && attributes = [] then []
-  else
-    let children =
-      List.map
-        (function
-          | Item.Atom a -> Node.atom a
-          | Item.Node n -> n)
-        content_items
-    in
-    [ Item.Node (Node.element ~attributes name children) ]
 
 and exec_binop fr env op a b =
   match op with
@@ -687,14 +680,9 @@ and exec_call fr env (p : plan) fn args =
     let arity = List.length args in
     (* re-resolve at runtime so transiently registered prolog functions
        and redefinitions keep working; the compile-time target on the node
-       is informational *)
+       is informational. A data-service call is emitted, by [call]. *)
     match Metadata.resolve_call fr.rt.registry fn arity with
-    | Some fd ->
-      let values = List.map (exec fr env) args in
-      let c = counter fr p in
-      let v = apply_plan_function fr c fd values in
-      Option.iter (fun c -> tally c (List.length v)) c;
-      v
+    | Some _ -> build (fun sink -> emit_plan fr env sink p)
     | None -> (
       match Fn_lib.find fn arity with
       | Some b -> (
@@ -704,31 +692,45 @@ and exec_call fr env (p : plan) fn args =
         | Error m -> error "%s" m)
       | None -> error "unknown function %s/%d" (Qname.to_string fn) arity)
 
-and apply_plan_function fr counters fd values =
+(* A data-service call with its argument values, delivered into [sink].
+   A non-cacheable function body runs in place, one level deeper; a
+   cacheable body or an external goes through the call wrapper, where the
+   function cache stores and serves whole values. *)
+and call fr sink counters fd values =
   if fr.depth > fr.rt.max_depth then
     error "maximum recursion depth exceeded in %s"
       (Qname.to_string fd.Metadata.fd_name);
-  let computed = ref false in
-  let compute () =
-    computed := true;
-    match fd.Metadata.fd_impl with
-    | Metadata.Body body ->
-      let body = body_plan fr.rt fd body in
-      exec
-        { fr with depth = fr.depth + 1; counters = body.totals }
-        (fn_env fd values) body.tree
-    | Metadata.External source -> eval_external fr source fd values
-  in
   audit_call fr.rt fd values;
-  let v = fr.rt.call_wrapper fd values compute in
-  (* a cacheable call site that came back without running its thunk was
-     served by the function cache (§5.5) *)
-  (match counters with
-  | Some c when fd.Metadata.fd_cacheable ->
-    if !computed then c.c_cache_misses <- c.c_cache_misses + 1
-    else c.c_cache_hits <- c.c_cache_hits + 1
-  | _ -> ());
-  v
+  let in_body body = { fr with depth = fr.depth + 1; counters = body.totals } in
+  let n =
+    match fd.Metadata.fd_impl with
+    | Metadata.Body body when not fd.Metadata.fd_cacheable ->
+      let body = body_plan fr.rt fd body in
+      observe fr.rt fd Fun.id (fun () ->
+          emit_plan (in_body body) (fn_env fd values) sink body.tree)
+    | impl ->
+      let computed = ref false in
+      let compute () =
+        computed := true;
+        observe fr.rt fd List.length (fun () ->
+            match impl with
+            | Metadata.Body body ->
+              let body = body_plan fr.rt fd body in
+              exec (in_body body) (fn_env fd values) body.tree
+            | Metadata.External source -> eval_external fr source fd values)
+      in
+      let v = fr.rt.call_wrapper fd values compute in
+      (* a cacheable call site that came back without running its thunk
+         was served by the function cache (§5.5) *)
+      (match counters with
+      | Some c when fd.Metadata.fd_cacheable ->
+        if !computed then c.c_cache_misses <- c.c_cache_misses + 1
+        else c.c_cache_hits <- c.c_cache_hits + 1
+      | _ -> ());
+      deliver sink v
+  in
+  Option.iter (fun c -> tally c n) counters;
+  n
 
 and eval_external _fr source fd values =
   match source with
@@ -1318,40 +1320,37 @@ and disjunctive_select (select : Sql.select) n_params m =
 
 (* ------------------------- token emission ------------------------- *)
 
-let walk push items =
-  List.iter (Token_stream.iter_item push) items;
-  List.length items
-
-(* The token face of [exec] for a delivered result: pushes the tokens of
-   the items [exec] would return, in the same order and with the same
-   counters, and returns how many items they are. Pipelines, sequences,
-   constructors and non-cacheable body calls push straight from each
-   tuple without building a node tree; every other node runs [exec] and
-   walks its items. *)
-let rec emit_plan fr env push (p : plan) =
+(* The one implementation of constructors, pipelines, sequences and
+   data-service calls: delivers the value of [p] into [sink] and returns
+   how many items it is. Every other node runs [exec] and hands over its
+   items, which a token sink walks and the building sink attaches. *)
+and emit_plan fr env sink (p : plan) =
   match p.node with
   | P_construct { name; optional; attrs; content } ->
     let attributes = attributes fr env attrs in
     let n =
       if optional && attributes = [] then begin
-        (* <E?> opens only once its content produces a token *)
+        (* <E?> opens only once its content delivers something *)
         let opened = ref false in
-        let push_content token =
+        let open_ () =
           if not !opened then begin
             opened := true;
-            push (Token.Start_element name)
-          end;
-          push token
+            sink.token (Token.Start_element name)
+          end
         in
-        ignore (emit_plan fr env push_content content);
-        if !opened then push Token.End_element;
+        let content_sink =
+          { Token_stream.token = (fun t -> open_ (); sink.token t);
+            items = (fun l -> if l <> [] then (open_ (); sink.items l)) }
+        in
+        ignore (emit_plan fr env content_sink content);
+        if !opened then sink.token Token.End_element;
         Bool.to_int !opened
       end
       else begin
-        push (Token.Start_element name);
-        List.iter (fun (n, v) -> push (Token.Attribute (n, v))) attributes;
-        ignore (emit_plan fr env push content);
-        push Token.End_element;
+        sink.token (Token.Start_element name);
+        push_attributes sink attributes;
+        ignore (emit_plan fr env sink content);
+        sink.token Token.End_element;
         1
       end
     in
@@ -1364,7 +1363,7 @@ let rec emit_plan fr env push (p : plan) =
     let n =
       Seq.fold_left
         (fun n env' ->
-          let m = emit_plan fr env' push return_ in
+          let m = emit_plan fr env' sink return_ in
           if m > 0 then first_row fr.counters.(p.id) t0;
           n + m)
         0
@@ -1372,68 +1371,58 @@ let rec emit_plan fr env push (p : plan) =
     in
     tally fr.counters.(p.id) n;
     n
-  | P_seq es -> emit_children fr env push (submit_async fr env es) 0 es
+  | P_seq es -> emit_children fr env sink (submit_async fr env es) 0 es
   | P_call { fn; args; _ } -> (
-    (* a non-cacheable body runs in place, one level deeper; cacheable
-       calls and externals take [exec_call], where the function cache
-       stores whole values *)
-    Cancel.check_current ();
     match Metadata.resolve_call fr.rt.registry fn (List.length args) with
-    | Some
-        ({ Metadata.fd_impl = Metadata.Body body; fd_cacheable = false; _ } as
-         fd)
-      when fr.depth < fr.rt.max_depth ->
-      let values = List.map (exec fr env) args in
-      audit_call fr.rt fd values;
-      let body = body_plan fr.rt fd body in
-      let n =
-        emit_plan
-          { fr with depth = fr.depth + 1; counters = body.totals }
-          (fn_env fd values) push body.tree
-      in
-      Option.iter (fun c -> tally c n) (counter fr p);
-      n
-    | _ -> walk push (exec fr env p))
-  | _ -> walk push (exec fr env p)
+    | Some fd ->
+      Cancel.check_current ();
+      call fr sink (counter fr p) fd (List.map (exec fr env) args)
+    | None -> deliver sink (exec_call fr env p fn args))
+  | _ -> deliver sink (exec fr env p)
 
-(* [exec_children] as tokens: each awaited value is walked in its
-   child's place. *)
-and emit_children fr env push futures n = function
+(* fn-bea:async children are submitted to the worker pool before any
+   sibling runs, so independent slow calls overlap (§5.4); each value is
+   awaited in its child's place. *)
+and emit_children fr env sink futures n = function
   | [] -> n
   | e :: es ->
     let m =
       match List.assq_opt e futures with
-      | Some fut -> walk push (Pool.await fr.rt.pool fut)
-      | None -> emit_plan fr env push e
+      | Some fut -> deliver sink (Pool.await fr.rt.pool fut)
+      | None -> emit_plan fr env sink e
     in
-    emit_children fr env push futures (n + m) es
+    emit_children fr env sink futures (n + m) es
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
+
+(* A root pipeline has stamped its first row as it came; a root of
+   another shape is stamped when it ends. *)
+let emit rt ?(bindings = []) ~counters view sink =
+  let t0 = Unix.gettimeofday () in
+  let n =
+    emit_plan { rt; depth = 0; counters } (env_of bindings) sink view.tree
+  in
+  if n > 0 then first_row counters.(view.tree.id) t0
 
 (* A deadline abort surfaces like any other evaluation error at the API
    boundary: callers see [Error] with the cause, never the exception.
    [Server.submit] distinguishes aborts by consulting the session's
    token. *)
-let execute rt ?(bindings = []) ~counters view =
+let execute rt ?bindings ~counters view =
   let t0 = Unix.gettimeofday () in
-  match exec { rt; depth = 0; counters } (env_of bindings) view.tree with
-  | v ->
+  let sink, built = Token_stream.building_sink () in
+  match emit rt ?bindings ~counters view sink with
+  | () ->
     (* materialized delivery: the first item reaches the caller only when
        the whole result does, and the root's time-to-first-row says so *)
-    if v <> [] then first_row counters.(view.tree.id) t0;
+    let v = built () in
+    if v <> [] then
+      counters.(view.tree.id).c_first_row_ns <-
+        (Unix.gettimeofday () -. t0) *. 1e9;
     Ok v
   | exception Eval_error m -> Error m
   | exception Cancel.Cancelled m -> Error m
-
-(* A root pipeline has stamped its first row as it came; a root of
-   another shape is stamped as [execute] stamps it. *)
-let emit rt ?(bindings = []) ~counters view push =
-  let t0 = Unix.gettimeofday () in
-  let n =
-    emit_plan { rt; depth = 0; counters } (env_of bindings) push view.tree
-  in
-  if n > 0 then first_row counters.(view.tree.id) t0
 
 let eval rt ?bindings e =
   let view = Plan_ir.compile rt.registry e in
@@ -1447,7 +1436,8 @@ let call_function rt fn args =
          (List.length args))
   | Some fd -> (
     (* no call site: a body counts into its own totals, an external none *)
-    match apply_plan_function { rt; depth = 0; counters = [||] } None fd args with
+    let fr = { rt; depth = 0; counters = [||] } in
+    match build (fun sink -> call fr sink None fd args) with
     | v -> Ok v
     | exception Eval_error m -> Error m
     | exception Cancel.Cancelled m -> Error m)

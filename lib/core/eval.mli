@@ -26,9 +26,9 @@
     pool ahead of time and awaited at first use; [fail-over] and [timeout]
     guard slow or unavailable sources (§5.6).
 
-    A hook lets the server interpose the function cache (§5.5) and
-    observation around data-service function calls; every such call is
-    recorded in the audit trail (§7). *)
+    A hook lets the server interpose the function cache (§5.5) around
+    data-service function calls; every such call is recorded in the
+    audit trail (§7), and every one that runs in {!Observed}. *)
 
 open Aldsp_xml
 
@@ -36,10 +36,9 @@ type rt
 
 exception Eval_error of string
 
-(** Wrapper invoked around every materialized metadata function call;
-    the default just runs the thunk. The server installs the function
-    cache and observation here. A non-cacheable body call that {!emit}
-    runs in place does not pass through it. *)
+(** Wrapper invoked around every cacheable function-body or external
+    call, whose whole value the function cache may store; the default
+    just runs the thunk. The server installs the function cache here. *)
 type call_wrapper =
   Metadata.function_def -> Item.sequence list -> (unit -> Item.sequence) ->
   Item.sequence
@@ -60,12 +59,12 @@ val runtime :
   Metadata.t ->
   rt
 (** [audit] receives a ["service-call"] event for every data-service
-    function call, materialized or emitted, before the call wrapper (and
-    so the function cache) sees it. [pool] (default {!Pool.default}) runs
-    asynchronous source work — PP-k prefetch, [fn-bea:async], concurrent
-    independent lets. [observed]
-    receives roundtrip counts and overlap-time-saved accounting from the
-    PP-k pipeline in addition to whatever the call wrapper records.
+    function call, before the call wrapper (and so the function cache)
+    sees it. [pool] (default {!Pool.default}) runs asynchronous source
+    work — PP-k prefetch, [fn-bea:async], concurrent independent lets.
+    [observed] receives the latency and cardinality of every
+    data-service call that runs (not a function-cache hit), and the PP-k
+    pipeline's roundtrip counts and overlap-time-saved accounting.
     [concurrent_lets] (default true) allows [fn-bea:async] arguments and
     independent let-bound source calls to be submitted to the pool ahead of
     use; false evaluates every binding in place, in clause order — the
@@ -106,42 +105,36 @@ val execute :
   counters:Plan_ir.run ->
   Plan_ir.t ->
   (Item.sequence, string) result
-(** Runs a compiled plan's tree, counting into [counters] (from
-    {!Plan_ir.new_run} on the same view); folding them into a view is the
-    caller's choice. Function bodies reached by calls are themselves
-    lowered on first use and memoized in the runtime, keyed on (name,
-    arity) and invalidated when {!Metadata.generation} moves. *)
+(** {!emit} into {!Aldsp_tokens.Token_stream.building_sink}, returning
+    the items built, counted into [counters] (from {!Plan_ir.new_run} on
+    the same view); folding them into a view is the caller's choice. The
+    root's time-to-first-row is stamped when the whole result is ready.
+    Function bodies reached by calls are lowered on first use and
+    memoized in the runtime, keyed on (name, arity) and invalidated when
+    {!Metadata.generation} moves. *)
 
 val emit :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
   counters:Plan_ir.run ->
   Plan_ir.t ->
-  (Aldsp_tokens.Token.t -> unit) ->
+  Aldsp_tokens.Token_stream.sink ->
   unit
-(** Streamed delivery as tokens: runs the plan and pushes its result's
-    tokens into the sink — the tokens
-    {!Aldsp_tokens.Token_stream.iter_item} would produce for
-    {!execute}'s items, in the same order, with the same counters.
-    Nothing is built for a delivered value the emitter can push as it
-    is produced: a pipeline, at any depth, pushes each tuple's return as
-    the tuple arrives; an element constructor pushes its start tag, its
-    attributes (evaluated first, as {!execute} does), its content and its
-    end tag, and an optional constructor ([<E?>]) opens only once its
-    content produces a token; a sequence submits its [fn-bea:async]
-    children first, then pushes its children in order, walking each
-    awaited value in its place; a call to a non-cacheable function body
-    pushes the body's tokens. Any other node — cacheable and external
-    calls among them — is evaluated as {!execute} would and its items
-    walked. An emitted pipeline stamps its time-to-first-row as its
-    first row comes through, as the tuple operators do; a root of
-    another shape is stamped when it ends, as by {!execute}.
-    The sink is called only from this walk — never from inside an
-    operator, a backend cursor or code holding a lock — so it may
-    suspend the emitter (an effect handler around the call) and resume
-    it later, on any thread. Evaluation errors surface as {!Eval_error}
-    (or {!Aldsp_concurrency.Cancel.Cancelled} on abort), possibly after
-    part of an item's tokens. *)
+(** Runs the plan and delivers its result into the sink, in order: the
+    one implementation of constructors, pipelines, sequences and
+    non-cacheable function-body calls. Each delivers its parts as they
+    are produced — a pipeline each tuple's return; a constructor its
+    start tag, attributes (evaluated first), content and end tag, where
+    [<E?>] opens only once its content delivers something; a sequence its
+    children in order, after submitting the [fn-bea:async] ones; a body
+    call the body's value. Any other node is evaluated to items, handed
+    to the sink's [items]. A pipeline stamps its time-to-first-row at its
+    first row, another root when it ends. The sink is called only from
+    the emitter — never from an operator, a backend cursor or code
+    holding a lock — so it may suspend the emitter (an effect handler
+    around the call) and resume it later, on any thread. Errors surface
+    as {!Eval_error} (or {!Aldsp_concurrency.Cancel.Cancelled} on abort),
+    possibly after part of an item has been delivered. *)
 
 val eval :
   rt ->

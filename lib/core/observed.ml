@@ -82,15 +82,6 @@ let cost t fn =
     (fun s -> s.mean_latency +. (per_item_charge *. s.mean_cardinality))
     (observed t fn)
 
-let wrapper t fd args compute =
-  let t0 = Unix.gettimeofday () in
-  let result = compute () in
-  record t fd.Metadata.fd_name
-    ~latency:(Unix.gettimeofday () -. t0)
-    ~cardinality:(List.length result);
-  ignore args;
-  result
-
 let report t =
   locked t (fun () ->
       Hashtbl.fold (fun fn s acc -> (fn, s) :: acc) t.samples [])

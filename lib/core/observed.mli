@@ -9,10 +9,11 @@
     data source behavior."
 
     This module is the instrument: a per-function record of observed
-    invocation latency and result cardinality, fed by the evaluator's call
-    wrapper. {!Optimizer.reorder_by_observed_cost} consumes it to reorder
-    independent source accesses so that cheaper/smaller sources run first
-    (and drive the outer side of nested evaluations). *)
+    invocation latency and result cardinality, fed by the evaluator for
+    every data-service call it runs. {!Optimizer.reorder_by_observed_cost}
+    consumes it to reorder independent source accesses so that
+    cheaper/smaller sources run first (and drive the outer side of nested
+    evaluations). *)
 
 open Aldsp_xml
 
@@ -59,15 +60,6 @@ val observed : t -> Qname.t -> sample option
 val cost : t -> Qname.t -> float option
 (** The ordering heuristic: mean latency plus a per-item processing
     charge. [None] until the function has been observed at least once. *)
-
-val wrapper :
-  t ->
-  Metadata.function_def ->
-  Item.sequence list ->
-  (unit -> Item.sequence) ->
-  Item.sequence
-(** An {!Eval.call_wrapper} that instruments every data-service function
-    call. Compose it with caching wrappers as needed. *)
 
 val report : t -> (Qname.t * sample) list
 (** All observations, most expensive first. *)

@@ -416,10 +416,12 @@ let preorder ~node:pick_node ~op:pick_op plan =
       | _ -> sub_plans p)
   and op o =
     keep (pick_op o);
-    (match o.op_node with
-    | O_join { right; _ } -> List.iter op right
-    | _ -> ());
-    List.iter node (op_sub_plans o)
+    match o.op_node with
+    | O_join ({ right; _ } as j) ->
+      List.iter op right;
+      List.iter node
+        (op_sub_plans { o with op_node = O_join { j with right = [] } })
+    | _ -> List.iter node (op_sub_plans o)
   in
   node plan;
   List.rev !acc

@@ -77,10 +77,11 @@ type filter_state =
    fires at the start tag where it equals the policy's path reversed.
    Nothing inside a removed or replaced subtree is examined, so a policy
    nested in one never fires. *)
-let filter_tokens t user push =
+let filter_tokens t user (sink : Token_stream.sink) =
   match failing t user with
-  | [] -> push
+  | [] -> sink
   | failing ->
+    let push = sink.token in
     let policies = List.map (fun p -> (List.rev p.resource_path, p)) failing in
     let path = ref [] in
     let state = ref Pass in
@@ -150,19 +151,17 @@ let filter_tokens t user push =
           end
         | _ -> ())
     in
-    filter
+    Token_stream.token_sink filter
 
-(* The late-stage filter on a materialized result: its tokens through
-   [filter_tokens], reassembled into items. *)
+(* The late-stage filter on a materialized result: its items through
+   [filter_tokens] into a building sink. *)
 let filter_result t user seq =
-  let tokens = ref [] in
-  let keep token = tokens := token :: !tokens in
-  let filter = filter_tokens t user keep in
-  if filter == keep then seq
+  let sink, built = Token_stream.building_sink () in
+  let filter = filter_tokens t user sink in
+  if filter == sink then seq
   else begin
-    List.iter (Token_stream.iter_item filter) seq;
-    (* the filter keeps every element it passes balanced *)
-    Result.get_ok (Token_stream.to_items (List.to_seq (List.rev !tokens)))
+    filter.items seq;
+    built ()
   end
 
 let policies t = t.resources

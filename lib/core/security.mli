@@ -46,10 +46,11 @@ val add_resource : t -> resource_policy -> unit
 val check_call : t -> user -> Qname.t -> (unit, string) result
 
 val filter_tokens :
-  t -> user -> (Aldsp_tokens.Token.t -> unit) -> Aldsp_tokens.Token.t -> unit
-(** [filter_tokens t user push] is a token sink that applies every
-    element-level policy the user fails to the stream fed into it and
-    passes what is left to [push]. It tracks the names of the open
+  t -> user -> Aldsp_tokens.Token_stream.sink -> Aldsp_tokens.Token_stream.sink
+(** [filter_tokens t user sink] is a sink that applies every
+    element-level policy the user fails to the value delivered into it
+    and passes what is left to [sink]'s tokens; items delivered into it
+    are expanded into their tokens first. It tracks the names of the open
     elements; at a start tag whose path from the result root matches a
     failing policy (the first such, in the order the policies were
     added), a [Remove] policy skips the whole subtree and a [Replace]
@@ -59,11 +60,12 @@ val filter_tokens :
     a replacement at its start tag, a removal once its subtree has ended,
     with the subtree's serialized bytes as the detail at
     {!Audit.Detailed}. When no policy fails for the user, the result is
-    [push] itself, so an unrestricted stream pays nothing. *)
+    [sink] itself, so an unrestricted delivery pays nothing and items
+    reach it unexpanded. *)
 
 val filter_result : t -> user -> Item.sequence -> Item.sequence
-(** {!filter_tokens} over a materialized result: the items' tokens
-    filtered, then reassembled. Returns its input itself when no policy
-    fails for the user. Applied after evaluation and after cache hits. *)
+(** {!filter_tokens} over a materialized result, into a building sink.
+    Returns its input itself when no policy fails for the user. Applied
+    after evaluation and after cache hits. *)
 
 val policies : t -> resource_policy list

@@ -161,16 +161,6 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     if peak > !spill_peak_resident then spill_peak_resident := peak;
     Mutex.unlock counter_lock
   in
-  let call_wrapper fd args compute =
-    let compute =
-      match observed with
-      | Some obs -> fun () -> Observed.wrapper obs fd args compute
-      | None -> compute
-    in
-    match function_cache with
-    | Some cache -> Function_cache.wrapper cache fd args compute
-    | None -> compute ()
-  in
   { registry;
     optimizer =
       Optimizer.create ~options:opts ~workers:(Pool.size pool) registry;
@@ -185,7 +175,9 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     observed;
     pool;
     runtime =
-      Eval.runtime ~call_wrapper ~audit ~pool ?observed
+      Eval.runtime
+        ?call_wrapper:(Option.map Function_cache.wrapper function_cache)
+        ~audit ~pool ?observed
         ?concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
         ~on_spill registry;
     admission =
@@ -654,6 +646,9 @@ let execute t compiled =
   if Result.is_ok result then note_misestimate t compiled.ir counters;
   (counters, result)
 
+(* The security filter runs over the finished result, so a restricted
+   user's audit trail lists the evaluation's events before the filter's,
+   as the §7 example pins. *)
 let run t ?(user = Security.admin) source =
   match compile t source with
   | Error ds -> Error (diags_to_string ds)
@@ -923,7 +918,8 @@ let session_run_stream s ?deadline source =
       let emit push =
         Eval.emit server.runtime ~bindings:compiled.bindings ~counters
           compiled.ir
-          (Security.filter_tokens server.security s.ses_user push)
+          (Security.filter_tokens server.security s.ses_user
+             (Aldsp_tokens.Token_stream.token_sink push))
       in
       let st =
         { str_server = server;

@@ -293,9 +293,8 @@ val session_run_stream :
 (** Admission-controlled streamed execution as this session's user.
     Admission and compilation happen here (so {!Overloaded} and compile
     failures surface immediately); execution starts with the first
-    {!stream_read}. The plan runs through {!Eval.emit}, so pipelines,
-    constructors and non-cacheable body calls push their tokens straight
-    from each tuple, without building node trees, and every token passes
+    {!stream_read}. The plan runs through {!Eval.emit} into a token
+    sink, as {!run}'s runs into a building sink, and every token passes
     through {!Security.filter_tokens} for the session's user — the same
     filter {!run} applies to its items, so the bytes match {!run}'s
     filtered result. The

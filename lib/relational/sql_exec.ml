@@ -511,17 +511,17 @@ let fails msg : compiled = fun _ _ -> raise (Sql_error msg)
 let const v : compiled = fun _ _ -> v
 
 (* The columns [SELECT *] expands a source to: a table's schema, a
-   derived table's projection names as written. *)
-let declared_columns st = function
+   derived table's projection names, its own star expanded. *)
+let rec declared_columns st = function
   | Table { table; _ } -> (
     match Database.find_table st.db table with
     | Error msg -> error "%s" msg
     | Ok t -> Array.to_list (column_names t))
-  | Derived { query; _ } -> List.map snd query.projections
+  | Derived { query; _ } -> List.map snd (expand_star st query).projections
 
 (* [SELECT *] expansion: replace a star projection with one column per
    column of every FROM/JOIN source, qualified by alias. *)
-let expand_star st s =
+and expand_star st s =
   let is_star = function Col (None, "*"), _ -> true | _ -> false in
   if not (List.exists is_star s.projections) then s
   else

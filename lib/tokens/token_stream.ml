@@ -39,70 +39,89 @@ let iter_item f = function
   | Item.Atom a -> f (Token.Atom a)
   | Item.Node n -> iter_node f n
 
-exception Malformed of string
+type sink = { token : Token.t -> unit; items : Item.sequence -> unit }
 
-(* Reassembly uses an explicit cursor so element nesting is a recursion over
-   the stream rather than a stack data structure. *)
-let to_items stream =
-  let rec items acc seq =
-    match seq () with
-    | Seq.Nil -> (List.rev acc, Seq.empty)
-    | Seq.Cons (tok, rest) -> (
-      match tok with
-      | Token.Atom a -> items (Item.Atom a :: acc) rest
-      | Token.Text s -> items (Item.Node (Node.text s) :: acc) rest
-      | Token.Start_element name ->
-        let node, rest = element name rest in
-        items (Item.Node node :: acc) rest
-      | Token.End_element -> raise (Malformed "unexpected end-element token")
-      | Token.Attribute _ ->
-        raise (Malformed "attribute token outside an element")
-      | Token.Begin_tuple | Token.End_tuple | Token.Field_separator ->
-        raise (Malformed "tuple token in item context")
-      | Token.Boxed inner ->
-        let inner_items, _ = items [] (Array.to_seq inner) in
-        items (List.rev_append (List.rev inner_items) acc) rest)
-  and element name seq =
-    let rec attrs acc seq =
-      match seq () with
-      | Seq.Cons (Token.Attribute (n, v), rest) -> attrs ((n, v) :: acc) rest
-      | _ -> (List.rev acc, seq)
-    in
-    let attributes, seq = attrs [] seq in
-    let rec content acc seq =
-      match seq () with
-      | Seq.Nil -> raise (Malformed "unterminated element")
-      | Seq.Cons (Token.End_element, rest) -> (List.rev acc, rest)
-      | Seq.Cons (Token.Atom a, rest) -> content (Node.atom a :: acc) rest
-      | Seq.Cons (Token.Text s, rest) -> content (Node.text s :: acc) rest
-      | Seq.Cons (Token.Start_element n, rest) ->
-        let node, rest = element n rest in
-        content (node :: acc) rest
-      | Seq.Cons (Token.Attribute _, _) ->
-        raise (Malformed "attribute token after element content began")
-      | Seq.Cons ((Token.Begin_tuple | Token.End_tuple | Token.Field_separator), _)
-        ->
-        raise (Malformed "tuple token inside element content")
-      | Seq.Cons (Token.Boxed inner, rest) ->
-        let inner_nodes, _ = content [] (Array.to_seq inner) in
-        content (List.rev_append (List.rev inner_nodes) acc) rest
-    in
-    let children, rest = content [] seq in
-    (Node.element ~attributes name children, rest)
+let token_sink push = { token = push; items = List.iter (iter_item push) }
+
+(* The node-building sink. [open_] holds the open elements, innermost
+   first, each with its attributes and children reversed. The top-level
+   result is [List.rev_append rev tail]: an item sequence that arrives
+   while nothing else has is kept as [tail], uncopied. *)
+type frame = {
+  f_name : Qname.t;
+  mutable f_attrs : (Qname.t * Atomic.t) list;
+  mutable f_children : Node.t list;
+}
+
+type building = {
+  mutable open_ : frame list;
+  mutable rev : Item.t list;
+  mutable tail : Item.sequence;
+}
+
+let add_node b node =
+  match b.open_ with
+  | f :: _ -> f.f_children <- node :: f.f_children
+  | [] ->
+    b.rev <- Item.Node node :: List.rev_append b.tail b.rev;
+    b.tail <- []
+
+let rec add_token b = function
+  | Token.Start_element name ->
+    b.open_ <- { f_name = name; f_attrs = []; f_children = [] } :: b.open_
+  | Token.Attribute (n, v) -> (
+    match b.open_ with
+    | f :: _ -> f.f_attrs <- (n, v) :: f.f_attrs
+    | [] -> invalid_arg "attribute token outside an element")
+  | Token.End_element -> (
+    match b.open_ with
+    | f :: up ->
+      b.open_ <- up;
+      add_node b
+        (Node.element ~attributes:(List.rev f.f_attrs) f.f_name
+           (List.rev f.f_children))
+    | [] -> invalid_arg "unexpected end-element token")
+  | Token.Atom a -> (
+    match b.open_ with
+    | f :: _ -> f.f_children <- Node.atom a :: f.f_children
+    | [] ->
+      b.rev <- Item.Atom a :: List.rev_append b.tail b.rev;
+      b.tail <- [])
+  | Token.Text s -> add_node b (Node.text s)
+  | Token.Begin_tuple | Token.End_tuple | Token.Field_separator ->
+    invalid_arg "tuple token in item context"
+  | Token.Boxed inner -> Array.iter (add_token b) inner
+
+let add_items b items =
+  match (b.open_, b.rev, b.tail) with
+  | f :: _, _, _ ->
+    f.f_children <-
+      List.fold_left
+        (fun acc -> function
+          | Item.Atom a -> Node.atom a :: acc
+          | Item.Node n -> n :: acc)
+        f.f_children items
+  | [], [], [] -> b.tail <- items
+  | [], _, _ ->
+    b.rev <- List.rev_append items (List.rev_append b.tail b.rev);
+    b.tail <- []
+
+let building_sink () =
+  let b = { open_ = []; rev = []; tail = [] } in
+  let built () =
+    if b.open_ <> [] then invalid_arg "unterminated element";
+    List.rev_append b.rev b.tail
   in
-  match items [] stream with
-  | result, _ -> Ok result
-  | exception Malformed msg -> Error msg
+  ({ token = add_token b; items = add_items b }, built)
 
-let to_nodes_exn stream =
-  match to_items stream with
-  | Error msg -> invalid_arg msg
-  | Ok items ->
-    List.map
-      (function
-        | Item.Node n -> n
-        | Item.Atom _ -> invalid_arg "atomic token at node level")
-      items
+let to_items stream =
+  let sink, built = building_sink () in
+  match
+    Seq.iter sink.token stream;
+    built ()
+  with
+  | items -> Ok items
+  | exception Invalid_argument msg -> Error msg
 
 let box stream = Token.Boxed (Array.of_seq stream)
 

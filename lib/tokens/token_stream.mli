@@ -25,13 +25,25 @@ val iter_item : (Token.t -> unit) -> Item.t -> unit
 (** [iter_item f item] calls [f] on each token of [of_item item], in
     order, without building the stream. *)
 
-val to_items : t -> (Item.sequence, string) result
-(** Reassembles items from a stream. Fails on unbalanced element or tuple
-    delimiters. [Boxed] tokens are transparently unboxed. *)
+(** Where a delivered value goes: one token at a time, or an item
+    sequence already built. *)
+type sink = { token : Token.t -> unit; items : Item.sequence -> unit }
 
-val to_nodes_exn : t -> Node.t list
-(** Like {!to_items} restricted to nodes; raises [Invalid_argument] on a
-    malformed stream or atomic tokens at top level. *)
+val token_sink : (Token.t -> unit) -> sink
+(** The sink that passes tokens to the function and expands items into
+    their tokens with {!iter_item}. *)
+
+val building_sink : unit -> sink * (unit -> Item.sequence)
+(** A sink that builds the items delivered into it, and a function
+    returning them. Items are attached as they are, never walked into
+    tokens: as children of the innermost open element, or at top level,
+    where a sequence that arrives alone is returned uncopied. The sink
+    raises [Invalid_argument] on a malformed stream, the function while
+    an element is open. *)
+
+val to_items : t -> (Item.sequence, string) result
+(** Reassembles items from a stream through {!building_sink}; a stream
+    it rejects is an [Error]. *)
 
 val box : t -> Token.t
 (** Packs a finite stream into a single {!Token.Boxed} token. *)

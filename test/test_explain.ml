@@ -337,6 +337,26 @@ let test_counters_per_rendered_operator () =
       ("count(CUSTOMER())", 0);
       ("concat(\"a\", \"b\")", 1) ]
 
+(* [Plan_ir.operators] lists each counted operator once, a join's right
+   side included: for the Figure 3 point lookup, the 36 lines EXPLAIN
+   renders with counters. *)
+let test_operators_listed_once () =
+  let demo = Aldsp_demo.Demo.create ~customers:2000 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let ir = (compile_exn server "getProfileByID(\"CUST0001\")").Server.ir in
+  let ops = Plan_ir.operators ir in
+  let rec distinct = function
+    | [] -> true
+    | (_, c) :: rest -> List.for_all (fun (_, c') -> c != c') rest && distinct rest
+  in
+  check_bool "no operator listed twice" true (distinct ops);
+  let counted =
+    List.filter (fun line -> contains line "(est=")
+      (String.split_on_char '\n' (Plan_ir.render ir))
+  in
+  check_int "one entry per counted line" (List.length counted) (List.length ops);
+  check_int "36 operators" 36 (List.length ops)
+
 (* The paper's Figure 3 point lookup at 2000 customers and 0.5 ms
    roundtrips. The CUSTOMER key literal prices the outer at one row, so
    the card region is parameterized (a PP-k probe on CID) rather than
@@ -592,6 +612,7 @@ let () =
           t "point lookup counts" test_point_lookup_counts;
           t "counters per rendered operator"
             test_counters_per_rendered_operator;
+          t "operators listed once" test_operators_listed_once;
           t "literal types get their own shapes" test_literal_types_own_shapes;
           t "plan-shaping literals stay inline"
             test_plan_shaping_literals_stay_inline;

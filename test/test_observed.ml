@@ -149,13 +149,58 @@ let test_instrumentation_through_server () =
   | None -> Alcotest.fail "CUSTOMER not observed");
   ignore Web_service.invoke
 
+(* Every data-service call that runs is observed by the evaluator, on
+   either delivery route. With views left uninlined, getProfileByID
+   stays a non-cacheable body call, which the emitter runs in place: a
+   streamed run must leave the same calls and cardinalities as a
+   materialized one. *)
+let test_streamed_and_materialized_observe_alike () =
+  let q = "getProfileByID(\"CUST0001\")" in
+  let observations deliver =
+    let demo = Aldsp_demo.Demo.create ~customers:3 () in
+    let obs = Observed.create () in
+    let server =
+      Server.create
+        ~optimizer_options:
+          { Optimizer.default_options with Optimizer.inline_views = false }
+        ~observed:obs demo.Aldsp_demo.Demo.registry
+    in
+    deliver server;
+    List.sort compare
+      (List.map
+         (fun (fn, s) ->
+           (Qname.to_string fn, s.Observed.calls, s.Observed.mean_cardinality))
+         (Observed.report obs))
+  in
+  let materialized =
+    observations (fun server -> ignore (ok_exn (Server.run server q)))
+  in
+  let streamed =
+    observations (fun server ->
+        match Server.session_run_stream (Server.session server ()) q with
+        | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+        | Ok stream -> (
+          match Server.stream_serialize stream ignore with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail (Server.submit_error_to_string e)))
+  in
+  check_bool "the body call is observed" true
+    (List.exists
+       (fun (fn, calls, card) ->
+         fn = "{fn}getProfileByID" && calls = 1 && card = 1.)
+       materialized);
+  Alcotest.(check (list (triple string int (float 1e-9))))
+    "same observations" materialized streamed
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   Alcotest.run "observed"
     [ ( "statistics",
         [ t "recording + cost" test_recording_and_cost;
           t "report ranking" test_report_ranks_by_latency;
-          t "server instrumentation" test_instrumentation_through_server ] );
+          t "server instrumentation" test_instrumentation_through_server;
+          t "streamed and materialized observe alike"
+            test_streamed_and_materialized_observe_alike ] );
       ( "reordering",
         [ t "small source becomes outer" test_reorder_puts_small_source_outer;
           t "no reorder without order-by" test_no_reorder_without_order_by ] )

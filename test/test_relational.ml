@@ -230,6 +230,29 @@ let test_select_star () =
   let r = run db "SELECT * FROM ORDER_T o WHERE o.OID = 1" in
   check_int "all columns" 3 (List.length r.Sql_exec.columns)
 
+(* A star over a derived table written with a star expands to the
+   derived result's columns, through index probes and scans alike. *)
+let test_select_star_over_derived_star () =
+  let db = make_db () in
+  List.iter
+    (fun indexed ->
+      Database.set_use_indexes db indexed;
+      let label what = Printf.sprintf "%s (indexes %b)" what indexed in
+      let r =
+        run db "SELECT * FROM (SELECT * FROM ORDER_T o WHERE o.OID = 1) d"
+      in
+      check_int (label "the orders' columns") 3 (List.length r.Sql_exec.columns);
+      check_bool (label "the first order") true
+        (r.Sql_exec.rows = [ [| V.Int 1; V.Str "C1"; V.Float 10. |] ]);
+      let r =
+        run db
+          "SELECT * FROM CUSTOMER c JOIN (SELECT * FROM ORDER_T o) d ON c.CID = d.CID WHERE d.OID = 3"
+      in
+      check_int (label "joined columns") 7 (List.length r.Sql_exec.columns);
+      check_int (label "one joined row") 1 (List.length r.Sql_exec.rows))
+    [ true; false ];
+  Database.set_use_indexes db true
+
 let test_params () =
   let db = make_db () in
   let s = ok_exn (Sql_parser.parse_select "SELECT c.CID FROM CUSTOMER c WHERE c.SINCE > ?") in
@@ -1145,6 +1168,8 @@ let () =
           t "subqueries" test_scalar_subquery_and_in;
           t "order+window" test_order_by_desc_and_window;
           t "select *" test_select_star;
+          t "select * over a derived select *"
+            test_select_star_over_derived_star;
           t "params" test_params;
           t "disjunctive params (PP-k shape)" test_disjunctive_param_query;
           t "IN list = OR chain (PP-k block)" test_in_list_matches_or_chain;

@@ -788,9 +788,11 @@ let test_token_filter_goldens () =
       let buf = Buffer.create 256 in
       let w = Aldsp_tokens.Token_stream.chunk_writer (Buffer.add_string buf) in
       let filter =
-        Security.filter_tokens sec user (Aldsp_tokens.Token_stream.chunk_write w)
+        Security.filter_tokens sec user
+          (Aldsp_tokens.Token_stream.token_sink
+             (Aldsp_tokens.Token_stream.chunk_write w))
       in
-      List.iter (Aldsp_tokens.Token_stream.iter_item filter) security_sequence;
+      filter.Aldsp_tokens.Token_stream.items security_sequence;
       Aldsp_tokens.Token_stream.chunk_close w;
       check_string ("filtered tokens, " ^ who) bytes (Buffer.contents buf);
       Alcotest.check events ("summary audit, " ^ who)
@@ -799,9 +801,9 @@ let test_token_filter_goldens () =
     security_goldens;
   (* a user no policy fails gets the sink and the items back untouched *)
   let sec, audit = security Audit.Detailed in
-  let push (_ : Aldsp_tokens.Token.t) = () in
+  let sink = Aldsp_tokens.Token_stream.token_sink ignore in
   check_bool "admin's filter is the sink itself" true
-    (Security.filter_tokens sec Security.admin push == push);
+    (Security.filter_tokens sec Security.admin sink == sink);
   check_bool "admin's items are the input itself" true
     (Security.filter_result sec Security.admin security_sequence
     == security_sequence);
