@@ -28,12 +28,14 @@ let () =
     | Error m -> failwith m
   in
 
-  (* sdo.setLAST_NAME("Smith"); *)
+  (* sdo.setLAST_NAME("Smith");  -- the demo's CUST0001 is already a
+     Smith, and setting a field to its value logs no change, so the
+     example writes another name *)
   section "Change the last name";
   Result.get_ok
     (Sdo.set_field sdo
        [ Qname.local "PROFILE"; Qname.local "LAST_NAME" ]
-       (Atomic.String "Smith"));
+       (Atomic.String "Smithers"));
   Printf.printf "change log: %s\n" (Sdo.serialize_change_log sdo);
 
   section "Lineage of the data service";
@@ -54,6 +56,10 @@ let () =
                    not involved)\n"
       (String.concat ", " report.Submit.sources_touched)
   | Error m -> Printf.printf "submit failed: %s\n" m);
+
+  (* the keyed UPDATE finds its row through the primary-key index *)
+  section "Access path of the write";
+  print_endline (Aldsp_relational.Database.explain_last demo.Demo.customer_db);
 
   section "Read back";
   (match Server.run server "getProfileByID(\"CUST0001\")" with

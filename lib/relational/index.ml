@@ -122,12 +122,6 @@ let remove t id row =
       | _ -> ()
     end
 
-let clear t =
-  Key_tbl.reset t.buckets;
-  t.idx_entries <- 0;
-  t.rng <- None;
-  t.rng_dirty <- false
-
 let distinct_keys t = Key_tbl.length t.buckets
 
 let numeric_range t =

@@ -58,8 +58,6 @@ val add : t -> int -> Sql_value.t array -> unit
 val remove : t -> int -> Sql_value.t array -> unit
 (** Removes the entry for [id]; [row] must be the indexed row value. *)
 
-val clear : t -> unit
-
 val probe : t -> Sql_value.t array -> int list
 (** Candidate row ids whose key may SQL-equal the given values (in index
     column order), ascending. A NULL probe value matches nothing

@@ -553,13 +553,15 @@ let rec has_agg = function
   | Scalar_select _ ->
     false
 
-(* A base table's rows, accounted as one full scan. *)
-let scan_table db t =
+(* A base table's rows, accounted and logged as one full scan. *)
+let scan_table st t alias =
   let ids, rows = Table.scan t in
-  Database.record_operator db (fun stats ->
+  Database.record_operator st.db (fun stats ->
       stats.Database.full_scans <- stats.Database.full_scans + 1;
       stats.Database.rows_scanned <-
         stats.Database.rows_scanned + Array.length rows);
+  decide st "scan %s as %s (%d rows)" t.Table.table_name alias
+    (Array.length rows);
   (ids, rows)
 
 (* ------------------------------------------------------------------ *)
@@ -703,85 +705,78 @@ and scan_source st outer ref_ : string array * V.t array array =
     match Database.find_table st.db table with
     | Error msg -> error "%s" msg
     | Ok t ->
-      let _, rows = scan_table st.db t in
-      decide st "scan %s as %s (%d rows)" table alias (Array.length rows);
+      let _, rows = scan_table st t alias in
       (column_names t, rows))
   | Derived { query; _ } ->
     let result = run_select st outer query in
     (Array.of_list result.columns, Array.of_list result.rows)
 
-(* The base-table access path: an index probe when the WHERE implies one
-   and the whole filter/join pipeline is total (so skipped rows cannot
-   change error behaviour), otherwise the historical full scan. Also
-   says whether it scanned, since only a scan's rows are worth filtering
-   as they are consumed. [sc] is the select's scope before any source is
-   bound. *)
+(* The base table's rows that an index probe finds for [where], with
+   their ids, ascending: candidates that the caller still filters with
+   [where]. [None] when the base source is not a table, the WHERE
+   implies no probe, or the filter/join pipeline is not total (skipped
+   rows could then change the error behaviour); the caller then falls
+   back to the counted full scan. [srcs] are the statement's sources,
+   the base first; [sc] is its scope before any source is bound. SELECT
+   reads its FROM table through this, and UPDATE and DELETE their
+   target. *)
+and index_candidates sc srcs where joins =
+  match (srcs, where) with
+  | Some (({ s_table = Some t; _ } as base) :: _ as srcs), Some where
+    when total_truth sc srcs where
+         && List.for_all2
+              (* join ON conditions see only the sources bound so far *)
+              (fun j n -> total_truth sc (take (n + 2) srcs) j.on_condition)
+              joins
+              (List.mapi (fun i _ -> i) joins) -> (
+    match probe_plan sc srcs base where with
+    | None -> None
+    | Some (idx, keys) -> (
+      match
+        List.map
+          (fun key_exprs ->
+            Array.of_list
+              (List.map (fun e -> compile sc Ungrouped e [||] []) key_exprs))
+          keys
+      with
+      | exception Sql_error _ ->
+        (* a probe value that raises means the scan path raises on every
+           row; reproduce that behaviour exactly *)
+        None
+      | key_values ->
+        Database.record_operator sc.st.db (fun stats ->
+            stats.Database.index_lookups <-
+              stats.Database.index_lookups + List.length key_values);
+        let seen = Hashtbl.create 64 in
+        List.iter
+          (fun values ->
+            List.iter
+              (fun id -> Hashtbl.replace seen id ())
+              (Table.probe_index t idx values))
+          key_values;
+        let ids =
+          Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
+        in
+        Database.record_operator sc.st.db (fun stats ->
+            stats.Database.index_rows <-
+              stats.Database.index_rows + List.length ids);
+        decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" t.Table.table_name
+          (Index.name idx)
+          (String.concat "," (Index.columns idx))
+          (List.length key_values) (List.length ids);
+        let ids, rows = Table.live_rows t ids in
+        Some (t, ids, rows)))
+  | _ -> None
+
+(* The FROM source's columns and rows: a base table's index candidates
+   when there are some, otherwise a scan. Also says whether it scanned,
+   since only a scan's rows are worth filtering as they are consumed. *)
 and scan_from sc s srcs =
-  let fallback () =
+  match index_candidates sc srcs s.where s.joins with
+  | Some (t, _, rows) -> (column_names t, rows, false)
+  | None ->
     let cols, rows = scan_source sc.st sc.outer s.from in
     (cols, rows, true)
-  in
-  match (srcs, s.from) with
-  | Some (base :: _ as srcs), Table { table; _ } -> (
-    let where_ok =
-      match s.where with
-      | Some w -> total_truth sc srcs w
-      | None -> false
-    in
-    let joins_ok =
-      (* join ON conditions see only the sources bound so far *)
-      List.for_all2
-        (fun j n -> total_truth sc (take (n + 2) srcs) j.on_condition)
-        s.joins
-        (List.mapi (fun i _ -> i) s.joins)
-    in
-    if not (where_ok && joins_ok) then fallback ()
-    else
-      match probe_plan sc srcs base (Option.get s.where) with
-      | None -> fallback ()
-      | Some (idx, keys) -> (
-        match Database.find_table sc.st.db table with
-        | Error msg -> error "%s" msg
-        | Ok t -> (
-          match
-            List.map
-              (fun key_exprs ->
-                Array.of_list
-                  (List.map
-                     (fun e -> compile sc Ungrouped e [||] [])
-                     key_exprs))
-              keys
-          with
-          | exception Sql_error _ ->
-            (* a probe value that raises means the scan path raises on
-               every row; reproduce that behaviour exactly *)
-            fallback ()
-          | key_values ->
-            Database.record_operator sc.st.db (fun stats ->
-                stats.Database.index_lookups <-
-                  stats.Database.index_lookups + List.length key_values);
-            let seen = Hashtbl.create 64 in
-            List.iter
-              (fun values ->
-                List.iter
-                  (fun id -> Hashtbl.replace seen id ())
-                  (Table.probe_index t idx values))
-              key_values;
-            let ids =
-              Hashtbl.fold (fun id () acc -> id :: acc) seen []
-              |> List.sort compare
-            in
-            Database.record_operator sc.st.db (fun stats ->
-                stats.Database.index_rows <-
-                  stats.Database.index_rows + List.length ids);
-            decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" table
-              (Index.name idx)
-              (String.concat "," (Index.columns idx))
-              (List.length key_values) (List.length ids);
-            ( column_names t,
-              Array.of_list (List.filter_map (Table.get_row t) ids),
-              false ))))
-  | _ -> fallback ()
 
 (* Join algorithm selection. [srcs] is the prefix of sources visible to
    this join (base, earlier joins, then this join's source last). The
@@ -1538,7 +1533,9 @@ let open_cursor db ?(params = [||]) s =
     | _ -> coalesced_query db params s
 
 (* UPDATE and DELETE compile their WHERE (and SET) against the one
-   table and run them over a full scan of it. *)
+   table and read it through the SELECT access path: the rows of an
+   index probe when the WHERE implies one, otherwise a full scan. The
+   statement's access-path decisions become the database's last plan. *)
 let execute_dml db ?(params = [||]) dml =
   match Database.apply_fault db with
   | Error msg ->
@@ -1550,11 +1547,24 @@ let execute_dml db ?(params = [||]) dml =
   let record rows =
     Database.record_statement db ~params:(Array.length params) ~rows
   in
-  (* [f id row values] on each row of [t]'s snapshot that [where]
-     selects, in order; [row] binds the values for compiled clauses *)
+  (* [f id row values] on each row of [t] that [where] selects, in id
+     order; [row] binds the values for compiled clauses *)
   let each_selected t sc where f =
+    let table = t.Table.table_name in
+    let srcs =
+      if db.Database.use_indexes then
+        Some
+          [ { s_alias = table;
+              s_cols = List.map (fun c -> c.Table.col_name) t.Table.columns;
+              s_table = Some t } ]
+      else None
+    in
+    let ids, rows =
+      match index_candidates sc srcs where [] with
+      | Some (_, ids, rows) -> (ids, rows)
+      | None -> scan_table st t table
+    in
     let keep = selects sc where in
-    let ids, rows = scan_table db t in
     let row = [| [||] |] in
     Array.iteri
       (fun k values ->
@@ -1562,6 +1572,9 @@ let execute_dml db ?(params = [||]) dml =
         if keep row then f ids.(k) row values)
       rows
   in
+  Fun.protect ~finally:(fun () ->
+      Database.set_last_plan db (List.rev !(st.decisions)))
+  @@ fun () ->
   match dml with
   | Insert { table; columns; values } -> (
     match Database.find_table db table with

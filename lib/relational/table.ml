@@ -163,6 +163,11 @@ let iter_rows_u t f =
 
 let is_live t id = with_lock t @@ fun () -> is_live_u t id
 
+let live_rows t ids =
+  with_lock t @@ fun () ->
+  let ids = Array.of_list (List.filter (is_live_u t) ids) in
+  (ids, Array.map (fun id -> t.store.(id)) ids)
+
 let get_row t id =
   with_lock t @@ fun () -> if is_live_u t id then Some t.store.(id) else None
 
@@ -262,12 +267,8 @@ let validate t row =
 
 let insert_u t row =
   match validate t row with
-  | Error _ as e -> e
-  | Ok () ->
-    ignore (append_unchecked t row);
-    Ok ()
-
-let insert t row = with_lock t @@ fun () -> insert_u t row
+  | Error msg -> Error msg
+  | Ok () -> Ok (append_unchecked t row)
 
 let delete_row_u t id =
   if is_live_u t id then begin
@@ -279,32 +280,7 @@ let delete_row_u t id =
     t.version <- t.version + 1
   end
 
-let delete_row t id = with_lock t @@ fun () -> delete_row_u t id
-
-(* one critical section for the whole batch, so all-or-nothing holds even
-   against concurrent writers: no other session can observe (or collide
-   with) a half-applied batch *)
-let insert_many t rows =
-  with_lock t @@ fun () ->
-  let inserted = ref [] in
-  let rec go n = function
-    | [] -> Ok n
-    | row :: rest -> (
-      match insert_u t row with
-      | Ok () ->
-        inserted := (t.size - 1) :: !inserted;
-        go (n + 1) rest
-      | Error _ as e ->
-        (* all-or-nothing: unwind the rows this call appended *)
-        List.iter (delete_row_u t) !inserted;
-        e)
-  in
-  go 0 rows
-
-(* The executor validated nothing on UPDATE historically; [update_row]
-   keeps that contract and only maintains the indexes. *)
-let update_row t id row =
-  with_lock t @@ fun () ->
+let replace_row_u t id row =
   if is_live_u t id then begin
     let old = t.store.(id) in
     List.iter
@@ -316,40 +292,142 @@ let update_row t id row =
     t.version <- t.version + 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* Snapshots (transactions) *)
+(* Puts a deleted row back at its own id; ids are never reused, so the
+   slot is still free. *)
+let revive_row_u t id row =
+  if not (is_live_u t id) then begin
+    t.store.(id) <- row;
+    Bytes.set t.live id '\001';
+    t.live_count <- t.live_count + 1;
+    t.version <- t.version + 1;
+    List.iter (fun idx -> Index.add idx id row) t.indexes
+  end
 
-type snapshot = {
-  snap_store : Sql_value.t array array;
-  snap_size : int;
-  snap_live : Bytes.t;
-  snap_live_count : int;
+(* ------------------------------------------------------------------ *)
+(* Undo logs (transactions)
+
+   An open transaction owns a log of the row changes its thread makes to
+   the tables it covers, newest first, each with the row's before image.
+   The mutators below find that log through a table keyed by Thread.id,
+   as Cancel finds a thread's ambient token; while no transaction is
+   open anywhere the lookup is one atomic read. Rolling back replays the
+   log backwards, so it undoes this transaction's rows and nothing that
+   another session committed meanwhile. *)
+
+type change =
+  | Inserted
+  | Updated of Sql_value.t array  (* the row before *)
+  | Deleted of Sql_value.t array
+
+type log = {
+  owner : int;  (* Thread.id of the thread that opened it *)
+  covers : t list;
+  mutable changes : (t * int * change) list;  (* newest first *)
 }
 
-(* Shallow: row arrays are never mutated in place (UPDATE replaces the
-   slot with a fresh array), so sharing them with the snapshot is safe. *)
-let snapshot t =
-  with_lock t @@ fun () ->
-  { snap_store = Array.sub t.store 0 t.size;
-    snap_size = t.size;
-    snap_live = Bytes.sub t.live 0 t.size;
-    snap_live_count = t.live_count }
+(* Each thread's open logs, innermost first. *)
+let open_logs : (int, log list) Hashtbl.t = Hashtbl.create 16
+let open_logs_lock = Mutex.create ()
+let open_count = Atomic.make 0
 
-let restore t snap =
+let open_log covers =
+  let log = { owner = Thread.id (Thread.self ()); covers; changes = [] } in
+  Mutex.protect open_logs_lock (fun () ->
+      let stack =
+        Option.value (Hashtbl.find_opt open_logs log.owner) ~default:[]
+      in
+      Hashtbl.replace open_logs log.owner (log :: stack);
+      Atomic.incr open_count);
+  log
+
+(* Closing twice is a no-op, so [open_count] stays exact. *)
+let close_log log =
+  Mutex.protect open_logs_lock (fun () ->
+      match Hashtbl.find_opt open_logs log.owner with
+      | Some stack when List.memq log stack -> (
+        Atomic.decr open_count;
+        match List.filter (fun l -> l != log) stack with
+        | [] -> Hashtbl.remove open_logs log.owner
+        | rest -> Hashtbl.replace open_logs log.owner rest)
+      | _ -> ());
+  log.changes <- []
+
+let undo_log log =
+  let changes = log.changes in
+  close_log log;
+  List.iter
+    (fun (t, id, change) ->
+      with_lock t @@ fun () ->
+      match change with
+      | Inserted -> delete_row_u t id
+      | Updated before -> replace_row_u t id before
+      | Deleted before -> revive_row_u t id before)
+    changes
+
+(* The innermost of this thread's open logs that covers [t]. Looked up
+   before taking [t]'s lock, so the two locks never nest. *)
+let log_for t =
+  if Atomic.get open_count = 0 then None
+  else
+    Mutex.protect open_logs_lock @@ fun () ->
+    match Hashtbl.find_opt open_logs (Thread.id (Thread.self ())) with
+    | None -> None
+    | Some stack -> List.find_opt (fun l -> List.memq t l.covers) stack
+
+let note log t id change =
+  match log with
+  | Some l -> l.changes <- (t, id, change) :: l.changes
+  | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Logged mutators *)
+
+let insert t row =
+  let log = log_for t in
   with_lock t @@ fun () ->
-  let cap = max (Array.length t.store) snap.snap_size in
-  let store = Array.make cap [||] in
-  Array.blit snap.snap_store 0 store 0 snap.snap_size;
-  let live = Bytes.make cap '\000' in
-  Bytes.blit snap.snap_live 0 live 0 snap.snap_size;
-  t.store <- store;
-  t.live <- live;
-  t.size <- snap.snap_size;
-  t.live_count <- snap.snap_live_count;
-  t.version <- t.version + 1;
-  List.iter Index.clear t.indexes;
-  iter_rows_u t (fun id row ->
-      List.iter (fun idx -> Index.add idx id row) t.indexes)
+  match insert_u t row with
+  | Ok id ->
+    note log t id Inserted;
+    Ok ()
+  | Error msg -> Error msg
+
+let delete_row t id =
+  let log = log_for t in
+  with_lock t @@ fun () ->
+  if is_live_u t id then begin
+    note log t id (Deleted t.store.(id));
+    delete_row_u t id
+  end
+
+(* one critical section for the whole batch, so all-or-nothing holds even
+   against concurrent writers: no other session can observe (or collide
+   with) a half-applied batch *)
+let insert_many t rows =
+  let log = log_for t in
+  with_lock t @@ fun () ->
+  let rec go inserted = function
+    | [] ->
+      List.iter (fun id -> note log t id Inserted) (List.rev inserted);
+      Ok (List.length inserted)
+    | row :: rest -> (
+      match insert_u t row with
+      | Ok id -> go (id :: inserted) rest
+      | Error msg ->
+        (* all-or-nothing: unwind the rows this call appended *)
+        List.iter (delete_row_u t) inserted;
+        Error msg)
+  in
+  go [] rows
+
+(* The executor validated nothing on UPDATE historically; [update_row]
+   keeps that contract and only maintains the indexes. *)
+let update_row t id row =
+  let log = log_for t in
+  with_lock t @@ fun () ->
+  if is_live_u t id then begin
+    note log t id (Updated t.store.(id));
+    replace_row_u t id row
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Statistics *)

@@ -8,7 +8,7 @@
     generate read and navigation functions (§2.1), and the table
     auto-builds a hash index on each (plus any {!create_index}
     registrations), maintained incrementally across insert, update, delete
-    and snapshot restore. *)
+    and rollback. *)
 
 type sql_type = T_int | T_varchar | T_decimal | T_boolean | T_timestamp
 
@@ -92,6 +92,10 @@ val get_row : t -> int -> Sql_value.t array option
 
 val is_live : t -> int -> bool
 
+val live_rows : t -> int list -> int array * Sql_value.t array array
+(** The live ones of these ids, in the order given, and their rows, read
+    under one lock. *)
+
 val probe_index : t -> Index.t -> Sql_value.t array -> int list
 (** {!Index.probe} under the table lock: the executor's probe paths race
     with DML maintaining the same index buckets, and an unlocked hash
@@ -107,21 +111,35 @@ val delete_row : t -> int -> unit
 
 val type_check : sql_type -> Sql_value.t -> bool
 
-(** {2 Snapshots}
+(** {2 Undo logs}
 
-    O(live rows) shallow copies used by {!Txn} for rollback; restore
-    rebuilds the indexes. *)
+    What {!Txn} rolls back with. A log belongs to the thread that opened
+    it and covers a set of tables; {!insert}, {!insert_many},
+    {!update_row} and {!delete_row} called on that thread append
+    (table, row id, before image) to the innermost open log covering the
+    table. While no log is open anywhere, they pay one atomic read for
+    this. *)
 
-type snapshot
+type log
 
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
+val open_log : t list -> log
+(** Opens a log on the calling thread covering these tables. *)
+
+val close_log : log -> unit
+(** Discards the log (commit). *)
+
+val undo_log : log -> unit
+(** Closes the log and replays it backwards: inserted rows are deleted,
+    updated rows get their before image back, deleted rows come back at
+    their own ids, and the indexes are fixed row by row. Rows the log
+    did not record, such as another session's committed writes, are
+    left as they are. *)
 
 (** {2 Statistics}
 
     Per-table statistics for the cost-based planner, maintained
     incrementally by every mutation path (insert, update, delete, bulk
-    insert unwind, snapshot restore). *)
+    insert unwind, rollback). *)
 
 val version : t -> int
 (** A counter bumped on every row mutation; the planner keys cached cost

@@ -1,25 +1,13 @@
-type txn = {
-  db : Database.t;
-  snapshot : (string * Table.snapshot) list;
-}
+(* A transaction is the undo log of its thread's writes to the
+   database's tables: commit drops it, rollback replays it. *)
+type txn = Table.log
 
 let begin_txn db =
-  let snapshot =
-    Hashtbl.fold
-      (fun name table acc -> (name, Table.snapshot table) :: acc)
-      db.Database.tables []
-  in
-  { db; snapshot }
+  Table.open_log
+    (Hashtbl.fold (fun _ table acc -> table :: acc) db.Database.tables [])
 
-let commit _txn = ()
-
-let rollback txn =
-  List.iter
-    (fun (name, snap) ->
-      match Hashtbl.find_opt txn.db.Database.tables name with
-      | Some table -> Table.restore table snap
-      | None -> ())
-    txn.snapshot
+let commit = Table.close_log
+let rollback = Table.undo_log
 
 type outcome = Committed | Rolled_back of string
 

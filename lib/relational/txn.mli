@@ -3,15 +3,21 @@
     "In the event that all data sources are relational and can participate
     in a two-phase commit (XA) protocol, the entire submit is executed as an
     atomic transaction across the affected sources" (§6). The in-memory
-    engine implements this with per-database snapshots: begin snapshots the
-    affected tables; prepare validates; commit discards the snapshot;
-    rollback restores it. The coordinator drives the classic two phases and
-    rolls everything back if any participant fails to prepare. *)
+    engine implements this with an undo log per participant: begin opens a
+    {!Table.log} covering the database's tables, and every row the calling
+    thread inserts, updates or deletes there is logged with its before
+    image; prepare validates; commit discards the log; rollback replays it
+    backwards. Begin and commit cost O(tables), rollback O(rows written),
+    and a rollback leaves other sessions' committed writes in place. The
+    coordinator drives the classic two phases and rolls everything back if
+    any participant fails to prepare. *)
 
 type txn
 
 val begin_txn : Database.t -> txn
-(** Snapshots every table of the database. *)
+(** Opens an undo log over the database's tables on the calling thread:
+    the writes that thread makes to them until commit or rollback are the
+    transaction's. *)
 
 val commit : txn -> unit
 val rollback : txn -> unit

@@ -460,6 +460,225 @@ let test_two_phase_commit () =
   check_bool "db1 restored" true (name db1 = V.Str "Jones");
   check_bool "db2 restored" true (name db2 = V.Str "Jones")
 
+(* A rollback undoes its own rows only: a write another transaction
+   commits while this one is open, on this thread or another, survives
+   it. *)
+let test_rollback_keeps_other_commit () =
+  let variant label run_b =
+    let demo = Aldsp_demo.Demo.create ~customers:4 ~orders_per_customer:1 () in
+    let db = demo.Aldsp_demo.Demo.customer_db in
+    let last_name cid =
+      (List.hd
+         (run db
+            (Printf.sprintf
+               "SELECT c.LAST_NAME FROM CUSTOMER c WHERE c.CID = '%s'" cid))
+           .Sql_exec.rows).(0)
+    in
+    let a_before = last_name "CUST0001" in
+    let b_commits () =
+      match
+        Txn.with_transaction db (fun () ->
+            Ok
+              (run_dml db
+                 "UPDATE CUSTOMER SET LAST_NAME = 'Bwrote' WHERE CID = 'CUST0002'"))
+      with
+      | Ok 1 -> ()
+      | _ -> Alcotest.failf "%s: B did not commit its row" label
+    in
+    ignore
+      (err_exn
+         (Txn.with_transaction db (fun () ->
+              check_int (label ^ ": A writes") 1
+                (run_dml db
+                   "UPDATE CUSTOMER SET LAST_NAME = 'Awrote' WHERE CID = 'CUST0001'");
+              run_b b_commits;
+              Error "A fails")));
+    check_bool (label ^ ": B's commit survives") true
+      (last_name "CUST0002" = V.Str "Bwrote");
+    check_bool (label ^ ": A's write undone") true
+      (last_name "CUST0001" = a_before)
+  in
+  variant "B nested in A" (fun b -> b ());
+  variant "B on another thread" (fun b -> Thread.join (Thread.create b ()))
+
+(* Transaction oracle: random INSERT/UPDATE/DELETE sequences, keyed and
+   not, with IN lists and with clauses that raise, run inside one
+   transaction that commits or rolls back, with and without a scripted
+   transport failure partway through. A rollback must bring back the
+   state captured at begin: every table's ids and rows, the probe answer
+   of every index for every key the sequences can write, and the
+   statistics (bar their version, which only moves forward: cached scans
+   and plans key on it). Runs with indexes and without must agree on
+   contents, row counts and error strings, and every index must answer
+   what a scan of its table does. *)
+let oracle_oids = List.init 8 (fun k -> V.Int (k + 1))
+let oracle_cids = List.map (fun c -> V.Str c) [ "C1"; "C2"; "C3"; "C4" ]
+
+let oracle_statement rng =
+  let pick xs = List.nth xs (Random.State.int rng (List.length xs)) in
+  let oid () = 1 + Random.State.int rng 8 in
+  let cid () = pick [ "C1"; "C2"; "C3"; "C4" ] in
+  let amount () = pick [ "10.0"; "20.0"; "30.0"; "40.0" ] in
+  let sp = Printf.sprintf in
+  match Random.State.int rng 12 with
+  | 0 ->
+    sp "INSERT INTO ORDER_T (OID, CID, AMOUNT) VALUES (%d, '%s', %s)" (oid ())
+      (cid ()) (amount ())
+  | 1 -> sp "UPDATE ORDER_T SET AMOUNT = %s WHERE OID = %d" (amount ()) (oid ())
+  | 2 ->
+    sp "UPDATE ORDER_T SET CID = '%s' WHERE OID IN (%d, %d, %d)" (cid ())
+      (oid ()) (oid ()) (oid ())
+  | 3 -> sp "UPDATE ORDER_T SET OID = %d WHERE OID = %d" (oid ()) (oid ())
+  | 4 ->
+    sp "UPDATE ORDER_T SET AMOUNT = AMOUNT + 10 WHERE AMOUNT > %s" (amount ())
+  | 5 -> sp "DELETE FROM ORDER_T WHERE OID = %d" (oid ())
+  | 6 ->
+    sp "DELETE FROM ORDER_T WHERE CID = '%s' AND AMOUNT < %s" (cid ())
+      (amount ())
+  | 7 -> sp "DELETE FROM ORDER_T WHERE OID IN (%d, %d)" (oid ()) (oid ())
+  | 8 ->
+    (* raises on a row with that OID, wherever it sits *)
+    sp "UPDATE ORDER_T SET AMOUNT = 1 WHERE OID = %d AND 10 / (OID - %d) > 0"
+      (oid ()) (oid ())
+  | 9 -> sp "DELETE FROM ORDER_T WHERE 1 / (AMOUNT - %s) > 0" (amount ())
+  | 10 ->
+    sp "UPDATE CUSTOMER SET LAST_NAME = '%s' WHERE CID = '%s'"
+      (pick [ "Jones"; "Smith"; "Chen" ]) (cid ())
+  | _ ->
+    (* the SET raises on a selected row with that OID *)
+    sp "UPDATE ORDER_T SET AMOUNT = 100 / (OID - %d) WHERE CID = '%s'" (oid ())
+      (cid ())
+
+(* Every table's ids, rows, probe answers over the key domain (index,
+   key column position, value, ids), and statistics with the version
+   zeroed. *)
+let oracle_capture db =
+  List.map
+    (fun name ->
+      let t = ok_exn (Database.find_table db name) in
+      let ids, rows = Table.scan t in
+      let probes =
+        List.concat_map
+          (fun idx ->
+            let domain =
+              match Index.columns idx with
+              | [ "OID" ] -> oracle_oids
+              | [ "CID" ] -> oracle_cids
+              | _ -> []
+            in
+            List.map
+              (fun v ->
+                ( Index.name idx,
+                  (Index.positions idx).(0),
+                  v,
+                  Table.probe_index t idx [| v |] ))
+              domain)
+          (Table.indexes t)
+      in
+      let stats = { (Table.statistics t) with Table.stat_version = 0 } in
+      (name, Array.to_list ids, Array.to_list rows, probes, stats))
+    (List.sort compare (Database.table_names db))
+
+(* Each probe answer is the ids, ascending, of the rows whose key
+   column holds the value. *)
+let oracle_indexes_agree captured =
+  List.for_all
+    (fun (_, ids, rows, probes, _) ->
+      List.for_all
+        (fun (_, pos, v, got) ->
+          got
+          = List.filter_map
+              (fun (id, row) -> if V.equal row.(pos) v then Some id else None)
+              (List.combine ids rows))
+        probes)
+    captured
+
+let oracle_run ~use_indexes ~txn ~fault stmts =
+  let db = make_db () in
+  Database.set_use_indexes db use_indexes;
+  let begin_state = oracle_capture db in
+  let begin_versions =
+    List.map (fun name -> Table.version (ok_exn (Database.find_table db name)))
+      (List.sort compare (Database.table_names db))
+  in
+  Option.iter
+    (fun p ->
+      Database.set_schedule db
+        (List.init p (fun _ -> Database.Fault_ok) @ [ Database.Fault_fail ]))
+    fault;
+  let outcomes () = List.map (Sql_exec.execute_dml db) stmts in
+  let outcomes =
+    match txn with
+    | None -> outcomes ()
+    | Some commit ->
+      let result = ref [] in
+      ignore
+        (Txn.with_transaction db (fun () ->
+             result := outcomes ();
+             if commit then Ok () else Error "abort"));
+      !result
+  in
+  Database.set_schedule db [];
+  let versions_forward =
+    List.for_all2
+      (fun name v -> Table.version (ok_exn (Database.find_table db name)) >= v)
+      (List.sort compare (Database.table_names db))
+      begin_versions
+  in
+  (begin_state, outcomes, oracle_capture db, versions_forward)
+
+let test_transaction_oracle () =
+  for seed = 1 to 60 do
+    let rng = Random.State.make [| seed |] in
+    let sqls =
+      List.init (1 + Random.State.int rng 10) (fun _ -> oracle_statement rng)
+    in
+    let stmts =
+      List.map
+        (fun sql ->
+          match ok_exn (Sql_parser.parse sql) with
+          | Sql_ast.Dml d -> d
+          | Sql_ast.Query _ -> Alcotest.fail "expected DML")
+        sqls
+    in
+    let fail fmt =
+      Printf.ksprintf
+        (fun what ->
+          Alcotest.failf "seed %d: %s\n  %s" seed what
+            (String.concat ";\n  " sqls))
+        fmt
+    in
+    List.iter
+      (fun fault ->
+        let run ~use_indexes txn = oracle_run ~use_indexes ~txn ~fault stmts in
+        let fault_label =
+          match fault with
+          | None -> "no fault"
+          | Some p -> Printf.sprintf "fault at %d" p
+        in
+        (* the reference: the same statements outside any transaction *)
+        let _, plain_outcomes, plain_end, _ = run ~use_indexes:false None in
+        List.iter
+          (fun use_indexes ->
+            let mode = Printf.sprintf "%s, indexes %b" fault_label use_indexes in
+            let _, outcomes, end_state, _ = run ~use_indexes (Some true) in
+            if outcomes <> plain_outcomes then
+              fail "%s: committed outcomes differ" mode;
+            if end_state <> plain_end then fail "%s: committed contents differ" mode;
+            if not (oracle_indexes_agree end_state) then
+              fail "%s: an index disagrees with its table after commit" mode;
+            let begin_state, outcomes, end_state, forward =
+              run ~use_indexes (Some false)
+            in
+            if outcomes <> plain_outcomes then
+              fail "%s: rolled-back outcomes differ" mode;
+            if end_state <> begin_state then
+              fail "%s: rollback did not restore the begin state" mode;
+            if not forward then fail "%s: a table version went backwards" mode)
+          [ true; false ])
+      [ None; Some (Random.State.int rng (List.length stmts)) ]
+  done
+
 let test_stats_accounting () =
   let db = make_db () in
   Database.reset_stats db;
@@ -1198,6 +1417,9 @@ let () =
           t "optimistic where" test_optimistic_update_where;
           t "rollback" test_transaction_rollback;
           t "two-phase commit" test_two_phase_commit;
+          t "rollback keeps another transaction's commit"
+            test_rollback_keeps_other_commit;
+          t "transaction oracle" test_transaction_oracle;
           t "stats" test_stats_accounting;
           t "statistics under concurrent DML" test_statistics_concurrent_dml;
           QCheck_alcotest.to_alcotest prop_statistics_maintained ] );

@@ -164,6 +164,25 @@ let test_submit_optimistic_conflict_rolls_back () =
   check_string "hijacker's value stands" "Hijacked" (last_name demo "CUST0001");
   check_bool "log kept for retry" true (Sdo.is_changed sdo)
 
+(* A keyed write finds its row through the primary key, as a point read
+   does: its plan is the probe, and it scans nothing and looks up one
+   key. *)
+let test_submit_probes_primary_key () =
+  let demo = setup () in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  let sdo = read_profile demo "CUST0002" in
+  ok_exn (Sdo.set_field sdo (path [ "PROFILE"; "LAST_NAME" ]) (Atomic.String "Lee"));
+  let scans = db.Database.stats.Database.full_scans
+  and lookups = db.Database.stats.Database.index_lookups in
+  ignore (ok_exn (Submit.submit demo.Aldsp_demo.Demo.registry [ sdo ]));
+  check_string "access path of the write"
+    "index probe CUSTOMER.pk_CUSTOMER [CID] keys=1 rows=1"
+    (Database.explain_last db);
+  check_int "no full scan" scans db.Database.stats.Database.full_scans;
+  check_int "one index lookup" (lookups + 1)
+    db.Database.stats.Database.index_lookups;
+  check_string "value written" "Lee" (last_name demo "CUST0002")
+
 let test_submit_policy_all_read_values () =
   let demo = setup () in
   let sdo = read_profile demo "CUST0002" in
@@ -422,6 +441,7 @@ let () =
       ( "submit",
         [ t "affected source only" test_submit_updates_only_affected_source;
           t "optimistic conflict" test_submit_optimistic_conflict_rolls_back;
+          t "keyed write probes the primary key" test_submit_probes_primary_key;
           t "all-read-values policy" test_submit_policy_all_read_values;
           t "designated policy" test_submit_designated_policy;
           t "inverse on write path" test_submit_through_inverse_function;
