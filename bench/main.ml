@@ -685,7 +685,7 @@ let bench_group_by () =
       time (fun () ->
           ok_exn
             (Eval.execute rt ~bindings:[ ("input", input) ]
-               ~counters:(Plan_ir.new_run ir) ir))
+               ~counters:(Plan_ir.new_run ir) ~through:Fun.id ir))
     in
     Printf.printf "%-38s %10d %10.1f\n" label (List.length r) (t *. 1000.)
   in

@@ -1287,28 +1287,8 @@ and disjunctive_select (select : Sql.select) n_params m =
       Sql.where =
         Some (Sql.In_list (col, List.init m (fun j -> Sql.Param (i + j)))) }
   | Some where ->
-    let rec shift delta (e : Sql.expr) : Sql.expr =
-      match e with
-      | Sql.Param i -> Sql.Param (i + delta)
-      | Sql.Col _ | Sql.Lit _ | Sql.Count_star -> e
-      | Sql.Binop (op, a, b) -> Sql.Binop (op, shift delta a, shift delta b)
-      | Sql.Not e -> Sql.Not (shift delta e)
-      | Sql.Is_null e -> Sql.Is_null (shift delta e)
-      | Sql.Is_not_null e -> Sql.Is_not_null (shift delta e)
-      | Sql.In_list (e, es) ->
-        Sql.In_list (shift delta e, List.map (shift delta) es)
-      | Sql.Func (f, args) -> Sql.Func (f, List.map (shift delta) args)
-      | Sql.Case (branches, default) ->
-        Sql.Case
-          ( List.map (fun (c, v) -> (shift delta c, shift delta v)) branches,
-            Option.map (shift delta) default )
-      | Sql.Agg (kind, q, e) -> Sql.Agg (kind, q, shift delta e)
-      | Sql.In_select _ | Sql.Exists _ | Sql.Not_exists _ | Sql.Scalar_select _
-        ->
-        e
-    in
     let disjuncts =
-      List.init m (fun j -> shift (j * n_params) where)
+      List.init m (fun j -> Sql.shift_expr (j * n_params) where)
     in
     let where' =
       match disjuncts with
@@ -1409,10 +1389,10 @@ let emit rt ?(bindings = []) ~counters view sink =
    boundary: callers see [Error] with the cause, never the exception.
    [Server.submit] distinguishes aborts by consulting the session's
    token. *)
-let execute rt ?bindings ~counters view =
+let execute rt ?bindings ~counters ~through view =
   let t0 = Unix.gettimeofday () in
   let sink, built = Token_stream.building_sink () in
-  match emit rt ?bindings ~counters view sink with
+  match emit rt ?bindings ~counters view (through sink) with
   | () ->
     (* materialized delivery: the first item reaches the caller only when
        the whole result does, and the root's time-to-first-row says so *)
@@ -1426,9 +1406,9 @@ let execute rt ?bindings ~counters view =
 
 let eval rt ?bindings e =
   let view = Plan_ir.compile rt.registry e in
-  execute rt ?bindings ~counters:view.totals view
+  execute rt ?bindings ~counters:view.totals ~through:Fun.id view
 
-let call_function rt fn args =
+let call_function rt ~through fn args =
   match Metadata.find_function rt.registry fn (List.length args) with
   | None ->
     Error
@@ -1437,7 +1417,7 @@ let call_function rt fn args =
   | Some fd -> (
     (* no call site: a body counts into its own totals, an external none *)
     let fr = { rt; depth = 0; counters = [||] } in
-    match build (fun sink -> call fr sink None fd args) with
+    match build (fun sink -> call fr (through sink) None fd args) with
     | v -> Ok v
     | exception Eval_error m -> Error m
     | exception Cancel.Cancelled m -> Error m)

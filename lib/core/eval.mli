@@ -103,11 +103,13 @@ val execute :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
   counters:Plan_ir.run ->
+  through:(Aldsp_tokens.Token_stream.sink -> Aldsp_tokens.Token_stream.sink) ->
   Plan_ir.t ->
   (Item.sequence, string) result
-(** {!emit} into {!Aldsp_tokens.Token_stream.building_sink}, returning
-    the items built, counted into [counters] (from {!Plan_ir.new_run} on
-    the same view); folding them into a view is the caller's choice. The
+(** {!emit} into [through] (the server's {!Security.filter_tokens})
+    around a {!Aldsp_tokens.Token_stream.building_sink}, returning the
+    items built, counted into [counters] (from {!Plan_ir.new_run} on the
+    same view); folding them into a view is the caller's choice. The
     root's time-to-first-row is stamped when the whole result is ready.
     Function bodies reached by calls are lowered on first use and
     memoized in the runtime, keyed on (name, arity) and invalidated when
@@ -141,15 +143,19 @@ val eval :
   ?bindings:(Cexpr.var * Item.sequence) list ->
   Cexpr.t ->
   (Item.sequence, string) result
-(** Convenience: {!Plan_ir.compile} then {!execute}, counting into the
-    fresh view's own totals. Each call lowers the expression afresh;
-    callers that run the same expression repeatedly should compile once
-    and {!execute} the plan. *)
+(** Convenience: {!Plan_ir.compile} then {!execute} through [Fun.id],
+    counting into the fresh view's own totals. Each call lowers the
+    expression afresh; callers that run the same expression repeatedly
+    should compile once and {!execute} the plan. *)
 
 val call_function :
-  rt -> Aldsp_xml.Qname.t -> Item.sequence list -> (Item.sequence, string) result
+  rt ->
+  through:(Aldsp_tokens.Token_stream.sink -> Aldsp_tokens.Token_stream.sink) ->
+  Aldsp_xml.Qname.t ->
+  Item.sequence list ->
+  (Item.sequence, string) result
 (** Invokes a registered data-service function directly (the service-call
-    API of §2.2). *)
+    API of §2.2), delivering through [through] as {!execute} does. *)
 
 val matches_stype : Item.sequence -> Stype.t -> bool
 (** The runtime [typematch] check. *)

@@ -10,7 +10,6 @@ type options = {
   cost_based : bool;
   ppk_k : int;
   ppk_prefetch : int;
-  view_cache_size : int;
   sort_budget_rows : int option;
 }
 
@@ -34,7 +33,6 @@ let default_options =
     cost_based = true;
     ppk_k = 20;
     ppk_prefetch = 1;
-    view_cache_size = 64;
     sort_budget_rows = env_sort_budget }
 
 (* The differential-testing baseline: every compilation choice the paper
@@ -50,7 +48,6 @@ let reference_options =
     cost_based = false;
     ppk_k = 1;
     ppk_prefetch = 0;
-    view_cache_size = 64;
     (* the reference always sorts in memory, whatever the environment
        says: it is the unbounded baseline spilled runs are compared to *)
     sort_budget_rows = None }
@@ -59,10 +56,9 @@ let reference_options =
    differently exactly when their fingerprints differ, which is what the
    plan cache keys on. *)
 let options_fingerprint o =
-  Printf.sprintf "iv=%b;ij=%b;ec=%b;inv=%b;pd=%b;cb=%b;k=%d;pf=%d;vc=%d;sb=%s"
+  Printf.sprintf "iv=%b;ij=%b;ec=%b;inv=%b;pd=%b;cb=%b;k=%d;pf=%d;sb=%s"
     o.inline_views o.introduce_joins o.eliminate_constructors
     o.use_inverse_functions o.pushdown o.cost_based o.ppk_k o.ppk_prefetch
-    o.view_cache_size
     (match o.sort_budget_rows with None -> "-" | Some n -> string_of_int n)
 
 type t = {
@@ -70,11 +66,13 @@ type t = {
   opts : options;
   workers : int;  (* size of the pool PP-k prefetches on *)
   counter : int ref;
-  view_cache : (Qname.t, Cexpr.t) Hashtbl.t;
+  view_cache : (Qname.t * int, Cexpr.t) Hashtbl.t;
+      (* optimized bodies, keyed on (name, arity), of the registry's
+         [view_gen] *)
   view_lock : Mutex.t;
-      (* guards view_cache/view_lru/hits/misses: one optimizer is shared
+      (* guards view_cache/view_gen/hits/misses: one optimizer is shared
          by every concurrent compilation on a server *)
-  mutable view_lru : Qname.t list;
+  mutable view_gen : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -89,7 +87,7 @@ let create ?(options = default_options) ?workers registry =
     counter = ref 0;
     view_cache = Hashtbl.create 32;
     view_lock = Mutex.create ();
-    view_lru = [];
+    view_gen = Metadata.generation registry;
     hits = 0;
     misses = 0 }
 
@@ -191,6 +189,21 @@ let references_any vars e =
 
 (* --- view unfolding: function inlining ----------------------------- *)
 
+(* At most this many memoized view bodies: a full memo starts over. *)
+let view_cache_capacity = 64
+
+(* The memo is dropped whenever the registry's generation moves, so a
+   redeclared function is never served its old body; statistics moves
+   keep it. Called with [view_lock] held; returns the generation the memo
+   now holds. *)
+let sync_view_cache t =
+  let gen = Metadata.generation t.registry in
+  if t.view_gen <> gen then begin
+    Hashtbl.reset t.view_cache;
+    t.view_gen <- gen
+  end;
+  gen
+
 let rec query_independent_rules t =
   [ rule_let_substitution t;
     rule_flwor_flatten t;
@@ -209,12 +222,15 @@ let rec query_independent_rules t =
 
 (* The rewrite below may re-enter [view_body] through the inline rule, so
    the lock is never held across [Rewrite.run]: look up under the lock,
-   optimize outside it, insert under the lock again. Two sessions racing
-   on the same cold view both optimize it — the result is deterministic,
-   so the duplicate work is benign and the second insert a no-op. *)
-and view_body t name body =
+   optimize outside it, insert under the lock again unless the generation
+   moved meanwhile. Two sessions racing on the same cold view both
+   optimize it — the result is deterministic, so the duplicate work is
+   benign and the second insert a no-op. *)
+and view_body t (fd : Metadata.function_def) body =
+  let key = (fd.Metadata.fd_name, List.length fd.Metadata.fd_params) in
   Mutex.lock t.view_lock;
-  match Hashtbl.find_opt t.view_cache name with
+  let gen = sync_view_cache t in
+  match Hashtbl.find_opt t.view_cache key with
   | Some optimized ->
     t.hits <- t.hits + 1;
     Mutex.unlock t.view_lock;
@@ -224,16 +240,11 @@ and view_body t name body =
     Mutex.unlock t.view_lock;
     let optimized, _ = Rewrite.run (query_independent_rules t) body in
     Mutex.lock t.view_lock;
-    (* LRU eviction bounds the memory footprint of cached view plans *)
-    if List.length t.view_lru >= t.opts.view_cache_size then begin
-      match List.rev t.view_lru with
-      | oldest :: _ ->
-        Hashtbl.remove t.view_cache oldest;
-        t.view_lru <- List.filter (fun n -> not (Qname.equal n oldest)) t.view_lru
-      | [] -> ()
+    if sync_view_cache t = gen then begin
+      if Hashtbl.length t.view_cache >= view_cache_capacity then
+        Hashtbl.reset t.view_cache;
+      Hashtbl.replace t.view_cache key optimized
     end;
-    Hashtbl.replace t.view_cache name optimized;
-    t.view_lru <- name :: List.filter (fun n -> not (Qname.equal n name)) t.view_lru;
     Mutex.unlock t.view_lock;
     optimized
 
@@ -251,7 +262,7 @@ and rule_inline t =
                  && not fd.Metadata.fd_cacheable -> (
             match fd.Metadata.fd_impl with
             | Metadata.Body body ->
-              let body = view_body t fd.Metadata.fd_name body in
+              let body = view_body t fd body in
               let body = C.rename_bound (fresh t) body in
               let lets =
                 List.map2
@@ -1220,8 +1231,6 @@ let reorder_sources t ?observed e =
       | None -> None)
   in
   reorder_with pair_costs e
-
-let optimize_view t name body = view_body t name body
 
 let cleanup t e = fst (Rewrite.run (query_independent_rules t) e)
 

@@ -50,7 +50,6 @@ type options = {
           ahead of the block being consumed (pipelined parameter passing).
           0 = strictly sequential roundtrips (the pre-pipelining
           behaviour); default 1. Results are identical at any depth. *)
-  view_cache_size : int;
   sort_budget_rows : int option;
       (** In-memory row budget for the executor's blocking operators
           (ORDER BY, the unclustered GROUP BY fallback). [Some n] routes
@@ -128,9 +127,13 @@ val cleanup : t -> Cexpr.t -> Cexpr.t
     constructor elimination) — run after pushdown to tidy residual
     middleware expressions. *)
 
-val optimize_view : t -> Aldsp_xml.Qname.t -> Cexpr.t -> Cexpr.t
-(** The view sub-optimizer: query-independent optimization of a function
-    body, memoized per function name with LRU eviction (§4.2). *)
-
 val view_cache_hits : t -> int
+(** View unfolding runs the query-independent rules over an inlined
+    function body once and memoizes the result (§4.2): keyed on the
+    function's (name, arity), at most 64 bodies (a full memo starts
+    over), all dropped when {!Metadata.generation} moves — a
+    redeclared function is never served its old body, while data writes
+    (which move only {!Metadata.stats_generation}) keep the memo. These
+    count the memo's lookups that hit and that missed. *)
+
 val view_cache_misses : t -> int

@@ -408,41 +408,6 @@ let merge_join st caps kind (r1 : C.sql_access) (r2 : C.sql_access) on_sql =
     sql_params = r1.C.sql_params @ r2.C.sql_params;
     binds = r1.C.binds @ r2.C.binds }
 
-(* shift the parameter indices of a select by delta *)
-let rec shift_expr delta (e : Sql.expr) : Sql.expr =
-  match e with
-  | Sql.Param i -> Sql.Param (i + delta)
-  | Sql.Col _ | Sql.Lit _ | Sql.Count_star -> e
-  | Sql.Binop (op, a, b) -> Sql.Binop (op, shift_expr delta a, shift_expr delta b)
-  | Sql.Not e -> Sql.Not (shift_expr delta e)
-  | Sql.Is_null e -> Sql.Is_null (shift_expr delta e)
-  | Sql.Is_not_null e -> Sql.Is_not_null (shift_expr delta e)
-  | Sql.In_list (e, es) ->
-    Sql.In_list (shift_expr delta e, List.map (shift_expr delta) es)
-  | Sql.Func (f, args) -> Sql.Func (f, List.map (shift_expr delta) args)
-  | Sql.Case (branches, default) ->
-    Sql.Case
-      ( List.map (fun (c, v) -> (shift_expr delta c, shift_expr delta v)) branches,
-        Option.map (shift_expr delta) default )
-  | Sql.Agg (k, q, e) -> Sql.Agg (k, q, shift_expr delta e)
-  | Sql.In_select (e, s) -> Sql.In_select (shift_expr delta e, shift_select delta s)
-  | Sql.Exists s -> Sql.Exists (shift_select delta s)
-  | Sql.Not_exists s -> Sql.Not_exists (shift_select delta s)
-  | Sql.Scalar_select s -> Sql.Scalar_select (shift_select delta s)
-
-and shift_select delta (s : Sql.select) : Sql.select =
-  { s with
-    Sql.projections = List.map (fun (e, a) -> (shift_expr delta e, a)) s.Sql.projections;
-    joins =
-      List.map
-        (fun j -> { j with Sql.on_condition = shift_expr delta j.Sql.on_condition })
-        s.Sql.joins;
-    where = Option.map (shift_expr delta) s.Sql.where;
-    group_by = List.map (shift_expr delta) s.Sql.group_by;
-    having = Option.map (shift_expr delta) s.Sql.having;
-    order_by =
-      List.map (fun o -> { o with Sql.sort_expr = shift_expr delta o.Sql.sort_expr }) s.Sql.order_by }
-
 (* ------------------------------------------------------------------ *)
 (* The clause-list transformation                                      *)
 
@@ -676,7 +641,9 @@ and try_merge_join st db caps acc r1 pending kind right on_ export rest return_ 
         @ List.map (fun b -> b.C.bvar) r2.C.binds
       in
       let delta = Sql.param_count (Sql.Query r1.C.select) in
-      let r2_shifted = { r2 with C.select = shift_select delta r2.C.select } in
+      let r2_shifted =
+        { r2 with C.select = Sql.shift_select delta r2.C.select }
+      in
       let env =
         { cols =
             (cols_env_of_rel st db caps blocked r1).cols

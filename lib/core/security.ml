@@ -153,15 +153,4 @@ let filter_tokens t user (sink : Token_stream.sink) =
     in
     Token_stream.token_sink filter
 
-(* The late-stage filter on a materialized result: its items through
-   [filter_tokens] into a building sink. *)
-let filter_result t user seq =
-  let sink, built = Token_stream.building_sink () in
-  let filter = filter_tokens t user sink in
-  if filter == sink then seq
-  else begin
-    filter.items seq;
-    built ()
-  end
-
 let policies t = t.resources

@@ -12,7 +12,8 @@
 
     Element-level filtering happens at a late stage of query processing —
     {e after} the function cache — so plans and cached function results are
-    shared across users, and the filter is applied to cache hits too. *)
+    shared across users, and the filter is applied to cache hits too: on
+    every {!Server} entry point, {!filter_tokens} wraps the delivery sink. *)
 
 open Aldsp_xml
 
@@ -59,13 +60,9 @@ val filter_tokens :
     subtree is examined. Each firing records a ["security"] audit event:
     a replacement at its start tag, a removal once its subtree has ended,
     with the subtree's serialized bytes as the detail at
-    {!Audit.Detailed}. When no policy fails for the user, the result is
-    [sink] itself, so an unrestricted delivery pays nothing and items
-    reach it unexpanded. *)
-
-val filter_result : t -> user -> Item.sequence -> Item.sequence
-(** {!filter_tokens} over a materialized result, into a building sink.
-    Returns its input itself when no policy fails for the user. Applied
-    after evaluation and after cache hits. *)
+    {!Audit.Detailed}, in document order among the evaluation's own
+    events. When no policy fails for the user, the result is [sink]
+    itself, so an unrestricted delivery pays nothing and items reach it
+    unexpanded. *)
 
 val policies : t -> resource_policy list

@@ -636,26 +636,25 @@ let note_misestimate t ir counters =
   Mutex.unlock t.counter_lock
 
 (* One execution into its own counters, folded into the text's view once
-   it ends; a complete run also feeds the misestimate rollup. *)
-let execute t compiled =
+   it ends; a complete run also feeds the misestimate rollup. The user's
+   security filter wraps the building sink, as it wraps a stream's token
+   sink, so a restricted user's audit trail is in document order however
+   the result is delivered. *)
+let execute t ~user compiled =
   let counters = Plan_ir.new_run compiled.ir in
   let result =
-    Eval.execute t.runtime ~bindings:compiled.bindings ~counters compiled.ir
+    Eval.execute t.runtime ~bindings:compiled.bindings ~counters
+      ~through:(Security.filter_tokens t.security user)
+      compiled.ir
   in
   Plan_ir.fold compiled.ir counters;
   if Result.is_ok result then note_misestimate t compiled.ir counters;
   (counters, result)
 
-(* The security filter runs over the finished result, so a restricted
-   user's audit trail lists the evaluation's events before the filter's,
-   as the §7 example pins. *)
 let run t ?(user = Security.admin) source =
   match compile t source with
   | Error ds -> Error (diags_to_string ds)
-  | Ok compiled ->
-    Result.map
-      (Security.filter_result t.security user)
-      (snd (execute t compiled))
+  | Ok compiled -> snd (execute t ~user compiled)
 
 (* Every result path that serializes or streams tokens counts them here,
    so [st_tokens_streamed] reflects all delivery — streaming sessions,
@@ -675,10 +674,10 @@ let serialize_result t items =
 let call t ?(user = Security.admin) fn args =
   match Security.check_call t.security user fn with
   | Error _ as e -> e
-  | Ok () -> (
-    match Eval.call_function t.runtime fn args with
-    | Ok items -> Ok (Security.filter_result t.security user items)
-    | Error _ as e -> e)
+  | Ok () ->
+    Eval.call_function t.runtime
+      ~through:(Security.filter_tokens t.security user)
+      fn args
 
 (* ------------------------------------------------------------------ *)
 (* Serving layer: admission, deadlines, sessions, drain                *)
@@ -751,6 +750,14 @@ let release_slot adm ~outcome =
   signal_if_idle adm;
   Mutex.unlock adm.adm_mutex
 
+(* Runs [f] once [admit] gives it an executing slot, which [f] must
+   release; otherwise says why none was given. *)
+let with_slot t tok f =
+  match admit t.admission tok with
+  | `Rejected -> Error Overloaded
+  | `Expired -> Error (Cancelled "deadline exceeded while queued")
+  | `Admitted -> f ()
+
 (* The deadline covers queue wait plus execution: the token is created
    before [admit], so time spent waiting for a slot counts against it. *)
 let submit t ?(user = Security.admin) ?deadline ?token source =
@@ -762,29 +769,26 @@ let submit t ?(user = Security.admin) ?deadline ?token source =
       | Some seconds -> Cancel.with_deadline seconds
       | None -> Cancel.none)
   in
-  match admit t.admission tok with
-  | `Rejected -> Error Overloaded
-  | `Expired -> Error (Cancelled "deadline exceeded while queued")
-  | `Admitted -> (
-    match Cancel.with_token tok (fun () -> run t ~user source) with
-    | Ok items ->
+  with_slot t tok @@ fun () ->
+  match Cancel.with_token tok (fun () -> run t ~user source) with
+  | Ok items ->
+    release_slot t.admission ~outcome:`Completed;
+    Ok items
+  | Error m ->
+    (* an Error with a fired token is a cancellation surfacing as an
+       evaluation error, not a query bug *)
+    if Cancel.cancelled tok then begin
+      release_slot t.admission ~outcome:`Deadline;
+      Error (Cancelled m)
+    end
+    else begin
       release_slot t.admission ~outcome:`Completed;
-      Ok items
-    | Error m ->
-      (* an Error with a fired token is a cancellation surfacing as an
-         evaluation error, not a query bug *)
-      if Cancel.cancelled tok then begin
-        release_slot t.admission ~outcome:`Deadline;
-        Error (Cancelled m)
-      end
-      else begin
-        release_slot t.admission ~outcome:`Completed;
-        Error (Failed m)
-      end
-    | exception e ->
-      release_slot t.admission
-        ~outcome:(if Cancel.cancelled tok then `Deadline else `Completed);
-      raise e)
+      Error (Failed m)
+    end
+  | exception e ->
+    release_slot t.admission
+      ~outcome:(if Cancel.cancelled tok then `Deadline else `Completed);
+    raise e
 
 let drain t =
   let adm = t.admission in
@@ -820,7 +824,9 @@ let session t ?(user = Security.admin) ?deadline () =
     ses_lock = Mutex.create ();
     ses_current = Cancel.none }
 
-let session_run s ?deadline source =
+(* A session query's token, under the call's deadline or else the
+   session's, published as the one [session_cancel] fires. *)
+let session_token s deadline =
   let deadline = match deadline with Some _ as d -> d | None -> s.ses_deadline in
   let tok =
     match deadline with
@@ -830,7 +836,10 @@ let session_run s ?deadline source =
   Mutex.lock s.ses_lock;
   s.ses_current <- tok;
   Mutex.unlock s.ses_lock;
-  submit s.ses_server ~user:s.ses_user ~token:tok source
+  tok
+
+let session_run s ?deadline source =
+  submit s.ses_server ~user:s.ses_user ~token:(session_token s deadline) source
 
 let session_cancel s =
   Mutex.lock s.ses_lock;
@@ -892,57 +901,44 @@ let release_stream st outcome =
 
 let session_run_stream s ?deadline source =
   let server = s.ses_server in
-  let deadline =
-    match deadline with Some _ as d -> d | None -> s.ses_deadline
-  in
-  let tok =
-    match deadline with
-    | Some seconds -> Cancel.with_deadline seconds
-    | None -> Cancel.make ()
-  in
-  Mutex.lock s.ses_lock;
-  s.ses_current <- tok;
-  Mutex.unlock s.ses_lock;
-  match admit server.admission tok with
-  | `Rejected -> Error Overloaded
-  | `Expired -> Error (Cancelled "deadline exceeded while queued")
-  | `Admitted -> (
-    (* compile on the caller's thread so compilation errors surface as a
-       plain [Error] instead of a one-token failed stream *)
-    match compile server source with
-    | Error ds ->
-      release_slot server.admission ~outcome:`Completed;
-      Error (Failed (diags_to_string ds))
-    | Ok compiled ->
-      let counters = Plan_ir.new_run compiled.ir in
-      let emit push =
-        Eval.emit server.runtime ~bindings:compiled.bindings ~counters
-          compiled.ir
-          (Security.filter_tokens server.security s.ses_user
-             (Aldsp_tokens.Token_stream.token_sink push))
-      in
-      let st =
-        { str_server = server;
-          str_token = tok;
-          str_ir = compiled.ir;
-          str_counters = counters;
-          str_next = Start emit;
-          str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
-          str_len = 0;
-          str_pos = 0;
-          str_done = false;
-          str_peak = 0;
-          str_unhook = ignore;
-          str_lock = Mutex.create ();
-          str_reading = false;
-          str_released = false }
-      in
-      st.str_unhook <-
-        Cancel.on_cancel tok (fun () ->
-            Mutex.lock st.str_lock;
-            if not st.str_reading then release_stream st `Deadline;
-            Mutex.unlock st.str_lock);
-      Ok st)
+  let tok = session_token s deadline in
+  with_slot server tok @@ fun () ->
+  (* compile on the caller's thread so compilation errors surface as a
+     plain [Error] instead of a one-token failed stream *)
+  match compile server source with
+  | Error ds ->
+    release_slot server.admission ~outcome:`Completed;
+    Error (Failed (diags_to_string ds))
+  | Ok compiled ->
+    let counters = Plan_ir.new_run compiled.ir in
+    let emit push =
+      Eval.emit server.runtime ~bindings:compiled.bindings ~counters
+        compiled.ir
+        (Security.filter_tokens server.security s.ses_user
+           (Aldsp_tokens.Token_stream.token_sink push))
+    in
+    let st =
+      { str_server = server;
+        str_token = tok;
+        str_ir = compiled.ir;
+        str_counters = counters;
+        str_next = Start emit;
+        str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
+        str_len = 0;
+        str_pos = 0;
+        str_done = false;
+        str_peak = 0;
+        str_unhook = ignore;
+        str_lock = Mutex.create ();
+        str_reading = false;
+        str_released = false }
+    in
+    st.str_unhook <-
+      Cancel.on_cancel tok (fun () ->
+          Mutex.lock st.str_lock;
+          if not st.str_reading then release_stream st `Deadline;
+          Mutex.unlock st.str_lock);
+    Ok st
 
 let push st token =
   st.str_chunk.(st.str_len) <- token;
@@ -1081,7 +1077,7 @@ let explain t ?(analyze = true) ?(timings = false) source =
       (Printf.sprintf "static type: %s\n"
          (Stype.to_string compiled.static_type));
     let counters, result =
-      if analyze then execute t compiled
+      if analyze then execute t ~user:Security.admin compiled
       else (Plan_ir.new_run compiled.ir, Ok [])
     in
     Result.iter_error

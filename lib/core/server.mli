@@ -8,7 +8,9 @@
     view bodies are sub-optimized and cached per function with eviction;
     the function cache (when configured) intercepts calls to
     cache-enabled data service functions; element-level security filtering
-    runs last, after evaluation and after cache hits (§7).
+    runs last, after cache hits, as the result is delivered: one filter
+    wraps the sink on every entry point, so a restricted user's audit
+    trail is in document order however the result is delivered (§7).
 
     Mirroring the product's stateless client APIs, {!run} and {!call}
     materialize their results completely before returning;
@@ -209,7 +211,8 @@ val compile : t -> string -> (compiled, Diag.t list) result
 val run :
   t -> ?user:Security.user -> string -> (Item.sequence, string) result
 (** Compile (through the plan cache) and execute, materializing the result
-    (the stateless client API). Security filtering applied. *)
+    (the stateless client API). The user's {!Security.filter_tokens}
+    wraps the building sink. *)
 
 val serialize_result : t -> Item.sequence -> string
 (** Serializes a materialized result with the token serializer's writer
@@ -225,8 +228,8 @@ val call :
   Item.sequence list ->
   (Item.sequence, string) result
 (** Direct data service function call (read/navigate methods), through
-    function-level access control, the function cache, and result
-    filtering. *)
+    function-level access control, the function cache, and the user's
+    {!Security.filter_tokens} around the building sink. *)
 
 (** {2 Serving layer}
 
@@ -296,8 +299,8 @@ val session_run_stream :
     {!stream_read}. The plan runs through {!Eval.emit} into a token
     sink, as {!run}'s runs into a building sink, and every token passes
     through {!Security.filter_tokens} for the session's user — the same
-    filter {!run} applies to its items, so the bytes match {!run}'s
-    filtered result. The
+    filter {!run} wraps around its building sink, so the bytes and the
+    audit trail match {!run}'s. The
     session's deadline semantics match {!session_run}, and
     {!session_cancel} (or {!stream_cancel}) from any thread ends the
     stream: a read blocked in a backend roundtrip returns

@@ -116,3 +116,41 @@ let param_count = function
     Option.fold ~none:acc ~some:(expr_params acc) where
   | Dml (Delete { where; _ }) ->
     Option.fold ~none:0 ~some:(expr_params 0) where
+
+let rec shift_expr delta = function
+  | Param i -> Param (i + delta)
+  | (Col _ | Lit _ | Count_star) as e -> e
+  | Binop (op, a, b) -> Binop (op, shift_expr delta a, shift_expr delta b)
+  | Not e -> Not (shift_expr delta e)
+  | Is_null e -> Is_null (shift_expr delta e)
+  | Is_not_null e -> Is_not_null (shift_expr delta e)
+  | Agg (k, q, e) -> Agg (k, q, shift_expr delta e)
+  | In_list (e, es) ->
+    In_list (shift_expr delta e, List.map (shift_expr delta) es)
+  | In_select (e, s) -> In_select (shift_expr delta e, shift_select delta s)
+  | Exists s -> Exists (shift_select delta s)
+  | Not_exists s -> Not_exists (shift_select delta s)
+  | Scalar_select s -> Scalar_select (shift_select delta s)
+  | Case (branches, default) ->
+    Case
+      ( List.map
+          (fun (c, v) -> (shift_expr delta c, shift_expr delta v))
+          branches,
+        Option.map (shift_expr delta) default )
+  | Func (f, args) -> Func (f, List.map (shift_expr delta) args)
+
+and shift_select delta s =
+  { s with
+    projections =
+      List.map (fun (e, a) -> (shift_expr delta e, a)) s.projections;
+    joins =
+      List.map
+        (fun j -> { j with on_condition = shift_expr delta j.on_condition })
+        s.joins;
+    where = Option.map (shift_expr delta) s.where;
+    group_by = List.map (shift_expr delta) s.group_by;
+    having = Option.map (shift_expr delta) s.having;
+    order_by =
+      List.map
+        (fun o -> { o with sort_expr = shift_expr delta o.sort_expr })
+        s.order_by }

@@ -94,3 +94,11 @@ val table : ?alias:string -> string -> table_ref
 val col : string -> string -> expr
 val param_count : statement -> int
 (** Highest parameter index used, i.e. how many bindings execution needs. *)
+
+val shift_expr : int -> expr -> expr
+(** [shift_expr delta e] adds [delta] to every parameter index in [e],
+    subqueries included. *)
+
+val shift_select : int -> select -> select
+(** {!shift_expr} over every expression of a select; a derived table in
+    FROM or a join is left as it is (pushdown builds none). *)

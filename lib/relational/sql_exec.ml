@@ -1403,6 +1403,7 @@ type batch_group = {
 let batches : (string, batch_group) Hashtbl.t = Hashtbl.create 16
 let batch_mutex = Mutex.create ()
 let batch_done = Condition.create ()
+let batch_closed = Condition.create ()  (* a member closed its group *)
 
 (* Member side: wait (through {!Cancel.wait}, like every serving-layer
    wait) until the leader fills the outcomes. A member whose token fires
@@ -1415,25 +1416,19 @@ let await_batch g =
     Cancel.wait tok batch_mutex batch_done
   done
 
-(* Leader side: hold the window open, polling in small chunks so a group
-   reaching the cost-model cap dispatches early, then close and execute.
-   The window sleep is plain (not cancellation-aware): it is bounded by
-   half a roundtrip, and the leader owes the members a dispatch. *)
+(* Leader side: hold the window open, then close and execute. The wait
+   is on a private window token, not the ambient one, so it is not
+   cancellation-aware: it is bounded by half a roundtrip, and the leader
+   owes the members a dispatch. The member that fills the group to the
+   cost-model cap broadcasts [batch_closed], so the leader dispatches at
+   once. *)
 let run_batch_leader db gkey g =
   let window = db.Database.batch_window in
-  let chunk = Float.max (window /. 8.) 20e-6 in
-  let deadline = Unix.gettimeofday () +. window in
-  let rec hold () =
-    Mutex.lock batch_mutex;
-    let still_open = g.bg_open in
-    Mutex.unlock batch_mutex;
-    if still_open && Unix.gettimeofday () < deadline then begin
-      Thread.delay chunk;
-      hold ()
-    end
-  in
-  hold ();
+  let timer = Cancel.with_deadline window in
   Mutex.lock batch_mutex;
+  while g.bg_open && not (Cancel.cancelled timer) do
+    Cancel.wait timer batch_mutex batch_closed
+  done;
   if g.bg_open then begin
     g.bg_open <- false;
     Hashtbl.remove batches gkey
@@ -1493,7 +1488,8 @@ let batched_probe db params s keycol =
       if List.length g.bg_members >= batch_cap db then begin
         (* cost-model cap reached: close the window early *)
         g.bg_open <- false;
-        Hashtbl.remove batches gkey
+        Hashtbl.remove batches gkey;
+        Condition.broadcast batch_closed
       end;
       `Member g
     | _ ->

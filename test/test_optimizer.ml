@@ -202,6 +202,36 @@ let test_view_cache () =
     (Optimizer.view_cache_misses opt);
   check_bool "hits recorded" true (Optimizer.view_cache_hits opt >= 2)
 
+(* The memo is keyed on (name, arity) and dropped when the registry's
+   generation moves: a later query that redeclares a prolog function sees
+   its own body, and two arities of one name keep their own bodies. *)
+let run_serialized demo q =
+  Item.serialize (ok_exn (Server.run demo.Aldsp_demo.Demo.server q))
+
+let test_view_cache_redeclared () =
+  let demo = setup () in
+  let decl body =
+    Printf.sprintf
+      "declare namespace my = \"urn:my\";\n\
+       declare function my:f($x as xs:integer) as xs:integer { %s };\n\
+       my:f(10)"
+      body
+  in
+  Alcotest.(check string) "first body" "11"
+    (run_serialized demo (decl "$x + 1"));
+  Alcotest.(check string) "redeclared body" "20"
+    (run_serialized demo (decl "$x * 2"))
+
+let test_view_cache_arities () =
+  let demo = setup () in
+  Alcotest.(check string) "g#1 inside g#2" "10312"
+    (run_serialized demo
+       "declare namespace my = \"urn:my\";\n\
+        declare function my:g($x as xs:integer) as xs:integer { $x + 1 };\n\
+        declare function my:g($x as xs:integer, $y as xs:integer)\n\
+       \  as xs:integer { $x * 100 + $y };\n\
+        my:g(my:g(102), 12)")
+
 let test_cacheable_functions_not_inlined () =
   let demo = setup () in
   Metadata.set_cacheable demo.Aldsp_demo.Demo.registry
@@ -541,6 +571,8 @@ let () =
           t "equi keys" test_equi_join_keys ] );
       ( "view cache",
         [ t "memoized" test_view_cache;
+          t "redeclared function" test_view_cache_redeclared;
+          t "one name, two arities" test_view_cache_arities;
           t "cacheable not inlined" test_cacheable_functions_not_inlined ] );
       ( "selectivity",
         [ t "literal = / IN on indexed columns" test_literal_selectivity;

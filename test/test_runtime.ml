@@ -773,12 +773,19 @@ let test_token_filter_goldens () =
       (fun e -> (e.Audit.category, e.Audit.summary, e.Audit.detail))
       (Audit.events audit)
   in
+  (* materialized delivery: the filter around a building sink *)
+  let filtered sec user items =
+    let sink, built = Aldsp_tokens.Token_stream.building_sink () in
+    (Security.filter_tokens sec user sink).Aldsp_tokens.Token_stream.items
+      items;
+    built ()
+  in
   List.iter
     (fun (user, bytes, expected) ->
       let who = user.Security.user_name in
       (* the materialized result, filtered and reassembled *)
       let sec, audit = security Audit.Detailed in
-      let items = Security.filter_result sec user security_sequence in
+      let items = filtered sec user security_sequence in
       let buf = Buffer.create 256 in
       ignore (Aldsp_tokens.Token_stream.serialize_items buf items);
       check_string ("filtered items, " ^ who) bytes (Buffer.contents buf);
@@ -805,8 +812,7 @@ let test_token_filter_goldens () =
   check_bool "admin's filter is the sink itself" true
     (Security.filter_tokens sec Security.admin sink == sink);
   check_bool "admin's items are the input itself" true
-    (Security.filter_result sec Security.admin security_sequence
-    == security_sequence);
+    (filtered sec Security.admin security_sequence == security_sequence);
   check_int "nothing audited for admin" 0 (List.length (Audit.events audit))
 
 (* ------------------------------------------------------------------ *)

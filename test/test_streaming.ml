@@ -409,12 +409,15 @@ let test_tokens_streamed_counter () =
 (* Constructor shapes the token emitter builds without node trees, and
    the node-path fallbacks beside them. Each runs materialized on one
    fresh server and streamed on another, so each text's view holds that
-   one run: the bytes, the tokens counted in [st_tokens_streamed] and the
-   plan's EXPLAIN ANALYZE must match, and no stream pulls more than a
-   chunk ahead. *)
+   one run: the bytes, the tokens counted in [st_tokens_streamed], the
+   plan's EXPLAIN ANALYZE and the audit trail, service calls and policy
+   events interleaved, must match, and no stream pulls more than a chunk
+   ahead. *)
 let wide_query =
   "for $c in CUSTOMER() where $c/CID eq \"CUST0002\" return <C id=\"{$c/CID}\">\
    {for $o in ORDER_T() order by $o/OID return <O>{$o/OID}{$o/AMOUNT}</O>}</C>"
+
+let profile_query = "getProfileByID(\"CUST0001\")"
 
 let constructor_shapes =
   [ (* computed attributes: one atom, two atoms joined with a space, an
@@ -430,7 +433,11 @@ let constructor_shapes =
     (* a sequence with an async child falls back to the node path *)
     "for $c in CUSTOMER() return <R>{fn-bea:async($c/CID), $c/LAST_NAME}</R>";
     (* a tuple wider than one chunk: every order under one customer *)
-    wide_query ]
+    wide_query;
+    (* the §7 profile with its view inlined: getRating runs inside the
+       <RATING> a Replace policy masks, so the trail's order tells when
+       the filter ran *)
+    profile_query ]
 
 (* Calls kept as calls by the reference optimizer options: the emitter
    runs a non-cacheable body in place, a root sequence pushes its
@@ -468,13 +475,15 @@ let add_policies server =
 
 let tokens_streamed server = (Server.stats server).Server.st_tokens_streamed
 
-(* The audit events of one category, in the order recorded — sorted when
-   an async child records from a pool worker. *)
-let audited audit q category =
+(* The audit events of the given categories, in the order recorded —
+   sorted when an async child records from a pool worker. *)
+let audited audit q categories =
   let events =
     List.filter_map
       (fun e ->
-        if e.Audit.category = category then Some e.Audit.summary else None)
+        if List.mem e.Audit.category categories then
+          Some (e.Audit.category ^ ": " ^ e.Audit.summary)
+        else None)
       (Audit.events audit)
   in
   if Str.string_match (Str.regexp ".*fn-bea:async") q 0 then
@@ -515,11 +524,12 @@ let test_constructor_shapes () =
       ( result,
         tokens_streamed server - before,
         Plan_ir.render ir,
-        audited audit q "service-call",
-        audited audit q "security" )
+        audited audit q [ "service-call" ],
+        audited audit q [ "security" ],
+        audited audit q [ "service-call"; "security" ] )
     in
     let expected, materialized_tokens, materialized_counters,
-        materialized_calls, materialized_filtered =
+        materialized_calls, materialized_filtered, materialized_trail =
       run_fresh (fun server ->
           match Server.session_run (Server.session server ~user ()) q with
           | Ok items -> Server.serialize_result server items
@@ -528,7 +538,7 @@ let test_constructor_shapes () =
               (Server.submit_error_to_string e))
     in
     let (got, peak), streamed_tokens, streamed_counters, streamed_calls,
-        streamed_filtered =
+        streamed_filtered, streamed_trail =
       run_fresh (fun server ->
           match streamed_bytes ~user server q with
           | Ok r -> r
@@ -545,7 +555,8 @@ let test_constructor_shapes () =
     check_events ("service calls audited, " ^ what) materialized_calls
       streamed_calls;
     check_events ("policies audited, " ^ what) materialized_filtered
-      streamed_filtered
+      streamed_filtered;
+    check_events ("whole trail, " ^ what) materialized_trail streamed_trail
   in
   List.iter
     (fun user ->
@@ -571,6 +582,7 @@ let test_constructor_shapes () =
       (shapes, replace_user, List.nth constructor_shapes 3);
       (shapes, remove_user, wide_query);
       (shapes, replace_user, wide_query);
+      (shapes, replace_user, profile_query);
       (calls, remove_user, List.nth call_shapes 0);
       (calls, replace_user, List.nth call_shapes 2) ]
 
