@@ -114,14 +114,9 @@ let spill_sort rt counters ~budget ~cmp seq =
     if not !reported then begin
       reported := true;
       if stats.Extsort.runs_spilled > 0 then begin
-        counters.c_spill_runs <-
-          counters.c_spill_runs + stats.Extsort.runs_spilled;
-        counters.c_spill_rows <-
-          counters.c_spill_rows + stats.Extsort.rows_spilled;
-        counters.c_spill_bytes <-
-          counters.c_spill_bytes + stats.Extsort.bytes_spilled;
-        counters.c_merge_fanin <-
-          max counters.c_merge_fanin stats.Extsort.merge_fanin;
+        Plan_ir.count_spill counters ~runs:stats.Extsort.runs_spilled
+          ~rows:stats.Extsort.rows_spilled ~bytes:stats.Extsort.bytes_spilled
+          ~fanin:stats.Extsort.merge_fanin;
         rt.on_spill ~runs:stats.Extsort.runs_spilled
           ~rows:stats.Extsort.rows_spilled ~bytes:stats.Extsort.bytes_spilled
           ~peak:stats.Extsort.peak_resident
@@ -341,14 +336,14 @@ let batch_seq k (input : 'a Seq.t) : 'a list Seq.t =
    race-free and deterministic. *)
 let cursor_chunks rt counters cur =
   if Sql_exec.cursor_shared cur then begin
-    counters.c_shared <- counters.c_shared + 1;
+    Plan_ir.count_shared counters;
     Option.iter Observed.record_coalesced rt.observed
   end;
   let rec fetch () =
     match Sql_exec.fetch_chunk cur with
     | Error m -> error "%s" m
     | Ok [] ->
-      counters.c_backend <- Sql_exec.cursor_plan cur;
+      Plan_ir.set_backend counters (Sql_exec.cursor_plan cur);
       Seq.Nil
     | Ok rows -> Seq.Cons (rows, fetch)
   in
@@ -724,8 +719,7 @@ and call fr sink counters fd values =
          was served by the function cache (§5.5) *)
       (match counters with
       | Some c when fd.Metadata.fd_cacheable ->
-        if !computed then c.c_cache_misses <- c.c_cache_misses + 1
-        else c.c_cache_hits <- c.c_cache_hits + 1
+        Plan_ir.count_cache c ~hit:(not !computed)
       | _ -> ());
       deliver sink v
   in

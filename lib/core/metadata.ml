@@ -149,10 +149,11 @@ let databases t =
   Hashtbl.fold (fun _ db acc -> db :: acc) t.databases []
   |> List.sort (fun a b -> String.compare a.Database.db_name b.Database.db_name)
 
-(* The registry-wide table-statistics generation: any row mutation in any
-   registered database moves it. Plan-cache keys carry it next to
-   [generation] so cost-based decisions are recomputed once the data a
-   plan was costed against has changed. *)
+(* The registry-wide planning generation: it moves when a row count, an
+   index set or an index's distinct-key count moves in any registered
+   database. Plan-cache keys carry it next to [generation] so cost-based
+   decisions are recomputed once a statistic a plan was costed against
+   has changed, and survive writes that change none. *)
 let stats_generation t =
   locked t @@ fun () ->
   Hashtbl.fold (fun _ db acc -> acc + Database.stats_version db) t.databases 0

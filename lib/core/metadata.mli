@@ -94,10 +94,14 @@ val databases : t -> Database.t list
 
 val stats_generation : t -> int
 (** Sum of {!Database.stats_version} over every registered database: moves
-    whenever any table row anywhere is inserted, updated, deleted or
-    rolled back. The plan cache keys on it, so a plan whose join methods
-    and PP-k depth were costed against stale statistics is recompiled
-    rather than served. *)
+    when a row is inserted or deleted (a rollback included), an index is
+    created, or an UPDATE changes some index's distinct-key count. These
+    are everything the cost model reads (row counts, index sets, index
+    NDVs), so the plan cache keys on it: a plan whose join methods and
+    PP-k depth were costed against since-moved statistics is recompiled
+    rather than served, and a plan survives an UPDATE of non-key columns.
+    It is not a data epoch; work sharing keys on
+    {!Database.data_version}. *)
 
 val add_data_service : t -> data_service -> unit
 val find_data_service : t -> string -> data_service option

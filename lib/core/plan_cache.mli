@@ -20,8 +20,10 @@ type key = {
   k_generation : int;  (** {!Metadata.generation} at compile time. *)
   k_stats : int;
       (** {!Metadata.stats_generation} at compile time: cost-based join
-          methods and PP-k depths are functions of table statistics, so a
-          plan costed against since-mutated data must be recompiled. *)
+          methods and PP-k depths are functions of row counts, index sets
+          and index NDVs, so a plan costed against since-moved statistics
+          must be recompiled. A write that moves none of them keeps the
+          plan. *)
 }
 
 type 'plan t

@@ -7,17 +7,51 @@ type counters = {
   mutable c_starts : int;
   mutable c_rows : int;
   mutable c_roundtrips : int;
+  mutable c_wall : float;
+  mutable c_first_row_ns : float;
+  mutable c_more : more;
+}
+
+and more = {
   mutable c_cache_hits : int;
   mutable c_cache_misses : int;
   mutable c_shared : int;
-  mutable c_wall : float;
-  mutable c_first_row_ns : float;
   mutable c_spill_runs : int;
   mutable c_spill_rows : int;
   mutable c_spill_bytes : int;
   mutable c_merge_fanin : int;
   mutable c_backend : string list;
 }
+
+let zero_more () =
+  { c_cache_hits = 0; c_cache_misses = 0; c_shared = 0; c_spill_runs = 0;
+    c_spill_rows = 0; c_spill_bytes = 0; c_merge_fanin = 0; c_backend = [] }
+
+(* Shared by every counter until its first write to [more]: only [more]
+   below replaces it, and nothing writes into it. *)
+let no_more = zero_more ()
+
+let more c =
+  if c.c_more == no_more then c.c_more <- zero_more ();
+  c.c_more
+
+let count_cache c ~hit =
+  let m = more c in
+  if hit then m.c_cache_hits <- m.c_cache_hits + 1
+  else m.c_cache_misses <- m.c_cache_misses + 1
+
+let count_shared c =
+  let m = more c in
+  m.c_shared <- m.c_shared + 1
+
+let count_spill c ~runs ~rows ~bytes ~fanin =
+  let m = more c in
+  m.c_spill_runs <- m.c_spill_runs + runs;
+  m.c_spill_rows <- m.c_spill_rows + rows;
+  m.c_spill_bytes <- m.c_spill_bytes + bytes;
+  m.c_merge_fanin <- max m.c_merge_fanin fanin
+
+let set_backend c lines = (more c).c_backend <- lines
 
 type run = counters array
 
@@ -106,10 +140,8 @@ and sql_region = {
 type t = { tree : plan; totals : run }
 
 let zero () =
-  { c_starts = 0; c_rows = 0; c_roundtrips = 0; c_cache_hits = 0;
-    c_cache_misses = 0; c_shared = 0; c_wall = 0.; c_first_row_ns = 0.;
-    c_spill_runs = 0; c_spill_rows = 0; c_spill_bytes = 0; c_merge_fanin = 0;
-    c_backend = [] }
+  { c_starts = 0; c_rows = 0; c_roundtrips = 0; c_wall = 0.;
+    c_first_row_ns = 0.; c_more = no_more }
 
 let new_run view = Array.init (Array.length view.totals) (fun _ -> zero ())
 
@@ -121,16 +153,20 @@ let add total c =
   total.c_starts <- total.c_starts + c.c_starts;
   total.c_rows <- total.c_rows + c.c_rows;
   total.c_roundtrips <- total.c_roundtrips + c.c_roundtrips;
-  total.c_cache_hits <- total.c_cache_hits + c.c_cache_hits;
-  total.c_cache_misses <- total.c_cache_misses + c.c_cache_misses;
-  total.c_shared <- total.c_shared + c.c_shared;
   total.c_wall <- total.c_wall +. c.c_wall;
   if total.c_first_row_ns = 0. then total.c_first_row_ns <- c.c_first_row_ns;
-  total.c_spill_runs <- total.c_spill_runs + c.c_spill_runs;
-  total.c_spill_rows <- total.c_spill_rows + c.c_spill_rows;
-  total.c_spill_bytes <- total.c_spill_bytes + c.c_spill_bytes;
-  total.c_merge_fanin <- max total.c_merge_fanin c.c_merge_fanin;
-  if c.c_backend <> [] then total.c_backend <- c.c_backend
+  let m = c.c_more in
+  if m != no_more then begin
+    let t = more total in
+    t.c_cache_hits <- t.c_cache_hits + m.c_cache_hits;
+    t.c_cache_misses <- t.c_cache_misses + m.c_cache_misses;
+    t.c_shared <- t.c_shared + m.c_shared;
+    t.c_spill_runs <- t.c_spill_runs + m.c_spill_runs;
+    t.c_spill_rows <- t.c_spill_rows + m.c_spill_rows;
+    t.c_spill_bytes <- t.c_spill_bytes + m.c_spill_bytes;
+    t.c_merge_fanin <- max t.c_merge_fanin m.c_merge_fanin;
+    if m.c_backend <> [] then t.c_backend <- m.c_backend
+  end
 
 (* One lock for every view: a fold is a handful of word writes per
    operator, once per execution. *)
@@ -568,23 +604,24 @@ let op_label o =
   | O_sql r -> Printf.sprintf "sql[%s dialect=%s]" r.sql_db r.sql_dialect
 
 let counters_suffix ~timings est c =
+  let m = c.c_more in
   let parts =
     [ Printf.sprintf "est=%d act=%d" est c.c_rows ]
     @ (if c.c_roundtrips > 0 then
          [ Printf.sprintf "roundtrips=%d" c.c_roundtrips ]
        else [])
-    @ (if c.c_cache_hits > 0 || c.c_cache_misses > 0 then
-         [ Printf.sprintf "cache-hits=%d cache-misses=%d" c.c_cache_hits
-             c.c_cache_misses ]
+    @ (if m.c_cache_hits > 0 || m.c_cache_misses > 0 then
+         [ Printf.sprintf "cache-hits=%d cache-misses=%d" m.c_cache_hits
+             m.c_cache_misses ]
        else [])
     (* only under active work sharing, so golden plans are unaffected *)
-    @ (if c.c_shared > 0 then [ Printf.sprintf "shared=%d" c.c_shared ]
+    @ (if m.c_shared > 0 then [ Printf.sprintf "shared=%d" m.c_shared ]
        else [])
     (* only when the operator actually spilled, so zero-spill plans (and
        every golden) render exactly as before *)
-    @ (if c.c_spill_runs > 0 then
+    @ (if m.c_spill_runs > 0 then
          [ Printf.sprintf "spill=%d spill-rows=%d spill-bytes=%d fanin=%d"
-             c.c_spill_runs c.c_spill_rows c.c_spill_bytes c.c_merge_fanin ]
+             m.c_spill_runs m.c_spill_rows m.c_spill_bytes m.c_merge_fanin ]
        else [])
     @ (if timings && c.c_wall > 0. then
          [ Printf.sprintf "wall=%.1fms" (c.c_wall *. 1000.) ]
@@ -685,7 +722,9 @@ let render ?(timings = false) ?(bindings = []) ?counters view =
                  (fun (b : C.sql_bind) ->
                    Printf.sprintf "$%s <- %s" b.C.bvar b.C.bcol)
                  r.sql_binds));
-      List.iter (fun l -> line (indent + 1) ("backend: " ^ l)) c.c_backend
+      List.iter
+        (fun l -> line (indent + 1) ("backend: " ^ l))
+        c.c_more.c_backend
   in
   node 0 "" view.tree;
   Buffer.contents buf

@@ -23,18 +23,13 @@ open Aldsp_xml
     executions folded into a view. Updated without a lock, like the
     backend's operator statistics: single word writes, and the only
     concurrent writers (PP-k roundtrips on pool workers) touch counters
-    no consumer reads mid-run. *)
+    no consumer reads mid-run. The counters most operators never move sit
+    in {!more}, allocated by the first write, so a view whose runs moved
+    none of them holds one record per operator, not two. *)
 type counters = {
   mutable c_starts : int;  (** Times the operator began producing. *)
   mutable c_rows : int;  (** Items / binding tuples emitted. *)
   mutable c_roundtrips : int;  (** Source statements this operator issued. *)
-  mutable c_cache_hits : int;  (** Function-cache hits on this call site. *)
-  mutable c_cache_misses : int;  (** Computed calls on a cacheable site. *)
-  mutable c_shared : int;
-      (** Of the issued statements, how many were served from another
-          session's in-flight work (coalesced or batch-merged). Rendered
-          as [shared=N] only when positive, so plans outside shared
-          serving workloads are unchanged. *)
   mutable c_wall : float;  (** Seconds inside this operator's roundtrips. *)
   mutable c_first_row_ns : float;
       (** Wall-clock nanoseconds from the operator's first start to its
@@ -42,6 +37,19 @@ type counters = {
           once per execution; a view keeps the first it was given.
           Rendered as [ttft=] only under [timings], like [wall=], because
           it is nondeterministic. *)
+  mutable c_more : more;
+      (** One shared all-zero value until a write below allocates this
+          operator's own. *)
+}
+
+and more = private {
+  mutable c_cache_hits : int;  (** Function-cache hits on this call site. *)
+  mutable c_cache_misses : int;  (** Computed calls on a cacheable site. *)
+  mutable c_shared : int;
+      (** Of the issued statements, how many were served from another
+          session's in-flight work (coalesced or batch-merged). Rendered
+          as [shared=N] only when positive, so plans outside shared
+          serving workloads are unchanged. *)
   mutable c_spill_runs : int;
       (** Sorted runs this operator spilled to disk ({!Extsort}: ORDER BY
           and the unclustered GROUP BY fallback under a
@@ -57,6 +65,16 @@ type counters = {
           recent statement (in block order for PP-k, so deterministic). A
           view keeps the latest any folded run captured. *)
 }
+
+(** The writes to {!more}; each allocates the operator's own first. *)
+
+val count_cache : counters -> hit:bool -> unit
+val count_shared : counters -> unit
+
+val count_spill :
+  counters -> runs:int -> rows:int -> bytes:int -> fanin:int -> unit
+
+val set_backend : counters -> string list -> unit
 
 (** One execution's counters, indexed by operator id: one per tuple
     operator, per node EXPLAIN renders with counters, and for the

@@ -600,8 +600,8 @@ let compile_text t source query =
 
 let compile t source =
   (* drop plans compiled against an older registry — or, since cost-based
-     choices are functions of table statistics, since-mutated data —
-     before looking up *)
+     choices are functions of table statistics, against statistics that
+     have moved since — before looking up *)
   let generation = Metadata.generation t.registry in
   let stats = Metadata.stats_generation t.registry in
   Plan_cache.purge_stale t.plan_cache ~generation ~stats;

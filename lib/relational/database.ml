@@ -192,11 +192,15 @@ let apply_fault t =
 (* ------------------------------------------------------------------ *)
 (* Statistics for the cost-based planner *)
 
-(* Sum of per-table mutation counters: order-independent, so iterating the
+(* Sums of per-table counters: order-independent, so iterating the
    hashtable directly is deterministic. The planner keys cached plans on
-   this so no cost decision survives a row mutation. *)
-let stats_version t =
-  Hashtbl.fold (fun _ table acc -> acc + Table.version table) t.tables 0
+   the planning epoch, so a cost decision survives exactly the writes
+   that move none of its inputs; work sharing keys on the data epoch. *)
+let sum_tables t counter =
+  Hashtbl.fold (fun _ table acc -> acc + counter table) t.tables 0
+
+let stats_version t = sum_tables t Table.stats_version
+let data_version t = sum_tables t Table.version
 
 let table_statistics t =
   List.filter_map

@@ -143,10 +143,18 @@ val record_operator : t -> (stats -> unit) -> unit
 (** {2 Planner statistics} *)
 
 val stats_version : t -> int
-(** Sum of {!Table.version} over every table: changes whenever any row of
-    this database is inserted, updated, deleted or rolled back. Folded
-    into {!Aldsp_core.Metadata.stats_generation} to invalidate cached
-    cost-based plans. *)
+(** Sum of {!Table.stats_version} over every table: moves when a row
+    count, an index set or an index's distinct-key count of this database
+    may have moved — an insert, a delete, a rolled-back write, a
+    [create_index], or an UPDATE that changes some distinct-key count.
+    An UPDATE of non-key columns leaves it alone. Folded into
+    {!Aldsp_core.Metadata.stats_generation}, which keys cached plans. *)
+
+val data_version : t -> int
+(** Sum of {!Table.version} over every table: moves on every row
+    mutation. Cross-session work sharing keys on it ({!Sql_exec}), so a
+    reader admitted after any write never joins a flight started before
+    it. *)
 
 val table_statistics : t -> (string * Table.statistics) list
 (** [(table, statistics)] pairs in table-name order. *)

@@ -67,6 +67,13 @@ let entries t = t.idx_entries
 
 let key_of_row t row = key_of_values (Array.map (fun i -> row.(i)) t.idx_pos)
 
+let same_key t a b =
+  Array.for_all
+    (fun i ->
+      a.(i) == b.(i)
+      || Stdlib.compare (part_of_value a.(i)) (part_of_value b.(i)) = 0)
+    t.idx_pos
+
 (* NaN keys stay out of the range: they compare as a key bucket of their
    own but carry no order, so min/max over them is meaningless. *)
 let numeric_of_key (k : key) =

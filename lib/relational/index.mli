@@ -58,6 +58,10 @@ val add : t -> int -> Sql_value.t array -> unit
 val remove : t -> int -> Sql_value.t array -> unit
 (** Removes the entry for [id]; [row] must be the indexed row value. *)
 
+val same_key : t -> Sql_value.t array -> Sql_value.t array -> bool
+(** Whether two full table rows normalize to the same key: an update
+    between them leaves this index as it is. *)
+
 val probe : t -> Sql_value.t array -> int list
 (** Candidate row ids whose key may SQL-equal the given values (in index
     column order), ascending. A NULL probe value matches nothing

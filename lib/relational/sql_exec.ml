@@ -1287,7 +1287,7 @@ let query db ?(params = [||]) s = Result.map fst (drain_direct db params s)
 (* Cross-session work sharing.
 
    Two mechanisms, both opt-in per database ([share_work]) and both
-   keyed on the database's statistics version, so a DML between two
+   keyed on the database's data version, so a DML between two
    readers splits them into different epochs: a reader admitted after
    the write can never join (or be served by) a flight started against
    the pre-write data.
@@ -1309,12 +1309,12 @@ module Singleflight = Aldsp_concurrency.Singleflight
 module Cancel = Aldsp_concurrency.Cancel
 
 (* Statement identity: database (by uid — names recur across fuzz
-   catalogs), statistics epoch, and the marshalled (statement, params)
+   catalogs), data epoch, and the marshalled (statement, params)
    pair. Sql_ast and Sql_value are pure data, so marshalling is a
    faithful structural fingerprint. *)
 let statement_key db params s =
   Printf.sprintf "%d\x00%d\x00%s" db.Database.db_uid
-    (Database.stats_version db)
+    (Database.data_version db)
     (Marshal.to_string (s, params) [])
 
 let flights : (result_set * string list, string) result Singleflight.t =
@@ -1371,7 +1371,7 @@ let group_key db keycol (s : select) =
      differ only in the probe key *)
   let normalized = { s with where = Some (Binop (Eq, keycol, Param 0)) } in
   Printf.sprintf "%d\x00%d\x00batch\x00%s" db.Database.db_uid
-    (Database.stats_version db)
+    (Database.data_version db)
     (Marshal.to_string normalized [])
 
 (* The most single-key probes merged into one IN-list statement:

@@ -32,7 +32,7 @@ type result_set = {
     plan lines of that one execution. A replay chunks like a direct
     cursor but ships no rows and touches no statistics: the shared
     execution accounted them. Sharing is keyed on
-    {!Database.stats_version}, so a DML between two readers splits them
+    {!Database.data_version}, so a DML between two readers splits them
     into different epochs, and is suspended while a fault schedule is
     active (scripted events align with statements one-to-one). *)
 

@@ -30,6 +30,9 @@ type t = {
   mutable indexes : Index.t list;
   mutable pk_index : Index.t option;  (* member of [indexes] *)
   mutable version : int;  (* bumped on every row mutation *)
+  mutable stats_version : int;
+      (* bumped when something the planner reads moves: the row count,
+         the index set or an index's distinct-key count *)
   mutable last_scan : (int * int array * Sql_value.t array array) option;
       (* the latest [scan] and the [version] it was taken at *)
 }
@@ -88,6 +91,7 @@ let register_index t ?(unique = false) ~name cols =
       if Bytes.get t.live id = '\001' then Index.add idx id t.store.(id)
     done;
     t.indexes <- t.indexes @ [ idx ];
+    t.stats_version <- t.stats_version + 1;
     Some idx
 
 let create_index t ~name cols =
@@ -116,6 +120,7 @@ let create ?(primary_key = []) ?(foreign_keys = []) table_name columns =
       indexes = [];
       pk_index = None;
       version = 0;
+      stats_version = 0;
       last_scan = None }
   in
   if primary_key <> [] then
@@ -220,6 +225,7 @@ let append_unchecked t row =
   t.size <- t.size + 1;
   t.live_count <- t.live_count + 1;
   t.version <- t.version + 1;
+  t.stats_version <- t.stats_version + 1;
   List.iter (fun idx -> Index.add idx id row) t.indexes;
   id
 
@@ -277,16 +283,26 @@ let delete_row_u t id =
     Bytes.set t.live id '\000';
     t.store.(id) <- [||];
     t.live_count <- t.live_count - 1;
-    t.version <- t.version + 1
+    t.version <- t.version + 1;
+    t.stats_version <- t.stats_version + 1
   end
 
+(* An index whose key is the same in both rows keeps its entry: the id
+   would go back into the bucket it left, at the same position. The
+   planner's statistics move only when some index's distinct-key count
+   does. *)
 let replace_row_u t id row =
   if is_live_u t id then begin
     let old = t.store.(id) in
     List.iter
       (fun idx ->
-        Index.remove idx id old;
-        Index.add idx id row)
+        if not (Index.same_key idx old row) then begin
+          let ndv = Index.distinct_keys idx in
+          Index.remove idx id old;
+          Index.add idx id row;
+          if Index.distinct_keys idx <> ndv then
+            t.stats_version <- t.stats_version + 1
+        end)
       t.indexes;
     t.store.(id) <- row;
     t.version <- t.version + 1
@@ -300,6 +316,7 @@ let revive_row_u t id row =
     Bytes.set t.live id '\001';
     t.live_count <- t.live_count + 1;
     t.version <- t.version + 1;
+    t.stats_version <- t.stats_version + 1;
     List.iter (fun idx -> Index.add idx id row) t.indexes
   end
 
@@ -433,6 +450,7 @@ let update_row t id row =
 (* Statistics *)
 
 let version t = t.version
+let stats_version t = t.stats_version
 
 type column_stats = {
   cs_columns : string list;
@@ -456,7 +474,7 @@ type statistics = {
 let statistics t =
   with_lock t @@ fun () ->
   { stat_rows = t.live_count;
-    stat_version = t.version;
+    stat_version = t.stats_version;
     stat_columns =
       List.map
         (fun idx ->

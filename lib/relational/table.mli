@@ -37,6 +37,7 @@ type t = private {
   mutable indexes : Index.t list;
   mutable pk_index : Index.t option;
   mutable version : int;
+  mutable stats_version : int;
   mutable last_scan : (int * int array * Sql_value.t array array) option;
       (** The latest {!scan} and the {!version} it was taken at. *)
 }
@@ -103,8 +104,9 @@ val probe_index : t -> Index.t -> Sql_value.t array -> int list
 
 val update_row : t -> int -> Sql_value.t array -> unit
 (** Replaces the row at [id] (no constraint validation, matching the
-    executor's historical UPDATE semantics) and fixes the indexes. The new
-    array must not be mutated afterwards. *)
+    executor's historical UPDATE semantics) and fixes the indexes whose
+    key changed; an index whose key columns hold the same values leaves
+    its entry alone. The new array must not be mutated afterwards. *)
 
 val delete_row : t -> int -> unit
 (** Tombstones the slot and unindexes the row; a no-op on dead ids. *)
@@ -142,8 +144,22 @@ val undo_log : log -> unit
     insert unwind, rollback). *)
 
 val version : t -> int
-(** A counter bumped on every row mutation; the planner keys cached cost
-    decisions on it (summed across tables into a stats generation). *)
+(** The data epoch: a counter bumped on every row mutation, including an
+    UPDATE that changes no key. It fences what must see the current rows:
+    {!scan}'s shared snapshot, and (summed by
+    {!Database.data_version}) cross-session work sharing. Cached plans
+    do not key on it. *)
+
+val stats_version : t -> int
+(** The planning epoch: a counter bumped only when something the cost
+    model reads may have moved — the live row count (insert, delete, a
+    bulk insert's unwind, a rollback's revive or delete), the index set
+    ({!create_index}) or some index's {!Index.distinct_keys} (an UPDATE
+    that moves a key into a new or out of its last bucket). An UPDATE
+    that leaves every distinct-key count as it was does not move it.
+    Summed by {!Database.stats_version}, it keys cached plans. Like
+    {!version}, it only moves forward. Numeric min/max is not covered:
+    nothing in the planner reads it yet. *)
 
 type column_stats = {
   cs_columns : string list;  (** Key columns of the backing index. *)
@@ -155,7 +171,7 @@ type column_stats = {
 
 type statistics = {
   stat_rows : int;  (** Exact live row count. *)
-  stat_version : int;  (** {!version} at the time of the snapshot. *)
+  stat_version : int;  (** {!stats_version} at the time of the snapshot. *)
   stat_columns : column_stats list;  (** One entry per registered index. *)
 }
 

@@ -831,7 +831,7 @@ let test_streamed_sessions_share () =
   check_int "every saved roundtrip counted shared= on the plan"
     st.Server.st_dedup_roundtrips_saved
     (List.fold_left
-       (fun acc (_, c) -> acc + c.Plan_ir.c_shared)
+       (fun acc (_, c) -> acc + c.Plan_ir.c_more.Plan_ir.c_shared)
        0 (Plan_ir.operators compiled.Server.ir));
   check_int "no slot held" 0 (Server.admission_stats server).Server.ad_active;
   check_nothing_registered ()

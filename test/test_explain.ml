@@ -122,7 +122,7 @@ let test_ppk_roundtrip_counters () =
     check_int "inner: ceil(6/2) PP-k blocks" 3 inner_c.Plan_ir.c_roundtrips;
     check_int "inner: six card rows" 6 inner_c.Plan_ir.c_rows;
     check_bool "backend plan captured for inner region" true
-      (inner_c.Plan_ir.c_backend <> [])
+      (inner_c.Plan_ir.c_more.Plan_ir.c_backend <> [])
   | ops -> Alcotest.failf "expected 2 sql operators, found %d" (List.length ops));
   let stats = Server.stats server in
   check_int "EXPLAIN roundtrips match Observed rollup" 3
@@ -179,6 +179,7 @@ let test_cache_hit_counters () =
   let hits, misses =
     List.fold_left
       (fun (h, m) (_, c) ->
+        let c = c.Plan_ir.c_more in
         (h + c.Plan_ir.c_cache_hits, m + c.Plan_ir.c_cache_misses))
       (0, 0)
       (Plan_ir.operators compiled.Server.ir)
@@ -455,6 +456,37 @@ let test_shape_staleness () =
     (Server.plan_cache_misses server);
   check_reference server "getProfileByID(\"CUST0003\")"
 
+(* A write that moves no statistic the cost model reads keeps every
+   cached plan: the SDO LAST_NAME submit changes no key, so the profile
+   read after it compiles nothing and runs the plan it ran before. *)
+let test_non_key_write_keeps_plan () =
+  let module D = Aldsp_demo.Demo in
+  let demo = D.create ~customers:20 () in
+  let server = demo.D.server in
+  let q = "getProfileByID(\"CUST0001\")" in
+  let profile =
+    match ok_exn (Server.run server q) with
+    | [ Item.Node p ] -> p
+    | other -> Alcotest.failf "not one profile: %s" (Item.serialize other)
+  in
+  let plan = ok_exn (Server.explain ~analyze:false server q) in
+  let sdo =
+    Aldsp_sdo.Sdo.of_result ~ds_function:(Qname.make ~uri:"fn" "getProfile")
+      profile
+  in
+  ok_exn
+    (Aldsp_sdo.Sdo.set_field sdo
+       [ Qname.local "PROFILE"; Qname.local "LAST_NAME" ]
+       (Atomic.String "Smithers"));
+  ignore (ok_exn (Aldsp_sdo.Submit.submit demo.D.registry [ sdo ]));
+  let misses = Server.plan_cache_misses server in
+  let after = Item.serialize (ok_exn (Server.run server q)) in
+  check_bool "the read sees the write" true (contains after "Smithers");
+  check_int "no compile after the write" misses
+    (Server.plan_cache_misses server);
+  check_string "the same plan" plan
+    (ok_exn (Server.explain ~analyze:false server q))
+
 (* ------------------------------------------------------------------ *)
 (* spill= rendering: present with its companions exactly when the sort
    overflowed its budget, absent otherwise                              *)
@@ -561,6 +593,158 @@ let explain_catalog vendor =
     golden_queries;
   Buffer.contents buf
 
+(* ------------------------------------------------------------------ *)
+(* Cached equals fresh: after every step of a seeded write sequence,
+   the long-lived server's static EXPLAIN is the one a fresh server over
+   the same registry compiles. This is what lets a plan outlive writes
+   that move none of its statistics.                                    *)
+
+(* The golden texts and the Figure 3 lookup, plus a literal selection on
+   ORDER_T.CID, whose estimate rows/NDV moves with every NDV change at
+   this size, and one per column {!oracle_step} may index, whose
+   estimate is rows/3 until the index gives it an NDV. *)
+let oracle_queries =
+  List.map snd golden_queries
+  @ [ "getProfileByID(\"CUST0001\")";
+      "for $o in ORDER_T() where $o/CID eq \"CUST0002\" return $o/OID";
+      "for $k in CREDIT_CARD() where $k/CID eq \"CUST0003\" return $k/NUM";
+      "for $c in CUSTOMER() where $c/LAST_NAME eq \"L1\" return $c/CID";
+      "for $o in ORDER_T() where $o/AMOUNT eq 7.5 return $o/OID" ]
+
+(* Fresh-variable numbers ([$agg~10]) come from a counter the server's
+   optimizer shares across compiles, so a recompile numbers them on from
+   the last one. Renumbering them by first appearance compares plans. A
+   summary the renderer cut at 90 bytes ([...]) is cut where the original
+   names end, so only its first 40 bytes and its counters are kept; the
+   operator's subtree is rendered in full below it. *)
+let canon_fresh text =
+  let seen = Hashtbl.create 8 in
+  let renamed =
+    Str.global_substitute (Str.regexp "~[0-9]+")
+      (fun t ->
+        let n = Str.matched_string t in
+        match Hashtbl.find_opt seen n with
+        | Some m -> m
+        | None ->
+          let m = Printf.sprintf "~%d" (Hashtbl.length seen + 1) in
+          Hashtbl.add seen n m;
+          m)
+      text
+  in
+  let cut line =
+    match Str.search_forward (Str.regexp_string "...") line 0 with
+    | exception Not_found -> line
+    | i ->
+      let counters =
+        match Str.search_backward (Str.regexp_string " (est=") line
+                (String.length line - 1)
+        with
+        | j when j > i -> String.sub line j (String.length line - j)
+        | _ | (exception Not_found) -> ""
+      in
+      String.sub line 0 (min 40 i) ^ "..." ^ counters
+  in
+  String.concat "\n" (List.map cut (String.split_on_char '\n' renamed))
+
+(* A write the table refuses (a duplicate key) changes nothing, which
+   the oracle covers as well as one that lands. *)
+let dml db sql =
+  match Sql_parser.parse sql with
+  | Ok (Sql_ast.Dml d) -> ignore (Sql_exec.execute_dml db d)
+  | _ -> Alcotest.failf "not a DML statement: %s" sql
+
+(* One random write against the demo: a row-count change, a key update
+   (which may or may not move an NDV), a non-key update, a rolled-back
+   write or a new index. Returns its description. *)
+let oracle_step rng (demo : Aldsp_demo.Demo.t) fresh_id =
+  let cdb = demo.Aldsp_demo.Demo.customer_db
+  and kdb = demo.Aldsp_demo.Demo.card_db in
+  (* one key more than the demo has customers *)
+  let cid () = Printf.sprintf "CUST%04d" (1 + Random.State.int rng 5) in
+  let customer_write () =
+    match Random.State.int rng 5 with
+    | 0 ->
+      Printf.sprintf
+        "INSERT INTO ORDER_T (OID, CID, AMOUNT) VALUES (%d, '%s', 7.5)"
+        (fresh_id ()) (cid ())
+    | 1 ->
+      Printf.sprintf
+        "INSERT INTO CUSTOMER (CID, LAST_NAME, FIRST_NAME, SSN, SINCE) \
+         VALUES ('NEW%04d', 'Nova', 'Ann', '000-00-0000', 2001)"
+        (fresh_id ())
+    | 2 ->
+      Printf.sprintf "UPDATE CUSTOMER SET LAST_NAME = 'L%d' WHERE CID = '%s'"
+        (Random.State.int rng 3) (cid ())
+    | 3 ->
+      Printf.sprintf "UPDATE ORDER_T SET CID = '%s' WHERE CID = '%s'" (cid ())
+        (cid ())
+    | _ -> Printf.sprintf "DELETE FROM ORDER_T WHERE CID = '%s'" (cid ())
+  in
+  match Random.State.int rng 5 with
+  | 0 | 1 ->
+    let sql = customer_write () in
+    dml cdb sql;
+    sql
+  | 2 ->
+    let sql = customer_write () in
+    ignore
+      (Txn.with_transaction cdb (fun () ->
+           dml cdb sql;
+           Error "abort"));
+    "rolled back: " ^ sql
+  | 3 ->
+    let sql =
+      if Random.State.bool rng then
+        Printf.sprintf "UPDATE CREDIT_CARD SET CID = '%s' WHERE CID = '%s'"
+          (cid ()) (cid ())
+      else Printf.sprintf "DELETE FROM CREDIT_CARD WHERE CID = '%s'" (cid ())
+    in
+    dml kdb sql;
+    sql
+  | _ ->
+    let db, table, name, cols =
+      List.nth
+        [ (kdb, "CREDIT_CARD", "card_cid", [ "CID" ]);
+          (cdb, "CUSTOMER", "cust_last", [ "LAST_NAME" ]);
+          (cdb, "ORDER_T", "order_amount", [ "AMOUNT" ]) ]
+        (Random.State.int rng 3)
+    in
+    (* a second registration of the same name is refused and changes
+       nothing *)
+    ignore
+      (Table.create_index (ok_exn (Database.find_table db table)) ~name cols);
+    "create_index " ^ name
+
+let test_cached_equals_fresh () =
+  let module D = Aldsp_demo.Demo in
+  let hits = ref 0 in
+  for seed = 1 to 8 do
+    let rng = Random.State.make [| seed |] in
+    let demo = D.create ~customers:4 ~orders_per_customer:3 () in
+    let server = demo.D.server in
+    let next = ref 900_000 in
+    let fresh_id () = incr next; !next in
+    let static_ s q =
+      canon_fresh (ok_exn (Server.explain ~analyze:false s q))
+    in
+    let compare_all step =
+      let fresh = Server.create demo.D.registry in
+      List.iter
+        (fun q ->
+          check_string
+            (Printf.sprintf "seed %d, after %s: %s" seed step q)
+            (static_ fresh q) (static_ server q))
+        oracle_queries
+    in
+    compare_all "nothing";
+    let h = Server.plan_cache_hits server in
+    for _ = 1 to 12 do
+      compare_all (oracle_step rng demo fresh_id)
+    done;
+    hits := !hits + Server.plan_cache_hits server - h
+  done;
+  check_bool "some plans outlived a write" true (!hits > 0)
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -616,7 +800,9 @@ let () =
           t "literal types get their own shapes" test_literal_types_own_shapes;
           t "plan-shaping literals stay inline"
             test_plan_shaping_literals_stay_inline;
-          t "stale shapes recompile" test_shape_staleness ] );
+          t "stale shapes recompile" test_shape_staleness;
+          t "a non-key write keeps the plan" test_non_key_write_keeps_plan;
+          t "cached plans equal fresh ones" test_cached_equals_fresh ] );
       ( "spill",
         [ t "spill= counters on a spilled sort" test_spill_counters;
           t "zero-spill plans render as before"

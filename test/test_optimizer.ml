@@ -393,6 +393,73 @@ let test_selectivity_tracks_live_ndv () =
   check_int "stale plan purged, not served" (misses + 1)
     (Server.stats server).Server.st_plan_cache_misses
 
+(* ------------------------------------------------------------------ *)
+(* Plan keys: a cached plan is kept exactly until a statistic the cost
+   model reads (row count, index set, index NDV) moves                  *)
+
+let static_explain server q = ok_exn (Server.explain ~analyze:false server q)
+
+let run_dml db sql =
+  match Aldsp_relational.Sql_parser.parse sql with
+  | Ok (Aldsp_relational.Sql_ast.Dml d) ->
+    ignore (ok_exn (Aldsp_relational.Sql_exec.execute_dml db d))
+  | _ -> Alcotest.failf "not a DML statement: %s" sql
+
+let test_new_index_replans () =
+  let module D = Aldsp_demo.Demo in
+  let demo =
+    D.create ~customers:200 ~orders_per_customer:0 ~cards_per_customer:5
+      ~db_latency:0.0005 ()
+  in
+  let q =
+    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
+     return <R>{$c/CID, $x/NUM}</R>"
+  in
+  let before = static_explain demo.D.server q in
+  let cards =
+    ok_exn (Aldsp_relational.Database.find_table demo.D.card_db "CREDIT_CARD")
+  in
+  ok_exn (Aldsp_relational.Table.create_index cards ~name:"card_cid" [ "CID" ]);
+  let after = static_explain demo.D.server q in
+  Alcotest.(check string)
+    "the long-lived server plans as a fresh one"
+    (static_explain (Server.create demo.D.registry) q)
+    after;
+  check_bool "the index moved the plan" true (before <> after)
+
+let test_ndv_update_replans () =
+  let demo = setup () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let q = "for $o in ORDER_T() where $o/CID eq \"CUST0002\" return $o/OID" in
+  let est () = sql_region_est (compile_exn server q).Server.ir in
+  check_int "18 rows over 6 keys" 3 (est ());
+  let misses = Server.plan_cache_misses server in
+  run_dml demo.Aldsp_demo.Demo.customer_db
+    "UPDATE ORDER_T SET CID = 'CUST0001'";
+  check_int "18 rows over 1 key" 18 (est ());
+  check_int "one recompile" (misses + 1) (Server.plan_cache_misses server)
+
+let test_rolled_back_insert_replans () =
+  let demo = setup () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let db = demo.Aldsp_demo.Demo.customer_db in
+  let q = "for $o in ORDER_T() where $o/CID eq \"CUST0002\" return $o/OID" in
+  let plan = static_explain server q in
+  let generation = Metadata.stats_generation demo.Aldsp_demo.Demo.registry in
+  let misses = Server.plan_cache_misses server in
+  let outcome =
+    Aldsp_relational.Txn.with_transaction db (fun () ->
+        run_dml db
+          "INSERT INTO ORDER_T (OID, CID, AMOUNT) VALUES (900001, 'NEW0001', \
+           NULL)";
+        Error "abort")
+  in
+  check_bool "rolled back" true (Result.is_error outcome);
+  check_bool "the planning generation only moves forward" true
+    (Metadata.stats_generation demo.Aldsp_demo.Demo.registry > generation);
+  Alcotest.(check string) "the same plan again" plan (static_explain server q);
+  check_int "one recompile" (misses + 1) (Server.plan_cache_misses server)
+
 (* The paper's Figure 3 point lookup at the benchmark's scale and source
    latency: the CUSTOMER key literal prices the outer at one row, so the
    card database is probed with that key (PP-k) instead of shipped whole. *)
@@ -578,6 +645,11 @@ let () =
         [ t "literal = / IN on indexed columns" test_literal_selectivity;
           t "recompile uses live NDV" test_selectivity_tracks_live_ndv;
           t "point lookup probes the card db" test_point_lookup_probes_card_db
+        ] );
+      ( "plan keys",
+        [ t "a new index re-plans" test_new_index_replans;
+          t "an NDV-changing UPDATE re-plans" test_ndv_update_replans;
+          t "a rolled-back INSERT re-plans" test_rolled_back_insert_replans
         ] );
       ( "ppk plan",
         [ t "k and prefetch bounds" test_ppk_choice_bounds;
