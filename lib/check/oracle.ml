@@ -90,8 +90,8 @@ let shutdown_pools () =
 
 let reference_server (cat : Catalog.t) = Server.reference cat.Catalog.registry
 
-let subject_server (cat : Catalog.t) config =
-  Server.create
+let subject_server ?function_cache (cat : Catalog.t) config =
+  Server.create ?function_cache
     ~optimizer_options:
       { Optimizer.default_options with
         Optimizer.ppk_k = config.ppk_k;
@@ -337,6 +337,35 @@ let check_streamed ~prepare server q items =
              "streamed delivery diverged\nmaterialized: %s\nstreamed    : %s"
              expected got))
 
+(* One subject's runs: the text, its cached re-run (and [swap]) and its
+   streamed run. Returns the first run's bytes and the checks' verdict. *)
+let run_subject ~prepare ?swap server q =
+  match Server.run server q with
+  | Ok items ->
+    let first = Aldsp_xml.Item.serialize items in
+    ( Ok first,
+      Result.bind (recheck_cached ~prepare ?swap server q first) (fun () ->
+          check_streamed ~prepare server q items) )
+  | Error _ as e -> (e, Ok ())
+
+(* [run_subject] on a fresh subject with getSummaryByID marked cacheable
+   and a fresh function cache: the first run is a miss, which runs the
+   function's call plan, and the re-run a hit. The mark is taken off
+   again whatever happens. *)
+let run_cacheable (cat : Catalog.t) config ~prepare q =
+  let name = Aldsp_xml.Qname.make ~uri:"fn" "getSummaryByID" in
+  let cache = Function_cache.create (Aldsp_relational.Database.create "C") in
+  Function_cache.enable cache name ~ttl_seconds:3600.;
+  let mark flag = Metadata.set_cacheable cat.Catalog.registry name flag in
+  mark true;
+  Fun.protect ~finally:(fun () -> mark false) @@ fun () ->
+  prepare ();
+  let server = subject_server ~function_cache:cache cat config in
+  match run_subject ~prepare server q with
+  | (Ok _ as r), Ok () when Function_cache.hits cache = 0 ->
+    (r, Error "cacheable re-run was not a function-cache hit")
+  | outcome -> outcome
+
 (* Every evaluation starts from the same scripted rating-call schedule,
    so each side sees call n fail or succeed alike. *)
 let compare_query cat config ?(mutate = false) ?(rating_faults = []) ?swap q =
@@ -362,18 +391,12 @@ let compare_query cat config ?(mutate = false) ?(rating_faults = []) ?swap q =
     let r, chk =
       if mutate then (run_mutated (subject_server cat config) q, Ok ())
       else
-        let server = subject_server cat config in
-        let run = Server.run server q in
-        let r = Result.map Aldsp_xml.Item.serialize run in
-        let chk =
-          match (run, r) with
-          | Ok items, Ok first -> (
-            match recheck_cached ~prepare ?swap server q first with
-            | Error _ as e -> e
-            | Ok () -> check_streamed ~prepare server q items)
-          | _ -> Ok ()
-        in
-        (r, chk)
+        match run_subject ~prepare ?swap (subject_server cat config) q with
+        | r, Ok ()
+          when r = reference && String.starts_with ~prefix:"getSummaryByID(" q
+          ->
+          run_cacheable cat config ~prepare q
+        | outcome -> outcome
     in
     set_indexes cat true;
     if rating_faults <> [] then Aldsp_services.Web_service.set_schedule rating [];

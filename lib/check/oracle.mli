@@ -54,7 +54,8 @@ val shutdown_pools : unit -> unit
 (** {!Pool.shutdown} on every cached pool (end of a fuzzing run). *)
 
 val reference_server : Catalog.t -> Server.t
-val subject_server : Catalog.t -> config -> Server.t
+val subject_server :
+  ?function_cache:Function_cache.t -> Catalog.t -> config -> Server.t
 
 val set_indexes : Catalog.t -> bool -> unit
 (** Flips {!Aldsp_relational.Database.set_use_indexes} on every database
@@ -119,4 +120,9 @@ val compare_query :
     backend cursors, delivered through a deliberately small
     backpressured queue) and the streamed chunks must byte-match the
     materialized result pushed through the same token serializer — the
-    streaming-delivery oracle. *)
+    streaming-delivery oracle.
+
+    A [getSummaryByID] call ({!Gen.By_id}) the subject agrees on is run
+    again, but for the swap, on a fresh subject with that function
+    marked cacheable (unmarked afterwards): a function-cache miss, which
+    runs the body's call plan, then hits, all matching the reference. *)

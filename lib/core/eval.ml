@@ -42,23 +42,20 @@ type rt = {
   on_spill : spill_report;
       (* called once per sort that actually spilled — the server rolls
          these into its stats *)
-  (* Compiled function bodies, lazily lowered on first call and memoized
-     per (name, arity); dropped wholesale when the registry's generation
-     moves so a redefined function never runs its old plan. Every call
-     counts straight into its view's totals: nothing renders a body. *)
-  body_plans : (Qname.t * int, Plan_ir.t) Hashtbl.t;
-  body_mu : Mutex.t;
-  mutable body_gen : int;
+  body_plan : Metadata.function_def -> C.t -> Plan_ir.t;
+      (* the plan a call that runs a function body executes *)
 }
 
 let runtime ?(call_wrapper = fun _ _ k -> k ()) ?audit ?pool ?observed
     ?(concurrent_lets = true) ?sort_budget_rows
-    ?(on_spill = fun ~runs:_ ~rows:_ ~bytes:_ ~peak:_ -> ()) registry =
+    ?(on_spill = fun ~runs:_ ~rows:_ ~bytes:_ ~peak:_ -> ())
+    ?body_plan registry =
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  let body_plan =
+    Option.value body_plan ~default:(fun _ -> Plan_ir.compile registry)
+  in
   { registry; call_wrapper; audit; max_depth = 256; pool; observed;
-    concurrent_lets; sort_budget_rows; on_spill;
-    body_plans = Hashtbl.create 16; body_mu = Mutex.create ();
-    body_gen = Metadata.generation registry }
+    concurrent_lets; sort_budget_rows; on_spill; body_plan }
 
 (* Which exceptions the fail-over/timeout adaptors (§5.6) may recover
    from: evaluation errors, and runtime failures a source call can
@@ -348,28 +345,6 @@ let cursor_chunks rt counters cur =
     | Ok rows -> Seq.Cons (rows, fetch)
   in
   fetch
-
-(* Compiled function bodies, keyed on (name, arity), re-lowered whenever
-   the registry's generation moves. *)
-let body_plan rt fd body =
-  Mutex.lock rt.body_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock rt.body_mu)
-    (fun () ->
-      let gen = Metadata.generation rt.registry in
-      if rt.body_gen <> gen then begin
-        Hashtbl.reset rt.body_plans;
-        rt.body_gen <- gen
-      end;
-      let key =
-        (fd.Metadata.fd_name, List.length fd.Metadata.fd_params)
-      in
-      match Hashtbl.find_opt rt.body_plans key with
-      | Some plan -> plan
-      | None ->
-        let plan = Plan_ir.compile rt.registry body in
-        Hashtbl.add rt.body_plans key plan;
-        plan)
 
 (* Every data-service call is audited here, before the function cache
    can serve it. *)
@@ -700,7 +675,7 @@ and call fr sink counters fd values =
   let n =
     match fd.Metadata.fd_impl with
     | Metadata.Body body when not fd.Metadata.fd_cacheable ->
-      let body = body_plan fr.rt fd body in
+      let body = fr.rt.body_plan fd body in
       observe fr.rt fd Fun.id (fun () ->
           emit_plan (in_body body) (fn_env fd values) sink body.tree)
     | impl ->
@@ -710,7 +685,7 @@ and call fr sink counters fd values =
         observe fr.rt fd List.length (fun () ->
             match impl with
             | Metadata.Body body ->
-              let body = body_plan fr.rt fd body in
+              let body = fr.rt.body_plan fd body in
               exec (in_body body) (fn_env fd values) body.tree
             | Metadata.External source -> eval_external fr source fd values)
       in

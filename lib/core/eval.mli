@@ -56,6 +56,7 @@ val runtime :
   ?concurrent_lets:bool ->
   ?sort_budget_rows:int ->
   ?on_spill:spill_report ->
+  ?body_plan:(Metadata.function_def -> Cexpr.t -> Plan_ir.t) ->
   Metadata.t ->
   rt
 (** [audit] receives a ["service-call"] event for every data-service
@@ -74,7 +75,9 @@ val runtime :
     fallback route through {!Extsort}, spilling sorted runs to disk and
     merging them back as a stream (results byte-identical; spill totals
     land in the operator's {!Plan_ir.counters} and [on_spill]). Absent,
-    they sort in memory as before. *)
+    they sort in memory as before. [body_plan fd body] is the plan a call
+    running [fd]'s body [body] executes; its {!Eval_error} is the call's.
+    The default lowers [body] as written, on every call. *)
 
 val recoverable_failure : exn -> bool
 (** Whether the fail-over/timeout adaptors (§5.6) may recover from this
@@ -111,9 +114,7 @@ val execute :
     items built, counted into [counters] (from {!Plan_ir.new_run} on the
     same view); folding them into a view is the caller's choice. The
     root's time-to-first-row is stamped when the whole result is ready.
-    Function bodies reached by calls are lowered on first use and
-    memoized in the runtime, keyed on (name, arity) and invalidated when
-    {!Metadata.generation} moves. *)
+    A call that runs a function body runs the runtime's [body_plan]. *)
 
 val emit :
   rt ->

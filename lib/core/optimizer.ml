@@ -66,32 +66,16 @@ type t = {
   opts : options;
   workers : int;  (* size of the pool PP-k prefetches on *)
   counter : int ref;
-  view_cache : (Qname.t * int, Cexpr.t) Hashtbl.t;
-      (* optimized bodies, keyed on (name, arity), of the registry's
-         [view_gen] *)
-  view_lock : Mutex.t;
-      (* guards view_cache/view_gen/hits/misses: one optimizer is shared
-         by every concurrent compilation on a server *)
-  mutable view_gen : int;
-  mutable hits : int;
-  mutable misses : int;
+  view_body : Metadata.function_def -> C.t -> C.t;
+      (* what view unfolding splices in for a function's body *)
 }
 
-let create ?(options = default_options) ?workers registry =
+let create ?(options = default_options) ?workers
+    ?(view_body = fun _ body -> body) registry =
   let workers =
     match workers with Some w -> w | None -> Pool.size (Pool.default ())
   in
-  { registry;
-    opts = options;
-    workers;
-    counter = ref 0;
-    view_cache = Hashtbl.create 32;
-    view_lock = Mutex.create ();
-    view_gen = Metadata.generation registry;
-    hits = 0;
-    misses = 0 }
-
-let options t = t.opts
+  { registry; opts = options; workers; counter = ref 0; view_body }
 
 let fresh t () =
   incr t.counter;
@@ -189,21 +173,6 @@ let references_any vars e =
 
 (* --- view unfolding: function inlining ----------------------------- *)
 
-(* At most this many memoized view bodies: a full memo starts over. *)
-let view_cache_capacity = 64
-
-(* The memo is dropped whenever the registry's generation moves, so a
-   redeclared function is never served its old body; statistics moves
-   keep it. Called with [view_lock] held; returns the generation the memo
-   now holds. *)
-let sync_view_cache t =
-  let gen = Metadata.generation t.registry in
-  if t.view_gen <> gen then begin
-    Hashtbl.reset t.view_cache;
-    t.view_gen <- gen
-  end;
-  gen
-
 let rec query_independent_rules t =
   [ rule_let_substitution t;
     rule_flwor_flatten t;
@@ -220,34 +189,6 @@ let rec query_independent_rules t =
     rule_seq_data_distribute;
     rule_dead_let ]
 
-(* The rewrite below may re-enter [view_body] through the inline rule, so
-   the lock is never held across [Rewrite.run]: look up under the lock,
-   optimize outside it, insert under the lock again unless the generation
-   moved meanwhile. Two sessions racing on the same cold view both
-   optimize it — the result is deterministic, so the duplicate work is
-   benign and the second insert a no-op. *)
-and view_body t (fd : Metadata.function_def) body =
-  let key = (fd.Metadata.fd_name, List.length fd.Metadata.fd_params) in
-  Mutex.lock t.view_lock;
-  let gen = sync_view_cache t in
-  match Hashtbl.find_opt t.view_cache key with
-  | Some optimized ->
-    t.hits <- t.hits + 1;
-    Mutex.unlock t.view_lock;
-    optimized
-  | None ->
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.view_lock;
-    let optimized, _ = Rewrite.run (query_independent_rules t) body in
-    Mutex.lock t.view_lock;
-    if sync_view_cache t = gen then begin
-      if Hashtbl.length t.view_cache >= view_cache_capacity then
-        Hashtbl.reset t.view_cache;
-      Hashtbl.replace t.view_cache key optimized
-    end;
-    Mutex.unlock t.view_lock;
-    optimized
-
 and rule_inline t =
   { Rewrite.rule_name = "inline-view";
     apply =
@@ -255,24 +196,17 @@ and rule_inline t =
         match e with
         | C.Call { fn; args } -> (
           match Metadata.resolve_call t.registry fn (List.length args) with
-          | Some fd
-            when (match fd.Metadata.fd_impl with
-                 | Metadata.Body _ -> true
-                 | Metadata.External _ -> false)
-                 && not fd.Metadata.fd_cacheable -> (
-            match fd.Metadata.fd_impl with
-            | Metadata.Body body ->
-              let body = view_body t fd body in
-              let body = C.rename_bound (fresh t) body in
-              let lets =
-                List.map2
-                  (fun (param, _) arg -> C.Let { var = param; value = arg })
-                  fd.Metadata.fd_params args
-              in
-              Some
-                (if lets = [] then body
-                 else C.Flwor { clauses = lets; return_ = body })
-            | Metadata.External _ -> None)
+          | Some ({ Metadata.fd_impl = Metadata.Body body; _ } as fd)
+            when not fd.Metadata.fd_cacheable ->
+            let body = C.rename_bound (fresh t) (t.view_body fd body) in
+            let lets =
+              List.map2
+                (fun (param, _) arg -> C.Let { var = param; value = arg })
+                fd.Metadata.fd_params args
+            in
+            Some
+              (if lets = [] then body
+               else C.Flwor { clauses = lets; return_ = body })
           | _ -> None)
         | _ -> None) }
 
@@ -1233,9 +1167,6 @@ let reorder_sources t ?observed e =
   reorder_with pair_costs e
 
 let cleanup t e = fst (Rewrite.run (query_independent_rules t) e)
-
-let view_cache_hits t = t.hits
-let view_cache_misses t = t.misses
 
 let all_rules t =
   (if t.opts.inline_views then [ rule_inline t ] else [])

@@ -4,9 +4,9 @@
 
     - {b View unfolding}: XQuery function inlining and un-nesting, the
       analogue of relational view unfolding. Views (layers of data
-      services) are first optimized by a {e sub-optimizer} whose
-      query-independent result is cached per function and reused across
-      queries, with eviction bounding the cache (§4.2). Cache-enabled
+      services) are first optimized by a {e sub-optimizer} ({!cleanup})
+      whose query-independent result the server keeps per function in its
+      body cache and reuses across queries (§4.2). Cache-enabled
       functions are not inlined — their calls must stay visible to the
       function cache (§5.5).
     - {b Source-access elimination}: navigation into constructed elements
@@ -78,12 +78,20 @@ val reference_options : options
 
 type t
 
-val create : ?options:options -> ?workers:int -> Metadata.t -> t
+val create :
+  ?options:options ->
+  ?workers:int ->
+  ?view_body:(Metadata.function_def -> Cexpr.t -> Cexpr.t) ->
+  Metadata.t ->
+  t
 (** [workers] is the size of the pool PP-k blocks are prefetched on
     ({!Pool.size}); it bounds the prefetch the cost model chooses and
-    defaults to {!Pool.default}'s. *)
-
-val options : t -> options
+    defaults to {!Pool.default}'s. [view_body fd body] is what view
+    unfolding splices in for a call to [fd], whose body is [body]: the
+    server passes its body cache's view core ({!cleanup} of [body], §4.2);
+    the default is [body] itself, uncached. An optimizer holds no state
+    but the counter that numbers its fresh variables, so one is built per
+    compile and a plan's [$agg~N] names start at 1 on every compile. *)
 
 val optimize : t -> Cexpr.t -> Cexpr.t * Rewrite.stats
 (** The main (pre-pushdown) rewrite pipeline. *)
@@ -125,15 +133,5 @@ val reorder_sources : t -> ?observed:Observed.t -> Cexpr.t -> Cexpr.t
 val cleanup : t -> Cexpr.t -> Cexpr.t
 (** Query-independent simplification (let substitution, dead code,
     constructor elimination) — run after pushdown to tidy residual
-    middleware expressions. *)
-
-val view_cache_hits : t -> int
-(** View unfolding runs the query-independent rules over an inlined
-    function body once and memoizes the result (§4.2): keyed on the
-    function's (name, arity), at most 64 bodies (a full memo starts
-    over), all dropped when {!Metadata.generation} moves — a
-    redeclared function is never served its old body, while data writes
-    (which move only {!Metadata.stats_generation}) keep the memo. These
-    count the memo's lookups that hit and that missed. *)
-
-val view_cache_misses : t -> int
+    middleware expressions, and the view sub-optimizer over a function
+    body (§4.2). *)

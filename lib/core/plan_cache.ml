@@ -60,16 +60,16 @@ let touch t ks entry =
   entry.e_tick <- t.tick;
   t.recency <- IntMap.add t.tick ks t.recency
 
-let find t key =
+let find ?(count = true) t key =
   locked t @@ fun () ->
   let ks = key_string key in
   match Hashtbl.find_opt t.table ks with
   | Some entry ->
-    t.hit_count <- t.hit_count + 1;
+    if count then t.hit_count <- t.hit_count + 1;
     touch t ks entry;
     Some entry.e_plan
   | None ->
-    t.miss_count <- t.miss_count + 1;
+    if count then t.miss_count <- t.miss_count + 1;
     None
 
 let add t key plan =
@@ -114,12 +114,6 @@ let purge_stale t ~generation ~stats =
         t.recency <- IntMap.remove tick t.recency)
       stale
   end
-
-let clear t =
-  locked t @@ fun () ->
-  Hashtbl.reset t.table;
-  t.recency <- IntMap.empty;
-  t.purged <- None
 
 let size t = locked t @@ fun () -> Hashtbl.length t.table
 let hits t = locked t @@ fun () -> t.hit_count

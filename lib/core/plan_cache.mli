@@ -30,8 +30,9 @@ type 'plan t
 
 val create : capacity:int -> 'plan t
 
-val find : 'plan t -> key -> 'plan option
-(** Refreshes the entry's recency on hit. *)
+val find : ?count:bool -> 'plan t -> key -> 'plan option
+(** Refreshes the entry's recency on hit. [count] (default true) says
+    whether the lookup counts into {!hits} or {!misses}. *)
 
 val add : 'plan t -> key -> 'plan -> unit
 (** Inserts, evicting the least recently used entry at capacity. *)
@@ -44,12 +45,11 @@ val purge_stale : 'plan t -> generation:int -> stats:int -> unit
     another pair was added since, so a call between two mutations costs
     one comparison. *)
 
-val clear : 'plan t -> unit
 val size : 'plan t -> int
 val hits : 'plan t -> int
 val misses : 'plan t -> int
 
 val evictions : 'plan t -> int
-(** Capacity evictions performed by {!add} (stale purges and {!clear} are
-    not evictions). Bookkeeping invariant, asserted by the tests: with no
+(** Capacity evictions performed by {!add} (stale purges are not
+    evictions). Bookkeeping invariant, asserted by the tests: with no
     purges, [distinct keys added - evictions = size]. *)

@@ -66,11 +66,17 @@ type shape =
   | Lifted of compiled
   | Inline
 
+(* A body cache entry: the view core view unfolding splices in (§4.2),
+   and the call plan, lowered on the first call that runs the body (two
+   racing first calls both lower it; either plan serves). *)
+type body = { core : Cexpr.t; mutable call_plan : Plan_ir.t option }
+
 type t = {
   registry : Metadata.t;
-  optimizer : Optimizer.t;
+  options : Optimizer.options;
   plan_cache : compiled Plan_cache.t;  (* per query text *)
   shape_cache : shape Plan_cache.t;
+  body_cache : body Plan_cache.t;  (* per function (name, arity) *)
   fingerprint : string;  (* of the optimizer options, fixed at creation *)
   compile_hits : int Stdlib.Atomic.t;
   compile_misses : int Stdlib.Atomic.t;
@@ -80,7 +86,7 @@ type t = {
   audit : Audit.t;
   observed : Observed.t option;
   pool : Pool.t;
-  runtime : Eval.rt;
+  mutable runtime : Eval.rt;  (* set by [make], around [body_cache] *)
   admission : admission;
   counter_lock : Mutex.t;
       (* guards the read-modify-write rollups below *)
@@ -135,8 +141,97 @@ type stats = {
           the sort budget. 0 when nothing spilled. *)
 }
 
-let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
-    ?security ?audit ?observed ?pool ?concurrent_lets
+(* ------------------------------------------------------------------ *)
+(* The compile back end, and the body cache                            *)
+
+(* A key under the generations in force now. A compile's result is keyed
+   after it runs: compilation itself may move the generation (transient
+   prolog function registration), and keying under the new one lets an
+   identical recompile — which would re-register the same definitions —
+   hit. *)
+let cache_key ?fingerprint t query =
+  { Plan_cache.k_query = query;
+    k_options = Option.value fingerprint ~default:t.fingerprint;
+    k_generation = Metadata.generation t.registry;
+    k_stats = Metadata.stats_generation t.registry }
+
+(* Every compile from the normalized core on: text, call shape and
+   function body. [vars] are typed external variables: a shape's
+   placeholders, a body's parameters. Raises [Diag.Compile_error]. *)
+let rec compile_core t opts ~diag ~vars core =
+  let optimizer = optimizer t opts in
+  let tenv = Typecheck.env ~vars t.registry diag in
+  let static_type, typed = Typecheck.check tenv core in
+  let typed =
+    (* source reordering must see the raw for-clauses, before join
+       introduction (§9): statically costed when the cost model is
+       on (observed samples as fallback), observed-only otherwise *)
+    if opts.Optimizer.cost_based then
+      Optimizer.reorder_sources optimizer ?observed:t.observed typed
+    else
+      match t.observed with
+      | Some obs -> Optimizer.reorder_by_observed_cost optimizer obs typed
+      | None -> typed
+  in
+  let optimized, _stats = Optimizer.optimize optimizer typed in
+  let do_push = opts.Optimizer.pushdown in
+  let gate = Optimizer.parameterize_gate optimizer in
+  let push e = if do_push then Pushdown.push ~gate t.registry e else e in
+  let pushed = push optimized in
+  let cleaned = Optimizer.cleanup optimizer pushed in
+  (* a second pass prunes columns whose only consumer the cleanup
+     removed (source-access elimination, §4.2) *)
+  let pushed = push cleaned in
+  let plan = Optimizer.select_methods optimizer pushed in
+  (static_type, plan, Plan_ir.compile t.registry plan)
+
+(* One optimizer per compile, so its fresh variables number from 1;
+   view unfolding takes its bodies from the body cache. *)
+and optimizer t options =
+  let fingerprint = Optimizer.options_fingerprint options in
+  Optimizer.create ~options ~workers:(Pool.size t.pool)
+    ~view_body:(fun fd body ->
+      (find_body t options fingerprint ~count:true fd body).core)
+    t.registry
+
+(* A body's key is "name#arity", which no query text equals, under the
+   options it compiles with and the generations in force. Only view
+   unfolding's lookups [count] into the view-cache counters. *)
+and find_body t options fingerprint ~count (fd : Metadata.function_def) body =
+  let key =
+    cache_key ~fingerprint t
+      (Qname.to_string fd.Metadata.fd_name ^ "#"
+      ^ string_of_int (List.length fd.Metadata.fd_params))
+  in
+  match Plan_cache.find ~count t.body_cache key with
+  | Some b -> b
+  | None ->
+    let b =
+      { core = Optimizer.cleanup (optimizer t options) body; call_plan = None }
+    in
+    Plan_cache.add t.body_cache key b;
+    b
+
+(* The runtime's call plans: a body's view core through the back end
+   under the server's own options, also inside a hinted query. *)
+let body_plan t (fd : Metadata.function_def) body =
+  let b = find_body t t.options t.fingerprint ~count:false fd body in
+  match b.call_plan with
+  | Some plan -> plan
+  | None ->
+    let diag = Diag.collector Diag.Fail_fast in
+    let vars = fd.Metadata.fd_params in
+    let _, _, plan =
+      try compile_core t t.options ~diag ~vars b.core
+      with Diag.Compile_error d -> raise (Eval.Eval_error (Diag.to_string d))
+    in
+    b.call_plan <- Some plan;
+    plan
+
+(* [raw_bodies]: calls run bodies as written, lowered on every call (the
+   reference). *)
+let make ~raw_bodies ?optimizer_options ?(plan_cache_capacity = 128)
+    ?function_cache ?security ?audit ?observed ?pool ?concurrent_lets
     ?(max_concurrent = 16) ?(admission_queue = 64) registry =
   let audit = match audit with Some a -> a | None -> Audit.create () in
   let security =
@@ -161,60 +256,67 @@ let create ?optimizer_options ?(plan_cache_capacity = 128) ?function_cache
     if peak > !spill_peak_resident then spill_peak_resident := peak;
     Mutex.unlock counter_lock
   in
-  { registry;
-    optimizer =
-      Optimizer.create ~options:opts ~workers:(Pool.size pool) registry;
-    plan_cache = Plan_cache.create ~capacity:plan_cache_capacity;
-    shape_cache = Plan_cache.create ~capacity:plan_cache_capacity;
-    fingerprint = Optimizer.options_fingerprint opts;
-    compile_hits = Stdlib.Atomic.make 0;
-    compile_misses = Stdlib.Atomic.make 0;
-    function_cache;
-    security;
-    audit;
-    observed;
-    pool;
-    runtime =
-      Eval.runtime
-        ?call_wrapper:(Option.map Function_cache.wrapper function_cache)
-        ~audit ~pool ?observed
-        ?concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
-        ~on_spill registry;
-    admission =
-      { adm_max_active = max max_concurrent 1;
-        adm_max_queue = max admission_queue 0;
-        adm_mutex = Mutex.create ();
-        adm_slot_free = Condition.create ();
-        adm_idle = Condition.create ();
-        adm_active = 0;
-        adm_waiting = 0;
-        adm_draining = false;
-        adm_submitted = 0;
-        adm_admitted = 0;
-        adm_rejected = 0;
-        adm_completed = 0;
-        adm_deadline_aborts = 0;
-        adm_peak_active = 0;
-        adm_peak_waiting = 0 };
-    counter_lock;
-    streamed_tokens = ref 0;
-    worst_misestimate = ref 1.;
-    spill_runs;
-    spill_rows;
-    spill_bytes;
-    spill_peak_resident }
+  let t =
+    { registry;
+      options = opts;
+      plan_cache = Plan_cache.create ~capacity:plan_cache_capacity;
+      shape_cache = Plan_cache.create ~capacity:plan_cache_capacity;
+      body_cache = Plan_cache.create ~capacity:plan_cache_capacity;
+      fingerprint = Optimizer.options_fingerprint opts;
+      compile_hits = Stdlib.Atomic.make 0;
+      compile_misses = Stdlib.Atomic.make 0;
+      function_cache;
+      security;
+      audit;
+      observed;
+      pool;
+      runtime = Eval.runtime ~pool registry (* until [t] exists *);
+      admission =
+        { adm_max_active = max max_concurrent 1;
+          adm_max_queue = max admission_queue 0;
+          adm_mutex = Mutex.create ();
+          adm_slot_free = Condition.create ();
+          adm_idle = Condition.create ();
+          adm_active = 0;
+          adm_waiting = 0;
+          adm_draining = false;
+          adm_submitted = 0;
+          adm_admitted = 0;
+          adm_rejected = 0;
+          adm_completed = 0;
+          adm_deadline_aborts = 0;
+          adm_peak_active = 0;
+          adm_peak_waiting = 0 };
+      counter_lock;
+      streamed_tokens = ref 0;
+      worst_misestimate = ref 1.;
+      spill_runs;
+      spill_rows;
+      spill_bytes;
+      spill_peak_resident }
+  in
+  t.runtime <-
+    Eval.runtime
+      ?call_wrapper:(Option.map Function_cache.wrapper function_cache)
+      ~audit ~pool ?observed
+      ?concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
+      ~on_spill
+      ?body_plan:(if raw_bodies then None else Some (body_plan t))
+      registry;
+  t
+
+let create = make ~raw_bodies:false
 
 (* The differential-testing oracle (see lib/check): every cost-only
    compilation and execution choice disabled — no pushdown, a single
-   worker, no prefetch, sequential lets — so results depend only on query
-   semantics. *)
+   worker, no prefetch, sequential lets, bodies run as written — so
+   results depend only on query semantics. *)
 let reference ?plan_cache_capacity ?function_cache ?security ?audit registry =
-  create ~optimizer_options:Optimizer.reference_options
+  make ~raw_bodies:true ~optimizer_options:Optimizer.reference_options
     ~pool:(Pool.create ~workers:1 ()) ~concurrent_lets:false
     ?plan_cache_capacity ?function_cache ?security ?audit registry
 
 let registry t = t.registry
-let optimizer t = t.optimizer
 let security t = t.security
 let function_cache t = t.function_cache
 let pool t = t.pool
@@ -321,9 +423,9 @@ let wrap_lets lets body =
   if lets = [] then body
   else Cexpr.Flwor { clauses = lets; return_ = body }
 
-let register_functions t ~diag (prolog : Xq_ast.prolog) =
+let register_functions registry ~diag (prolog : Xq_ast.prolog) =
   let ctx =
-    Normalize.of_prolog ~schema_lookup:(Metadata.find_schema t.registry) diag
+    Normalize.of_prolog ~schema_lookup:(Metadata.find_schema registry) diag
       prolog
   in
   let var_scope, var_lets = prolog_variable_bindings ctx prolog in
@@ -338,7 +440,7 @@ let register_functions t ~diag (prolog : Xq_ast.prolog) =
   List.iter
     (fun (decl, name, params, return_type) ->
       let attrs = pragma_attrs decl in
-      Metadata.add_function t.registry
+      Metadata.add_function registry
         { Metadata.fd_name = name;
           fd_params = List.map (fun (_, uv, ty) -> (uv, ty)) params;
           fd_return = return_type;
@@ -366,14 +468,14 @@ let register_functions t ~diag (prolog : Xq_ast.prolog) =
         let tenv =
           Typecheck.env
             ~vars:(List.map (fun (_, uv, ty) -> (uv, ty)) params)
-            t.registry diag
+            registry diag
         in
         let _, body =
           Typecheck.check_function_body tenv ~declared:return_type body
         in
-        (match Metadata.find_function t.registry name (List.length params) with
+        (match Metadata.find_function registry name (List.length params) with
         | Some fd ->
-          Metadata.add_function t.registry
+          Metadata.add_function registry
             { fd with Metadata.fd_impl = Metadata.Body body }
         | None -> ()))
     sigs;
@@ -385,7 +487,7 @@ let register_data_service t ~name source =
   | Error msg ->
     Error [ { Diag.severity = Diag.Error; phase = "parse"; message = msg } ]
   | Ok query -> (
-    match register_functions t ~diag query.Xq_ast.prolog with
+    match register_functions t.registry ~diag query.Xq_ast.prolog with
     | sigs ->
       let fn_names = List.map (fun (_, n, _, _) -> n) sigs in
       let reads =
@@ -415,12 +517,7 @@ let design_time_check t source =
   let diag = Diag.collector Diag.Recover in
   (* analyze against a copy of the registry so the live one never sees the
      file's declarations *)
-  let shadow =
-    { t with
-      registry = Metadata.copy t.registry;
-      plan_cache = Plan_cache.create ~capacity:1;
-      shape_cache = Plan_cache.create ~capacity:1 }
-  in
+  let shadow = Metadata.copy t.registry in
   (try ignore (register_functions shadow ~diag query.Xq_ast.prolog)
    with Diag.Compile_error d ->
      Diag.error diag ~phase:d.Diag.phase "%s" d.Diag.message);
@@ -480,9 +577,9 @@ let apply_hints base_options (query : Xq_ast.query) =
         introduce_joins =
           bool_hint "join-introduction" base_options.introduce_joins }
 
-(* The compile pipeline on a parsed query. [lifted] are the placeholder
-   variables of a call shape ({!Shape.lift}), external variables of the
-   literal's type. *)
+(* The compile front end on a parsed query (hints, prolog, normalize),
+   then the back end. [lifted] are the placeholder variables of a call
+   shape ({!Shape.lift}), external variables of the literal's type. *)
 let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
   let diag = Diag.collector Diag.Fail_fast in
   match query.Xq_ast.body with
@@ -493,15 +590,11 @@ let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
           message = "query has no body expression" } ]
   | Some body_ast -> (
     try
-      let optimizer =
-        match apply_hints (Optimizer.options t.optimizer) query with
-        | Some hinted ->
-          Optimizer.create ~options:hinted ~workers:(Pool.size t.pool)
-            t.registry
-        | None -> t.optimizer
+      let options =
+        Option.value (apply_hints t.options query) ~default:t.options
       in
       (* inline prolog function declarations are registered transiently *)
-      ignore (register_functions t ~diag query.Xq_ast.prolog);
+      ignore (register_functions t.registry ~diag query.Xq_ast.prolog);
       let ctx =
         Normalize.of_prolog
           ~schema_lookup:(Metadata.find_schema t.registry)
@@ -510,62 +603,19 @@ let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
       let var_scope, var_lets = prolog_variable_bindings ctx query.Xq_ast.prolog in
       let params = List.map (fun (v, _) -> (v, v)) lifted @ var_scope in
       let core = wrap_lets var_lets (Normalize.expr ~params ctx body_ast) in
-      let tenv =
-        Typecheck.env
-          ~vars:
-            (List.map (fun (v, a) -> (v, Stype.atomic (Atomic.type_of a))) lifted)
-          t.registry diag
+      let vars =
+        List.map (fun (v, a) -> (v, Stype.atomic (Atomic.type_of a))) lifted
       in
-      let static_type, typed = Typecheck.check tenv core in
-      let opts = Optimizer.options optimizer in
-      let typed =
-        (* source reordering must see the raw for-clauses, before join
-           introduction (§9): statically costed when the cost model is
-           on (observed samples as fallback), observed-only otherwise *)
-        if opts.Optimizer.cost_based then
-          Optimizer.reorder_sources optimizer ?observed:t.observed typed
-        else
-          match t.observed with
-          | Some obs -> Optimizer.reorder_by_observed_cost optimizer obs typed
-          | None -> typed
-      in
-      let optimized, _stats = Optimizer.optimize optimizer typed in
-      let do_push = opts.Optimizer.pushdown in
-      let gate = Optimizer.parameterize_gate optimizer in
-      let push e = if do_push then Pushdown.push ~gate t.registry e else e in
-      let pushed = push optimized in
-      let cleaned = Optimizer.cleanup optimizer pushed in
-      (* a second pass prunes columns whose only consumer the cleanup
-         removed (source-access elimination, §4.2) *)
-      let pushed = push cleaned in
-      let plan = Optimizer.select_methods optimizer pushed in
+      let static_type, plan, ir = compile_core t options ~diag ~vars core in
       Ok
         { source;
           plan;
-          ir = Plan_ir.compile t.registry plan;
+          ir;
           bindings = [];
           static_type;
           diagnostics = Diag.diagnostics diag;
           sql = Pushdown.pushed_sql t.registry plan }
     with Diag.Compile_error d -> Error [ d ])
-
-let cache_key t ~generation ~stats query =
-  { Plan_cache.k_query = query;
-    k_options = t.fingerprint;
-    k_generation = generation;
-    k_stats = stats }
-
-(* Post-compile generations: compilation itself may move the generation
-   (transient prolog function registration), and keying under the new one
-   lets an identical recompile — which would re-register the same
-   definitions — hit. *)
-let add_after_compile t cache query entry =
-  Plan_cache.add cache
-    (cache_key t
-       ~generation:(Metadata.generation t.registry)
-       ~stats:(Metadata.stats_generation t.registry)
-       query)
-    entry
 
 (* A text miss: compile the text's call shape once and give the text its
    own view of the shape's lowered plan, with its literals as the
@@ -579,11 +629,7 @@ let compile_text t source query =
     let vars = List.map fst lifted in
     let bindings = List.map (fun (v, a) -> (v, [ Item.Atom a ])) lifted in
     let shape_key = Shape.key lifted_query lifted in
-    let generation = Metadata.generation t.registry in
-    let stats = Metadata.stats_generation t.registry in
-    match
-      Plan_cache.find t.shape_cache (cache_key t ~generation ~stats shape_key)
-    with
+    match Plan_cache.find t.shape_cache (cache_key t shape_key) with
     | Some (Lifted template) ->
       let ir = Plan_ir.instance template.ir in
       (false, Ok { template with source; ir; bindings })
@@ -591,11 +637,11 @@ let compile_text t source query =
     | None -> (
       match compile_query t ~lifted source lifted_query with
       | Ok template when Plan_ir.params_only template.ir vars ->
-        add_after_compile t t.shape_cache shape_key (Lifted template);
+        Plan_cache.add t.shape_cache (cache_key t shape_key) (Lifted template);
         (* the template's own view goes to this first text only *)
         (true, Ok { template with bindings })
       | Ok _ | Error _ ->
-        add_after_compile t t.shape_cache shape_key Inline;
+        Plan_cache.add t.shape_cache (cache_key t shape_key) Inline;
         full ()))
 
 let compile t source =
@@ -606,7 +652,8 @@ let compile t source =
   let stats = Metadata.stats_generation t.registry in
   Plan_cache.purge_stale t.plan_cache ~generation ~stats;
   Plan_cache.purge_stale t.shape_cache ~generation ~stats;
-  match Plan_cache.find t.plan_cache (cache_key t ~generation ~stats source) with
+  Plan_cache.purge_stale t.body_cache ~generation ~stats;
+  match Plan_cache.find t.plan_cache (cache_key t source) with
   | Some compiled ->
     Stdlib.Atomic.incr t.compile_hits;
     Ok compiled
@@ -618,7 +665,7 @@ let compile t source =
     | Ok query ->
       let ran, result = compile_text t source query in
       Stdlib.Atomic.incr (if ran then t.compile_misses else t.compile_hits);
-      Result.iter (add_after_compile t t.plan_cache source) result;
+      Result.iter (Plan_cache.add t.plan_cache (cache_key t source)) result;
       result)
 
 (* ------------------------------------------------------------------ *)
@@ -1091,3 +1138,5 @@ let explain t ?(analyze = true) ?(timings = false) source =
 
 let plan_cache_hits t = Stdlib.Atomic.get t.compile_hits
 let plan_cache_misses t = Stdlib.Atomic.get t.compile_misses
+let view_cache_hits t = Plan_cache.hits t.body_cache
+let view_cache_misses t = Plan_cache.misses t.body_cache

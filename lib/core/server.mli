@@ -4,13 +4,13 @@
     Query processing follows the phases of §3.3 — parsing, expression tree
     construction, normalization, type checking, optimization, code
     generation — then execution. Compiled plans are cached by query text
-    and by call shape (see {!compile});
-    view bodies are sub-optimized and cached per function with eviction;
-    the function cache (when configured) intercepts calls to
-    cache-enabled data service functions; element-level security filtering
-    runs last, after cache hits, as the result is delivered: one filter
-    wraps the sink on every entry point, so a restricted user's audit
-    trail is in document order however the result is delivered (§7).
+    and by call shape (see {!compile}), function bodies by function (see
+    {!view_cache_hits}); the function cache (when configured) intercepts
+    calls to cache-enabled data service functions; element-level security
+    filtering runs last, after cache hits, as the result is delivered: one
+    filter wraps the sink on every entry point, so a restricted user's
+    audit trail is in document order however the result is delivered
+    (§7).
 
     Mirroring the product's stateless client APIs, {!run} and {!call}
     materialize their results completely before returning;
@@ -146,12 +146,12 @@ val reference :
   t
 (** The differential-testing oracle configuration: a server compiled with
     {!Optimizer.reference_options} (no pushdown, no rewrites), a
-    single-worker pool, zero prefetch, and sequential lets. The harness in
+    single-worker pool, zero prefetch, and sequential lets; a call runs
+    the function's body as written, with no body cache. The harness in
     [lib/check] compares optimized configurations against this server's
     serialized results byte-for-byte. *)
 
 val registry : t -> Metadata.t
-val optimizer : t -> Optimizer.t
 val security : t -> Security.t
 val function_cache : t -> Function_cache.t option
 val pool : t -> Pool.t
@@ -368,3 +368,14 @@ val plan_cache_misses : t -> int
     the first text of a shape that turns out inline compiles the shape,
     then itself. [st_plan_cache_hits] and [st_plan_cache_misses] of
     {!stats} are these two counters. *)
+
+val view_cache_hits : t -> int
+(** View unfoldings served by the body cache, the third cache level: one
+    entry per function (name, arity), keyed and purged as the other two.
+    An entry holds the view core every unfolding splices in, sub-optimized
+    once ({!Optimizer.cleanup}, §4.2), and the call plan a call that runs
+    the body executes (not counted here): the core compiled like a text
+    under the server's own options, parameters as typed variables. *)
+
+val view_cache_misses : t -> int
+(** View unfoldings that sub-optimized the function's body. *)

@@ -411,6 +411,47 @@ let test_point_lookup_counts () =
   check_bool (Printf.sprintf "next key: <= 5 rows shipped (%d)" shipped) true
     (shipped <= 5)
 
+(* A call that runs a function body runs it optimized and pushed down,
+   as the inlined text runs it: the Figure 3 lookup through
+   [Server.call], and marked cacheable on its function-cache miss, issues
+   the inlined text's statements, full scans and rows shipped, and the
+   hit after the miss issues none. *)
+let test_calls_run_optimized_body () =
+  let module D = Aldsp_demo.Demo in
+  let cache = Function_cache.create (Database.create "CacheDB") in
+  let demo = D.create ~customers:200 ~function_cache:cache () in
+  let server = demo.D.server in
+  let name = Qname.make ~uri:"fn" "getProfileByID" in
+  let q = "getProfileByID(\"CUST0007\")" in
+  let counted f =
+    D.reset_stats demo;
+    let bytes = Item.serialize (ok_exn (f ())) in
+    let total g =
+      g demo.D.customer_db.Database.stats + g demo.D.card_db.Database.stats
+    in
+    ( bytes,
+      [ total (fun s -> s.Database.statements);
+        total (fun s -> s.Database.full_scans);
+        total (fun s -> s.Database.rows_shipped) ] )
+  in
+  let counts = Alcotest.(list int) in
+  let inlined_bytes, inlined = counted (fun () -> Server.run server q) in
+  let same label (bytes, got) expected =
+    check_string (label ^ ": bytes") inlined_bytes bytes;
+    Alcotest.check counts (label ^ ": statements, full scans, rows shipped")
+      expected got
+  in
+  same "Server.call"
+    (counted (fun () ->
+         Server.call server name [ [ Item.string "CUST0007" ] ]))
+    inlined;
+  Metadata.set_cacheable demo.D.registry name true;
+  Function_cache.enable cache name ~ttl_seconds:300.;
+  same "cacheable miss" (counted (fun () -> Server.run server q)) inlined;
+  same "cacheable hit" (counted (fun () -> Server.run server q)) [ 0; 0; 0 ];
+  check_int "one function-cache miss" 1 (Function_cache.misses cache);
+  check_int "one function-cache hit" 1 (Function_cache.hits cache)
+
 let test_literal_types_own_shapes () =
   let demo = shape_demo () in
   let server = demo.Aldsp_demo.Demo.server in
@@ -611,41 +652,6 @@ let oracle_queries =
       "for $c in CUSTOMER() where $c/LAST_NAME eq \"L1\" return $c/CID";
       "for $o in ORDER_T() where $o/AMOUNT eq 7.5 return $o/OID" ]
 
-(* Fresh-variable numbers ([$agg~10]) come from a counter the server's
-   optimizer shares across compiles, so a recompile numbers them on from
-   the last one. Renumbering them by first appearance compares plans. A
-   summary the renderer cut at 90 bytes ([...]) is cut where the original
-   names end, so only its first 40 bytes and its counters are kept; the
-   operator's subtree is rendered in full below it. *)
-let canon_fresh text =
-  let seen = Hashtbl.create 8 in
-  let renamed =
-    Str.global_substitute (Str.regexp "~[0-9]+")
-      (fun t ->
-        let n = Str.matched_string t in
-        match Hashtbl.find_opt seen n with
-        | Some m -> m
-        | None ->
-          let m = Printf.sprintf "~%d" (Hashtbl.length seen + 1) in
-          Hashtbl.add seen n m;
-          m)
-      text
-  in
-  let cut line =
-    match Str.search_forward (Str.regexp_string "...") line 0 with
-    | exception Not_found -> line
-    | i ->
-      let counters =
-        match Str.search_backward (Str.regexp_string " (est=") line
-                (String.length line - 1)
-        with
-        | j when j > i -> String.sub line j (String.length line - j)
-        | _ | (exception Not_found) -> ""
-      in
-      String.sub line 0 (min 40 i) ^ "..." ^ counters
-  in
-  String.concat "\n" (List.map cut (String.split_on_char '\n' renamed))
-
 (* A write the table refuses (a duplicate key) changes nothing, which
    the oracle covers as well as one that lands. *)
 let dml db sql =
@@ -724,9 +730,7 @@ let test_cached_equals_fresh () =
     let server = demo.D.server in
     let next = ref 900_000 in
     let fresh_id () = incr next; !next in
-    let static_ s q =
-      canon_fresh (ok_exn (Server.explain ~analyze:false s q))
-    in
+    let static_ s q = ok_exn (Server.explain ~analyze:false s q) in
     let compare_all step =
       let fresh = Server.create demo.D.registry in
       List.iter
@@ -794,6 +798,7 @@ let () =
           t "one compile per call shape" test_one_compile_per_shape;
           t "one plan object per text" test_plan_object_per_text;
           t "point lookup counts" test_point_lookup_counts;
+          t "calls run the optimized body" test_calls_run_optimized_body;
           t "counters per rendered operator"
             test_counters_per_rendered_operator;
           t "operators listed once" test_operators_listed_once;
