@@ -14,12 +14,22 @@ let error fmt = Printf.ksprintf (fun m -> raise (Eval_error m)) fmt
 
 (* Bindings are either materialized or futures running on the worker pool
    (fn-bea:async, concurrent independent lets); the pool rides along so
-   awaiting from a worker thread can help-drain instead of deadlocking. *)
-type binding = Now of Item.sequence | Later of Pool.t * Item.sequence Future.t
+   awaiting from a worker thread can help-drain instead of deadlocking.
+   [Unbound] fills a slot nothing has bound. *)
+type binding =
+  | Now of Item.sequence
+  | Later of Pool.t * Item.sequence Future.t
+  | Unbound
 
-module Env = Map.Make (String)
-
-type env = binding Env.t
+(* A binding tuple (§5.1, Figure 4's array form): slot i holds the
+   variable lowering numbered i ({!Plan_ir.var}). A frame is no wider than
+   the scope that reads it. An operator that binds copies its input frame
+   and fills the copy (copy-on-extend). A filled slot never changes, and
+   nothing reads a slot before it is filled: a let run fills its copy in
+   slot order, each value reading only the slots before its own, and a
+   value it submits to the pool gets a copy of its own
+   (copy-on-capture). *)
+type frame = binding array
 
 type call_wrapper =
   Metadata.function_def -> Item.sequence list -> (unit -> Item.sequence) ->
@@ -71,34 +81,60 @@ let recoverable_failure = function
   | Cancel.Cancelled _ -> false
   | _ -> false
 
-let lookup env v =
-  match Env.find_opt v env with
-  | Some (Now seq) -> seq
-  | Some (Later (pool, fut)) -> Pool.await pool fut
-  | None -> error "unbound variable $%s at runtime" v
+let force (v : var) = function
+  | Now seq -> seq
+  | Later (pool, fut) -> Pool.await pool fut
+  | Unbound -> error "unbound variable $%s at runtime" v.name
 
-let bind env v seq = Env.add v (Now seq) env
+let lookup (frame : frame) (v : var) =
+  force v (if v.slot < Array.length frame then frame.(v.slot) else Unbound)
 
-let env_of bindings =
-  List.fold_left (fun acc (v, seq) -> bind acc v seq) Env.empty bindings
+let no_items = Now []
 
-(* A function body's environment: its parameters bound to the argument
-   values. *)
-let fn_env fd values =
-  List.fold_left2
-    (fun acc (param, _) value -> bind acc param value)
-    Env.empty fd.Metadata.fd_params values
+(* A private copy of [frame] at least [width] slots wide, for its caller
+   to fill: the one way a frame grows. *)
+let widen (frame : frame) width : frame =
+  let n = Array.length frame in
+  if width <= n then Array.copy frame
+  else begin
+    let f = Array.make width Unbound in
+    Array.blit frame 0 f 0 n;
+    f
+  end
 
-(* Spilling an environment to disk requires it to be pure data: [Later]
+let extend frame (v : var) b =
+  let f = widen frame (v.slot + 1) in
+  f.(v.slot) <- b;
+  f
+
+(* The frame width that binds every one of [vars]. *)
+let width_of vars = List.fold_left (fun w (v : var) -> max w (v.slot + 1)) 0 vars
+
+(* A plan's parameters, each the value [find] gives its name. *)
+let params_of (view : Plan_ir.t) find =
+  Array.map
+    (fun name -> match find name with Some seq -> Now seq | None -> Unbound)
+    view.params
+
+(* A function body's parameters: the argument values by name. *)
+let body_params view fd values =
+  params_of view (fun name ->
+      let rec find params values =
+        match (params, values) with
+        | (p, _) :: params, v :: values ->
+          if String.equal p name then Some v else find params values
+        | _ -> None
+      in
+      find fd.Metadata.fd_params values)
+
+(* Spilling a frame to disk requires it to be pure data: [Later]
    bindings hold pool futures (closures), so they are awaited into values
-   first. Only envs headed for a spill file pay this — the in-memory
-   paths keep bindings lazy as before. *)
-let materialize_env env =
-  Env.map
-    (function
-      | Now _ as b -> b
-      | Later (pool, fut) -> Now (Pool.await pool fut))
-    env
+   first, in a copy. Only frames headed for a spill file pay this — the
+   in-memory paths keep bindings lazy. *)
+let materialize (frame : frame) =
+  Array.map
+    (function Later (pool, fut) -> Now (Pool.await pool fut) | b -> b)
+    frame
 
 (* Route a keyed sequence through the external sort under the runtime's
    row budget, accounting the spill into the operator's counters (and the
@@ -219,24 +255,42 @@ let atomize seq =
 
 let ebv seq = match Item.ebv seq with Ok b -> b | Error m -> error "%s" m
 
+(* The empty operand of a value comparison, told apart by identity: no
+   other atom is this block. *)
+let no_atom = Atomic.Untyped ""
+
+(* A sequence's one atom, or [no_atom] when it is empty. *)
+let operand what seq =
+  match seq with
+  | [ Item.Atom a ] -> a
+  | [] -> no_atom
+  | _ -> (
+    match atomize seq with
+    | [] -> no_atom
+    | [ a ] -> a
+    | _ -> error "%s: more than one item" what)
+
 let singleton_atom what seq =
-  match atomize seq with
-  | [] -> None
-  | [ a ] -> Some a
-  | _ -> error "%s: more than one item" what
+  let a = operand what seq in
+  if a == no_atom then None else Some a
 
 let value_compare op a b =
-  match Atomic.compare_values a b with
-  | Ok c -> (
-    match op with
-    | C.V_eq -> c = 0
-    | C.V_ne -> c <> 0
-    | C.V_lt -> c < 0
-    | C.V_le -> c <= 0
-    | C.V_gt -> c > 0
-    | C.V_ge -> c >= 0
-    | _ -> assert false)
-  | Error m -> error "%s" m
+  let c =
+    (* the pairs the join keys hold, compared as [Atomic.compare_values]
+       does, without its [Ok] *)
+    match (a, b) with
+    | Atomic.String x, Atomic.String y -> String.compare x y
+    | Atomic.Integer x, Atomic.Integer y -> Int.compare x y
+    | _ -> ( match Atomic.compare_values a b with Ok c -> c | Error m -> error "%s" m)
+  in
+  match op with
+  | C.V_eq -> c = 0
+  | C.V_ne -> c <> 0
+  | C.V_lt -> c < 0
+  | C.V_le -> c <= 0
+  | C.V_gt -> c > 0
+  | C.V_ge -> c >= 0
+  | _ -> assert false
 
 (* PP-k block hash keys. Only a single string or numeric atom normalizes,
    numerics to one canonical float as in [Index.part_of_value], so two
@@ -244,12 +298,13 @@ let value_compare op a b =
    compare without error. *)
 type hash_part = H_str of string | H_num of float
 
-let hash_part = function
-  | [ Atomic.String s ] -> Some (H_str s)
-  | [ Atomic.Integer i ] -> Some (H_num (Index.canon_float (float_of_int i)))
-  | [ (Atomic.Decimal f | Atomic.Double f) ] ->
-    Some (H_num (Index.canon_float f))
+let hash_atom = function
+  | Atomic.String s -> Some (H_str s)
+  | Atomic.Integer i -> Some (H_num (Index.canon_float (float_of_int i)))
+  | Atomic.Decimal f | Atomic.Double f -> Some (H_num (Index.canon_float f))
   | _ -> None
+
+let hash_part = function [ a ] -> hash_atom a | _ -> None
 
 let same_class a b =
   match (a, b) with H_str _, H_str _ | H_num _, H_num _ -> true | _ -> false
@@ -296,16 +351,35 @@ let count_rows ~t0 c seq =
       x)
     seq
 
+(* The elements of each list in turn, one list forced at a time, each
+   counted as [count_rows] counts: an operator that produces its tuples
+   in lists counts them here, in the one layer that flattens them. *)
+let counted_lists ~t0 c (lists : 'a list Seq.t) : 'a Seq.t =
+  let rec next lists () =
+    match lists () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (l, rest) -> cells l rest ()
+  and cells l rest () =
+    match l with
+    | [] -> next rest ()
+    | x :: tl ->
+      first_row c t0;
+      c.c_rows <- c.c_rows + 1;
+      Seq.Cons (x, cells tl rest)
+  in
+  next lists
+
 (* ------------------------------------------------------------------ *)
 (* The executor                                                        *)
 
-(* [counters]: the execution's, indexed by operator id. *)
-type frame = { rt : rt; depth : int; counters : run }
+(* [counters]: the execution's, indexed by operator id; [params]: the
+   values of the plan's parameters, indexed by [P_param] slot. *)
+type ctx = { rt : rt; depth : int; counters : run; params : binding array }
 
 (* A call node's counters, if it keeps any: a call EXPLAIN inlines (no
    data-service function at compile time, no operator among its
    arguments) has none. *)
-let counter fr (p : plan) = if p.id < 0 then None else Some fr.counters.(p.id)
+let counter cx (p : plan) = if p.id < 0 then None else Some cx.counters.(p.id)
 
 (* The PP-k blocking step: lazy, the last block may be short, k <= 1
    degenerates to singleton blocks. *)
@@ -357,34 +431,58 @@ let audit_call rt fd values =
          (List.length values))
   | _ -> ()
 
-(* A cursor's row binder: each bind's column position in the result is
-   resolved once per cursor. A bind whose column the result lacks raises
-   when a row is bound, not when the cursor opens. *)
-let sql_binder (binds : C.sql_bind list) columns =
-  let positions =
-    List.map
-      (fun (b : C.sql_bind) ->
-        (b, List.find_index (String.equal b.C.bcol) columns))
-      binds
+(* A fetched non-NULL value as its bind's type: the cast when one
+   applies, else the value as the backend typed it. *)
+let atom_of_value ty (v : V.t) =
+  let a =
+    match v with
+    | V.Int i -> Atomic.Integer i
+    | V.Float f -> Atomic.Decimal f
+    | V.Str s -> Atomic.String s
+    | V.Bool b -> Atomic.Boolean b
+    | V.Timestamp f -> Atomic.Date_time f
+    | V.Null -> invalid_arg "Eval.atom_of_value"
   in
-  fun base_env row ->
-    List.fold_left
-      (fun acc ((b : C.sql_bind), idx) ->
-        let idx =
-          match idx with
-          | Some i -> i
-          | None -> error "SQL result lacks column %s" b.C.bcol
-        in
-        let value =
-          match V.to_atomic row.(idx) with
-          | None -> []
-          | Some atom -> (
-            match Atomic.cast b.C.btype atom with
-            | Ok v -> [ Item.Atom v ]
-            | Error _ -> [ Item.Atom atom ])
-        in
-        bind acc b.C.bvar value)
-      base_env positions
+  if Atomic.type_of a = ty then a
+  else match Atomic.cast ty a with Ok c -> c | Error _ -> a
+
+(* A cursor's row binder: each bind resolved once per cursor to its
+   column position (-1 when the result lacks it), frame slot and type. A
+   bind whose column the result lacks raises when a row is bound, not
+   when the cursor opens. *)
+type binder = {
+  cols : int array;
+  slots : int array;
+  types : Atomic.atomic_type array;
+  names : string array;
+  width : int;
+}
+
+let sql_binder (r : sql_region) columns =
+  let binds = Array.of_list r.sql_binds in
+  let column (b : C.sql_bind) =
+    Option.value ~default:(-1)
+      (List.find_index (String.equal b.C.bcol) columns)
+  in
+  { cols = Array.map column binds;
+    slots = r.sql_slots;
+    types = Array.map (fun (b : C.sql_bind) -> b.C.btype) binds;
+    names = Array.map (fun (b : C.sql_bind) -> b.C.bcol) binds;
+    width = Array.fold_left (fun w s -> max w (s + 1)) 0 r.sql_slots }
+
+(* [frame] extended with one fetched row: one copy, then one item per
+   bind. *)
+let bind_row b frame (row : V.t array) =
+  let f = widen frame b.width in
+  for i = 0 to Array.length b.slots - 1 do
+    let c = b.cols.(i) in
+    if c < 0 then error "SQL result lacks column %s" b.names.(i);
+    f.(b.slots.(i)) <-
+      (match row.(c) with
+      | V.Null -> no_items
+      | v -> Now [ Item.Atom (atom_of_value b.types.(i) v) ])
+  done;
+  f
 
 let deliver (sink : Token_stream.sink) items =
   sink.items items;
@@ -416,44 +514,85 @@ let observe rt fd count run =
       ~cardinality:(count result);
     result
 
-let rec exec fr env (p : plan) : Item.sequence =
+(* Where a PP-k block finds a fetched row's key part. *)
+type key_source = From_column of int * Atomic.atomic_type | From_plan of plan
+
+exception No_key
+
+(* A fetched value's hash part under its bind's type: [hash_atom] of
+   [atom_of_value ty v], without the atom when the backend's type is
+   already the bind's. *)
+let hash_value ty (v : V.t) =
+  match (ty, v) with
+  | _, V.Null -> raise_notrace No_key
+  | Atomic.T_string, V.Str s -> H_str s
+  | Atomic.T_integer, V.Int i -> H_num (Index.canon_float (float_of_int i))
+  | _ -> (
+    match hash_atom (atom_of_value ty v) with
+    | Some p -> p
+    | None -> raise_notrace No_key)
+
+(* Marks row [j] a candidate of each left tuple in [is]. *)
+let rec visit visits j = function
+  | [] -> ()
+  | i :: is ->
+    visits.(i) <- j :: visits.(i);
+    visit visits j is
+
+(* The frame slot a plan reads whole, if it reads one. *)
+let rec whole_slot p =
+  match p.node with
+  | P_var v -> Some v.slot
+  | P_data p -> whole_slot p
+  | _ -> None
+
+(* A left tuple extended with a right tuple's own slots, those from
+   [base] on; the slots below are the ones they share. *)
+let merge left right base =
+  let n = Array.length right in
+  let f = widen left n in
+  if n > base then Array.blit right base f base (n - base);
+  f
+
+let rec exec cx frame (p : plan) : Item.sequence =
   match p.node with
   | P_const a -> [ Item.Atom a ]
   | P_empty -> []
-  | P_var v -> lookup env v
+  | P_var v -> lookup frame v
+  | P_param v -> force v cx.params.(v.slot)
   | P_construct _ | P_pipeline _ | P_seq _ ->
-    build (fun sink -> emit_plan fr env sink p)
+    build (fun sink -> emit_plan cx frame sink p)
   | P_if { cond; then_; else_ } ->
-    if ebv (exec fr env cond) then exec fr env then_ else exec fr env else_
+    if truth cx frame cond then exec cx frame then_ else exec cx frame else_
   | P_quantified { universal; var; source; pred } ->
-    let items = exec fr env source in
-    let test item = ebv (exec fr (bind env var [ item ]) pred) in
+    let items = exec cx frame source in
+    let test item = truth cx (extend frame var (Now [ item ])) pred in
     [ Item.boolean
         (if universal then List.for_all test items else List.exists test items) ]
-  | P_call { fn; args; _ } -> exec_call fr env p fn args
+  | P_call { fn; args; _ } -> exec_call cx frame p fn args
   | P_async arg ->
-    let v = exec fr env arg in
-    tally fr.counters.(p.id) (List.length v);
+    let v = exec cx frame arg in
+    tally cx.counters.(p.id) (List.length v);
     v
   | P_fail_over { primary; alternate } ->
     (* the primary may fail inside a pool worker (e.g. a concurrent-let
        future), which surfaces as the task's own exception rather than
        Eval_error — those are recoverable too (§5.6) *)
     let v =
-      try exec fr env primary
-      with e when recoverable_failure e -> exec fr env alternate
+      try exec cx frame primary
+      with e when recoverable_failure e -> exec cx frame alternate
     in
-    tally fr.counters.(p.id) (List.length v);
+    tally cx.counters.(p.id) (List.length v);
     v
   | P_timeout { primary; millis; alternate } ->
     let ms =
-      match singleton_atom "fn-bea:timeout" (exec fr env millis) with
+      match singleton_atom "fn-bea:timeout" (exec cx frame millis) with
       | Some (Atomic.Integer i) -> i
       | _ -> error "fn-bea:timeout expects an integer milliseconds argument"
     in
     (* a dedicated thread, not a pool worker: past the deadline the
        computation is abandoned and must not occupy the bounded pool *)
-    let fut = Future.detach (fun () -> exec fr env primary) in
+    let fut = Future.detach (fun () -> exec cx frame primary) in
     (* the adaptor's window never extends past the session deadline: once
        the session is out of time there is no point waiting, and the
        check below turns the expiry into an abort rather than a
@@ -469,10 +608,10 @@ let rec exec fr env (p : plan) : Item.sequence =
       | Some v -> v
       | None ->
         Cancel.check_current ();
-        exec fr env alternate
-      | exception e when recoverable_failure e -> exec fr env alternate
+        exec cx frame alternate
+      | exception e when recoverable_failure e -> exec cx frame alternate
     in
-    tally fr.counters.(p.id) (List.length v);
+    tally cx.counters.(p.id) (List.length v);
     v
   | P_child (input, name) ->
     List.concat_map
@@ -480,7 +619,7 @@ let rec exec fr env (p : plan) : Item.sequence =
         | Item.Node node ->
           List.map (fun n -> Item.Node n) (Node.child_elements node name)
         | Item.Atom _ -> error "child step on an atomic value")
-      (exec fr env input)
+      (exec cx frame input)
   | P_child_wild input ->
     List.concat_map
       (function
@@ -491,7 +630,7 @@ let rec exec fr env (p : plan) : Item.sequence =
               | Node.Text _ | Node.Atom _ -> None)
             (Node.children node)
         | Item.Atom _ -> error "child step on an atomic value")
-      (exec fr env input)
+      (exec cx frame input)
   | P_attr_of (input, name) ->
     List.concat_map
       (function
@@ -500,15 +639,16 @@ let rec exec fr env (p : plan) : Item.sequence =
           | Some a -> [ Item.Atom a ]
           | None -> [])
         | Item.Atom _ -> error "attribute step on an atomic value")
-      (exec fr env input)
+      (exec cx frame input)
   | P_filter { input; dot; pos; pred } ->
-    let items = exec fr env input in
+    let items = exec cx frame input in
+    let width = width_of [ dot; pos ] in
     List.filteri
       (fun i item ->
-        let env' =
-          bind (bind env dot [ item ]) pos [ Item.integer (i + 1) ]
-        in
-        let result = exec fr env' pred in
+        let f = widen frame width in
+        f.(dot.slot) <- Now [ item ];
+        f.(pos.slot) <- Now [ Item.integer (i + 1) ];
+        let result = exec cx f pred in
         match result with
         | [ Item.Atom ((Atomic.Integer _ | Atomic.Decimal _ | Atomic.Double _) as a) ]
           -> (
@@ -519,67 +659,83 @@ let rec exec fr env (p : plan) : Item.sequence =
           | _ -> assert false)
         | r -> ebv r)
       items
-  | P_data input -> List.map (fun a -> Item.Atom a) (atomize (exec fr env input))
-  | P_ebv input -> [ Item.boolean (ebv (exec fr env input)) ]
-  | P_binop (op, a, b) -> exec_binop fr env op a b
+  | P_data input ->
+    List.map (fun a -> Item.Atom a) (atomize (exec cx frame input))
+  | P_ebv input -> [ Item.boolean (truth cx frame input) ]
+  | P_binop (op, a, b) -> exec_binop cx frame op a b
   | P_typematch (input, ty) ->
-    let v = exec fr env input in
+    let v = exec cx frame input in
     if matches_stype v ty then v
     else error "typematch failed: value does not match %s" (Stype.to_string ty)
   | P_cast (input, ty) -> (
-    match singleton_atom "cast" (exec fr env input) with
+    match singleton_atom "cast" (exec cx frame input) with
     | None -> []
     | Some a -> (
       match Atomic.cast ty a with
       | Ok v -> [ Item.Atom v ]
       | Error m -> error "%s" m))
   | P_castable (input, ty) -> (
-    match singleton_atom "castable" (exec fr env input) with
+    match singleton_atom "castable" (exec cx frame input) with
     | None -> [ Item.boolean false ]
     | Some a -> [ Item.boolean (Result.is_ok (Atomic.cast ty a)) ])
   | P_instance_of (input, ty) ->
-    [ Item.boolean (matches_stype (exec fr env input) ty) ]
+    [ Item.boolean (matches_stype (exec cx frame input) ty) ]
   | P_error msg -> error "evaluated an error expression: %s" msg
 
-and submit_async fr env = function
+(* [ebv (exec cx frame p)], without building the boolean items of the
+   connectives and value comparisons on the way: every predicate a tuple
+   operator tests goes through here. *)
+and truth cx frame (p : plan) =
+  match p.node with
+  | P_ebv input -> truth cx frame input
+  | P_binop (C.And, a, b) -> truth cx frame a && truth cx frame b
+  | P_binop (C.Or, a, b) -> truth cx frame a || truth cx frame b
+  | P_binop (((C.V_eq | C.V_ne | C.V_lt | C.V_le | C.V_gt | C.V_ge) as op), a, b)
+    ->
+    let x = operand "value comparison" (exec cx frame a) in
+    let y = operand "value comparison" (exec cx frame b) in
+    x != no_atom && y != no_atom && value_compare op x y
+  | _ -> ebv (exec cx frame p)
+
+and submit_async cx frame = function
   | [] -> []
   | ({ node = P_async _; _ } as e) :: es ->
-    (e, Pool.submit fr.rt.pool (fun () -> exec fr env e))
-    :: submit_async fr env es
-  | _ :: es -> submit_async fr env es
+    (e, Pool.submit cx.rt.pool (fun () -> exec cx frame e))
+    :: submit_async cx frame es
+  | _ :: es -> submit_async cx frame es
 
 (* A constructor's attributes, evaluated in order before its content:
    each value atomized, several atoms joined with spaces, a missing
-   optional attribute dropped. *)
-and attributes fr env attrs =
-  List.concat_map
-    (fun a ->
-      let value = exec fr env a.p_avalue in
-      match atomize value with
-      | [] ->
-        if a.p_aoptional then []
-        else [ (a.p_aname, Atomic.String "") ]
-      | [ atom ] -> [ (a.p_aname, atom) ]
+   optional attribute dropped. A loop: no closure per constructor. *)
+and attributes cx frame = function
+  | [] -> []
+  | a :: rest -> (
+    let value = atomize (exec cx frame a.p_avalue) in
+    let attribute =
+      match value with
+      | [] -> if a.p_aoptional then None else Some (a.p_aname, Atomic.String "")
+      | [ atom ] -> Some (a.p_aname, atom)
       | atoms ->
-        [ ( a.p_aname,
-            Atomic.String
-              (String.concat " " (List.map Atomic.to_string atoms)) ) ])
-    attrs
+        Some
+          ( a.p_aname,
+            Atomic.String (String.concat " " (List.map Atomic.to_string atoms)) )
+    in
+    let rest = attributes cx frame rest in
+    match attribute with Some x -> x :: rest | None -> rest)
 
-and exec_binop fr env op a b =
+and exec_binop cx frame op a b =
   match op with
   | C.And ->
-    let truth = ebv (exec fr env a) && ebv (exec fr env b) in
-    [ Item.boolean truth ]
+    let holds = truth cx frame a && truth cx frame b in
+    [ Item.boolean holds ]
   | C.Or ->
-    let truth = ebv (exec fr env a) || ebv (exec fr env b) in
-    [ Item.boolean truth ]
-  | C.V_eq | C.V_ne | C.V_lt | C.V_le | C.V_gt | C.V_ge -> (
-    let va = singleton_atom "value comparison" (exec fr env a) in
-    let vb = singleton_atom "value comparison" (exec fr env b) in
-    match (va, vb) with
-    | None, _ | _, None -> []
-    | Some x, Some y -> [ Item.boolean (value_compare op x y) ])
+    let holds = truth cx frame a || truth cx frame b in
+    [ Item.boolean holds ]
+  | C.V_eq | C.V_ne | C.V_lt | C.V_le | C.V_gt | C.V_ge ->
+    let x = operand "value comparison" (exec cx frame a) in
+    let y = operand "value comparison" (exec cx frame b) in
+    if x == no_atom || y == no_atom then []
+    else [ Item.boolean (value_compare op x y) ]
   | C.G_eq | C.G_ne | C.G_lt | C.G_le | C.G_gt | C.G_ge ->
     let vop =
       match op with
@@ -591,8 +747,8 @@ and exec_binop fr env op a b =
       | C.G_ge -> C.V_ge
       | _ -> assert false
     in
-    let xs = atomize (exec fr env a) in
-    let ys = atomize (exec fr env b) in
+    let xs = atomize (exec cx frame a) in
+    let ys = atomize (exec cx frame b) in
     (* general comparison is existential; untyped operands are coerced by
        the value comparison's promotion rules *)
     let holds =
@@ -616,14 +772,14 @@ and exec_binop fr env op a b =
     in
     [ Item.boolean holds ]
   | C.Add | C.Sub | C.Mul | C.Div | C.Idiv | C.Mod -> (
-    let va = singleton_atom "arithmetic" (exec fr env a) in
-    let vb = singleton_atom "arithmetic" (exec fr env b) in
+    let va = singleton_atom "arithmetic" (exec cx frame a) in
+    let vb = singleton_atom "arithmetic" (exec cx frame b) in
     match (va, vb) with
     | None, _ | _, None -> []
     | Some x, Some y -> [ Item.Atom (arith op x y) ])
   | C.Range -> (
-    let va = singleton_atom "range" (exec fr env a) in
-    let vb = singleton_atom "range" (exec fr env b) in
+    let va = singleton_atom "range" (exec cx frame a) in
+    let vb = singleton_atom "range" (exec cx frame b) in
     match (va, vb) with
     | Some (Atomic.Integer x), Some (Atomic.Integer y) ->
       if x > y then []
@@ -633,7 +789,7 @@ and exec_binop fr env op a b =
 
 (* --------------------------- calls -------------------------------- *)
 
-and exec_call fr env (p : plan) fn args =
+and exec_call cx frame (p : plan) fn args =
   (* function calls are the cancellation check points: frequent enough
      that a cancelled session aborts promptly even between sleeps, cheap
      enough not to tax the per-item operators *)
@@ -651,45 +807,51 @@ and exec_call fr env (p : plan) fn args =
     (* re-resolve at runtime so transiently registered prolog functions
        and redefinitions keep working; the compile-time target on the node
        is informational. A data-service call is emitted, by [call]. *)
-    match Metadata.resolve_call fr.rt.registry fn arity with
-    | Some _ -> build (fun sink -> emit_plan fr env sink p)
+    match Metadata.resolve_call cx.rt.registry fn arity with
+    | Some _ -> build (fun sink -> emit_plan cx frame sink p)
     | None -> (
       match Fn_lib.find fn arity with
       | Some b -> (
-        let values = List.map (exec fr env) args in
+        let values = List.map (exec cx frame) args in
         match b.Fn_lib.eval values with
         | Ok v -> v
         | Error m -> error "%s" m)
       | None -> error "unknown function %s/%d" (Qname.to_string fn) arity)
 
 (* A data-service call with its argument values, delivered into [sink].
-   A non-cacheable function body runs in place, one level deeper; a
-   cacheable body or an external goes through the call wrapper, where the
-   function cache stores and serves whole values. *)
-and call fr sink counters fd values =
-  if fr.depth > fr.rt.max_depth then
+   A non-cacheable function body runs in place, one level deeper, on a
+   fresh frame with the arguments as its parameters; a cacheable body or
+   an external goes through the call wrapper, where the function cache
+   stores and serves whole values. *)
+and call cx sink counters fd values =
+  if cx.depth > cx.rt.max_depth then
     error "maximum recursion depth exceeded in %s"
       (Qname.to_string fd.Metadata.fd_name);
-  audit_call fr.rt fd values;
-  let in_body body = { fr with depth = fr.depth + 1; counters = body.totals } in
+  audit_call cx.rt fd values;
+  let in_body (body : Plan_ir.t) =
+    { cx with
+      depth = cx.depth + 1;
+      counters = body.totals;
+      params = body_params body fd values }
+  in
   let n =
     match fd.Metadata.fd_impl with
     | Metadata.Body body when not fd.Metadata.fd_cacheable ->
-      let body = fr.rt.body_plan fd body in
-      observe fr.rt fd Fun.id (fun () ->
-          emit_plan (in_body body) (fn_env fd values) sink body.tree)
+      let body = cx.rt.body_plan fd body in
+      observe cx.rt fd Fun.id (fun () ->
+          emit_plan (in_body body) [||] sink body.tree)
     | impl ->
       let computed = ref false in
       let compute () =
         computed := true;
-        observe fr.rt fd List.length (fun () ->
+        observe cx.rt fd List.length (fun () ->
             match impl with
             | Metadata.Body body ->
-              let body = fr.rt.body_plan fd body in
-              exec (in_body body) (fn_env fd values) body.tree
-            | Metadata.External source -> eval_external fr source fd values)
+              let body = cx.rt.body_plan fd body in
+              exec (in_body body) [||] body.tree
+            | Metadata.External source -> eval_external source fd values)
       in
-      let v = fr.rt.call_wrapper fd values compute in
+      let v = cx.rt.call_wrapper fd values compute in
       (* a cacheable call site that came back without running its thunk
          was served by the function cache (§5.5) *)
       (match counters with
@@ -701,7 +863,7 @@ and call fr sink counters fd values =
   Option.iter (fun c -> tally c n) counters;
   n
 
-and eval_external _fr source fd values =
+and eval_external source fd values =
   match source with
   | Metadata.Stored_procedure { db; procedure; row_name; columns } -> (
     let sql_args =
@@ -744,7 +906,7 @@ and eval_external _fr source fd values =
 
 (* --------------------------- operators ---------------------------- *)
 
-and tuples fr env0 (input : env Seq.t) (ops : op list) : env Seq.t =
+and tuples cx frame0 (input : frame Seq.t) (ops : op list) : frame Seq.t =
   match ops with
   | [] -> input
   | { op_node = O_let _; _ } :: _ ->
@@ -755,39 +917,50 @@ and tuples fr env0 (input : env Seq.t) (ops : op list) : env Seq.t =
       | rest -> (List.rev run, rest)
     in
     let run, rest = split [] ops in
-    List.iter (fun o -> tally fr.counters.(o.op_id) 0) run;
+    List.iter (fun o -> tally cx.counters.(o.op_id) 0) run;
+    let width =
+      width_of
+        (List.filter_map
+           (fun o -> match o.op_node with O_let { var; _ } -> Some var | _ -> None)
+           run)
+    in
     let t0 = Unix.gettimeofday () in
-    let stream = Seq.map (fun env -> bind_let_run fr env run) input in
+    let stream = Seq.map (fun frame -> bind_let_run cx frame width run) input in
     let stream =
       List.fold_left
-        (fun s o -> count_rows ~t0 fr.counters.(o.op_id) s)
+        (fun s o -> count_rows ~t0 cx.counters.(o.op_id) s)
         stream run
     in
-    tuples fr env0 stream rest
+    tuples cx frame0 stream rest
   | op :: rest ->
-    let c = fr.counters.(op.op_id) in
+    let c = cx.counters.(op.op_id) in
     tally c 0;
     let t0 = Unix.gettimeofday () in
+    let counted = count_rows ~t0 c in
     let stream =
       match op.op_node with
       | O_scan { var; source } ->
-        Seq.concat_map
-          (fun env ->
-            let items = exec fr env source in
-            Seq.map (fun item -> bind env var [ item ]) (List.to_seq items))
-          input
+        counted
+          (Seq.concat_map
+             (fun frame ->
+               let items = exec cx frame source in
+               Seq.map
+                 (fun item -> extend frame var (Now [ item ]))
+                 (List.to_seq items))
+             input)
       | O_let _ -> assert false
       | O_select cond ->
-        Seq.filter (fun env -> ebv (exec fr env cond)) input
+        counted (Seq.filter (fun frame -> truth cx frame cond) input)
       | O_group { aggs; keys; clustered } ->
-        exec_group fr c input aggs keys clustered
-      | O_sort { keys } -> exec_order fr c input keys
-      | O_join { kind; method_; right; on_; equi; export } ->
-        exec_join fr env0 input kind method_ right on_ equi export
+        counted (exec_group cx c input aggs keys clustered)
+      | O_sort { keys } -> counted (exec_order cx c input keys)
+      | O_join { kind; method_; right; base; on_; equi; export } ->
+        exec_join cx ~t0 c frame0 input kind method_ right base on_ equi export
       | O_sql r ->
-        Seq.concat_map (fun env -> rel_stream fr c env r) input
+        counted_lists ~t0 c
+          (Seq.flat_map (fun frame -> rel_chunks cx c frame r) input)
     in
-    tuples fr env0 (count_rows ~t0 c stream) rest
+    tuples cx frame0 stream rest
 
 (* Concurrent independent source calls (§5.4, §6 async adaptors): the
    lowering marked each let of an adjacent run as plain, explicitly
@@ -795,27 +968,35 @@ and tuples fr env0 (input : env Seq.t) (ops : op list) : env Seq.t =
    dependence on the other lets of the run — the fn-bea:async treatment,
    applied automatically). The marks are honoured only when the runtime
    allows concurrency, preserving the reference configuration's strictly
-   sequential, in-place evaluation. *)
-and bind_let_run fr env run =
-  List.fold_left
-    (fun env o ->
+   sequential, in-place evaluation. The run fills one copy of the input
+   frame, each value seeing the lets before it; a submitted value
+   captures a copy of its own, since the run goes on filling. *)
+and bind_let_run cx frame width run =
+  let f = widen frame width in
+  List.iter
+    (fun o ->
       match o.op_node with
-      | O_let { var; value; mode } -> (
-        match mode with
-        | (L_async | L_concurrent) when fr.rt.concurrent_lets ->
-          Env.add var
-            (Later (fr.rt.pool, Pool.submit fr.rt.pool (fun () -> exec fr env value)))
-            env
-        | _ -> bind env var (exec fr env value))
-      | _ -> env)
-    env run
+      | O_let { var; value; mode } ->
+        f.(var.slot) <-
+          (match mode with
+          | (L_async | L_concurrent) when cx.rt.concurrent_lets ->
+            let captured = Array.copy f in
+            Later
+              ( cx.rt.pool,
+                Pool.submit cx.rt.pool (fun () -> exec cx captured value) )
+          | _ -> Now (exec cx f value))
+      | _ -> ())
+    run;
+  f
 
-and exec_group fr counters input aggs keys clustered =
+and exec_group cx counters input aggs keys clustered =
   (* the runtime has one grouping operator, which requires input clustered
      on the keys (§5.2); when the optimizer has established clustering the
      operator streams in constant memory, otherwise it sorts first — the
      worst-case fallback *)
-  let key_of env = List.map (fun (e, _) -> atomize (exec fr env e)) keys in
+  let key_of frame = List.map (fun (e, _) -> atomize (exec cx frame e)) keys in
+  let width = width_of (List.map snd keys @ List.map snd aggs) in
+  let group = make_group cx aggs keys width in
   if clustered then
     (* constant-memory streaming: watch the key change tuple by tuple *)
     let rec stream pending seq () =
@@ -823,18 +1004,18 @@ and exec_group fr counters input aggs keys clustered =
       | Seq.Nil -> (
         match pending with
         | Some (key, members) ->
-          Seq.Cons (make_group_env aggs keys (key, List.rev members), Seq.empty)
+          Seq.Cons (group (key, List.rev members), Seq.empty)
         | None -> Seq.Nil)
-      | Seq.Cons (env, rest) -> (
-        let key = key_of env in
+      | Seq.Cons (frame, rest) -> (
+        let key = key_of frame in
         match pending with
         | Some (current_key, members) when keys_equal key current_key ->
-          stream (Some (current_key, env :: members)) rest ()
+          stream (Some (current_key, frame :: members)) rest ()
         | Some (current_key, members) ->
           Seq.Cons
-            ( make_group_env aggs keys (current_key, List.rev members),
-              stream (Some (key, [ env ])) rest )
-        | None -> stream (Some (key, [ env ])) rest ())
+            ( group (current_key, List.rev members),
+              stream (Some (key, [ frame ])) rest )
+        | None -> stream (Some (key, [ frame ])) rest ())
     in
     stream None input
   else
@@ -847,20 +1028,20 @@ and exec_group fr counters input aggs keys clustered =
        sorts spill through Extsort when a budget is set, and either way
        this is O(n log n) — the old path grew a [seen] assoc list with a
        linear scan per tuple. *)
-    let budget = fr.rt.sort_budget_rows in
+    let budget = cx.rt.sort_budget_rows in
     let sortfn cmp seq =
       match budget with
       | None -> fun () -> List.to_seq (List.stable_sort cmp (List.of_seq seq)) ()
-      | Some b -> spill_sort fr.rt counters ~budget:b ~cmp seq
+      | Some b -> spill_sort cx.rt counters ~budget:b ~cmp seq
     in
     let indexed =
       Seq.mapi
-        (fun i env ->
-          let key = key_of env in
-          let env =
-            match budget with Some _ -> materialize_env env | None -> env
+        (fun i frame ->
+          let key = key_of frame in
+          let frame =
+            match budget with Some _ -> materialize frame | None -> frame
           in
-          (i, key, env))
+          (i, key, frame))
         input
     in
     let by_key =
@@ -873,40 +1054,40 @@ and exec_group fr counters input aggs keys clustered =
       | Seq.Nil -> (
         match pending with
         | Some (i0, key, members) ->
-          Seq.Cons
-            ((i0, make_group_env aggs keys (key, List.rev members)), Seq.empty)
+          Seq.Cons ((i0, group (key, List.rev members)), Seq.empty)
         | None -> Seq.Nil)
-      | Seq.Cons ((i, key, env), rest) -> (
+      | Seq.Cons ((i, key, frame), rest) -> (
         match pending with
         | Some (i0, k0, members) when keys_equal key k0 ->
-          cluster (Some (i0, k0, env :: members)) rest ()
+          cluster (Some (i0, k0, frame :: members)) rest ()
         | Some (i0, k0, members) ->
           Seq.Cons
-            ( (i0, make_group_env aggs keys (k0, List.rev members)),
-              cluster (Some (i, key, [ env ])) rest )
-        | None -> cluster (Some (i, key, [ env ])) rest ())
+            ( (i0, group (k0, List.rev members)),
+              cluster (Some (i, key, [ frame ])) rest )
+        | None -> cluster (Some (i, key, [ frame ])) rest ())
     in
     let by_appearance =
       sortfn (fun (a, _) (b, _) -> compare a b) (cluster None by_key)
     in
     Seq.map snd by_appearance
 
-and make_group_env aggs keys (key, members) =
-  let base = match members with env :: _ -> env | [] -> Env.empty in
-  let env =
-    List.fold_left2
-      (fun acc (_, kvar) katoms ->
-        bind acc kvar (List.map (fun a -> Item.Atom a) katoms))
-      base keys key
-  in
-  List.fold_left
-    (fun acc (v_in, v_out) ->
-      let combined = List.concat_map (fun m -> lookup m v_in) members in
-      bind acc v_out combined)
-    env aggs
+(* A group's tuple: a copy of its first member's frame, with the keys
+   and each aggregated input's values over every member. *)
+and make_group cx aggs keys width (key, members) =
+  let base = match members with frame :: _ -> frame | [] -> [||] in
+  let f = widen base width in
+  List.iter2
+    (fun (_, (kvar : var)) katoms ->
+      f.(kvar.slot) <- Now (List.map (fun a -> Item.Atom a) katoms))
+    keys key;
+  List.iter
+    (fun (input, (out : var)) ->
+      f.(out.slot) <- Now (List.concat_map (fun m -> exec cx m input) members))
+    aggs;
+  f
 
-and exec_order fr counters input keys =
-  let key_of env = List.map (fun (e, _) -> atomize (exec fr env e)) keys in
+and exec_order cx counters input keys =
+  let key_of frame = List.map (fun (e, _) -> atomize (exec cx frame e)) keys in
   let cmp (ka, _) (kb, _) =
     let rec go ka kb ks =
       match (ka, kb, ks) with
@@ -926,33 +1107,34 @@ and exec_order fr counters input keys =
     in
     go ka kb keys
   in
-  match fr.rt.sort_budget_rows with
+  match cx.rt.sort_budget_rows with
   | None ->
-    (* unbounded: the in-memory stable sort, exactly as before *)
-    let keyed = List.map (fun env -> (key_of env, env)) (List.of_seq input) in
+    (* unbounded: the in-memory stable sort *)
+    let keyed = List.map (fun frame -> (key_of frame, frame)) (List.of_seq input) in
     List.to_seq (List.map snd (List.stable_sort cmp keyed))
   | Some budget ->
     (* bounded: runs of [budget] rows spill through Extsort and merge
        back as a stream; same comparator, same stability, so the output
        is byte-identical to the in-memory path *)
-    let keyed =
-      Seq.map (fun env -> (key_of env, materialize_env env)) input
-    in
-    Seq.map snd (spill_sort fr.rt counters ~budget ~cmp keyed)
+    let keyed = Seq.map (fun frame -> (key_of frame, materialize frame)) input in
+    Seq.map snd (spill_sort cx.rt counters ~budget ~cmp keyed)
 
 (* --------------------------- joins -------------------------------- *)
 
-and exec_residual fr env residual =
-  List.for_all (fun cond -> ebv (exec fr env cond)) residual
+and exec_residual cx frame residual =
+  List.for_all (fun cond -> truth cx frame cond) residual
 
-and exec_join fr env0 left kind method_ right on_ equi export =
+(* The join's tuples, counted into [c]. *)
+and exec_join cx ~t0 c frame0 left kind method_ right base on_ equi export =
+  let counted = count_rows ~t0 c in
   match method_ with
-  | C.Nested_loop -> nl_join fr left kind right on_ export
+  | C.Nested_loop -> counted (nl_join cx left kind right on_ export)
   | C.Index_nested_loop -> (
     match equi with
     | Some { eq_pairs; eq_residual } ->
-      inl_join fr env0 left kind right eq_pairs eq_residual export
-    | None -> nl_join fr left kind right on_ export)
+      counted
+        (inl_join cx frame0 left kind right base eq_pairs eq_residual export)
+    | None -> counted (nl_join cx left kind right on_ export))
   | C.Ppk { k; prefetch } -> (
     match right with
     | ({ op_node = O_sql r; _ } as sql) :: rest_lets
@@ -960,66 +1142,72 @@ and exec_join fr env0 left kind method_ right on_ equi export =
              (fun o -> match o.op_node with O_let _ -> true | _ -> false)
              rest_lets ->
       let keys = Option.map (fun e -> e.eq_pairs) equi in
-      ppk_join fr fr.counters.(sql.op_id) left kind r rest_lets ~k ~prefetch
-        ~keys on_ export
-    | _ -> nl_join fr left kind right on_ export)
+      ppk_join cx ~t0 c cx.counters.(sql.op_id) left kind r rest_lets ~k
+        ~prefetch ~keys on_ export
+    | _ -> counted (nl_join cx left kind right on_ export))
 
-and join_matches fr left_env right on_ =
-  let right_stream = tuples fr left_env (List.to_seq [ left_env ]) right in
-  Seq.filter (fun env -> ebv (exec fr env on_)) right_stream
-
-and export_tuples fr left_env matches kind export =
-  let ms = List.of_seq matches in
+(* A left tuple's output: its matches, or for an outer join without any
+   the tuple itself (the right variables unbound), or the tuple with the
+   group of its matches. *)
+and export_tuples cx left matches kind export =
   match export with
   | PE_bindings -> (
-    match (ms, kind) with
-    | [], C.J_left_outer -> Seq.return left_env  (* right vars unbound -> empty *)
+    match (matches, kind) with
+    | [], C.J_left_outer -> Seq.return left
     | [], C.J_inner -> Seq.empty
     | ms, _ -> List.to_seq ms)
   | PE_grouped { gvar; gexpr } -> (
-    match (ms, kind) with
+    match (matches, kind) with
     | [], C.J_inner -> Seq.empty
     | ms, _ ->
-      let values = List.concat_map (fun menv -> exec fr menv gexpr) ms in
-      Seq.return (bind left_env gvar values))
+      let values = List.concat_map (fun m -> exec cx m gexpr) ms in
+      Seq.return (extend left gvar (Now values)))
 
-and nl_join fr left kind right on_ export =
+and nl_join cx left kind right on_ export =
   Seq.concat_map
-    (fun left_env ->
-      let matches = join_matches fr left_env right on_ in
-      export_tuples fr left_env matches kind export)
+    (fun l ->
+      let matches =
+        Seq.filter
+          (fun frame -> truth cx frame on_)
+          (tuples cx l (Seq.return l) right)
+      in
+      export_tuples cx l (List.of_seq matches) kind export)
     left
 
-and inl_join fr env0 left kind right pairs residual export =
+and inl_join cx frame0 left kind right base pairs residual export =
   (* build a hash of the right side once (the "index"), probe per left
      tuple *)
   let table = Hashtbl.create 64 in
-  let right_stream = tuples fr env0 (List.to_seq [ env0 ]) right in
+  let right_stream = tuples cx frame0 (Seq.return frame0) right in
   Seq.iter
-    (fun renv ->
-      let key = List.map (fun (_, rk) -> atomize (exec fr renv rk)) pairs in
+    (fun r ->
+      let key = List.map (fun (_, rk) -> atomize (exec cx r rk)) pairs in
       let bucket = Hashtbl.find_opt table key |> Option.value ~default:[] in
-      Hashtbl.replace table key (renv :: bucket))
+      Hashtbl.replace table key (r :: bucket))
     right_stream;
   Seq.concat_map
-    (fun left_env ->
-      let key = List.map (fun (lk, _) -> atomize (exec fr left_env lk)) pairs in
+    (fun l ->
+      let key = List.map (fun (lk, _) -> atomize (exec cx l lk)) pairs in
       let bucket = Hashtbl.find_opt table key |> Option.value ~default:[] in
       let matches =
         List.rev bucket
-        |> List.filter_map (fun renv ->
-               (* merge right bindings over the left env *)
-               let merged = Env.union (fun _ _ r -> Some r) left_env renv in
-               if exec_residual fr merged residual then Some merged else None)
+        |> List.filter_map (fun r ->
+               let merged = merge l r base in
+               if exec_residual cx merged residual then Some merged else None)
       in
-      export_tuples fr left_env (List.to_seq matches) kind export)
+      export_tuples cx l matches kind export)
     left
 
-(* A join key over [exprs] in [env], or [None] when some part does not
+(* A join key over [exprs] in [frame], or [None] when some part does not
    normalize — including when evaluating it fails: the key's position is
    then visited like a nested loop, which raises the error in its place. *)
-and hash_key fr env exprs =
-  match List.map (fun e -> hash_part (atomize (exec fr env e))) exprs with
+and hash_key cx frame exprs =
+  let part e =
+    match exec cx frame e with
+    | [ Item.Atom a ] -> hash_atom a
+    | seq -> hash_part (atomize seq)
+  in
+  match List.map part exprs with
   | parts when List.for_all Option.is_some parts ->
     Some (List.map Option.get parts)
   | _ -> None
@@ -1027,8 +1215,8 @@ and hash_key fr env exprs =
 
 (* [None] when no left key normalizes or they mix classes; every row then
    visits every position. *)
-and block_index fr block left_keys =
-  let keyed = Array.map (fun env -> hash_key fr env left_keys) block in
+and block_index cx block left_keys =
+  let keyed = Array.map (fun frame -> hash_key cx frame left_keys) block in
   let keys = Hashtbl.create (Array.length block) in
   let wild = ref [] and shape = ref None and mixed = ref false in
   for i = Array.length block - 1 downto 0 do
@@ -1046,9 +1234,41 @@ and block_index fr block left_keys =
     Some { bi_shape = s; bi_keys = keys; bi_wild = !wild }
   | _ -> None
 
-and rel_stream fr counters env (r : sql_region) : env Seq.t =
+(* A fetched row's block key, per cursor, or [] when it does not
+   normalize: a key part that reads a bound column whole comes straight
+   from the row's value, without binding the row; any other part is
+   evaluated over the row bound onto an empty frame. While the result
+   lacks a bound column, keying a row raises as binding it would. *)
+and row_key cx (b : binder) right_keys =
+  let source rk =
+    match whole_slot rk with
+    | Some slot -> (
+      match Array.find_index (Int.equal slot) b.slots with
+      | Some i when b.cols.(i) >= 0 -> From_column (b.cols.(i), b.types.(i))
+      | _ -> From_plan rk)
+    | None -> From_plan rk
+  in
+  let rec parts row = function
+    | [] -> []
+    | From_column (c, ty) :: rest ->
+      let p = hash_value ty row.(c) in
+      p :: parts row rest
+    | From_plan rk :: rest -> (
+      match hash_key cx (bind_row b [||] row) [ rk ] with
+      | Some [ p ] -> p :: parts row rest
+      | _ -> raise_notrace No_key)
+  in
+  let sources = List.map source right_keys in
+  if Array.exists (fun c -> c < 0) b.cols then fun row ->
+    ignore (bind_row b [||] row);
+    []
+  else fun row -> try parts row sources with No_key -> []
+
+(* A pushed region's rows for one input tuple, bound onto it chunk by
+   chunk as the cursor yields them. *)
+and rel_chunks cx counters frame (r : sql_region) : frame list Seq.t =
   let db =
-    match Metadata.find_database fr.rt.registry r.sql_db with
+    match Metadata.find_database cx.rt.registry r.sql_db with
     | Some db -> db
     | None -> error "unknown database %s" r.sql_db
   in
@@ -1057,7 +1277,7 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
       (List.map
          (fun p ->
            Adaptors.atomic_to_sql
-             (singleton_atom "sql parameter" (exec fr env p)))
+             (singleton_atom "sql parameter" (exec cx frame p)))
          r.sql_params)
   in
   let t0 = Unix.gettimeofday () in
@@ -1067,20 +1287,19 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
   match result with
   | Error m -> error "%s" m
   | Ok cur ->
-    let bind_row = sql_binder r.sql_binds (Sql_exec.cursor_columns cur) in
+    let b = sql_binder r (Sql_exec.cursor_columns cur) in
     (* downstream operators see rows as the backend engine produces them *)
-    Seq.flat_map
-      (fun rows -> List.to_seq (List.map (bind_row env) rows))
-      (cursor_chunks fr.rt counters cur)
+    Seq.map (List.map (bind_row b frame)) (cursor_chunks cx.rt counters cur)
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
    clauses (row reconstruction) applied after binding a fetched row — none
    when nothing after the join reads the reconstruction. With
    [keys] (Cexpr.ppk_hash_keys) the middleware join is a hash join: the
-   block's left keys are indexed once, and a fetched row is bound,
-   reconstructed and tested only against the left tuples under its key —
-   the full [on_] still decides, the hash only picks candidates.
+   block's left keys are indexed once, each fetched row's key is read
+   from its key columns, and the row is bound, reconstructed and tested
+   only against the left tuples under its key — the full [on_] still
+   decides, the hash only picks candidates.
 
    With [prefetch] > 0 the block queries are pipelined: parameter
    evaluation and SQL generation happen on the consumer thread while
@@ -1090,34 +1309,32 @@ and rel_stream fr counters env (r : sql_region) : env Seq.t =
    result is byte-identical at every depth. The backend's plan lines ride
    along with each block's result and are stored into the region on the
    consumer thread, in block order, keeping EXPLAIN capture race-free. *)
-and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
-    on_ export =
+and ppk_join cx ~t0 c sqlc left kind (r : sql_region) rest_lets ~k ~prefetch
+    ~keys on_ export =
   let db =
-    match Metadata.find_database fr.rt.registry r.sql_db with
+    match Metadata.find_database cx.rt.registry r.sql_db with
     | Some db -> db
     | None -> error "unknown database %s" r.sql_db
   in
   let n_params = List.length r.sql_params in
   let left_keys, right_keys = List.split (Option.value ~default:[] keys) in
-  let obs = fr.rt.observed in
+  let obs = cx.rt.observed in
   (* stage 1, consumer thread: the block query — WHERE (p_1..p_n) OR ...
      OR (p shifted (m-1)n), or col IN (?1..?m) for a one-column key — and
      its middleware-computed parameters *)
-  let prepare (block : env list) =
+  let prepare (block : frame list) =
     let m = List.length block in
     let select = disjunctive_select r.sql_select n_params m in
-    let params =
-      Array.concat
-        (List.map
-           (fun env ->
-             Array.of_list
-               (List.map
-                  (fun p ->
-                    Adaptors.atomic_to_sql
-                      (singleton_atom "sql parameter" (exec fr env p)))
-                  r.sql_params))
-           block)
-    in
+    let params = Array.make (m * n_params) V.Null in
+    List.iteri
+      (fun t frame ->
+        List.iteri
+          (fun i p ->
+            params.((t * n_params) + i) <-
+              Adaptors.atomic_to_sql
+                (singleton_atom "sql parameter" (exec cx frame p)))
+          r.sql_params)
+      block;
     (block, select, params)
   in
   (* stage 2, pool worker: the latency-bound statement open (roundtrip
@@ -1153,74 +1370,77 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
     match result with
     | Error msg -> error "%s" msg
     | Ok cur ->
-      let chunks = cursor_chunks fr.rt sqlc cur in
-      let bind_row = sql_binder r.sql_binds (Sql_exec.cursor_columns cur) in
-      let block_arr = Array.of_list block in
-      let m = Array.length block_arr in
+      let chunks = cursor_chunks cx.rt sqlc cur in
+      let b = sql_binder r (Sql_exec.cursor_columns cur) in
+      let key_of_row = row_key cx b right_keys in
+      let block = Array.of_list block in
+      let m = Array.length block in
       let acc = Array.make m [] in
       (* built on the first row, so an empty block evaluates no key *)
       let index =
         lazy
           (match left_keys with
           | [] -> None
-          | _ -> block_index fr block_arr left_keys)
+          | _ -> block_index cx block left_keys)
+      in
+      (* left tuple [i]'s candidates, bound, reconstructed and tested in
+         row order; the matches go onto [acc.(i)], latest first *)
+      let join_tuple rows i candidates =
+        let left = block.(i) in
+        match rest_lets with
+        | [] ->
+          List.iter
+            (fun j ->
+              let frame = bind_row b left rows.(j) in
+              if truth cx frame on_ then acc.(i) <- frame :: acc.(i))
+            candidates
+        | _ ->
+          let bound = List.map (fun j -> bind_row b left rows.(j)) candidates in
+          let reconstructed =
+            List.concat_map
+              (fun frame ->
+                List.of_seq (tuples cx frame (Seq.return frame) rest_lets))
+              bound
+          in
+          let matches =
+            List.filter (fun frame -> truth cx frame on_) reconstructed
+          in
+          acc.(i) <- List.rev_append matches acc.(i)
       in
       Seq.iter
         (fun rows ->
           let rows = Array.of_list rows in
           let n = Array.length rows in
           sqlc.c_rows <- sqlc.c_rows + n;
-          (* visits.(i): the rows to try against left tuple i, descending.
+          (* visits.(i): the rows to try against left tuple i, ascending.
              A row whose key does not fit the index visits every tuple, so
              candidates run in the nested loop's order and a skipped pair
              is one that compares unequal without error. *)
           let visits =
             match if n = 0 then None else Lazy.force index with
-            | None -> Array.make m (List.init n (fun j -> n - 1 - j))
+            | None ->
+              let all = List.init n Fun.id in
+              Array.make m all
             | Some ix ->
               let visits = Array.make m [] in
-              Array.iteri
-                (fun j row ->
-                  let visit i = visits.(i) <- j :: visits.(i) in
-                  let row_env = bind_row Env.empty row in
-                  match hash_key fr row_env right_keys with
-                  | Some key when List.for_all2 same_class ix.bi_shape key ->
-                    Option.iter (List.iter visit)
-                      (Hashtbl.find_opt ix.bi_keys key);
-                    List.iter visit ix.bi_wild
-                  | _ -> for i = 0 to m - 1 do visit i done)
-                rows;
+              for j = n - 1 downto 0 do
+                match key_of_row rows.(j) with
+                | _ :: _ as key when List.for_all2 same_class ix.bi_shape key ->
+                  (match Hashtbl.find ix.bi_keys key with
+                  | is -> visit visits j is
+                  | exception Not_found -> ());
+                  visit visits j ix.bi_wild
+                | _ -> for i = 0 to m - 1 do visits.(i) <- j :: visits.(i) done
+              done;
               visits
           in
-          Array.iteri
-            (fun i left_env ->
-              let candidates =
-                List.rev_map
-                  (fun j -> bind_row left_env rows.(j))
-                  visits.(i)
-              in
-              let candidates =
-                List.concat_map
-                  (fun env ->
-                    List.of_seq (tuples fr env (Seq.return env) rest_lets))
-                  candidates
-              in
-              let matches =
-                List.filter (fun env -> ebv (exec fr env on_)) candidates
-              in
-              acc.(i) <- List.rev_append matches acc.(i))
-            block_arr)
+          Array.iteri (join_tuple rows) visits)
         chunks;
-      Seq.concat_map
-        (fun (left_env, matches) ->
-          export_tuples fr left_env
-            (List.to_seq (List.rev matches))
-            kind export)
-        (Seq.zip (Array.to_seq block_arr) (Array.to_seq acc))
+      (block, acc)
   in
   let prepared = Seq.map prepare (batch_seq k left) in
   let completed =
-    Pool.pipeline fr.rt.pool ~depth:(max 0 prefetch) roundtrip prepared
+    Pool.pipeline cx.rt.pool ~depth:(max 0 prefetch) roundtrip prepared
   in
   (* overlap accounting: each pull blocks only for the part of the
      roundtrip not already hidden behind the previous block's join *)
@@ -1239,7 +1459,30 @@ and ppk_join fr sqlc left kind (r : sql_region) rest_lets ~k ~prefetch ~keys
       in
       timed seq
   in
-  Seq.concat_map middleware_join (with_overlap completed)
+  let joined = Seq.map middleware_join (with_overlap completed) in
+  match export with
+  | PE_bindings ->
+    (* nothing left to evaluate: each block's output is one list *)
+    let output (block, acc) =
+      let out = ref [] in
+      for i = Array.length block - 1 downto 0 do
+        out :=
+          match (acc.(i), kind) with
+          | [], C.J_left_outer -> block.(i) :: !out
+          | [], C.J_inner -> !out
+          | latest_first, _ -> List.rev_append latest_first !out
+      done;
+      !out
+    in
+    counted_lists ~t0 c (Seq.map output joined)
+  | PE_grouped _ ->
+    count_rows ~t0 c
+      (Seq.concat_map
+         (fun (block, acc) ->
+           Seq.concat_map
+             (fun i -> export_tuples cx block.(i) (List.rev acc.(i)) kind export)
+             (Seq.init (Array.length block) Fun.id))
+         joined)
 
 (* Build the m-way disjunctive version of a 1-tuple parameterized select:
    the WHERE clause is OR-ed m times with parameter indices shifted. A
@@ -1273,10 +1516,10 @@ and disjunctive_select (select : Sql.select) n_params m =
    data-service calls: delivers the value of [p] into [sink] and returns
    how many items it is. Every other node runs [exec] and hands over its
    items, which a token sink walks and the building sink attaches. *)
-and emit_plan fr env sink (p : plan) =
+and emit_plan cx frame sink (p : plan) =
   match p.node with
   | P_construct { name; optional; attrs; content } ->
-    let attributes = attributes fr env attrs in
+    let attributes = attributes cx frame attrs in
     let n =
       if optional && attributes = [] then begin
         (* <E?> opens only once its content delivers something *)
@@ -1291,19 +1534,19 @@ and emit_plan fr env sink (p : plan) =
           { Token_stream.token = (fun t -> open_ (); sink.token t);
             items = (fun l -> if l <> [] then (open_ (); sink.items l)) }
         in
-        ignore (emit_plan fr env content_sink content);
+        ignore (emit_plan cx frame content_sink content);
         if !opened then sink.token Token.End_element;
         Bool.to_int !opened
       end
       else begin
         sink.token (Token.Start_element name);
         push_attributes sink attributes;
-        ignore (emit_plan fr env sink content);
+        ignore (emit_plan cx frame sink content);
         sink.token Token.End_element;
         1
       end
     in
-    tally fr.counters.(p.id) n;
+    tally cx.counters.(p.id) n;
     n
   | P_pipeline { ops; return_ } ->
     (* a pipeline streams here, so its first row is stamped as the tuple
@@ -1311,47 +1554,47 @@ and emit_plan fr env sink (p : plan) =
     let t0 = Unix.gettimeofday () in
     let n =
       Seq.fold_left
-        (fun n env' ->
-          let m = emit_plan fr env' sink return_ in
-          if m > 0 then first_row fr.counters.(p.id) t0;
+        (fun n frame' ->
+          let m = emit_plan cx frame' sink return_ in
+          if m > 0 then first_row cx.counters.(p.id) t0;
           n + m)
         0
-        (tuples fr env (Seq.return env) ops)
+        (tuples cx frame (Seq.return frame) ops)
     in
-    tally fr.counters.(p.id) n;
+    tally cx.counters.(p.id) n;
     n
-  | P_seq es -> emit_children fr env sink (submit_async fr env es) 0 es
+  | P_seq es -> emit_children cx frame sink (submit_async cx frame es) 0 es
   | P_call { fn; args; _ } -> (
-    match Metadata.resolve_call fr.rt.registry fn (List.length args) with
+    match Metadata.resolve_call cx.rt.registry fn (List.length args) with
     | Some fd ->
       Cancel.check_current ();
-      call fr sink (counter fr p) fd (List.map (exec fr env) args)
-    | None -> deliver sink (exec_call fr env p fn args))
-  | _ -> deliver sink (exec fr env p)
+      call cx sink (counter cx p) fd (List.map (exec cx frame) args)
+    | None -> deliver sink (exec_call cx frame p fn args))
+  | _ -> deliver sink (exec cx frame p)
 
 (* fn-bea:async children are submitted to the worker pool before any
    sibling runs, so independent slow calls overlap (§5.4); each value is
    awaited in its child's place. *)
-and emit_children fr env sink futures n = function
+and emit_children cx frame sink futures n = function
   | [] -> n
   | e :: es ->
     let m =
       match List.assq_opt e futures with
-      | Some fut -> deliver sink (Pool.await fr.rt.pool fut)
-      | None -> emit_plan fr env sink e
+      | Some fut -> deliver sink (Pool.await cx.rt.pool fut)
+      | None -> emit_plan cx frame sink e
     in
-    emit_children fr env sink futures (n + m) es
+    emit_children cx frame sink futures (n + m) es
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
 (* A root pipeline has stamped its first row as it came; a root of
-   another shape is stamped when it ends. *)
+   another shape is stamped when it ends. [bindings] supply the plan's
+   parameters by name. *)
 let emit rt ?(bindings = []) ~counters view sink =
   let t0 = Unix.gettimeofday () in
-  let n =
-    emit_plan { rt; depth = 0; counters } (env_of bindings) sink view.tree
-  in
+  let params = params_of view (fun name -> List.assoc_opt name bindings) in
+  let n = emit_plan { rt; depth = 0; counters; params } [||] sink view.tree in
   if n > 0 then first_row counters.(view.tree.id) t0
 
 (* A deadline abort surfaces like any other evaluation error at the API
@@ -1385,8 +1628,8 @@ let call_function rt ~through fn args =
          (List.length args))
   | Some fd -> (
     (* no call site: a body counts into its own totals, an external none *)
-    let fr = { rt; depth = 0; counters = [||] } in
-    match build (fun sink -> call fr (through sink) None fd args) with
+    let cx = { rt; depth = 0; counters = [||]; params = [||] } in
+    match build (fun sink -> call cx (through sink) None fd args) with
     | v -> Ok v
     | exception Eval_error m -> Error m
     | exception Cancel.Cancelled m -> Error m)

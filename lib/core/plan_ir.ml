@@ -62,13 +62,16 @@ type call_target =
 
 type let_mode = L_plain | L_async | L_concurrent
 
+type var = { name : C.var; slot : int }
+
 type plan = { id : int; est : int; node : node }
 
 and node =
   | P_const of Atomic.t
   | P_empty
   | P_seq of plan list
-  | P_var of C.var
+  | P_var of var
+  | P_param of var
   | P_construct of {
       name : Qname.t;
       optional : bool;
@@ -78,7 +81,7 @@ and node =
   | P_if of { cond : plan; then_ : plan; else_ : plan }
   | P_quantified of {
       universal : bool;
-      var : C.var;
+      var : var;
       source : plan;
       pred : plan;
     }
@@ -89,7 +92,7 @@ and node =
   | P_child of plan * Qname.t
   | P_child_wild of plan
   | P_attr_of of plan * Qname.t
-  | P_filter of { input : plan; dot : C.var; pos : C.var; pred : plan }
+  | P_filter of { input : plan; dot : var; pos : var; pred : plan }
   | P_data of plan
   | P_ebv of plan
   | P_binop of C.binop * plan * plan
@@ -105,12 +108,12 @@ and pattr = { p_aname : Qname.t; p_avalue : plan; p_aoptional : bool }
 and op = { op_id : int; op_est : int; op_node : op_node }
 
 and op_node =
-  | O_scan of { var : C.var; source : plan }
-  | O_let of { var : C.var; value : plan; mode : let_mode }
+  | O_scan of { var : var; source : plan }
+  | O_let of { var : var; value : plan; mode : let_mode }
   | O_select of plan
   | O_group of {
-      aggs : (C.var * C.var) list;
-      keys : (plan * C.var) list;
+      aggs : (plan * var) list;
+      keys : (plan * var) list;
       clustered : bool;
     }
   | O_sort of { keys : (plan * bool) list }
@@ -118,6 +121,7 @@ and op_node =
       kind : C.join_kind;
       method_ : C.join_method;
       right : op list;
+      base : int;
       on_ : plan;
       equi : pequi option;
       export : pexport;
@@ -126,7 +130,7 @@ and op_node =
 
 and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
 
-and pexport = PE_bindings | PE_grouped of { gvar : C.var; gexpr : plan }
+and pexport = PE_bindings | PE_grouped of { gvar : var; gexpr : plan }
 
 and sql_region = {
   sql_db : string;
@@ -135,9 +139,10 @@ and sql_region = {
   sql_select : Aldsp_relational.Sql_ast.select;
   sql_params : plan list;
   sql_binds : C.sql_bind list;
+  sql_slots : int array;
 }
 
-type t = { tree : plan; totals : run }
+type t = { tree : plan; totals : run; params : C.var array }
 
 let zero () =
   { c_starts = 0; c_rows = 0; c_roundtrips = 0; c_wall = 0.;
@@ -147,8 +152,9 @@ let new_run view = Array.init (Array.length view.totals) (fun _ -> zero ())
 
 let instance view = { view with totals = new_run view }
 
-(* Sums, except the high-water fan-in, the first stamped time to first
-   row, and the backend lines of the latest run that captured any. *)
+(* Sums, except the high-water fan-in and the first stamped time to first
+   row. A run's backend lines stay with the run: EXPLAIN renders its own
+   execution, so a view has no use for them. *)
 let add total c =
   total.c_starts <- total.c_starts + c.c_starts;
   total.c_rows <- total.c_rows + c.c_rows;
@@ -164,8 +170,7 @@ let add total c =
     t.c_spill_runs <- t.c_spill_runs + m.c_spill_runs;
     t.c_spill_rows <- t.c_spill_rows + m.c_spill_rows;
     t.c_spill_bytes <- t.c_spill_bytes + m.c_spill_bytes;
-    t.c_merge_fanin <- max t.c_merge_fanin m.c_merge_fanin;
-    if m.c_backend <> [] then t.c_backend <- m.c_backend
+    t.c_merge_fanin <- max t.c_merge_fanin m.c_merge_fanin
   end
 
 (* One lock for every view: a fold is a handful of word writes per
@@ -182,7 +187,7 @@ let fold view run =
 
 let rec sub_plans p =
   match p.node with
-  | P_const _ | P_empty | P_var _ | P_error _ -> []
+  | P_const _ | P_empty | P_var _ | P_param _ | P_error _ -> []
   | P_seq es -> es
   | P_construct { attrs; content; _ } ->
     List.map (fun a -> a.p_avalue) attrs @ [ content ]
@@ -207,7 +212,7 @@ and op_sub_plans o =
   | O_scan { source; _ } -> [ source ]
   | O_let { value; _ } -> [ value ]
   | O_select p -> [ p ]
-  | O_group { keys; _ } -> List.map fst keys
+  | O_group { aggs; keys; _ } -> List.map fst aggs @ List.map fst keys
   | O_sort { keys } -> List.map fst keys
   | O_join { right; on_; equi; export; _ } ->
     List.concat_map op_sub_plans right
@@ -233,14 +238,52 @@ let structural p =
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 
+(* A lowering scope: the variables bound so far, innermost first, with
+   their frame slots, and the next free slot. A variable's slot is its
+   scope's depth where it is bound, so a tuple frame is never wider than
+   the scope that reads it, and sibling scopes reuse slots. *)
+type scope = { bound : (C.var * int) list; depth : int }
+
+let bind sc name =
+  ( { name; slot = sc.depth },
+    { bound = (name, sc.depth) :: sc.bound; depth = sc.depth + 1 } )
+
+let bind_all sc names =
+  let vars, sc =
+    List.fold_left
+      (fun (vars, sc) name ->
+        let v, sc = bind sc name in
+        (v :: vars, sc))
+      ([], sc) names
+  in
+  (List.rev vars, sc)
+
 (* The counted nodes are numbered densely from 0: an execution's
    counters are the array those ids index. A node is counted when EXPLAIN
    renders it with counters (every tuple operator, every [structural]
    node) and so is the root; any other node has id -1. Children are
-   lowered before their parent. *)
+   lowered before their parent. A variable no scope binds is a
+   parameter, numbered in order of first use. *)
 let compile registry root =
   let next = ref 0 in
   let fresh () = let id = !next in incr next; id in
+  let params = Hashtbl.create 8 in
+  let param_names = ref [] in
+  let var sc name =
+    match List.assoc_opt name sc.bound with
+    | Some slot -> P_var { name; slot }
+    | None ->
+      let slot =
+        match Hashtbl.find_opt params name with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length params in
+          Hashtbl.add params name i;
+          param_names := name :: !param_names;
+          i
+      in
+      P_param { name; slot }
+  in
   let est_of = Option.value ~default:0 in
   let mk_op est op_node = { op_id = fresh (); op_est = est_of est; op_node } in
   let external_call = function
@@ -257,17 +300,18 @@ let compile registry root =
      EXPLAIN --analyze can print est=/act= pairs: the estimate of an
      operator is the binding tuples it is expected to emit
      ({!Cost_model.advance}). *)
-  let rec expr (e : C.t) : plan =
+  let rec lower sc (e : C.t) : plan =
     let est = est_of (Cost_model.expr_cardinality registry e) in
     let mk node =
       let p = { id = -1; est; node } in
       if structural p then { p with id = fresh () } else p
     in
+    let expr = lower sc in
     match e with
     | C.Const a -> mk (P_const a)
     | C.Empty -> mk P_empty
     | C.Seq es -> mk (P_seq (List.map expr es))
-    | C.Var v -> mk (P_var v)
+    | C.Var v -> mk (var sc v)
     | C.Elem { name; optional; attrs; content } ->
       mk
         (P_construct
@@ -282,13 +326,15 @@ let compile registry root =
                  attrs;
              content = expr content })
     | C.Flwor { clauses; return_ } ->
-      mk
-        (P_pipeline
-           { ops = lower_clauses (Some 1) clauses; return_ = expr return_ })
+      let ops, inner = lower_clauses sc (Some 1) clauses in
+      mk (P_pipeline { ops; return_ = lower inner return_ })
     | C.If { cond; then_; else_ } ->
       mk (P_if { cond = expr cond; then_ = expr then_; else_ = expr else_ })
     | C.Quantified { universal; var; source; pred } ->
-      mk (P_quantified { universal; var; source = expr source; pred = expr pred })
+      let var, inner = bind sc var in
+      mk
+        (P_quantified
+           { universal; var; source = expr source; pred = lower inner pred })
     | C.Call { fn; args = [ arg ] } when Qname.equal fn Names.async ->
       mk (P_async (expr arg))
     | C.Call { fn; args = [ prim; alt ] } when Qname.equal fn Names.fail_over ->
@@ -319,7 +365,9 @@ let compile registry root =
     | C.Child_wild input -> mk (P_child_wild (expr input))
     | C.Attr_of (input, n) -> mk (P_attr_of (expr input, n))
     | C.Filter { input; dot; pos; pred } ->
-      mk (P_filter { input = expr input; dot; pos; pred = expr pred })
+      let dot, inner = bind sc dot in
+      let pos, inner = bind inner pos in
+      mk (P_filter { input = expr input; dot; pos; pred = lower inner pred })
     | C.Data input -> mk (P_data (expr input))
     | C.Ebv input -> mk (P_ebv (expr input))
     | C.Binop (op, a, b) -> mk (P_binop (op, expr a, expr b))
@@ -331,8 +379,9 @@ let compile registry root =
   (* A maximal run of adjacent lets is analyzed as one unit, mirroring the
      executor's binding step: an explicit fn-bea:async value, or an
      external-source call with no data dependence on the run's other
-     bindings, is marked for ahead-of-use submission (§5.4). *)
-  and lower_lets est run =
+     bindings, is marked for ahead-of-use submission (§5.4). Each value
+     sees the lets before it. *)
+  and lower_lets sc est run =
     let run_vars =
       List.filter_map (function C.Let { var; _ } -> Some var | _ -> None) run
     in
@@ -340,55 +389,70 @@ let compile registry root =
       let fv = C.free_vars e () in
       not (List.exists (fun v -> Hashtbl.mem fv v) run_vars)
     in
-    List.map
-      (fun cl ->
-        match cl with
-        | C.Let { var; value } ->
-          let mode =
-            match value with
-            | C.Call { fn; args = [ _ ] } when Qname.equal fn Names.async ->
-              L_async
-            | value
-              when List.length run_vars > 1
-                   && external_call value && independent value ->
-              L_concurrent
-            | _ -> L_plain
-          in
-          mk_op est (O_let { var; value = expr value; mode })
-        | _ -> assert false)
-      run
-  and lower_clauses est clauses =
-    lower_run est clauses (Cost_model.estimates registry est clauses)
-  and lower_run est clauses ests =
+    let ops, sc =
+      List.fold_left
+        (fun (ops, sc) cl ->
+          match cl with
+          | C.Let { var; value } ->
+            let mode =
+              match value with
+              | C.Call { fn; args = [ _ ] } when Qname.equal fn Names.async ->
+                L_async
+              | value
+                when List.length run_vars > 1
+                     && external_call value && independent value ->
+                L_concurrent
+              | _ -> L_plain
+            in
+            let value = lower sc value in
+            let var, sc = bind sc var in
+            (mk_op est (O_let { var; value; mode }) :: ops, sc)
+          | _ -> assert false)
+        ([], sc) run
+    in
+    (List.rev ops, sc)
+  and lower_clauses sc est clauses =
+    lower_run sc est clauses (Cost_model.estimates registry est clauses)
+  (* The operators of [clauses], and the scope after them. *)
+  and lower_run sc est clauses ests =
     match (clauses, ests) with
-    | [], _ | _, [] -> []
+    | [], _ | _, [] -> ([], sc)
     | C.Let _ :: _, _ ->
       let rec split run ests = function
         | (C.Let _ as l) :: rest -> split (l :: run) (List.tl ests) rest
         | rest -> (List.rev run, ests, rest)
       in
       let run, ests, rest = split [] ests clauses in
-      let ops = lower_lets est run in
-      ops @ lower_run est rest ests
+      let ops, sc = lower_lets sc est run in
+      let rest, sc = lower_run sc est rest ests in
+      (ops @ rest, sc)
     | clause :: rest, est' :: ests ->
-      let op =
-        mk_op est'
-        @@
+      let op_node, after =
         match clause with
-        | C.For { var; source } -> O_scan { var; source = expr source }
+        | C.For { var; source } ->
+          let var, after = bind sc var in
+          (O_scan { var; source = lower sc source }, after)
         | C.Let _ -> assert false
-        | C.Where cond -> O_select (expr cond)
+        | C.Where cond -> (O_select (lower sc cond), sc)
         | C.Group { aggs; keys; clustered } ->
-          O_group
-            { aggs;
-              keys = List.map (fun (e, v) -> (expr e, v)) keys;
-              clustered }
+          (* each member keeps its bindings; the first member's stay
+             visible after the group, beside the keys and outputs *)
+          let key_exprs = List.map (fun (e, _) -> lower sc e) keys in
+          let inputs = List.map (fun (v, _) -> lower sc (C.Var v)) aggs in
+          let key_vars, after = bind_all sc (List.map snd keys) in
+          let outs, after = bind_all after (List.map snd aggs) in
+          ( O_group
+              { aggs = List.combine inputs outs;
+                keys = List.combine key_exprs key_vars;
+                clustered },
+            after )
         | C.Order { keys } ->
-          O_sort { keys = List.map (fun (e, d) -> (expr e, d)) keys }
+          (O_sort { keys = List.map (fun (e, d) -> (lower sc e, d)) keys }, sc)
         | C.Join { kind; method_; right; on_; export } ->
+          let right_ops, inner = lower_clauses sc est right in
           let lower_equi (pairs, residual) =
-            { eq_pairs = List.map (fun (l, r) -> (expr l, expr r)) pairs;
-              eq_residual = List.map expr residual }
+            { eq_pairs = List.map (fun (l, r) -> (lower sc l, lower inner r)) pairs;
+              eq_residual = List.map (lower inner) residual }
           in
           let equi =
             match method_ with
@@ -401,17 +465,23 @@ let compile registry root =
                 (C.ppk_hash_keys right on_)
             | C.Nested_loop -> None
           in
-          O_join
-            { kind;
-              method_;
-              right = lower_clauses est right;
-              on_ = expr on_;
-              equi;
-              export =
-                (match export with
-                | C.Bindings -> PE_bindings
-                | C.Grouped { gvar; gexpr } ->
-                  PE_grouped { gvar; gexpr = expr gexpr }) }
+          let export, after =
+            match export with
+            | C.Bindings -> (PE_bindings, inner)
+            | C.Grouped { gvar; gexpr } ->
+              let gexpr = lower inner gexpr in
+              let gvar, after = bind sc gvar in
+              (PE_grouped { gvar; gexpr }, after)
+          in
+          ( O_join
+              { kind;
+                method_;
+                right = right_ops;
+                base = sc.depth;
+                on_ = lower inner on_;
+                equi;
+                export },
+            after )
         | C.Rel r ->
           let dialect, vendor =
             match Metadata.find_database registry r.C.db with
@@ -424,19 +494,29 @@ let compile registry root =
             with Sql_print.Unsupported reason ->
               "<unprintable: " ^ reason ^ ">"
           in
-          O_sql
-            { sql_db = r.C.db;
-              sql_dialect = dialect;
-              sql_text;
-              sql_select = r.C.select;
-              sql_params = List.map expr r.C.sql_params;
-              sql_binds = r.C.binds }
+          let sql_params = List.map (lower sc) r.C.sql_params in
+          let vars, after =
+            bind_all sc (List.map (fun (b : C.sql_bind) -> b.C.bvar) r.C.binds)
+          in
+          ( O_sql
+              { sql_db = r.C.db;
+                sql_dialect = dialect;
+                sql_text;
+                sql_select = r.C.select;
+                sql_params;
+                sql_binds = r.C.binds;
+                sql_slots = Array.of_list (List.map (fun v -> v.slot) vars) },
+            after )
       in
-      op :: lower_run est' rest ests
+      let op = mk_op est' op_node in
+      let rest, sc = lower_run after est' rest ests in
+      (op :: rest, sc)
   in
-  let tree = expr root in
+  let tree = lower { bound = []; depth = 0 } root in
   let tree = if tree.id < 0 then { tree with id = fresh () } else tree in
-  { tree; totals = Array.init !next (fun _ -> zero ()) }
+  { tree;
+    totals = Array.init !next (fun _ -> zero ());
+    params = Array.of_list (List.rev !param_names) }
 
 (* Every node and tuple operator in preorder, keeping what [node] and
    [op] pick out. *)
@@ -476,7 +556,7 @@ let rec summary p =
   | P_const a -> Format.asprintf "%a" Atomic.pp a
   | P_empty -> "()"
   | P_seq es -> "(" ^ String.concat ", " (List.map summary es) ^ ")"
-  | P_var v -> "$" ^ v
+  | P_var v | P_param v -> "$" ^ v.name
   | P_construct { name; optional; content; _ } ->
     Printf.sprintf "element %s%s {%s}" (Qname.to_string name)
       (if optional then "?" else "")
@@ -487,7 +567,7 @@ let rec summary p =
   | P_quantified { universal; var; source; pred } ->
     Printf.sprintf "%s $%s in %s satisfies %s"
       (if universal then "every" else "some")
-      var (summary source) (summary pred)
+      var.name (summary source) (summary pred)
   | P_call { fn; args; _ } ->
     Printf.sprintf "%s(%s)" (Qname.to_string fn)
       (String.concat ", " (List.map summary args))
@@ -501,7 +581,7 @@ let rec summary p =
   | P_child_wild p -> summary p ^ "/*"
   | P_attr_of (p, n) -> summary p ^ "/@" ^ Qname.to_string n
   | P_filter { input; dot; pred; _ } ->
-    Printf.sprintf "%s[%s: %s]" (summary input) dot (summary pred)
+    Printf.sprintf "%s[%s: %s]" (summary input) dot.name (summary pred)
   | P_data p -> Printf.sprintf "data(%s)" (summary p)
   | P_ebv p -> Printf.sprintf "ebv(%s)" (summary p)
   | P_binop (op, a, b) ->
@@ -551,9 +631,9 @@ let node_label p =
   | P_quantified { universal; var; _ } ->
     Printf.sprintf "%s $%s"
       (if universal then "every" else "some")
-      var
+      var.name
   | P_filter { dot; pred; _ } ->
-    Printf.sprintf "filter [%s: %s]" dot (cap (summary pred))
+    Printf.sprintf "filter [%s: %s]" dot.name (cap (summary pred))
   | P_data _ -> "data"
   | P_ebv _ -> "ebv"
   | P_binop (op, _, _) -> "op " ^ C.binop_name op
@@ -564,28 +644,30 @@ let node_label p =
   | P_cast (_, ty) -> "cast as " ^ Atomic.type_name ty
   | P_castable (_, ty) -> "castable as " ^ Atomic.type_name ty
   | P_instance_of _ -> "instance-of"
-  | P_const _ | P_empty | P_var _ | P_error _ -> cap (summary p)
+  | P_const _ | P_empty | P_var _ | P_param _ | P_error _ -> cap (summary p)
 
 let op_label o =
   match o.op_node with
   | O_scan { var; source } ->
-    Printf.sprintf "scan $%s in %s" var (cap (summary source))
+    Printf.sprintf "scan $%s in %s" var.name (cap (summary source))
   | O_let { var; value; mode } ->
     Printf.sprintf "let%s $%s := %s"
       (match mode with
       | L_plain -> ""
       | L_async -> "[async]"
       | L_concurrent -> "[concurrent]")
-      var (cap (summary value))
+      var.name (cap (summary value))
   | O_select p -> "select " ^ cap (summary p)
   | O_group { aggs; keys; clustered } ->
     Printf.sprintf "group-by%s %s by %s"
       (if clustered then "[pre-clustered]" else "")
       (String.concat ", "
-         (List.map (fun (a, b) -> Printf.sprintf "$%s as $%s" a b) aggs))
+         (List.map
+            (fun (a, b) -> Printf.sprintf "%s as $%s" (summary a) b.name)
+            aggs))
       (String.concat ", "
          (List.map
-            (fun (e, v) -> Printf.sprintf "%s as $%s" (cap (summary e)) v)
+            (fun (e, v) -> Printf.sprintf "%s as $%s" (cap (summary e)) v.name)
             keys))
   | O_sort { keys } ->
     "sort "
@@ -600,7 +682,7 @@ let op_label o =
       (method_label method_ equi)
       (match export with
       | PE_bindings -> ""
-      | PE_grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar)
+      | PE_grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar.name)
   | O_sql r -> Printf.sprintf "sql[%s dialect=%s]" r.sql_db r.sql_dialect
 
 let counters_suffix ~timings est c =
@@ -634,17 +716,17 @@ let counters_suffix ~timings est c =
   in
   " (" ^ String.concat " " parts ^ ")"
 
-(* The variable a parameter slot reads whole, if it reads one. *)
-let rec whole_var p =
+(* The plan parameter a parameter slot reads whole, if it reads one. *)
+let rec whole_param p =
   match p.node with
-  | P_var v -> Some v
-  | P_data p -> whole_var p
+  | P_param v -> Some v.name
+  | P_data p -> whole_param p
   | _ -> None
 
 (* A parameter slot that reads one bound variable whole prints the
    value it is bound to, as the statement would have inlined it. *)
 let param_label bindings p =
-  match Option.bind (whole_var p) (fun v -> List.assoc_opt v bindings) with
+  match Option.bind (whole_param p) (fun v -> List.assoc_opt v bindings) with
   | Some [ Item.Atom (Atomic.String s) ] ->
     Aldsp_relational.Sql_value.to_string (Aldsp_relational.Sql_value.Str s)
   | Some [ Item.Atom a ] -> Atomic.to_string a
@@ -733,18 +815,15 @@ let render ?(timings = false) ?(bindings = []) ?counters view =
    a statement runs is then the same for every value bound to them. *)
 let params_only view vars =
   let bound v = List.mem v vars in
-  let whole p = Option.fold ~none:false ~some:bound (whole_var p) in
+  let whole p = Option.fold ~none:false ~some:bound (whole_param p) in
   let rec clean p =
     match p.node with
-    | P_var v -> not (bound v)
+    | P_param v -> not (bound v.name)
     | P_pipeline { ops; return_ } -> List.for_all op ops && clean return_
     | _ -> List.for_all clean (sub_plans p)
   and op o =
     match o.op_node with
     | O_sql r -> List.for_all (fun p -> whole p || clean p) r.sql_params
-    | O_group { aggs; _ }
-      when List.exists (fun (a, b) -> bound a || bound b) aggs ->
-      false
     | O_join ({ right; _ } as j) ->
       List.for_all op right
       && List.for_all clean

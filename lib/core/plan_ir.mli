@@ -62,8 +62,9 @@ and more = private {
   mutable c_merge_fanin : int;  (** Widest merge fan-in performed. *)
   mutable c_backend : string list;
       (** On a pushed region: the backend's access-path plan for its most
-          recent statement (in block order for PP-k, so deterministic). A
-          view keeps the latest any folded run captured. *)
+          recent statement (in block order for PP-k, so deterministic).
+          Only a run's own counters hold it: {!fold} leaves it out of a
+          view, since EXPLAIN renders the run it executed. *)
 }
 
 (** The writes to {!more}; each allocates the operator's own first. *)
@@ -95,6 +96,14 @@ type call_target =
     place. *)
 type let_mode = L_plain | L_async | L_concurrent
 
+(** A variable, numbered at lowering. In a [P_var] or a binding operator
+    [slot] indexes the tuple frame: lowering numbers each variable by its
+    scope's depth, so a variable's slot is the count of variables in
+    scope where it is bound, and sibling scopes reuse slots. In a
+    [P_param] it indexes the plan's {!t.params}. The executor never reads
+    [name] except to report an unbound variable. *)
+type var = { name : Cexpr.var; slot : int }
+
 (** An operator of the immutable tree. [est] is its estimated items /
     binding tuples ({!Cost_model}), fixed at compile time; 0 when the
     model could not price it. [id] indexes a {!run}, or is -1 for a node
@@ -105,7 +114,10 @@ and node =
   | P_const of Atomic.t
   | P_empty
   | P_seq of plan list
-  | P_var of Cexpr.var
+  | P_var of var  (** A variable bound in the plan, read from the frame. *)
+  | P_param of var
+      (** A variable free in the plan: a function body's parameter, a
+          call shape's lifted literal, an external variable. *)
   | P_construct of {
       name : Qname.t;
       optional : bool;
@@ -115,7 +127,7 @@ and node =
   | P_if of { cond : plan; then_ : plan; else_ : plan }
   | P_quantified of {
       universal : bool;
-      var : Cexpr.var;
+      var : var;
       source : plan;
       pred : plan;
     }
@@ -127,7 +139,7 @@ and node =
   | P_child of plan * Qname.t
   | P_child_wild of plan
   | P_attr_of of plan * Qname.t
-  | P_filter of { input : plan; dot : Cexpr.var; pos : Cexpr.var; pred : plan }
+  | P_filter of { input : plan; dot : var; pos : var; pred : plan }
   | P_data of plan
   | P_ebv of plan
   | P_binop of Cexpr.binop * plan * plan
@@ -145,12 +157,14 @@ and pattr = { p_aname : Qname.t; p_avalue : plan; p_aoptional : bool }
 and op = { op_id : int; op_est : int; op_node : op_node }
 
 and op_node =
-  | O_scan of { var : Cexpr.var; source : plan }
-  | O_let of { var : Cexpr.var; value : plan; mode : let_mode }
+  | O_scan of { var : var; source : plan }
+  | O_let of { var : var; value : plan; mode : let_mode }
   | O_select of plan
   | O_group of {
-      aggs : (Cexpr.var * Cexpr.var) list;
-      keys : (plan * Cexpr.var) list;
+      aggs : (plan * var) list;
+          (** Each member's value of the input variable, concatenated
+              into the output variable. *)
+      keys : (plan * var) list;
       clustered : bool;
     }
   | O_sort of { keys : (plan * bool) list }
@@ -158,6 +172,9 @@ and op_node =
       kind : Cexpr.join_kind;
       method_ : Cexpr.join_method;
       right : op list;
+      base : int;
+          (** The first frame slot [right] binds: a left tuple's frame
+              is no wider. *)
       on_ : plan;
       equi : pequi option;
           (** The hash-join keys, precomputed so the executor never
@@ -172,7 +189,7 @@ and op_node =
 and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
     (** (left key, right key) pairs plus residual conjuncts. *)
 
-and pexport = PE_bindings | PE_grouped of { gvar : Cexpr.var; gexpr : plan }
+and pexport = PE_bindings | PE_grouped of { gvar : var; gexpr : plan }
 
 (** A pushed SQL region: the statement is rendered once, at compile time,
     in the owning database's dialect. *)
@@ -183,18 +200,21 @@ and sql_region = {
   sql_select : Aldsp_relational.Sql_ast.select;
   sql_params : plan list;  (** Middleware expressions bound to [?] slots. *)
   sql_binds : Cexpr.sql_bind list;
+  sql_slots : int array;  (** The frame slot of each bind, in order. *)
 }
 
 (** A view of a tree: the tree plus the counters of the executions folded
-    into it. *)
-type t = { tree : plan; totals : run }
+    into it. [params] names the plan's free variables, indexed by
+    [P_param] slot. *)
+type t = { tree : plan; totals : run; params : Cexpr.var array }
 
 val compile : Metadata.t -> Cexpr.t -> t
 (** Lowers an optimized core expression into the physical IR: special
     forms ([fn-bea:async]/[fail-over]/[timeout]) become guard operators,
     call targets are resolved, adjacent-let runs are analyzed for
-    concurrency eligibility, and every pushed region's SQL is rendered in
-    its database's dialect. Pure — never executes anything. *)
+    concurrency eligibility, every pushed region's SQL is rendered in
+    its database's dialect, and every variable gets its frame slot or
+    parameter index. Pure — never executes anything. *)
 
 val instance : t -> t
 (** Another view of the same tree, with zero totals: what a text of an
@@ -243,7 +263,7 @@ val render :
     operators, each with its counters, and under each pushed region the
     region's dialect SQL, parameter slots, column bindings and the
     backend's captured access-path lines, from [counters] (default: the
-    view's totals). A parameter slot that reads a
+    view's totals, which hold no backend lines). A parameter slot that reads a
     variable of [bindings] prints its bound value ([param ?1 :=
     'CUST0042']) instead of the variable. [timings] adds wall-clock
     fields (off by default so the output is byte-stable for golden

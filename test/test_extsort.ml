@@ -255,6 +255,41 @@ let prop_group_by_identity =
         (serialize unbounded.Aldsp_demo.Demo.server group_query)
         (serialize spilled.Aldsp_demo.Demo.server group_query))
 
+(* A spilled ORDER BY over tuples whose lets are auto-submitted external
+   calls: each tuple's frame holds the calls' futures until the spill
+   awaits them into values. The bytes must be the reference server's,
+   and the sort's temp directory must be gone once the run ends. *)
+let test_spill_awaits_submitted_lets () =
+  let prefix = Printf.sprintf "aldsp-extsort-%d-" (Unix.getpid ()) in
+  let sort_dirs () =
+    Array.to_list (Sys.readdir (Filename.get_temp_dir_name ()))
+    |> List.filter (String.starts_with ~prefix)
+  in
+  let before = sort_dirs () in
+  let d = demo ~budget:(Some 2) 12 in
+  let q =
+    "for $c in CUSTOMER() let $r := getRating(<getRating><lName>{data($c/LAST_NAME)}</lName>\
+     <ssn>{data($c/SSN)}</ssn></getRating>) let $q := getRating(<getRating>\
+     <lName>{data($c/CID)}</lName><ssn>{data($c/SSN)}</ssn></getRating>) \
+     order by data($r) descending, $c/CID return <R>{$c/CID}{$r}{$q}</R>"
+  in
+  let server = d.Aldsp_demo.Demo.server in
+  let plan = ok_exn (Server.explain ~analyze:false server q) in
+  check_bool "both lets submitted to the pool" true
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"let[concurrent]")
+          (List.map String.trim (String.split_on_char '\n' plan)))
+    = 2);
+  let reference = Server.reference d.Aldsp_demo.Demo.registry in
+  Alcotest.check Alcotest.string "spilled bytes = reference bytes"
+    (serialize reference q) (serialize server q);
+  check_bool "the sort spilled" true
+    ((Server.stats server).Server.st_spill_runs > 0);
+  Alcotest.check
+    Alcotest.(list string)
+    "no extsort temp dir left" before (sort_dirs ())
+
 (* ------------------------------------------------------------------ *)
 (* The quadratic-fallback regression: 50k distinct keys                *)
 
@@ -299,7 +334,9 @@ let () =
       ( "identity",
         [ q prop_extsort_identity;
           q prop_order_by_identity;
-          q prop_group_by_identity ] );
+          q prop_group_by_identity;
+          t "spilled ORDER BY awaits submitted lets"
+            test_spill_awaits_submitted_lets ] );
       ( "perf",
         [ Alcotest.test_case "50k distinct keys group fast" `Slow
             test_group_50k_distinct_keys ] ) ]

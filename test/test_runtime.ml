@@ -344,6 +344,36 @@ let test_ppk_keeps_live_reconstruction =
   check_ppk_plan_shape ~ret:"<R>{$c/CID, $x}</R>" ~let_kept:true
     ~columns:[ "CCID"; "CID"; "NUM"; "LIMIT_" ]
 
+(* The PP-k join's allocation per joined row, over whole [Server.run]s
+   of the bench's cross-database join (200 customers x 5 cards, CID
+   index, no latency, no prefetch): the statements, the block join and
+   the count, with no result constructed. Fetched rows are keyed from
+   their key columns and bound once, onto slot frames; over a string-map
+   environment the same runs allocated 495 words per joined row. *)
+let test_ppk_allocation_per_row () =
+  let demo = ppk_plan_shape_demo () in
+  let server = Server.create demo.Aldsp_demo.Demo.registry in
+  let q =
+    "(::pragma hint ppk-prefetch=\"0\"::) fn:count(for $c in CUSTOMER(), \
+     $x in CREDIT_CARD() where $c/CID eq $x/CID return $x/NUM)"
+  in
+  let count () =
+    match ok_exn (Server.run server q) with
+    | [ Item.Atom (Atomic.Integer n) ] -> n
+    | _ -> Alcotest.fail "expected one integer"
+  in
+  let rows = count () in
+  check_int "joined rows" 1000 rows;
+  let runs = 5 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (count ())
+  done;
+  let per_row = (Gc.minor_words () -. before) /. float_of_int (runs * rows) in
+  check_bool
+    (Printf.sprintf "%.0f words per joined row <= 247" per_row)
+    true (per_row <= 247.)
+
 let read_token stream =
   match Server.stream_read stream with
   | Ok tok -> tok
@@ -893,6 +923,7 @@ let () =
           t "PP-k reconstructs only matches" test_ppk_reconstructs_only_matches;
           t "PP-k ships only read columns" test_ppk_ships_read_columns;
           t "PP-k keeps a live reconstruction" test_ppk_keeps_live_reconstruction;
+          t "PP-k allocation per joined row" test_ppk_allocation_per_row;
           t "streaming group" test_streaming_group_constant_memory_shape;
           t "group fallback" test_group_fallback_sorts ] );
       ( "ppk-hash-join",
