@@ -3,24 +3,34 @@
    experiment index and paper-vs-measured discussion.
 
    Run with: dune exec bench/main.exe            (all experiments)
+             dune exec bench/main.exe -- smoke   (the CI subset)
              dune exec bench/main.exe -- micro   (adds bechamel microbenches)
+
+   A full run writes its records to BENCH_results.json, a smoke run to
+   bench_smoke.json (not tracked). The guards left here are timed, or
+   count work that depends on thread timing; the plan-shape and counter
+   checks of the same workloads run in dune runtest.
 
    Experiment ids (DESIGN.md):
      T1a-T1f, T2g-T2i  pushdown patterns of Tables 1 and 2
      F4                tuple representations of Figure 4
      PPk               PP-k block size sweep (§4.2, default k=20)
      IDX               scan vs index access paths on the PP-k probe side
+     CST               cost model: chosen vs forced join methods
+     CST-PL            cost model: the getProfileByID point lookup
      GRP               pre-clustered streaming group-by vs sort fallback
+     SRT               bounded-memory external sort: spill vs in-memory
      ASY               fn-bea:async latency overlap (§5.4)
+     PPk-pipeline      worker pool x PP-k prefetch depth x latency
      CCH               function cache: slow call -> single-row lookup (§5.5)
      FOV               fn-bea:timeout / fail-over behaviour (§5.6)
      VWU               view unfolding + source-access elimination (§4.2)
      PLC               plan cache and view-plan cache (§2.2, §4.2)
      INV               inverse functions enable pushdown (§4.5)
+     OBS               observed-cost reordering (§9)
      CCX               concurrent serving layer: client sweep (§5.4)
      CCS               cross-session work sharing: coalescing + batching
      STRM              streamed delivery: TTFT + peak live tokens (§2.2)
-     SRT               bounded-memory external sort: spill vs in-memory
 *)
 
 open Aldsp_core
@@ -44,95 +54,60 @@ let time f =
 
 let ok_exn = function Ok v -> v | Error m -> failwith m
 
+let compile_exn server q =
+  match Server.compile server q with
+  | Ok c -> c
+  | Error ds -> failwith (String.concat "; " (List.map Diag.to_string ds))
+
+(* A guard: fails the run with the formatted message when [ok] is false. *)
+let guard ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then failwith msg) fmt
+
+(* the [p]th percentile (0-100) of a sorted array *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))
+
+let median xs = percentile (Array.of_list (List.sort compare xs)) 50.
+
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results: every experiment appends (name, params,
-   wall-time) records; the whole run is written to BENCH_results.json so
-   the performance trajectory can be compared across changes. *)
+(* Records: every experiment emits (name, params, metrics) through
+   [record]; params name the sweep point, metrics what it measured. *)
 
-let bench_results : (string * (string * string) list * float) list ref = ref []
+type value = Int of int | Num of float | Str of string | Bool of bool
 
-(* [params] values must already be JSON-encoded (numbers bare, strings
-   quoted by the caller) *)
-let record_result name ~params seconds =
-  bench_results := (name, params, seconds *. 1000.) :: !bench_results
+let records = ref []
 
-(* A partial run (the CI smoke sweep, a single re-run experiment) must not
-   clobber records other experiments already wrote to [path]: records are
-   merged by benchmark name — prior records whose name this run also
-   produced are replaced, every other prior record is kept. The writer
-   emits one record per line, so prior lines carry over verbatim. *)
-let record_name line =
-  let marker = "\"name\": \"" in
-  let n = String.length line and m = String.length marker in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub line i m = marker then Some (i + m)
-    else find (i + 1)
+let record name ~params metrics =
+  records := (name, params, metrics) :: !records
+
+let ms seconds = Num (seconds *. 1000.)
+
+let write_records path =
+  let json = function
+    | Int i -> string_of_int i
+    | Num f -> Printf.sprintf "%.3f" f
+    | Str s -> Printf.sprintf "%S" s
+    | Bool b -> string_of_bool b
   in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-    match String.index_from_opt line start '"' with
-    | Some stop -> Some (String.sub line start (stop - start))
-    | None -> None)
-
-let existing_records path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        let line =
-          if String.length line > 0 && line.[String.length line - 1] = ',' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        if String.length line > 0 && line.[0] = '{' then
-          Option.map (fun name -> (name, line)) (record_name line)
-        else None)
-      (List.rev !lines)
-  end
-
-let write_results path =
-  let fresh =
-    List.rev_map
-      (fun (name, params, wall_ms) ->
-        let fields =
-          (Printf.sprintf "\"name\": \"%s\"" name)
-          :: List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) params
-          @ [ Printf.sprintf "\"wall_ms\": %.3f" wall_ms ]
-        in
-        (name, "{" ^ String.concat ", " fields ^ "}"))
-      !bench_results
+  let obj fields =
+    "{"
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
+    ^ "}"
   in
-  let fresh_names = List.sort_uniq compare (List.map fst fresh) in
-  let kept =
-    List.filter
-      (fun (name, _) -> not (List.mem name fresh_names))
-      (existing_records path)
+  let line (name, params, metrics) =
+    let values fields = obj (List.map (fun (k, v) -> (k, json v)) fields) in
+    obj
+      [ ("name", json (Str name));
+        ("params", values params);
+        ("metrics", values metrics) ]
   in
-  let records = List.map snd kept @ List.map snd fresh in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf ("  " ^ r))
-    records;
-  Buffer.add_string buf "\n]\n";
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc
+    ("[\n  " ^ String.concat ",\n  " (List.rev_map line !records) ^ "\n]\n");
   close_out oc;
-  Printf.printf "\nwrote %d result records to %s (%d fresh, %d carried over)\n"
-    (List.length records) path (List.length fresh) (List.length kept)
+  Printf.printf "\nwrote %d records to %s\n" (List.length !records) path
 
 let run demo q = ok_exn (Server.run demo.Demo.server q)
 
@@ -223,6 +198,10 @@ let bench_tuple_representations () =
             List.iter (fun t -> ignore (Tuple.field_items t 3)) tuples)
       in
       let words = Obj.reachable_words (Obj.repr tuples) / n in
+      record "F4" ~params:[ ("representation", Str name) ]
+        [ ("construct_ms", ms t_build);
+          ("access_ms", ms t_access);
+          ("words_per_tuple", Int words) ];
       Printf.printf "%-14s %14.1f %16.1f %10d\n" name (t_build *. 1000.)
         (t_access *. 1000.) words)
     [ ("stream", Tuple.Stream_repr);
@@ -235,6 +214,32 @@ let bench_tuple_representations () =
 (* ------------------------------------------------------------------ *)
 (* PP-k sweep (§4.2)                                                   *)
 
+let card_join =
+  "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
+
+(* a knob sweep's options: cost-based selection off, so the given k is
+   the k used *)
+let forced ?(prefetch = Optimizer.default_options.Optimizer.ppk_prefetch) k =
+  { Optimizer.default_options with
+    Optimizer.ppk_k = k;
+    ppk_prefetch = prefetch;
+    cost_based = false }
+
+(* Adds [n] cards of customers outside every joined range to the demo's
+   CREDIT_CARD, after indexing its CID when [index]: the probe side
+   grows, the join result does not. *)
+let pad_cards ?(index = false) demo n =
+  let cards = ok_exn (Database.find_table demo.Demo.card_db "CREDIT_CARD") in
+  if index then ok_exn (Table.create_index cards ~name:"card_cid" [ "CID" ]);
+  ignore
+    (ok_exn
+       (Table.insert_many cards
+          (List.init (max 0 n) (fun i ->
+               [| Sql_value.Int (1_000_000 + i);
+                  Sql_value.Str (Printf.sprintf "PAD%06d" i);
+                  Sql_value.Str "0000-0000-0000";
+                  Sql_value.Null |]))))
+
 let bench_ppk () =
   banner "PP-k: parameter passing in blocks of k (§4.2, default k = 20)";
   let customers = 400 in
@@ -246,25 +251,19 @@ let bench_ppk () =
   let demo =
     Demo.create ~customers ~orders_per_customer:0 ~db_latency:latency ()
   in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
   Printf.printf "%6s %12s %12s %12s %14s\n" "k" "roundtrips" "rows" "time(ms)"
     "block memory";
   List.iter
     (fun k ->
-      (* knob sweep: cost-based selection off so the swept k is the k used *)
-      let options =
-        { Optimizer.default_options with
-          Optimizer.ppk_k = k;
-          cost_based = false }
+      let server =
+        Server.create ~optimizer_options:(forced k) demo.Demo.registry
       in
-      let server = Server.create ~optimizer_options:options demo.Demo.registry in
       Demo.reset_stats demo;
-      let t, r = time (fun () -> ok_exn (Server.run server q)) in
-      record_result "PPk" ~params:[ ("k", string_of_int k) ] t;
-      Printf.printf "%6d %12d %12d %12.1f %14s\n" k
-        demo.Demo.card_db.Database.stats.Database.statements
+      let t, r = time (fun () -> ok_exn (Server.run server card_join)) in
+      let roundtrips = demo.Demo.card_db.Database.stats.Database.statements in
+      record "PPk" ~params:[ ("k", Int k) ]
+        [ ("wall_ms", ms t); ("roundtrips", Int roundtrips) ];
+      Printf.printf "%6d %12d %12d %12.1f %14s\n" k roundtrips
         (List.length r) (t *. 1000.)
         (Printf.sprintf "%d tuples" (min k customers)))
     [ 1; 5; 10; 20; 50; 100; 400 ];
@@ -276,18 +275,16 @@ let bench_ppk () =
 (* ------------------------------------------------------------------ *)
 (* Scan vs index access paths (backend executor)                       *)
 
-(* The PP-k probe lands on the source as WHERE (CID = ? OR CID = ? ...),
-   one statement per block of k left tuples. With the backend index layer
+(* The PP-k probe lands on the source as WHERE CID IN (?, ..., ?), one
+   statement per block of k left tuples. With the backend index layer
    each statement is k hash-index probes; without it each statement scans
    the whole probe-side table. The sweep holds the query fixed and grows
-   the probe side. *)
+   the probe side. That the indexed path scans nothing and both paths
+   return the same rows is test_optimizer's "cost model sweep" case, over
+   the same sizes. *)
 let bench_scan_vs_index ?(smoke = false) () =
   banner "IDX: scan vs index access paths on the PP-k probe side";
-  let customers = 100 in
-  let k = 20 in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
+  let customers = 100 and cards_per_customer = 10 and k = 20 in
   Printf.printf
     "%d customers PP-k joined (k=%d) against CREDIT_CARD; the matching rows\n\
      are fixed, the probe side is padded with non-matching cards, and the\n\
@@ -298,58 +295,33 @@ let bench_scan_vs_index ?(smoke = false) () =
   let sweep = if smoke then [ 1_000 ] else [ 1_000; 10_000; 100_000 ] in
   List.iter
     (fun rows ->
-      let cards_per_customer = 10 in
       let demo =
         Demo.create ~customers ~orders_per_customer:0 ~cards_per_customer ()
       in
-      let card_table =
-        ok_exn (Database.find_table demo.Demo.card_db "CREDIT_CARD")
-      in
-      ok_exn (Table.create_index card_table ~name:"card_cid" [ "CID" ]);
-      (* grow the probe side without growing the result: bulk-load cards
-         of customers outside the joined range *)
-      let pad = rows - (customers * cards_per_customer) in
-      let pad_rows =
-        List.init (max 0 pad) (fun i ->
-            [| Sql_value.Int (1_000_000 + i);
-               Sql_value.Str (Printf.sprintf "PAD%06d" i);
-               Sql_value.Str "0000-0000-0000";
-               Sql_value.Null |])
-      in
-      ignore (ok_exn (Table.insert_many card_table pad_rows));
-      (* pinned k: this sweep isolates the backend access path, not the
-         join-method choice, so cost-based selection stays off *)
-      let options =
-        { Optimizer.default_options with
-          Optimizer.ppk_k = k;
-          cost_based = false }
-      in
+      pad_cards ~index:true demo (rows - (customers * cards_per_customer));
       let server =
-        Server.create ~optimizer_options:options demo.Demo.registry
+        Server.create ~optimizer_options:(forced k) demo.Demo.registry
       in
       let run_one indexed =
         Database.set_use_indexes demo.Demo.customer_db indexed;
         Database.set_use_indexes demo.Demo.card_db indexed;
         Demo.reset_stats demo;
-        let t, r = time (fun () -> ok_exn (Server.run server q)) in
+        let t, _ = time (fun () -> ok_exn (Server.run server card_join)) in
         let st = demo.Demo.card_db.Database.stats in
-        if indexed && st.Database.full_scans > 0 then
-          failwith "IDX: indexed PP-k probe fell back to a full scan";
-        record_result "scan-vs-index"
-          ~params:
-            [ ("rows", string_of_int rows);
-              ("indexes", if indexed then "true" else "false") ]
-          t;
+        record "scan-vs-index"
+          ~params:[ ("rows", Int rows); ("indexes", Bool indexed) ]
+          [ ("wall_ms", ms t);
+            ("full_scans", Int st.Database.full_scans);
+            ("rows_scanned", Int st.Database.rows_scanned);
+            ("index_lookups", Int st.Database.index_lookups) ];
         Printf.printf "%10d %9s %12d %14d %12d %12.1f\n" rows
           (if indexed then "on" else "off")
           st.Database.full_scans st.Database.rows_scanned
           st.Database.index_lookups (t *. 1000.);
-        (t, List.length r)
+        t
       in
-      let t_scan, n_scan = run_one false in
-      let t_index, n_index = run_one true in
-      if n_scan <> n_index then
-        failwith "IDX: indexed and scan executions disagree on row count";
+      let t_scan = run_one false in
+      let t_index = run_one true in
       let sstats = Server.stats server in
       let backend = sstats.Server.st_backend in
       Printf.printf
@@ -368,10 +340,9 @@ let bench_scan_vs_index ?(smoke = false) () =
 (* Cost-based plan selection: chosen vs forced join methods             *)
 
 (* The paper's Figure 3 point lookup, getProfileByID, at 2000 customers
-   and 0.5 ms roundtrip latency: timed, recorded with its statement,
-   row-shipped and misestimate counts, and its EXPLAIN written to
-   EXPLAIN_cost_model_point_lookup.txt for CI upload. The counts are
-   asserted by test_explain's "point lookup counts" case, where they are
+   and 0.5 ms roundtrip latency: timed, and recorded with its statement,
+   row-shipped and misestimate counts. The counts are asserted by
+   test_explain's "point lookup counts" case, where they are
    deterministic. *)
 let cost_model_point_lookup () =
   sub "CST: point lookup (getProfileByID, 2000 customers, 0.5 ms)";
@@ -379,11 +350,7 @@ let cost_model_point_lookup () =
     Demo.create ~customers:2000 ~db_latency:0.0005 ~service_latency:0.001 ()
   in
   let q = "getProfileByID(\"CUST0042\")" in
-  let compiled =
-    match Server.compile demo.Demo.server q with
-    | Ok c -> c
-    | Error _ -> failwith "CST: point lookup does not compile"
-  in
+  let compiled = compile_exn demo.Demo.server q in
   Demo.reset_stats demo;
   let t, _ = time (fun () -> ok_exn (Server.run demo.Demo.server q)) in
   let total f =
@@ -394,118 +361,62 @@ let cost_model_point_lookup () =
   let misestimate =
     (Server.stats demo.Demo.server).Server.st_max_misestimate
   in
-  let oc = open_out "EXPLAIN_cost_model_point_lookup.txt" in
-  output_string oc (ok_exn (Server.explain demo.Demo.server q));
-  close_out oc;
   Printf.printf
     "%d pushed regions, %d statements, %d rows shipped, worst misestimate \
      %.2fx, %.1f ms\n"
     (List.length (Plan_ir.regions compiled.Server.ir))
     statements shipped misestimate (t *. 1000.);
-  record_result "CST-PL"
-    ~params:
-      [ ("statements", string_of_int statements);
-        ("rows_shipped", string_of_int shipped);
-        ("max_misestimate", Printf.sprintf "%.2f" misestimate) ]
-    t
+  record "CST-PL" ~params:[]
+    [ ("wall_ms", ms t);
+      ("statements", Int statements);
+      ("rows_shipped", Int shipped);
+      ("max_misestimate", Num misestimate) ]
 
-(* One run of [q], the first on [server], so the text's view holds only
-   its counters: the PP-k join's emitted rows and its per-candidate
-   reconstruction let's rows, or [None] when the plan has no PP-k join
-   with such a let. With the block hash join the let
-   runs once per matched pair, so the two are equal on an equi-join; the
-   block nested loop ran it once per (left tuple, fetched row) pair. *)
-let ppk_reconstructions server q =
-  let compiled =
-    match Server.compile server q with
-    | Ok c -> c
-    | Error _ -> failwith "CST: compile failed"
+(* The PP-k join of [q]'s compiled plan as EXPLAIN labels it: its k and
+   prefetch, and inner=inl when each fetched block is hashed on the join
+   keys. *)
+let join_method server q =
+  let ir = (compile_exn server q).Server.ir in
+  let method_ (o : Plan_ir.op) =
+    match o.Plan_ir.op_node with
+    | Plan_ir.O_join { method_ = Cexpr.Ppk { k; prefetch }; equi; _ } ->
+      Some
+        (Printf.sprintf "pp-k(k=%d, prefetch=%d, inner=%s)" k prefetch
+           (if equi = None then "nl" else "inl"))
+    | Plan_ir.O_join _ -> Some "(not pp-k)"
+    | _ -> None
   in
-  ignore (ok_exn (Server.run server q));
-  let ir = compiled.Server.ir in
-  let rows (o : Plan_ir.op) = ir.Plan_ir.totals.(o.Plan_ir.op_id).Plan_ir.c_rows in
   match ir.Plan_ir.tree.Plan_ir.node with
   | Plan_ir.P_pipeline { ops; _ } ->
-    List.find_map
-      (fun (o : Plan_ir.op) ->
-        match o.Plan_ir.op_node with
-        | Plan_ir.O_join { method_ = Cexpr.Ppk _; right; _ } ->
-          List.find_map
-            (fun (r : Plan_ir.op) ->
-              match r.Plan_ir.op_node with
-              | Plan_ir.O_let _ ->
-                Some (rows o, rows r)
-              | _ -> None)
-            right
-        | _ -> None)
-      ops
-  | _ -> None
+    Option.value (List.find_map method_ ops) ~default:"(no join)"
+  | _ -> "(no join)"
 
 (* The cost model prices NL vs index-NL vs PP-k from the maintained table
    statistics and each source's latency profile, then picks k and the
-   prefetch depth itself. This sweep runs the same cross-database join
+   prefetch depth itself. This sweep times the same cross-database join
    with the model choosing ("chosen", default options) and with each
    classic configuration forced through the knobs: per-tuple parameter
    passing (k=1), the paper-default block size (k=20), and the unindexed
-   full-scan baseline. In smoke mode only the 100k point runs, with
-   structural assertions — the chosen plan must be PP-k with k in [5, 50]
-   probing through the index (zero full scans), hashing each block
-   ([inner=inl]) so the per-candidate let runs no more often than the
-   join emits rows — and the chosen plan's
-   EXPLAIN is written to EXPLAIN_cost_model_<rows>.txt so CI can upload
-   it as an artifact when the assertion trips. *)
+   full-scan baseline. The four variants run interleaved, one run each
+   per round, so load on the host falls on all of them alike; each is
+   recorded at its median over the rounds. In the full run the chosen
+   median must be within 20% of the best forced one at 100k rows. The
+   chosen plan's shape (PP-k with k in [5, 50], index probes, hashed
+   blocks) and the variants' equal row counts are test_optimizer's
+   "cost model sweep" case, over the same sizes. *)
+let cst_rounds = 9
+
 let bench_cost_model ?(smoke = false) () =
   banner "CST: cost model — chosen vs forced join methods";
-  let customers = 100 in
-  let cards_per_customer = 10 in
-  let latency = 0.0005 in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
-  (* the reconstruction guard needs a live per-candidate let: returning
-     the whole right element keeps it (the timed field-only text has
-     none) *)
-  let q_live =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x}</R>"
-  in
+  let customers = 100 and cards_per_customer = 10 and latency = 0.0005 in
   Printf.printf
     "%d customers joined cross-database against CREDIT_CARD padded to the\n\
      sweep size; %.1f ms simulated latency per roundtrip; 'chosen' lets\n\
-     the cost model pick method, k and prefetch from the statistics\n"
-    customers (latency *. 1000.);
+     the cost model pick method, k and prefetch from the statistics;\n\
+     times are medians of %d interleaved rounds\n"
+    customers (latency *. 1000.) cst_rounds;
   Printf.printf "%10s %-12s %-34s %10s %10s\n" "card rows" "variant" "method"
     "roundtrips" "time(ms)";
-  (* the chosen method as EXPLAIN renders it: the text between "method="
-     and its trailing counters, e.g. "pp-k(k=16, prefetch=1, inner=inl)" *)
-  let chosen_method explain_text =
-    let find_sub s sub from =
-      let n = String.length s and m = String.length sub in
-      let rec go i =
-        if i + m > n then None
-        else if String.sub s i m = sub then Some i
-        else go (i + 1)
-      in
-      go from
-    in
-    match find_sub explain_text "method=" 0 with
-    | None -> "(no join)"
-    | Some i -> (
-      let start = i + String.length "method=" in
-      match find_sub explain_text " (est" start with
-      | Some stop -> String.sub explain_text start (stop - start)
-      | None -> "(unparsed)")
-  in
-  let ppk_k_of method_ =
-    let marker = "pp-k(k=" in
-    let n = String.length method_ and m = String.length marker in
-    if n > m && String.sub method_ 0 m = marker then
-      let rec digits i =
-        if i < n && method_.[i] >= '0' && method_.[i] <= '9' then digits (i + 1)
-        else i
-      in
-      int_of_string_opt (String.sub method_ m (digits m - m))
-    else None
-  in
   let sweep = if smoke then [ 100_000 ] else [ 1_000; 10_000; 100_000 ] in
   List.iter
     (fun rows ->
@@ -513,126 +424,62 @@ let bench_cost_model ?(smoke = false) () =
         Demo.create ~customers ~orders_per_customer:0 ~cards_per_customer
           ~db_latency:latency ()
       in
-      let card_table =
-        ok_exn (Database.find_table demo.Demo.card_db "CREDIT_CARD")
+      pad_cards ~index:true demo (rows - (customers * cards_per_customer));
+      let variants =
+        List.map
+          (fun (label, indexed, options) ->
+            ( label,
+              indexed,
+              Server.create ~optimizer_options:options demo.Demo.registry,
+              ref [] ))
+          [ ("chosen", true, Optimizer.default_options);
+            ("forced k=1", true, forced 1);
+            ("forced k=20", true, forced 20);
+            ("full scan", false, forced 20) ]
       in
-      ok_exn (Table.create_index card_table ~name:"card_cid" [ "CID" ]);
-      let pad = rows - (customers * cards_per_customer) in
-      let pad_rows =
-        List.init (max 0 pad) (fun i ->
-            [| Sql_value.Int (1_000_000 + i);
-               Sql_value.Str (Printf.sprintf "PAD%06d" i);
-               Sql_value.Str "0000-0000-0000";
-               Sql_value.Null |])
-      in
-      ignore (ok_exn (Table.insert_many card_table pad_rows));
-      let run_variant label ~indexed options =
+      (* one timed run, and the card statements it sent *)
+      let run_once (_, indexed, server, _) =
         Database.set_use_indexes demo.Demo.customer_db indexed;
         Database.set_use_indexes demo.Demo.card_db indexed;
-        let server =
-          Server.create ~optimizer_options:options demo.Demo.registry
-        in
-        let explain_text = ok_exn (Server.explain ~analyze:false server q) in
-        let method_ = chosen_method explain_text in
-        (* warm once (compilation out of the timing), then median of 3 *)
-        ignore (ok_exn (Server.run server q));
         Demo.reset_stats demo;
-        let runs =
-          List.init 3 (fun _ -> time (fun () -> ok_exn (Server.run server q)))
-        in
-        let t, r =
-          match List.sort (fun (a, _) (b, _) -> compare a b) runs with
-          | [ _; median; _ ] -> median
-          | _ -> assert false
-        in
-        let card_stats = demo.Demo.card_db.Database.stats in
-        let roundtrips = card_stats.Database.statements / 3 in
-        record_result "cost-model"
-          ~params:
-            [ ("rows", string_of_int rows);
-              ("variant", Printf.sprintf "\"%s\"" label) ]
-          t;
-        Printf.printf "%10d %-12s %-34s %10d %10.1f\n" rows label method_
-          roundtrips (t *. 1000.);
-        (t, method_, explain_text, card_stats.Database.full_scans,
-         List.length r)
+        let t, _ = time (fun () -> ok_exn (Server.run server card_join)) in
+        (t, demo.Demo.card_db.Database.stats.Database.statements)
       in
-      let forced k = { Optimizer.default_options with ppk_k = k; cost_based = false } in
-      let t_chosen, method_, explain_text, full_scans, n_chosen =
-        run_variant "chosen" ~indexed:true Optimizer.default_options
-      in
-      (* the chosen plan's EXPLAIN, for inspection / CI artifact upload *)
-      let artifact = Printf.sprintf "EXPLAIN_cost_model_%d.txt" rows in
-      let oc = open_out artifact in
-      output_string oc explain_text;
-      close_out oc;
-      (match ppk_k_of method_ with
-      | Some k when k >= 5 && k <= 50 -> ()
-      | Some k ->
-        failwith
-          (Printf.sprintf
-             "CST: chosen k=%d outside [5, 50] at %d rows (see %s)" k rows
-             artifact)
-      | None ->
-        failwith
-          (Printf.sprintf
-             "CST: cost model did not choose PP-k at %d rows (method %s, \
-              see %s)"
-             rows method_ artifact));
-      if full_scans > 0 then
-        failwith
-          (Printf.sprintf
-             "CST: chosen plan fell back to %d full scan(s) at %d rows \
-              (see %s)"
-             full_scans rows artifact);
-      if not (String.ends_with ~suffix:"inner=inl)" method_) then
-        failwith
-          (Printf.sprintf
-             "CST: chosen PP-k join does not hash its blocks at %d rows \
-              (method %s, see %s)"
-             rows method_ artifact);
-      (match ppk_reconstructions (Server.create demo.Demo.registry) q_live with
-      | Some (joined, reconstructed) when reconstructed <= joined ->
-        Printf.printf "%10s per-candidate let act=%d, join act=%d\n" ""
-          reconstructed joined
-      | Some (joined, reconstructed) ->
-        failwith
-          (Printf.sprintf
-             "CST: per-candidate let act=%d exceeds the join's act=%d at \
-              %d rows: the block join is not hashing (see %s)"
-             reconstructed joined rows artifact)
-      | None ->
-        failwith
-          (Printf.sprintf
-             "CST: chosen plan has no PP-k join with a reconstruction let \
-              at %d rows (see %s)"
-             rows artifact));
-      let t_k1, _, _, _, n_k1 =
-        run_variant "forced k=1" ~indexed:true (forced 1)
-      in
-      let t_k20, _, _, _, n_k20 =
-        run_variant "forced k=20" ~indexed:true (forced 20)
-      in
-      let t_scan, _, _, _, n_scan =
-        run_variant "full scan" ~indexed:false (forced 20)
-      in
+      (* warm each once: compilation out of the timing *)
+      List.iter (fun v -> ignore (run_once v)) variants;
+      for _ = 1 to cst_rounds do
+        List.iter
+          (fun ((_, _, _, runs) as v) -> runs := run_once v :: !runs)
+          variants
+      done;
       Database.set_use_indexes demo.Demo.customer_db true;
       Database.set_use_indexes demo.Demo.card_db true;
-      if not (n_chosen = n_k1 && n_k1 = n_k20 && n_k20 = n_scan) then
-        failwith "CST: variants disagree on result row count";
-      let best = List.fold_left Float.min t_k1 [ t_k20; t_scan ] in
-      Printf.printf
-        "%10s chosen %.1f ms vs best forced %.1f ms (%.2fx), full-scan \
-         baseline %.1f ms\n"
-        "" (t_chosen *. 1000.) (best *. 1000.)
-        (t_chosen /. best)
-        (t_scan *. 1000.);
-      if (not smoke) && rows = 100_000 && t_chosen > 1.2 *. best then
-        failwith
-          (Printf.sprintf
-             "CST: chosen plan %.1f ms is more than 20%% off the best \
-              forced config %.1f ms at 100k rows"
-             (t_chosen *. 1000.) (best *. 1000.)))
+      let medians =
+        List.map
+          (fun (label, _, server, runs) ->
+            let t = median (List.map fst !runs) and rt = snd (List.hd !runs) in
+            record "cost-model"
+              ~params:[ ("rows", Int rows); ("variant", Str label) ]
+              [ ("wall_ms", ms t); ("roundtrips", Int rt) ];
+            Printf.printf "%10d %-12s %-34s %10d %10.1f\n" rows label
+              (join_method server card_join) rt (t *. 1000.);
+            t)
+          variants
+      in
+      match medians with
+      | [ t_chosen; t_k1; t_k20; t_scan ] ->
+        let best = Float.min t_k1 (Float.min t_k20 t_scan) in
+        Printf.printf
+          "%10s chosen %.1f ms vs best forced %.1f ms (%.2fx), full-scan \
+           baseline %.1f ms\n"
+          "" (t_chosen *. 1000.) (best *. 1000.) (t_chosen /. best)
+          (t_scan *. 1000.);
+        if (not smoke) && rows = 100_000 then
+          guard (t_chosen <= 1.2 *. best)
+            "CST: chosen plan %.1f ms is more than 20%% off the best forced \
+             config %.1f ms at 100k rows (medians of %d interleaved rounds)"
+            (t_chosen *. 1000.) (best *. 1000.) cst_rounds
+      | _ -> assert false)
     sweep;
   print_endline
     "shape: the model prices k and prefetch together (blocks of k rows,\n\
@@ -687,6 +534,8 @@ let bench_group_by () =
             (Eval.execute rt ~bindings:[ ("input", input) ]
                ~counters:(Plan_ir.new_run ir) ~through:Fun.id ir))
     in
+    record "GRP" ~params:[ ("variant", Str label) ]
+      [ ("wall_ms", ms t); ("groups", Int (List.length r)) ];
     Printf.printf "%-38s %10d %10.1f\n" label (List.length r) (t *. 1000.)
   in
   measure "pre-clustered streaming operator" (make true);
@@ -702,11 +551,11 @@ let bench_group_by () =
 
 (* ORDER BY over a middleware-resident scan (pushdown off; the [mod]
    sort key is untranslatable anyway), run unbounded then with a 4096-row
-   budget. The spilled run must produce byte-identical output while its
-   peak resident rows stay within the budget — the unbounded sort holds
-   the whole input. Smoke mode runs only the 100k point; the structural
-   assertions (byte identity, >= 2 runs spilled, peak resident <= budget)
-   hold in every mode. *)
+   budget: the spilled sort holds at most the budget where the unbounded
+   one holds the whole input. That the unbounded sort never spills and
+   the spilled one writes the same bytes in >= 2 runs within the budget
+   is test_extsort's "ORDER BY at bench scale" case, over the same
+   sizes. *)
 let bench_extsort ?(smoke = false) () =
   banner "SRT: external sort — spill-to-disk vs in-memory (bounded memory)";
   let budget = 4096 in
@@ -722,68 +571,40 @@ let bench_extsort ?(smoke = false) () =
   let sweep = if smoke then [ 100_000 ] else [ 10_000; 100_000 ] in
   List.iter
     (fun rows ->
-      let make budget_rows =
-        Demo.create ~customers:rows ~orders_per_customer:0
-          ~cards_per_customer:0
-          ~optimizer_options:
-            { Optimizer.default_options with
-              Optimizer.pushdown = false;
-              (* pinned (not defaulted) so ALDSP_SORT_BUDGET in the
-                 environment cannot leak into the unbounded baseline *)
-              Optimizer.sort_budget_rows = budget_rows }
-          ()
+      let run mode budget_rows =
+        let server =
+          (Demo.create ~customers:rows ~orders_per_customer:0
+             ~cards_per_customer:0
+             ~optimizer_options:
+               { Optimizer.default_options with
+                 Optimizer.pushdown = false;
+                 (* pinned (not defaulted) so ALDSP_SORT_BUDGET in the
+                    environment cannot leak into the unbounded baseline *)
+                 Optimizer.sort_budget_rows = budget_rows }
+             ())
+            .Demo.server
+        in
+        let t, _ =
+          time (fun () ->
+              Server.serialize_result server (ok_exn (Server.run server q)))
+        in
+        let st = Server.stats server in
+        let peak =
+          if budget_rows = None then rows else st.Server.st_spill_peak_resident
+        in
+        record "extsort"
+          ~params:[ ("rows", Int rows); ("mode", Str mode) ]
+          [ ("wall_ms", ms t);
+            ("spill_runs", Int st.Server.st_spill_runs);
+            ("spill_bytes", Int st.Server.st_spill_bytes);
+            ("peak_resident_rows", Int peak) ];
+        Printf.printf "%10d %12s %10d %12d %12d %12.1f\n" rows mode
+          st.Server.st_spill_runs
+          (st.Server.st_spill_bytes / 1024)
+          peak (t *. 1000.)
       in
-      let unbounded = make None in
-      let t_mem, expected =
-        time (fun () ->
-            Server.serialize_result unbounded.Demo.server
-              (ok_exn (Server.run unbounded.Demo.server q)))
-      in
-      let st_mem = Server.stats unbounded.Demo.server in
-      if st_mem.Server.st_spill_runs <> 0 then
-        failwith "SRT: the unbounded sort spilled";
-      record_result "extsort"
-        ~params:
-          [ ("rows", string_of_int rows);
-            ("mode", "\"unbounded\"");
-            ("spill_runs", "0");
-            ("spill_bytes", "0");
-            ("peak_resident_rows", string_of_int rows) ]
-        t_mem;
-      Printf.printf "%10d %12s %10d %12d %12d %12.1f\n" rows "unbounded" 0 0
-        rows (t_mem *. 1000.);
-      let spilled = make (Some budget) in
-      let t_spill, got =
-        time (fun () ->
-            Server.serialize_result spilled.Demo.server
-              (ok_exn (Server.run spilled.Demo.server q)))
-      in
-      let st = Server.stats spilled.Demo.server in
-      if not (String.equal expected got) then
-        failwith
-          (Printf.sprintf "SRT: spilled output diverged at %d rows" rows);
-      if st.Server.st_spill_runs < 2 then
-        failwith
-          (Printf.sprintf "SRT: expected >= 2 spilled runs, saw %d"
-             st.Server.st_spill_runs);
-      if st.Server.st_spill_peak_resident > budget then
-        failwith
-          (Printf.sprintf
-             "SRT: peak resident rows %d exceeded the %d-row budget"
-             st.Server.st_spill_peak_resident budget);
-      record_result "extsort"
-        ~params:
-          [ ("rows", string_of_int rows);
-            ("mode", "\"spilled\"");
-            ("spill_runs", string_of_int st.Server.st_spill_runs);
-            ("spill_bytes", string_of_int st.Server.st_spill_bytes);
-            ("peak_resident_rows",
-             string_of_int st.Server.st_spill_peak_resident) ]
-        t_spill;
-      Printf.printf "%10d %12s %10d %12d %12d %12.1f\n" rows "spilled"
-        st.Server.st_spill_runs
-        (st.Server.st_spill_bytes / 1024)
-        st.Server.st_spill_peak_resident (t_spill *. 1000.))
+      run "unbounded" None;
+      run "spilled" (Some budget))
     sweep;
   print_endline
     "shape: identical bytes either way; the spilled sort trades a modest\n\
@@ -813,8 +634,9 @@ let bench_async () =
   in
   let t_sync, _ = time (fun () -> run demo sync_q) in
   let t_async, _ = time (fun () -> run demo async_q) in
-  record_result "ASY" ~params:[ ("variant", "\"sequential\"") ] t_sync;
-  record_result "ASY" ~params:[ ("variant", "\"async\"") ] t_async;
+  record "ASY" ~params:[ ("variant", Str "sequential") ]
+    [ ("wall_ms", ms t_sync) ];
+  record "ASY" ~params:[ ("variant", Str "async") ] [ ("wall_ms", ms t_async) ];
   Printf.printf "4 independent calls, %.0f ms each:\n" (latency *. 1000.);
   Printf.printf "  sequential : %6.1f ms (~ 4 x latency)\n" (t_sync *. 1000.);
   Printf.printf "  async      : %6.1f ms (~ 1 x latency)\n" (t_async *. 1000.);
@@ -829,9 +651,6 @@ let bench_async_orchestration () =
     "Async orchestration: worker pool x PP-k prefetch depth x latency";
   let customers = 400 in
   let k = 5 in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
   Printf.printf
     "PP-k join (k = %d, %d block roundtrips) over %d left tuples; prefetch\n\
      keeps depth+1 block queries in flight on the pool while the\n\
@@ -859,46 +678,44 @@ let bench_async_orchestration () =
           let pool = Pool.create ~workers () in
           List.iter
             (fun prefetch ->
-              let options =
-                { Optimizer.default_options with
-                  Optimizer.ppk_k = k;
-                  Optimizer.ppk_prefetch = prefetch;
-                  cost_based = false }
-              in
-              let obs = Observed.create () in
               let server =
-                Server.create ~optimizer_options:options ~pool ~observed:obs
-                  demo.Demo.registry
+                Server.create ~optimizer_options:(forced ~prefetch k) ~pool
+                  ~observed:(Observed.create ()) demo.Demo.registry
               in
               (* warm once so compilation is out of the timing, then take
                  the median of 3 execution-only runs *)
-              ignore (ok_exn (Server.run server q));
+              ignore (ok_exn (Server.run server card_join));
               Demo.reset_stats demo;
               let runs =
                 List.init 3 (fun _ ->
-                    time (fun () -> ok_exn (Server.run server q)))
+                    time (fun () ->
+                        Item.serialize (ok_exn (Server.run server card_join))))
               in
-              let t, r =
-                match List.sort (fun (a, _) (b, _) -> compare a b) runs with
-                | [ _; median; _ ] -> median
-                | _ -> assert false
-              in
-              let stats = Server.stats server in
+              let t = median (List.map fst runs) in
               if workers = 1 && prefetch = 0 then begin
                 baseline_ms := t;
-                baseline_out := Item.serialize r
-              end
-              else if Item.serialize r <> !baseline_out then
-                failwith "async orchestration: result differs from baseline!";
+                baseline_out := snd (List.hd runs)
+              end;
+              (* prefetched blocks overlap on the pool by thread timing;
+                 they must still be emitted in submission order *)
+              List.iter
+                (fun (_, out) ->
+                  guard (String.equal out !baseline_out)
+                    "PPk-pipeline: pool %d, prefetch %d, latency %g ms: \
+                     result differs from pool 1, prefetch 0"
+                    workers prefetch (latency *. 1000.))
+                runs;
+              let stats = Server.stats server in
               let speedup = !baseline_ms /. t in
-              record_result "PPk-pipeline"
+              record "PPk-pipeline"
                 ~params:
-                  [ ("latency_ms", Printf.sprintf "%g" (latency *. 1000.));
-                    ("pool", string_of_int workers);
-                    ("prefetch", string_of_int prefetch);
-                    ("roundtrips", string_of_int stats.Server.st_roundtrips);
-                    ("speedup", Printf.sprintf "%.2f" speedup) ]
-                t;
+                  [ ("latency_ms", Num (latency *. 1000.));
+                    ("pool", Int workers);
+                    ("prefetch", Int prefetch) ]
+                [ ("wall_ms", ms t);
+                  ("roundtrips", Int stats.Server.st_roundtrips);
+                  ("overlap_saved_ms", ms stats.Server.st_overlap_saved);
+                  ("speedup", Num speedup) ];
               Printf.printf "%12.1f %6d %10d %10.1f %12d %9.1fms %9.2fx\n"
                 (latency *. 1000.) workers prefetch (t *. 1000.)
                 stats.Server.st_roundtrips
@@ -920,25 +737,19 @@ let bench_async_orchestration () =
    a generous per-query deadline. The workload is the PP-k cross-database
    join whose cost is dominated by simulated source latency, so with
    [max_concurrent] executing slots the roundtrip sleeps of concurrent
-   queries overlap and throughput scales until the slots saturate.
-   Latency percentiles for every sweep point are written to
-   CCX_latency.json. Assertions: every answer byte-identical, zero
-   rejections, zero deadline aborts (the deadline is generous), balanced
-   admission counters, and throughput monotone 1 -> 4 clients (smoke) /
-   > 2x at 16 clients vs 1 (full run). *)
+   queries overlap and throughput scales until the slots saturate. Each
+   sweep point records its latency percentiles and admission peaks.
+   Guards: every answer byte-identical, zero rejections, zero deadline
+   aborts (the deadline is generous), balanced admission counters, and
+   throughput monotone 1 -> 4 clients (smoke) / > 2x at 16 clients vs 1
+   (full run). *)
 let bench_concurrent_serving ?(smoke = false) () =
   banner "CCX: concurrent serving layer — admission-controlled client sweep";
   let customers = 200 in
   let latency = 0.002 in
   let k = 5 in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
   let demo =
     Demo.create ~customers ~orders_per_customer:0 ~db_latency:latency ()
-  in
-  let options =
-    { Optimizer.default_options with Optimizer.ppk_k = k; cost_based = false }
   in
   let max_concurrent = 16 in
   let sweep = if smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ] in
@@ -949,21 +760,15 @@ let bench_concurrent_serving ?(smoke = false) () =
     k customers (latency *. 1000.) max_concurrent per_client;
   Printf.printf "%8s %10s %12s %10s %10s %10s %12s\n" "clients" "queries"
     "wall(ms)" "qps" "p50(ms)" "p95(ms)" "p99(ms)";
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))
-  in
   let qps = Hashtbl.create 4 in
-  let json_lines = ref [] in
-  let expected = ref "" in
   List.iter
     (fun clients ->
       let server =
-        Server.create ~optimizer_options:options ~max_concurrent
+        Server.create ~optimizer_options:(forced k) ~max_concurrent
           ~admission_queue:128 demo.Demo.registry
       in
       (* warm: compilation out of the timing, and the canonical answer *)
-      expected := Item.serialize (ok_exn (Server.run server q));
+      let expected = Item.serialize (ok_exn (Server.run server card_join)) in
       let total = clients * per_client in
       let lats = Array.make total 0. in
       let failures = ref [] in
@@ -972,8 +777,8 @@ let bench_concurrent_serving ?(smoke = false) () =
         let ses = Server.session server ~deadline:60.0 () in
         for j = 0 to per_client - 1 do
           let tq0 = Unix.gettimeofday () in
-          (match Server.session_run ses q with
-          | Ok items when Item.serialize items = !expected -> ()
+          (match Server.session_run ses card_join with
+          | Ok items when Item.serialize items = expected -> ()
           | Ok _ ->
             Mutex.lock fail_lock;
             failures := "result bytes diverged" :: !failures;
@@ -992,66 +797,44 @@ let bench_concurrent_serving ?(smoke = false) () =
             in
             List.iter Thread.join ts)
       in
-      (match !failures with
-      | [] -> ()
-      | msg :: _ ->
-        failwith (Printf.sprintf "CCX: %d clients: %s" clients msg));
+      guard (!failures = []) "CCX: %d clients: %s" clients
+        (String.concat "; " !failures);
       let adm = Server.admission_stats server in
-      if adm.Server.ad_deadline_aborts <> 0 then
-        failwith
-          (Printf.sprintf
-             "CCX: %d deadline aborts under a generous 60 s deadline"
-             adm.Server.ad_deadline_aborts);
-      if adm.Server.ad_rejected <> 0 then
-        failwith
-          (Printf.sprintf "CCX: %d queries rejected Overloaded"
-             adm.Server.ad_rejected);
-      if adm.Server.ad_submitted <> total || adm.Server.ad_completed <> total
-         || adm.Server.ad_active <> 0 || adm.Server.ad_queued <> 0 then
-        failwith "CCX: admission counters do not balance after the run";
+      guard (adm.Server.ad_deadline_aborts = 0)
+        "CCX: %d deadline aborts under a generous 60 s deadline"
+        adm.Server.ad_deadline_aborts;
+      guard (adm.Server.ad_rejected = 0) "CCX: %d queries rejected Overloaded"
+        adm.Server.ad_rejected;
+      guard
+        (adm.Server.ad_submitted = total && adm.Server.ad_completed = total
+        && adm.Server.ad_active = 0 && adm.Server.ad_queued = 0)
+        "CCX: admission counters do not balance after the run";
       Array.sort compare lats;
       let throughput = float_of_int total /. wall in
       let p50 = percentile lats 50. and p95 = percentile lats 95. in
       let p99 = percentile lats 99. in
       Hashtbl.replace qps clients throughput;
-      record_result "CCX"
-        ~params:
-          [ ("clients", string_of_int clients);
-            ("qps", Printf.sprintf "%.1f" throughput);
-            ("p95_ms", Printf.sprintf "%.2f" (p95 *. 1000.)) ]
-        wall;
-      json_lines :=
-        Printf.sprintf
-          "{\"clients\": %d, \"queries\": %d, \"wall_ms\": %.3f, \"qps\": \
-           %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, \
-           \"peak_active\": %d, \"peak_queued\": %d}"
-          clients total (wall *. 1000.) throughput (p50 *. 1000.)
-          (p95 *. 1000.) (p99 *. 1000.) adm.Server.ad_peak_active
-          adm.Server.ad_peak_queued
-        :: !json_lines;
+      record "CCX" ~params:[ ("clients", Int clients) ]
+        [ ("queries", Int total);
+          ("wall_ms", ms wall);
+          ("qps", Num throughput);
+          ("p50_ms", ms p50);
+          ("p95_ms", ms p95);
+          ("p99_ms", ms p99);
+          ("peak_active", Int adm.Server.ad_peak_active);
+          ("peak_queued", Int adm.Server.ad_peak_queued) ];
       Printf.printf "%8d %10d %12.1f %10.1f %10.1f %10.1f %12.1f\n" clients
         total (wall *. 1000.) throughput (p50 *. 1000.) (p95 *. 1000.)
         (p99 *. 1000.))
     sweep;
-  let oc = open_out "CCX_latency.json" in
-  output_string oc
-    ("[\n  " ^ String.concat ",\n  " (List.rev !json_lines) ^ "\n]\n");
-  close_out oc;
-  print_endline "latency percentiles written to CCX_latency.json";
   let q1 = Hashtbl.find qps 1 and q4 = Hashtbl.find qps 4 in
-  if q4 <= q1 then
-    failwith
-      (Printf.sprintf
-         "CCX: throughput not monotone 1 -> 4 clients (%.1f -> %.1f qps)" q1
-         q4);
+  guard (q4 > q1)
+    "CCX: throughput not monotone 1 -> 4 clients (%.1f -> %.1f qps)" q1 q4;
   if not smoke then begin
     let q16 = Hashtbl.find qps 16 in
-    if q16 <= 2. *. q1 then
-      failwith
-        (Printf.sprintf
-           "CCX: 16 clients reached only %.1f qps vs %.1f at 1 client \
-            (need > 2x)"
-           q16 q1);
+    guard (q16 > 2. *. q1)
+      "CCX: 16 clients reached only %.1f qps vs %.1f at 1 client (need > 2x)"
+      q16 q1;
     Printf.printf "scaling: %.1fx at 4 clients, %.1fx at 16 clients\n"
       (q4 /. q1) (q16 /. q1)
   end
@@ -1063,73 +846,27 @@ let bench_concurrent_serving ?(smoke = false) () =
      as p95/p99 latency instead of lost work."
 
 (* ------------------------------------------------------------------ *)
-(* Cross-session work sharing (tentpole): single-flight coalescing +    *)
-(* batched backend dispatch                                             *)
-
-let find_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let json_float_field line key =
-  match find_substring line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length key + 4 in
-    let n = String.length line in
-    let stop = ref start in
-    while
-      !stop < n
-      && (match line.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.sub line start (!stop - start))
-
-(* The p99 of a given client count recorded in a CCX_latency.json file —
-   used to guard the shared run against the serving-layer baseline the
-   previous change committed. *)
-let ccx_baseline_p99 path ~clients =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let needle = Printf.sprintf "\"clients\": %d," clients in
-    let found = ref None in
-    (try
-       while true do
-         let line = input_line ic in
-         if !found = None && find_substring line needle <> None then
-           found := json_float_field line "p99_ms"
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !found
-  end
+(* Cross-session work sharing: single-flight coalescing + batched       *)
+(* backend dispatch                                                     *)
 
 (* N clients replay an overlapping query mix — the same cross-database
    PP-k join plus single-key customer probes — through Server.submit,
-   once with work sharing off and once with it on. The join's block
-   statements are byte-identical across sessions, so concurrent sessions
-   convoy on one single-flight execution per block; the probes differ
-   only in the key, so the accumulation window merges them into one
-   IN-list-style roundtrip. Sharing must be invisible in result bytes
-   and visible in the counters: dedup_roundtrips_saved = coalesced_hits
-   + batch_merges at quiescence, backend roundtrips sublinear in
-   clients, and >= 2x throughput at 64 clients (the engine work a
-   follower skips is serialized on the runtime lock, so saved roundtrips
-   are saved wall time). Per-sweep-point numbers land in
-   CCX_shared.json. *)
-let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
+   once with work sharing off and once with it on, over the same data.
+   The join's block statements are byte-identical across sessions, so
+   concurrent sessions convoy on one single-flight execution per block;
+   the probes differ only in the key, so the accumulation window merges
+   them into one IN-list-style roundtrip. Sharing must be invisible in
+   result bytes and visible in the counters: dedup_roundtrips_saved =
+   coalesced_hits + batch_merges at quiescence, backend roundtrips
+   sublinear in clients, and >= 2x throughput at 64 clients (the engine
+   work a follower skips is serialized on the runtime lock, so saved
+   roundtrips are saved wall time). The sharing machinery must not wedge
+   the tail either: at the top client count the shared p99 stays within
+   1.5x of the same run's unshared p99. *)
+let bench_shared_workload ?(smoke = false) () =
   banner "CCS: cross-session work sharing — coalescing + batched dispatch";
   let customers = 60 in
   let latency = 0.0002 in
-  let join_q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return <R>{$c/CID, $x/NUM}</R>"
-  in
   let probe_q i =
     Printf.sprintf
       "for $c in CUSTOMER() where $c/CID eq \"CUST%04d\" return <P>{$c/CID, $c/FIRST_NAME}</P>"
@@ -1141,25 +878,12 @@ let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
   in
   (* pad the probe side so every PP-k block statement carries real engine
      work: what a coalesced follower skips is CPU, not just a sleep *)
-  let card_table =
-    ok_exn (Database.find_table demo.Demo.card_db "CREDIT_CARD")
-  in
   let pad = 12_000 in
-  let pad_rows =
-    List.init pad (fun i ->
-        [| Sql_value.Int (1_000_000 + i);
-           Sql_value.Str (Printf.sprintf "PAD%06d" i);
-           Sql_value.Str "0000-0000-0000";
-           Sql_value.Null |])
-  in
-  ignore (ok_exn (Table.insert_many card_table pad_rows));
-  let options =
-    { Optimizer.default_options with Optimizer.ppk_k = 20; cost_based = false }
-  in
+  pad_cards demo pad;
   let max_concurrent = 32 in
   let sweep = if smoke then [ 64 ] else [ 1; 8; 64 ] in
   let per_client = if smoke then 2 else 4 in
-  let query_for cid j = if j mod 2 = 0 then join_q else probe_q (cid + j) in
+  let query_for cid j = if j mod 2 = 0 then card_join else probe_q (cid + j) in
   Printf.printf
     "PP-k join (k=20, %d-row padded probe side) + single-key probes;\n\
      %.1f ms per roundtrip, %d executing slots, %d queries per client;\n\
@@ -1168,7 +892,7 @@ let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
   (* canonical bytes per distinct query: serial, sharing off, same options *)
   let expected : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let warm_server =
-    Server.create ~optimizer_options:options demo.Demo.registry
+    Server.create ~optimizer_options:(forced 20) demo.Demo.registry
   in
   List.iter
     (fun clients ->
@@ -1181,20 +905,15 @@ let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
         done
       done)
     sweep;
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))
-  in
   Printf.printf "%8s %8s %12s %10s %10s %12s %10s %8s %12s\n" "clients"
     "sharing" "wall(ms)" "qps" "p99(ms)" "roundtrips" "coalesced" "merges"
     "saved";
   let results = Hashtbl.create 8 in
-  let json_lines = ref [] in
   List.iter
     (fun clients ->
       let one shared =
         let server =
-          Server.create ~optimizer_options:options ~max_concurrent
+          Server.create ~optimizer_options:(forced 20) ~max_concurrent
             ~admission_queue:256 demo.Demo.registry
         in
         (* plan cache warm (serial, so no sharing counters move) *)
@@ -1238,118 +957,86 @@ let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
         let st = Server.stats server in
         let adm = Server.admission_stats server in
         Server.set_work_sharing server false;
-        (match !failures with
-        | [] -> ()
-        | msg :: _ ->
-          failwith
-            (Printf.sprintf "CCS: %d clients%s: %s" clients
-               (if shared then " [shared]" else "")
-               msg));
-        if
-          adm.Server.ad_completed <> total || adm.Server.ad_active <> 0
-          || adm.Server.ad_queued <> 0 || adm.Server.ad_rejected <> 0
-        then failwith "CCS: admission counters do not balance after the run";
-        if
-          st.Server.st_dedup_roundtrips_saved
-          <> st.Server.st_coalesced_hits + st.Server.st_batch_merges
-        then
-          failwith
-            (Printf.sprintf
-               "CCS: sharing counters do not balance: saved=%d coalesced=%d \
-                merges=%d"
-               st.Server.st_dedup_roundtrips_saved st.Server.st_coalesced_hits
-               st.Server.st_batch_merges);
-        if (not shared) && st.Server.st_dedup_roundtrips_saved <> 0 then
-          failwith "CCS: roundtrips saved with sharing disabled";
+        guard (!failures = []) "CCS: %d clients%s: %s" clients
+          (if shared then " [shared]" else "")
+          (String.concat "; " !failures);
+        guard
+          (adm.Server.ad_completed = total && adm.Server.ad_active = 0
+          && adm.Server.ad_queued = 0 && adm.Server.ad_rejected = 0)
+          "CCS: admission counters do not balance after the run";
+        guard
+          (st.Server.st_dedup_roundtrips_saved
+          = st.Server.st_coalesced_hits + st.Server.st_batch_merges)
+          "CCS: sharing counters do not balance: saved=%d coalesced=%d \
+           merges=%d"
+          st.Server.st_dedup_roundtrips_saved st.Server.st_coalesced_hits
+          st.Server.st_batch_merges;
+        guard
+          (shared || st.Server.st_dedup_roundtrips_saved = 0)
+          "CCS: roundtrips saved with sharing disabled";
         Array.sort compare lats;
         let qps = float_of_int total /. wall in
-        let p99 = percentile lats 99. *. 1000. in
+        let p99 = percentile lats 99. in
         let roundtrips = st.Server.st_backend.Database.statements in
-        record_result "CCS"
-          ~params:
-            [ ("clients", string_of_int clients);
-              ("shared", if shared then "true" else "false");
-              ("qps", Printf.sprintf "%.1f" qps);
-              ("saved", string_of_int st.Server.st_dedup_roundtrips_saved) ]
-          wall;
+        record "CCS"
+          ~params:[ ("clients", Int clients); ("shared", Bool shared) ]
+          [ ("wall_ms", ms wall);
+            ("qps", Num qps);
+            ("p99_ms", ms p99);
+            ("roundtrips", Int roundtrips);
+            ("coalesced_hits", Int st.Server.st_coalesced_hits);
+            ("batch_merges", Int st.Server.st_batch_merges);
+            ("dedup_roundtrips_saved", Int st.Server.st_dedup_roundtrips_saved)
+          ];
         Printf.printf "%8d %8s %12.1f %10.1f %10.1f %12d %10d %8d %12d\n"
           clients
           (if shared then "on" else "off")
-          (wall *. 1000.) qps p99 roundtrips st.Server.st_coalesced_hits
-          st.Server.st_batch_merges st.Server.st_dedup_roundtrips_saved;
+          (wall *. 1000.) qps (p99 *. 1000.) roundtrips
+          st.Server.st_coalesced_hits st.Server.st_batch_merges
+          st.Server.st_dedup_roundtrips_saved;
         Hashtbl.replace results (clients, shared) (qps, p99, roundtrips, st)
       in
       one false;
-      one true;
-      let (qps_off, p99_off, rt_off, _) = Hashtbl.find results (clients, false) in
-      let (qps_on, p99_on, rt_on, st) = Hashtbl.find results (clients, true) in
-      json_lines :=
-        Printf.sprintf
-          "{\"clients\": %d, \"qps_unshared\": %.2f, \"qps_shared\": %.2f, \
-           \"p99_unshared_ms\": %.3f, \"p99_shared_ms\": %.3f, \
-           \"roundtrips_unshared\": %d, \"roundtrips_shared\": %d, \
-           \"coalesced_hits\": %d, \"batch_merges\": %d, \
-           \"dedup_roundtrips_saved\": %d}"
-          clients qps_off qps_on p99_off p99_on rt_off rt_on
-          st.Server.st_coalesced_hits st.Server.st_batch_merges
-          st.Server.st_dedup_roundtrips_saved
-        :: !json_lines)
+      one true)
     sweep;
-  let oc = open_out "CCX_shared.json" in
-  output_string oc
-    ("[\n  " ^ String.concat ",\n  " (List.rev !json_lines) ^ "\n]\n");
-  close_out oc;
-  print_endline "work-sharing sweep written to CCX_shared.json";
   let top = List.fold_left max 1 sweep in
-  let (qps_off, _, rt_off, _) = Hashtbl.find results (top, false) in
-  let (qps_on, p99_on, rt_on, st_top) = Hashtbl.find results (top, true) in
-  if st_top.Server.st_dedup_roundtrips_saved <= 0 then
-    failwith
-      (Printf.sprintf
-         "CCS: no roundtrips saved at %d clients with sharing on" top);
-  if st_top.Server.st_coalesced_hits <= 0 then
-    failwith
-      (Printf.sprintf "CCS: no coalesced statements at %d clients" top);
-  if rt_on >= rt_off then
-    failwith
-      (Printf.sprintf
-         "CCS: sharing did not reduce backend roundtrips at %d clients (%d \
-          -> %d)"
-         top rt_off rt_on);
-  if top >= 64 && qps_on < 2. *. qps_off then
-    failwith
-      (Printf.sprintf
-         "CCS: %d clients reached only %.1f qps shared vs %.1f unshared \
-          (need >= 2x)"
-         top qps_on qps_off);
+  let qps_off, p99_off, rt_off, _ = Hashtbl.find results (top, false) in
+  let qps_on, p99_on, rt_on, st_top = Hashtbl.find results (top, true) in
+  guard
+    (st_top.Server.st_dedup_roundtrips_saved > 0)
+    "CCS: no roundtrips saved at %d clients with sharing on" top;
+  guard
+    (st_top.Server.st_coalesced_hits > 0)
+    "CCS: no coalesced statements at %d clients" top;
+  guard (rt_on < rt_off)
+    "CCS: sharing did not reduce backend roundtrips at %d clients (%d -> %d)"
+    top rt_off rt_on;
+  guard
+    (top < 64 || qps_on >= 2. *. qps_off)
+    "CCS: %d clients reached only %.1f qps shared vs %.1f unshared (need >= \
+     2x)"
+    top qps_on qps_off;
   Printf.printf "sharing speedup at %d clients: %.1fx (%.1f -> %.1f qps)\n" top
     (qps_on /. qps_off) qps_off qps_on;
   if not smoke then begin
     (* roundtrips sublinear in clients: 64 clients of shared traffic must
        cost well under 64x one client's roundtrips *)
-    let (_, _, rt_one, _) = Hashtbl.find results (1, true) in
-    if 2 * rt_on >= 64 * rt_one then
-      failwith
-        (Printf.sprintf
-           "CCS: shared roundtrips not sublinear: %d at 64 clients vs %d at 1"
-           rt_on rt_one);
-    let (_, _, _, st1) = Hashtbl.find results (64, true) in
-    if st1.Server.st_batch_merges <= 0 then
-      failwith "CCS: no batched probe merges at 64 clients"
+    let _, _, rt_one, _ = Hashtbl.find results (1, true) in
+    guard
+      (2 * rt_on < 64 * rt_one)
+      "CCS: shared roundtrips not sublinear: %d at 64 clients vs %d at 1"
+      rt_on rt_one;
+    guard
+      (st_top.Server.st_batch_merges > 0)
+      "CCS: no batched probe merges at 64 clients"
   end;
-  (* tail-latency guard against the committed serving-layer baseline: the
-     sharing machinery must not wedge the 64-client p99 *)
-  (match baseline_p99_ms with
-  | Some base when top >= 64 ->
-    Printf.printf "p99 at %d clients: %.1f ms shared vs %.1f ms baseline\n"
-      top p99_on base;
-    if p99_on > 1.5 *. base then
-      failwith
-        (Printf.sprintf
-           "CCS: shared p99 %.1f ms regressed past 1.5x the serving-layer \
-            baseline %.1f ms"
-           p99_on base)
-  | _ -> print_endline "p99 baseline unavailable; regression guard skipped");
+  Printf.printf "p99 at %d clients: %.1f ms shared vs %.1f ms unshared\n" top
+    (p99_on *. 1000.) (p99_off *. 1000.);
+  guard
+    (p99_on <= 1.5 *. p99_off)
+    "CCS: shared p99 %.1f ms at %d clients is past 1.5x the unshared p99 \
+     %.1f ms"
+    (p99_on *. 1000.) top (p99_off *. 1000.);
   print_endline
     "shape: concurrent identical block statements convoy on one execution\n\
      (single-flight) and near-simultaneous single-key probes merge into\n\
@@ -1365,20 +1052,21 @@ let bench_shared_workload ?(smoke = false) ?baseline_p99_ms () =
    live at once) and through the streamed path (session_run_stream:
    backend cursor -> operator stream -> chunks pulled by the reader — the
    first token arrives while the backend result is still draining and at
-   most one 64-token chunk is ever pulled ahead of the reader). Both runs
-   must produce byte-identical output. In smoke mode only the 100k-row
-   point runs, with the structural assertions: streamed TTFT under 20% of
-   the streamed end-to-end wall, at most 64 tokens pulled ahead, and a
-   streamed run costing at most 2.5x the materialized one (the target is
-   1.25x of the wall). Both paths run on the calling thread, so the guard
-   compares process CPU time, the same work as the wall but unmoved by
-   other load on the host; it takes the best of three runs of each path.
-   The 100k point also measures cancellation latency: [stream_cancel] to
-   the [Cancelled] read, over 50 mid-stream cancels. *)
+   most one 64-token chunk is ever pulled ahead of the reader). At the
+   100k-row point two timed guards run: streamed TTFT under 20% of the
+   streamed end-to-end wall, and a streamed run costing at most 2.5x the
+   materialized one (the target is 1.25x of the wall). Both paths run on
+   the calling thread, so the cost guard compares process CPU time, the
+   same work as the wall but unmoved by other load on the host; it takes
+   the best of three runs of each path. The 100k point also measures
+   cancellation latency: [stream_cancel] to the [Cancelled] read, over 50
+   mid-stream cancels. That the streamed bytes equal the materialized
+   ones, at most 64 tokens are pulled ahead and a cancel ends the stream
+   in [Cancelled] is test_streaming's "bench scan at 1k/10k/100k rows"
+   case, over the same sizes. *)
 let stream_cost_guard = 2.5
 let stream_wall_target = 1.25
 let stream_pairs = 3
-let stream_peak_bound = 64
 
 type stream_pair = {
   t_mat : float;
@@ -1390,12 +1078,12 @@ type stream_pair = {
   peak : int;
 }
 
-(* One materialized run, then one streamed run whose tokens are
-   collected as delivered and serialized afterwards for the byte check. *)
+(* One materialized run, then one streamed run whose reader serializes
+   each token as it is delivered: both produce the result's bytes. *)
 let measure_stream_pair server q =
   let t0 = Unix.gettimeofday () and c0 = Sys.time () in
   let items = ok_exn (Server.run server q) in
-  let expected = Server.serialize_result server items in
+  ignore (Server.serialize_result server items);
   let t_mat = Unix.gettimeofday () -. t0 and cpu_mat = Sys.time () -. c0 in
   let live_mat = Token_stream.length (Token_stream.of_sequence items) in
   let ses = Server.session server () in
@@ -1404,28 +1092,21 @@ let measure_stream_pair server q =
   | Error e -> failwith (Server.submit_error_to_string e)
   | Ok stream ->
     let ttft = ref 0. in
-    let tokens = ref [] in
+    let buf = Buffer.create 4096 in
+    let out = Token_stream.chunk_writer (Buffer.add_string buf) in
     let rec drain () =
       match Server.stream_read stream with
       | Ok (Some tok) ->
         if !ttft = 0. then ttft := Unix.gettimeofday () -. t0;
-        tokens := tok :: !tokens;
+        Token_stream.chunk_write out tok;
         drain ()
-      | Ok None -> ()
+      | Ok None -> Token_stream.chunk_close out
       | Error e -> failwith (Server.submit_error_to_string e)
     in
     drain ();
     let t_stream = Unix.gettimeofday () -. t0 and cpu_stream = Sys.time () -. c0 in
-    let peak = Server.stream_peak_buffered stream in
-    let buf = Buffer.create (String.length expected) in
-    Token_stream.serialize_to buf (List.to_seq (List.rev !tokens));
-    if not (String.equal expected (Buffer.contents buf)) then
-      failwith "STRM: streamed delivery diverged from materialized";
-    if peak > stream_peak_bound then
-      failwith
-        (Printf.sprintf "STRM: %d tokens pulled ahead of the reader (bound %d)"
-           peak stream_peak_bound);
-    { t_mat; cpu_mat; live_mat; t_stream; cpu_stream; ttft = !ttft; peak }
+    { t_mat; cpu_mat; live_mat; t_stream; cpu_stream; ttft = !ttft;
+      peak = Server.stream_peak_buffered stream }
 
 let bench_stream_cancel server q =
   let cancels = 50 in
@@ -1444,6 +1125,8 @@ let bench_stream_cancel server q =
           done;
           let t0 = Unix.gettimeofday () in
           Server.stream_cancel stream;
+          (* the latency runs to the Cancelled read; any other end has
+             none to record *)
           let rec to_end () =
             match Server.stream_read stream with
             | Ok (Some _) -> to_end ()
@@ -1454,15 +1137,10 @@ let bench_stream_cancel server q =
           to_end ())
   in
   Array.sort compare lats;
-  let pct p = lats.(min (cancels - 1) (int_of_float (ceil (p *. float_of_int cancels)) - 1)) in
-  let p50 = pct 0.5 and p99 = pct 0.99 in
-  record_result "streaming"
-    ~params:
-      [ ("mode", "\"cancel\"");
-        ("cancels", string_of_int cancels);
-        ("p50_ms", Printf.sprintf "%.3f" (p50 *. 1000.));
-        ("p99_ms", Printf.sprintf "%.3f" (p99 *. 1000.)) ]
-    p50;
+  let p50 = percentile lats 50. and p99 = percentile lats 99. in
+  record "streaming"
+    ~params:[ ("mode", Str "cancel") ]
+    [ ("cancels", Int cancels); ("p50_ms", ms p50); ("p99_ms", ms p99) ];
   Printf.printf "stream_cancel -> Cancelled read over %d mid-stream cancels: \
                  p50 %.3f ms, p99 %.3f ms\n"
     cancels (p50 *. 1000.) (p99 *. 1000.)
@@ -1486,32 +1164,26 @@ let bench_streaming ?(smoke = false) () =
       let p = measure_stream_pair server q in
       (* materialized: TTFT is the full wall — nothing is deliverable
          before the result set is complete *)
-      record_result "streaming"
-        ~params:
-          [ ("rows", string_of_int rows);
-            ("mode", "\"materialized\"");
-            ("ttft_ms", Printf.sprintf "%.3f" (p.t_mat *. 1000.));
-            ("peak_live_tokens", string_of_int p.live_mat) ]
-        p.t_mat;
+      record "streaming"
+        ~params:[ ("rows", Int rows); ("mode", Str "materialized") ]
+        [ ("wall_ms", ms p.t_mat);
+          ("ttft_ms", ms p.t_mat);
+          ("peak_live_tokens", Int p.live_mat) ];
       Printf.printf "%10d %14s %12.1f %10s %12d %12.1f\n" rows "materialized"
         (p.t_mat *. 1000.) "1.00" p.live_mat (p.t_mat *. 1000.);
       let frac = p.ttft /. p.t_stream in
-      record_result "streaming"
-        ~params:
-          [ ("rows", string_of_int rows);
-            ("mode", "\"streamed\"");
-            ("ttft_ms", Printf.sprintf "%.3f" (p.ttft *. 1000.));
-            ("peak_live_tokens", string_of_int p.peak) ]
-        p.t_stream;
+      record "streaming"
+        ~params:[ ("rows", Int rows); ("mode", Str "streamed") ]
+        [ ("wall_ms", ms p.t_stream);
+          ("ttft_ms", ms p.ttft);
+          ("peak_live_tokens", Int p.peak) ];
       Printf.printf "%10d %14s %12.1f %10.2f %12d %12.1f\n" rows "streamed"
         (p.ttft *. 1000.) frac p.peak (p.t_stream *. 1000.);
       if rows = 100_000 then begin
-        if frac >= 0.2 then
-          failwith
-            (Printf.sprintf
-               "STRM: first token at %.0f%% of the streamed wall — the 100k \
-                scan is not streaming"
-               (frac *. 100.));
+        guard (frac < 0.2)
+          "STRM: first token at %.0f%% of the streamed wall — the 100k scan \
+           is not streaming"
+          (frac *. 100.);
         let pairs =
           p :: List.init (stream_pairs - 1) (fun _ -> measure_stream_pair server q)
         in
@@ -1519,16 +1191,11 @@ let bench_streaming ?(smoke = false) () =
         let ratio streamed materialized = best streamed /. best materialized in
         let wall = ratio (fun p -> p.t_stream) (fun p -> p.t_mat) in
         let cpu = ratio (fun p -> p.cpu_stream) (fun p -> p.cpu_mat) in
-        List.iter
-          (fun (mode, r) ->
-            record_result "streaming"
-              ~params:
-                [ ("rows", string_of_int rows);
-                  ("mode", Printf.sprintf "%S" mode);
-                  ("pairs", string_of_int stream_pairs);
-                  ("ratio", Printf.sprintf "%.3f" r) ]
-              p.t_stream)
-          [ ("wall_ratio", wall); ("cpu_ratio", cpu) ];
+        record "streaming"
+          ~params:[ ("rows", Int rows); ("mode", Str "streamed/materialized") ]
+          [ ("pairs", Int stream_pairs);
+            ("wall_ratio", Num wall);
+            ("cpu_ratio", Num cpu) ];
         Printf.printf
           "streamed / materialized at %d rows, best of %d runs each: wall \
            %.2fx (per-pair %s; target %.2fx), CPU %.2fx (guard %.1fx)\n"
@@ -1538,12 +1205,10 @@ let bench_streaming ?(smoke = false) () =
                 (fun p -> Printf.sprintf "%.2fx" (p.t_stream /. p.t_mat))
                 pairs))
           stream_wall_target cpu stream_cost_guard;
-        if cpu > stream_cost_guard then
-          failwith
-            (Printf.sprintf
-               "STRM: streamed CPU time is %.1fx the materialized one at %d \
-                rows (guard %.1fx)"
-               cpu rows stream_cost_guard);
+        guard (cpu <= stream_cost_guard)
+          "STRM: streamed CPU time is %.1fx the materialized one at %d rows \
+           (guard %.1fx)"
+          cpu rows stream_cost_guard;
         bench_stream_cancel server q
       end)
     sweep;
@@ -1574,8 +1239,8 @@ let bench_function_cache () =
     List.fold_left ( +. ) 0. hit_samples
     /. float_of_int (List.length hit_samples)
   in
-  record_result "CCH" ~params:[ ("variant", "\"miss\"") ] t_miss;
-  record_result "CCH" ~params:[ ("variant", "\"hit\"") ] t_hit;
+  record "CCH" ~params:[ ("variant", Str "miss") ] [ ("wall_ms", ms t_miss) ];
+  record "CCH" ~params:[ ("variant", Str "hit") ] [ ("wall_ms", ms t_hit) ];
   Printf.printf "  miss (computes, calls services) : %7.2f ms\n"
     (t_miss *. 1000.);
   Printf.printf "  hit  (one cache-table SELECT)   : %7.3f ms (avg of 20)\n"
@@ -1599,6 +1264,7 @@ let bench_failover () =
   Printf.printf "%-42s %10s %16s\n" "scenario" "time(ms)" "result";
   let scenario label q =
     let t, r = time (fun () -> run demo q) in
+    record "FOV" ~params:[ ("scenario", Str label) ] [ ("wall_ms", ms t) ];
     Printf.printf "%-42s %10.1f %16s\n" label (t *. 1000.) (Item.serialize r)
   in
   demo.Demo.rating_service.Web_service.latency <- 0.002;
@@ -1635,10 +1301,15 @@ let bench_view_unfolding () =
     let server = Server.create ?optimizer_options:options demo.Demo.registry in
     Demo.reset_stats demo;
     let t, _ = time (fun () -> ok_exn (Server.run server q)) in
-    Printf.printf "%-26s %12d %12d %12d %10.1f\n" label
-      demo.Demo.customer_db.Database.stats.Database.statements
-      demo.Demo.card_db.Database.stats.Database.statements
-      demo.Demo.rating_service.Web_service.stats.Web_service.calls
+    let customer = demo.Demo.customer_db.Database.stats.Database.statements in
+    let card = demo.Demo.card_db.Database.stats.Database.statements in
+    let rating = demo.Demo.rating_service.Web_service.stats.Web_service.calls in
+    record "VWU" ~params:[ ("optimizer", Str label) ]
+      [ ("wall_ms", ms t);
+        ("customer_statements", Int customer);
+        ("card_statements", Int card);
+        ("rating_calls", Int rating) ];
+    Printf.printf "%-26s %12d %12d %12d %10.1f\n" label customer card rating
       (t *. 1000.)
   in
   variant "unfold + eliminate (on)" None;
@@ -1661,8 +1332,10 @@ let bench_plan_cache () =
   in
   let t_first, _ = time (fun () -> ok_exn (Server.run demo.Demo.server q)) in
   let t_cached, _ = time (fun () -> ok_exn (Server.run demo.Demo.server q)) in
-  record_result "PLC" ~params:[ ("variant", "\"first\"") ] t_first;
-  record_result "PLC" ~params:[ ("variant", "\"cached\"") ] t_cached;
+  record "PLC" ~params:[ ("variant", Str "first") ]
+    [ ("wall_ms", ms t_first) ];
+  record "PLC" ~params:[ ("variant", Str "cached") ]
+    [ ("wall_ms", ms t_cached) ];
   Printf.printf "same query text twice:\n";
   Printf.printf "  first run (compile + execute): %7.2f ms\n"
     (t_first *. 1000.);
@@ -1712,9 +1385,13 @@ let bench_inverse () =
     let server = Server.create ~optimizer_options:options demo.Demo.registry in
     Demo.reset_stats demo;
     let t, r = time (fun () -> ok_exn (Server.run server q)) in
-    Printf.printf "%-24s %16d %14d %12.1f\n" label
-      demo.Demo.customer_db.Database.stats.Database.rows_shipped
-      (List.length r) (t *. 1000.);
+    let shipped = demo.Demo.customer_db.Database.stats.Database.rows_shipped in
+    record "INV" ~params:[ ("inverse_functions", Bool use_inverse) ]
+      [ ("wall_ms", ms t);
+        ("rows_shipped", Int shipped);
+        ("selected", Int (List.length r)) ];
+    Printf.printf "%-24s %16d %14d %12.1f\n" label shipped (List.length r)
+      (t *. 1000.);
     match Server.compile server q with
     | Ok compiled ->
       List.iter
@@ -1767,6 +1444,8 @@ let bench_observed () =
   let registry = build () in
   let plain = Server.create registry in
   let t_plain, r_plain = time (fun () -> ok_exn (Server.run plain q)) in
+  record "OBS" ~params:[ ("optimizer", Str "written order") ]
+    [ ("wall_ms", ms t_plain) ];
   Printf.printf "%-30s %10.1f %8d\n" "written order (FAST outer)"
     (t_plain *. 1000.) (List.length r_plain);
   let obs = Observed.create () in
@@ -1775,6 +1454,8 @@ let bench_observed () =
   ignore (ok_exn (Server.run observed_server "count(SLOW())"));
   ignore (ok_exn (Server.run observed_server "count(FAST())"));
   let t_obs, r_obs = time (fun () -> ok_exn (Server.run observed_server q)) in
+  record "OBS" ~params:[ ("optimizer", Str "observed-cost reorder") ]
+    [ ("wall_ms", ms t_obs) ];
   Printf.printf "%-30s %10.1f %8d\n" "observed-cost reorder"
     (t_obs *. 1000.) (List.length r_obs);
   Printf.printf "  identical results: %b;  observations: %s\n"
@@ -1872,23 +1553,16 @@ let () =
      figures and quantitative claims. Absolute numbers come from the\n\
      in-memory substrates with simulated latencies; the shapes are the\n\
      experiment (see EXPERIMENTS.md).\n";
-  (* the committed serving-layer baseline, read before any experiment
-     rewrites CCX_latency.json (the smoke CCX sweep has no 64-client
-     point; the checked-in file from the serving-layer change does) *)
-  let baseline_p99_ms = ccx_baseline_p99 "CCX_latency.json" ~clients:64 in
   if smoke then begin
-    (* CI smoke: one tiny access-path sweep point, plus the cost-model
-       structural assertions at 100k rows (chosen plan is PP-k with k in
-       [5, 50] on the index probe path) and on the getProfileByID point
-       lookup (card region parameterized, <= 5 rows shipped, 2 statements,
-       worst misestimate <= 1.5x), with the full result plumbing *)
+    (* the CI subset: each experiment's smallest point that still runs
+       its timed guards *)
     bench_scan_vs_index ~smoke:true ();
     bench_cost_model ~smoke:true ();
     bench_concurrent_serving ~smoke:true ();
-    bench_shared_workload ~smoke:true ?baseline_p99_ms ();
+    bench_shared_workload ~smoke:true ();
     bench_streaming ~smoke:true ();
     bench_extsort ~smoke:true ();
-    write_results "BENCH_results.json";
+    write_records "bench_smoke.json";
     print_endline "\nsmoke run completed";
     exit 0
   end;
@@ -1908,15 +1582,8 @@ let () =
   bench_inverse ();
   bench_observed ();
   bench_concurrent_serving ();
-  (* the full CCX sweep just refreshed CCX_latency.json with a same-machine
-     64-client point: prefer it over the committed baseline *)
-  let baseline_p99_ms =
-    match ccx_baseline_p99 "CCX_latency.json" ~clients:64 with
-    | Some _ as fresh -> fresh
-    | None -> baseline_p99_ms
-  in
-  bench_shared_workload ?baseline_p99_ms ();
+  bench_shared_workload ();
   bench_streaming ();
   if micro then bechamel_micro ();
-  write_results "BENCH_results.json";
+  write_records "BENCH_results.json";
   print_endline "\nall experiments completed"

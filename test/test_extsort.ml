@@ -238,6 +238,38 @@ let prop_order_by_identity =
         (serialize unbounded.Aldsp_demo.Demo.server order_query)
         (serialize spilled.Aldsp_demo.Demo.server order_query))
 
+(* The benchmark's sort at 10k and 100k rows, pushdown off, through a
+   4096-row budget: the unbounded sort spills nothing; the budgeted one
+   spills at least 2 runs, holds at most the budget resident and writes
+   the same bytes. *)
+let test_order_by_at_bench_scale () =
+  let budget = 4096 in
+  List.iter
+    (fun rows ->
+      let server budget =
+        (demo ~pushdown:false ~budget rows).Aldsp_demo.Demo.server
+      in
+      let unbounded = server None and spilled = server (Some budget) in
+      let expected = serialize unbounded order_query in
+      let runs server = (Server.stats server).Server.st_spill_runs in
+      check_int
+        (Printf.sprintf "%d rows: runs the unbounded sort spilled" rows)
+        0 (runs unbounded);
+      check_bool
+        (Printf.sprintf "%d rows: spilled bytes = in-memory bytes" rows)
+        true
+        (String.equal expected (serialize spilled order_query));
+      check_bool
+        (Printf.sprintf "%d rows: %d runs spilled (>= 2)" rows (runs spilled))
+        true
+        (runs spilled >= 2);
+      let peak = (Server.stats spilled).Server.st_spill_peak_resident in
+      check_bool
+        (Printf.sprintf "%d rows: peak resident %d within the %d-row budget"
+           rows peak budget)
+        true (peak <= budget))
+    [ 10_000; 100_000 ]
+
 (* pushdown off so the GROUP BY runs in the middleware, where no sort
    feeds it and the unclustered fallback (sort + cluster) applies *)
 let group_query =
@@ -336,7 +368,8 @@ let () =
           q prop_order_by_identity;
           q prop_group_by_identity;
           t "spilled ORDER BY awaits submitted lets"
-            test_spill_awaits_submitted_lets ] );
+            test_spill_awaits_submitted_lets;
+          t "ORDER BY at bench scale" test_order_by_at_bench_scale ] );
       ( "perf",
         [ Alcotest.test_case "50k distinct keys group fast" `Slow
             test_group_50k_distinct_keys ] ) ]

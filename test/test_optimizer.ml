@@ -550,36 +550,47 @@ let test_ppk_choice_bounds () =
     [ Some 1; Some 2; Some 3; Some 7; Some 20; Some 200; Some 1000; None ];
   check_bool (String.concat "\n" (List.rev !failures)) true (!failures = [])
 
+(* The demo enterprise at 0.5 ms roundtrips with CREDIT_CARD's CID
+   indexed and the table padded to [rows] with cards of customers outside
+   the joined range: the probe side grows, the join result does not. *)
+let padded_cards ~customers ~cards_per_customer rows =
+  let module D = Aldsp_demo.Demo in
+  let module Table = Aldsp_relational.Table in
+  let demo =
+    D.create ~customers ~orders_per_customer:0 ~cards_per_customer
+      ~db_latency:0.0005 ()
+  in
+  let cards =
+    Result.get_ok
+      (Aldsp_relational.Database.find_table demo.D.card_db "CREDIT_CARD")
+  in
+  Result.get_ok (Table.create_index cards ~name:"card_cid" [ "CID" ]);
+  ignore
+    (Result.get_ok
+       (Table.insert_many cards
+          (List.init (rows - (customers * cards_per_customer)) (fun i ->
+               [| V.Int (1_000_000 + i);
+                  V.Str (Printf.sprintf "PAD%06d" i);
+                  V.Str "0000-0000-0000";
+                  V.Null |]))));
+  demo
+
+let card_join ret =
+  "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID return "
+  ^ ret
+
 (* The repository benchmark's ppk_join shape: 200 customers against a
    100k-row CREDIT_CARD with CID indexed, 0.5 ms roundtrips, a pool of 4.
    The model prices blocks of 25 to 50 keys with at least two blocks in
    flight, and the pushdown gate priced the same plan. *)
 let test_ppk_join_shape () =
   let module D = Aldsp_demo.Demo in
-  let module Db = Aldsp_relational.Database in
-  let module Table = Aldsp_relational.Table in
-  let demo =
-    D.create ~customers:200 ~orders_per_customer:0 ~cards_per_customer:5
-      ~db_latency:0.0005 ()
-  in
-  let cards = Result.get_ok (Db.find_table demo.D.card_db "CREDIT_CARD") in
-  Result.get_ok (Table.create_index cards ~name:"card_cid" [ "CID" ]);
-  ignore
-    (Result.get_ok
-       (Table.insert_many cards
-          (List.init 99_000 (fun i ->
-               [| V.Int (1_000_000 + i);
-                  V.Str (Printf.sprintf "PAD%06d" i);
-                  V.Str "0000-0000-0000";
-                  V.Null |]))));
+  let demo = padded_cards ~customers:200 ~cards_per_customer:5 100_000 in
   let workers = 4 in
   let server =
     Server.create ~pool:(Pool.create ~workers ()) demo.D.registry
   in
-  let q =
-    "for $c in CUSTOMER(), $x in CREDIT_CARD() where $c/CID eq $x/CID \
-     return <R>{$c/CID, $x/NUM}</R>"
-  in
+  let q = card_join "<R>{$c/CID, $x/NUM}</R>" in
   let clauses =
     match (compile_exn server q).Server.plan with
     | Cexpr.Flwor { clauses; _ } -> clauses
@@ -615,6 +626,97 @@ let test_ppk_join_shape () =
        ~inner_rows:(Cost_model.rel_cardinality registry whole)
      = Some (k, prefetch))
 
+(* The PP-k join of a compiled pipeline: the op, its k, whether it hashes
+   each fetched block on the join keys, and the let on its right side
+   that rebuilds each candidate, if any. *)
+let ppk_join_of (ir : Plan_ir.t) =
+  let is_let (o : Plan_ir.op) =
+    match o.Plan_ir.op_node with Plan_ir.O_let _ -> true | _ -> false
+  in
+  match ir.Plan_ir.tree.Plan_ir.node with
+  | Plan_ir.P_pipeline { ops; _ } ->
+    List.find_map
+      (fun (o : Plan_ir.op) ->
+        match o.Plan_ir.op_node with
+        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; equi; right; _ } ->
+          Some (o, k, equi <> None, List.find_opt is_let right)
+        | _ -> None)
+      ops
+  | _ -> None
+
+(* The benchmark's cost-model and access-path sweeps: 100 customers
+   against CREDIT_CARD padded to 1k, 10k and 100k rows. The model chooses
+   PP-k with k in [5, 50], probing through the index and hashing each
+   fetched block (inner=inl), so the whole-card return's per-candidate
+   let runs no more often than the join emits rows. Forced k=1, forced
+   k=20 and k=20 without indexes return the same rows, and the indexed
+   paths scan nothing. A failure prints the chosen plan. *)
+let test_cost_model_sweep () =
+  let module D = Aldsp_demo.Demo in
+  let module Db = Aldsp_relational.Database in
+  let forced k =
+    { Optimizer.default_options with Optimizer.ppk_k = k; cost_based = false }
+  in
+  let q = card_join "<R>{$c/CID, $x/NUM}</R>" in
+  List.iter
+    (fun rows ->
+      let demo = padded_cards ~customers:100 ~cards_per_customer:10 rows in
+      (* the first run of [q] on a fresh server, so [q]'s plan counters
+         hold this run only: the plan, the rows returned, the card
+         table's full scans *)
+      let run ~indexed options q =
+        Db.set_use_indexes demo.D.customer_db indexed;
+        Db.set_use_indexes demo.D.card_db indexed;
+        let server =
+          Server.create ~optimizer_options:options demo.D.registry
+        in
+        let ir = (compile_exn server q).Server.ir in
+        D.reset_stats demo;
+        let n = List.length (ok_exn (Server.run server q)) in
+        (server, ir, n, demo.D.card_db.Db.stats.Db.full_scans)
+      in
+      let server, ir, n_chosen, scans =
+        run ~indexed:true Optimizer.default_options q
+      in
+      let explain = ok_exn (Server.explain ~analyze:false server q) in
+      let expect ok fmt =
+        Printf.ksprintf
+          (fun what ->
+            if not ok then Alcotest.failf "%d rows: %s\n%s" rows what explain)
+          fmt
+      in
+      (match ppk_join_of ir with
+      | Some (_, k, hashed, _) ->
+        expect (k >= 5 && k <= 50) "chosen k=%d outside [5, 50]" k;
+        expect hashed "the PP-k join does not hash its blocks"
+      | None -> expect false "the cost model did not choose PP-k");
+      expect (scans = 0) "the chosen plan ran %d full scans" scans;
+      (* returning the whole card keeps the per-candidate let live *)
+      let _, live, _, _ =
+        run ~indexed:true Optimizer.default_options
+          (card_join "<R>{$c/CID, $x}</R>")
+      in
+      (match ppk_join_of live with
+      | Some (join, _, _, Some let_) ->
+        let act (o : Plan_ir.op) =
+          live.Plan_ir.totals.(o.Plan_ir.op_id).Plan_ir.c_rows
+        in
+        expect
+          (act let_ <= act join)
+          "per-candidate let act=%d exceeds the join's act=%d" (act let_)
+          (act join)
+      | _ -> expect false "no PP-k join with a reconstruction let");
+      let _, _, n_k1, _ = run ~indexed:true (forced 1) q in
+      let _, _, n_k20, scans_k20 = run ~indexed:true (forced 20) q in
+      let _, _, n_scan, _ = run ~indexed:false (forced 20) q in
+      expect (scans_k20 = 0) "forced k=20 through the index ran %d full scans"
+        scans_k20;
+      expect
+        (n_k1 = n_chosen && n_k20 = n_chosen && n_scan = n_chosen)
+        "row counts disagree: chosen %d, k=1 %d, k=20 %d, full scan %d"
+        n_chosen n_k1 n_k20 n_scan)
+    [ 1_000; 10_000; 100_000 ]
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   Alcotest.run "optimizer"
@@ -645,6 +747,7 @@ let () =
         ] );
       ( "ppk plan",
         [ t "k and prefetch bounds" test_ppk_choice_bounds;
-          t "ppk_join shape" test_ppk_join_shape ] );
+          t "ppk_join shape" test_ppk_join_shape;
+          t "cost model sweep" test_cost_model_sweep ] );
       ( "equivalence",
         [ t "optimized = unoptimized" test_optimizer_preserves_semantics ] ) ]

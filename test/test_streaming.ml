@@ -245,18 +245,15 @@ let test_bounded_buffer_slow_consumer () =
       true
       (peak >= 1 && peak <= chunk)
 
-let test_mid_stream_cancel () =
-  let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
-  let server = demo.Aldsp_demo.Demo.server in
-  let q = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>" in
+(* Reads [after] tokens of [q], so the query is demonstrably mid-flight,
+   then cancels and keeps reading: the stream must end in a Cancelled
+   error, never a clean end-of-stream for a truncated result. *)
+let cancel_mid_stream server q ~after =
   let ses = Server.session server () in
-  (match Server.session_run_stream ses q with
+  match Server.session_run_stream ses q with
   | Error e -> Alcotest.fail (Server.submit_error_to_string e)
   | Ok stream ->
-    (* consume a few tokens so the query is demonstrably mid-flight,
-       then cancel and keep reading: the stream must end in a Cancelled
-       error, never a clean end-of-stream for a truncated result *)
-    for _ = 1 to 5 do
+    for _ = 1 to after do
       match Server.stream_read stream with
       | Ok (Some _) -> ()
       | Ok None -> Alcotest.fail "stream ended before cancel"
@@ -272,7 +269,56 @@ let test_mid_stream_cancel () =
         Alcotest.failf "expected Cancelled, got %s"
           (Server.submit_error_to_string e)
     in
-    drain_to_end ());
+    drain_to_end ()
+
+(* The benchmark's pushed scan at 1k, 10k and 100k rows, read token by
+   token: the streamed bytes are the materialized ones with at most one
+   chunk pulled ahead, and at 100k rows a cancel 256 tokens in ends the
+   stream in Cancelled. *)
+let test_bench_scan () =
+  let q =
+    "for $c in CUSTOMER() where $c/SINCE ge 1900 return \
+     <R>{$c/CID}{$c/LAST_NAME}</R>"
+  in
+  List.iter
+    (fun rows ->
+      let server =
+        (Aldsp_demo.Demo.create ~customers:rows ~orders_per_customer:0 ())
+          .Aldsp_demo.Demo.server
+      in
+      let expected =
+        match Server.run server q with
+        | Ok items -> Server.serialize_result server items
+        | Error m -> Alcotest.fail m
+      in
+      let ses = Server.session server () in
+      (match Server.session_run_stream ses q with
+      | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+      | Ok stream ->
+        let rec read acc =
+          match Server.stream_read stream with
+          | Ok (Some tok) -> read (tok :: acc)
+          | Ok None -> List.rev acc
+          | Error e -> Alcotest.fail (Server.submit_error_to_string e)
+        in
+        let buf = Buffer.create (String.length expected) in
+        Token_stream.serialize_to buf (List.to_seq (read []));
+        let peak = Server.stream_peak_buffered stream in
+        check_bool
+          (Printf.sprintf "%d rows: streamed = materialized" rows)
+          true
+          (String.equal expected (Buffer.contents buf));
+        check_bool
+          (Printf.sprintf "%d rows: peak %d within one chunk" rows peak)
+          true (peak <= chunk));
+      if rows = 100_000 then cancel_mid_stream server q ~after:256)
+    [ 1_000; 10_000; 100_000 ]
+
+let test_mid_stream_cancel () =
+  let demo = Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:1 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let q = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>" in
+  cancel_mid_stream server q ~after:5;
   (* the stream must release its admission slot: wait for quiescence *)
   let deadline = Unix.gettimeofday () +. 5. in
   let rec wait () =
@@ -810,6 +856,8 @@ let () =
           Alcotest.test_case "bounded buffer under a slow consumer" `Quick
             test_bounded_buffer_slow_consumer;
           Alcotest.test_case "mid-stream cancel" `Quick test_mid_stream_cancel;
+          Alcotest.test_case "bench scan at 1k/10k/100k rows" `Quick
+            test_bench_scan;
           Alcotest.test_case "st_tokens_streamed counts every path" `Quick
             test_tokens_streamed_counter;
           Alcotest.test_case "cancelled serialize writes a prefix" `Quick
