@@ -316,18 +316,18 @@ let rec constructor_only = function
     && constructor_only content
   | _ -> false
 
-let ppk_hash_keys right on_ =
-  match right with
-  | Rel r :: lets
-    when List.for_all
-           (function Let { value; _ } -> constructor_only value | _ -> false)
-           lets -> (
-    let binds = List.map (fun b -> b.bvar) r.binds in
-    let keyed (_, rk) = reads_only binds rk in
-    match equi_join_keys ~right_vars:(clause_vars right) on_ with
-    | Some (pairs, []) when List.for_all keyed pairs -> Some pairs
-    | _ -> None)
-  | _ -> None
+let hash_keys method_ right on_ =
+  let reconstruction = function
+    | Let { value; _ } -> constructor_only value
+    | _ -> false
+  in
+  let keyed r (_, rk) = reads_only (List.map (fun b -> b.bvar) r.binds) rk in
+  match (method_, right, equi_join_keys ~right_vars:(clause_vars right) on_) with
+  | Index_nested_loop, _, Some (pairs, _) -> pairs
+  | Ppk _, Rel r :: lets, Some (pairs, [])
+    when List.for_all reconstruction lets && List.for_all (keyed r) pairs ->
+    pairs
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
@@ -526,10 +526,10 @@ let binop_name = function
 let method_name ~right ~on_ = function
   | Nested_loop -> "nl"
   | Index_nested_loop -> "inl"
-  | Ppk { k; prefetch } ->
+  | Ppk { k; prefetch } as m ->
     Printf.sprintf "pp-%d%s/%s" k
       (if prefetch > 0 then Printf.sprintf "+%d" prefetch else "")
-      (if Option.is_none (ppk_hash_keys right on_) then "nl" else "inl")
+      (if hash_keys m right on_ = [] then "nl" else "inl")
 
 let rec pp ppf e =
   let open Format in

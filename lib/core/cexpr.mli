@@ -25,7 +25,7 @@ type var = string
     pipeline depth — how many block queries may be in flight on the worker
     pool ahead of the block the middleware join is consuming (0 = strictly
     sequential roundtrips). How each block is joined in the middleware is
-    not a choice: it hashes on the join keys when {!ppk_hash_keys} finds
+    not a choice: it hashes on the join keys when {!hash_keys} finds
     them and falls back to a nested loop otherwise. *)
 type join_method =
   | Nested_loop
@@ -132,16 +132,19 @@ val equi_join_keys :
   right_vars:var list -> t -> ((t * t) list * t list) option
 (** Splits a join predicate into (left expr = right expr) pairs plus
     residual conjuncts; [None] when no equi-key exists. Shared by pushdown,
-    the method selector and the executor's hash joins. *)
+    the method selector and {!hash_keys}. *)
 
-val ppk_hash_keys : clause list -> t -> (t * t) list option
-(** The (left, right) key pairs a PP-k block join over [right] can hash
-    on: [right] is a pushed region followed by zero or more
+val hash_keys : join_method -> clause list -> t -> (t * t) list
+(** The (left, right) key pairs the executor's hash join over [right]
+    indexes and probes with; [[]] means the join runs as a nested loop.
+    The keys only pick candidates: the full predicate decides each one.
+    Index nested loop hashes on every equi pair {!equi_join_keys} finds.
+    PP-k hashes when [right] is a pushed region followed by zero or more
     row-reconstruction lets (element constructors over variables) — none
-    when nothing reads the reconstruction — the predicate is nothing
-    but equi-key pairs, and every right key reads only the region's bind
-    variables — so a fetched row's key is known before the row is
-    reconstructed. [None] means the block join is a nested loop. *)
+    when nothing reads the reconstruction — the predicate is nothing but
+    equi-key pairs, and every right key reads only the region's bind
+    variables, so a fetched row's key is known before the row is
+    reconstructed. A nested-loop join has none. *)
 
 val count_uses : var -> clause list -> t -> int
 (** Occurrences of a variable in a clause list plus return expression —

@@ -292,7 +292,7 @@ let value_compare op a b =
   | C.V_ge -> c >= 0
   | _ -> assert false
 
-(* PP-k block hash keys. Only a single string or numeric atom normalizes,
+(* Hash-join keys. Only a single string or numeric atom normalizes,
    numerics to one canonical float as in [Index.part_of_value], so two
    atoms [eq] finds equal always share a key and two atoms of one class
    compare without error. *)
@@ -309,13 +309,19 @@ let hash_part = function [ a ] -> hash_atom a | _ -> None
 let same_class a b =
   match (a, b) with H_str _, H_str _ | H_num _, H_num _ -> true | _ -> false
 
-(* One fetched block's left keys: positions by key, ascending, plus the
-   positions whose key does not normalize, which every row visits. *)
-type block_index = {
-  bi_shape : hash_part list;  (** a row key of another class visits all *)
-  bi_keys : (hash_part list, int list) Hashtbl.t;
-  bi_wild : int list;
+(* A hash join's indexed side — an index-NL join's right tuples, a PP-k
+   block's left tuples: positions by key, ascending, plus the positions
+   whose key does not normalize, which every probe visits. *)
+type key_index = {
+  ki_shape : hash_part list;  (** a probe key of another class visits all *)
+  ki_keys : (hash_part list, int list) Hashtbl.t;
+  ki_wild : int list;
 }
+
+(* A probe key that normalized, into parts of the index's classes. *)
+let fits ix = function
+  | [] -> false
+  | key -> List.for_all2 same_class ix.ki_shape key
 
 let arith op a b =
   let r =
@@ -954,8 +960,8 @@ and tuples cx frame0 (input : frame Seq.t) (ops : op list) : frame Seq.t =
       | O_group { aggs; keys; clustered } ->
         counted (exec_group cx c input aggs keys clustered)
       | O_sort { keys } -> counted (exec_order cx c input keys)
-      | O_join { kind; method_; right; base; on_; equi; export } ->
-        exec_join cx ~t0 c frame0 input kind method_ right base on_ equi export
+      | O_join { kind; method_; right; base; on_; keys; export } ->
+        exec_join cx ~t0 c frame0 input kind method_ right base on_ keys export
       | O_sql r ->
         counted_lists ~t0 c
           (Seq.flat_map (fun frame -> rel_chunks cx c frame r) input)
@@ -1121,27 +1127,20 @@ and exec_order cx counters input keys =
 
 (* --------------------------- joins -------------------------------- *)
 
-and exec_residual cx frame residual =
-  List.for_all (fun cond -> truth cx frame cond) residual
-
 (* The join's tuples, counted into [c]. *)
-and exec_join cx ~t0 c frame0 left kind method_ right base on_ equi export =
+and exec_join cx ~t0 c frame0 left kind method_ right base on_ keys export =
   let counted = count_rows ~t0 c in
-  match method_ with
-  | C.Nested_loop -> counted (nl_join cx left kind right on_ export)
-  | C.Index_nested_loop -> (
-    match equi with
-    | Some { eq_pairs; eq_residual } ->
-      counted
-        (inl_join cx frame0 left kind right base eq_pairs eq_residual export)
-    | None -> counted (nl_join cx left kind right on_ export))
-  | C.Ppk { k; prefetch } -> (
+  match (method_, keys) with
+  | C.Nested_loop, _ | C.Index_nested_loop, [] ->
+    counted (nl_join cx left kind right on_ export)
+  | C.Index_nested_loop, _ ->
+    counted (inl_join cx frame0 left kind right base keys on_ export)
+  | C.Ppk { k; prefetch }, _ -> (
     match right with
     | ({ op_node = O_sql r; _ } as sql) :: rest_lets
       when List.for_all
              (fun o -> match o.op_node with O_let _ -> true | _ -> false)
              rest_lets ->
-      let keys = Option.map (fun e -> e.eq_pairs) equi in
       ppk_join cx ~t0 c cx.counters.(sql.op_id) left kind r rest_lets ~k
         ~prefetch ~keys on_ export
     | _ -> counted (nl_join cx left kind right on_ export))
@@ -1174,31 +1173,40 @@ and nl_join cx left kind right on_ export =
       export_tuples cx l (List.of_seq matches) kind export)
     left
 
-and inl_join cx frame0 left kind right base pairs residual export =
-  (* build a hash of the right side once (the "index"), probe per left
-     tuple *)
-  let table = Hashtbl.create 64 in
-  let right_stream = tuples cx frame0 (Seq.return frame0) right in
-  Seq.iter
-    (fun r ->
-      let key = List.map (fun (_, rk) -> atomize (exec cx r rk)) pairs in
-      let bucket = Hashtbl.find_opt table key |> Option.value ~default:[] in
-      Hashtbl.replace table key (r :: bucket))
-    right_stream;
+(* The right side runs once, on the first left tuple, and is indexed on
+   its keys; each left tuple tries its bucket and the wild positions in
+   right order, or every right tuple when its key does not fit, so the
+   matches come in the nested loop's order and a skipped pair is one that
+   compares unequal without error. *)
+and inl_join cx frame0 left kind right base keys on_ export =
+  let left_keys, right_keys = List.split keys in
+  let indexed =
+    lazy
+      (let rights = Array.of_seq (tuples cx frame0 (Seq.return frame0) right) in
+       (rights, key_index cx rights right_keys))
+  in
   Seq.concat_map
     (fun l ->
-      let key = List.map (fun (lk, _) -> atomize (exec cx l lk)) pairs in
-      let bucket = Hashtbl.find_opt table key |> Option.value ~default:[] in
+      let rights, index = Lazy.force indexed in
+      let candidates =
+        match (index, hash_key cx l left_keys) with
+        | Some ix, key when fits ix key ->
+          List.merge Int.compare
+            (Option.value ~default:[] (Hashtbl.find_opt ix.ki_keys key))
+            ix.ki_wild
+        | _ -> List.init (Array.length rights) Fun.id
+      in
       let matches =
-        List.rev bucket
-        |> List.filter_map (fun r ->
-               let merged = merge l r base in
-               if exec_residual cx merged residual then Some merged else None)
+        List.filter_map
+          (fun j ->
+            let merged = merge l rights.(j) base in
+            if truth cx merged on_ then Some merged else None)
+          candidates
       in
       export_tuples cx l matches kind export)
     left
 
-(* A join key over [exprs] in [frame], or [None] when some part does not
+(* A join key over [exprs] in [frame], or [] when some part does not
    normalize — including when evaluating it fails: the key's position is
    then visited like a nested loop, which raises the error in its place. *)
 and hash_key cx frame exprs =
@@ -1208,30 +1216,29 @@ and hash_key cx frame exprs =
     | seq -> hash_part (atomize seq)
   in
   match List.map part exprs with
-  | parts when List.for_all Option.is_some parts ->
-    Some (List.map Option.get parts)
-  | _ -> None
-  | exception e when recoverable_failure e -> None
+  | parts when List.for_all Option.is_some parts -> List.map Option.get parts
+  | _ -> []
+  | exception e when recoverable_failure e -> []
 
-(* [None] when no left key normalizes or they mix classes; every row then
+(* [None] when no key normalizes or they mix classes; every probe then
    visits every position. *)
-and block_index cx block left_keys =
-  let keyed = Array.map (fun frame -> hash_key cx frame left_keys) block in
-  let keys = Hashtbl.create (Array.length block) in
+and key_index cx frames keys =
+  let keyed = Array.map (fun frame -> hash_key cx frame keys) frames in
+  let index = Hashtbl.create (Array.length frames) in
   let wild = ref [] and shape = ref None and mixed = ref false in
-  for i = Array.length block - 1 downto 0 do
+  for i = Array.length frames - 1 downto 0 do
     match keyed.(i) with
-    | None -> wild := i :: !wild
-    | Some key ->
+    | [] -> wild := i :: !wild
+    | key ->
       (match !shape with
       | None -> shape := Some key
       | Some s -> if not (List.for_all2 same_class s key) then mixed := true);
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt keys key) in
-      Hashtbl.replace keys key (i :: bucket)
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt index key) in
+      Hashtbl.replace index key (i :: bucket)
   done;
   match !shape with
   | Some s when not !mixed ->
-    Some { bi_shape = s; bi_keys = keys; bi_wild = !wild }
+    Some { ki_shape = s; ki_keys = index; ki_wild = !wild }
   | _ -> None
 
 (* A fetched row's block key, per cursor, or [] when it does not
@@ -1255,7 +1262,7 @@ and row_key cx (b : binder) right_keys =
       p :: parts row rest
     | From_plan rk :: rest -> (
       match hash_key cx (bind_row b [||] row) [ rk ] with
-      | Some [ p ] -> p :: parts row rest
+      | [ p ] -> p :: parts row rest
       | _ -> raise_notrace No_key)
   in
   let sources = List.map source right_keys in
@@ -1295,7 +1302,7 @@ and rel_chunks cx counters frame (r : sql_region) : frame list Seq.t =
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
    clauses (row reconstruction) applied after binding a fetched row — none
    when nothing after the join reads the reconstruction. With
-   [keys] (Cexpr.ppk_hash_keys) the middleware join is a hash join: the
+   [keys] (Cexpr.hash_keys) the middleware join is a hash join: the
    block's left keys are indexed once, each fetched row's key is read
    from its key columns, and the row is bound, reconstructed and tested
    only against the left tuples under its key — the full [on_] still
@@ -1317,7 +1324,7 @@ and ppk_join cx ~t0 c sqlc left kind (r : sql_region) rest_lets ~k ~prefetch
     | None -> error "unknown database %s" r.sql_db
   in
   let n_params = List.length r.sql_params in
-  let left_keys, right_keys = List.split (Option.value ~default:[] keys) in
+  let left_keys, right_keys = List.split keys in
   let obs = cx.rt.observed in
   (* stage 1, consumer thread: the block query — WHERE (p_1..p_n) OR ...
      OR (p shifted (m-1)n), or col IN (?1..?m) for a one-column key — and
@@ -1377,12 +1384,7 @@ and ppk_join cx ~t0 c sqlc left kind (r : sql_region) rest_lets ~k ~prefetch
       let m = Array.length block in
       let acc = Array.make m [] in
       (* built on the first row, so an empty block evaluates no key *)
-      let index =
-        lazy
-          (match left_keys with
-          | [] -> None
-          | _ -> block_index cx block left_keys)
-      in
+      let index = lazy (key_index cx block left_keys) in
       (* left tuple [i]'s candidates, bound, reconstructed and tested in
          row order; the matches go onto [acc.(i)], latest first *)
       let join_tuple rows i candidates =
@@ -1425,11 +1427,11 @@ and ppk_join cx ~t0 c sqlc left kind (r : sql_region) rest_lets ~k ~prefetch
               let visits = Array.make m [] in
               for j = n - 1 downto 0 do
                 match key_of_row rows.(j) with
-                | _ :: _ as key when List.for_all2 same_class ix.bi_shape key ->
-                  (match Hashtbl.find ix.bi_keys key with
+                | key when fits ix key ->
+                  (match Hashtbl.find ix.ki_keys key with
                   | is -> visit visits j is
                   | exception Not_found -> ());
-                  visit visits j ix.bi_wild
+                  visit visits j ix.ki_wild
                 | _ -> for i = 0 to m - 1 do visits.(i) <- j :: visits.(i) done
               done;
               visits

@@ -123,12 +123,10 @@ and op_node =
       right : op list;
       base : int;
       on_ : plan;
-      equi : pequi option;
+      keys : (plan * plan) list;
       export : pexport;
     }
   | O_sql of sql_region
-
-and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
 
 and pexport = PE_bindings | PE_grouped of { gvar : var; gexpr : plan }
 
@@ -214,13 +212,10 @@ and op_sub_plans o =
   | O_select p -> [ p ]
   | O_group { aggs; keys; _ } -> List.map fst aggs @ List.map fst keys
   | O_sort { keys } -> List.map fst keys
-  | O_join { right; on_; equi; export; _ } ->
+  | O_join { right; on_; keys; export; _ } ->
     List.concat_map op_sub_plans right
     @ [ on_ ]
-    @ (match equi with
-      | None -> []
-      | Some { eq_pairs; eq_residual } ->
-        List.concat_map (fun (l, r) -> [ l; r ]) eq_pairs @ eq_residual)
+    @ List.concat_map (fun (l, r) -> [ l; r ]) keys
     @ (match export with PE_bindings -> [] | PE_grouped { gexpr; _ } -> [ gexpr ])
   | O_sql r -> r.sql_params
 
@@ -450,20 +445,10 @@ let compile registry root =
           (O_sort { keys = List.map (fun (e, d) -> (lower sc e, d)) keys }, sc)
         | C.Join { kind; method_; right; on_; export } ->
           let right_ops, inner = lower_clauses sc est right in
-          let lower_equi (pairs, residual) =
-            { eq_pairs = List.map (fun (l, r) -> (lower sc l, lower inner r)) pairs;
-              eq_residual = List.map (lower inner) residual }
-          in
-          let equi =
-            match method_ with
-            | C.Index_nested_loop ->
-              Option.map lower_equi
-                (C.equi_join_keys ~right_vars:(C.clause_vars right) on_)
-            | C.Ppk _ ->
-              Option.map
-                (fun pairs -> lower_equi (pairs, []))
-                (C.ppk_hash_keys right on_)
-            | C.Nested_loop -> None
+          let keys =
+            List.map
+              (fun (l, r) -> (lower sc l, lower inner r))
+              (C.hash_keys method_ right on_)
           in
           let export, after =
             match export with
@@ -479,7 +464,7 @@ let compile registry root =
                 right = right_ops;
                 base = sc.depth;
                 on_ = lower inner on_;
-                equi;
+                keys;
                 export },
             after )
         | C.Rel r ->
@@ -601,13 +586,13 @@ let cap s = if String.length s > 90 then String.sub s 0 87 ^ "..." else s
 
 (* A PP-k join's [inner=] names how each fetched block is joined in the
    middleware: [inl] when it carries hash keys, [nl] when it does not. *)
-let method_label method_ equi =
+let method_label method_ keys =
   match method_ with
   | C.Nested_loop -> "nested-loop"
   | C.Index_nested_loop -> "index-nl"
   | C.Ppk { k; prefetch } ->
     Printf.sprintf "pp-k(k=%d, prefetch=%d, inner=%s)" k prefetch
-      (if equi = None then "nl" else "inl")
+      (if keys = [] then "nl" else "inl")
 
 let node_label p =
   match p.node with
@@ -676,10 +661,10 @@ let op_label o =
            (fun (e, desc) ->
              cap (summary e) ^ if desc then " descending" else "")
            keys)
-  | O_join { kind; method_; equi; export; _ } ->
+  | O_join { kind; method_; keys; export; _ } ->
     Printf.sprintf "join[%s] method=%s%s"
       (match kind with C.J_inner -> "inner" | C.J_left_outer -> "left-outer")
-      (method_label method_ equi)
+      (method_label method_ keys)
       (match export with
       | PE_bindings -> ""
       | PE_grouped { gvar; _ } -> Printf.sprintf " grouped as $%s" gvar.name)

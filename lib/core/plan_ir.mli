@@ -176,18 +176,17 @@ and op_node =
           (** The first frame slot [right] binds: a left tuple's frame
               is no wider. *)
       on_ : plan;
-      equi : pequi option;
-          (** The hash-join keys, precomputed so the executor never
-              re-analyzes the predicate: for index nested loop those the
-              method selector found, for PP-k those of
-              {!Cexpr.ppk_hash_keys} (never a residual), hashing each
-              fetched block. [None] falls back to a nested loop. *)
+      keys : (plan * plan) list;
+          (** The (left key, right key) pairs of {!Cexpr.hash_keys},
+              lowered once so the executor never re-analyzes the
+              predicate. Index nested loop indexes the right side's
+              tuples on them and PP-k each fetched block's left tuples;
+              a tuple whose key does not normalize is tried against
+              every other, and [on_] decides every candidate. [[]]
+              falls back to a nested loop. *)
       export : pexport;
     }
   | O_sql of sql_region
-
-and pequi = { eq_pairs : (plan * plan) list; eq_residual : plan list }
-    (** (left key, right key) pairs plus residual conjuncts. *)
 
 and pexport = PE_bindings | PE_grouped of { gvar : var; gexpr : plan }
 

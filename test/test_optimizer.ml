@@ -638,8 +638,8 @@ let ppk_join_of (ir : Plan_ir.t) =
     List.find_map
       (fun (o : Plan_ir.op) ->
         match o.Plan_ir.op_node with
-        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; equi; right; _ } ->
-          Some (o, k, equi <> None, List.find_opt is_let right)
+        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; keys; right; _ } ->
+          Some (o, k, keys <> [], List.find_opt is_let right)
         | _ -> None)
       ops
   | _ -> None

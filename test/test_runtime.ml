@@ -203,6 +203,37 @@ let test_hash_join_type_mismatch () =
         expected got)
     hash_join_ks
 
+(* Index nested loop hashes the right side on its join keys, but the keys
+   only pick candidates: a key that does not normalize (an empty or
+   multi-item sequence, a NULL column) is tried against every tuple, and
+   numerics of different types share a key. Each case must print the
+   bytes of the same text with join introduction off, a nested loop. *)
+let inl_join_cases =
+  [ ( "empty key does not match",
+      "for $c in CUSTOMER(), $n in (<n/>, <n><f>Ann</f></n>) \
+       where $c/FIRST_NAME eq $n/f return <R>{$c/CID}</R>" );
+    ( "integer eq decimal",
+      "for $x in (1, 2) for $y in (1.0, 2.5) where $x eq $y \
+       return <r>{$x}</r>" );
+    ( "general comparison over sequences",
+      "for $x in (<a><k>1</k><k>2</k></a>, <a><k>3</k></a>) \
+       for $y in (<b><k>2</k></b>, <b><k>3</k></b>) \
+       where $x/k = $y/k return <r>{$y/k}</r>" ) ]
+
+let inl_join_matches_nl q () =
+  let demo = setup ~customers:14 () in
+  let server = demo.Aldsp_demo.Demo.server in
+  let plan = ok_exn (Server.explain ~analyze:false server q) in
+  (match Str.search_forward (Str.regexp_string "method=index-nl") plan 0 with
+  | _ -> ()
+  | exception Not_found -> Alcotest.failf "no index-NL join in\n%s" plan);
+  let serialized q =
+    Server.serialize_result server (ok_exn (Server.run server q))
+  in
+  Alcotest.check Alcotest.string "nested-loop bytes"
+    (serialized ("(::pragma hint join-introduction=\"false\"::) " ^ q))
+    (serialized q)
+
 (* Row reconstruction runs once per hash candidate: on a PP-k join keyed
    on CID, the per-candidate let builds as many CREDIT_CARD elements as
    the join emits matches, not one per (left tuple, fetched row) pair. *)
@@ -285,8 +316,8 @@ let ppk_right_side server q =
     List.find_map
       (fun (o : Plan_ir.op) ->
         match o.Plan_ir.op_node with
-        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; right; equi; _ } ->
-          Some (k, right, equi)
+        | Plan_ir.O_join { method_ = Cexpr.Ppk { k; _ }; right; keys; _ } ->
+          Some (k, right, keys)
         | _ -> None)
       ops
   with
@@ -301,9 +332,9 @@ let check_ppk_plan_shape ~ret ~let_kept ~columns () =
      where $c/CID eq $x/CID return " ^ ret
   in
   let server = Server.create registry in
-  let k, right, equi = ppk_right_side server q in
+  let k, right, keys = ppk_right_side server q in
   check_int "hinted k" 4 k;
-  check_bool "inner=inl" true (equi <> None);
+  check_bool "inner=inl" true (keys <> []);
   let region, lets =
     match right with
     | { Plan_ir.op_node = Plan_ir.O_sql r; _ } :: rest -> (r, rest)
@@ -931,6 +962,9 @@ let () =
           (fun (name, q) -> t name (differential_hash_join q))
           hash_join_cases
         @ [ t "key type mismatch" test_hash_join_type_mismatch ] );
+      ( "index-nl-join",
+        List.map (fun (name, q) -> t name (inl_join_matches_nl q)) inl_join_cases
+      );
       ( "resilience",
         [ t "async overlap" test_async_overlaps_latency;
           t "fail-over" test_fail_over_to_alternate;
