@@ -36,7 +36,6 @@ val vendors : Database.vendor array
 (** All five dialects, in a fixed order (used to cycle coverage). *)
 
 val vendor_to_string : Database.vendor -> string
-val vendor_of_string : string -> Database.vendor option
 
 val generate : Random.State.t -> seed:int -> spec
 (** Draws a random spec; [seed] is recorded in the spec so that {!build}

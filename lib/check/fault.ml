@@ -1,3 +1,4 @@
+open Aldsp_concurrency
 open Aldsp_relational
 open Aldsp_services
 
@@ -29,6 +30,9 @@ let expect ~what ~expected ~got =
   if String.equal expected got then Ok ()
   else Error (Printf.sprintf "%s: expected %s, got %s" what expected got)
 
+let rating_script (cat : Catalog.t) faults =
+  Fault_schedule.set cat.Catalog.rating.Web_service.faults faults
+
 (* A slow or timed-out primary finishes its call on a worker after the
    query already returned (the schedule entry is consumed before the
    scripted stall, and the failure is accounted after it), so wait for
@@ -40,7 +44,7 @@ let check_calls (cat : Catalog.t) ~calls ~failures =
   while
     (s.Web_service.calls <> calls
     || s.Web_service.failures <> failures
-    || Web_service.schedule_remaining cat.Catalog.rating > 0)
+    || Fault_schedule.remaining cat.Catalog.rating.Web_service.faults > 0)
     && Unix.gettimeofday () < deadline
   do
     Thread.yield ();
@@ -62,7 +66,7 @@ let failover_primary_healthy cat =
   let server = Oracle.subject_server cat default_config in
   let* expected = run server (plain_q "7") in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating [ Web_service.Fault_ok ];
+  rating_script cat [ Fault_schedule.Proceed ];
   let* got = run server (failover_q "7") in
   let* () = expect ~what:"healthy primary wins" ~expected ~got in
   check_calls cat ~calls:1 ~failures:0
@@ -71,7 +75,7 @@ let failover_alternate_on_failure cat =
   let server = Oracle.subject_server cat default_config in
   let* alt = run server "-1" in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating [ Web_service.Fault_fail ];
+  rating_script cat [ Fault_schedule.Fail ];
   let* got = run server (failover_q "7") in
   let* () = expect ~what:"injected failure yields alternate" ~expected:alt ~got in
   (* exactly one attempt: fail-over must not re-execute the primary *)
@@ -82,8 +86,7 @@ let failover_recovers_next_call cat =
   let* primary = run server (plain_q "7") in
   let* alt = run server "-1" in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating
-    [ Web_service.Fault_fail; Web_service.Fault_ok ];
+  rating_script cat [ Fault_schedule.Fail; Fault_schedule.Proceed ];
   let* first = run server (failover_q "7") in
   let* () = expect ~what:"first call fails over" ~expected:alt ~got:first in
   let* second = run server (failover_q "7") in
@@ -96,7 +99,7 @@ let timeout_trips_on_stall cat =
   let server = Oracle.subject_server cat default_config in
   let* alt = run server "-1" in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating [ Web_service.Fault_delay 0.3 ];
+  rating_script cat [ Fault_schedule.Delay 0.3 ];
   let* got = run server (timeout_q "7" 40) in
   let* () = expect ~what:"stalled primary times out" ~expected:alt ~got in
   check_calls cat ~calls:1 ~failures:0
@@ -105,7 +108,7 @@ let timeout_honours_budget cat =
   let server = Oracle.subject_server cat default_config in
   let* expected = run server (plain_q "7") in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating [ Web_service.Fault_delay 0.02 ];
+  rating_script cat [ Fault_schedule.Delay 0.02 ];
   let* got = run server (timeout_q "7" 60000) in
   let* () =
     expect ~what:"slow-within-budget primary wins" ~expected ~got
@@ -116,7 +119,8 @@ let relational_failover cat =
   let server = Oracle.subject_server cat default_config in
   let* alt = run server "\"down\"" in
   Database.reset_stats cat.Catalog.main_db;
-  Database.set_schedule cat.Catalog.main_db [ Database.Fault_fail ];
+  Fault_schedule.set cat.Catalog.main_db.Database.faults
+    [ Fault_schedule.Fail ];
   let* got =
     run server
       "fn-bea:fail-over(for $c in CUSTOMER() return fn:data($c/CID), \"down\")"
@@ -161,8 +165,8 @@ let run_random cat st =
   let* alt = run server "-1" in
   let use_timeout = Random.State.bool st in
   let event =
-    [| Web_service.Fault_ok; Web_service.Fault_fail;
-       Web_service.Fault_delay 0.3; Web_service.Fault_fail_after 0.3 |]
+    [| Fault_schedule.Proceed; Fault_schedule.Fail;
+       Fault_schedule.Delay 0.3; Fault_schedule.Fail_after 0.3 |]
       .(Random.State.int st 4)
   in
   (* the outcome is a function of the script: a healthy (or, for
@@ -170,13 +174,13 @@ let run_random cat st =
      stall past the 60ms timeout budget — must yield the alternate *)
   let expected, failures =
     match (use_timeout, event) with
-    | _, Web_service.Fault_ok -> (primary, 0)
-    | false, Web_service.Fault_delay _ -> (primary, 0)
-    | true, Web_service.Fault_delay _ -> (alt, 0)
-    | _, (Web_service.Fault_fail | Web_service.Fault_fail_after _) -> (alt, 1)
+    | _, Fault_schedule.Proceed -> (primary, 0)
+    | false, Fault_schedule.Delay _ -> (primary, 0)
+    | true, Fault_schedule.Delay _ -> (alt, 0)
+    | _, (Fault_schedule.Fail | Fault_schedule.Fail_after _) -> (alt, 1)
   in
   Web_service.reset_stats cat.Catalog.rating;
-  Web_service.set_schedule cat.Catalog.rating [ event ];
+  rating_script cat [ event ];
   let q = if use_timeout then timeout_q ssn 60 else failover_q ssn in
   let* got = run server q in
   let* () =
@@ -184,10 +188,10 @@ let run_random cat st =
       ~what:
         (Printf.sprintf "scripted %s under %s"
            (match event with
-           | Web_service.Fault_ok -> "ok"
-           | Web_service.Fault_fail -> "fail"
-           | Web_service.Fault_delay _ -> "delay"
-           | Web_service.Fault_fail_after _ -> "fail-after")
+           | Fault_schedule.Proceed -> "ok"
+           | Fault_schedule.Fail -> "fail"
+           | Fault_schedule.Delay _ -> "delay"
+           | Fault_schedule.Fail_after _ -> "fail-after")
            (if use_timeout then "timeout" else "fail-over"))
       ~expected ~got
   in

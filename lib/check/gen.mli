@@ -63,9 +63,6 @@ type query =
       (** [getSummaryByID("lit")]: a data-service call with a literal
           argument, which the plan cache lifts into a bound parameter *)
 
-val minimal : query
-(** [for $c in CUSTOMER() return fn:data($c/CID)] — the smallest shape. *)
-
 val generate : Random.State.t -> query
 
 val render : query -> string

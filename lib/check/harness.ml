@@ -1,4 +1,4 @@
-open Aldsp_services
+open Aldsp_concurrency
 
 type kind = K_oracle | K_fault | K_mutation | K_concurrent
 
@@ -157,7 +157,7 @@ type corpus_entry = {
   ce_spec : Catalog.spec;
   ce_config : Oracle.config;
   ce_query : string;
-  ce_rating_faults : Web_service.fault list;
+  ce_rating_faults : Fault_schedule.fault list;
 }
 
 let corpus_entry_of_string text =
@@ -199,8 +199,8 @@ let corpus_entry_of_string text =
           let* acc = acc in
           let* fault =
             match event with
-            | "ok" -> Ok Web_service.Fault_ok
-            | "fail" -> Ok Web_service.Fault_fail
+            | "ok" -> Ok Fault_schedule.Proceed
+            | "fail" -> Ok Fault_schedule.Fail
             | _ ->
               Error (Printf.sprintf "corpus entry: bad rating fault %S" event)
           in

@@ -27,10 +27,6 @@ val check : ?mutate:bool -> Shrink.scenario -> string option
 val scenario_of : seed:int -> index:int -> Shrink.scenario
 (** The deterministic scenario for this seed/index pair. *)
 
-val run_one : ?mutate:bool -> seed:int -> index:int -> unit ->
-  (unit, counterexample) result
-(** One oracle scenario; failures are shrunk before being returned. *)
-
 val run :
   ?mutate:bool ->
   ?with_faults:bool ->
@@ -74,7 +70,7 @@ type corpus_entry = {
   ce_spec : Catalog.spec;
   ce_config : Oracle.config;
   ce_query : string;  (** Raw text: replay does not need the structured form. *)
-  ce_rating_faults : Aldsp_services.Web_service.fault list;
+  ce_rating_faults : Aldsp_concurrency.Fault_schedule.fault list;
       (** From an optional [rating-faults:] line of space-separated
           per-call events, [ok] or [fail]; empty without one.
           Passed to {!Oracle.compare_query}'s [rating_faults]. *)

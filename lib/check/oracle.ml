@@ -13,10 +13,6 @@ type config = {
    shrunk scenarios' sorts overflow it and exercise the external sort *)
 let spill_budget = 4
 
-let reference_config =
-  { workers = 1; ppk_k = 1; ppk_prefetch = 0; indexes = false;
-    cost_based = false; spill = false }
-
 let generate_config st =
   { workers = 1 + Random.State.int st 6;
     ppk_k = [| 1; 2; 3; 5; 8 |].(Random.State.int st 5);
@@ -369,11 +365,12 @@ let run_cacheable (cat : Catalog.t) config ~prepare q =
 (* Every evaluation starts from the same scripted rating-call schedule,
    so each side sees call n fail or succeed alike. *)
 let compare_query cat config ?(mutate = false) ?(rating_faults = []) ?swap q =
-  let rating = cat.Catalog.rating in
-  let prepare () =
+  let script faults =
     if rating_faults <> [] then
-      Aldsp_services.Web_service.set_schedule rating rating_faults
+      Aldsp_concurrency.Fault_schedule.set
+        cat.Catalog.rating.Aldsp_services.Web_service.faults faults
   in
+  let prepare () = script rating_faults in
   let reference, swap =
     set_indexes cat false;
     prepare ();
@@ -399,7 +396,7 @@ let compare_query cat config ?(mutate = false) ?(rating_faults = []) ?swap q =
         | outcome -> outcome
     in
     set_indexes cat true;
-    if rating_faults <> [] then Aldsp_services.Web_service.set_schedule rating [];
+    script [];
     (r, chk)
   in
   match (reference, subject, cached_check) with

@@ -38,17 +38,9 @@ type config = {
 val spill_budget : int
 (** The forced [sort_budget_rows] applied when a config's [spill] is on. *)
 
-val reference_config : config
-(** [{workers = 1; ppk_k = 1; ppk_prefetch = 0; indexes = false;
-    cost_based = false; spill = false}] (informational). *)
-
 val generate_config : Random.State.t -> config
 val config_to_string : config -> string
 val config_of_string : string -> (config, string) result
-
-val pool_for : int -> Pool.t
-(** A process-wide pool per worker count, shared across scenarios so long
-    fuzzing runs do not accumulate threads. *)
 
 val shutdown_pools : unit -> unit
 (** {!Pool.shutdown} on every cached pool (end of a fuzzing run). *)
@@ -93,7 +85,7 @@ val compare_query :
   Catalog.t ->
   config ->
   ?mutate:bool ->
-  ?rating_faults:Aldsp_services.Web_service.fault list ->
+  ?rating_faults:Aldsp_concurrency.Fault_schedule.fault list ->
   ?swap:string ->
   string ->
   (unit, string) result
@@ -102,7 +94,7 @@ val compare_query :
     both results. Matching errors on both sides count as agreement.
 
     A non-empty [rating_faults] is installed as the rating service's
-    scripted schedule ({!Aldsp_services.Web_service.set_schedule}) before
+    scripted schedule ({!Aldsp_concurrency.Fault_schedule.set}) before
     every evaluation below, and cleared afterwards, so the reference and
     every subject run see the same per-call failures in call order.
 
@@ -117,8 +109,8 @@ val compare_query :
 
     A successful scenario then runs a third time through the streamed
     session path ({!Server.session_run_stream}: streamed execution over
-    backend cursors, delivered through a deliberately small
-    backpressured queue) and the streamed chunks must byte-match the
+    backend cursors, which the reader pulls a chunk of at most 64 tokens
+    at a time) and the streamed chunks must byte-match the
     materialized result pushed through the same token serializer — the
     streaming-delivery oracle.
 

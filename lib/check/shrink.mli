@@ -5,7 +5,7 @@
     {!Gen.shrink_candidates}, the catalog toward one customer and empty
     satellite tables, the configuration toward the reference knobs
     (one worker, [k = 1], no prefetch). Every candidate strictly
-    decreases {!scenario_size}, so minimization terminates; a bound on
+    decreases the scenario's size, so minimization terminates; a bound on
     re-checks keeps the worst case cheap. *)
 
 type scenario = {
@@ -13,11 +13,6 @@ type scenario = {
   config : Oracle.config;
   query : Gen.query;
 }
-
-val scenario_size : scenario -> int
-
-val candidates : scenario -> scenario list
-(** Strictly smaller variants, query shrinks first. *)
 
 val minimize :
   ?max_checks:int -> fails:(scenario -> bool) -> scenario -> scenario * int

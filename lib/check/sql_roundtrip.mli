@@ -17,12 +17,5 @@
 
 open Aldsp_core
 
-val rel_regions : Cexpr.t -> Cexpr.sql_access list
-(** All pushed relational regions of a compiled plan, in plan order. *)
-
-val check_plan : Metadata.t -> Cexpr.t -> (int, string) result
-(** Round-trips every region of the plan; [Ok n] is the number of
-    regions checked (possibly 0 for plans with no pushdown). *)
-
 val check_query : Server.t -> string -> (int, string) result
 (** Compiles the query on the server and round-trips its plan. *)

@@ -8,10 +8,9 @@ type event = {
 
 (* events arrive from worker-pool threads too; the cons onto [log] is a
    read-modify-write that needs the lock *)
-type t = { mutable lvl : level; mutable log : event list; lock : Mutex.t }
+type t = { lvl : level; mutable log : event list; lock : Mutex.t }
 
 let create ?(level = Off) () = { lvl = level; log = []; lock = Mutex.create () }
-let set_level t lvl = t.lvl <- lvl
 let level t = t.lvl
 
 let locked t f =
@@ -29,4 +28,3 @@ let record t ~category ?detail summary =
     locked t (fun () -> t.log <- { category; summary; detail } :: t.log)
 
 let events t = List.rev (locked t (fun () -> t.log))
-let clear t = locked t (fun () -> t.log <- [])

@@ -16,7 +16,6 @@ type event = {
 type t
 
 val create : ?level:level -> unit -> t
-val set_level : t -> level -> unit
 val level : t -> level
 
 val record : t -> category:string -> ?detail:string -> string -> unit
@@ -24,5 +23,3 @@ val record : t -> category:string -> ?detail:string -> string -> unit
 
 val events : t -> event list
 (** Oldest first. *)
-
-val clear : t -> unit

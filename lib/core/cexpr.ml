@@ -211,8 +211,6 @@ let free_vars expr () =
   go expr;
   table
 
-let is_free v e = Hashtbl.mem (free_vars e ()) v
-
 (* Occurrence counting. Names are unique after normalization, so no
    binder bookkeeping is needed — but Group clauses reference their
    aggregation inputs positionally (not as Var nodes), so the traversal
@@ -498,16 +496,6 @@ let rename_bound fresh expr =
 
 (* ------------------------------------------------------------------ *)
 (* Size / equality                                                     *)
-
-let rec size e =
-  let n = ref 1 in
-  ignore
-    (map_children
-       (fun child ->
-         n := !n + size child;
-         child)
-       e);
-  !n
 
 let equal (a : t) (b : t) = a = b
 

@@ -117,7 +117,6 @@ val seq : t list -> t
 (** Smart constructor: flattens nested sequences, drops empties. *)
 
 val free_vars : t -> unit -> (var, unit) Hashtbl.t
-val is_free : var -> t -> bool
 
 val clause_vars : clause list -> var list
 (** Variables a clause pipeline binds for downstream clauses. *)
@@ -169,14 +168,8 @@ val rename_bound : (unit -> int) -> t -> t
 (** Freshens every bound variable using the supplied counter (used when a
     function body is inlined more than once). *)
 
-val size : t -> int
-(** Node count, used by rewrite-loop safeguards. *)
-
 val equal : t -> t -> bool
 
 val binop_name : binop -> string
-
-val pp : Format.formatter -> t -> unit
-(** Plan-style rendering used by [explain]. *)
 
 val to_string : t -> string

@@ -63,18 +63,6 @@ let source_cardinality registry fn =
       None)
   | _ -> None
 
-(* Expected cost of iterating a source once: one roundtrip plus shipping
-   every row. Usable even when the cardinality is unknown (cost of the
-   known part); [None] when the function is not a registered source. *)
-let source_cost registry fn =
-  match source_profile registry fn with
-  | None -> None
-  | Some p ->
-    let rows =
-      match source_cardinality registry fn with Some n -> float n | None -> 0.
-    in
-    Some (p.p_latency +. roundtrip_overhead +. (rows *. p.p_row_cost))
-
 (* ------------------------------------------------------------------ *)
 (* Relational region estimates *)
 

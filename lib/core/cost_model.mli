@@ -24,7 +24,7 @@
       single-column NDV
     - equi-join cardinality: [max(outer, inner)] (exact for the PK-FK
       joins introspection generates)
-    - PP-k: {!ppk_cost} prices [ceil(outer/k)] blocks at prefetch [d]:
+    - PP-k: the block cost prices [ceil(outer/k)] blocks at prefetch [d]:
       each block is a roundtrip (latency, then the source's work: the
       probed table's rows when no index serves the probe, and each left
       tuple's key plus its matches) and a middleware pass (the statement
@@ -45,13 +45,8 @@ val row_cost : float
 (** Default cost of one shipped row (~2 µs), at the backend and again in
     the middleware. *)
 
-val roundtrip_overhead : float
-(** CPU floor of one statement even at zero source latency. *)
-
 val selection_fraction : int
 (** Divisor applied by predicates the model cannot see through. *)
-
-val db_profile : Aldsp_relational.Database.t -> profile
 
 val source_profile : Metadata.t -> Qname.t -> profile option
 (** Declared cost profile of a registered source function (relational,
@@ -60,10 +55,6 @@ val source_profile : Metadata.t -> Qname.t -> profile option
 val source_cardinality : Metadata.t -> Qname.t -> int option
 (** Estimated items yielded by one call of an arity-0 source function;
     exact for tables and file sources, [None] where unknowable. *)
-
-val source_cost : Metadata.t -> Qname.t -> float option
-(** Estimated seconds to iterate a source once: latency + overhead +
-    rows·row_cost. The static analogue of {!Observed.cost}. *)
 
 val rel_cardinality : Metadata.t -> Cexpr.sql_access -> int option
 (** Rows one execution of a pushed region ships. Unparameterized: the
@@ -107,14 +98,8 @@ type ppk_probe = {
 val ppk_probe : Metadata.t -> Cexpr.sql_access -> ppk_probe
 (** The probe side of a parameterized region. *)
 
-val ppk_cost :
-  ppk_probe -> outer:int -> workers:int -> k:int -> prefetch:int -> float
-(** Estimated seconds to run [outer] left tuples through PP-k in blocks
-    of [k] with [prefetch] blocks in flight ahead of the join, on a pool
-    of [workers]. *)
-
 val choose_ppk : ppk_probe -> outer:int option -> workers:int -> int * int
-(** [(k, prefetch)] minimizing {!ppk_cost}: [k] at most the outer
+(** [(k, prefetch)] minimizing the PP-k block cost: [k] at most the outer
     estimate (and 1000), so 1 at one outer tuple, and never smaller for a
     probe that scans than for the same probe served by an index;
     [prefetch] at most [workers - 1], and 0 when the outer fits one

@@ -8,10 +8,6 @@
     kind with their signatures, and the dependencies discovered by
     scanning the function bodies for calls into other data services. *)
 
-val dependencies : Metadata.t -> Metadata.data_service -> string list
-(** Names of the data services whose functions this service's bodies
-    call. *)
-
 val render : Metadata.t -> string -> (string, string) result
 (** [render registry name] renders the named data service's design view;
     fails when the service is unknown. *)

@@ -1,6 +1,4 @@
-type severity = Error | Warning
-
-type t = { severity : severity; phase : string; message : string }
+type t = { phase : string; message : string }
 
 type mode = Fail_fast | Recover
 
@@ -9,31 +7,18 @@ exception Compile_error of t
 type collector = { coll_mode : mode; mutable items : t list }
 
 let collector coll_mode = { coll_mode; items = [] }
-let mode c = c.coll_mode
 
 let error c ~phase fmt =
   Printf.ksprintf
     (fun message ->
-      let d = { severity = Error; phase; message } in
+      let d = { phase; message } in
       match c.coll_mode with
       | Fail_fast -> raise (Compile_error d)
       | Recover -> c.items <- d :: c.items)
     fmt
 
-let warning c ~phase fmt =
-  Printf.ksprintf
-    (fun message ->
-      c.items <- { severity = Warning; phase; message } :: c.items)
-    fmt
-
 let diagnostics c = List.rev c.items
 
-let has_errors c =
-  List.exists (fun d -> d.severity = Error) c.items
+let has_errors c = c.items <> []
 
-let to_string d =
-  Printf.sprintf "[%s] %s: %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    d.phase d.message
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)
+let to_string d = Printf.sprintf "[error] %s: %s" d.phase d.message

@@ -6,9 +6,7 @@
     raises through {!error}; [Recover] records the diagnostic and lets the
     caller substitute an error expression / error type and continue. *)
 
-type severity = Error | Warning
-
-type t = { severity : severity; phase : string; message : string }
+type t = { phase : string; message : string }  (** An error. *)
 
 type mode = Fail_fast | Recover
 
@@ -17,16 +15,12 @@ exception Compile_error of t
 type collector
 
 val collector : mode -> collector
-val mode : collector -> mode
 
 val error : collector -> phase:string -> ('a, unit, string, unit) format4 -> 'a
 (** Reports an error: raises {!Compile_error} in [Fail_fast] mode, records
     it in [Recover] mode. *)
 
-val warning : collector -> phase:string -> ('a, unit, string, unit) format4 -> 'a
-
 val diagnostics : collector -> t list
 val has_errors : collector -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -411,11 +411,8 @@ let batch_seq k (input : 'a Seq.t) : 'a list Seq.t =
    (projection-level subqueries decide lazily), so it is stored then —
    on the consumer thread, in drain order, keeping EXPLAIN capture
    race-free and deterministic. *)
-let cursor_chunks rt counters cur =
-  if Sql_exec.cursor_shared cur then begin
-    Plan_ir.count_shared counters;
-    Option.iter Observed.record_coalesced rt.observed
-  end;
+let cursor_chunks counters cur =
+  if Sql_exec.cursor_shared cur then Plan_ir.count_shared counters;
   let rec fetch () =
     match Sql_exec.fetch_chunk cur with
     | Error m -> error "%s" m
@@ -1296,7 +1293,7 @@ and rel_chunks cx counters frame (r : sql_region) : frame list Seq.t =
   | Ok cur ->
     let b = sql_binder r (Sql_exec.cursor_columns cur) in
     (* downstream operators see rows as the backend engine produces them *)
-    Seq.map (List.map (bind_row b frame)) (cursor_chunks cx.rt counters cur)
+    Seq.map (List.map (bind_row b frame)) (cursor_chunks counters cur)
 
 (* PP-k: fetch k left tuples, issue one disjunctive parameterized query for
    the block, middleware-join, repeat (§4.2). [rest_lets] are per-candidate
@@ -1377,7 +1374,7 @@ and ppk_join cx ~t0 c sqlc left kind (r : sql_region) rest_lets ~k ~prefetch
     match result with
     | Error msg -> error "%s" msg
     | Ok cur ->
-      let chunks = cursor_chunks cx.rt sqlc cur in
+      let chunks = cursor_chunks sqlc cur in
       let b = sql_binder r (Sql_exec.cursor_columns cur) in
       let key_of_row = row_key cx b right_keys in
       let block = Array.of_list block in

@@ -157,6 +157,3 @@ val call_function :
   (Item.sequence, string) result
 (** Invokes a registered data-service function directly (the service-call
     API of §2.2), delivering through [through] as {!execute} does. *)
-
-val matches_stype : Item.sequence -> Stype.t -> bool
-(** The runtime [typematch] check. *)

@@ -45,9 +45,6 @@ type stats = {
 
 val zero_stats : unit -> stats
 
-val default_max_fanin : int
-(** Runs merged at once before an intermediate pass re-spills (64). *)
-
 val sort :
   ?stats:stats ->
   ?temp_dir:string ->

@@ -36,5 +36,3 @@ val find : Qname.t -> int -> builtin option
 (** Lookup by name and call arity. *)
 
 val is_aggregate : Qname.t -> bool
-
-val all : builtin list

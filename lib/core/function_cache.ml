@@ -176,8 +176,17 @@ let store t fn args value =
   touch_materialized t key;
   evict_materialized t
 
+(* An exact key prefix, not LIKE: a function name may hold [_], which
+   LIKE reads as any character. *)
 let invalidate t fn =
   let prefix = Qname.to_string fn ^ "(" in
+  let key_prefix =
+    Sql.Func
+      ( Sql.Substr,
+        [ Sql.Col (None, "FKEY");
+          Sql.Lit (Sql_value.Int 1);
+          Sql.Lit (Sql_value.Int (String.length prefix)) ] )
+  in
   locked t @@ fun () ->
   ignore
     (Sql_exec.execute_dml t.storage
@@ -185,15 +194,10 @@ let invalidate t fn =
           { table = table_name;
             where =
               Some
-                (Sql.Binop
-                   ( Sql.Like,
-                     Sql.Col (None, "FKEY"),
-                     Sql.Lit (Sql_value.Str (prefix ^ "%")) )) }));
+                (Sql.Binop (Sql.Eq, key_prefix, Sql.Lit (Sql_value.Str prefix)))
+          }));
   Hashtbl.iter
-    (fun k _ ->
-      if String.length k >= String.length prefix
-         && String.sub k 0 (String.length prefix) = prefix
-      then forget_materialized t k)
+    (fun k _ -> if String.starts_with ~prefix k then forget_materialized t k)
     (Hashtbl.copy t.materialized)
 
 let wrapper t fd args compute =

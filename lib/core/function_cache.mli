@@ -32,8 +32,6 @@ open Aldsp_xml
 
 type t
 
-val table_name : string
-
 val create :
   ?clock:(unit -> float) -> ?capacity:int ->
   Aldsp_relational.Database.t -> t
@@ -46,7 +44,6 @@ val enable : t -> Qname.t -> ttl_seconds:float -> unit
 (** Administrative enablement with a time-to-live. *)
 
 val disable : t -> Qname.t -> unit
-val is_enabled : t -> Qname.t -> bool
 
 val lookup :
   t -> Qname.t -> Item.sequence list -> Item.sequence option

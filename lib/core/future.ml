@@ -73,5 +73,3 @@ let await_timeout fut seconds =
   | Some (Value v) -> Some v
   | Some (Raised e) -> raise e
   | None -> None
-
-let is_done fut = peek fut <> None

@@ -37,5 +37,3 @@ val await_timeout : 'a t -> float -> 'a option
     the window. The wait is a {!Cancel.wait} on a token carrying the
     window's deadline, woken by the shared deadline thread — no thread
     per call, no polling. *)
-
-val is_done : 'a t -> bool

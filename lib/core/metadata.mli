@@ -85,7 +85,6 @@ val functions : t -> function_def list
 
 val set_cacheable : t -> Qname.t -> bool -> unit
 
-val add_database : t -> Database.t -> unit
 val find_database : t -> string -> Database.t option
 
 val databases : t -> Database.t list
@@ -107,7 +106,6 @@ val add_data_service : t -> data_service -> unit
 val find_data_service : t -> string -> data_service option
 val data_services : t -> data_service list
 
-val add_schema : t -> Schema.element_decl -> unit
 val find_schema : t -> Qname.t -> Schema.element_decl option
 
 val custom_registry : t -> Custom_function.registry
@@ -181,7 +179,3 @@ val register_file_source :
 
 val stype_of_schema : Schema.element_decl -> Stype.item_type
 (** Structural static type of a schema shape. *)
-
-val row_stype : Database.t -> string -> Stype.item_type
-(** Structural static type of a table's row element (per the SQL-to-XML
-    mapping of §4.4: NULLable columns become optional elements). *)

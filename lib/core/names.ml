@@ -5,7 +5,6 @@ let xs_uri = "xs"
 let bea_uri = "fn-bea"
 
 let fn local = Qname.make ~uri:fn_uri local
-let xs local = Qname.make ~uri:xs_uri local
 let bea local = Qname.make ~uri:bea_uri local
 
 let async = bea "async"

@@ -8,11 +8,8 @@ open Aldsp_xml
 
 val fn_uri : string
 val xs_uri : string
-val bea_uri : string  (** The [fn-bea:] extension namespace (§5.4-5.6). *)
 
 val fn : string -> Qname.t
-val xs : string -> Qname.t
-val bea : string -> Qname.t
 
 val async : Qname.t
 (** [fn-bea:async] *)

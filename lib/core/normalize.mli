@@ -36,8 +36,6 @@ val expr :
 (** Normalizes an expression. [params] pre-binds in-scope variables
     (function parameters) to their unique names. *)
 
-val sequence_type : context -> Xq_ast.sequence_type -> Stype.t
-
 val function_signature :
   context ->
   Xq_ast.function_decl ->
@@ -49,4 +47,3 @@ val function_signature :
 val fresh_var : context -> string -> Cexpr.var
 
 val resolve_function_name : context -> Xq_ast.uqname -> Qname.t
-val resolve_element_name : context -> Xq_ast.uqname -> Qname.t

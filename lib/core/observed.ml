@@ -14,8 +14,6 @@ type t = {
   mutable roundtrips : int;
   mutable overlap_saved : float;
   mutable source_wall : float;
-  (* statements served from another session's in-flight work *)
-  mutable coalesced : int;
 }
 
 let create () =
@@ -23,8 +21,7 @@ let create () =
     lock = Mutex.create ();
     roundtrips = 0;
     overlap_saved = 0.;
-    source_wall = 0.;
-    coalesced = 0 }
+    source_wall = 0. }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -64,12 +61,9 @@ let record_overlap t saved =
   if saved > 0. then
     locked t (fun () -> t.overlap_saved <- t.overlap_saved +. saved)
 
-let record_coalesced t = locked t (fun () -> t.coalesced <- t.coalesced + 1)
-
 let observed t fn = locked t (fun () -> Hashtbl.find_opt t.samples fn)
 
 let roundtrips t = locked t (fun () -> t.roundtrips)
-let coalesced_hits t = locked t (fun () -> t.coalesced)
 let overlap_saved t = locked t (fun () -> t.overlap_saved)
 let source_wall t = locked t (fun () -> t.source_wall)
 

@@ -10,10 +10,13 @@
 
     This module is the instrument: a per-function record of observed
     invocation latency and result cardinality, fed by the evaluator for
-    every data-service call it runs. {!Optimizer.reorder_by_observed_cost}
-    consumes it to reorder independent source accesses so that
-    cheaper/smaller sources run first (and drive the outer side of nested
-    evaluations). *)
+    every data-service call it runs. Two optimizer passes read the
+    samples: {!Optimizer.reorder_by_observed_cost} reorders independent
+    source accesses on them alone, so that cheaper/smaller sources run
+    first (and drive the outer side of nested evaluations), and
+    {!Optimizer.reorder_sources} falls back to them for a pair of sources
+    the statistics cannot price (services, procedures). The middleware's
+    roundtrip, overlap and source-wall counters live here too. *)
 
 open Aldsp_xml
 
@@ -41,14 +44,7 @@ val record_overlap : t -> float -> unit
 (** Seconds of source latency hidden by overlapping a roundtrip with other
     work (negative/zero contributions are dropped). *)
 
-val record_coalesced : t -> unit
-(** One source statement served from another session's in-flight work
-    (cross-session sharing) instead of its own roundtrip. *)
-
 val roundtrips : t -> int
-
-val coalesced_hits : t -> int
-(** Statements that were coalesced onto shared work. *)
 
 val overlap_saved : t -> float
 val source_wall : t -> float

@@ -9,7 +9,6 @@ type t = {
   queue : task Queue.t;
   mutex : Mutex.t;
   work_ready : Condition.t;
-  worker_ids : (int, unit) Hashtbl.t;  (* Thread.id of each worker *)
   mutable threads : Thread.t list;  (* join handles for [shutdown ~wait] *)
   mutable started : bool;
   mutable stopping : bool;
@@ -37,7 +36,6 @@ let create ?(workers = Domain.recommended_domain_count ()) () =
     queue = Queue.create ();
     mutex = Mutex.create ();
     work_ready = Condition.create ();
-    worker_ids = Hashtbl.create 8;
     threads = [];
     started = false;
     stopping = false;
@@ -67,7 +65,6 @@ let run_task ?(helper = false) t (Task (fut, token, f)) =
 
 let worker_loop t () =
   Mutex.lock t.mutex;
-  Hashtbl.replace t.worker_ids (Thread.id (Thread.self ())) ();
   let running = ref true in
   while !running do
     while Queue.is_empty t.queue && not t.stopping do
@@ -77,7 +74,6 @@ let worker_loop t () =
     | Some task -> run_task t task
     | None -> running := false  (* stopping with a drained queue *)
   done;
-  Hashtbl.remove t.worker_ids (Thread.id (Thread.self ()));
   Mutex.unlock t.mutex
 
 (* workers start on first submission, so pools created for configuration
@@ -194,12 +190,6 @@ let shutdown ?(wait = false) t =
       (fun th -> if Thread.id th <> self then Thread.join th)
       threads
   end
-
-let is_worker_thread t =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.mem t.worker_ids (Thread.id (Thread.self ())) in
-  Mutex.unlock t.mutex;
-  r
 
 let default_pool = ref None
 let default_mutex = Mutex.create ()

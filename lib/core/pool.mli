@@ -48,9 +48,6 @@ val await : t -> 'a Future.t -> 'a
     future is unresolved, so a saturated pool cannot deadlock on nested
     [submit]/[await] chains. *)
 
-val is_worker_thread : t -> bool
-(** Whether the calling thread is one of this pool's workers. *)
-
 val pipeline : t -> depth:int -> ('a -> 'b) -> 'a Seq.t -> 'b Seq.t
 (** Ordered prefetching map: while the consumer holds result [n], up to
     [depth] further applications of [f] are already in flight on the pool

@@ -1173,44 +1173,3 @@ let push ?(gate = fun ~outer:_ ~whole:_ _ -> true) registry e =
   let e = fixpoint 6 e in
   let e = parameterize_joins ~gate st e in
   push_windows st e
-
-(* ------------------------------------------------------------------ *)
-(* SQL extraction for explain / benches                                *)
-
-let pushed_sql registry e =
-  let acc = ref [] in
-  let rec collect_clause c =
-    match c with
-    | C.Rel r ->
-      acc := (r.C.db, r.C.select) :: !acc;
-      ignore (C.map_clause (fun e -> collect e; e) c)
-    | C.Join { right; on_; export; _ } ->
-      List.iter collect_clause right;
-      collect on_;
-      (match export with
-      | C.Bindings -> ()
-      | C.Grouped { gexpr; _ } -> collect gexpr)
-    | c -> ignore (C.map_clause (fun e -> collect e; e) c)
-  and collect e =
-    match e with
-    | C.Flwor { clauses; return_ } ->
-      List.iter collect_clause clauses;
-      collect return_
-    | e ->
-      ignore
-        (C.map_children
-           (fun child ->
-             collect child;
-             child)
-           e)
-  in
-  collect e;
-  List.rev_map
-    (fun (db_name, select) ->
-      let vendor =
-        match Metadata.find_database registry db_name with
-        | Some db -> db.Database.vendor
-        | None -> Database.Generic_sql92
-      in
-      (db_name, Sql_print.select_to_string vendor select))
-    !acc

@@ -51,8 +51,3 @@ val push :
     its unparameterized right side — the same (fully tested) plan shape
     produced when no equi key translates to a column — so gating never
     changes results. *)
-
-val pushed_sql : Metadata.t -> Cexpr.t -> (string * string) list
-(** All (database, SQL text) pairs appearing in a plan, rendered in each
-    database's own dialect — what the bench harness prints against
-    Tables 1 and 2. *)

@@ -152,5 +152,3 @@ let filter_tokens t user (sink : Token_stream.sink) =
         | _ -> ())
     in
     Token_stream.token_sink filter
-
-let policies t = t.resources

@@ -64,5 +64,3 @@ val filter_tokens :
     events. When no policy fails for the user, the result is [sink]
     itself, so an unrestricted delivery pays nothing and items reach it
     unexpanded. *)
-
-val policies : t -> resource_policy list

@@ -228,11 +228,12 @@ let body_plan t (fd : Metadata.function_def) body =
     b.call_plan <- Some plan;
     plan
 
-(* [raw_bodies]: calls run bodies as written, lowered on every call (the
+(* [raw_bodies]: calls run bodies as written, lowered on every call;
+   [concurrent_lets] false: lets evaluate in place, in order (both the
    reference). *)
-let make ~raw_bodies ?optimizer_options ?(plan_cache_capacity = 128)
-    ?function_cache ?security ?audit ?observed ?pool ?concurrent_lets
-    ?(max_concurrent = 16) ?(admission_queue = 64) registry =
+let make ~raw_bodies ~concurrent_lets ?optimizer_options
+    ?(plan_cache_capacity = 128) ?function_cache ?security ?audit ?observed
+    ?pool ?(max_concurrent = 16) ?(admission_queue = 64) registry =
   let audit = match audit with Some a -> a | None -> Audit.create () in
   let security =
     match security with Some s -> s | None -> Security.create ~audit ()
@@ -299,26 +300,26 @@ let make ~raw_bodies ?optimizer_options ?(plan_cache_capacity = 128)
     Eval.runtime
       ?call_wrapper:(Option.map Function_cache.wrapper function_cache)
       ~audit ~pool ?observed
-      ?concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
+      ~concurrent_lets ?sort_budget_rows:opts.Optimizer.sort_budget_rows
       ~on_spill
       ?body_plan:(if raw_bodies then None else Some (body_plan t))
       registry;
   t
 
-let create = make ~raw_bodies:false
+let create = make ~raw_bodies:false ~concurrent_lets:true
 
 (* The differential-testing oracle (see lib/check): every cost-only
    compilation and execution choice disabled — no pushdown, a single
    worker, no prefetch, sequential lets, bodies run as written — so
    results depend only on query semantics. *)
 let reference ?plan_cache_capacity ?function_cache ?security ?audit registry =
-  make ~raw_bodies:true ~optimizer_options:Optimizer.reference_options
-    ~pool:(Pool.create ~workers:1 ()) ~concurrent_lets:false
+  make ~raw_bodies:true ~concurrent_lets:false
+    ~optimizer_options:Optimizer.reference_options
+    ~pool:(Pool.create ~workers:1 ())
     ?plan_cache_capacity ?function_cache ?security ?audit registry
 
 let registry t = t.registry
 let security t = t.security
-let function_cache t = t.function_cache
 let pool t = t.pool
 
 let admission_stats t =
@@ -381,11 +382,6 @@ let stats t =
 let set_work_sharing t flag =
   List.iter
     (fun db -> Aldsp_relational.Database.set_share_work db flag)
-    (Metadata.databases t.registry)
-
-let work_sharing t =
-  List.exists
-    (fun db -> db.Aldsp_relational.Database.share_work)
     (Metadata.databases t.registry)
 
 (* ------------------------------------------------------------------ *)
@@ -485,7 +481,7 @@ let register_data_service t ~name source =
   let diag = Diag.collector Diag.Fail_fast in
   match Xq_parser.parse_query source with
   | Error msg ->
-    Error [ { Diag.severity = Diag.Error; phase = "parse"; message = msg } ]
+    Error [ { Diag.phase = "parse"; message = msg } ]
   | Ok query -> (
     match register_functions t.registry ~diag query.Xq_ast.prolog with
     | sigs ->
@@ -522,7 +518,7 @@ let design_time_check t source =
    with Diag.Compile_error d ->
      Diag.error diag ~phase:d.Diag.phase "%s" d.Diag.message);
   List.map
-    (fun msg -> { Diag.severity = Diag.Error; phase = "parse"; message = msg })
+    (fun msg -> { Diag.phase = "parse"; message = msg })
     parse_errors
   @ Diag.diagnostics diag
 
@@ -584,10 +580,7 @@ let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
   let diag = Diag.collector Diag.Fail_fast in
   match query.Xq_ast.body with
   | None ->
-    Error
-      [ { Diag.severity = Diag.Error;
-          phase = "parse";
-          message = "query has no body expression" } ]
+    Error [ { Diag.phase = "parse"; message = "query has no body expression" } ]
   | Some body_ast -> (
     try
       let options =
@@ -614,7 +607,10 @@ let compile_query t ?(lifted = []) source (query : Xq_ast.query) =
           bindings = [];
           static_type;
           diagnostics = Diag.diagnostics diag;
-          sql = Pushdown.pushed_sql t.registry plan }
+          sql =
+            List.map
+              (fun r -> (r.Plan_ir.sql_db, r.Plan_ir.sql_text))
+              (Plan_ir.regions ir) }
     with Diag.Compile_error d -> Error [ d ])
 
 (* A text miss: compile the text's call shape once and give the text its
@@ -661,7 +657,7 @@ let compile t source =
     match Xq_parser.parse_query source with
     | Error msg ->
       Stdlib.Atomic.incr t.compile_misses;
-      Error [ { Diag.severity = Diag.Error; phase = "parse"; message = msg } ]
+      Error [ { Diag.phase = "parse"; message = msg } ]
     | Ok query ->
       let ran, result = compile_text t source query in
       Stdlib.Atomic.incr (if ran then t.compile_misses else t.compile_hits);

@@ -40,7 +40,9 @@ type compiled = {
           lifted. *)
   static_type : Stype.t;
   diagnostics : Diag.t list;
-  sql : (string * string) list;  (** Pushed (database, SQL) regions. *)
+  sql : (string * string) list;
+      (** Pushed (database, SQL) regions in plan preorder: each
+          region's {!Plan_ir.sql_region} text. *)
 }
 
 type admission_stats = {
@@ -122,7 +124,6 @@ val create :
   ?audit:Audit.t ->
   ?observed:Observed.t ->
   ?pool:Pool.t ->
-  ?concurrent_lets:bool ->
   ?max_concurrent:int ->
   ?admission_queue:int ->
   Metadata.t ->
@@ -131,8 +132,6 @@ val create :
     reordering of independent source accesses (§9 roadmap item).
     [pool] (default {!Pool.default}) runs asynchronous source work:
     PP-k prefetch, [fn-bea:async], and concurrent independent lets.
-    [concurrent_lets] (default true) may be switched off to force
-    strictly in-place, in-order evaluation of let bindings.
     [max_concurrent] (default 16) caps queries executing at once through
     {!submit}; [admission_queue] (default 64) bounds how many more may
     wait for a slot before new arrivals are rejected [Overloaded]. *)
@@ -153,7 +152,6 @@ val reference :
 
 val registry : t -> Metadata.t
 val security : t -> Security.t
-val function_cache : t -> Function_cache.t option
 val pool : t -> Pool.t
 
 val stats : t -> stats
@@ -168,9 +166,6 @@ val set_work_sharing : t -> bool -> unit
     shared-workload serving benchmarks and the concurrent oracle's
     sharing pass turn it on. Function-cache miss coalescing is always
     active and unaffected by this switch. *)
-
-val work_sharing : t -> bool
-(** Whether any registered database currently shares work. *)
 
 (** {2 Data service registration} *)
 

@@ -86,12 +86,17 @@ and subtype a b =
          (fun ia -> List.exists (fun ib -> item_subtype ia ib) b.items)
          a.items
 
-let union a b = { items = a.items @ b.items; occ = occ_union a.occ b.occ }
+(* Item types of [a] then those of [b] that [a] lacks, so equal items
+   merge: [(1, 2)] is [xs:integer+], not [(xs:integer | xs:integer)+]. *)
+let merge_items a b = a @ List.filter (fun it -> not (List.mem it a)) b
+
+let union a b =
+  { items = merge_items a.items b.items; occ = occ_union a.occ b.occ }
 
 let sequence a b =
   if a.items = [] then b
   else if b.items = [] then a
-  else { items = a.items @ b.items; occ = occ_seq a.occ b.occ }
+  else { items = merge_items a.items b.items; occ = occ_seq a.occ b.occ }
 
 let iterate t = { items = (if t.items = [] then [] else t.items); occ = occ_one }
 

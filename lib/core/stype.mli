@@ -71,8 +71,6 @@ val iterate : t -> t
 val atomized : t -> t
 (** Static type of [fn:data] applied to a value of this type. *)
 
-val item_subtype : item_type -> item_type -> bool
-
 val subtype : t -> t -> bool
 (** [subtype a b]: every value of [a] is a value of [b]. Structural on
     element content. *)

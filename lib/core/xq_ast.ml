@@ -100,8 +100,6 @@ let empty_prolog =
   { namespaces = []; default_element_ns = None; schema_imports = [];
     functions = []; variables = [] }
 
-let uq ?prefix local_name = { prefix; local_name }
-
 let uqname_to_string u =
   match u.prefix with
   | Some p -> p ^ ":" ^ u.local_name

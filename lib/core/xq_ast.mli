@@ -119,7 +119,5 @@ type query = {
 
 val empty_prolog : prolog
 
-val uq : ?prefix:string -> string -> uqname
-
 val pp_expr : Format.formatter -> expr -> unit
 (** Debug rendering of an expression tree. *)

@@ -1,7 +1,5 @@
 type vendor = Oracle | Db2 | Sql_server | Sybase | Generic_sql92
 
-type fault = Fault_ok | Fault_delay of float | Fault_fail | Fault_fail_after of float
-
 type stats = {
   mutable statements : int;
   mutable rows_shipped : int;
@@ -28,8 +26,7 @@ type t = {
   stats : stats;
   stats_lock : Mutex.t;
   mutable roundtrip_latency : float;
-  mutable schedule : fault list;
-  schedule_lock : Mutex.t;
+  faults : Aldsp_concurrency.Fault_schedule.t;
   mutable use_indexes : bool;
   mutable share_work : bool;
   mutable batch_window : float;
@@ -71,8 +68,7 @@ let create ?(vendor = Generic_sql92) ?(roundtrip_latency = 0.) db_name =
     stats = zero_stats ();
     stats_lock = Mutex.create ();
     roundtrip_latency;
-    schedule = [];
-    schedule_lock = Mutex.create ();
+    faults = Aldsp_concurrency.Fault_schedule.create ();
     use_indexes = true;
     share_work = false;
     (* accumulation window start: a quarter roundtrip (adapted at run
@@ -150,44 +146,10 @@ let explain_last t =
   | [] -> Printf.sprintf "-- %s: no statement executed" t.db_name
   | lines -> String.concat "\n" lines
 
-let set_schedule t faults =
-  Mutex.lock t.schedule_lock;
-  t.schedule <- faults;
-  Mutex.unlock t.schedule_lock
-
-let schedule_remaining t =
-  Mutex.lock t.schedule_lock;
-  let n = List.length t.schedule in
-  Mutex.unlock t.schedule_lock;
-  n
-
-let take_fault t =
-  Mutex.lock t.schedule_lock;
-  let f =
-    match t.schedule with
-    | [] -> None
-    | f :: rest ->
-      t.schedule <- rest;
-      Some f
-  in
-  Mutex.unlock t.schedule_lock;
-  f
-
-(* Applies the next scripted event of the schedule to this statement:
-   [Ok ()] to proceed (after any scripted stall), [Error _] for a scripted
-   transport failure. With PP-k prefetch, statements execute on pool
-   workers, so consumption is mutex-guarded. *)
 let apply_fault t =
-  match take_fault t with
-  | None | Some Fault_ok -> Ok ()
-  | Some (Fault_delay d) ->
-    if d > 0. then Aldsp_concurrency.Cancel.sleepf d;
-    Ok ()
-  | Some Fault_fail ->
+  if Aldsp_concurrency.Fault_schedule.next_fails t.faults then
     Error (Printf.sprintf "database %s: scripted transport failure" t.db_name)
-  | Some (Fault_fail_after d) ->
-    if d > 0. then Aldsp_concurrency.Cancel.sleepf d;
-    Error (Printf.sprintf "database %s: scripted transport failure" t.db_name)
+  else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Statistics for the cost-based planner *)

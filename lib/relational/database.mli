@@ -8,11 +8,6 @@
 
 type vendor = Oracle | Db2 | Sql_server | Sybase | Generic_sql92
 
-(** One scripted per-statement event of a fault schedule: proceed
-    normally, stall then proceed, fail, or stall then fail. Mirrors
-    {!Aldsp_services.Web_service.fault} for the queryable-source side. *)
-type fault = Fault_ok | Fault_delay of float | Fault_fail | Fault_fail_after of float
-
 type stats = {
   mutable statements : int;  (** Statements executed (= roundtrips). *)
   mutable rows_shipped : int;  (** Result rows returned to the caller. *)
@@ -51,10 +46,10 @@ type t = {
       (** Simulated seconds of network+parse cost per statement; applied
           with a cancellation-aware sleep when positive, so session
           deadlines abort mid-roundtrip. *)
-  mutable schedule : fault list;
-      (** Scripted per-statement behaviour; statement [n] consumes entry
-          [n]. Use {!set_schedule}; consumption is thread-safe. *)
-  schedule_lock : Mutex.t;
+  faults : Aldsp_concurrency.Fault_schedule.t;
+      (** Scripted per-statement behaviour: statement [n] consumes event
+          [n]. Lets the differential harness test fail-over and timeout
+          around the relational adaptor deterministically (§5.4-5.6). *)
   mutable use_indexes : bool;
       (** Backend access-path switch, independent of the middleware
           optimizer: when false the executor only uses scans and nested
@@ -104,17 +99,8 @@ val vendor_name : vendor -> string
 
 val reset_stats : t -> unit
 
-val set_schedule : t -> fault list -> unit
-(** Installs a scripted per-statement fault schedule: the [n]-th subsequent
-    statement consumes the [n]-th entry; an exhausted script reverts to
-    normal execution. Lets the differential harness test fail-over and
-    timeout around the relational adaptor deterministically (§5.4-5.6). *)
-
-val schedule_remaining : t -> int
-(** Entries of the current schedule not yet consumed. *)
-
 val apply_fault : t -> (unit, string) result
-(** Consumes and applies the next scripted event: sleeps any scripted
+(** Consumes and applies the next event of [faults]: sleeps any scripted
     stall, then returns [Error] for a scripted transport failure. Called
     by the executor at the start of every statement. *)
 

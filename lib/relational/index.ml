@@ -41,7 +41,6 @@ type t = {
   idx_pos : int array;  (* positions of the key columns in a row *)
   idx_unique : bool;
   buckets : int list ref Key_tbl.t;  (* row ids, descending *)
-  mutable idx_entries : int;
   (* numeric [min, max] over single-column K_num keys; widened on add,
      marked dirty when a delete empties an endpoint bucket (the surviving
      extremum is unknowable without a scan, so it is recomputed lazily) *)
@@ -55,7 +54,6 @@ let create ?(unique = false) ~name ~cols ~positions () =
     idx_pos = positions;
     idx_unique = unique;
     buckets = Key_tbl.create 64;
-    idx_entries = 0;
     rng = None;
     rng_dirty = false }
 
@@ -63,7 +61,6 @@ let name t = t.idx_name
 let columns t = t.idx_cols
 let positions t = t.idx_pos
 let unique t = t.idx_unique
-let entries t = t.idx_entries
 
 let key_of_row t row = key_of_values (Array.map (fun i -> row.(i)) t.idx_pos)
 
@@ -111,7 +108,6 @@ let add t id row =
     | x :: rest -> x :: ins rest
   in
   bucket := ins !bucket;
-  t.idx_entries <- t.idx_entries + 1;
   widen_range t k
 
 let remove t id row =
@@ -119,9 +115,7 @@ let remove t id row =
   match Key_tbl.find_opt t.buckets k with
   | None -> ()
   | Some b ->
-    let n = List.length !b in
     b := List.filter (fun x -> x <> id) !b;
-    t.idx_entries <- t.idx_entries - (n - List.length !b);
     if !b = [] then begin
       Key_tbl.remove t.buckets k;
       match (numeric_of_key k, t.rng) with

@@ -34,9 +34,6 @@ val columns : t -> string list
 val positions : t -> int array
 val unique : t -> bool
 
-val entries : t -> int
-(** Number of (key, row id) entries currently indexed. *)
-
 val distinct_keys : t -> int
 (** Number of distinct keys with at least one live entry — the exact
     number-of-distinct-values statistic for the indexed column tuple,
@@ -78,8 +75,6 @@ val canon_float : float -> float
 val key_of_values : Sql_value.t array -> key
 (** Normalizes a value tuple; exposed so the executor's hash join can
     reuse the same key semantics for its build/probe tables. *)
-
-val probe_key : t -> key -> int list
 
 (** The hashtable functor instance over normalized keys, for hash joins. *)
 module Key_tbl : Hashtbl.S with type key = key

@@ -1520,7 +1520,9 @@ let batched_probe db params s keycol =
    [cursor_shared] reports a statement served from another session's
    work (the EXPLAIN-level shared= counters). *)
 let open_cursor db ?(params = [||]) s =
-  if (not db.Database.share_work) || Database.schedule_remaining db > 0 then
+  if (not db.Database.share_work)
+     || Aldsp_concurrency.Fault_schedule.remaining db.Database.faults > 0
+  then
     open_direct db params s
   else
     match probe_shape params s with

@@ -38,8 +38,6 @@ type result_set = {
 
 type cursor
 
-val default_chunk_rows : int
-
 val open_cursor :
   Database.t ->
   ?params:Sql_value.t array ->
@@ -50,7 +48,7 @@ val open_cursor :
 
 val fetch_chunk :
   ?rows:int -> cursor -> (Sql_value.t array list, string) result
-(** Up to [rows] (default {!default_chunk_rows}) more result rows; [[]]
+(** Up to [rows] (default 64) more result rows; [[]]
     means the cursor is exhausted. An [Error] mid-stream (a lazily
     evaluated projection failing) closes the cursor. *)
 

@@ -89,5 +89,3 @@ let to_string = function
     Printf.sprintf "'%s'" escaped
   | Bool b -> if b then "TRUE" else "FALSE"
   | Timestamp f -> Printf.sprintf "TIMESTAMP '%s'" (Atomic.date_time_to_string f)
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -42,5 +42,3 @@ val of_atomic : Atomic.t -> t
 
 val to_string : t -> string
 (** SQL literal syntax: strings quoted with [''], NULL as [NULL]. *)
-
-val pp : Format.formatter -> t -> unit

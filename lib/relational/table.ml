@@ -166,8 +166,6 @@ let iter_rows_u t f =
     if Bytes.get t.live id = '\001' then f id t.store.(id)
   done
 
-let is_live t id = with_lock t @@ fun () -> is_live_u t id
-
 let live_rows t ids =
   with_lock t @@ fun () ->
   let ids = Array.of_list (List.filter (is_live_u t) ids) in

@@ -91,8 +91,6 @@ val scan : t -> int array * Sql_value.t array array
 val get_row : t -> int -> Sql_value.t array option
 (** The row at this id, if live. *)
 
-val is_live : t -> int -> bool
-
 val live_rows : t -> int list -> int array * Sql_value.t array array
 (** The live ones of these ids, in the order given, and their rows, read
     under one lock. *)

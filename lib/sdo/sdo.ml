@@ -149,9 +149,3 @@ let serialize_change_log t =
   in
   Node.serialize
     (Node.element (Qname.local "changeLog") (List.map change_node t.change_log))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>data object from %a:@ %s@ %s@]" Qname.pp
-    t.ds_function
-    (Node.serialize t.current)
-    (serialize_change_log t)

@@ -53,5 +53,3 @@ val is_changed : t -> bool
 val serialize_change_log : t -> string
 (** The wire form of the change log: one [<change>] element per entry,
     with the path and the old and new values. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,18 +16,6 @@ val parse :
     separators/newlines inside quotes, CRLF tolerance. Returns rows of
     fields. *)
 
-val rows_to_nodes :
-  schema:Schema.element_decl ->
-  ?header:bool ->
-  string list list ->
-  (Node.t list, string) result
-(** Converts parsed rows into validated row elements. The schema must
-    declare an element with complex content whose particles name the
-    columns in order. With [header] (default true) the first row names the
-    columns and is checked against the schema's particle order. Empty
-    fields become absent elements — the schema decides whether that is
-    allowed. *)
-
 val load :
   schema:Schema.element_decl ->
   ?separator:char ->

@@ -28,8 +28,6 @@ val register :
   (Atomic.t list -> (Atomic.t, string) result) ->
   unit
 
-val find : registry -> Qname.t -> t option
-
 val call : registry -> Qname.t -> Atomic.t list -> (Atomic.t, string) result
 (** Arity- and (loosely) type-checked invocation. *)
 

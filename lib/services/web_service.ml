@@ -9,28 +9,26 @@ type operation = {
   implementation : Node.t -> (Node.t, string) result;
 }
 
-type fault = Fault_ok | Fault_delay of float | Fault_fail | Fault_fail_after of float
-
 type t = {
   service_name : string;
   wsdl_url : string;
   style : style;
   operations : operation list;
   mutable latency : float;
-  mutable fail_next : int;
   mutable unavailable : bool;
-  mutable schedule : fault list;
-  schedule_lock : Mutex.t;
+  faults : Aldsp_concurrency.Fault_schedule.t;
   stats : stats;
+  stats_lock : Mutex.t;
 }
 
 and stats = { mutable calls : int; mutable failures : int }
 
 let create ?(style = Document_literal) ?(latency = 0.) ~wsdl_url service_name
     operations =
-  { service_name; wsdl_url; style; operations; latency; fail_next = 0;
-    unavailable = false; schedule = []; schedule_lock = Mutex.create ();
-    stats = { calls = 0; failures = 0 } }
+  { service_name; wsdl_url; style; operations; latency; unavailable = false;
+    faults = Aldsp_concurrency.Fault_schedule.create ();
+    stats = { calls = 0; failures = 0 };
+    stats_lock = Mutex.create () }
 
 let operation ~name ~input ~output implementation =
   { op_name = name; input_schema = input; output_schema = output;
@@ -39,38 +37,13 @@ let operation ~name ~input ~output implementation =
 let find_operation t name =
   List.find_opt (fun op -> String.equal op.op_name name) t.operations
 
-let set_schedule t faults =
-  Mutex.lock t.schedule_lock;
-  t.schedule <- faults;
-  Mutex.unlock t.schedule_lock
-
-let schedule_remaining t =
-  Mutex.lock t.schedule_lock;
-  let n = List.length t.schedule in
-  Mutex.unlock t.schedule_lock;
-  n
-
-(* Consume the next scripted event, if any; with the worker pool, calls
-   complete on many threads, so consumption must be atomic. *)
-let take_fault t =
-  Mutex.lock t.schedule_lock;
-  let f =
-    match t.schedule with
-    | [] -> None
-    | f :: rest ->
-      t.schedule <- rest;
-      Some f
-  in
-  Mutex.unlock t.schedule_lock;
-  f
-
-(* Counter updates share [schedule_lock] (contention is negligible);
-   the latency sleeps are cancellation-aware so a session deadline
-   aborts a call mid-"transport wait" instead of sleeping it out. *)
+(* With the worker pool, calls complete on many threads. The latency
+   sleeps are cancellation-aware so a session deadline aborts a call
+   mid-"transport wait" instead of sleeping it out. *)
 let bump_stats t f =
-  Mutex.lock t.schedule_lock;
+  Mutex.lock t.stats_lock;
   f t.stats;
-  Mutex.unlock t.schedule_lock
+  Mutex.unlock t.stats_lock
 
 let invoke t op_name input =
   bump_stats t (fun stats -> stats.calls <- stats.calls + 1);
@@ -87,25 +60,10 @@ let invoke t op_name input =
       fail (Printf.sprintf "service %s.%s: invalid request: %s" t.service_name op_name msg)
     | Ok typed_input ->
       if t.latency > 0. then Aldsp_concurrency.Cancel.sleepf t.latency;
-      let scripted_failure =
-        match take_fault t with
-        | None | Some Fault_ok -> false
-        | Some (Fault_delay d) ->
-          if d > 0. then Aldsp_concurrency.Cancel.sleepf d;
-          false
-        | Some Fault_fail -> true
-        | Some (Fault_fail_after d) ->
-          if d > 0. then Aldsp_concurrency.Cancel.sleepf d;
-          true
-      in
-      if scripted_failure then
+      if Aldsp_concurrency.Fault_schedule.next_fails t.faults then
         fail (Printf.sprintf "service %s.%s: scripted transport failure" t.service_name op_name)
       else if t.unavailable then
         fail (Printf.sprintf "service %s is unavailable" t.service_name)
-      else if t.fail_next > 0 then begin
-        t.fail_next <- t.fail_next - 1;
-        fail (Printf.sprintf "service %s.%s: simulated transport failure" t.service_name op_name)
-      end
       else
         match op.implementation typed_input with
         | Error msg -> fail (Printf.sprintf "service %s.%s: %s" t.service_name op_name msg)
@@ -116,8 +74,6 @@ let invoke t op_name input =
             fail
               (Printf.sprintf "service %s.%s: response failed validation: %s"
                  t.service_name op_name msg)))
-
-let inject_failures t n = t.fail_next <- n
 
 let set_unavailable t flag = t.unavailable <- flag
 

@@ -14,11 +14,6 @@ open Aldsp_xml
 
 type style = Document_literal | Rpc_encoded
 
-(** One scripted per-call event of a fault schedule (§5.4-5.6 experiments):
-    succeed normally, succeed after an extra delay, fail immediately, or
-    fail after a delay (a stall followed by a transport error). *)
-type fault = Fault_ok | Fault_delay of float | Fault_fail | Fault_fail_after of float
-
 type operation = {
   op_name : string;
   input_schema : Schema.element_decl;
@@ -32,13 +27,14 @@ type t = {
   style : style;
   operations : operation list;
   mutable latency : float;  (** Seconds of simulated call latency. *)
-  mutable fail_next : int;  (** Fail this many upcoming calls. *)
-  mutable unavailable : bool;  (** Hard-down: every call fails. *)
-  mutable schedule : fault list;
-      (** Scripted per-call behaviour; call [n] consumes entry [n]. Use
-          {!set_schedule}; consumption is thread-safe. *)
-  schedule_lock : Mutex.t;
+  mutable unavailable : bool;
+      (** Hard-down until reset: every call fails. *)
+  faults : Aldsp_concurrency.Fault_schedule.t;
+      (** Scripted per-call behaviour: call [n] consumes event [n]. Used
+          by the differential harness to test the fail-over, timeout and
+          retry semantics of §5.4-5.6 deterministically. *)
   stats : stats;
+  stats_lock : Mutex.t;  (** Guards counter updates. *)
 }
 
 and stats = { mutable calls : int; mutable failures : int }
@@ -61,24 +57,10 @@ val operation :
 val invoke : t -> string -> Node.t -> (Node.t, string) result
 (** [invoke service op input] runs the 5-step source-invocation protocol of
     §5.3: validate the input against the operation's input schema, simulate
-    the wire latency, run the implementation (honouring failure injection),
+    the wire latency, consume the next scripted fault, run the
+    implementation,
     validate the response against the output schema (producing typed
     content), and account the call. *)
-
-val find_operation : t -> string -> operation option
-
-val inject_failures : t -> int -> unit
-(** The next [n] calls raise a simulated transport error. *)
-
-val set_schedule : t -> fault list -> unit
-(** Installs a scripted per-call fault schedule: the [n]-th subsequent call
-    consumes the [n]-th entry (extra latency and/or a scripted transport
-    failure); once the script is exhausted, calls revert to the service's
-    default behaviour. Used by the differential harness to test the
-    fail-over/timeout/retry semantics of §5.4-5.6 deterministically. *)
-
-val schedule_remaining : t -> int
-(** Entries of the current schedule not yet consumed. *)
 
 val set_unavailable : t -> bool -> unit
 val reset_stats : t -> unit

@@ -43,5 +43,3 @@ let rec pp ppf = function
     Format.fprintf ppf "Boxed(%a)"
       (Format.pp_print_seq ~pp_sep:Format.pp_print_space pp)
       (Array.to_seq ts)
-
-let to_string t = Format.asprintf "%a" pp t

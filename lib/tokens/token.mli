@@ -25,4 +25,3 @@ type t =
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -2,8 +2,6 @@ open Aldsp_xml
 
 type t = Token.t Seq.t
 
-let empty = Seq.empty
-let append = Seq.append
 let concat streams = List.fold_right Seq.append streams Seq.empty
 
 let rec of_node node () =

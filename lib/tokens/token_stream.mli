@@ -10,15 +10,12 @@ open Aldsp_xml
 
 type t = Token.t Seq.t
 
-val empty : t
-val append : t -> t -> t
 val concat : t list -> t
 
 val of_node : Node.t -> t
 (** Streams a node tree: [Start_element], attributes, content tokens,
     [End_element]. Typed leaves become {!Token.Atom} tokens. *)
 
-val of_item : Item.t -> t
 val of_sequence : Item.sequence -> t
 
 val iter_item : (Token.t -> unit) -> Item.t -> unit

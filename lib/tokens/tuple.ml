@@ -1,3 +1,8 @@
+(* Figure 4's three tuple representations. The executor binds evaluated
+   values in slot frames, not token tuples, so only the F4 sweep in
+   bench/main.ml and test_tokens use this module: it stays for as long
+   as F4 reproduces the paper's figure. *)
+
 type repr = Stream_repr | Single_repr | Array_repr
 
 (* The stream representation keeps one flat token array with delimiters
@@ -111,14 +116,3 @@ let equal a b =
          let lx = List.of_seq x and ly = List.of_seq y in
          List.length lx = List.length ly && List.for_all2 Token.equal lx ly)
        fa fb
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>tuple/%s(%a)@]"
-    (match repr t with
-    | Stream_repr -> "stream"
-    | Single_repr -> "single"
-    | Array_repr -> "array")
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-       Token_stream.pp)
-    (fields t)

@@ -22,19 +22,9 @@ type t
 val repr : t -> repr
 val width : t -> int
 
-val make : repr -> Token_stream.t list -> t
-(** Builds a tuple with the given representation from its field streams. *)
-
 val of_sequences : repr -> Aldsp_xml.Item.sequence list -> t
 
-val field : t -> int -> Token_stream.t
-(** [field t i] is the stream of field [i] (0-based). For the stream
-    representation this scans past the preceding fields, reproducing the
-    representation's access-cost profile. *)
-
 val field_items : t -> int -> Aldsp_xml.Item.sequence
-
-val fields : t -> Token_stream.t list
 
 val concat : t -> t -> t
 (** [concat-tuples]: joins two tuples into one wider tuple, keeping the
@@ -50,5 +40,3 @@ val to_stream : t -> Token_stream.t
 
 val equal : t -> t -> bool
 (** Representation-independent equality of the encoded record. *)
-
-val pp : Format.formatter -> t -> unit

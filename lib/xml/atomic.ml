@@ -306,14 +306,6 @@ let modulo a b =
     | Some _, Some _ -> Error "modulo by zero"
     | _ -> Error "mod requires numeric operands")
 
-let neg = function
-  | Integer i -> Ok (Integer (-i))
-  | Decimal f -> Ok (Decimal (-.f))
-  | Double f -> Ok (Double (-.f))
-  | v ->
-    Error
-      (Printf.sprintf "unary - not defined on %s" (type_name (type_of v)))
-
 let ebv = function
   | Boolean b -> Ok b
   | String s | Untyped s -> Ok (s <> "")

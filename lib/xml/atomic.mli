@@ -73,7 +73,6 @@ val mul : t -> t -> (t, string) result
 val div : t -> t -> (t, string) result
 val idiv : t -> t -> (t, string) result
 val modulo : t -> t -> (t, string) result
-val neg : t -> (t, string) result
 
 val ebv : t -> (bool, string) result
 (** Effective boolean value of a singleton atomic. *)

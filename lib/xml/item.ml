@@ -42,12 +42,3 @@ let serialize seq =
     | Node n -> Node.serialize n
   in
   String.concat " " (List.map item_to_string seq)
-
-let pp ppf = function
-  | Atom a -> Atomic.pp ppf a
-  | Node n -> Node.pp ppf n
-
-let pp_sequence ppf seq =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-    pp ppf seq

@@ -26,13 +26,8 @@ val ebv : sequence -> (bool, string) result
 
 val string_value : t -> string
 
-val equal : t -> t -> bool
-
 val equal_sequence : sequence -> sequence -> bool
 
 val serialize : sequence -> string
 (** Serializes a sequence for display: nodes as XML, atomics in lexical
     form, separated by spaces. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_sequence : Format.formatter -> sequence -> unit

@@ -8,8 +8,6 @@ let compare a b =
   | 0 -> String.compare a.local b.local
   | c -> c
 
-let hash t = Hashtbl.hash (t.uri, t.local)
-
 let to_string t =
   if t.uri = "" then t.local else Printf.sprintf "{%s}%s" t.uri t.local
 

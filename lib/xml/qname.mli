@@ -17,7 +17,6 @@ val local : string -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val to_string : t -> string
 (** Clark notation: [{uri}local] when a URI is present, else [local]. *)

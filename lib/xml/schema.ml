@@ -29,14 +29,6 @@ let simple name ty = element_decl name (Atomic_content ty)
 
 let particle ?(occurs = Exactly_one) decl = { decl; occurs }
 
-let find_child_decl decl qname =
-  match decl.content with
-  | Complex particles ->
-    List.find_map
-      (fun p -> if Qname.equal p.decl.elem_name qname then Some p.decl else None)
-      particles
-  | Atomic_content _ | Empty_content -> None
-
 let occurrence_ok occurs count =
   match occurs with
   | Exactly_one -> count = 1

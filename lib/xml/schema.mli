@@ -48,9 +48,6 @@ val validate : element_decl -> Node.t -> (Node.t, string) result
     particles (in order, with occurrence constraints). Unknown elements,
     missing required content, and lexical errors are reported with a path. *)
 
-val find_child_decl : element_decl -> Qname.t -> element_decl option
-(** Looks up the declaration of a child element in a complex type. *)
-
 val pp : Format.formatter -> element_decl -> unit
 (** Renders the declaration in a compact XML-Schema-like notation, for
     design-view display and debugging. *)

@@ -442,6 +442,36 @@ let test_transaction_rollback () =
   check_int "rolled back" 3
     (List.length (run db "SELECT o.OID FROM ORDER_T o").Sql_exec.rows)
 
+(* The protocol under [with_transaction], driven by hand: [begin_txn]
+   opens the log, [rollback] undoes every logged write in reverse (an
+   update, then a delete of the same row, then an insert), and [commit]
+   keeps its writes, so a later transaction's rollback leaves them. *)
+let test_begin_commit_rollback () =
+  let db = make_db () in
+  let orders () =
+    (run db "SELECT o.OID, o.CID, o.AMOUNT FROM ORDER_T o ORDER BY o.OID")
+      .Sql_exec.rows
+  in
+  let before = orders () in
+  let txn = Txn.begin_txn db in
+  check_int "update" 1
+    (run_dml db "UPDATE ORDER_T SET AMOUNT = 5.0 WHERE OID = 1");
+  check_int "delete" 1 (run_dml db "DELETE FROM ORDER_T WHERE OID = 1");
+  check_int "insert" 1
+    (run_dml db "INSERT INTO ORDER_T (OID, CID, AMOUNT) VALUES (9, 'C2', 1.0)");
+  Txn.rollback txn;
+  check_bool "rollback restores every row" true (orders () = before);
+  let txn = Txn.begin_txn db in
+  check_int "update" 1
+    (run_dml db "UPDATE ORDER_T SET AMOUNT = 7.0 WHERE OID = 2");
+  Txn.commit txn;
+  let committed = orders () in
+  check_bool "commit keeps the write" true (committed <> before);
+  let txn = Txn.begin_txn db in
+  check_int "delete" 1 (run_dml db "DELETE FROM ORDER_T WHERE OID = 2");
+  Txn.rollback txn;
+  check_bool "a later rollback keeps the commit" true (orders () = committed)
+
 let test_two_phase_commit () =
   let db1 = make_db () in
   let db2 = make_db () in
@@ -603,8 +633,8 @@ let oracle_run ~use_indexes ~txn ~fault stmts =
   in
   Option.iter
     (fun p ->
-      Database.set_schedule db
-        (List.init p (fun _ -> Database.Fault_ok) @ [ Database.Fault_fail ]))
+      Aldsp_concurrency.Fault_schedule.(
+        set db.Database.faults (List.init p (fun _ -> Proceed) @ [ Fail ])))
     fault;
   let outcomes () = List.map (Sql_exec.execute_dml db) stmts in
   let outcomes =
@@ -618,7 +648,7 @@ let oracle_run ~use_indexes ~txn ~fault stmts =
              if commit then Ok () else Error "abort"));
       !result
   in
-  Database.set_schedule db [];
+  Aldsp_concurrency.Fault_schedule.set db.Database.faults [];
   let versions_forward =
     List.for_all2
       (fun name v -> Table.version (ok_exn (Database.find_table db name)) >= v)
@@ -1416,6 +1446,7 @@ let () =
         [ t "dml" test_dml_roundtrip;
           t "optimistic where" test_optimistic_update_where;
           t "rollback" test_transaction_rollback;
+          t "begin, commit, rollback" test_begin_commit_rollback;
           t "two-phase commit" test_two_phase_commit;
           t "rollback keeps another transaction's commit"
             test_rollback_keeps_other_commit;

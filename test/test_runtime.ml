@@ -594,6 +594,26 @@ let test_function_cache_args_distinguish () =
     (Item.serialize r1 <> Item.serialize r2);
   check_int "both missed" 2 (Function_cache.misses cache)
 
+(* Invalidation drops exactly one function's entries, persistent rows
+   and typed values alike: [_] in a name is not a wildcard, so
+   [getAx]'s entry outlives [invalidate get_x]. *)
+let test_function_cache_invalidate () =
+  let cache = make_cache () in
+  let get_x = Qname.make ~uri:"fn" "get_x" in
+  let get_ax = Qname.make ~uri:"fn" "getAx" in
+  let arg = [ [ Item.string "k" ] ] in
+  Function_cache.store cache get_x arg [ Item.integer 1 ];
+  Function_cache.store cache get_ax arg [ Item.integer 2 ];
+  Function_cache.invalidate cache get_x;
+  check_bool "get_x dropped" true
+    (Function_cache.lookup cache get_x arg = None);
+  check_int "getAx's typed value kept" 1
+    (Function_cache.materialized_count cache);
+  match Function_cache.lookup cache get_ax arg with
+  | Some v ->
+    check_bool "getAx kept" true (Item.equal_sequence v [ Item.integer 2 ])
+  | None -> Alcotest.fail "invalidate get_x dropped getAx's entry"
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                          *)
 
@@ -974,7 +994,8 @@ let () =
       ( "function-cache",
         [ t "hit/miss/ttl" test_function_cache_hits;
           t "designer permission" test_function_cache_requires_designer_permission;
-          t "args distinguish" test_function_cache_args_distinguish ] );
+          t "args distinguish" test_function_cache_args_distinguish;
+          t "invalidate one function" test_function_cache_invalidate ] );
       ( "plan-cache",
         [ t "server reuses plans" test_plan_cache; t "LRU" test_plan_cache_lru ] );
       ( "security",

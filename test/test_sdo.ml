@@ -90,6 +90,30 @@ let test_serialized_change_log () =
      in
      contains 0)
 
+(* Removing a field drops the element from the current data only, and
+   logs the old value against no new one; the root and an absent field
+   cannot be removed. *)
+let test_remove_field () =
+  let demo = setup () in
+  let sdo = read_profile demo "CUST0003" in
+  let field = path [ "PROFILE"; "LAST_NAME" ] in
+  let old = Sdo.get_field sdo field in
+  check_bool "field present" true (old <> None);
+  ok_exn (Sdo.remove_field sdo field);
+  check_bool "field gone" true (Sdo.get_field sdo field = None);
+  check_bool "modified" true (sdo.Sdo.status = Sdo.Modified);
+  (match sdo.Sdo.change_log with
+  | [ { Sdo.change_path; old_value; new_value = None } ] ->
+    check_bool "path logged" true (change_path = field);
+    check_bool "old value logged" true (old_value = old)
+  | _ -> Alcotest.fail "one removal expected in the change log");
+  check_bool "original keeps the field" true
+    (Sdo.get_field (Sdo.of_result ~ds_function:provider sdo.Sdo.original) field
+     = old);
+  ignore (err_exn (Sdo.remove_field sdo field));
+  ignore (err_exn (Sdo.remove_field sdo (path [ "PROFILE" ])));
+  check_int "failed removals log nothing" 1 (List.length sdo.Sdo.change_log)
+
 (* ------------------------------------------------------------------ *)
 (* Lineage (§6)                                                        *)
 
@@ -434,7 +458,8 @@ let () =
     [ ( "change-tracking",
         [ t "tracking" test_change_tracking;
           t "same-value no-op" test_set_same_value_is_noop;
-          t "serialized log" test_serialized_change_log ] );
+          t "serialized log" test_serialized_change_log;
+          t "remove field" test_remove_field ] );
       ( "lineage",
         [ t "logical service" test_lineage_of_logical_service;
           t "physical service" test_lineage_of_physical_service ] );

@@ -69,7 +69,7 @@ let test_invalid_request_rejected () =
 
 let test_failure_injection () =
   let ws = make_rating_service () in
-  Web_service.inject_failures ws 2;
+  Aldsp_concurrency.Fault_schedule.(set ws.Web_service.faults [ Fail; Fail ]);
   ignore (err_exn (Web_service.invoke ws "getRating" (request "a" "1")));
   ignore (err_exn (Web_service.invoke ws "getRating" (request "a" "1")));
   ignore (ok_exn (Web_service.invoke ws "getRating" (request "a" "1")));

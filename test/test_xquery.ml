@@ -216,6 +216,20 @@ let test_structural_typing_survives_navigation () =
        (function Stype.It_atomic Atomic.T_integer -> true | _ -> false)
        ty.Stype.items)
 
+(* A sequence or a conditional lists each item type once, however many
+   of its operands share it. *)
+let test_equal_item_types_merge () =
+  List.iter
+    (fun (q, expected) ->
+      let _, _, ty, _ = compile_core q in
+      Alcotest.(check string) q expected (Stype.to_string ty))
+    [ ("(1, 2)", "xs:integer+");
+      ("(1, \"a\", 2, \"b\")", "(xs:integer | xs:string)+");
+      ("if (1 eq 2) then 1 else 2", "xs:integer") ];
+  let _, _, ty, _ = compile_core "for $x in (1, 2, 3) return $x" in
+  check_bool "one alternative" true
+    (ty.Stype.items = [ Stype.It_atomic Atomic.T_integer ])
+
 let test_optimistic_call_rule () =
   let _, diag, _, typed =
     compile_core "for $c in CUSTOMER() return fn:count($c/SINCE)"
@@ -313,6 +327,7 @@ let () =
           t "unknown var recovery" test_normalize_unknown_variable_recovers;
           t "structural constructor type" test_structural_typing_of_constructor;
           t "structural nav" test_structural_typing_survives_navigation;
+          t "equal item types merge" test_equal_item_types_merge;
           t "optimistic rule" test_optimistic_call_rule;
           t "typematch insertion" test_typematch_inserted_not_proven;
           t "static mismatch" test_static_mismatch_rejected;
