@@ -65,12 +65,27 @@ let create ?(clock = Unix.gettimeofday) ?(capacity = 256) storage =
 let enable t fn ~ttl_seconds =
   locked t (fun () -> Hashtbl.replace t.ttls fn ttl_seconds)
 
-let disable t fn = locked t (fun () -> Hashtbl.remove t.ttls fn)
 let is_enabled t fn = locked t (fun () -> Hashtbl.mem t.ttls fn)
 
+(* "<fn>(" then, per argument, its item count and each item as its type
+   and length-prefixed text: no two argument lists share a key, so
+   [("a", "b")] is not ["a b"] and [1] is not ["1"]. *)
 let key_of fn args =
-  let arg_str = String.concat "\x00" (List.map Item.serialize args) in
-  Printf.sprintf "%s(%s)" (Qname.to_string fn) arg_str
+  let b = Buffer.create 64 in
+  let text kind s = Printf.bprintf b "%s:%d:%s" kind (String.length s) s in
+  Printf.bprintf b "%s(" (Qname.to_string fn);
+  List.iter
+    (fun items ->
+      Printf.bprintf b "%d;" (List.length items);
+      List.iter
+        (function
+          | Item.Atom a ->
+            text (Atomic.type_name (Atomic.type_of a)) (Atomic.to_string a)
+          | Item.Node n -> text "node" (Node.serialize n))
+        items)
+    args;
+  Buffer.add_char b ')';
+  Buffer.contents b
 
 (* lock held *)
 let touch_materialized t key =
@@ -232,9 +247,3 @@ let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)
 let coalesced t = locked t (fun () -> t.coalesced_count)
 let materialized_count t = locked t (fun () -> Hashtbl.length t.materialized)
-
-let reset_stats t =
-  locked t (fun () ->
-      t.hit_count <- 0;
-      t.miss_count <- 0;
-      t.coalesced_count <- 0)

@@ -43,8 +43,6 @@ val create :
 val enable : t -> Qname.t -> ttl_seconds:float -> unit
 (** Administrative enablement with a time-to-live. *)
 
-val disable : t -> Qname.t -> unit
-
 val lookup :
   t -> Qname.t -> Item.sequence list -> Item.sequence option
 (** [Some result] on a fresh hit; [None] on miss or stale entry. *)
@@ -68,5 +66,3 @@ val coalesced : t -> int
 
 val materialized_count : t -> int
 (** Live entries of the bounded per-process typed-value table. *)
-
-val reset_stats : t -> unit

@@ -205,14 +205,23 @@ and translate_call env whole fn args =
     | _ -> raise Not_pushable
   else if Qname.equal fn (Names.fn "exists") || Qname.equal fn (Names.fn "empty")
   then
-    match args with
-    | [ C.Flwor _ ] -> (
-      match translate_flwor_exists env (List.hd args) with
-      | Some sub ->
-        if Qname.equal fn (Names.fn "exists") then Sql.Exists sub
-        else Sql.Not_exists sub
-      | None -> make_param env whole)
-    | _ -> make_param env whole
+    let subquery =
+      match args with
+      | [ C.Flwor
+            { clauses =
+                C.For { var; source = C.Call { fn = table; args = [] } } :: rest;
+              return_ = _ } ] -> (
+        match rest with
+        | [] -> exists_subquery env table var None
+        | [ C.Where w ] -> exists_subquery env table var (Some w)
+        | _ -> None)
+      | _ -> None
+    in
+    match subquery with
+    | Some sub ->
+      if Qname.equal fn (Names.fn "exists") then Sql.Exists sub
+      else Sql.Not_exists sub
+    | None -> make_param env whole
   else if Qname.equal fn (Names.fn "concat") then begin
     if not env.caps.Sql_print.supports_string_concat then make_param env whole
     else
@@ -233,84 +242,43 @@ and translate_call env whole fn args =
 and translate_exists env whole var source pred =
   match source with
   | C.Call { fn; args = [] } -> (
-    match scan_of_call env.st fn 0 with
-    | Some si when si.si_db == env.db ->
-      let alias = fresh env.st "t" in
-      let sub_cols =
-        List.map
-          (fun (col, ty, _) ->
-            let bv = var ^ "/" ^ col in
-            (bv, (Sql.col alias col, ty)))
-          si.si_columns
-      in
-      (* navigation through the quantified row variable resolves to the
-         subquery's columns *)
-      let rewritten =
-        let rec fix e =
-          match e with
-          | C.Data (C.Child (C.Var v, name)) when v = var ->
-            C.Var (var ^ "/" ^ name.Qname.local)
-          | C.Child (C.Var v, name) when v = var ->
-            C.Var (var ^ "/" ^ name.Qname.local)
-          | e -> C.map_children fix e
-        in
-        fix pred
-      in
-      let env' =
-        { env with cols = sub_cols @ env.cols; blocked = var :: env.blocked }
-      in
-      let where = translate env' rewritten in
-      Sql.Exists
-        (Sql.select
-           ~projections:[ (Sql.Lit (Sql_value.Int 1), "one") ]
-           ~where
-           (Sql.Table { table = si.si_table; alias }))
-    | _ -> make_param env whole)
+    match exists_subquery env fn var (Some pred) with
+    | Some sub -> Sql.Exists sub
+    | None -> make_param env whole)
   | _ -> make_param env whole
 
-and translate_flwor_exists env flwor =
-  match flwor with
-  | C.Flwor { clauses = [ C.For { var = _; source = C.Call { fn; args = [] } } ]
-            ; return_ = _ } -> (
-    match scan_of_call env.st fn 0 with
-    | Some si when si.si_db == env.db ->
-      let alias = fresh env.st "t" in
-      Some
-        (Sql.select
-           ~projections:[ (Sql.Lit (Sql_value.Int 1), "one") ]
-           (Sql.Table { table = si.si_table; alias }))
-    | _ -> None)
-  | C.Flwor
-      { clauses =
-          [ C.For { var; source = C.Call { fn; args = [] } }; C.Where w ];
-        return_ = _ } -> (
-    match scan_of_call env.st fn 0 with
-    | Some si when si.si_db == env.db -> (
-      let alias = fresh env.st "t" in
-      let sub_cols =
-        List.map
-          (fun (col, ty, _) -> (var ^ "/" ^ col, (Sql.col alias col, ty)))
-          si.si_columns
-      in
-      let rec fix e =
-        match e with
-        | C.Data (C.Child (C.Var v, name)) when v = var ->
-          C.Var (var ^ "/" ^ name.Qname.local)
-        | C.Child (C.Var v, name) when v = var ->
-          C.Var (var ^ "/" ^ name.Qname.local)
-        | e -> C.map_children fix e
-      in
-      let env' =
-        { env with cols = sub_cols @ env.cols; blocked = var :: env.blocked }
-      in
-      match translate env' (fix w) with
-      | where ->
-        Some
-          (Sql.select
-             ~projections:[ (Sql.Lit (Sql_value.Int 1), "one") ]
-             ~where
-             (Sql.Table { table = si.si_table; alias })))
-    | _ -> None)
+(* [SELECT 1 FROM] the table [fn()] scans when it is in [env]'s database,
+   filtered by [pred] over its row variable [var]; navigation through
+   [var] resolves to the subquery's columns *)
+and exists_subquery env fn var pred =
+  match scan_of_call env.st fn 0 with
+  | Some si when si.si_db == env.db ->
+    let alias = fresh env.st "t" in
+    let where =
+      Option.map
+        (fun pred ->
+          let cols =
+            List.map
+              (fun (col, ty, _) -> (var ^ "/" ^ col, (Sql.col alias col, ty)))
+              si.si_columns
+          in
+          let rec fix e =
+            match e with
+            | C.Data (C.Child (C.Var v, name)) | C.Child (C.Var v, name)
+              when v = var ->
+              C.Var (var ^ "/" ^ name.Qname.local)
+            | e -> C.map_children fix e
+          in
+          translate
+            { env with cols = cols @ env.cols; blocked = var :: env.blocked }
+            (fix pred))
+        pred
+    in
+    Some
+      (Sql.select
+         ~projections:[ (Sql.Lit (Sql_value.Int 1), "one") ]
+         ?where
+         (Sql.Table { table = si.si_table; alias }))
   | _ -> None
 
 let try_translate env e =
@@ -357,91 +325,13 @@ let convert_scan st (si : scan_info) var =
   in
   (rel, rb)
 
-(* ------------------------------------------------------------------ *)
-(* Region merging helpers                                              *)
-
-let cols_env_of_rel st db caps blocked (r : C.sql_access) =
-  (* map bind vars back to the column expressions of the underlying select *)
-  let proj_map =
-    List.map (fun (e, alias) -> (alias, e)) r.C.select.Sql.projections
-  in
-  { cols =
-      List.filter_map
-        (fun b ->
-          match List.assoc_opt b.C.bcol proj_map with
-          | Some col_expr -> Some (b.C.bvar, (col_expr, b.C.btype))
-          | None -> None)
-        r.C.binds;
-    blocked;
-    caps;
-    st;
-    db;
-    params = ref [];
-    param_base = Sql.param_count (Sql.Query r.C.select) }
-
-let simple_select (s : Sql.select) =
-  s.Sql.group_by = [] && s.Sql.having = None && s.Sql.window = None
-  && not s.Sql.distinct
-
-(* merge r2 into r1 as a join (same database) *)
-let merge_join st caps kind (r1 : C.sql_access) (r2 : C.sql_access) on_sql =
-  let sql_kind = match kind with C.J_inner -> Sql.Inner | C.J_left_outer -> Sql.Left_outer in
-  ignore st;
-  ignore caps;
-  let select =
-    { r1.C.select with
-      Sql.projections = r1.C.select.Sql.projections @ r2.C.select.Sql.projections;
-      joins =
-        r1.C.select.Sql.joins
-        @ [ { Sql.jkind = sql_kind;
-              jtable = r2.C.select.Sql.from;
-              on_condition = on_sql } ]
-        @ r2.C.select.Sql.joins;
-      where =
-        (match (r1.C.select.Sql.where, r2.C.select.Sql.where) with
-        | None, None -> None
-        | Some w, None | None, Some w -> Some w
-        | Some a, Some b -> Some (Sql.Binop (Sql.And, a, b))) }
-  in
-  { C.db = r1.C.db;
-    select;
-    sql_params = r1.C.sql_params @ r2.C.sql_params;
-    binds = r1.C.binds @ r2.C.binds }
-
-(* ------------------------------------------------------------------ *)
-(* The clause-list transformation                                      *)
-
-let uses_in var clauses return_ = C.count_uses var clauses return_
-
-(* Neither clause reads a variable the other binds, a join's right-side
-   variables included. *)
-let independent a b =
-  let bound = function
-    | C.Join { right; _ } as c -> C.clause_vars (c :: right)
-    | c -> C.clause_vars [ c ]
-  in
-  let reads c vars =
-    let fv = C.free_vars (C.Flwor { clauses = [ c ]; return_ = C.Empty }) () in
-    List.exists (Hashtbl.mem fv) vars
-  in
-  (not (reads a (bound b))) && not (reads b (bound a))
-
-let rec push_expr st (e : C.t) : C.t =
-  let e = C.map_children (push_expr st) e in
-  match e with
-  | C.Flwor { clauses; return_ } ->
-    let clauses, return_ = push_clauses st clauses return_ in
-    let clauses, return_ = merge_regions st clauses return_ in
-    let clauses, return_ = prune_binds st clauses return_ in
-    C.Flwor { clauses; return_ }
-  | e -> e
-
-(* Phase A over one clause list: convert For-over-scan, resolve fields *)
-and push_clauses st clauses return_ =
+(* Scan conversion over one clause list: every [for] over a table
+   function, and navigation through its row variable. *)
+let convert_scans st clauses return_ =
   let rows = ref [] in
-  (* Scan conversion. Row bindings are shared across join branches (names
-     are unique), so a join predicate navigating the right branch's row
-     variable also resolves to column binds. *)
+  (* Row bindings are shared across join branches (names are unique), so
+     a join predicate navigating the right branch's row variable also
+     resolves to column binds. *)
   let rec convert clauses =
     List.concat_map
       (fun clause ->
@@ -485,145 +375,228 @@ and push_clauses st clauses return_ =
     in
     (List.map fix_clause converted, fix return_)
 
-(* Phase B: grow SQL regions along the clause list.
+(* ------------------------------------------------------------------ *)
+(* Region merging helpers                                              *)
 
-   Parameter expressions may reference only variables from *outer* scopes
-   (function parameters, enclosing FLWORs): those are present in the tuple
-   environment when the region executes. Variables bound by this clause
-   list (including the region's own binds) are blocked. *)
-and merge_regions st clauses return_ =
-  let all_clause_vars = C.clause_vars clauses in
-  let caps_of db_name =
-    match Metadata.find_database st.registry db_name with
-    | Some db -> (db, Sql_print.capabilities db.Database.vendor)
-    | None -> raise Not_pushable
+let cols_env_of_rel st db caps blocked (r : C.sql_access) =
+  (* map bind vars back to the column expressions of the underlying select *)
+  let proj_map =
+    List.map (fun (e, alias) -> (alias, e)) r.C.select.Sql.projections
   in
-  let rec grow acc clauses return_ =
-    match clauses with
-    | [] -> (List.rev acc, return_)
-    | C.Rel r :: rest -> absorb acc r [] rest return_
-    | c :: rest -> grow (c :: acc) rest return_
-  (* try to absorb following clauses into region r; [pending] holds
-     row-reconstruction lets that sit between the region and the clause
-     being absorbed and must be re-emitted after it, in source order (a
-     reversed re-emission would flip them on every fixpoint pass, and
-     the fixpoint would never settle) *)
-  and absorb acc r pending clauses return_ =
-    match caps_of r.C.db with
-    | exception Not_pushable -> grow (C.Rel r :: acc) clauses return_
-    | db, caps -> (
-      let blocked =
-        all_clause_vars @ List.map (fun b -> b.C.bvar) r.C.binds
+  { cols =
+      List.filter_map
+        (fun b ->
+          match List.assoc_opt b.C.bcol proj_map with
+          | Some col_expr -> Some (b.C.bvar, (col_expr, b.C.btype))
+          | None -> None)
+        r.C.binds;
+    blocked;
+    caps;
+    st;
+    db;
+    params = ref [];
+    param_base = Sql.param_count (Sql.Query r.C.select) }
+
+let simple_select (s : Sql.select) =
+  s.Sql.group_by = [] && s.Sql.having = None && s.Sql.window = None
+  && not s.Sql.distinct
+
+(* merge r2 into r1 as a join (same database) *)
+let merge_join kind (r1 : C.sql_access) (r2 : C.sql_access) on_sql =
+  let sql_kind = match kind with C.J_inner -> Sql.Inner | C.J_left_outer -> Sql.Left_outer in
+  let select =
+    { r1.C.select with
+      Sql.projections = r1.C.select.Sql.projections @ r2.C.select.Sql.projections;
+      joins =
+        r1.C.select.Sql.joins
+        @ [ { Sql.jkind = sql_kind;
+              jtable = r2.C.select.Sql.from;
+              on_condition = on_sql } ]
+        @ r2.C.select.Sql.joins;
+      where =
+        (match (r1.C.select.Sql.where, r2.C.select.Sql.where) with
+        | None, None -> None
+        | Some w, None | None, Some w -> Some w
+        | Some a, Some b -> Some (Sql.Binop (Sql.And, a, b))) }
+  in
+  { C.db = r1.C.db;
+    select;
+    sql_params = r1.C.sql_params @ r2.C.sql_params;
+    binds = r1.C.binds @ r2.C.binds }
+
+(* Neither clause reads a variable the other binds, a join's right-side
+   variables included. *)
+let independent a b =
+  let bound = function
+    | C.Join { right; _ } as c -> C.clause_vars (c :: right)
+    | c -> C.clause_vars [ c ]
+  in
+  let reads c vars =
+    let fv = C.free_vars (C.Flwor { clauses = [ c ]; return_ = C.Empty }) () in
+    List.exists (Hashtbl.mem fv) vars
+  in
+  (not (reads a (bound b))) && not (reads b (bound a))
+
+(* ------------------------------------------------------------------ *)
+(* Phase B: region growth                                              *)
+
+(* push translatable scalar computations of the return into the SELECT *)
+let push_projections st r return_ outer_vars =
+  match Metadata.find_database st.registry r.C.db with
+  | None -> (r, return_)
+  | Some db ->
+    let caps = Sql_print.capabilities db.Database.vendor in
+    if not (simple_select r.C.select) then (r, return_)
+    else begin
+      let blocked = outer_vars @ List.map (fun b -> b.C.bvar) r.C.binds in
+      let r_ref = ref r in
+      let pushable_shape e =
+        match e with
+        | C.If _ -> caps.Sql_print.supports_case
+        | C.Call { fn; args } -> (
+          Qname.equal fn (Names.fn "concat")
+          ||
+          match Fn_lib.find fn (List.length args) with
+          | Some { Fn_lib.translation = Fn_lib.Sql_function _; _ } -> true
+          | _ -> false)
+        | C.Binop ((C.Add | C.Sub | C.Mul | C.Div), _, _) -> true
+        | _ -> false
       in
-      let env () = cols_env_of_rel st db caps blocked r in
-      (* pending simple lets ($x := $bind / const) are seen through when
-         translating downstream clauses *)
-      let psub =
-        List.filter_map
-          (function
-            | C.Let { var; value = (C.Var _ | C.Const _) as v } -> Some (var, v)
-            | _ -> None)
-          pending
+      let rec walk e =
+        if pushable_shape e then begin
+          let env = cols_env_of_rel st db caps blocked !r_ref in
+          (* only worthwhile when the expression actually reads region
+             columns *)
+          let reads_region =
+            let fv = C.free_vars e () in
+            List.exists (fun b -> Hashtbl.mem fv b.C.bvar) (!r_ref).C.binds
+          in
+          if not reads_region then C.map_children walk e
+          else
+            match try_translate env e with
+            | Some sql ->
+              let alias = fresh st "c" in
+              let bv = fresh_var st "proj" in
+              r_ref :=
+                { !r_ref with
+                  C.select =
+                    { (!r_ref).C.select with
+                      Sql.projections =
+                        (!r_ref).C.select.Sql.projections @ [ (sql, alias) ] };
+                  sql_params = (!r_ref).C.sql_params @ !(env.params);
+                  binds =
+                    (!r_ref).C.binds
+                    @ [ { C.bvar = bv; btype = Atomic.T_untyped; bcol = alias } ] };
+              C.Var bv
+            | None -> C.map_children walk e
+        end
+        else
+          match e with
+          | C.Flwor _ -> e  (* do not cross binder scopes *)
+          | e -> C.map_children walk e
       in
-      let through e = C.substitute psub e in
-      match clauses with
-      | C.Where w :: rest -> (
-        let env = env () in
-        match try_translate env (through w) with
-        | Some sql_pred ->
-          let r' =
-            { r with
-              C.select =
-                { r.C.select with
-                  Sql.where =
-                    (match r.C.select.Sql.where with
-                    | None -> Some sql_pred
-                    | Some old -> Some (Sql.Binop (Sql.And, old, sql_pred))) };
-              sql_params = r.C.sql_params @ !(env.params) }
-          in
-          absorb acc r' pending rest return_
-        | None -> finish acc r pending clauses return_)
-      | (C.Let { var = _; value = (C.Elem _ | C.Var _ | C.Const _) } as l)
-        :: rest ->
-        (* row reconstruction or other pure cheap value: slide past it *)
-        absorb acc r (pending @ [ l ]) rest return_
-      | C.Join { kind; right; on_; export; _ } :: rest -> (
-        match
-          try_merge_join st db caps acc r pending kind right (through on_)
-            export rest return_
-        with
-        | Some result -> result
-        | None -> commute acc r db caps pending through [] clauses return_)
-      | C.Group { aggs; keys; clustered = false } :: rest -> (
-        let keys = List.map (fun (e, v) -> (through e, v)) keys in
-        match try_merge_group st db caps acc r pending aggs keys rest return_ with
-        | Some result -> result
-        | None -> finish acc r pending clauses return_)
-      | C.Order { keys } :: rest -> (
-        let env = env () in
-        let translated =
-          List.map (fun (e, desc) -> (try_translate env (through e), desc)) keys
-        in
-        if List.for_all (fun (t, _) -> t <> None) translated then
-          let r' =
-            { r with
-              C.select =
-                { r.C.select with
-                  Sql.order_by =
-                    List.map
-                      (fun (t, desc) ->
-                        { Sql.sort_expr = Option.get t; descending = desc })
-                      translated };
-              sql_params = r.C.sql_params @ !(env.params) }
-          in
-          absorb acc r' pending rest return_
-        else finish acc r pending clauses return_)
-      | _ -> commute acc r db caps pending through [] clauses return_)
-  (* A grouped left outer join emits exactly one tuple per left tuple, so
-     two of them commute, and one commutes with a let, when neither reads
-     a variable the other binds. [skipped] (source order) holds such
-     clauses between the region and the next candidate; a same-database
-     grouped join that commutes with all of them moves up next to the
-     region and merges there. Wheres, inner joins, fors, groups and
-     orders filter, multiply or reorder tuples and end the search. *)
-  and commute acc r db caps pending through skipped clauses return_ =
-    match clauses with
-    | (C.Let _ as c) :: rest ->
-      commute acc r db caps pending through (skipped @ [ c ]) rest return_
-    | (C.Join
-         { kind = C.J_left_outer as kind;
-           right;
-           on_;
-           export = C.Grouped _ as export;
-           _ } as j)
-      :: rest -> (
-      (* with nothing skipped, [absorb] has just tried this join in place;
-         a failed attempt may have drawn fresh names, which are given back
-         so that plans that do not merge stay as they were *)
-      let movable = skipped <> [] && List.for_all (independent j) skipped in
-      let saved = !(st.counter) in
-      match
-        if movable then
-          try_merge_join st db caps acc r pending kind right (through on_)
-            export (skipped @ rest) return_
-        else None
-      with
-      | Some result -> result
-      | None ->
-        st.counter := saved;
-        commute acc r db caps pending through (skipped @ [ j ]) rest return_)
-    | _ -> finish acc r pending (skipped @ clauses) return_
-  and finish acc r pending clauses return_ =
-    (* computed-scalar projection: push translatable scalar subexpressions
-       of the return into the region's SELECT list (pattern d etc.) *)
-    let r, return_, clauses =
-      push_projections st r return_ clauses (C.clause_vars (List.rev acc))
+      let return' = walk return_ in
+      (!r_ref, return')
+    end
+
+(* Grouped (outer-join + group-by) merge: the SQL is the flat outer join;
+   the middleware re-groups adjacent rows per left tuple with the
+   pre-clustered streaming operator (§4.2, §5.2). When the group variable
+   is used only under count(), the aggregation itself is pushed and the
+   SQL matches pattern (g). Returns the merged region, the clauses after
+   it (before the pending lets are put back) and the return. *)
+let merge_grouped_join st merged r1 r2 right_lets gvar gexpr rest return_ =
+  (* a non-null column of the right side witnesses a real match *)
+  let witness =
+    List.find_opt
+      (fun b ->
+        List.exists
+          (fun (e, alias) ->
+            alias = b.C.bcol && (match e with Sql.Col _ -> true | _ -> false))
+          r2.C.select.Sql.projections)
+      r2.C.binds
+  in
+  match witness with
+  | None -> None
+  | Some wb ->
+    (* Special case: gvar used once as count($gvar) and gexpr is the row
+       reconstruction (or any per-match value) -> push COUNT (pattern g). *)
+    let is_count = function
+      | C.Call { fn; args = [ C.Var v ] } ->
+        v = gvar && Qname.equal fn (Names.fn "count")
+      | _ -> false
     in
-    grow (List.rev_append (C.Rel r :: pending) acc) clauses return_
-  in
-  try grow [] clauses return_ with Not_pushable -> (clauses, return_)
+    let count_only =
+      C.count_uses gvar rest return_ = 1
+      &&
+      let found = ref false in
+      let rec find e =
+        if is_count e then found := true;
+        ignore (C.map_children (fun c -> find c; c) e)
+      in
+      List.iter
+        (fun c -> ignore (C.map_clause (fun e -> find e; e) c))
+        rest;
+      find return_;
+      !found
+    in
+    if count_only then begin
+      (* GROUP BY the left columns, COUNT the right witness column *)
+      let left_cols = r1.C.select.Sql.projections in
+      let cnt_alias = fresh st "agg" in
+      let cnt_var = fresh_var st gvar in
+      let witness_col =
+        List.assoc wb.C.bcol
+          (List.map (fun (e, a) -> (a, e)) r2.C.select.Sql.projections)
+      in
+      let select =
+        { merged.C.select with
+          Sql.projections =
+            left_cols @ [ (Sql.Agg (Sql.Count, Sql.All, witness_col), cnt_alias) ];
+          group_by = List.map fst left_cols }
+      in
+      let merged' =
+        { merged with
+          C.select;
+          binds =
+            r1.C.binds
+            @ [ { C.bvar = cnt_var; btype = Atomic.T_integer; bcol = cnt_alias } ] }
+      in
+      (* replace count($gvar) with the new bind downstream *)
+      let rec replace e =
+        if is_count e then C.Var cnt_var else C.map_children replace e
+      in
+      Some (merged', List.map (C.map_clause replace) rest, replace return_)
+    end
+    else begin
+      (* keep the flat SQL; regroup adjacent rows on the left columns with
+         the streaming group operator *)
+      let gitem = fresh_var st gvar in
+      let left_keys =
+        List.map (fun b -> (C.Var b.C.bvar, b.C.bvar)) r1.C.binds
+      in
+      let group =
+        C.Group
+          { clustered = true;
+            aggs = [ (gitem, gvar) ];
+            keys = left_keys }
+      in
+      let let_item =
+        C.Let
+          { var = gitem;
+            value =
+              C.If
+                { cond = C.Ebv (C.Call { fn = Names.fn "exists"; args = [ C.Var wb.C.bvar ] });
+                  then_ = gexpr;
+                  else_ = C.Empty } }
+      in
+      Some (merged, right_lets @ (let_item :: group :: rest), return_)
+    end
 
-and try_merge_join st db caps acc r1 pending kind right on_ export rest return_ =
+(* A same-database join of [r1] with the join's right side, or [None].
+   Returns the merged region, the clauses after it (before the pending
+   lets are put back) and the return. *)
+let try_merge_join st db caps acc r1 kind right on_ export rest return_ =
   match right with
   | [ C.Rel r2 ] | [ C.Rel r2; C.Let _ ] -> (
     let right_lets =
@@ -658,136 +631,19 @@ and try_merge_join st db caps acc r1 pending kind right on_ export rest return_ 
       match try_translate env on_ with
       | None -> None
       | Some on_sql -> (
-        let merged = merge_join st caps kind r1 r2_shifted on_sql in
+        let merged = merge_join kind r1 r2_shifted on_sql in
         let merged =
           { merged with C.sql_params = merged.C.sql_params @ !(env.params) }
         in
         match export with
-        | C.Bindings ->
-          Some
-            (merge_regions_resume st acc merged
-               (pending @ right_lets)
-               rest return_)
+        | C.Bindings -> Some (merged, right_lets @ rest, return_)
         | C.Grouped { gvar; gexpr } ->
-          merge_grouped_join st db caps acc merged r1 r2 pending right_lets gvar
-            gexpr rest return_))
+          merge_grouped_join st merged r1 r2 right_lets gvar gexpr rest return_))
   | _ -> None
 
-(* Grouped (outer-join + group-by) merge: the SQL is the flat outer join;
-   the middleware re-groups adjacent rows per left tuple with the
-   pre-clustered streaming operator (§4.2, §5.2). When the group variable
-   is used only under count(), the aggregation itself is pushed and the
-   SQL matches pattern (g). *)
-and merge_grouped_join st db caps acc merged r1 r2 pending right_lets gvar gexpr
-    rest return_ =
-  ignore db;
-  ignore caps;
-  (* a non-null column of the right side witnesses a real match *)
-  let witness =
-    List.find_opt
-      (fun b ->
-        match
-          List.find_opt
-            (fun (e, alias) -> alias = b.C.bcol && (match e with Sql.Col _ -> true | _ -> false))
-            r2.C.select.Sql.projections
-        with
-        | Some _ -> true
-        | None -> false)
-      r2.C.binds
-  in
-  match witness with
-  | None -> None
-  | Some wb ->
-    (* Special case: gvar used once as count($gvar) and gexpr is the row
-       reconstruction (or any per-match value) -> push COUNT (pattern g). *)
-    let count_only =
-      uses_in gvar rest return_ = 1
-      &&
-      let found = ref false in
-      let rec find e =
-        (match e with
-        | C.Call { fn; args = [ C.Var v ] }
-          when v = gvar && Qname.equal fn (Names.fn "count") ->
-          found := true
-        | _ -> ());
-        ignore (C.map_children (fun c -> find c; c) e)
-      in
-      List.iter
-        (fun c -> ignore (C.map_clause (fun e -> find e; e) c))
-        rest;
-      find return_;
-      !found
-    in
-    if count_only then begin
-      (* GROUP BY the left columns, COUNT the right witness column *)
-      let left_cols = r1.C.select.Sql.projections in
-      let cnt_alias = fresh st "agg" in
-      let cnt_var = fresh_var st gvar in
-      let select =
-        { merged.C.select with
-          Sql.projections =
-            left_cols
-            @ [ ( Sql.Agg
-                    ( Sql.Count,
-                      Sql.All,
-                      (let proj =
-                         List.assoc wb.C.bcol
-                           (List.map (fun (e, a) -> (a, e)) r2.C.select.Sql.projections)
-                       in
-                       proj) ),
-                  cnt_alias ) ];
-          group_by = List.map fst left_cols }
-      in
-      let merged' =
-        { merged with
-          C.select;
-          binds =
-            r1.C.binds
-            @ [ { C.bvar = cnt_var; btype = Atomic.T_integer; bcol = cnt_alias } ] }
-      in
-      (* replace count($gvar) with the new bind downstream *)
-      let rec replace e =
-        match e with
-        | C.Call { fn; args = [ C.Var v ] }
-          when v = gvar && Qname.equal fn (Names.fn "count") ->
-          C.Var cnt_var
-        | e -> C.map_children replace e
-      in
-      let rest = List.map (C.map_clause replace) rest in
-      let return_ = replace return_ in
-      Some (merge_regions_resume st acc merged' pending rest return_)
-    end
-    else begin
-      (* keep the flat SQL; regroup adjacent rows on the left columns with
-         the streaming group operator *)
-      let gitem = fresh_var st gvar in
-      let left_keys =
-        List.map (fun b -> (C.Var b.C.bvar, b.C.bvar)) r1.C.binds
-      in
-      let group =
-        C.Group
-          { clustered = true;
-            aggs = [ (gitem, gvar) ];
-            keys = left_keys }
-      in
-      let let_item =
-        C.Let
-          { var = gitem;
-            value =
-              C.If
-                { cond = C.Ebv (C.Call { fn = Names.fn "exists"; args = [ C.Var wb.C.bvar ] });
-                  then_ = gexpr;
-                  else_ = C.Empty } }
-      in
-      Some
-        (merge_regions_resume st acc merged
-           (pending @ right_lets)
-           ((let_item :: [ group ]) @ rest)
-           return_)
-    end
-
-(* FLWGOR group-by over a region: patterns (e) and (f). *)
-and try_merge_group st db caps acc r pending aggs keys rest return_ =
+(* FLWGOR group-by over a region: patterns (e) and (f). Returns the
+   grouped region, the clauses after it and the return. *)
+let try_merge_group st db caps acc r aggs keys rest return_ =
   let blocked =
     C.clause_vars (List.rev acc) @ List.map (fun b -> b.C.bvar) r.C.binds
   in
@@ -798,26 +654,13 @@ and try_merge_group st db caps acc r pending aggs keys rest return_ =
   if not (List.for_all (fun (t, _) -> t <> None) translated_keys) then None
   else if not (simple_select r.C.select) then None
   else begin
-    (* row variables the aggregated inputs refer to (the Lets in pending) *)
-    let agg_rows =
-      List.filter_map
-        (fun (v_in, v_out) ->
-          let recon =
-            List.find_map
-              (function
-                | C.Let { var; value } when var = v_in -> Some value
-                | _ -> None)
-              pending
-          in
-          Some (v_in, v_out, recon))
-        aggs
-    in
+    let aggregated v = List.exists (fun (_, out) -> out = v) aggs in
     (* Collect downstream aggregate uses of each agg output var.
        Supported shapes: count($p), sum/min/max/avg over a field of $p. *)
     let replacements = ref [] in
     let extra_projs = ref [] in
     let ok = ref true in
-    let field_col _v name =
+    let field_col name =
       (* $p's rows come from the region: field -> underlying column expr *)
       List.find_map
         (fun (e, _) ->
@@ -829,25 +672,21 @@ and try_merge_group st db caps acc r pending aggs keys rest return_ =
     let rec scan e =
       match e with
       | C.Call { fn; args = [ C.Var v ] }
-        when List.exists (fun (_, out, _) -> out = v) agg_rows
-             && Qname.equal fn (Names.fn "count") ->
+        when aggregated v && Qname.equal fn (Names.fn "count") ->
         let alias = fresh st "agg" in
         let bv = fresh_var st "cnt" in
         extra_projs := (Sql.Count_star, alias, bv, Atomic.T_integer) :: !extra_projs;
-        replacements := (e, C.Var bv) :: !replacements;
-        e
+        replacements := (e, C.Var bv) :: !replacements
       | C.Call { fn; args = [ arg ] } when Fn_lib.is_aggregate fn -> (
         let target =
           match arg with
           | C.Data (C.Child (C.Var v, name)) | C.Child (C.Var v, name) ->
-            if List.exists (fun (_, out, _) -> out = v) agg_rows then
-              Some name
-            else None
+            if aggregated v then Some name else None
           | _ -> None
         in
         match target with
         | Some name -> (
-          match field_col "" name with
+          match field_col name with
           | Some col ->
             let kind =
               if Qname.equal fn (Names.fn "count") then Sql.Count
@@ -863,24 +702,16 @@ and try_merge_group st db caps acc r pending aggs keys rest return_ =
             in
             extra_projs :=
               (Sql.Agg (kind, Sql.All, col), alias, bv, ty) :: !extra_projs;
-            replacements := (e, C.Var bv) :: !replacements;
-            e
-          | None ->
-            ok := false;
-            e)
-        | None ->
-          ignore (C.map_children (fun c -> scan c) e);
-          e)
-      | C.Var v when List.exists (fun (_, out, _) -> out = v) agg_rows ->
+            replacements := (e, C.Var bv) :: !replacements
+          | None -> ok := false)
+        | None -> ignore (C.map_children (fun c -> scan c; c) e))
+      | C.Var v when aggregated v ->
         (* raw use of an aggregated variable blocks the push *)
-        ok := false;
-        e
-      | e ->
-        ignore (C.map_children scan e);
-        e
+        ok := false
+      | e -> ignore (C.map_children (fun c -> scan c; c) e)
     in
-    List.iter (fun c -> ignore (C.map_clause (fun e -> ignore (scan e); e) c)) rest;
-    ignore (scan return_);
+    List.iter (fun c -> ignore (C.map_clause (fun e -> scan e; e) c)) rest;
+    scan return_;
     if not !ok then None
     else begin
       let key_cols =
@@ -934,82 +765,167 @@ and try_merge_group st db caps acc r pending aggs keys rest return_ =
         in
         go e
       in
-      let rest = List.map (C.map_clause apply_replacements) rest in
-      let return_ = apply_replacements return_ in
-      Some (merge_regions_resume st acc merged [] rest return_)
+      Some
+        ( merged,
+          List.map (C.map_clause apply_replacements) rest,
+          apply_replacements return_ )
     end
   end
 
-and merge_regions_resume _st acc merged pending rest return_ =
-  (* rebuild the clause list; the caller's fixpoint resumes merging *)
-  (List.rev_append acc ((C.Rel merged :: pending) @ rest), return_)
+(* Grow SQL regions along one clause list.
 
-(* push translatable scalar computations of the return into the SELECT *)
-and push_projections st r return_ clauses outer_vars =
-  match Metadata.find_database st.registry r.C.db with
-  | None -> (r, return_, clauses)
-  | Some db ->
-    let caps = Sql_print.capabilities db.Database.vendor in
-    if not (simple_select r.C.select) then (r, return_, clauses)
-    else begin
-      let blocked = outer_vars @ List.map (fun b -> b.C.bvar) r.C.binds in
-      let r_ref = ref r in
-      let pushable_shape e =
-        match e with
-        | C.If _ -> caps.Sql_print.supports_case
-        | C.Call { fn; args } -> (
-          Qname.equal fn (Names.fn "concat")
-          ||
-          match Fn_lib.find fn (List.length args) with
-          | Some { Fn_lib.translation = Fn_lib.Sql_function _; _ } -> true
-          | _ -> false)
-        | C.Binop ((C.Add | C.Sub | C.Mul | C.Div), _, _) -> true
-        | _ -> false
+   Parameter expressions may reference only variables from *outer* scopes
+   (function parameters, enclosing FLWORs): those are present in the tuple
+   environment when the region executes. Variables bound by this clause
+   list (including the region's own binds) are blocked. *)
+let grow_regions st clauses return_ =
+  let caps_of db_name =
+    match Metadata.find_database st.registry db_name with
+    | Some db -> Some (db, Sql_print.capabilities db.Database.vendor)
+    | None -> None
+  in
+  let all_clause_vars = ref (C.clause_vars clauses) in
+  let rec grow acc clauses return_ =
+    match clauses with
+    | [] -> (List.rev acc, return_)
+    | C.Rel r :: rest -> absorb acc r [] rest return_
+    | c :: rest -> grow (c :: acc) rest return_
+  (* try to absorb following clauses into region r; [pending] holds
+     row-reconstruction lets that sit between the region and the clause
+     being absorbed and are re-emitted after it, in source order *)
+  and absorb acc r pending clauses return_ =
+    match caps_of r.C.db with
+    | None -> grow (C.Rel r :: acc) clauses return_
+    | Some (db, caps) -> (
+      let blocked =
+        !all_clause_vars @ List.map (fun b -> b.C.bvar) r.C.binds
       in
-      let rec walk e =
-        if pushable_shape e then begin
-          let env = cols_env_of_rel st db caps blocked !r_ref in
-          let env = { env with param_base = Sql.param_count (Sql.Query (!r_ref).C.select) } in
-          (* only worthwhile when the expression actually reads region
-             columns *)
-          let reads_region =
-            let fv = C.free_vars e () in
-            List.exists (fun b -> Hashtbl.mem fv b.C.bvar) (!r_ref).C.binds
+      let env () = cols_env_of_rel st db caps blocked r in
+      (* pending simple lets ($x := $bind / const) are seen through when
+         translating downstream clauses *)
+      let psub =
+        List.filter_map
+          (function
+            | C.Let { var; value = (C.Var _ | C.Const _) as v } -> Some (var, v)
+            | _ -> None)
+          pending
+      in
+      let through e = C.substitute psub e in
+      match clauses with
+      | C.Where w :: rest -> (
+        let env = env () in
+        match try_translate env (through w) with
+        | Some sql_pred ->
+          let r' =
+            { r with
+              C.select =
+                { r.C.select with
+                  Sql.where =
+                    (match r.C.select.Sql.where with
+                    | None -> Some sql_pred
+                    | Some old -> Some (Sql.Binop (Sql.And, old, sql_pred))) };
+              sql_params = r.C.sql_params @ !(env.params) }
           in
-          if not reads_region then C.map_children walk e
-          else
-            match try_translate env e with
-            | Some sql ->
-              let alias = fresh st "c" in
-              let bv = fresh_var st "proj" in
-              r_ref :=
-                { !r_ref with
-                  C.select =
-                    { (!r_ref).C.select with
-                      Sql.projections =
-                        (!r_ref).C.select.Sql.projections @ [ (sql, alias) ] };
-                  sql_params = (!r_ref).C.sql_params @ !(env.params);
-                  binds =
-                    (!r_ref).C.binds
-                    @ [ { C.bvar = bv; btype = Atomic.T_untyped; bcol = alias } ] };
-              C.Var bv
-            | None -> C.map_children walk e
-        end
-        else
-          match e with
-          | C.Flwor _ -> e  (* do not cross binder scopes *)
-          | e -> C.map_children walk e
-      in
-      let return' = walk return_ in
-      (!r_ref, return', clauses)
-    end
+          absorb acc r' pending rest return_
+        | None -> finish acc r pending clauses return_)
+      | (C.Let { var = _; value = (C.Elem _ | C.Var _ | C.Const _) } as l)
+        :: rest ->
+        (* row reconstruction or other pure cheap value: slide past it *)
+        absorb acc r (pending @ [ l ]) rest return_
+      | C.Join { kind; right; on_; export; _ } :: rest -> (
+        match
+          try_merge_join st db caps acc r kind right (through on_) export rest
+            return_
+        with
+        | Some (merged, after, return_) ->
+          merged_into acc merged (pending @ after) return_
+        | None -> commute acc r db caps pending through [] clauses return_)
+      | C.Group { aggs; keys; clustered = false } :: rest -> (
+        let keys = List.map (fun (e, v) -> (through e, v)) keys in
+        match try_merge_group st db caps acc r aggs keys rest return_ with
+        | Some (merged, after, return_) -> merged_into acc merged after return_
+        | None -> finish acc r pending clauses return_)
+      | C.Order { keys } :: rest -> (
+        let env = env () in
+        let translated =
+          List.map (fun (e, desc) -> (try_translate env (through e), desc)) keys
+        in
+        if List.for_all (fun (t, _) -> t <> None) translated then
+          let r' =
+            { r with
+              C.select =
+                { r.C.select with
+                  Sql.order_by =
+                    List.map
+                      (fun (t, desc) ->
+                        { Sql.sort_expr = Option.get t; descending = desc })
+                      translated };
+              sql_params = r.C.sql_params @ !(env.params) }
+          in
+          absorb acc r' pending rest return_
+        else finish acc r pending clauses return_)
+      | _ -> commute acc r db caps pending through [] clauses return_)
+  (* A merge leaves the merged region followed by the clauses it hands
+     back (pending lets first); the region goes on absorbing them, so an
+     ORDER BY or WHERE after a join or group-by lands in the same
+     statement. The clause list has changed, so its bound variables are
+     recomputed. *)
+  and merged_into acc merged clauses return_ =
+    all_clause_vars := C.clause_vars (List.rev_append acc (C.Rel merged :: clauses));
+    absorb acc merged [] clauses return_
+  (* A grouped left outer join emits exactly one tuple per left tuple, so
+     two of them commute, and one commutes with a let, when neither reads
+     a variable the other binds. [skipped] (source order) holds such
+     clauses between the region and the next candidate; a same-database
+     grouped join that commutes with all of them moves up next to the
+     region and merges there. Wheres, inner joins, fors, groups and
+     orders filter, multiply or reorder tuples and end the search. *)
+  and commute acc r db caps pending through skipped clauses return_ =
+    match clauses with
+    | (C.Let _ as c) :: rest ->
+      commute acc r db caps pending through (skipped @ [ c ]) rest return_
+    | (C.Join
+         { kind = C.J_left_outer as kind;
+           right;
+           on_;
+           export = C.Grouped _ as export;
+           _ } as j)
+      :: rest -> (
+      (* with nothing skipped, [absorb] has just tried this join in place;
+         a failed attempt may have drawn fresh names, which are given back
+         so that plans that do not merge stay as they were *)
+      let movable = skipped <> [] && List.for_all (independent j) skipped in
+      let saved = !(st.counter) in
+      match
+        if movable then
+          try_merge_join st db caps acc r kind right (through on_) export
+            (skipped @ rest) return_
+        else None
+      with
+      | Some (merged, after, return_) ->
+        merged_into acc merged (pending @ after) return_
+      | None ->
+        st.counter := saved;
+        commute acc r db caps pending through (skipped @ [ j ]) rest return_)
+    | _ -> finish acc r pending (skipped @ clauses) return_
+  and finish acc r pending clauses return_ =
+    (* computed-scalar projection: push translatable scalar subexpressions
+       of the return into the region's SELECT list (pattern d etc.) *)
+    let r, return_ =
+      push_projections st r return_ (C.clause_vars (List.rev acc))
+    in
+    grow (List.rev_append (C.Rel r :: pending) acc) clauses return_
+  in
+  grow [] clauses return_
 
-(* Phase C: drop binds (and their projections) that nothing references.
-   A join's right side is pruned too: its readers are the later right
+(* ------------------------------------------------------------------ *)
+(* Phase C: drop binds (and their projections) that nothing references *)
+
+(* A join's right side is pruned too: its readers are the later right
    clauses, the ON predicate, a grouped export and everything after the
    join. [read_later v]: something after the clause list reads [v]. *)
-and prune_binds _st clauses return_ =
-  let reads v clauses e = uses_in v clauses e > 0 in
+let prune_binds clauses return_ =
+  let reads v clauses e = C.count_uses v clauses e > 0 in
   let rec prune ~read_later before = function
     | [] -> List.rev before
     | C.Rel r :: rest ->
@@ -1018,7 +934,7 @@ and prune_binds _st clauses return_ =
         prune ~read_later (C.Rel r :: before) rest
       else begin
         let used b = reads b.C.bvar rest C.Empty || read_later b.C.bvar in
-        let keep, _drop = List.partition used r.C.binds in
+        let keep = List.filter used r.C.binds in
         let keep_cols = List.map (fun b -> b.C.bcol) keep in
         let projections =
           List.filter
@@ -1104,34 +1020,29 @@ let parameterized r on_ right_vars =
    inner region whole. A vetoed join keeps its unparameterized [Rel]
    right side — the same plan shape produced when no key is translatable
    — so the executor path is unchanged and results are byte-identical. *)
-let rec parameterize_joins ~gate st e =
-  let e = C.map_children (parameterize_joins ~gate st) e in
-  match e with
-  | C.Flwor { clauses; return_ } ->
-    let rec fix before = function
-      | [] -> []
-      | (C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
-         as c)
-        :: rest
-        when r.C.sql_params = [] ->
-        let c =
-          match parameterized r on_ (C.clause_vars (C.Rel r :: right_rest)) with
-          | Some r' when gate ~outer:(List.rev before) ~whole:r r' ->
-            C.Join
-              { kind; method_; right = C.Rel r' :: right_rest; on_; export }
-          | _ -> c
-        in
-        c :: fix (c :: before) rest
-      | c :: rest -> c :: fix (c :: before) rest
-    in
-    C.Flwor { clauses = fix [] clauses; return_ }
-  | e -> e
+let parameterize_joins ~gate clauses =
+  let rec fix before = function
+    | [] -> []
+    | (C.Join { kind; method_; right = C.Rel r :: right_rest; on_; export }
+       as c)
+      :: rest
+      when r.C.sql_params = [] ->
+      let c =
+        match parameterized r on_ (C.clause_vars (C.Rel r :: right_rest)) with
+        | Some r' when gate ~outer:(List.rev before) ~whole:r r' ->
+          C.Join
+            { kind; method_; right = C.Rel r' :: right_rest; on_; export }
+        | _ -> c
+      in
+      c :: fix (c :: before) rest
+    | c :: rest -> c :: fix (c :: before) rest
+  in
+  fix [] clauses
 
 (* ------------------------------------------------------------------ *)
 (* Window pushdown: subsequence over a pushed ordered region            *)
 
-let rec push_windows st e =
-  let e = C.map_children (push_windows st) e in
+let push_window st e =
   match e with
   | C.Call
       { fn;
@@ -1160,16 +1071,25 @@ let rec push_windows st e =
   | e -> e
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
+(* Entry points                                                        *)
+
+(* One bottom-up walk: each FLWOR is pushed after the expressions inside
+   it, each call after its arguments. *)
+let rec push_expr ~gate st e =
+  match C.map_children (push_expr ~gate st) e with
+  | C.Flwor { clauses; return_ } ->
+    let clauses, return_ = convert_scans st clauses return_ in
+    let clauses, return_ = grow_regions st clauses return_ in
+    let clauses, return_ = prune_binds clauses return_ in
+    C.Flwor { clauses = parameterize_joins ~gate clauses; return_ }
+  | e -> push_window st e
 
 let push ?(gate = fun ~outer:_ ~whole:_ _ -> true) registry e =
-  let st = { registry; counter = ref 0 } in
-  let rec fixpoint n e =
-    if n = 0 then e
-    else
-      let e' = push_expr st e in
-      if C.equal e' e then e else fixpoint (n - 1) e'
-  in
-  let e = fixpoint 6 e in
-  let e = parameterize_joins ~gate st e in
-  push_windows st e
+  push_expr ~gate { registry; counter = ref 0 } e
+
+let rec prune e =
+  match C.map_children prune e with
+  | C.Flwor { clauses; return_ } ->
+    let clauses, return_ = prune_binds clauses return_ in
+    C.Flwor { clauses; return_ }
+  | e -> e

@@ -29,6 +29,13 @@
     parameters bound from left-tuple values — the access path the PP-k
     method batches in blocks of k (§4.2).
 
+    {!push} is one bottom-up walk: each FLWOR goes through scan
+    conversion, region growth, bind pruning and join parameterization
+    after the expressions inside it, and a [fn:subsequence] call gets its
+    window after its arguments. A merge hands its region back to region
+    growth, which goes on absorbing the clauses after it, so no phase is
+    rerun.
+
     Pushdown aggressiveness is vendor-dependent: the dialect capabilities
     of {!Aldsp_relational.Sql_print.capabilities} gate CASE, concatenation
     and windows, with "base SQL92" the conservative fallback. *)
@@ -51,3 +58,10 @@ val push :
     its unparameterized right side — the same (fully tested) plan shape
     produced when no equi key translates to a column — so gating never
     changes results. *)
+
+val prune : Cexpr.t -> Cexpr.t
+(** Drops every pushed region's binds, and their SELECT columns, that
+    nothing after the region reads. {!push} ends each FLWOR with this
+    step; the server runs it again after {!Optimizer.cleanup} has removed
+    the row-reconstruction lets nothing reads, so the columns only those
+    lets read stop being fetched. *)

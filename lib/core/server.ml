@@ -176,12 +176,14 @@ let rec compile_core t opts ~diag ~vars core =
   let optimized, _stats = Optimizer.optimize optimizer typed in
   let do_push = opts.Optimizer.pushdown in
   let gate = Optimizer.parameterize_gate optimizer in
-  let push e = if do_push then Pushdown.push ~gate t.registry e else e in
-  let pushed = push optimized in
+  let pushed =
+    if do_push then Pushdown.push ~gate t.registry optimized else optimized
+  in
   let cleaned = Optimizer.cleanup optimizer pushed in
-  (* a second pass prunes columns whose only consumer the cleanup
-     removed (source-access elimination, §4.2) *)
-  let pushed = push cleaned in
+  (* cleanup drops the row-reconstruction lets nothing reads; pruning
+     again drops the columns only they read (source-access elimination,
+     §4.2) *)
+  let pushed = if do_push then Pushdown.prune cleaned else cleaned in
   let plan = Optimizer.select_methods optimizer pushed in
   (static_type, plan, Plan_ir.compile t.registry plan)
 

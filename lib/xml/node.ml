@@ -151,5 +151,3 @@ let serialize ?(indent = false) node =
   in
   go 0 true node;
   Buffer.contents buf
-
-let pp ppf node = Format.pp_print_string ppf (serialize node)

@@ -60,5 +60,3 @@ val atomic_into : Buffer.t -> Atomic.t -> unit
 
 val serialize : ?indent:bool -> t -> string
 (** XML serialization. Typed leaves are emitted in their lexical form. *)
-
-val pp : Format.formatter -> t -> unit

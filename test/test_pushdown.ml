@@ -53,9 +53,34 @@ let sql_of demo q =
 (* ------------------------------------------------------------------ *)
 (* Patterns of Tables 1 and 2                                          *)
 
+let t1a = "for $c in CUSTOMER() where $c/CID eq \"CUST0001\" return $c/FIRST_NAME"
+
+let t1b =
+  "for $c in CUSTOMER(), $o in ORDER_T() where $c/CID eq $o/CID return <CO>{$c/CID, $o/OID}</CO>"
+
+let t1c =
+  "for $c in CUSTOMER() return <CUSTOMER>{$c/CID, for $o in ORDER_T() where $c/CID eq $o/CID return $o/OID}</CUSTOMER>"
+
+let t1d =
+  "for $c in CUSTOMER() return <C>{data(if ($c/CID eq \"CUST0001\") then $c/LAST_NAME else $c/SSN)}</C>"
+
+let t1e =
+  "for $c in CUSTOMER() group $c as $p by $c/LAST_NAME as $l return <G>{$l, count($p)}</G>"
+
+let t1f = "for $c in CUSTOMER() group by $c/LAST_NAME as $l return $l"
+
+let t2g =
+  "for $c in CUSTOMER() return <C>{$c/CID, <N>{count(for $o in ORDER_T() where $o/CID eq $c/CID return $o)}</N>}</C>"
+
+let t2h =
+  "for $c in CUSTOMER() where some $o in ORDER_T() satisfies $c/CID eq $o/CID return $c/CID"
+
+let t2i =
+  "let $cs := for $c in CUSTOMER() let $oc := count(for $o in ORDER_T() where $c/CID eq $o/CID return $o) order by $oc descending return <C>{data($c/CID), $oc}</C> return subsequence($cs, 2, 3)"
+
 let test_t1a_select_project () =
   let demo = setup () in
-  let q = "for $c in CUSTOMER() where $c/CID eq \"CUST0001\" return $c/FIRST_NAME" in
+  let q = t1a in
   let sql = sql_of demo q in
   check_bool "where pushed" true (contains sql "WHERE t");
   check_bool "literal" true (contains sql "'CUST0001'");
@@ -63,9 +88,7 @@ let test_t1a_select_project () =
 
 let test_t1b_inner_join () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER(), $o in ORDER_T() where $c/CID eq $o/CID return <CO>{$c/CID, $o/OID}</CO>"
-  in
+  let q = t1b in
   let sql = sql_of demo q in
   check_bool "join" true (contains sql "JOIN \"ORDER_T\"");
   check_bool "not outer" false (contains sql "LEFT OUTER JOIN");
@@ -73,27 +96,21 @@ let test_t1b_inner_join () =
 
 let test_t1c_outer_join () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER() return <CUSTOMER>{$c/CID, for $o in ORDER_T() where $c/CID eq $o/CID return $o/OID}</CUSTOMER>"
-  in
+  let q = t1c in
   let sql = sql_of demo q in
   check_bool "left outer join" true (contains sql "LEFT OUTER JOIN \"ORDER_T\"");
   assert_equivalent demo q
 
 let test_t1d_if_then_else_case () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER() return <C>{data(if ($c/CID eq \"CUST0001\") then $c/LAST_NAME else $c/SSN)}</C>"
-  in
+  let q = t1d in
   let sql = sql_of demo q in
   check_bool "CASE pushed" true (contains sql "CASE WHEN");
   assert_equivalent demo q
 
 let test_t1e_group_by_aggregation () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER() group $c as $p by $c/LAST_NAME as $l return <G>{$l, count($p)}</G>"
-  in
+  let q = t1e in
   let sql = sql_of demo q in
   check_bool "GROUP BY" true (contains sql "GROUP BY t");
   check_bool "COUNT(*)" true (contains sql "COUNT(*)");
@@ -101,16 +118,14 @@ let test_t1e_group_by_aggregation () =
 
 let test_t1f_distinct () =
   let demo = setup () in
-  let q = "for $c in CUSTOMER() group by $c/LAST_NAME as $l return $l" in
+  let q = t1f in
   let sql = sql_of demo q in
   check_bool "DISTINCT" true (contains sql "SELECT DISTINCT");
   assert_equivalent demo q
 
 let test_t2g_outer_join_aggregation () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER() return <C>{$c/CID, <N>{count(for $o in ORDER_T() where $o/CID eq $c/CID return $o)}</N>}</C>"
-  in
+  let q = t2g in
   let sql = sql_of demo q in
   check_bool "outer join" true (contains sql "LEFT OUTER JOIN");
   check_bool "count of right col" true (contains sql "COUNT(t");
@@ -119,18 +134,14 @@ let test_t2g_outer_join_aggregation () =
 
 let test_t2h_exists_semijoin () =
   let demo = setup () in
-  let q =
-    "for $c in CUSTOMER() where some $o in ORDER_T() satisfies $c/CID eq $o/CID return $c/CID"
-  in
+  let q = t2h in
   let sql = sql_of demo q in
   check_bool "EXISTS" true (contains sql "EXISTS(SELECT 1");
   assert_equivalent demo q
 
 let test_t2i_subsequence_window () =
   let demo = setup () in
-  let q =
-    "let $cs := for $c in CUSTOMER() let $oc := count(for $o in ORDER_T() where $c/CID eq $o/CID return $o) order by $oc descending return <C>{data($c/CID), $oc}</C> return subsequence($cs, 2, 3)"
-  in
+  let q = t2i in
   let sql = sql_of demo q in
   (* CustomerDB is Oracle in the demo: ROWNUM wrapper *)
   check_bool "ROWNUM" true (contains sql "ROWNUM");
@@ -343,6 +354,67 @@ let test_commute_blocked () =
         "for $c in CUSTOMER(), $k in CREDIT_CARD() where $k/CID eq $c/CID \
          and $c/CID eq \"CUST0002\" return <P>{$k/NUM}" ^ orders ^ "</P>" ) ]
 
+(* ------------------------------------------------------------------ *)
+(* One walk: a merge goes on absorbing, and nothing is left to push     *)
+
+(* [q]'s core through normalization, typing and [Optimizer.optimize], and
+   the optimizer that made it *)
+let optimized registry q =
+  let diag = Diag.collector Diag.Fail_fast in
+  let ctx = Normalize.context ~schema_lookup:(Metadata.find_schema registry) diag in
+  let core = Normalize.expr ctx (ok_exn (Xq_parser.parse_expr q)) in
+  let _, typed = Typecheck.check (Typecheck.env registry diag) core in
+  let opt = Optimizer.create registry in
+  (opt, fst (Optimizer.optimize opt typed))
+
+let push_is_idempotent registry q =
+  let opt, core = optimized registry q in
+  let push = Pushdown.push ~gate:(Optimizer.parameterize_gate opt) registry in
+  let once = push core in
+  if not (Cexpr.equal (push once) once) then
+    Alcotest.failf "pushing %s again changed its plan:\n%s" q
+      (Cexpr.to_string once)
+
+let test_push_idempotent () =
+  let demo = setup () in
+  List.iter
+    (push_is_idempotent demo.Aldsp_demo.Demo.registry)
+    [ t1a; t1b; t1c; t1d; t1e; t1f; t2g; t2h; t2i ];
+  for index = 0 to 199 do
+    let s = Aldsp_check.Harness.scenario_of ~seed:42 ~index in
+    let catalog = Aldsp_check.Catalog.build s.Aldsp_check.Shrink.spec in
+    push_is_idempotent catalog.Aldsp_check.Catalog.registry
+      (Aldsp_check.Gen.render s.Aldsp_check.Shrink.query)
+  done
+
+(* An ORDER BY after a join, a group-by or a grouped count lands in the
+   merged statement: one region carrying it, no middleware sort. *)
+let test_order_by_after_merge () =
+  let demo = setup () in
+  List.iter
+    (fun (shape, q) ->
+      let text = ok_exn (Server.explain ~analyze:false demo.Aldsp_demo.Demo.server q) in
+      let lines = String.split_on_char '\n' text in
+      let starting prefix =
+        List.length
+          (List.filter
+             (fun l -> String.starts_with ~prefix (String.trim l))
+             lines)
+      in
+      check_int (shape ^ ": one statement") 1 (starting "sql[");
+      check_int (shape ^ ": no middleware sort") 0 (starting "sort ");
+      check_bool (shape ^ ": ORDER BY in the SQL") true (contains text " ORDER BY "))
+    [ ( "join",
+        "for $c in CUSTOMER(), $o in ORDER_T() where $c/CID eq $o/CID order by \
+         $o/OID return <CO>{$c/CID, $o/OID}</CO>" );
+      ( "group-by",
+        "for $c in CUSTOMER() group $c as $p by $c/LAST_NAME as $l order by $l \
+         return <G>{$l, count($p)}</G>" );
+      ( "grouped count",
+        "for $c in CUSTOMER() let $oc := count(for $o in ORDER_T() where \
+         $c/CID eq $o/CID return $o) order by $oc return <C>{data($c/CID), \
+         $oc}</C>" ) ]
+
 (* Property: pushdown preserves results across a family of queries with a
    random filter literal. *)
 let prop_pushdown_equivalence =
@@ -385,4 +457,6 @@ let () =
           t "profile lookup merges ORDER_T" test_profile_lookup_merges_orders;
           t "sibling nesting order irrelevant" test_sibling_order_irrelevant;
           t "commute blocked" test_commute_blocked;
+          t "push is idempotent" test_push_idempotent;
+          t "ORDER BY after a merge" test_order_by_after_merge;
           QCheck_alcotest.to_alcotest prop_pushdown_equivalence ] ) ]

@@ -614,6 +614,46 @@ let test_function_cache_invalidate () =
     check_bool "getAx kept" true (Item.equal_sequence v [ Item.integer 2 ])
   | None -> Alcotest.fail "invalidate get_x dropped getAx's entry"
 
+(* A key keeps each argument's item boundaries and atomic types: after
+   [countAll(("a", "b"))] the call [countAll("a b")] is a miss, not the
+   cached 2; [1] and ["1"], and two arguments against one argument of
+   two items, are distinct entries too. *)
+let test_function_cache_key_boundaries () =
+  let cache = make_cache () in
+  let demo = setup ~customers:1 ~function_cache:cache () in
+  let server = demo.Aldsp_demo.Demo.server in
+  (match
+     Server.register_data_service server ~name:"CountDS"
+       {|declare function countAll($s as xs:string*) as xs:integer { fn:count($s) };|}
+   with
+  | Ok () -> ()
+  | Error ds ->
+    Alcotest.failf "register: %s" (String.concat "; " (List.map Diag.to_string ds)));
+  let name =
+    (List.find
+       (fun fd -> fd.Metadata.fd_name.Qname.local = "countAll")
+       (Metadata.functions demo.Aldsp_demo.Demo.registry))
+      .Metadata.fd_name
+  in
+  Metadata.set_cacheable demo.Aldsp_demo.Demo.registry name true;
+  Function_cache.enable cache name ~ttl_seconds:60.;
+  let count args = Item.serialize (ok_exn (Server.call server name [ args ])) in
+  Alcotest.(check string) "two items" "2" (count [ Item.string "a"; Item.string "b" ]);
+  Alcotest.(check string) "one item with a space" "1" (count [ Item.string "a b" ]);
+  check_int "no hit" 0 (Function_cache.hits cache);
+  check_int "two misses" 2 (Function_cache.misses cache);
+  let f = Qname.make ~uri:"fn" "f" in
+  Function_cache.store cache f [ [ Item.integer 1 ] ] [ Item.integer 1 ];
+  Function_cache.store cache f [ [ Item.string "x" ]; [ Item.string "y" ] ]
+    [ Item.integer 2 ];
+  check_bool "an integer key does not answer a string" true
+    (Function_cache.lookup cache f [ [ Item.string "1" ] ] = None);
+  check_bool "two arguments do not answer one of two items" true
+    (Function_cache.lookup cache f [ [ Item.string "x"; Item.string "y" ] ]
+     = None);
+  check_bool "the stored key still hits" true
+    (Function_cache.lookup cache f [ [ Item.integer 1 ] ] <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                          *)
 
@@ -995,7 +1035,9 @@ let () =
         [ t "hit/miss/ttl" test_function_cache_hits;
           t "designer permission" test_function_cache_requires_designer_permission;
           t "args distinguish" test_function_cache_args_distinguish;
-          t "invalidate one function" test_function_cache_invalidate ] );
+          t "invalidate one function" test_function_cache_invalidate;
+          t "keys keep item boundaries and types"
+            test_function_cache_key_boundaries ] );
       ( "plan-cache",
         [ t "server reuses plans" test_plan_cache; t "LRU" test_plan_cache_lru ] );
       ( "security",
