@@ -2,6 +2,7 @@ open Aldsp_xml
 open Aldsp_relational
 open Aldsp_services
 open Aldsp_core
+module Demo = Aldsp_demo.Demo
 module V = Sql_value
 
 type spec = {
@@ -41,10 +42,7 @@ let vendor_of_string = function
   | "sql92" -> Some Database.Generic_sql92
   | _ -> None
 
-let last_names =
-  [| "Jones"; "Smith"; "Chen"; "Garcia"; "Okafor"; "Patel"; "Kim"; "Novak" |]
-
-let first_names = [| "Ann"; "Bob"; "Carla"; "Dev"; "Elena"; "Farid" |]
+let pick st names = names.(Random.State.int st (Array.length names))
 
 let region_names = [| "North"; "South"; "East"; "West"; "Centre"; "Rim" |]
 
@@ -54,7 +52,7 @@ let region_names = [| "North"; "South"; "East"; "West"; "Centre"; "Rim" |]
 let generate st ~seed =
   { seed;
     main_vendor = vendors.(abs seed mod Array.length vendors);
-    card_vendor = vendors.(Random.State.int st (Array.length vendors));
+    card_vendor = pick st vendors;
     customers = 1 + Random.State.int st 9;
     orders_per_customer = Random.State.int st 4;
     cards_per_customer = Random.State.int st 3;
@@ -78,37 +76,6 @@ declare function getSummaryByID($id as xs:string) as element(SUMMARY)* {
   getSummary()[CID eq $id]
 };|}
 
-let rating_request_schema =
-  Schema.element_decl (Qname.local "getRating")
-    (Schema.Complex
-       [ Schema.particle (Schema.simple (Qname.local "lName") Atomic.T_string);
-         Schema.particle (Schema.simple (Qname.local "ssn") Atomic.T_string) ])
-
-let rating_response_schema =
-  Schema.element_decl (Qname.local "getRatingResponse")
-    (Schema.Complex
-       [ Schema.particle
-           (Schema.simple (Qname.local "getRatingResult") Atomic.T_integer) ])
-
-let make_rating_service () =
-  let implementation request =
-    let ssn =
-      match Node.child_elements request (Qname.local "ssn") with
-      | [ n ] -> Node.string_value n
-      | _ -> ""
-    in
-    (* pure function of the request, so any evaluation order agrees *)
-    let rating = 500 + (Hashtbl.hash ssn mod 350) in
-    Ok
-      (Node.element (Qname.local "getRatingResponse")
-         [ Node.element (Qname.local "getRatingResult")
-             [ Node.text (string_of_int rating) ] ])
-  in
-  Web_service.create ~wsdl_url:"http://ratings.check.example/rate?wsdl"
-    "RatingService"
-    [ Web_service.operation ~name:"getRating" ~input:rating_request_schema
-        ~output:rating_response_schema implementation ]
-
 let region_schema =
   Schema.element_decl (Qname.local "REGION")
     (Schema.Complex
@@ -120,28 +87,9 @@ let build spec =
   (* a private state derived from the recorded seed: build does not depend
      on the generator's state, so replay needs only the spec *)
   let st = Random.State.make [| spec.seed; 0x5eed |] in
-  let main_db =
-    Database.create ~vendor:spec.main_vendor "CustomerDB"
-  in
-  let customer =
-    Table.create ~primary_key:[ "CID" ] "CUSTOMER"
-      [ Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column ~nullable:false "LAST_NAME" Table.T_varchar;
-        Table.column "FIRST_NAME" Table.T_varchar;
-        Table.column ~nullable:false "SSN" Table.T_varchar;
-        Table.column ~nullable:false "SINCE" Table.T_int ]
-  in
-  let order_ =
-    Table.create ~primary_key:[ "OID" ]
-      ~foreign_keys:
-        [ { Table.fk_columns = [ "CID" ];
-            references_table = "CUSTOMER";
-            references_columns = [ "CID" ] } ]
-      "ORDER_T"
-      [ Table.column ~nullable:false "OID" Table.T_int;
-        Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column "AMOUNT" Table.T_decimal ]
-  in
+  let main_db = Database.create ~vendor:spec.main_vendor "CustomerDB" in
+  let customer = Demo.customer_table () in
+  let order_ = Demo.order_table () in
   Database.add_table main_db customer;
   Database.add_table main_db order_;
   let oid = ref 0 in
@@ -149,12 +97,12 @@ let build spec =
     let cid = Printf.sprintf "CUST%04d" i in
     let first =
       if Random.State.int st 5 = 0 then V.Null
-      else V.Str first_names.(Random.State.int st (Array.length first_names))
+      else V.Str (pick st Demo.first_names)
     in
     Result.get_ok
       (Table.insert customer
          [| V.Str cid;
-            V.Str last_names.(Random.State.int st (Array.length last_names));
+            V.Str (pick st Demo.last_names);
             first;
             V.Str
               (Printf.sprintf "%03d-%02d-%04d" i
@@ -176,13 +124,7 @@ let build spec =
     done
   done;
   let card_db = Database.create ~vendor:spec.card_vendor "CardDB" in
-  let card =
-    Table.create ~primary_key:[ "CCID" ] "CREDIT_CARD"
-      [ Table.column ~nullable:false "CCID" Table.T_int;
-        Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column ~nullable:false "NUM" Table.T_varchar;
-        Table.column "LIMIT_" Table.T_decimal ]
-  in
+  let card = Demo.card_table () in
   Database.add_table card_db card;
   for i = 1 to spec.customers do
     for j = 1 to spec.cards_per_customer do
@@ -195,7 +137,7 @@ let build spec =
               V.Float (float_of_int (500 * (1 + Random.State.int st 6))) |])
     done
   done;
-  let rating = make_rating_service () in
+  let rating = Demo.make_rating_service ~latency:0. in
   let registry = Metadata.create () in
   Metadata.introspect_relational registry main_db;
   Metadata.introspect_relational registry card_db;
@@ -204,7 +146,7 @@ let build spec =
     let rows =
       List.init spec.regions (fun i ->
           Printf.sprintf "R%02d,%s,%d" (i + 1)
-            region_names.(Random.State.int st (Array.length region_names))
+            (pick st region_names)
             (1 + Random.State.int st 100000))
     in
     String.concat "\n" ("CODE,NAME,POP" :: rows)
@@ -236,42 +178,49 @@ let spec_to_string s =
     (vendor_to_string s.card_vendor)
     s.customers s.orders_per_customer s.cards_per_customer s.regions
 
+(* One-line [key=value] records: a spec here, an oracle configuration in
+   Oracle. [what] prefixes every error. *)
+type fields = { what : string; pairs : (string * string) list }
+
+let fields ~what line =
+  { what;
+    pairs =
+      List.filter_map
+        (fun tok ->
+          match String.index_opt tok '=' with
+          | Some i ->
+            Some
+              ( String.sub tok 0 i,
+                String.sub tok (i + 1) (String.length tok - i - 1) )
+          | None -> None)
+        (String.split_on_char ' ' (String.trim line)) }
+
+let field ?default f k parse ~invalid =
+  match (List.assoc_opt k f.pairs, default) with
+  | Some v, _ -> (
+    match parse v with
+    | Some x -> Ok x
+    | None -> Error (f.what ^ ": " ^ invalid v))
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "%s: missing field %s" f.what k)
+
+let int_field f k =
+  field f k int_of_string_opt
+    ~invalid:(Printf.sprintf "%s is not an integer: %s" k)
+
 let spec_of_string line =
-  let fields =
-    List.filter_map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | Some i ->
-          Some
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) )
-        | None -> None)
-      (String.split_on_char ' ' (String.trim line))
-  in
-  let int_field k =
-    match List.assoc_opt k fields with
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "spec: %s is not an integer: %s" k v))
-    | None -> Error (Printf.sprintf "spec: missing field %s" k)
-  in
+  let f = fields ~what:"spec" line in
   let vendor_field k =
-    match List.assoc_opt k fields with
-    | Some v -> (
-      match vendor_of_string v with
-      | Some vd -> Ok vd
-      | None -> Error (Printf.sprintf "spec: unknown vendor %s" v))
-    | None -> Error (Printf.sprintf "spec: missing field %s" k)
+    field f k vendor_of_string ~invalid:(Printf.sprintf "unknown vendor %s")
   in
   let ( let* ) = Result.bind in
-  let* seed = int_field "seed" in
+  let* seed = int_field f "seed" in
   let* main_vendor = vendor_field "main" in
   let* card_vendor = vendor_field "card" in
-  let* customers = int_field "customers" in
-  let* orders_per_customer = int_field "orders" in
-  let* cards_per_customer = int_field "cards" in
-  let* regions = int_field "regions" in
+  let* customers = int_field f "customers" in
+  let* orders_per_customer = int_field f "orders" in
+  let* cards_per_customer = int_field f "cards" in
+  let* regions = int_field f "regions" in
   Ok
     { seed; main_vendor; card_vendor; customers; orders_per_customer;
       cards_per_customer; regions }

@@ -8,7 +8,9 @@
     capabilities, §4.4) of each database, table sizes, ragged data (NULL
     columns, customers without orders), and data values. A [spec] is a
     compact, printable description; {!build} is deterministic from it, so
-    a counterexample replays from its spec alone. *)
+    a counterexample replays from its spec alone. The table definitions,
+    name pools and rating service are {!Aldsp_demo.Demo}'s; only the data
+    is the catalog's own. *)
 
 open Aldsp_relational
 open Aldsp_services
@@ -49,3 +51,25 @@ val build : spec -> t
 val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 (** One-line [key=value] rendering used by the counterexample corpus. *)
+
+(** {1 One-line [key=value] records} *)
+
+type fields
+(** The [key=value] tokens of one line; tokens without [=] are skipped. *)
+
+val fields : what:string -> string -> fields
+(** [what] (["spec"], ["config"]) prefixes every error read from it. *)
+
+val field :
+  ?default:'a ->
+  fields ->
+  string ->
+  (string -> 'a option) ->
+  invalid:(string -> string) ->
+  ('a, string) result
+(** [field f k parse ~invalid] parses key [k]'s value. An absent key is
+    [default], or the error ["<what>: missing field <k>"]; a value [parse]
+    rejects is the error ["<what>: " ^ invalid value]. *)
+
+val int_field : fields -> string -> (int, string) result
+(** An integer field: ["<what>: <k> is not an integer: <value>"]. *)

@@ -26,39 +26,17 @@ let config_to_string c =
     c.workers c.ppk_k c.ppk_prefetch c.indexes c.cost_based c.spill
 
 let config_of_string line =
-  let fields =
-    List.filter_map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | Some i ->
-          Some
-            ( String.sub tok 0 i,
-              String.sub tok (i + 1) (String.length tok - i - 1) )
-        | None -> None)
-      (String.split_on_char ' ' (String.trim line))
-  in
-  let int_field k =
-    match List.assoc_opt k fields with
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "config: %s is not an integer: %s" k v))
-    | None -> Error (Printf.sprintf "config: missing field %s" k)
-  in
+  let f = Catalog.fields ~what:"config" line in
   (* absent in corpus lines that predate the knob: such scenarios ran
      with indexes unconditionally on *)
   let bool_field k ~default =
-    match List.assoc_opt k fields with
-    | None -> Ok default
-    | Some v -> (
-      match bool_of_string_opt v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "config: %s is not a boolean: %s" k v))
+    Catalog.field ~default f k bool_of_string_opt
+      ~invalid:(Printf.sprintf "%s is not a boolean: %s" k)
   in
   let ( let* ) = Result.bind in
-  let* workers = int_field "workers" in
-  let* ppk_k = int_field "k" in
-  let* ppk_prefetch = int_field "prefetch" in
+  let* workers = Catalog.int_field f "workers" in
+  let* ppk_k = Catalog.int_field f "k" in
+  let* ppk_prefetch = Catalog.int_field f "prefetch" in
   let* indexes = bool_field "indexes" ~default:true in
   (* corpus lines predating cost-based selection ran with it on (the
      server default) *)

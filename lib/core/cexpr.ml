@@ -133,6 +133,20 @@ let map_children f = function
 (* ------------------------------------------------------------------ *)
 (* Free variables                                                      *)
 
+(* Variables a clause pipeline binds for downstream clauses. *)
+let rec clause_vars clauses =
+  List.concat_map
+    (function
+      | For { var; _ } | Let { var; _ } -> [ var ]
+      | Where _ | Order _ -> []
+      | Group { aggs; keys; _ } -> List.map snd aggs @ List.map snd keys
+      | Join { right; export; _ } -> (
+        match export with
+        | Bindings -> clause_vars right
+        | Grouped { gvar; _ } -> [ gvar ])
+      | Rel r -> List.map (fun b -> b.bvar) r.binds)
+    clauses
+
 let free_vars expr () =
   let table = Hashtbl.create 16 in
   let bound = Hashtbl.create 16 in
@@ -141,9 +155,10 @@ let free_vars expr () =
     f ();
     List.iter (fun v -> Hashtbl.remove bound v) vars
   in
+  let use v = if not (Hashtbl.mem bound v) then Hashtbl.replace table v () in
   let rec go e =
     match e with
-    | Var v -> if not (Hashtbl.mem bound v) then Hashtbl.replace table v ()
+    | Var v -> use v
     | Flwor { clauses; return_ } -> go_clauses clauses (fun () -> go return_)
     | Quantified { var; source; pred; _ } ->
       go source;
@@ -173,7 +188,7 @@ let free_vars expr () =
     | Group { aggs; keys; clustered = _ } :: rest ->
       List.iter (fun (e, _) -> go e) keys;
       (* group hides everything except its outputs; inputs are uses *)
-      List.iter (fun (v, _) -> if not (Hashtbl.mem bound v) then Hashtbl.replace table v ()) aggs;
+      List.iter (fun (v, _) -> use v) aggs;
       let outs = List.map snd aggs @ List.map snd keys in
       with_bound outs (fun () -> go_clauses rest k)
     | Order { keys } :: rest ->
@@ -195,18 +210,6 @@ let free_vars expr () =
       List.iter go r.sql_params;
       with_bound (List.map (fun b -> b.bvar) r.binds) (fun () ->
           go_clauses rest k)
-  and clause_vars clauses =
-    List.concat_map
-      (function
-        | For { var; _ } | Let { var; _ } -> [ var ]
-        | Where _ | Order _ -> []
-        | Group { aggs; keys; _ } -> List.map snd aggs @ List.map snd keys
-        | Join { right; export; _ } -> (
-          match export with
-          | Bindings -> clause_vars right
-          | Grouped { gvar; _ } -> [ gvar ])
-        | Rel r -> List.map (fun b -> b.bvar) r.binds)
-      clauses
   in
   go expr;
   table
@@ -251,20 +254,6 @@ let count_uses v clauses return_ =
   !n
 
 let count_occurrences v e = count_uses v [] e
-
-(* Variables a clause pipeline binds for downstream clauses. *)
-let rec clause_vars clauses =
-  List.concat_map
-    (function
-      | For { var; _ } | Let { var; _ } -> [ var ]
-      | Where _ | Order _ -> []
-      | Group { aggs; keys; _ } -> List.map snd aggs @ List.map snd keys
-      | Join { right; export; _ } -> (
-        match export with
-        | Bindings -> clause_vars right
-        | Grouped { gvar; _ } -> [ gvar ])
-      | Rel r -> List.map (fun b -> b.bvar) r.binds)
-    clauses
 
 (* ------------------------------------------------------------------ *)
 (* Equi-join keys                                                      *)

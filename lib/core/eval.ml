@@ -128,19 +128,23 @@ let body_params view fd values =
       find fd.Metadata.fd_params values)
 
 (* Spilling a frame to disk requires it to be pure data: [Later]
-   bindings hold pool futures (closures), so they are awaited into values
-   first, in a copy. Only frames headed for a spill file pay this — the
-   in-memory paths keep bindings lazy. *)
-let materialize (frame : frame) =
-  Array.map
-    (function Later (pool, fut) -> Now (Pool.await pool fut) | b -> b)
-    frame
+   bindings hold pool futures (closures), so under a sort budget they are
+   awaited into values first, in a copy. Without a budget nothing spills,
+   and the frame keeps its bindings lazy. *)
+let materialize rt (frame : frame) =
+  match rt.sort_budget_rows with
+  | None -> frame
+  | Some _ ->
+    Array.map
+      (function Later (pool, fut) -> Now (Pool.await pool fut) | b -> b)
+      frame
 
-(* Route a keyed sequence through the external sort under the runtime's
-   row budget, accounting the spill into the operator's counters (and the
-   server's rollup) once the sort completes or aborts. Zero-spill sorts
-   leave the counters untouched, so EXPLAIN renders exactly as before. *)
-let spill_sort rt counters ~budget ~cmp seq =
+(* The blocking operators' one stable sort: Extsort under the runtime's
+   row budget (in memory without one), accounting the spill into the
+   operator's counters (and the server's rollup) once the sort completes
+   or aborts. Zero-spill sorts leave the counters untouched, so EXPLAIN
+   renders exactly as before. *)
+let spill_sort rt counters ~cmp seq =
   let stats = Extsort.zero_stats () in
   let reported = ref false in
   let finish () =
@@ -156,7 +160,7 @@ let spill_sort rt counters ~budget ~cmp seq =
       end
     end
   in
-  let out = Extsort.sort ~stats ~budget_rows:(Some budget) ~cmp seq in
+  let out = Extsort.sort ~stats ~budget_rows:rt.sort_budget_rows ~cmp seq in
   let rec go s () =
     match (try s () with e -> finish (); raise e) with
     | Seq.Nil ->
@@ -164,7 +168,8 @@ let spill_sort rt counters ~budget ~cmp seq =
       Seq.Nil
     | Seq.Cons (x, rest) -> Seq.Cons (x, go rest)
   in
-  go out
+  (* without a budget nothing spills, so there is nothing to report *)
+  if rt.sort_budget_rows = None then out else go out
 
 (* ------------------------------------------------------------------ *)
 (* Total order on atoms, for sorting and grouping: comparable values
@@ -1000,79 +1005,45 @@ and exec_group cx counters input aggs keys clustered =
   let key_of frame = List.map (fun (e, _) -> atomize (exec cx frame e)) keys in
   let width = width_of (List.map snd keys @ List.map snd aggs) in
   let group = make_group cx aggs keys width in
-  if clustered then
-    (* constant-memory streaming: watch the key change tuple by tuple *)
-    let rec stream pending seq () =
-      match seq () with
-      | Seq.Nil -> (
-        match pending with
-        | Some (key, members) ->
-          Seq.Cons (group (key, List.rev members), Seq.empty)
-        | None -> Seq.Nil)
-      | Seq.Cons (frame, rest) -> (
+  (* each tuple with its input position and its keys, computed once *)
+  let indexed =
+    Seq.mapi
+      (fun i frame ->
         let key = key_of frame in
-        match pending with
-        | Some (current_key, members) when keys_equal key current_key ->
-          stream (Some (current_key, frame :: members)) rest ()
-        | Some (current_key, members) ->
-          Seq.Cons
-            ( group (current_key, List.rev members),
-              stream (Some (key, [ frame ])) rest )
-        | None -> stream (Some (key, [ frame ])) rest ())
-    in
-    stream None input
+        (i, key, if clustered then frame else materialize cx.rt frame))
+      input
+  in
+  (* the grouping step over clustered tuples: watch the key change tuple
+     by tuple; each group is tagged with its first member's position *)
+  let rec cluster pending seq () =
+    match seq () with
+    | Seq.Nil -> (
+      match pending with
+      | Some (i0, key, members) ->
+        Seq.Cons ((i0, group (key, List.rev members)), Seq.empty)
+      | None -> Seq.Nil)
+    | Seq.Cons ((i, key, frame), rest) -> (
+      match pending with
+      | Some (i0, k0, members) when keys_equal key k0 ->
+        cluster (Some (i0, k0, frame :: members)) rest ()
+      | Some (i0, k0, members) ->
+        Seq.Cons
+          ( (i0, group (k0, List.rev members)),
+            cluster (Some (i, key, [ frame ])) rest )
+      | None -> cluster (Some (i, key, [ frame ])) rest ())
+  in
+  if clustered then Seq.map snd (cluster None indexed)
   else
     (* Sort-based fallback; output groups in first-appearance order, the
        same order a SQL GROUP BY over our executor produces. Two stable
-       sorts under the runtime's row budget: by key, so equal keys become
-       adjacent and the clustered streaming logic above applies verbatim
-       to the precomputed keys; then groups by the input position of
-       their first member, which restores first-appearance order. Both
-       sorts spill through Extsort when a budget is set, and either way
-       this is O(n log n) — the old path grew a [seen] assoc list with a
-       linear scan per tuple. *)
-    let budget = cx.rt.sort_budget_rows in
-    let sortfn cmp seq =
-      match budget with
-      | None -> fun () -> List.to_seq (List.stable_sort cmp (List.of_seq seq)) ()
-      | Some b -> spill_sort cx.rt counters ~budget:b ~cmp seq
-    in
-    let indexed =
-      Seq.mapi
-        (fun i frame ->
-          let key = key_of frame in
-          let frame =
-            match budget with Some _ -> materialize frame | None -> frame
-          in
-          (i, key, frame))
-        input
-    in
+       sorts: by key, so equal keys become adjacent for the clustered
+       step; then groups by their first member's input position, which
+       restores first-appearance order. *)
+    let sort cmp seq = spill_sort cx.rt counters ~cmp seq in
     let by_key =
-      sortfn (fun (_, ka, _) (_, kb, _) -> compare_keys_total ka kb) indexed
+      sort (fun (_, ka, _) (_, kb, _) -> compare_keys_total ka kb) indexed
     in
-    (* the clustered grouping step, on keys computed once above; each
-       emitted group is tagged with its first member's input position *)
-    let rec cluster pending seq () =
-      match seq () with
-      | Seq.Nil -> (
-        match pending with
-        | Some (i0, key, members) ->
-          Seq.Cons ((i0, group (key, List.rev members)), Seq.empty)
-        | None -> Seq.Nil)
-      | Seq.Cons ((i, key, frame), rest) -> (
-        match pending with
-        | Some (i0, k0, members) when keys_equal key k0 ->
-          cluster (Some (i0, k0, frame :: members)) rest ()
-        | Some (i0, k0, members) ->
-          Seq.Cons
-            ( (i0, group (k0, List.rev members)),
-              cluster (Some (i, key, [ frame ])) rest )
-        | None -> cluster (Some (i, key, [ frame ])) rest ())
-    in
-    let by_appearance =
-      sortfn (fun (a, _) (b, _) -> compare a b) (cluster None by_key)
-    in
-    Seq.map snd by_appearance
+    Seq.map snd (sort (fun (a, _) (b, _) -> compare a b) (cluster None by_key))
 
 (* A group's tuple: a copy of its first member's frame, with the keys
    and each aggregated input's values over every member. *)
@@ -1110,17 +1081,10 @@ and exec_order cx counters input keys =
     in
     go ka kb keys
   in
-  match cx.rt.sort_budget_rows with
-  | None ->
-    (* unbounded: the in-memory stable sort *)
-    let keyed = List.map (fun frame -> (key_of frame, frame)) (List.of_seq input) in
-    List.to_seq (List.map snd (List.stable_sort cmp keyed))
-  | Some budget ->
-    (* bounded: runs of [budget] rows spill through Extsort and merge
-       back as a stream; same comparator, same stability, so the output
-       is byte-identical to the in-memory path *)
-    let keyed = Seq.map (fun frame -> (key_of frame, materialize frame)) input in
-    Seq.map snd (spill_sort cx.rt counters ~budget ~cmp keyed)
+  let keyed =
+    Seq.map (fun frame -> (key_of frame, materialize cx.rt frame)) input
+  in
+  Seq.map snd (spill_sort cx.rt counters ~cmp keyed)
 
 (* --------------------------- joins -------------------------------- *)
 

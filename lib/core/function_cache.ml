@@ -2,7 +2,6 @@ open Aldsp_xml
 open Aldsp_relational
 module Sql = Sql_ast
 module Singleflight = Aldsp_concurrency.Singleflight
-module IntMap = Map.Make (Int)
 
 type t = {
   storage : Database.t;
@@ -10,14 +9,7 @@ type t = {
   ttls : (Qname.t, float) Hashtbl.t;
   (* typed values per key, so hits keep their type annotations; bounded:
      an evicted value falls back to the persistent row's XML (cold hit) *)
-  materialized : (string, Item.sequence) Hashtbl.t;
-  capacity : int;
-  (* recency bookkeeping for [materialized], mirroring Plan_cache: a
-     monotonically increasing tick per touch, with the tick->key map
-     giving the LRU victim in O(log n) *)
-  mat_ticks : (string, int) Hashtbl.t;
-  mutable mat_recency : string IntMap.t;
-  mutable tick : int;
+  materialized : Item.sequence Lru.t;
   (* one flight per key: concurrent misses coalesce on the computing
      session instead of both invoking the (expensive) function *)
   flights : Item.sequence Singleflight.t;
@@ -51,11 +43,7 @@ let create ?(clock = Unix.gettimeofday) ?(capacity = 256) storage =
   { storage;
     clock;
     ttls = Hashtbl.create 16;
-    materialized = Hashtbl.create 64;
-    capacity = max capacity 1;
-    mat_ticks = Hashtbl.create 64;
-    mat_recency = IntMap.empty;
-    tick = 0;
+    materialized = Lru.create ~capacity;
     flights = Singleflight.create ();
     lock = Mutex.create ();
     hit_count = 0;
@@ -86,34 +74,6 @@ let key_of fn args =
     args;
   Buffer.add_char b ')';
   Buffer.contents b
-
-(* lock held *)
-let touch_materialized t key =
-  (match Hashtbl.find_opt t.mat_ticks key with
-  | Some old -> t.mat_recency <- IntMap.remove old t.mat_recency
-  | None -> ());
-  t.tick <- t.tick + 1;
-  Hashtbl.replace t.mat_ticks key t.tick;
-  t.mat_recency <- IntMap.add t.tick key t.mat_recency
-
-(* lock held *)
-let forget_materialized t key =
-  (match Hashtbl.find_opt t.mat_ticks key with
-  | Some old ->
-    t.mat_recency <- IntMap.remove old t.mat_recency;
-    Hashtbl.remove t.mat_ticks key
-  | None -> ());
-  Hashtbl.remove t.materialized key
-
-(* lock held: bound the per-process typed-value table. Evicting here
-   loses nothing but type annotations — the persistent row survives, so
-   the entry is still a (cold) hit. *)
-let evict_materialized t =
-  while Hashtbl.length t.materialized > t.capacity do
-    match IntMap.min_binding_opt t.mat_recency with
-    | Some (_, oldest) -> forget_materialized t oldest
-    | None -> Hashtbl.reset t.materialized
-  done
 
 (* the single-row lookup of §5.5 *)
 let select_entry =
@@ -148,10 +108,8 @@ let lookup_probe ~count t fn args =
     end
     else begin
       if count then t.hit_count <- t.hit_count + 1;
-      match Hashtbl.find_opt t.materialized key with
-      | Some value ->
-        touch_materialized t key;
-        Some value
+      match Lru.find t.materialized key with
+      | Some _ as hit -> hit
       | None -> (
         (* cold hit (e.g. populated by another node, or evicted from the
            bounded typed-value table): rebuild from the serialized XML;
@@ -187,9 +145,9 @@ let store t fn args value =
               [ Sql.Lit (Sql_value.Str key);
                 Sql.Lit (Sql_value.Str (Item.serialize value));
                 Sql.Lit (Sql_value.Float expires) ] }));
-  Hashtbl.replace t.materialized key value;
-  touch_materialized t key;
-  evict_materialized t
+  (* bound the per-process typed-value table: evicting loses nothing but
+     type annotations, since the persistent row still serves a cold hit *)
+  ignore (Lru.add t.materialized key value)
 
 (* An exact key prefix, not LIKE: a function name may hold [_], which
    LIKE reads as any character. *)
@@ -211,9 +169,7 @@ let invalidate t fn =
               Some
                 (Sql.Binop (Sql.Eq, key_prefix, Sql.Lit (Sql_value.Str prefix)))
           }));
-  Hashtbl.iter
-    (fun k _ -> if String.starts_with ~prefix k then forget_materialized t k)
-    (Hashtbl.copy t.materialized)
+  Lru.remove_if t.materialized (fun k _ -> String.starts_with ~prefix k)
 
 let wrapper t fd args compute =
   let fn = fd.Metadata.fd_name in
@@ -246,4 +202,4 @@ let wrapper t fd args compute =
 let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)
 let coalesced t = locked t (fun () -> t.coalesced_count)
-let materialized_count t = locked t (fun () -> Hashtbl.length t.materialized)
+let materialized_count t = locked t (fun () -> Lru.length t.materialized)

@@ -10,13 +10,13 @@
 
     This module is the instrument: a per-function record of observed
     invocation latency and result cardinality, fed by the evaluator for
-    every data-service call it runs. Two optimizer passes read the
-    samples: {!Optimizer.reorder_by_observed_cost} reorders independent
-    source accesses on them alone, so that cheaper/smaller sources run
-    first (and drive the outer side of nested evaluations), and
-    {!Optimizer.reorder_sources} falls back to them for a pair of sources
-    the statistics cannot price (services, procedures). The middleware's
-    roundtrip, overlap and source-wall counters live here too. *)
+    every data-service call it runs. {!Optimizer.reorder_sources} reads
+    the samples to reorder independent source accesses so that
+    cheaper/smaller sources run first (and drive the outer side of nested
+    evaluations): on them alone with the cost model off, and with it on
+    for a pair of sources the statistics cannot price (services,
+    procedures). The middleware's roundtrip, overlap and source-wall
+    counters live here too. *)
 
 open Aldsp_xml
 

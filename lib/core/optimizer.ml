@@ -157,13 +157,6 @@ let content_parts = function
   | C.Empty -> []
   | e -> [ e ]
 
-let vars_of_table tbl = Hashtbl.fold (fun v () acc -> v :: acc) tbl []
-
-let free_vars_list e = vars_of_table (C.free_vars e ())
-
-let clause_list_free_vars clauses =
-  free_vars_list (C.Flwor { clauses; return_ = C.Empty })
-
 let references_any vars e =
   let fv = C.free_vars e () in
   List.exists (fun v -> Hashtbl.mem fv v) vars
@@ -869,12 +862,6 @@ let rule_join_on_extraction =
           let transform_join before j rest =
             match j with
             | C.Join { kind; method_; right; on_; export } ->
-              let left_bound =
-                C.clause_vars (List.rev before)
-                @ free_vars_list (C.Flwor { clauses = []; return_ = C.Empty })
-              in
-              let left_bound = left_bound @ clause_list_free_vars right in
-              ignore left_bound;
               let right_bound = C.clause_vars right in
               let wheres, others =
                 List.partition
@@ -1135,14 +1122,10 @@ let observed_pair_costs observed fa fb =
   | Some a, Some b -> Some (a, b)
   | _ -> None
 
-(* The §9 roadmap pass: observed behaviour only, no static model. *)
-let reorder_by_observed_cost t observed e =
-  ignore t;
-  reorder_with (observed_pair_costs observed) e
-
-(* Statistics-driven ordering: costs from each source's declared latency
-   profile and exact row counts, falling back to observed samples for
-   sources the statistics layer cannot see (services, procedures). *)
+(* Source ordering (§9). With the cost model on, each pair is priced from
+   the sources' declared latency profiles and exact row counts; a pair
+   the statistics layer cannot price (services, procedures), and every
+   pair with the cost model off, is priced from observed samples. *)
 let reorder_sources t ?observed e =
   let static_cost outer inner =
     match
@@ -1150,7 +1133,7 @@ let reorder_sources t ?observed e =
         Cost_model.source_cardinality t.registry outer,
         Cost_model.source_profile t.registry inner )
     with
-    | Some po, Some co, Some pi ->
+    | Some po, Some co, Some pi when t.opts.cost_based ->
       Some
         (po.Cost_model.p_latency
         +. (float_of_int co *. pi.Cost_model.p_latency))
@@ -1159,10 +1142,7 @@ let reorder_sources t ?observed e =
   let pair_costs fa fb =
     match (static_cost fa fb, static_cost fb fa) with
     | Some a, Some b -> Some (a, b)
-    | _ -> (
-      match observed with
-      | Some obs -> observed_pair_costs obs fa fb
-      | None -> None)
+    | _ -> Option.bind observed (fun obs -> observed_pair_costs obs fa fb)
   in
   reorder_with pair_costs e
 

@@ -113,22 +113,17 @@ val parameterize_gate :
     {!Cost_model.parameterize_beneficial}, priced with the same PP-k
     choice {!select_methods} makes. *)
 
-val reorder_by_observed_cost : t -> Observed.t -> Cexpr.t -> Cexpr.t
-(** The paper's §9 roadmap item: using only {e observed} source behaviour
-    (no static cost model), reorder adjacent independent source iterations
-    so the branch minimizing [latency + cardinality x inner-latency] runs
-    as the outer. Applied only under FLWORs whose order-by re-establishes
-    result order, so it is semantics-preserving. Run before join
-    introduction. *)
-
 val reorder_sources : t -> ?observed:Observed.t -> Cexpr.t -> Cexpr.t
-(** Statistics-driven source ordering (the cost-based generalization of
-    {!reorder_by_observed_cost}): the same adjacent-independent-pair swap
-    under order-by-protected FLWORs, but costed statically from declared
-    latency profiles and exact row counts, falling back to [observed]
-    samples for sources the statistics layer cannot price. Swaps only on
-    a strict cost improvement, so zero-latency catalogs are left
-    untouched. *)
+(** Source ordering (§9): under FLWORs whose order-by re-establishes
+    result order (so the swap preserves semantics), reorder adjacent
+    independent source iterations so the branch minimizing
+    [latency + cardinality x inner-latency] runs as the outer. With
+    cost-based selection on, a pair is priced statically from declared
+    latency profiles and exact row counts; a pair the statistics layer
+    cannot price, and every pair with cost-based selection off, is priced
+    from [observed] samples, and left alone without them. Swaps only on a
+    strict cost improvement, so zero-latency catalogs are left untouched.
+    Run before join introduction. *)
 
 val cleanup : t -> Cexpr.t -> Cexpr.t
 (** Query-independent simplification (let substitution, dead code,

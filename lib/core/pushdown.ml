@@ -440,15 +440,17 @@ let independent a b =
 (* ------------------------------------------------------------------ *)
 (* Phase B: region growth                                              *)
 
-(* push translatable scalar computations of the return into the SELECT *)
-let push_projections st r return_ outer_vars =
+(* push translatable scalar computations of the return into the SELECT;
+   [bound] is every variable the clause list binds, before the region and
+   after it: none of them may become a parameter *)
+let push_projections st r return_ bound =
   match Metadata.find_database st.registry r.C.db with
   | None -> (r, return_)
   | Some db ->
     let caps = Sql_print.capabilities db.Database.vendor in
     if not (simple_select r.C.select) then (r, return_)
     else begin
-      let blocked = outer_vars @ List.map (fun b -> b.C.bvar) r.C.binds in
+      let blocked = bound @ List.map (fun b -> b.C.bvar) r.C.binds in
       let r_ref = ref r in
       let pushable_shape e =
         match e with
@@ -911,9 +913,7 @@ let grow_regions st clauses return_ =
   and finish acc r pending clauses return_ =
     (* computed-scalar projection: push translatable scalar subexpressions
        of the return into the region's SELECT list (pattern d etc.) *)
-    let r, return_ =
-      push_projections st r return_ (C.clause_vars (List.rev acc))
-    in
+    let r, return_ = push_projections st r return_ !all_clause_vars in
     grow (List.rev_append (C.Rel r :: pending) acc) clauses return_
   in
   grow [] clauses return_

@@ -162,17 +162,9 @@ let rec compile_core t opts ~diag ~vars core =
   let optimizer = optimizer t opts in
   let tenv = Typecheck.env ~vars t.registry diag in
   let static_type, typed = Typecheck.check tenv core in
-  let typed =
-    (* source reordering must see the raw for-clauses, before join
-       introduction (§9): statically costed when the cost model is
-       on (observed samples as fallback), observed-only otherwise *)
-    if opts.Optimizer.cost_based then
-      Optimizer.reorder_sources optimizer ?observed:t.observed typed
-    else
-      match t.observed with
-      | Some obs -> Optimizer.reorder_by_observed_cost optimizer obs typed
-      | None -> typed
-  in
+  (* source reordering must see the raw for-clauses, before join
+     introduction (§9) *)
+  let typed = Optimizer.reorder_sources optimizer ?observed:t.observed typed in
   let optimized, _stats = Optimizer.optimize optimizer typed in
   let do_push = opts.Optimizer.pushdown in
   let gate = Optimizer.parameterize_gate optimizer in

@@ -49,30 +49,40 @@ declare function getCustomerNames() as element(NAME)* {
   return <NAME>{fn:data($c/LAST_NAME)}</NAME>
 };|}
 
+(* The Figure 3 tables; each call builds a fresh, empty table. *)
+let customer_table () =
+  Table.create ~primary_key:[ "CID" ] "CUSTOMER"
+    [ Table.column ~nullable:false "CID" Table.T_varchar;
+      Table.column ~nullable:false "LAST_NAME" Table.T_varchar;
+      Table.column "FIRST_NAME" Table.T_varchar;
+      Table.column ~nullable:false "SSN" Table.T_varchar;
+      Table.column ~nullable:false "SINCE" Table.T_int ]
+
+let order_table () =
+  Table.create ~primary_key:[ "OID" ]
+    ~foreign_keys:
+      [ { Table.fk_columns = [ "CID" ];
+          references_table = "CUSTOMER";
+          references_columns = [ "CID" ] } ]
+    "ORDER_T"
+    [ Table.column ~nullable:false "OID" Table.T_int;
+      Table.column ~nullable:false "CID" Table.T_varchar;
+      Table.column "AMOUNT" Table.T_decimal ]
+
+let card_table () =
+  Table.create ~primary_key:[ "CCID" ] "CREDIT_CARD"
+    [ Table.column ~nullable:false "CCID" Table.T_int;
+      Table.column ~nullable:false "CID" Table.T_varchar;
+      Table.column ~nullable:false "NUM" Table.T_varchar;
+      Table.column "LIMIT_" Table.T_decimal ]
+
 let make_customer_db ~customers ~orders_per_customer ~latency =
   let db =
     Database.create ~vendor:Database.Oracle ~roundtrip_latency:latency
       "CustomerDB"
   in
-  let customer =
-    Table.create ~primary_key:[ "CID" ] "CUSTOMER"
-      [ Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column ~nullable:false "LAST_NAME" Table.T_varchar;
-        Table.column "FIRST_NAME" Table.T_varchar;
-        Table.column ~nullable:false "SSN" Table.T_varchar;
-        Table.column ~nullable:false "SINCE" Table.T_int ]
-  in
-  let order_ =
-    Table.create ~primary_key:[ "OID" ]
-      ~foreign_keys:
-        [ { Table.fk_columns = [ "CID" ];
-            references_table = "CUSTOMER";
-            references_columns = [ "CID" ] } ]
-      "ORDER_T"
-      [ Table.column ~nullable:false "OID" Table.T_int;
-        Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column "AMOUNT" Table.T_decimal ]
-  in
+  let customer = customer_table () in
+  let order_ = order_table () in
   Database.add_table db customer;
   Database.add_table db order_;
   for i = 1 to customers do
@@ -104,13 +114,7 @@ let make_card_db ~customers ~cards_per_customer ~latency =
     Database.create ~vendor:Database.Sql_server ~roundtrip_latency:latency
       "CardDB"
   in
-  let card =
-    Table.create ~primary_key:[ "CCID" ] "CREDIT_CARD"
-      [ Table.column ~nullable:false "CCID" Table.T_int;
-        Table.column ~nullable:false "CID" Table.T_varchar;
-        Table.column ~nullable:false "NUM" Table.T_varchar;
-        Table.column "LIMIT_" Table.T_decimal ]
-  in
+  let card = card_table () in
   Database.add_table db card;
   for i = 1 to customers do
     for j = 1 to cards_per_customer do
@@ -143,9 +147,8 @@ let make_rating_service ~latency =
       | [ n ] -> Node.string_value n
       | _ -> ""
     in
-    let rating =
-      500 + (Hashtbl.hash ssn mod 350)
-    in
+    (* pure function of the request, so any evaluation order agrees *)
+    let rating = 500 + (Hashtbl.hash ssn mod 350) in
     Ok
       (Node.element (Qname.local "getRatingResponse")
          [ Node.element (Qname.local "getRatingResult")

@@ -36,6 +36,20 @@ val create :
     stands up a server with the Figure 3 [getProfile] data service
     registered. *)
 
+val last_names : string array
+val first_names : string array
+(** The name pools both the demo and the fuzz catalog draw from. *)
+
+val customer_table : unit -> Table.t
+val order_table : unit -> Table.t
+val card_table : unit -> Table.t
+(** Fresh, empty CUSTOMER, ORDER_T (foreign key to CUSTOMER) and
+    CREDIT_CARD tables with the Figure 3 columns and primary keys. *)
+
+val make_rating_service : latency:float -> Web_service.t
+(** The credit-rating web service (one [getRating] operation). The rating
+    is a pure function of the request's [ssn]. *)
+
 val profile_data_service_source : string
 (** The XQuery source of the Figure 3 logical data service (getProfile,
     getProfileByID, plus a thin read view), as registered by {!create}. *)

@@ -50,6 +50,11 @@ let stored_value registry (cs : Lineage.column_source) = function
       | Ok stored -> Ok (Sql_value.of_atomic stored)
       | Error msg -> Error msg))
 
+let find_database registry name =
+  match Metadata.find_database registry name with
+  | Some db -> Ok db
+  | None -> Error (Printf.sprintf "unknown database %s" name)
+
 let original_value sdo path =
   Sdo.get_field
     { sdo with Sdo.current = sdo.Sdo.original }
@@ -77,6 +82,54 @@ let concurrency_columns policy lineage sdo table_db table_name changed_paths =
           cs.Lineage.cs_db = table_db && cs.Lineage.cs_table = table_name
         | None -> false)
       paths
+
+(* The WHERE of a keyed UPDATE or DELETE (§6): the primary key and the
+   policy's guard columns, all compared with read-time (original) values,
+   so a row changed since the read matches nothing. *)
+let read_time_where registry policy lineage sdo (key : Lineage.table_key)
+    changed_paths =
+  let table = key.Lineage.tk_table in
+  let* key_conds =
+    List.fold_left
+      (fun acc (col, path) ->
+        let* acc = acc in
+        match original_value sdo path with
+        | Some v ->
+          Ok
+            (acc
+            @ [ Sql.Binop
+                  (Sql.Eq, Sql.Col (None, col), Sql.Lit (Sql_value.of_atomic v))
+              ])
+        | None ->
+          Error (Printf.sprintf "object lacks key value for %s.%s" table col))
+      (Ok []) key.Lineage.tk_columns
+  in
+  let guard_paths =
+    concurrency_columns policy lineage sdo key.Lineage.tk_db table
+      changed_paths
+  in
+  let* guard_conds =
+    List.fold_left
+      (fun acc path ->
+        let* acc = acc in
+        match Lineage.source_of lineage path with
+        | None -> Ok acc
+        | Some cs -> (
+          let col = Sql.Col (None, cs.Lineage.cs_column) in
+          match original_value sdo path with
+          | Some v ->
+            let* stored = stored_value registry cs (Some v) in
+            Ok (acc @ [ Sql.Binop (Sql.Eq, col, Sql.Lit stored) ])
+          | None -> Ok (acc @ [ Sql.Is_null col ])))
+      (Ok []) guard_paths
+  in
+  Ok
+    (List.fold_left
+       (fun acc c ->
+         match acc with
+         | None -> Some c
+         | Some a -> Some (Sql.Binop (Sql.And, a, c)))
+       None (key_conds @ guard_conds))
 
 let propagate_object registry policy lineage (sdo : Sdo.t) =
   (* group the changed paths by their source table *)
@@ -123,11 +176,7 @@ let propagate_object registry policy lineage (sdo : Sdo.t) =
             (Printf.sprintf "table %s.%s has no usable primary key" db_name
                table_name)
       in
-      let* db =
-        match Metadata.find_database registry db_name with
-        | Some db -> Ok db
-        | None -> Error (Printf.sprintf "unknown database %s" db_name)
-      in
+      let* db = find_database registry db_name in
       (* SET: new values (through inverses) *)
       let* assignments =
         List.fold_left
@@ -137,58 +186,9 @@ let propagate_object registry policy lineage (sdo : Sdo.t) =
             Ok (acc @ [ (cs.Lineage.cs_column, Sql.Lit v) ]))
           (Ok []) changes
       in
-      (* WHERE: primary key + optimistic concurrency predicate, both from
-         read-time (original) values *)
-      let* key_conds =
-        List.fold_left
-          (fun acc (col, path) ->
-            let* acc = acc in
-            match original_value sdo path with
-            | Some v ->
-              Ok
-                (acc
-                @ [ Sql.Binop
-                      ( Sql.Eq,
-                        Sql.Col (None, col),
-                        Sql.Lit (Sql_value.of_atomic v) ) ])
-            | None ->
-              Error
-                (Printf.sprintf "object lacks key value for %s.%s" table_name col))
-          (Ok [])
-          key.Lineage.tk_columns
-      in
       let changed_paths = List.map (fun (c, _) -> c.Sdo.change_path) changes in
-      let guard_paths =
-        concurrency_columns policy lineage sdo db_name table_name changed_paths
-      in
-      let* guard_conds =
-        List.fold_left
-          (fun acc path ->
-            let* acc = acc in
-            match Lineage.source_of lineage path with
-            | None -> Ok acc
-            | Some cs ->
-              let cond =
-                match original_value sdo path with
-                | Some v -> (
-                  let* stored = stored_value registry cs (Some v) in
-                  Ok
-                    (Sql.Binop
-                       (Sql.Eq, Sql.Col (None, cs.Lineage.cs_column),
-                        Sql.Lit stored)))
-                | None -> Ok (Sql.Is_null (Sql.Col (None, cs.Lineage.cs_column)))
-              in
-              let* cond = cond in
-              Ok (acc @ [ cond ]))
-          (Ok []) guard_paths
-      in
-      let where =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | None -> Some c
-            | Some a -> Some (Sql.Binop (Sql.And, a, c)))
-          None (key_conds @ guard_conds)
+      let* where =
+        read_time_where registry policy lineage sdo key changed_paths
       in
       let dml = Sql.Update { table = table_name; assignments; where } in
       Ok ((db, dml) :: acc))
@@ -203,11 +203,7 @@ let insert_object registry lineage (sdo : Sdo.t) =
   List.fold_left
     (fun acc (key : Lineage.table_key) ->
       let* acc = acc in
-      let* db =
-        match Metadata.find_database registry key.Lineage.tk_db with
-        | Some db -> Ok db
-        | None -> Error (Printf.sprintf "unknown database %s" key.Lineage.tk_db)
-      in
+      let* db = find_database registry key.Lineage.tk_db in
       let* () =
         if
           List.for_all
@@ -250,60 +246,8 @@ let delete_object registry policy lineage (sdo : Sdo.t) =
   List.fold_left
     (fun acc (key : Lineage.table_key) ->
       let* acc = acc in
-      let* db =
-        match Metadata.find_database registry key.Lineage.tk_db with
-        | Some db -> Ok db
-        | None -> Error (Printf.sprintf "unknown database %s" key.Lineage.tk_db)
-      in
-      let* key_conds =
-        List.fold_left
-          (fun acc (col, path) ->
-            let* acc = acc in
-            match original_value sdo path with
-            | Some v ->
-              Ok
-                (acc
-                @ [ Sql.Binop
-                      ( Sql.Eq,
-                        Sql.Col (None, col),
-                        Sql.Lit (Sql_value.of_atomic v) ) ])
-            | None ->
-              Error
-                (Printf.sprintf "object lacks key value for %s.%s"
-                   key.Lineage.tk_table col))
-          (Ok []) key.Lineage.tk_columns
-      in
-      let guard_paths =
-        concurrency_columns policy lineage sdo key.Lineage.tk_db
-          key.Lineage.tk_table []
-      in
-      let* guard_conds =
-        List.fold_left
-          (fun acc path ->
-            let* acc = acc in
-            match Lineage.source_of lineage path with
-            | None -> Ok acc
-            | Some cs -> (
-              match original_value sdo path with
-              | Some v ->
-                let* stored = stored_value registry cs (Some v) in
-                Ok
-                  (acc
-                  @ [ Sql.Binop
-                        (Sql.Eq, Sql.Col (None, cs.Lineage.cs_column),
-                         Sql.Lit stored) ])
-              | None ->
-                Ok (acc @ [ Sql.Is_null (Sql.Col (None, cs.Lineage.cs_column)) ])))
-          (Ok []) guard_paths
-      in
-      let where =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | None -> Some c
-            | Some a -> Some (Sql.Binop (Sql.And, a, c)))
-          None (key_conds @ guard_conds)
-      in
+      let* db = find_database registry key.Lineage.tk_db in
+      let* where = read_time_where registry policy lineage sdo key [] in
       Ok ((db, Sql.Delete { table = key.Lineage.tk_table; where }) :: acc))
     (Ok []) lineage.Lineage.keys
 

@@ -415,6 +415,28 @@ let test_order_by_after_merge () =
          $c/CID eq $o/CID return $o) order by $oc return <C>{data($c/CID), \
          $oc}</C>" ) ]
 
+(* A return expression that reads a variable bound after a region stays
+   in the middleware: the region runs before that variable has a value,
+   so it cannot be one of the region's parameters. *)
+let test_later_variable_not_a_parameter () =
+  let demo = setup ~customers:2 () in
+  List.iter
+    (fun q ->
+      matches_reference demo q;
+      let text =
+        ok_exn (Server.explain ~analyze:false demo.Aldsp_demo.Demo.server q)
+      in
+      List.iter
+        (fun line ->
+          let line = String.trim line in
+          if String.starts_with ~prefix:"param ?" line && contains line ":= $x"
+          then Alcotest.failf "%s: region parameter %s" q line)
+        (String.split_on_char '\n' text))
+    [ "for $c in CUSTOMER() for $x in (\"a\",\"b\") return \
+       concat($c/LAST_NAME, $x)";
+      "for $c in CUSTOMER() let $y := \"z\" for $x in (\"a\",\"b\") \
+       return concat($c/LAST_NAME, $x)" ]
+
 (* Property: pushdown preserves results across a family of queries with a
    random filter literal. *)
 let prop_pushdown_equivalence =
@@ -459,4 +481,6 @@ let () =
           t "commute blocked" test_commute_blocked;
           t "push is idempotent" test_push_idempotent;
           t "ORDER BY after a merge" test_order_by_after_merge;
+          t "later variable is not a parameter"
+            test_later_variable_not_a_parameter;
           QCheck_alcotest.to_alcotest prop_pushdown_equivalence ] ) ]

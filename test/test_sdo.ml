@@ -234,6 +234,45 @@ let test_submit_policy_all_read_values () =
        (Submit.submit ~policy:Submit.All_read_values
           demo.Aldsp_demo.Demo.registry [ sdo2 ]))
 
+(* DELETE carries the same read-time WHERE as UPDATE: under
+   All_read_values a row changed since the read is not deleted; under
+   Updated_values_only (nothing updated) the key alone decides. *)
+let test_submit_guarded_delete () =
+  let demo = setup () in
+  let customers cid =
+    match
+      ok_exn
+        (Server.run demo.Aldsp_demo.Demo.server
+           (Printf.sprintf
+              "count(for $c in CUSTOMER() where $c/CID eq \"%s\" return $c)" cid))
+    with
+    | [ Item.Atom (Atomic.Integer n) ] -> n
+    | other -> Alcotest.failf "unexpected count: %s" (Item.serialize other)
+  in
+  let sdo = read_profile demo "CUST0002" in
+  ignore
+    (ok_exn
+       (Sql_exec.execute_dml demo.Aldsp_demo.Demo.customer_db
+          (Result.get_ok (Sql_parser.parse
+             "UPDATE CUSTOMER SET LAST_NAME = 'Moved' WHERE CID = 'CUST0002'")
+          |> function Sql_ast.Dml d -> d | _ -> assert false)));
+  Sdo.mark_deleted sdo;
+  let msg =
+    err_exn
+      (Submit.submit ~policy:Submit.All_read_values
+         demo.Aldsp_demo.Demo.registry [ sdo ])
+  in
+  check_bool "conflict reported" true
+    (String.starts_with ~prefix:"optimistic concurrency conflict" msg);
+  check_int "row kept" 1 (customers "CUST0002");
+  check_string "changed value stands" "Moved" (last_name demo "CUST0002");
+  ignore
+    (ok_exn
+       (Submit.submit ~policy:Submit.Updated_values_only
+          demo.Aldsp_demo.Demo.registry [ sdo ]));
+  check_int "row deleted" 0 (customers "CUST0002");
+  check_int "other rows kept" 1 (customers "CUST0003")
+
 let test_submit_designated_policy () =
   let demo = setup () in
   let sdo = read_profile demo "CUST0004" in
@@ -469,6 +508,7 @@ let () =
           t "keyed write probes the primary key" test_submit_probes_primary_key;
           t "all-read-values policy" test_submit_policy_all_read_values;
           t "designated policy" test_submit_designated_policy;
+          t "guarded delete" test_submit_guarded_delete;
           t "inverse on write path" test_submit_through_inverse_function;
           t "non-updatable path" test_submit_non_updatable_path_rejected;
           t "multi-object atomicity" test_submit_multiple_objects_atomic;
