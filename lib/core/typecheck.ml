@@ -61,6 +61,14 @@ let numeric_result a b =
   in
   { Stype.items; occ }
 
+(* [ty] once per tuple of a stream of occurrence [tuples]: the bounds
+   multiply. *)
+let occ_times (tuples : Stype.occurrence) (ty : Stype.t) =
+  Stype.with_occ
+    { Stype.at_least_one = tuples.at_least_one && ty.occ.at_least_one;
+      at_most_one = tuples.at_most_one && ty.occ.at_most_one }
+    ty
+
 let rec check env (e : C.t) : Stype.t * C.t =
   match e with
   | C.Const a -> (Stype.atomic (Atomic.type_of a), e)
@@ -104,13 +112,9 @@ let rec check env (e : C.t) : Stype.t * C.t =
     let ty = if optional then Stype.opt item else Stype.one item in
     (ty, C.Elem { name; optional; attrs; content })
   | C.Flwor { clauses; return_ } ->
-    let env', clauses, forces_star = check_clauses env clauses in
+    let env', clauses, tuples = check_clauses env clauses in
     let ret_ty, return_ = check env' return_ in
-    let ty =
-      if forces_star then { ret_ty with Stype.occ = Stype.occ_star }
-      else ret_ty
-    in
-    (ty, C.Flwor { clauses; return_ })
+    (occ_times tuples ret_ty, C.Flwor { clauses; return_ })
   | C.If { cond; then_; else_ } ->
     let _, cond = check env cond in
     let t_ty, then_ = check env then_ in
@@ -252,20 +256,25 @@ and check_call env fn args =
         arity;
       (Stype.error_type, C.Error_expr (Printf.sprintf "unknown function %s" (Qname.to_string fn))))
 
+(* The clauses checked, with the occurrence of the tuple stream they
+   produce: each [for] multiplies it by its source's, a [where] drops its
+   lower bound and a [group] its upper one. *)
 and check_clauses env clauses =
-  let rec go env acc forces_star = function
-    | [] -> (env, List.rev acc, forces_star)
+  let rec go env acc tuples = function
+    | [] -> (env, List.rev acc, tuples)
     | C.For { var; source } :: rest ->
       let src_ty, source = check env source in
       let env' = bind env var (Stype.iterate src_ty) in
-      go env' (C.For { var; source } :: acc) true rest
+      go env' (C.For { var; source } :: acc) (occ_times tuples src_ty).Stype.occ rest
     | C.Let { var; value } :: rest ->
       let v_ty, value = check env value in
       let env' = bind env var v_ty in
-      go env' (C.Let { var; value } :: acc) forces_star rest
+      go env' (C.Let { var; value } :: acc) tuples rest
     | C.Where cond :: rest ->
       let _, cond = check env cond in
-      go env (C.Where cond :: acc) forces_star rest
+      go env (C.Where cond :: acc)
+        { tuples with Stype.at_least_one = false }
+        rest
     | C.Group { aggs; keys; clustered } :: rest ->
       let keys =
         List.map
@@ -292,13 +301,14 @@ and check_clauses env clauses =
       in
       go env'
         (C.Group { aggs; keys = List.map (fun (e, v, _) -> (e, v)) keys; clustered } :: acc)
-        forces_star rest
+        { tuples with Stype.at_most_one = false }
+        rest
     | C.Order { keys } :: rest ->
       let keys = List.map (fun (e, d) -> (snd (check env e), d)) keys in
-      go env (C.Order { keys } :: acc) forces_star rest
+      go env (C.Order { keys } :: acc) tuples rest
     | C.Join { kind; method_; right; on_; export } :: rest ->
       (* joins are introduced after type checking; type them loosely *)
-      let env_r, right, _ = go env [] forces_star right in
+      let env_r, right, _ = go env [] tuples right in
       let _, on_ = check env_r on_ in
       let env', export =
         match export with
@@ -308,16 +318,16 @@ and check_clauses env clauses =
           ( bind env gvar { g_ty with Stype.occ = Stype.occ_star },
             C.Grouped { gvar; gexpr } )
       in
-      go env' (C.Join { kind; method_; right; on_; export } :: acc) true rest
+      go env' (C.Join { kind; method_; right; on_; export } :: acc) Stype.occ_star rest
     | C.Rel r :: rest ->
       let env' =
         List.fold_left
           (fun env b -> bind env b.C.bvar (Stype.opt (Stype.It_atomic b.C.btype)))
           env r.C.binds
       in
-      go env' (C.Rel r :: acc) true rest
+      go env' (C.Rel r :: acc) Stype.occ_star rest
   in
-  go env [] false clauses
+  go env [] Stype.occ_one clauses
 
 let check_function_body env ~declared body =
   let body_ty, body = check env body in

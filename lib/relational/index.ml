@@ -23,6 +23,7 @@ let part_of_value = function
   | V.Bool b -> K_bool b
 
 let key_of_values values = Array.map part_of_value values
+let hash_value v = Hashtbl.hash (part_of_value v)
 
 module Key = struct
   type t = key
@@ -148,8 +149,39 @@ let probe_key t k =
    GROUP BY semantics. *)
 let probe_grouping t values = probe_key t (key_of_values values)
 
-(* SQL equality: a NULL anywhere in the probe tuple can never compare
-   True, so it matches nothing. *)
-let probe t values =
-  if Array.exists V.is_null values then []
-  else probe_grouping t values
+(* SQL equality: a NULL anywhere in a probe tuple can never compare
+   True, so it matches nothing. The buckets are copied into one array,
+   which is merge-sorted and its duplicates dropped in place: a row two
+   tuples reach, under duplicate or float-equal keys, is one candidate. *)
+let probe_many t tuples =
+  let buckets =
+    List.fold_left
+      (fun acc values ->
+        if Array.exists V.is_null values then acc
+        else
+          match Key_tbl.find_opt t.buckets (key_of_values values) with
+          | Some b -> !b :: acc
+          | None -> acc)
+      [] tuples
+  in
+  let ids =
+    Array.make (List.fold_left (fun n b -> n + List.length b) 0 buckets) 0
+  in
+  let n = ref 0 in
+  List.iter
+    (List.iter (fun id ->
+         ids.(!n) <- id;
+         incr n))
+    buckets;
+  Array.stable_sort Int.compare ids;
+  n := 0;
+  Array.iteri
+    (fun i id ->
+      if i = 0 || id <> ids.(!n - 1) then begin
+        ids.(!n) <- id;
+        incr n
+      end)
+    ids;
+  if !n = Array.length ids then ids else Array.sub ids 0 !n
+
+let probe t values = Array.to_list (probe_many t [ values ])

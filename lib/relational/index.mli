@@ -64,6 +64,10 @@ val probe : t -> Sql_value.t array -> int list
     column order), ascending. A NULL probe value matches nothing
     (three-valued equality can never be True against NULL). *)
 
+val probe_many : t -> Sql_value.t array list -> int array
+(** The distinct candidate ids of all the probe tuples, ascending: what
+    {!probe} returns for each tuple, merged. *)
+
 val probe_grouping : t -> Sql_value.t array -> int list
 (** Like {!probe} but with grouping equality: NULL matches NULL. Used for
     primary-key uniqueness, which treats NULL keys as comparable. *)
@@ -75,6 +79,10 @@ val canon_float : float -> float
 val key_of_values : Sql_value.t array -> key
 (** Normalizes a value tuple; exposed so the executor's hash join can
     reuse the same key semantics for its build/probe tables. *)
+
+val hash_value : Sql_value.t -> int
+(** The hash of one value's normalized key part: values that compare
+    equal under {!Sql_value.compare_sql} hash alike. *)
 
 (** The hashtable functor instance over normalized keys, for hash joins. *)
 module Key_tbl : Hashtbl.S with type key = key

@@ -49,10 +49,11 @@ type compiled = row -> row list -> V.t
 type grouping = Ungrouped | Single | Grouped
 
 (* A statement-constant IN list hashed once per execution: the non-NULL
-   items under their comparison class (numerics by float image), each
-   bucket confirmed with the SQL comparison, so Int 2^53 and 2^53+1 share
-   a bucket and still compare unequal. *)
-type in_set = { members : (Index.key, V.t) Hashtbl.t; has_null : bool }
+   items bucketed by the hash of their key part ({!Index.hash_value}:
+   numerics by float image), each bucket confirmed with the SQL
+   comparison, so Int 2^53 and 2^53+1 share a bucket and still compare
+   unequal. *)
+type in_set = { buckets : V.t list array; has_null : bool }
 
 let decide st fmt =
   Printf.ksprintf (fun line -> st.decisions := line :: !(st.decisions)) fmt
@@ -284,6 +285,13 @@ let probe_value_ok sc srcs e =
     | _ -> false)
   | _ -> false
 
+(* A probe key's value, where [probe_value_ok] holds: it cannot raise. *)
+let probe_value sc = function
+  | Lit v -> v
+  | Param i -> sc.st.params.(i - 1)
+  | Col (alias, name) -> Option.get (outer_value sc alias name)
+  | _ -> assert false
+
 let rec conjuncts e =
   match e with Binop (And, a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
 
@@ -326,7 +334,7 @@ let arm_alternatives sc srcs base arm =
     in
     if pairs = [] then None else Some [ pairs ]
 
-(* The index and probe-key expressions implied by [where] for the base
+(* The index and the probe keys' values implied by [where] for the base
    table, if some top-level conjunct is a disjunction of equality
    alternatives covering an index. Soundness: every row on which [where]
    could evaluate to True carries one of the returned keys. *)
@@ -378,11 +386,12 @@ let probe_plan sc srcs base where =
             match best with
             | None -> None
             | Some idx ->
+              let cols = Array.of_list (Index.columns idx) in
               Some
                 ( idx,
                   List.map
                     (fun alt ->
-                      List.map (fun c -> List.assoc c alt) (Index.columns idx))
+                      Array.map (fun c -> probe_value sc (List.assoc c alt)) cols)
                     alts )
       in
       List.find_map try_conjunct (conjuncts where)
@@ -399,7 +408,7 @@ let param st i =
     error "parameter ?%d not bound" i
   else st.params.(i - 1)
 
-let in_key v = Index.key_of_values [| v |]
+let in_bucket buckets v = Index.hash_value v mod Array.length buckets
 
 (* The set of a statement-constant IN list, built on the first non-NULL
    probe value, so a NULL probe still evaluates no item and an unbound
@@ -411,18 +420,22 @@ let in_set st items =
          (function Param i -> param st i | Lit v -> v | _ -> assert false)
          items
      in
-     let members = Hashtbl.create (List.length vs) in
+     let buckets = Array.make (2 * List.length vs + 1) [] in
      List.iter
-       (fun v -> if not (V.is_null v) then Hashtbl.add members (in_key v) v)
+       (fun v ->
+         if not (V.is_null v) then
+           let b = in_bucket buckets v in
+           buckets.(b) <- v :: buckets.(b))
        vs;
-     { members; has_null = List.exists V.is_null vs })
+     { buckets; has_null = List.exists V.is_null vs })
+
+(* [v] is not NULL, so [V.equal] is the SQL comparison's True. *)
+let rec in_bucket_mem v = function
+  | [] -> false
+  | x :: rest -> V.equal v x || in_bucket_mem v rest
 
 let in_set_mem set v =
-  if
-    List.exists
-      (fun x -> V.truth_of_comparison (( = ) 0) v x = V.True)
-      (Hashtbl.find_all set.members (in_key v))
-  then V.Bool true
+  if in_bucket_mem v set.buckets.(in_bucket set.buckets v) then V.Bool true
   else if set.has_null then V.Null
   else V.Bool false
 
@@ -731,52 +744,26 @@ and index_candidates sc srcs where joins =
               (List.mapi (fun i _ -> i) joins) -> (
     match probe_plan sc srcs base where with
     | None -> None
-    | Some (idx, keys) -> (
-      match
-        List.map
-          (fun key_exprs ->
-            Array.of_list
-              (List.map (fun e -> compile sc Ungrouped e [||] []) key_exprs))
-          keys
-      with
-      | exception Sql_error _ ->
-        (* a probe value that raises means the scan path raises on every
-           row; reproduce that behaviour exactly *)
-        None
-      | key_values ->
-        Database.record_operator sc.st.db (fun stats ->
-            stats.Database.index_lookups <-
-              stats.Database.index_lookups + List.length key_values);
-        let seen = Hashtbl.create 64 in
-        List.iter
-          (fun values ->
-            List.iter
-              (fun id -> Hashtbl.replace seen id ())
-              (Table.probe_index t idx values))
-          key_values;
-        let ids =
-          Hashtbl.fold (fun id () acc -> id :: acc) seen [] |> List.sort compare
-        in
-        Database.record_operator sc.st.db (fun stats ->
-            stats.Database.index_rows <-
-              stats.Database.index_rows + List.length ids);
-        decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" t.Table.table_name
-          (Index.name idx)
-          (String.concat "," (Index.columns idx))
-          (List.length key_values) (List.length ids);
-        let ids, rows = Table.live_rows t ids in
-        Some (t, ids, rows)))
+    | Some (idx, key_values) ->
+      let keys = List.length key_values in
+      let ids, rows = Table.probe_rows t idx key_values in
+      Database.record_operator sc.st.db (fun stats ->
+          stats.Database.index_lookups <- stats.Database.index_lookups + keys;
+          stats.Database.index_rows <-
+            stats.Database.index_rows + Array.length ids);
+      decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" t.Table.table_name
+        (Index.name idx)
+        (String.concat "," (Index.columns idx))
+        keys (Array.length ids);
+      Some (t, ids, rows))
   | _ -> None
 
 (* The FROM source's columns and rows: a base table's index candidates
-   when there are some, otherwise a scan. Also says whether it scanned,
-   since only a scan's rows are worth filtering as they are consumed. *)
+   when there are some, otherwise a scan. *)
 and scan_from sc s srcs =
   match index_candidates sc srcs s.where s.joins with
-  | Some (t, _, rows) -> (column_names t, rows, false)
-  | None ->
-    let cols, rows = scan_source sc.st sc.outer s.from in
-    (cols, rows, true)
+  | Some (t, _, rows) -> (column_names t, rows)
+  | None -> scan_source sc.st sc.outer s.from
 
 (* Join algorithm selection. [srcs] is the prefix of sources visible to
    this join (base, earlier joins, then this join's source last). The
@@ -901,15 +888,12 @@ and apply_join sc srcs left_rows join =
       let keys = left_keys (List.map (fun c -> List.assoc c pairs) (Index.columns idx)) in
       let on = matcher jsc in
       let matches left =
-        let ids = Table.probe_index t idx (keys left) in
+        let _, rows = Table.probe_rows t idx [ keys left ] in
         bump (fun stats ->
             stats.Database.index_lookups <- stats.Database.index_lookups + 1;
             stats.Database.index_rows <-
-              stats.Database.index_rows + List.length ids);
-        let test = on left in
-        List.filter_map
-          (fun id -> Option.bind (Table.get_row t id) test)
-          ids
+              stats.Database.index_rows + Array.length rows);
+        filter_in_order (on left) rows
       in
       (jsc, join_shape join cols matches left_rows)
     | None ->
@@ -967,17 +951,17 @@ and join_shape join cols matches left_rows =
    the final projection is a [Seq.t] forced row by row — the engine-side
    iteration a cursor fetches in chunks. DISTINCT and windowed queries
    keep their eager dedup/early-exit tails and stream a prebuilt list.
-   A select that only filters and projects a scanned source is lazy from
-   the scan's snapshot on, so a cursor's first chunk does not wait for
-   the whole scan; its rows pass through one scratch row, so a row the
-   filter drops allocates nothing. Its filter must be total: one that
-   cannot raise yields the rows, order and errors of the eager
-   pipeline. *)
+   A select that only filters and projects its FROM source is lazy from
+   the scan's snapshot or the index probe's candidates on, so a cursor's
+   first chunk does not wait for the whole scan; its rows pass through
+   one scratch row, so a row the filter drops allocates nothing. Its
+   filter must be total: one that cannot raise yields the rows, order
+   and errors of the eager pipeline. *)
 and run_select_streamed st outer s : string list * V.t array Seq.t =
   let base = { st; locals = [||]; outer } in
   let s = expand_star st s in
   let srcs = if st.db.Database.use_indexes then sources_of st s else None in
-  let from_cols, from_rows, scanned = scan_from base s srcs in
+  let from_cols, from_rows = scan_from base s srcs in
   let sc = { base with locals = [| (alias_of s.from, from_cols) |] } in
   let is_aggregate_query =
     s.group_by <> [] || List.exists (fun (e, _) -> has_agg e) s.projections
@@ -996,7 +980,7 @@ and run_select_streamed st outer s : string list * V.t array Seq.t =
       out
   in
   let filters_and_projects =
-    scanned && s.joins = [] && (not is_aggregate_query) && s.having = None
+    s.joins = [] && (not is_aggregate_query) && s.having = None
     && s.order_by = [] && s.window = None && not s.distinct
     &&
     match s.where with

@@ -166,11 +166,6 @@ let iter_rows_u t f =
     if Bytes.get t.live id = '\001' then f id t.store.(id)
   done
 
-let live_rows t ids =
-  with_lock t @@ fun () ->
-  let ids = Array.of_list (List.filter (is_live_u t) ids) in
-  (ids, Array.map (fun id -> t.store.(id)) ids)
-
 let get_row t id =
   with_lock t @@ fun () -> if is_live_u t id then Some t.store.(id) else None
 
@@ -200,6 +195,16 @@ let scan t =
 let row_count t = t.live_count
 
 let probe_index t idx values = with_lock t @@ fun () -> Index.probe idx values
+
+let probe_rows t idx tuples =
+  with_lock t @@ fun () ->
+  let ids = Index.probe_many idx tuples in
+  let live = is_live_u t in
+  let ids =
+    if Array.for_all live ids then ids
+    else Array.of_seq (Seq.filter live (Array.to_seq ids))
+  in
+  (ids, Array.map (fun id -> t.store.(id)) ids)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation *)

@@ -91,14 +91,16 @@ val scan : t -> int array * Sql_value.t array array
 val get_row : t -> int -> Sql_value.t array option
 (** The row at this id, if live. *)
 
-val live_rows : t -> int list -> int array * Sql_value.t array array
-(** The live ones of these ids, in the order given, and their rows, read
-    under one lock. *)
-
 val probe_index : t -> Index.t -> Sql_value.t array -> int list
 (** {!Index.probe} under the table lock: the executor's probe paths race
     with DML maintaining the same index buckets, and an unlocked hash
     read during a concurrent resize is unsafe. *)
+
+val probe_rows :
+  t -> Index.t -> Sql_value.t array list -> int array * Sql_value.t array array
+(** The live rows {!Index.probe_many} finds for these probe tuples and
+    their ids, ascending and distinct, read under one lock: every key of
+    an IN-list statement, or one left row of an index nested loop. *)
 
 val update_row : t -> int -> Sql_value.t array -> unit
 (** Replaces the row at [id] (no constraint validation, matching the

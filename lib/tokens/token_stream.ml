@@ -151,13 +151,21 @@ let start_element w (name : Qname.t) =
   w.stack <- name.local :: w.stack;
   w.in_tag <- true
 
-let attribute w (name : Qname.t) value =
+let attribute_into buf (name : Qname.t) value =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name.local;
+  Buffer.add_string buf "=\"";
+  Node.atomic_into buf value;
+  Buffer.add_char buf '"'
+
+let attribute w name value =
   if not w.in_tag then invalid_arg "serialize: attribute outside a start tag";
-  Buffer.add_char w.buf ' ';
-  Buffer.add_string w.buf name.local;
-  Buffer.add_string w.buf "=\"";
-  Node.atomic_into w.buf value;
-  Buffer.add_char w.buf '"'
+  attribute_into w.buf name value
+
+let end_tag_into buf name =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '>'
 
 let end_element w =
   match w.stack with
@@ -167,11 +175,7 @@ let end_element w =
       Buffer.add_string w.buf "/>";
       w.in_tag <- false
     end
-    else begin
-      Buffer.add_string w.buf "</";
-      Buffer.add_string w.buf name;
-      Buffer.add_char w.buf '>'
-    end;
+    else end_tag_into w.buf name;
     w.stack <- up
 
 let content w add x =
@@ -252,37 +256,49 @@ let chunk_close c =
   finish c.cw;
   chunk_flush c
 
-(* The same writer driven by a walk over the items, without building their
-   token stream; returns the number of tokens that stream would hold. *)
+(* The bytes the writer makes of the items' token stream, written by a
+   walk over the nodes: a tree is balanced and each start tag closes at
+   its first child, so the walk needs no writer state. Returns the number
+   of tokens that stream would hold. *)
 let serialize_items buf items =
-  let w = { buf; in_tag = false; stack = [] } in
   let rec node count = function
     | Node.Text s ->
-      content w Node.escape_into s;
+      Node.escape_into buf s;
       count + 1
     | Node.Atom a ->
-      content w Node.atomic_into a;
+      Node.atomic_into buf a;
       count + 1
-    | Node.Element e ->
-      start_element w e.Node.name;
-      let count =
-        List.fold_left
-          (fun count (n, v) ->
-            attribute w n v;
-            count + 1)
-          (count + 2) e.Node.attributes
-      in
-      let count = List.fold_left node count e.Node.children in
-      end_element w;
-      count
+    | Node.Element e -> (
+      let name = e.Node.name.Qname.local in
+      Buffer.add_char buf '<';
+      Buffer.add_string buf name;
+      let count = attributes (count + 2) e.Node.attributes in
+      match e.Node.children with
+      | [] ->
+        Buffer.add_string buf "/>";
+        count
+      | children ->
+        Buffer.add_char buf '>';
+        let count = nodes count children in
+        end_tag_into buf name;
+        count)
+  and attributes count = function
+    | [] -> count
+    | (n, v) :: rest ->
+      attribute_into buf n v;
+      attributes (count + 1) rest
+  and nodes count = function
+    | [] -> count
+    | n :: rest -> nodes (node count n) rest
   in
-  List.fold_left
-    (fun count -> function
-      | Item.Atom a ->
-        content w Node.atomic_into a;
-        count + 1
-      | Item.Node n -> node count n)
-    0 items
+  let rec items_from count = function
+    | [] -> count
+    | Item.Atom a :: rest ->
+      Node.atomic_into buf a;
+      items_from (count + 1) rest
+    | Item.Node n :: rest -> items_from (node count n) rest
+  in
+  items_from 0 items
 
 let pp ppf stream =
   Format.pp_print_seq ~pp_sep:Format.pp_print_space Token.pp ppf stream

@@ -407,6 +407,56 @@ let test_scan_allocation () =
   check_bool (Printf.sprintf "%.1f words per scanned row <= 8" per_row) true
     (per_row <= 8.)
 
+(* The PP-k block statement on an indexed probe side: 4 blocks of 50
+   customer keys over 200 customers x 5 cards, with padding cards no key
+   selects. The index candidates are filtered and projected as they are
+   fetched, so opening and draining all four blocks allocates a few dozen
+   words per selected row. *)
+let test_index_probe_allocation () =
+  let db = Database.create "CardDB" in
+  let t =
+    Table.create "CARD"
+      [ Table.column "CID" Table.T_varchar; Table.column "NUM" Table.T_varchar ]
+  in
+  Database.add_table db t;
+  ok_exn (Table.create_index t ~name:"card_cid" [ "CID" ]);
+  let customers = 200 and cards = 5 and k = 50 in
+  let cid i = V.Str (Printf.sprintf "CUST%04d" i) in
+  for i = 0 to (customers * cards) - 1 do
+    ok_exn
+      (Table.insert t [| cid (i mod customers); V.Str (Printf.sprintf "N%d" i) |])
+  done;
+  for i = 0 to 999 do
+    ok_exn (Table.insert t [| V.Str (Printf.sprintf "PAD%04d" i); V.Str "0" |])
+  done;
+  let s =
+    ok_exn
+      (Sql_parser.parse_select
+         (Printf.sprintf "SELECT t.CID, t.NUM FROM CARD t WHERE t.CID IN (%s)"
+            (String.concat ", " (List.init k (fun _ -> "?")))))
+  in
+  let blocks =
+    List.init (customers / k) (fun b -> Array.init k (fun i -> cid ((b * k) + i)))
+  in
+  let drain () =
+    List.fold_left
+      (fun n params ->
+        let cur = ok_exn (Sql_exec.open_cursor db ~params s) in
+        let rec go n =
+          match ok_exn (Sql_exec.fetch_chunk cur) with
+          | [] -> n
+          | c -> go (n + List.length c)
+        in
+        go n)
+      0 blocks
+  in
+  check_int "selected" (customers * cards) (drain ());
+  let before = Gc.minor_words () in
+  let selected = drain () in
+  let per_row = (Gc.minor_words () -. before) /. float_of_int selected in
+  check_bool (Printf.sprintf "%.1f words per selected row <= 40" per_row) true
+    (per_row <= 40.)
+
 (* ------------------------------------------------------------------ *)
 (* DML + transactions                                                  *)
 
@@ -1116,7 +1166,12 @@ let test_window_early_exit () =
 (* Property (fixed derivation from the generated int): index and scan
    access paths agree byte-for-byte on random tables with NULL and
    duplicate keys, across point, IN-list, OR-of-equalities (the PP-k
-   probe shape) and join queries. *)
+   probe shape) and join queries; on string keys, on integer keys probed
+   with their float image, and on 2^53 and 2^53 + 1, which share a float
+   image and so an index bucket that the candidate re-check splits; on a
+   50-parameter IN list with duplicate and NULL parameters (a PP-k block);
+   and, read chunk by chunk through a cursor, on a projection that raises
+   on a later row: the rows before the error and the error agree. *)
 let prop_index_scan_agree =
   QCheck.Test.make ~name:"index and scan access paths agree" ~count:200
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
@@ -1131,18 +1186,29 @@ let prop_index_scan_agree =
         Table.create "T2"
           [ Table.column "K" Table.T_int; Table.column "V" Table.T_int ]
       in
-      (match Table.create_index t1 ~name:"t1_k" [ "K" ] with
-      | Ok () -> ()
-      | Error e -> failwith e);
-      (match Table.create_index t2 ~name:"t2_k" [ "K" ] with
-      | Ok () -> ()
-      | Error e -> failwith e);
+      List.iter
+        (fun (t, name, col) ->
+          match Table.create_index t ~name [ col ] with
+          | Ok () -> ()
+          | Error e -> failwith e)
+        [ (t1, "t1_k", "K"); (t1, "t1_s", "S"); (t2, "t2_k", "K") ];
       Database.add_table db t1;
       Database.add_table db t2;
+      let big = 1 lsl 53 in
       let rand_key () =
-        if Random.State.int st 10 = 0 then V.Null
-        else V.Int (Random.State.int st 6)
+        match Random.State.int st 12 with
+        | 0 -> V.Null
+        | 1 -> V.Int big
+        | 2 -> V.Int (big + 1)
+        | _ -> V.Int (Random.State.int st 6)
       in
+      (* a probe value: a key, or the float image of one *)
+      let rand_probe () =
+        match rand_key () with
+        | V.Int k when Random.State.int st 4 = 0 -> V.Float (float_of_int k)
+        | v -> v
+      in
+      let rand_str () = V.Str (String.make 1 (Char.chr (97 + Random.State.int st 5))) in
       for _ = 1 to 5 + Random.State.int st 40 do
         match
           Table.insert t1
@@ -1154,40 +1220,63 @@ let prop_index_scan_agree =
       done;
       for _ = 1 to Random.State.int st 20 do
         match
-          Table.insert t2 [| rand_key (); V.Int (Random.State.int st 100) |]
+          Table.insert t2 [| rand_key (); V.Int (Random.State.int st 10) |]
         with
         | Ok () -> ()
         | Error e -> failwith e
       done;
+      let block = String.concat ", " (List.init 50 (fun _ -> "?")) in
       let queries =
-        [ ("SELECT t.K, t.S FROM T1 t WHERE t.K = ?", [| rand_key () |]);
+        [ ("SELECT t.K, t.S FROM T1 t WHERE t.K = ?", [| rand_probe () |]);
           ( "SELECT t.K, t.S FROM T1 t WHERE t.K = ? OR t.K = ?",
-            [| rand_key (); rand_key () |] );
-          ("SELECT t.S FROM T1 t WHERE t.K IN (0, 1, ?)", [| rand_key () |]);
-          ("SELECT t.K FROM T1 t WHERE t.K = ? OR t.K IS NULL", [| rand_key () |]);
+            [| rand_probe (); rand_probe () |] );
+          ("SELECT t.S FROM T1 t WHERE t.K IN (0, 1, ?)", [| rand_probe () |]);
+          ("SELECT t.K FROM T1 t WHERE t.K = ? OR t.K IS NULL", [| rand_probe () |]);
+          ("SELECT t.K, t.S FROM T1 t WHERE t.S = ?", [| rand_str () |]);
+          ( "SELECT t.K FROM T1 t WHERE t.S IN (?, ?, 'a')",
+            [| rand_str (); rand_str () |] );
+          ( "SELECT t.K, t.S FROM T1 t WHERE t.K IN (" ^ block ^ ")",
+            Array.init 50 (fun _ -> rand_probe ()) );
           ("SELECT a.K, a.S, b.V FROM T1 a JOIN T2 b ON a.K = b.K", [||]);
           ("SELECT a.K, b.V FROM T1 a LEFT OUTER JOIN T2 b ON a.K = b.K", [||])
         ]
       in
-      List.for_all
-        (fun (sql, params) ->
-          let s =
-            match Sql_parser.parse_select sql with
-            | Ok s -> s
-            | Error e -> failwith e
+      let parse sql =
+        match Sql_parser.parse_select sql with
+        | Ok s -> s
+        | Error e -> failwith e
+      in
+      let both run =
+        Database.set_use_indexes db true;
+        let indexed = run () in
+        Database.set_use_indexes db false;
+        let scanned = run () in
+        Database.set_use_indexes db true;
+        indexed = scanned
+      in
+      let agree (sql, params) =
+        let s = parse sql in
+        both (fun () ->
+            match Sql_exec.query db ~params s with
+            | Ok r -> Ok r.Sql_exec.rows
+            | Error e -> Error e)
+      in
+      (* [100 / (V - 5)] raises on the first row with V = 5 *)
+      let raising = parse "SELECT t.K, 100 / (t.V - 5) FROM T2 t WHERE t.K IN (?, ?, ?)" in
+      let params = Array.init 3 (fun _ -> rand_probe ()) in
+      let chunked () =
+        match Sql_exec.open_cursor db ~params raising with
+        | Error e -> ([], Some e)
+        | Ok cur ->
+          let rec go acc =
+            match Sql_exec.fetch_chunk ~rows:2 cur with
+            | Ok [] -> (List.rev acc, None)
+            | Ok chunk -> go (List.rev_append chunk acc)
+            | Error e -> (List.rev acc, Some e)
           in
-          let run_with flag =
-            Database.set_use_indexes db flag;
-            Sql_exec.query db ~params s
-          in
-          let indexed = run_with true in
-          let scanned = run_with false in
-          Database.set_use_indexes db true;
-          match (indexed, scanned) with
-          | Ok a, Ok b -> a.Sql_exec.rows = b.Sql_exec.rows
-          | Error a, Error b -> String.equal a b
-          | _ -> false)
-        queries)
+          go []
+      in
+      List.for_all agree queries && both chunked)
 
 (* Property (fixed derivation from the generated int): the incrementally
    maintained planner statistics agree with a from-scratch recomputation
@@ -1432,6 +1521,7 @@ let () =
           t "correlated WHERE and projection" test_correlated_projection;
           t "failed UPDATE leaves table" test_update_fails_untouched;
           t "scan allocation per row" test_scan_allocation;
+          t "index probe allocation per selected row" test_index_probe_allocation;
           QCheck_alcotest.to_alcotest prop_like ] );
       ( "indexing",
         [ t "auto pk/fk indexes" test_auto_indexes;

@@ -230,6 +230,26 @@ let test_equal_item_types_merge () =
   check_bool "one alternative" true
     (ty.Stype.items = [ Stype.It_atomic Atomic.T_integer ])
 
+(* A FLWOR's occurrence is its [for] sources' times its return's: a
+   [where] drops the lower bound and a [group] the upper one. *)
+let test_flwor_occurrence () =
+  List.iter
+    (fun (q, expected) ->
+      let _, _, ty, _ = compile_core q in
+      Alcotest.(check string) q expected (Stype.to_string ty))
+    [ ("for $x in (1, 2, 3) return $x", "xs:integer+");
+      ("for $x in (1, 2), $y in (3, 4) return ($x, $y)", "xs:integer+");
+      ("for $x in (1, 2, 3) where $x gt 1 return $x", "xs:integer*");
+      ("for $x in (1, 2, 3) return (if ($x eq 1) then $x else ())", "xs:integer*");
+      ("for $x in 1 return $x", "xs:integer");
+      ("let $x := 1 return $x", "xs:integer");
+      ("let $x := 1 where $x eq 1 return $x", "xs:integer?") ];
+  let _, _, ty, _ =
+    compile_core "for $x in 1 group $x as $g by $x as $k return $k"
+  in
+  check_bool "group: at least one, no upper bound" true
+    (ty.Stype.occ = Stype.occ_plus)
+
 let test_optimistic_call_rule () =
   let _, diag, _, typed =
     compile_core "for $c in CUSTOMER() return fn:count($c/SINCE)"
@@ -328,6 +348,7 @@ let () =
           t "structural constructor type" test_structural_typing_of_constructor;
           t "structural nav" test_structural_typing_survives_navigation;
           t "equal item types merge" test_equal_item_types_merge;
+          t "FLWOR occurrence" test_flwor_occurrence;
           t "optimistic rule" test_optimistic_call_rule;
           t "typematch insertion" test_typematch_inserted_not_proven;
           t "static mismatch" test_static_mismatch_rejected;
