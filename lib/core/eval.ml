@@ -279,15 +279,9 @@ let singleton_atom what seq =
   let a = operand what seq in
   if a == no_atom then None else Some a
 
-let value_compare op a b =
-  let c =
-    (* the pairs the join keys hold, compared as [Atomic.compare_values]
-       does, without its [Ok] *)
-    match (a, b) with
-    | Atomic.String x, Atomic.String y -> String.compare x y
-    | Atomic.Integer x, Atomic.Integer y -> Int.compare x y
-    | _ -> ( match Atomic.compare_values a b with Ok c -> c | Error m -> error "%s" m)
-  in
+(* Whether value comparison [op] holds of two atoms that compare as
+   [c]. *)
+let comparison_holds op c =
   match op with
   | C.V_eq -> c = 0
   | C.V_ne -> c <> 0
@@ -296,6 +290,16 @@ let value_compare op a b =
   | C.V_gt -> c > 0
   | C.V_ge -> c >= 0
   | _ -> assert false
+
+let value_compare op a b =
+  comparison_holds op
+    ((* the pairs the join keys hold, compared as [Atomic.compare_values]
+        does, without its [Ok] *)
+     match (a, b) with
+     | Atomic.String x, Atomic.String y -> String.compare x y
+     | Atomic.Integer x, Atomic.Integer y -> Int.compare x y
+     | _ -> (
+       match Atomic.compare_values a b with Ok c -> c | Error m -> error "%s" m))
 
 (* Hash-join keys. Only a single string or numeric atom normalizes,
    numerics to one canonical float as in [Index.part_of_value], so two
@@ -765,15 +769,7 @@ and exec_binop cx frame op a b =
           List.exists
             (fun y ->
               match Atomic.compare_values x y with
-              | Ok c -> (
-                match vop with
-                | C.V_eq -> c = 0
-                | C.V_ne -> c <> 0
-                | C.V_lt -> c < 0
-                | C.V_le -> c <= 0
-                | C.V_gt -> c > 0
-                | C.V_ge -> c >= 0
-                | _ -> assert false)
+              | Ok c -> comparison_holds vop c
               | Error _ -> false)
             ys)
         xs

@@ -32,6 +32,24 @@ let singleton_string seq =
   | [ item ] -> Ok (Some (Item.string_value item))
   | _ -> Error "expected at most one item"
 
+(* A function of two optional strings, an empty sequence read as "". *)
+let string_pair name f = function
+  | [ a; b ] ->
+    let* s = singleton_string a in
+    let* p = singleton_string b in
+    f (Option.value s ~default:"") (Option.value p ~default:"")
+  | _ -> Error (name ^ " expects two arguments")
+
+(* Where [p] first occurs in [s]. *)
+let find_sub s p =
+  let np = String.length p in
+  let rec find i =
+    if i + np > String.length s then None
+    else if String.sub s i np = p then Some i
+    else find (i + 1)
+  in
+  find 0
+
 let required_string name seq =
   let* s = singleton_string seq in
   match s with
@@ -290,34 +308,15 @@ let all =
         | _ -> Error "string-join expects two arguments");
     mk (Names.fn "contains") ~min_arity:2 ~params:[ opt_string; opt_string ]
       ~returns:one_bool
-      (function
-        | [ a; b ] ->
-          let* hay = singleton_string a in
-          let* needle = singleton_string b in
-          let hay = Option.value hay ~default:"" in
-          let needle = Option.value needle ~default:"" in
-          let contained =
-            let nh = String.length hay and nn = String.length needle in
-            let rec at i =
-              i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
-            in
-            nn = 0 || at 0
-          in
-          Ok [ Item.boolean contained ]
-        | _ -> Error "contains expects two arguments");
+      (string_pair "contains" (fun hay needle ->
+           Ok [ Item.boolean (find_sub hay needle <> None) ]));
     mk (Names.fn "starts-with") ~min_arity:2 ~params:[ opt_string; opt_string ]
       ~returns:one_bool
-      (function
-        | [ a; b ] ->
-          let* s = singleton_string a in
-          let* p = singleton_string b in
-          let s = Option.value s ~default:"" in
-          let p = Option.value p ~default:"" in
-          Ok
-            [ Item.boolean
-                (String.length p <= String.length s
-                && String.sub s 0 (String.length p) = p) ]
-        | _ -> Error "starts-with expects two arguments");
+      (string_pair "starts-with" (fun s p ->
+           Ok
+             [ Item.boolean
+                 (String.length p <= String.length s
+                 && String.sub s 0 (String.length p) = p) ]));
     mk (Names.fn "string-length") ~min_arity:1 ~params:[ opt_string ]
       ~returns:one_int
       ~translation:(Sql_function Sql.Char_length)
@@ -440,55 +439,23 @@ let all =
         | _ -> Error "round expects one argument");
     mk (Names.fn "ends-with") ~min_arity:2 ~params:[ opt_string; opt_string ]
       ~returns:one_bool
-      (function
-        | [ a; b ] ->
-          let* s = singleton_string a in
-          let* p = singleton_string b in
-          let s = Option.value s ~default:"" in
-          let p = Option.value p ~default:"" in
-          let ns = String.length s and np = String.length p in
-          Ok [ Item.boolean (np <= ns && String.sub s (ns - np) np = p) ]
-        | _ -> Error "ends-with expects two arguments");
+      (string_pair "ends-with" (fun s p ->
+           let ns = String.length s and np = String.length p in
+           Ok [ Item.boolean (np <= ns && String.sub s (ns - np) np = p) ]));
     mk (Names.fn "substring-before") ~min_arity:2
       ~params:[ opt_string; opt_string ] ~returns:one_string
-      (function
-        | [ a; b ] -> (
-          let* s = singleton_string a in
-          let* p = singleton_string b in
-          let s = Option.value s ~default:"" in
-          let p = Option.value p ~default:"" in
-          if p = "" then Ok [ Item.string "" ]
-          else
-            let np = String.length p in
-            let rec find i =
-              if i + np > String.length s then None
-              else if String.sub s i np = p then Some i
-              else find (i + 1)
-            in
-            match find 0 with
-            | Some i -> Ok [ Item.string (String.sub s 0 i) ]
-            | None -> Ok [ Item.string "" ])
-        | _ -> Error "substring-before expects two arguments");
+      (string_pair "substring-before" (fun s p ->
+           match find_sub s p with
+           | Some i -> Ok [ Item.string (String.sub s 0 i) ]
+           | None -> Ok [ Item.string "" ]));
     mk (Names.fn "substring-after") ~min_arity:2
       ~params:[ opt_string; opt_string ] ~returns:one_string
-      (function
-        | [ a; b ] -> (
-          let* s = singleton_string a in
-          let* p = singleton_string b in
-          let s = Option.value s ~default:"" in
-          let p = Option.value p ~default:"" in
-          if p = "" then Ok [ Item.string s ]
-          else
-            let np = String.length p in
-            let rec find i =
-              if i + np > String.length s then None
-              else if String.sub s i np = p then Some (i + np)
-              else find (i + 1)
-            in
-            match find 0 with
-            | Some i -> Ok [ Item.string (String.sub s i (String.length s - i)) ]
-            | None -> Ok [ Item.string "" ])
-        | _ -> Error "substring-after expects two arguments");
+      (string_pair "substring-after" (fun s p ->
+           match find_sub s p with
+           | Some i ->
+             let i = i + String.length p in
+             Ok [ Item.string (String.sub s i (String.length s - i)) ]
+           | None -> Ok [ Item.string "" ]));
     mk (Names.fn "translate") ~min_arity:3
       ~params:[ opt_string; one_string; one_string ] ~returns:one_string
       (function

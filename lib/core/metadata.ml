@@ -114,6 +114,13 @@ let resolve_call t name arity =
       find_function t (Qname.local name.Qname.local) arity
     else None
 
+let external_call t = function
+  | Cexpr.Call { fn; args } -> (
+    match resolve_call t fn (List.length args) with
+    | Some { fd_impl = External _; _ } -> true
+    | Some { fd_impl = Body _; _ } | None -> false)
+  | _ -> false
+
 let functions t =
   locked t @@ fun () ->
   Hashtbl.fold (fun _ fd acc -> fd :: acc) t.functions []
@@ -440,27 +447,32 @@ let introspect_procedure t ?(uri = "") db (proc : Procedure.t) =
           ("connection", db.Database.db_name);
           ("storedProcedure", proc.Procedure.proc_name) ] }
 
+(* Registers the validated documents [docs] as the read function
+   [fname] of a data service [name] whose pragmas name their [source]. *)
+let register_docs t ~fname ~name ~schema ~source docs =
+  add_schema t schema;
+  add_function t
+    { fd_name = fname;
+      fd_params = [];
+      fd_return = Stype.star (stype_of_schema schema);
+      fd_impl = External (File_docs docs);
+      fd_kind = Read;
+      fd_cacheable = false;
+      fd_pragmas = [ ("kind", "read"); ("source", source) ] };
+  add_data_service t
+    { ds_name = name;
+      ds_shape = Some schema;
+      ds_functions = [ fname ];
+      ds_lineage_provider = None };
+  Ok ()
+
 let register_csv_source t ?uri ~name ~schema ?separator ?header text =
   match Csv_source.load ~schema ?separator ?header text with
   | Error _ as e -> e
   | Ok docs ->
     (* rows are already validated; register them directly *)
-    let fname = Qname.make ?uri name in
-    add_schema t schema;
-    add_function t
-      { fd_name = fname;
-        fd_params = [];
-        fd_return = Stype.star (stype_of_schema schema);
-        fd_impl = External (File_docs docs);
-        fd_kind = Read;
-        fd_cacheable = false;
-        fd_pragmas = [ ("kind", "read"); ("source", "csv") ] };
-    add_data_service t
-      { ds_name = name;
-        ds_shape = Some schema;
-        ds_functions = [ fname ];
-        ds_lineage_provider = None };
-    Ok ()
+    register_docs t ~fname:(Qname.make ?uri name) ~name ~schema ~source:"csv"
+      docs
 
 let register_file_source t ?(uri = "") ~name ~schema docs =
   let rec validate_all acc = function
@@ -473,19 +485,5 @@ let register_file_source t ?(uri = "") ~name ~schema docs =
   match validate_all [] docs with
   | Error _ as e -> e
   | Ok typed_docs ->
-    let fname = Qname.make ~uri name in
-    add_schema t schema;
-    add_function t
-      { fd_name = fname;
-        fd_params = [];
-        fd_return = Stype.star (stype_of_schema schema);
-        fd_impl = External (File_docs typed_docs);
-        fd_kind = Read;
-        fd_cacheable = false;
-        fd_pragmas = [ ("kind", "read"); ("source", "file") ] };
-    add_data_service t
-      { ds_name = name;
-        ds_shape = Some schema;
-        ds_functions = [ fname ];
-        ds_lineage_provider = None };
-    Ok ()
+    register_docs t ~fname:(Qname.make ~uri name) ~name ~schema
+      ~source:"file" typed_docs

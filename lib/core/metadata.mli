@@ -81,6 +81,10 @@ val resolve_call : t -> Qname.t -> int -> function_def option
     namespace that matches no builtin also tries the no-namespace registry
     (so unprefixed calls reach introspected sources). *)
 
+val external_call : t -> Cexpr.t -> bool
+(** Whether an expression is a direct call of an external source
+    function. *)
+
 val functions : t -> function_def list
 
 val set_cacheable : t -> Qname.t -> bool -> unit

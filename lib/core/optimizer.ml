@@ -157,6 +157,27 @@ let content_parts = function
   | C.Empty -> []
   | e -> [ e ]
 
+(* The children named [n] of an element whose content is [parts], as a
+   function of [n]; [None] when some part is neither an element
+   constructor nor atomic, so the children cannot be told apart
+   statically. *)
+let child_projection registry parts =
+  if
+    not
+      (List.for_all
+         (function C.Elem _ -> true | p -> atomic_producer registry p)
+         parts)
+  then None
+  else
+    Some
+      (fun n ->
+        C.seq
+          (List.filter_map
+             (function
+               | C.Elem { name; _ } as p when Qname.equal name n -> Some p
+               | _ -> None)
+             parts))
+
 let references_any vars e =
   let fv = C.free_vars e () in
   List.exists (fun v -> Hashtbl.mem fv v) vars
@@ -225,19 +246,6 @@ and rule_let_substitution t =
              when used once: the evaluator submits independent source-call
              lets to the worker pool together, and inlining the call into
              its use site would serialize them again *)
-          let latency_bound value =
-            match value with
-            | C.Call { fn; args } -> (
-              match
-                Metadata.resolve_call t.registry fn (List.length args)
-              with
-              | Some fd -> (
-                match fd.Metadata.fd_impl with
-                | Metadata.External _ -> true
-                | Metadata.Body _ -> false)
-              | None -> false)
-            | _ -> false
-          in
           let rec find before = function
             | [] -> None
             | (C.Let { var; value } as l) :: rest
@@ -249,7 +257,10 @@ and rule_let_substitution t =
                 match value with C.Var _ | C.Const _ | C.Empty -> true | _ -> false
               in
               let uses = count_var_clauses var rest return_ in
-              if (cheap || uses <= 1) && not (latency_bound value) then
+              if
+                (cheap || uses <= 1)
+                && not (Metadata.external_call t.registry value)
+              then
                 match
                   C.substitute [ (var, value) ]
                     (C.Flwor { clauses = rest; return_ })
@@ -423,30 +434,6 @@ and rule_project_through_let t =
         else
           match e with
           | C.Flwor { clauses; return_ } ->
-            let project_map var parts =
-              (* None when some part cannot be classified *)
-              let classifiable =
-                List.for_all
-                  (fun p ->
-                    match p with
-                    | C.Elem _ -> true
-                    | p -> atomic_producer t.registry p)
-                  parts
-              in
-              if not classifiable then None
-              else
-                Some
-                  (fun n ->
-                    C.seq
-                      (List.filter_map
-                         (fun p ->
-                           match p with
-                           | C.Elem { name; _ } when Qname.equal name n ->
-                             Some p
-                           | _ -> None)
-                         parts))
-              |> fun r -> ignore var; r
-            in
             let changed = ref false in
             let rec rewrite_with proj var e =
               match e with
@@ -464,7 +451,7 @@ and rule_project_through_let t =
               | (C.Let { var; value = C.Elem { optional = false; content; _ } }
                  as l)
                 :: rest -> (
-                match project_map var (content_parts content) with
+                match child_projection t.registry (content_parts content) with
                 | Some proj ->
                   changed := false;
                   let rest' =
@@ -541,25 +528,9 @@ and rule_child_elim t =
         else
           match e with
           | C.Child (C.Elem { optional = false; content; _ }, n) ->
-            let parts = content_parts content in
-            let resolvable =
-              List.for_all
-                (fun p ->
-                  match p with
-                  | C.Elem _ -> true
-                  | p -> atomic_producer t.registry p)
-                parts
-            in
-            if not resolvable then None
-            else
-              Some
-                (C.seq
-                   (List.filter_map
-                      (fun p ->
-                        match p with
-                        | C.Elem { name; _ } when Qname.equal name n -> Some p
-                        | _ -> None)
-                      parts))
+            Option.map
+              (fun proj -> proj n)
+              (child_projection t.registry (content_parts content))
           | _ -> None) }
 
 and rule_attr_elim t =
@@ -685,47 +656,51 @@ let rule_where_pushdown =
 
 (* --- join introduction ----------------------------------------------- *)
 
+(* A join-introduction rule: [rewrite clauses return_] of each FLWOR,
+   while join introduction is on. *)
+let join_rule t name rewrite =
+  { Rewrite.rule_name = name;
+    apply =
+      (fun e ->
+        match e with
+        | C.Flwor { clauses; return_ } when t.opts.introduce_joins ->
+          rewrite clauses return_
+        | _ -> None) }
+
 (* [For f; Where w...] where w spans f and earlier vars becomes an inner
    join with f as the right branch (§4.3). *)
 let rule_join_intro t =
-  { Rewrite.rule_name = "join-introduction";
-    apply =
-      (fun e ->
-        if not t.opts.introduce_joins then None
-        else
-          match e with
-          | C.Flwor { clauses; return_ } ->
-            let rec scan bound before = function
-              | [] -> None
-              | (C.For { var; source } as f) :: rest when bound <> [] ->
-                (* collect following Wheres that reference both sides *)
-                let rec take_wheres ws tail =
-                  match tail with
-                  | C.Where w :: more
-                    when references_any [ var ] w && references_any bound w ->
-                    take_wheres (w :: ws) more
-                  | _ -> (List.rev ws, tail)
-                in
-                let wheres, tail = take_wheres [] rest in
-                if wheres = [] then
-                  scan (var :: bound) (f :: before) rest
-                else
-                  let on_ = conjoin (List.concat_map conjuncts wheres) in
-                  Some
-                    (List.rev_append before
-                       (C.Join
-                          { kind = C.J_inner;
-                            method_ = C.Nested_loop;
-                            right = [ C.For { var; source } ];
-                            on_;
-                            export = C.Bindings }
-                       :: tail))
-              | c :: rest -> scan (C.clause_vars [ c ] @ bound) (c :: before) rest
-            in
-            (match scan [] [] clauses with
-            | Some clauses' -> Some (C.Flwor { clauses = clauses'; return_ })
-            | None -> None)
-          | _ -> None) }
+  join_rule t "join-introduction" (fun clauses return_ ->
+      let rec scan bound before = function
+        | [] -> None
+        | (C.For { var; source } as f) :: rest when bound <> [] ->
+          (* collect following Wheres that reference both sides *)
+          let rec take_wheres ws tail =
+            match tail with
+            | C.Where w :: more
+              when references_any [ var ] w && references_any bound w ->
+              take_wheres (w :: ws) more
+            | _ -> (List.rev ws, tail)
+          in
+          let wheres, tail = take_wheres [] rest in
+          if wheres = [] then
+            scan (var :: bound) (f :: before) rest
+          else
+            let on_ = conjoin (List.concat_map conjuncts wheres) in
+            Some
+              (List.rev_append before
+                 (C.Join
+                    { kind = C.J_inner;
+                      method_ = C.Nested_loop;
+                      right = [ C.For { var; source } ];
+                      on_;
+                      export = C.Bindings }
+                 :: tail))
+        | c :: rest -> scan (C.clause_vars [ c ] @ bound) (c :: before) rest
+      in
+      (match scan [] [] clauses with
+      | Some clauses' -> Some (C.Flwor { clauses = clauses'; return_ })
+      | None -> None))
 
 (* let $v := (dependent flwor) becomes a grouped left outer join: "joins
    that occur inside lets are rewritten as left outer joins and brought
@@ -733,123 +708,109 @@ let rule_join_intro t =
    (let $n := count(flwor)) is the same rewrite with the aggregate applied
    to the grouped variable — pattern (g) of Table 2. *)
 let rule_let_flwor_to_join t =
-  { Rewrite.rule_name = "let-flwor-to-outer-join";
-    apply =
-      (fun e ->
-        if not t.opts.introduce_joins then None
-        else
-          match e with
-          | C.Flwor { clauses; return_ } ->
-            let hoistable bound inner ret =
-              bound <> []
-              && references_any bound (C.Flwor { clauses = inner; return_ = ret })
-              && List.exists
-                   (function C.For _ | C.Rel _ -> true | _ -> false)
-                   inner
-            in
-            let join gvar inner ret =
-              C.Join
-                { kind = C.J_left_outer;
-                  method_ = C.Nested_loop;
-                  right = inner;
-                  on_ = C.Ebv (C.Const (Atomic.Boolean true));
-                  export = C.Grouped { gvar; gexpr = ret } }
-            in
-            let rec transform bound before = function
-              | [] -> None
-              | C.Let { var; value = C.Flwor { clauses = inner; return_ = ret } }
-                :: rest
-                when hoistable bound inner ret ->
-                Some (List.rev_append before (join var inner ret :: rest))
-              | C.Let
-                  { var;
-                    value =
-                      C.Call
-                        { fn;
-                          args = [ C.Flwor { clauses = inner; return_ = ret } ]
-                        } }
-                :: rest
-                when Fn_lib.is_aggregate fn && hoistable bound inner ret ->
-                let tmp = Printf.sprintf "agg~%d" (fresh t ()) in
-                Some
-                  (List.rev_append before
-                     (join tmp inner ret
-                     :: C.Let
-                          { var; value = C.Call { fn; args = [ C.Var tmp ] } }
-                     :: rest))
-              | c :: rest ->
-                transform (C.clause_vars [ c ] @ bound) (c :: before) rest
-            in
-            (match transform [] [] clauses with
-            | Some clauses' -> Some (C.Flwor { clauses = clauses'; return_ })
-            | None -> None)
-          | _ -> None) }
+  join_rule t "let-flwor-to-outer-join" (fun clauses return_ ->
+      let hoistable bound inner ret =
+        bound <> []
+        && references_any bound (C.Flwor { clauses = inner; return_ = ret })
+        && List.exists
+             (function C.For _ | C.Rel _ -> true | _ -> false)
+             inner
+      in
+      let join gvar inner ret =
+        C.Join
+          { kind = C.J_left_outer;
+            method_ = C.Nested_loop;
+            right = inner;
+            on_ = C.Ebv (C.Const (Atomic.Boolean true));
+            export = C.Grouped { gvar; gexpr = ret } }
+      in
+      let rec transform bound before = function
+        | [] -> None
+        | C.Let { var; value = C.Flwor { clauses = inner; return_ = ret } }
+          :: rest
+          when hoistable bound inner ret ->
+          Some (List.rev_append before (join var inner ret :: rest))
+        | C.Let
+            { var;
+              value =
+                C.Call
+                  { fn;
+                    args = [ C.Flwor { clauses = inner; return_ = ret } ]
+                  } }
+          :: rest
+          when Fn_lib.is_aggregate fn && hoistable bound inner ret ->
+          let tmp = Printf.sprintf "agg~%d" (fresh t ()) in
+          Some
+            (List.rev_append before
+               (join tmp inner ret
+               :: C.Let
+                    { var; value = C.Call { fn; args = [ C.Var tmp ] } }
+               :: rest))
+        | c :: rest ->
+          transform (C.clause_vars [ c ] @ bound) (c :: before) rest
+      in
+      (match transform [] [] clauses with
+      | Some clauses' -> Some (C.Flwor { clauses = clauses'; return_ })
+      | None -> None))
 
 (* Nested FLWORs in the return expression (e.g. <ORDERS>{for $o ...}</ORDERS>)
    hoist into grouped left outer joins (§4.2: outer-join + group-by brings
    the data to be nested together). *)
 let rule_return_flwor_hoist t =
-  { Rewrite.rule_name = "return-flwor-hoist";
-    apply =
-      (fun e ->
-        if not t.opts.introduce_joins then None
-        else
-          match e with
-          | C.Flwor { clauses; return_ } when clauses <> [] ->
-            let bound = C.clause_vars clauses in
-            if bound = [] then None
-            else
-              let found = ref None in
-              (* walk only always-evaluated positions *)
-              let rec search in_scope e =
-                if !found <> None then e
-                else
-                  match e with
-                  | C.Flwor { clauses = inner; _ }
-                    when references_any bound e
-                         && (not (references_any in_scope e))
-                         && List.exists
-                              (function C.For _ | C.Rel _ -> true | _ -> false)
-                              inner ->
-                    let gvar = Printf.sprintf "nest~%d" (fresh t ()) in
-                    found := Some (gvar, e);
-                    C.Var gvar
-                  | C.Seq es -> C.Seq (List.map (search in_scope) es)
-                  | C.Elem { name; optional; attrs; content } ->
-                    let attrs =
-                      List.map
-                        (fun a -> { a with C.avalue = search in_scope a.C.avalue })
-                        attrs
-                    in
-                    C.Elem
-                      { name; optional; attrs; content = search in_scope content }
-                  | C.Data x -> C.Data (search in_scope x)
-                  | C.Cast (x, ty) -> C.Cast (search in_scope x, ty)
-                  | C.Binop (op, a, b) ->
-                    C.Binop (op, search in_scope a, search in_scope b)
-                  | C.Call { fn; args }
-                    when (match Fn_lib.find fn (List.length args) with
-                         | Some b -> not b.Fn_lib.special
-                         | None -> false) ->
-                    C.Call { fn; args = List.map (search in_scope) args }
-                  | e -> e
+  join_rule t "return-flwor-hoist" (fun clauses return_ ->
+      let bound = C.clause_vars clauses in
+      if bound = [] then None
+      else
+        let found = ref None in
+        (* walk only always-evaluated positions *)
+        let rec search in_scope e =
+          if !found <> None then e
+          else
+            match e with
+            | C.Flwor { clauses = inner; _ }
+              when references_any bound e
+                   && (not (references_any in_scope e))
+                   && List.exists
+                        (function C.For _ | C.Rel _ -> true | _ -> false)
+                        inner ->
+              let gvar = Printf.sprintf "nest~%d" (fresh t ()) in
+              found := Some (gvar, e);
+              C.Var gvar
+            | C.Seq es -> C.Seq (List.map (search in_scope) es)
+            | C.Elem { name; optional; attrs; content } ->
+              let attrs =
+                List.map
+                  (fun a -> { a with C.avalue = search in_scope a.C.avalue })
+                  attrs
               in
-              let return' = search [] return_ in
-              (match !found with
-              | Some (gvar, C.Flwor { clauses = inner; return_ = ret }) ->
-                Some
-                  (C.Flwor
-                     { clauses =
-                         clauses
-                         @ [ C.Join
-                               { kind = C.J_left_outer;
-                                 method_ = C.Nested_loop;
-                                 right = inner;
-                                 on_ = C.Ebv (C.Const (Atomic.Boolean true));
-                                 export = C.Grouped { gvar; gexpr = ret } } ];
-                       return_ = return' })
-              | _ -> None)
-          | _ -> None) }
+              C.Elem
+                { name; optional; attrs; content = search in_scope content }
+            | C.Data x -> C.Data (search in_scope x)
+            | C.Cast (x, ty) -> C.Cast (search in_scope x, ty)
+            | C.Binop (op, a, b) ->
+              C.Binop (op, search in_scope a, search in_scope b)
+            | C.Call { fn; args }
+              when (match Fn_lib.find fn (List.length args) with
+                   | Some b -> not b.Fn_lib.special
+                   | None -> false) ->
+              C.Call { fn; args = List.map (search in_scope) args }
+            | e -> e
+        in
+        let return' = search [] return_ in
+        (match !found with
+        | Some (gvar, C.Flwor { clauses = inner; return_ = ret }) ->
+          Some
+            (C.Flwor
+               { clauses =
+                   clauses
+                   @ [ C.Join
+                         { kind = C.J_left_outer;
+                           method_ = C.Nested_loop;
+                           right = inner;
+                           on_ = C.Ebv (C.Const (Atomic.Boolean true));
+                           export = C.Grouped { gvar; gexpr = ret } } ];
+                 return_ = return' })
+        | _ -> None))
 
 (* Pull dependent Wheres out of a join's right branch into the on_
    predicate, so method selection and SQL translation can see them. *)

@@ -281,16 +281,6 @@ let compile registry root =
   in
   let est_of = Option.value ~default:0 in
   let mk_op est op_node = { op_id = fresh (); op_est = est_of est; op_node } in
-  let external_call = function
-    | C.Call { fn; args } -> (
-      match Metadata.resolve_call registry fn (List.length args) with
-      | Some fd -> (
-        match fd.Metadata.fd_impl with
-        | Metadata.External _ -> true
-        | Metadata.Body _ -> false)
-      | None -> false)
-    | _ -> false
-  in
   (* Compile-time cardinality estimates, fixed on each operator so
      EXPLAIN --analyze can print est=/act= pairs: the estimate of an
      operator is the binding tuples it is expected to emit
@@ -395,7 +385,7 @@ let compile registry root =
                 L_async
               | value
                 when List.length run_vars > 1
-                     && external_call value && independent value ->
+                     && Metadata.external_call registry value && independent value ->
                 L_concurrent
               | _ -> L_plain
             in

@@ -59,6 +59,10 @@ val occ_opt : occurrence
 val occ_star : occurrence
 val occ_plus : occurrence
 
+val merge_items : item_type list -> item_type list -> item_type list
+(** The item types of the first list, then those of the second that the
+    first lacks: equal item types merge. *)
+
 val union : t -> t -> t
 (** Type of [if .. then a else b] / mixed sequences. *)
 

@@ -50,7 +50,7 @@ let numeric_result a b =
       ty.Stype.items
   in
   let items =
-    match numeric_items a @ numeric_items b with
+    match Stype.merge_items (numeric_items a) (numeric_items b) with
     | [] -> [ Stype.It_atomic Atomic.T_double ]
     | items -> items
   in

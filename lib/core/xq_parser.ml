@@ -55,6 +55,12 @@ let peek_char st =
 let char_at st i =
   if i < String.length st.input then Some st.input.[i] else None
 
+(* At a ':' that a name starts right after: the name just read is a
+   prefix. *)
+let at_prefix_colon st =
+  peek_char st = Some ':'
+  && match char_at st (st.pos + 1) with Some c -> is_name_start c | None -> false
+
 let looking_at st s =
   let n = String.length s in
   st.pos + n <= String.length st.input && String.sub st.input st.pos n = s
@@ -176,14 +182,8 @@ let scan st : token * int =
   | Some '(' when looking_at st "(::pragma" -> (T_pragma (lex_pragma st), start)
   | Some c when is_name_start c -> (
     let first = read_name_raw st in
-    (* prefixed name: name ':' name with no space and not '::=' *)
-    if
-      peek_char st = Some ':'
-      && (match char_at st (st.pos + 1) with
-         | Some c -> is_name_start c
-         | None -> false)
-      && char_at st (st.pos + 1) <> Some '='
-    then begin
+    (* prefixed name: name ':' name with no space *)
+    if at_prefix_colon st then begin
       st.pos <- st.pos + 1;
       let second = read_name_raw st in
       (T_name (Some first, second), start)
@@ -193,12 +193,7 @@ let scan st : token * int =
     st.pos <- st.pos + 1;
     let name = read_name_raw st in
     (* allow $p:v but keep only the local part; data service vars are local *)
-    if
-      peek_char st = Some ':'
-      && (match char_at st (st.pos + 1) with
-         | Some c -> is_name_start c
-         | None -> false)
-    then begin
+    if at_prefix_colon st then begin
       st.pos <- st.pos + 1;
       (T_var (read_name_raw st), start)
     end
@@ -484,54 +479,42 @@ and parse_single_expr st =
   | T_name (None, ("some" | "every")) -> parse_quantified st
   | _ -> parse_or_expr st
 
+(* The comma-separated bindings of a [for] or [let] clause, each
+   [$v (as TYPE)? SEP ExprSingle]; [sep] reads the separator. *)
+and parse_bindings st sep =
+  let rec bindings acc =
+    let v =
+      match next st with
+      | T_var v -> v
+      | t -> fail (token_pos st) "expected a variable, found %s" (describe t)
+    in
+    if at_name st "as" then begin
+      ignore (next st);
+      ignore (parse_sequence_type st)
+    end;
+    sep ();
+    let e = parse_single_expr st in
+    if peek st = T_comma then begin
+      ignore (next st);
+      bindings ((v, e) :: acc)
+    end
+    else List.rev ((v, e) :: acc)
+  in
+  bindings []
+
 and parse_flwor st =
   let clauses = ref [] in
   let rec clause_loop () =
     match peek st with
     | T_name (None, "for") ->
       ignore (next st);
-      let rec bindings acc =
-        let v =
-          match next st with
-          | T_var v -> v
-          | t -> fail (token_pos st) "expected a variable, found %s" (describe t)
-        in
-        (* optional type annotation: as TYPE *)
-        if at_name st "as" then begin
-          ignore (next st);
-          ignore (parse_sequence_type st)
-        end;
-        expect_name st "in";
-        let e = parse_single_expr st in
-        if peek st = T_comma then begin
-          ignore (next st);
-          bindings ((v, e) :: acc)
-        end
-        else List.rev ((v, e) :: acc)
-      in
-      clauses := C_for (bindings []) :: !clauses;
+      clauses :=
+        C_for (parse_bindings st (fun () -> expect_name st "in")) :: !clauses;
       clause_loop ()
     | T_name (None, "let") ->
       ignore (next st);
-      let rec bindings acc =
-        let v =
-          match next st with
-          | T_var v -> v
-          | t -> fail (token_pos st) "expected a variable, found %s" (describe t)
-        in
-        if at_name st "as" then begin
-          ignore (next st);
-          ignore (parse_sequence_type st)
-        end;
-        expect st T_assign;
-        let e = parse_single_expr st in
-        if peek st = T_comma then begin
-          ignore (next st);
-          bindings ((v, e) :: acc)
-        end
-        else List.rev ((v, e) :: acc)
-      in
-      clauses := C_let (bindings []) :: !clauses;
+      clauses :=
+        C_let (parse_bindings st (fun () -> expect st T_assign)) :: !clauses;
       clause_loop ()
     | T_name (None, "where") ->
       ignore (next st);
@@ -897,12 +880,7 @@ and parse_tag_body st =
   (* char-level from here *)
   let read_qname () =
     let first = read_name_raw st in
-    if
-      peek_char st = Some ':'
-      && (match char_at st (st.pos + 1) with
-         | Some c -> is_name_start c
-         | None -> false)
-    then begin
+    if at_prefix_colon st then begin
       st.pos <- st.pos + 1;
       let second = read_name_raw st in
       { prefix = Some first; local_name = second }

@@ -181,6 +181,11 @@ type colclass =
   | C_missing  (* qualified by a local alias, column absent: errors *)
   | C_outer  (* resolves (or fails) in an enclosing scope *)
 
+let table_src alias t =
+  { s_alias = alias;
+    s_cols = List.map (fun c -> c.Table.col_name) t.Table.columns;
+    s_table = Some t }
+
 (* The select's sources in order (FROM first, then joins), or [None] when
    analysis cannot be trusted: unknown table, duplicate aliases, or a
    derived table whose projection list still contains a star. *)
@@ -188,11 +193,7 @@ let sources_of st s =
   let of_ref = function
     | Table { table; alias } -> (
       match Database.find_table st.db table with
-      | Ok t ->
-        Some
-          { s_alias = alias;
-            s_cols = List.map (fun c -> c.Table.col_name) t.Table.columns;
-            s_table = Some t }
+      | Ok t -> Some (table_src alias t)
       | Error _ -> None)
     | Derived { query; alias } ->
       let cols = List.map snd query.projections in
@@ -306,6 +307,37 @@ let base_col srcs base e =
     | _ -> None)
   | _ -> None
 
+(* The (column, value) pairs of [e]'s [column = value] conjuncts whose
+   column is [base]'s and whose value [value_ok] accepts. *)
+let eq_pairs srcs base value_ok e =
+  List.filter_map
+    (function
+      | Binop (Eq, a, b) -> (
+        match base_col srcs base a with
+        | Some n when value_ok b -> Some (n, b)
+        | _ -> (
+          match base_col srcs base b with
+          | Some n when value_ok a -> Some (n, a)
+          | _ -> None))
+      | _ -> None)
+    (conjuncts e)
+
+(* The index of [t] that equalities on [cols] probe: of those whose
+   columns are all in [cols], the one with most columns, a unique one on
+   a tie. *)
+let best_index t cols =
+  let len i = List.length (Index.columns i) in
+  let better idx b =
+    len idx > len b
+    || (len idx = len b && Index.unique idx && not (Index.unique b))
+  in
+  List.fold_left
+    (fun acc idx ->
+      if not (List.for_all (fun c -> List.mem c cols) (Index.columns idx))
+      then acc
+      else match acc with Some b when not (better idx b) -> acc | _ -> Some idx)
+    None (Table.indexes t)
+
 (* One OR-arm of a probe conjunct reduced to equality alternatives: the
    arm can only be True when, for some alternative, all its (column =
    value) equalities hold. IN-lists expand to one alternative per item;
@@ -318,20 +350,7 @@ let arm_alternatives sc srcs base arm =
     let name = Option.get (base_col srcs base col) in
     Some (List.map (fun item -> [ (name, item) ]) items)
   | _ ->
-    let pairs =
-      List.filter_map
-        (fun c ->
-          match c with
-          | Binop (Eq, a, b) -> (
-            match base_col srcs base a with
-            | Some n when probe_value_ok sc srcs b -> Some (n, b)
-            | _ -> (
-              match base_col srcs base b with
-              | Some n when probe_value_ok sc srcs a -> Some (n, a)
-              | _ -> None))
-          | _ -> None)
-        (conjuncts arm)
-    in
+    let pairs = eq_pairs srcs base (probe_value_ok sc srcs) arm in
     if pairs = [] then None else Some [ pairs ]
 
 (* The index and the probe keys' values implied by [where] for the base
@@ -362,28 +381,7 @@ let probe_plan sc srcs base where =
                     else None)
                   first
             in
-            let usable =
-              List.filter
-                (fun idx ->
-                  List.for_all (fun c -> List.mem c common) (Index.columns idx))
-                (Table.indexes table)
-            in
-            let best =
-              List.fold_left
-                (fun acc idx ->
-                  match acc with
-                  | None -> Some idx
-                  | Some b ->
-                    let len i = List.length (Index.columns i) in
-                    if
-                      len idx > len b
-                      || (len idx = len b && Index.unique idx
-                          && not (Index.unique b))
-                    then Some idx
-                    else acc)
-                None usable
-            in
-            match best with
+            match best_index table common with
             | None -> None
             | Some idx ->
               let cols = Array.of_list (Index.columns idx) in
@@ -473,16 +471,32 @@ let eval_func f args =
       if y = 0 then error "modulo by zero" else V.Int (x mod y)
     | _ -> error "bad arguments to SQL function"
 
+(* The value stored with the first entry of [tbl] whose values equal
+   [values], column by column under [V.equal]; when there is none,
+   [values] is added with [fresh ()] and the result is [None]. Equal
+   values share a key image ({!Index.key_of_values}), but so may values
+   that differ (2^53 and 2^53 + 1), so a bucket keeps its entries in the
+   order they were added and re-checks each. [V.equal] is not transitive
+   across Int and Float, so the first match wins. *)
+let find_or_add tbl values fresh =
+  let key = Index.key_of_values values in
+  let bucket = Option.value (Index.Key_tbl.find_opt tbl key) ~default:[] in
+  match
+    List.find_opt (fun (vs, _) -> Array.for_all2 V.equal vs values) bucket
+  with
+  | Some (_, x) -> Some x
+  | None ->
+    Index.Key_tbl.replace tbl key (bucket @ [ (values, fresh ()) ]);
+    None
+
 (* An aggregate over the non-NULL values of its argument. *)
 let aggregate kind quantifier values =
   let values =
     match quantifier with
     | All -> values
     | Distinct_agg ->
-      List.fold_left
-        (fun acc v -> if List.exists (V.equal v) acc then acc else v :: acc)
-        [] values
-      |> List.rev
+      let seen = Index.Key_tbl.create 16 in
+      List.filter (fun v -> find_or_add seen [| v |] ignore = None) values
   in
   match kind with
   | Count -> V.Int (List.length values)
@@ -576,6 +590,71 @@ let scan_table st t alias =
   decide st "scan %s as %s (%d rows)" t.Table.table_name alias
     (Array.length rows);
   (ids, rows)
+
+(* The rows of base table [t] that [where] may select, with their ids,
+   ascending: the candidates of an index probe when [where] implies one,
+   otherwise the counted full scan. The caller still filters them with
+   [where]. A probe needs the WHERE and every join's ON condition to be
+   total: the rows it skips could otherwise change the error behaviour.
+   [srcs] are the statement's sources, [t] first; [sc] is its scope
+   before any source is bound. SELECT reads its FROM table through this,
+   and UPDATE and DELETE their target. *)
+let table_rows sc srcs t alias where joins =
+  let probe =
+    match (srcs, where) with
+    | Some (base :: _ as srcs), Some where
+      when total_truth sc srcs where
+           && List.for_all2
+                (* join ON conditions see only the sources bound so far *)
+                (fun j n -> total_truth sc (take (n + 2) srcs) j.on_condition)
+                joins
+                (List.mapi (fun i _ -> i) joins) ->
+      probe_plan sc srcs base where
+    | _ -> None
+  in
+  match probe with
+  | None -> scan_table sc.st t alias
+  | Some (idx, key_values) ->
+    let keys = List.length key_values in
+    let ids, rows = Table.probe_rows t idx key_values in
+    Database.record_operator sc.st.db (fun stats ->
+        stats.Database.index_lookups <- stats.Database.index_lookups + keys;
+        stats.Database.index_rows <-
+          stats.Database.index_rows + Array.length ids);
+    decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" t.Table.table_name
+      (Index.name idx)
+      (String.concat "," (Index.columns idx))
+      keys (Array.length ids);
+    (ids, rows)
+
+(* The rows that [keep] selects, lazily and in order. Each passes
+   through one scratch row, and [f i row] makes the element of the
+   [i]th: a row [keep] drops allocates nothing. *)
+let filtered keep rows f =
+  let n = Array.length rows in
+  let row = [| [||] |] in
+  let rec next i () =
+    if i >= n then Seq.Nil
+    else begin
+      row.(0) <- rows.(i);
+      if keep row then Seq.Cons (f i row, next (i + 1)) else next (i + 1) ()
+    end
+  in
+  next 0
+
+(* The rows that equal no earlier row, lazily. *)
+let distinct rows =
+  let seen = Index.Key_tbl.create 64 in
+  Seq.filter (fun row -> find_or_add seen row ignore = None) rows
+
+(* Rows [start] to [start + count - 1] of [rows], counted from 1, lazily:
+   a start below 1 still counts from 1, and no row after the last is
+   forced. *)
+let window_rows { start; count } rows =
+  let rows = Seq.drop (max 0 (start - 1)) rows in
+  match count with
+  | None -> rows
+  | Some n -> Seq.take (max 0 (n + min 0 (start - 1))) rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -724,46 +803,17 @@ and scan_source st outer ref_ : string array * V.t array array =
     let result = run_select st outer query in
     (Array.of_list result.columns, Array.of_list result.rows)
 
-(* The base table's rows that an index probe finds for [where], with
-   their ids, ascending: candidates that the caller still filters with
-   [where]. [None] when the base source is not a table, the WHERE
-   implies no probe, or the filter/join pipeline is not total (skipped
-   rows could then change the error behaviour); the caller then falls
-   back to the counted full scan. [srcs] are the statement's sources,
-   the base first; [sc] is its scope before any source is bound. SELECT
-   reads its FROM table through this, and UPDATE and DELETE their
-   target. *)
-and index_candidates sc srcs where joins =
-  match (srcs, where) with
-  | Some (({ s_table = Some t; _ } as base) :: _ as srcs), Some where
-    when total_truth sc srcs where
-         && List.for_all2
-              (* join ON conditions see only the sources bound so far *)
-              (fun j n -> total_truth sc (take (n + 2) srcs) j.on_condition)
-              joins
-              (List.mapi (fun i _ -> i) joins) -> (
-    match probe_plan sc srcs base where with
-    | None -> None
-    | Some (idx, key_values) ->
-      let keys = List.length key_values in
-      let ids, rows = Table.probe_rows t idx key_values in
-      Database.record_operator sc.st.db (fun stats ->
-          stats.Database.index_lookups <- stats.Database.index_lookups + keys;
-          stats.Database.index_rows <-
-            stats.Database.index_rows + Array.length ids);
-      decide sc.st "index probe %s.%s [%s] keys=%d rows=%d" t.Table.table_name
-        (Index.name idx)
-        (String.concat "," (Index.columns idx))
-        keys (Array.length ids);
-      Some (t, ids, rows))
-  | _ -> None
-
-(* The FROM source's columns and rows: a base table's index candidates
-   when there are some, otherwise a scan. *)
-and scan_from sc s srcs =
-  match index_candidates sc srcs s.where s.joins with
-  | Some (t, _, rows) -> (column_names t, rows)
-  | None -> scan_source sc.st sc.outer s.from
+(* The FROM source's columns and rows: a base table's through
+   [table_rows], a derived table's by running its select. *)
+and scan_from sc srcs s =
+  match s.from with
+  | Table { table; alias } -> (
+    match Database.find_table sc.st.db table with
+    | Error msg -> error "%s" msg
+    | Ok t ->
+      let _, rows = table_rows sc srcs t alias s.where s.joins in
+      (column_names t, rows))
+  | Derived _ -> scan_source sc.st sc.outer s.from
 
 (* Join algorithm selection. [srcs] is the prefix of sources visible to
    this join (base, earlier joins, then this join's source last). The
@@ -814,14 +864,6 @@ and apply_join sc srcs left_rows join =
           List.find_opt (fun s -> String.equal s.s_alias jalias) srcs
         in
         Option.bind jsrc (fun jsrc ->
-            let right_col e =
-              match e with
-              | Col (alias, name) -> (
-                match classify srcs alias name with
-                | C_local src when src == jsrc -> Some name
-                | _ -> None)
-              | _ -> None
-            in
             (* a left key: total, constant w.r.t. the joined source, and
                evaluable against the left row alone *)
             let left_ok e =
@@ -835,20 +877,7 @@ and apply_join sc srcs left_rows join =
                 | C_outer -> outer_value sc alias name <> None)
               | _ -> false
             in
-            let pairs =
-              List.filter_map
-                (fun c ->
-                  match c with
-                  | Binop (Eq, a, b) -> (
-                    match right_col a with
-                    | Some n when left_ok b -> Some (n, b)
-                    | _ -> (
-                      match right_col b with
-                      | Some n when left_ok a -> Some (n, a)
-                      | _ -> None))
-                  | _ -> None)
-                (conjuncts join.on_condition)
-            in
+            let pairs = eq_pairs srcs jsrc left_ok join.on_condition in
             if pairs = [] then None else Some (jsrc, pairs))
   in
   let left_keys exprs =
@@ -860,21 +889,8 @@ and apply_join sc srcs left_rows join =
   | Some (jsrc, pairs) -> (
     let right_cols = List.map fst pairs in
     let index =
-      match jsrc.s_table with
-      | None -> None
-      | Some t ->
-        List.fold_left
-          (fun acc idx ->
-            if List.for_all (fun c -> List.mem c right_cols) (Index.columns idx)
-            then
-              match acc with
-              | Some (_, b)
-                when List.length (Index.columns b)
-                     >= List.length (Index.columns idx) ->
-                acc
-              | _ -> Some (t, idx)
-            else acc)
-          None (Table.indexes t)
+      Option.bind jsrc.s_table (fun t ->
+          Option.map (fun idx -> (t, idx)) (best_index t right_cols))
     in
     match index with
     | Some (t, idx) ->
@@ -945,28 +961,26 @@ and join_shape join cols matches left_rows =
         | found -> found)
       left_rows
 
-(* The SELECT pipeline with a lazy tail: everything through grouping,
-   HAVING and ORDER BY runs eagerly (those stages are pipeline breakers
-   or access-path decisions that must land before the plan is read), but
-   the final projection is a [Seq.t] forced row by row — the engine-side
-   iteration a cursor fetches in chunks. DISTINCT and windowed queries
-   keep their eager dedup/early-exit tails and stream a prebuilt list.
-   A select that only filters and projects its FROM source is lazy from
-   the scan's snapshot or the index probe's candidates on, so a cursor's
-   first chunk does not wait for the whole scan; its rows pass through
-   one scratch row, so a row the filter drops allocates nothing. Its
-   filter must be total: one that cannot raise yields the rows, order
-   and errors of the eager pipeline. *)
+(* The SELECT pipeline. Scans, joins, WHERE, grouping, HAVING and ORDER
+   BY run when the statement opens: they are pipeline breakers or
+   access-path decisions that must land before the plan is read. What
+   follows ORDER BY is one lazy chain, forced row by row as a cursor
+   fetches: the projection, then DISTINCT, then the window, which forces
+   no row after its last. A select that only filters its FROM source
+   (no join, grouping, HAVING or ORDER BY) is lazy from the scan's
+   snapshot or the index probe's candidates on, so a cursor's first
+   chunk does not wait for the whole scan. Its filter must be total: one
+   that cannot raise yields the rows, order and errors of the eager
+   pipeline. *)
 and run_select_streamed st outer s : string list * V.t array Seq.t =
   let base = { st; locals = [||]; outer } in
   let s = expand_star st s in
   let srcs = if st.db.Database.use_indexes then sources_of st s else None in
-  let from_cols, from_rows = scan_from base s srcs in
+  let from_cols, from_rows = scan_from base srcs s in
   let sc = { base with locals = [| (alias_of s.from, from_cols) |] } in
   let is_aggregate_query =
     s.group_by <> [] || List.exists (fun (e, _) -> has_agg e) s.projections
   in
-  let columns = List.map snd s.projections in
   let projector sc grouping =
     let ps =
       Array.of_list
@@ -979,9 +993,9 @@ and run_select_streamed st outer s : string list * V.t array Seq.t =
       done;
       out
   in
-  let filters_and_projects =
+  let only_filters =
     s.joins = [] && (not is_aggregate_query) && s.having = None
-    && s.order_by = [] && s.window = None && not s.distinct
+    && s.order_by = []
     &&
     match s.where with
     | None -> true
@@ -990,164 +1004,105 @@ and run_select_streamed st outer s : string list * V.t array Seq.t =
       | Some srcs -> total_truth base srcs w
       | None -> false)
   in
-  if filters_and_projects then begin
-    let keep = selects ~sets:true sc s.where in
-    let project = projector sc Single in
-    let n = Array.length from_rows in
-    let row = [| [||] |] in
-    let rec next i () =
-      if i >= n then Seq.Nil
-      else begin
-        row.(0) <- from_rows.(i);
-        if keep row then Seq.Cons (project row [], next (i + 1))
-        else next (i + 1) ()
-      end
-    in
-    (columns, next 0)
-  end
-  else
-  let sc, rows, _ =
-    List.fold_left
-      (fun (sc, rows, i) j ->
-        let prefix = Option.map (take (i + 2)) srcs in
-        let sc, rows = apply_join sc prefix rows j in
-        (sc, rows, i + 1))
-      (sc, Array.fold_right (fun r acc -> [| r |] :: acc) from_rows [], 0)
-      s.joins
-  in
-  let rows = List.filter (selects ~sets:true sc s.where) rows in
-  (* Each logical row of the rest of the pipeline is (row, group): for
-     grouped queries row is a representative and group holds the
-     members; otherwise the clauses see the row alone. *)
-  let sc, grouping, logical_rows =
-    if not is_aggregate_query then (sc, Single, List.map (fun r -> (r, [])) rows)
-    else if s.group_by = [] then
-      (* implicit single group, even when empty: then no source is bound *)
-      match rows with
-      | [] -> ({ sc with locals = [||] }, Grouped, [ ([||], []) ])
-      | first :: _ -> (sc, Grouped, [ (first, rows) ])
+  let rows =
+    if only_filters then
+      let project = projector sc Single in
+      filtered (selects ~sets:true sc s.where) from_rows (fun _ row ->
+          project row [])
     else begin
-      let keys = List.map (compile sc Ungrouped) s.group_by in
-      let groups : (V.t list * row list ref) list ref = ref [] in
-      List.iter
-        (fun row ->
-          let key = List.map (fun k -> k row []) keys in
-          match
-            List.find_opt (fun (k, _) -> List.for_all2 V.equal k key) !groups
-          with
-          | Some (_, members) -> members := row :: !members
-          | None -> groups := !groups @ [ (key, ref [ row ]) ])
-        rows;
-      ( sc,
-        Grouped,
-        List.map
-          (fun (_, members) ->
-            let members = List.rev !members in
-            match members with
-            | [] -> assert false
-            | first :: _ -> (first, members))
-          !groups )
+      let sc, rows, _ =
+        List.fold_left
+          (fun (sc, rows, i) j ->
+            let prefix = Option.map (take (i + 2)) srcs in
+            let sc, rows = apply_join sc prefix rows j in
+            (sc, rows, i + 1))
+          (sc, Array.fold_right (fun r acc -> [| r |] :: acc) from_rows [], 0)
+          s.joins
+      in
+      let rows = List.filter (selects ~sets:true sc s.where) rows in
+      (* Each logical row of the rest of the pipeline is (row, group): for
+         grouped queries row is a representative and group holds the
+         members; otherwise the clauses see the row alone. *)
+      let sc, grouping, logical_rows =
+        if not is_aggregate_query then
+          (sc, Single, List.map (fun r -> (r, [])) rows)
+        else if s.group_by = [] then
+          (* implicit single group, even when empty: then no source is bound *)
+          match rows with
+          | [] -> ({ sc with locals = [||] }, Grouped, [ ([||], []) ])
+          | first :: _ -> (sc, Grouped, [ (first, rows) ])
+        else begin
+          (* groups in order of first appearance *)
+          let keys = Array.of_list (List.map (compile sc Ungrouped) s.group_by) in
+          let groups = Index.Key_tbl.create 64 and order = ref [] in
+          List.iter
+            (fun row ->
+              let fresh () =
+                let members = ref [ row ] in
+                order := members :: !order;
+                members
+              in
+              match find_or_add groups (Array.map (fun k -> k row []) keys) fresh with
+              | Some members -> members := row :: !members
+              | None -> ())
+            rows;
+          ( sc,
+            Grouped,
+            List.rev_map
+              (fun members ->
+                let members = List.rev !members in
+                (List.hd members, members))
+              !order )
+        end
+      in
+      let logical_rows =
+        match s.having with
+        | None -> logical_rows
+        | Some cond ->
+          let cond = compile sc grouping cond in
+          List.filter
+            (fun (row, g) -> value_to_truth (cond row g) = V.True)
+            logical_rows
+      in
+      let logical_rows =
+        if s.order_by = [] then logical_rows
+        else
+          let sort_keys =
+            List.map (fun o -> compile sc grouping o.sort_expr) s.order_by
+          in
+          let keyed =
+            List.map
+              (fun ((row, g) as lr) -> (List.map (fun k -> k row g) sort_keys, lr))
+              logical_rows
+          in
+          let cmp (ka, _) (kb, _) =
+            let rec go ks1 ks2 os =
+              match (ks1, ks2, os) with
+              | [], [], [] -> 0
+              | k1 :: r1, k2 :: r2, o :: ro -> (
+                let c =
+                  (* NULLs sort first ascending, mirroring common backends *)
+                  match (k1, k2) with
+                  | V.Null, V.Null -> 0
+                  | V.Null, _ -> -1
+                  | _, V.Null -> 1
+                  | _ -> Option.value (V.compare_sql k1 k2) ~default:0
+                in
+                let c = if o.descending then -c else c in
+                match c with 0 -> go r1 r2 ro | c -> c)
+              | _ -> 0
+            in
+            go ka kb s.order_by
+          in
+          List.map snd (List.stable_sort cmp keyed)
+      in
+      let project = projector sc grouping in
+      Seq.map (fun (row, g) -> project row g) (List.to_seq logical_rows)
     end
   in
-  let logical_rows =
-    match s.having with
-    | None -> logical_rows
-    | Some cond ->
-      let cond = compile sc grouping cond in
-      List.filter
-        (fun (row, g) -> value_to_truth (cond row g) = V.True)
-        logical_rows
-  in
-  let logical_rows =
-    if s.order_by = [] then logical_rows
-    else
-      let sort_keys = List.map (fun o -> compile sc grouping o.sort_expr) s.order_by in
-      let keyed =
-        List.map
-          (fun ((row, g) as lr) -> (List.map (fun k -> k row g) sort_keys, lr))
-          logical_rows
-      in
-      let cmp (ka, _) (kb, _) =
-        let rec go ks1 ks2 os =
-          match (ks1, ks2, os) with
-          | [], [], [] -> 0
-          | k1 :: r1, k2 :: r2, o :: ro -> (
-            let c =
-              (* NULLs sort first ascending, mirroring common backends *)
-              match (k1, k2) with
-              | V.Null, V.Null -> 0
-              | V.Null, _ -> -1
-              | _, V.Null -> 1
-              | _ -> Option.value (V.compare_sql k1 k2) ~default:0
-            in
-            let c = if o.descending then -c else c in
-            match c with 0 -> go r1 r2 ro | c -> c)
-          | _ -> 0
-        in
-        go ka kb s.order_by
-      in
-      List.map snd (List.stable_sort cmp keyed)
-  in
-  let project =
-    let project = projector sc grouping in
-    fun (row, g) -> project row g
-  in
-  let projected : V.t array Seq.t =
-    match s.window with
-    | None when not s.distinct ->
-      Seq.map project (List.to_seq logical_rows)
-    | None ->
-      let projected = List.map project logical_rows in
-      List.to_seq
-        (List.rev
-           (List.fold_left
-              (fun acc row ->
-                if
-                  List.exists
-                    (fun seen -> Array.for_all2 V.equal seen row)
-                    acc
-                then acc
-                else row :: acc)
-              [] projected))
-    | Some { start; count } ->
-      (* early exit: project (and deduplicate) incrementally, stopping as
-         soon as the last requested row position has been produced, so
-         ROWNUM/FETCH FIRST pushdowns stop paying for discarded rows *)
-      let upper = match count with Some n -> Some (start + n - 1) | None -> None in
-      let seen = ref [] in
-      let kept = ref [] in
-      let pos = ref 0 in
-      let exception Done in
-      (try
-         List.iter
-           (fun lr ->
-             let row = project lr in
-             let fresh =
-               (not s.distinct)
-               ||
-               if List.exists (fun r -> Array.for_all2 V.equal r row) !seen
-               then false
-               else begin
-                 seen := row :: !seen;
-                 true
-               end
-             in
-             if fresh then begin
-               incr pos;
-               let within =
-                 !pos >= start
-                 && match upper with Some u -> !pos <= u | None -> true
-               in
-               if within then kept := row :: !kept;
-               match upper with
-               | Some u when !pos >= u -> raise Done
-               | _ -> ()
-             end)
-           logical_rows
-       with Done -> ());
-      List.to_seq (List.rev !kept)
-  in
-  (columns, projected)
+  let rows = if s.distinct then distinct rows else rows in
+  ( List.map snd s.projections,
+    match s.window with None -> rows | Some w -> window_rows w rows )
 
 and run_select st outer s : result_set =
   let columns, rows = run_select_streamed st outer s in
@@ -1159,8 +1114,9 @@ and run_select st outer s : result_set =
    Opening a direct cursor consumes the fault schedule, runs the eager
    part of the pipeline (scans, joins, grouping, ordering — where every
    access-path decision lands) and accounts the single statement
-   roundtrip, latency included; fetching then forces the projection a
-   chunk at a time, adding shipped rows incrementally. A fully drained
+   roundtrip, latency included; fetching then forces the lazy tail
+   (projection, DISTINCT, window) a chunk at a time, adding shipped rows
+   incrementally. A fully drained
    cursor leaves the database statistics and [last_plan] exactly as the
    materialized [query] would.
 
@@ -1170,9 +1126,12 @@ and run_select st outer s : result_set =
 
    One accounting nuance: a projection that errors mid-fetch (a scalar
    subquery dividing by zero, say) has already recorded its statement —
-   it genuinely reached the wire — where the historical all-at-once path
-   recorded nothing. Both sides of the differential oracle share this
-   path, and success paths are byte- and counter-identical. *)
+   it genuinely reached the wire — where an all-at-once execution would
+   record nothing. This holds under DISTINCT and windows too, whose rows
+   are projected as they are fetched; an error in the eager part fails
+   the open and records no statement. Both sides of the differential
+   oracle share this path, and success paths are byte- and
+   counter-identical. *)
 
 type cursor = {
   cur_db : Database.t option;  (* [None] for a replay *)
@@ -1529,30 +1488,13 @@ let execute_dml db ?(params = [||]) dml =
   let record rows =
     Database.record_statement db ~params:(Array.length params) ~rows
   in
-  (* [f id row values] on each row of [t] that [where] selects, in id
-     order; [row] binds the values for compiled clauses *)
+  (* [f id row] of each row of [t] that [where] selects, in id order;
+     [row] binds the row's values for compiled clauses *)
   let each_selected t sc where f =
     let table = t.Table.table_name in
-    let srcs =
-      if db.Database.use_indexes then
-        Some
-          [ { s_alias = table;
-              s_cols = List.map (fun c -> c.Table.col_name) t.Table.columns;
-              s_table = Some t } ]
-      else None
-    in
-    let ids, rows =
-      match index_candidates sc srcs where [] with
-      | Some (_, ids, rows) -> (ids, rows)
-      | None -> scan_table st t table
-    in
-    let keep = selects sc where in
-    let row = [| [||] |] in
-    Array.iteri
-      (fun k values ->
-        row.(0) <- values;
-        if keep row then f ids.(k) row values)
-      rows
+    let srcs = if db.Database.use_indexes then Some [ table_src table t ] else None in
+    let ids, rows = table_rows sc srcs t table where [] in
+    List.of_seq (filtered (selects ~sets:true sc where) rows (fun i row -> f ids.(i) row))
   in
   Fun.protect ~finally:(fun () ->
       Database.set_last_plan db (List.rev !(st.decisions)))
@@ -1606,12 +1548,12 @@ let execute_dml db ?(params = [||]) dml =
         in
         (* decide every update first, then apply: an evaluation error
            leaves the table untouched *)
-        let updates = ref [] in
-        each_selected t sc where (fun id row values ->
-            let updated = Array.copy values in
-            List.iter (fun set -> set row updated) assign;
-            updates := (id, updated) :: !updates);
-        let updates = List.rev !updates in
+        let updates =
+          each_selected t sc where (fun id row ->
+              let updated = Array.copy row.(0) in
+              List.iter (fun set -> set row updated) assign;
+              (id, updated))
+        in
         List.iter (fun (id, updated) -> Table.update_row t id updated) updates;
         record (List.length updates);
         Ok (List.length updates)
@@ -1621,10 +1563,11 @@ let execute_dml db ?(params = [||]) dml =
     | Error msg -> Error msg
     | Ok t -> (
       try
-        let victims = ref [] in
-        each_selected t (scope [| (table, column_names t) |]) where
-          (fun id _ _ -> victims := id :: !victims);
-        List.iter (Table.delete_row t) !victims;
-        record (List.length !victims);
-        Ok (List.length !victims)
+        let victims =
+          each_selected t (scope [| (table, column_names t) |]) where
+            (fun id _ -> id)
+        in
+        List.iter (Table.delete_row t) victims;
+        record (List.length victims);
+        Ok (List.length victims)
       with Sql_error msg -> Error msg))

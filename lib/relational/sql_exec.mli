@@ -20,10 +20,12 @@ type result_set = {
     engine-side iteration, not extra roundtrips — and [rows_shipped]
     grows chunk by chunk as rows cross the boundary. The eager part of
     the pipeline (scans, index probes, joins, grouping, ordering) runs at
-    open and the final projection is forced lazily. A SELECT that only
-    filters and projects its FROM source with a total filter is lazy
-    from the scan's snapshot or the index probe's candidates on: each
-    row is filtered and projected as it is fetched.
+    open; the projection, DISTINCT and the window are forced lazily, and
+    a window forces no row after its last. A SELECT that only filters
+    its FROM source (no join, grouping, HAVING or ORDER BY) with a total
+    filter is lazy from the scan's snapshot or the index probe's
+    candidates on: each row is filtered and projected as it is
+    fetched.
 
     With cross-session work sharing on ({!Database.set_share_work}) and
     no fault schedule pending, {!open_cursor} shares: byte-identical

@@ -1161,7 +1161,42 @@ let test_window_early_exit () =
   check_int "page past the end" 0
     (List.length (rows (with_window "SELECT c.CID FROM CUSTOMER c" 5 (Some 3))));
   check_int "zero-row page" 0
-    (List.length (rows (with_window "SELECT c.CID FROM CUSTOMER c" 1 (Some 0))))
+    (List.length (rows (with_window "SELECT c.CID FROM CUSTOMER c" 1 (Some 0))));
+  let oids_from start count =
+    List.map (fun row -> row.(0))
+      (rows (with_window "SELECT o.OID FROM ORDER_T o ORDER BY o.OID" start count))
+  in
+  (* a start below 1 counts positions from 1 all the same *)
+  check_bool "start 0" true (oids_from 0 (Some 2) = [ V.Int 1 ]);
+  check_bool "start -1" true (oids_from (-1) (Some 4) = [ V.Int 1; V.Int 2 ]);
+  check_bool "start 0, no count" true
+    (oids_from 0 None = [ V.Int 1; V.Int 2; V.Int 3 ]);
+  check_bool "start -2, count 2" true (oids_from (-2) (Some 2) = []);
+  (* [100 / (OID - 3)] raises on the third order only, and
+     [1 / (OID - 1)] on the first: no row after the window's last one is
+     projected, with and without DISTINCT and ORDER BY *)
+  List.iter
+    (fun (sql, start, count, expected) ->
+      check_int sql expected (List.length (rows (with_window sql start count))))
+    [ ("SELECT 100 / (o.OID - 3) FROM ORDER_T o ORDER BY o.OID", 1, Some 2, 2);
+      ("SELECT 100 / (o.OID - 3) FROM ORDER_T o", 2, Some 1, 1);
+      ("SELECT DISTINCT 100 / (o.OID - 3) FROM ORDER_T o", 1, Some 2, 2);
+      ("SELECT DISTINCT o.CID, 100 / (o.OID - 3) FROM ORDER_T o ORDER BY o.OID",
+       0, Some 3, 2);
+      ("SELECT 1 / (o.OID - 1) FROM ORDER_T o ORDER BY o.OID", 1, Some 0, 0);
+      ("SELECT DISTINCT 1 / (o.OID - 1) FROM ORDER_T o", 3, Some 0, 0) ];
+  (* DISTINCT streams too: its first chunk comes before the failing row *)
+  let cur =
+    ok_exn
+      (Sql_exec.open_cursor db
+         (ok_exn
+            (Sql_parser.parse_select
+               "SELECT DISTINCT 100 / (o.OID - 3) FROM ORDER_T o ORDER BY o.OID")))
+  in
+  check_bool "first distinct chunk" true
+    (Sql_exec.fetch_chunk ~rows:2 cur = Ok [ [| V.Int (-50) |]; [| V.Int (-100) |] ]);
+  check_bool "then the error" true
+    (Sql_exec.fetch_chunk ~rows:2 cur = Error "division by zero")
 
 (* Property (fixed derivation from the generated int): index and scan
    access paths agree byte-for-byte on random tables with NULL and
@@ -1170,8 +1205,14 @@ let test_window_early_exit () =
    with their float image, and on 2^53 and 2^53 + 1, which share a float
    image and so an index bucket that the candidate re-check splits; on a
    50-parameter IN list with duplicate and NULL parameters (a PP-k block);
-   and, read chunk by chunk through a cursor, on a projection that raises
-   on a later row: the rows before the error and the error agree. *)
+   on DISTINCT, GROUP BY, COUNT(DISTINCT) and windows over a column that
+   holds NULL, 1 and 1.0, 2^53, 2^53 + 1 and the float image they share,
+   and NaN; and, read chunk by chunk through a cursor, on a projection
+   that raises on a later row, with and without DISTINCT: the rows before
+   the error and the error agree. DISTINCT, GROUP BY and the window also
+   agree with the list-scan rules: a row is kept when no earlier kept row
+   equals it, a row joins the first group whose key equals its own, and
+   the window keeps positions [max 1 start] to [start + count - 1]. *)
 let prop_index_scan_agree =
   QCheck.Test.make ~name:"index and scan access paths agree" ~count:200
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
@@ -1180,7 +1221,9 @@ let prop_index_scan_agree =
       let db = Database.create "fuzzdb" in
       let t1 =
         Table.create "T1"
-          [ Table.column "K" Table.T_int; Table.column "S" Table.T_varchar ]
+          [ Table.column "K" Table.T_int;
+            Table.column "S" Table.T_varchar;
+            Table.column "F" Table.T_decimal ]
       in
       let t2 =
         Table.create "T2"
@@ -1209,11 +1252,24 @@ let prop_index_scan_agree =
         | v -> v
       in
       let rand_str () = V.Str (String.make 1 (Char.chr (97 + Random.State.int st 5))) in
+      (* values that V.equal relates but not transitively, and NaN *)
+      let rand_num () =
+        match Random.State.int st 8 with
+        | 0 -> V.Null
+        | 1 -> V.Int 1
+        | 2 -> V.Float 1.
+        | 3 -> V.Int big
+        | 4 -> V.Int (big + 1)
+        | 5 -> V.Float (float_of_int big)
+        | 6 -> V.Float Float.nan
+        | _ -> V.Int (Random.State.int st 3)
+      in
       for _ = 1 to 5 + Random.State.int st 40 do
         match
           Table.insert t1
             [| rand_key ();
-               V.Str (String.make 1 (Char.chr (97 + Random.State.int st 4))) |]
+               V.Str (String.make 1 (Char.chr (97 + Random.State.int st 4)));
+               rand_num () |]
         with
         | Ok () -> ()
         | Error e -> failwith e
@@ -1226,6 +1282,19 @@ let prop_index_scan_agree =
         | Error e -> failwith e
       done;
       let block = String.concat ", " (List.init 50 (fun _ -> "?")) in
+      let rand_window () =
+        { Sql_ast.start = Random.State.int st 5 - 1;
+          count =
+            (match Random.State.int st 5 with
+            | 4 -> None
+            | n -> Some n) }
+      in
+      let parse sql =
+        match Sql_parser.parse_select sql with
+        | Ok s -> s
+        | Error e -> failwith e
+      in
+      let windowed sql = { (parse sql) with Sql_ast.window = Some (rand_window ()) } in
       let queries =
         [ ("SELECT t.K, t.S FROM T1 t WHERE t.K = ?", [| rand_probe () |]);
           ( "SELECT t.K, t.S FROM T1 t WHERE t.K = ? OR t.K = ?",
@@ -1238,24 +1307,35 @@ let prop_index_scan_agree =
           ( "SELECT t.K, t.S FROM T1 t WHERE t.K IN (" ^ block ^ ")",
             Array.init 50 (fun _ -> rand_probe ()) );
           ("SELECT a.K, a.S, b.V FROM T1 a JOIN T2 b ON a.K = b.K", [||]);
-          ("SELECT a.K, b.V FROM T1 a LEFT OUTER JOIN T2 b ON a.K = b.K", [||])
-        ]
+          ("SELECT a.K, b.V FROM T1 a LEFT OUTER JOIN T2 b ON a.K = b.K", [||]);
+          ("SELECT DISTINCT t.F FROM T1 t WHERE t.K IN (0, 1, ?)", [| rand_probe () |]);
+          ( "SELECT t.F, COUNT(*), MIN(t.K) FROM T1 t WHERE t.K IN (0, 1, 2, ?) GROUP BY t.F",
+            [| rand_probe () |] );
+          ( "SELECT t.K, COUNT(DISTINCT t.F) FROM T1 t WHERE t.K IN (0, 1, ?) GROUP BY t.K",
+            [| rand_probe () |] );
+          ( "SELECT a.F, b.V FROM T1 a JOIN T2 b ON a.K = b.K GROUP BY a.F, b.V",
+            [||] ) ]
+        |> List.map (fun (sql, params) -> (parse sql, params))
       in
-      let parse sql =
-        match Sql_parser.parse_select sql with
-        | Ok s -> s
-        | Error e -> failwith e
+      let queries =
+        queries
+        @ [ (windowed "SELECT DISTINCT t.F, t.S FROM T1 t WHERE t.K IN (0, 1, ?)",
+             [| rand_probe () |]);
+            (windowed "SELECT t.F FROM T1 t WHERE t.K = ? OR t.K = ?",
+             [| rand_probe (); rand_probe () |]);
+            (windowed "SELECT DISTINCT t.F FROM T1 t ORDER BY t.K DESC", [||]) ]
       in
+      (* NaN is not [=] to itself *)
+      let same a b = compare a b = 0 in
       let both run =
         Database.set_use_indexes db true;
         let indexed = run () in
         Database.set_use_indexes db false;
         let scanned = run () in
         Database.set_use_indexes db true;
-        indexed = scanned
+        same indexed scanned
       in
-      let agree (sql, params) =
-        let s = parse sql in
+      let agree (s, params) =
         both (fun () ->
             match Sql_exec.query db ~params s with
             | Ok r -> Ok r.Sql_exec.rows
@@ -1264,8 +1344,8 @@ let prop_index_scan_agree =
       (* [100 / (V - 5)] raises on the first row with V = 5 *)
       let raising = parse "SELECT t.K, 100 / (t.V - 5) FROM T2 t WHERE t.K IN (?, ?, ?)" in
       let params = Array.init 3 (fun _ -> rand_probe ()) in
-      let chunked () =
-        match Sql_exec.open_cursor db ~params raising with
+      let chunked s () =
+        match Sql_exec.open_cursor db ~params s with
         | Error e -> ([], Some e)
         | Ok cur ->
           let rec go acc =
@@ -1276,7 +1356,53 @@ let prop_index_scan_agree =
           in
           go []
       in
-      List.for_all agree queries && both chunked)
+      let rows s =
+        match Sql_exec.query db s with
+        | Ok r -> r.Sql_exec.rows
+        | Error e -> failwith e
+      in
+      let plain = rows (parse "SELECT t.F, t.S FROM T1 t") in
+      let kept =
+        List.rev
+          (List.fold_left
+             (fun acc r ->
+               if List.exists (fun k -> Array.for_all2 V.equal k r) acc then acc
+               else r :: acc)
+             [] plain)
+      in
+      let groups =
+        List.rev
+          (List.fold_left
+             (fun acc r ->
+               match
+                 List.find_opt (fun (k, _) -> V.equal k r.(0)) (List.rev acc)
+               with
+               | Some (_, n) ->
+                 incr n;
+                 acc
+               | None -> (r.(0), ref 1) :: acc)
+             [] plain)
+      in
+      let ({ Sql_ast.start; count } as window) = rand_window () in
+      let paged =
+        List.filteri
+          (fun i _ ->
+            i + 1 >= start
+            && match count with Some n -> i + 1 <= start + n - 1 | None -> true)
+          kept
+      in
+      let distinct_sql = "SELECT DISTINCT t.F, t.S FROM T1 t" in
+      let raising_distinct =
+        parse "SELECT DISTINCT t.K, 100 / (t.V - 5) FROM T2 t WHERE t.K IN (?, ?, ?)"
+      in
+      List.for_all agree queries
+      && both (chunked raising)
+      && both (chunked raising_distinct)
+      && same (rows (parse distinct_sql)) kept
+      && same (rows { (parse distinct_sql) with Sql_ast.window = Some window }) paged
+      && same
+           (rows (parse "SELECT t.F, COUNT(*) FROM T1 t GROUP BY t.F"))
+           (List.map (fun (k, n) -> [| k; V.Int !n |]) groups))
 
 (* Property (fixed derivation from the generated int): the incrementally
    maintained planner statistics agree with a from-scratch recomputation

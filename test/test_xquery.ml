@@ -216,8 +216,8 @@ let test_structural_typing_survives_navigation () =
        (function Stype.It_atomic Atomic.T_integer -> true | _ -> false)
        ty.Stype.items)
 
-(* A sequence or a conditional lists each item type once, however many
-   of its operands share it. *)
+(* A sequence, a conditional or an arithmetic expression lists each item
+   type once, however many of its operands share it. *)
 let test_equal_item_types_merge () =
   List.iter
     (fun (q, expected) ->
@@ -225,7 +225,9 @@ let test_equal_item_types_merge () =
       Alcotest.(check string) q expected (Stype.to_string ty))
     [ ("(1, 2)", "xs:integer+");
       ("(1, \"a\", 2, \"b\")", "(xs:integer | xs:string)+");
-      ("if (1 eq 2) then 1 else 2", "xs:integer") ];
+      ("if (1 eq 2) then 1 else 2", "xs:integer");
+      ("1 mod 2", "xs:integer");
+      ("for $x in (1, 2, 3) return $x mod 2", "xs:integer+") ];
   let _, _, ty, _ = compile_core "for $x in (1, 2, 3) return $x" in
   check_bool "one alternative" true
     (ty.Stype.items = [ Stype.It_atomic Atomic.T_integer ])

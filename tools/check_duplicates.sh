@@ -1,5 +1,5 @@
 #!/bin/sh
-# No second copy: fails when a window of 8 consecutive lines occurs at
+# No second copy: fails when a window of 6 consecutive lines occurs at
 # two places in the tracked lib/ sources (.ml), in one file or in two.
 # Lines are compared with whitespace runs collapsed and ends trimmed, and
 # every line of a window must be longer than 3 characters, so blank
@@ -8,7 +8,7 @@
 # many shared windows they have. Read-only. Run from the repository root.
 set -eu
 # shellcheck disable=SC2046
-awk -v w=8 '
+awk -v w=6 '
   FNR == 1 { run = 0 }
   {
     line = $0
