@@ -1556,10 +1556,15 @@ let emit rt ?(bindings = []) ~counters view sink =
   let n = emit_plan { rt; depth = 0; counters; params } [||] sink view.tree in
   if n > 0 then first_row counters.(view.tree.id) t0
 
-(* A deadline abort surfaces like any other evaluation error at the API
-   boundary: callers see [Error] with the cause, never the exception.
-   [Server.submit] distinguishes aborts by consulting the session's
-   token. *)
+(* An evaluation error or abort carries its cause; anything else is
+   named by its printer. *)
+let failure_message = function
+  | Eval_error m | Cancel.Cancelled m -> m
+  | e -> Printexc.to_string e
+
+(* A deadline abort surfaces like any other failure at the API boundary:
+   callers see [Error] with the cause, never the exception. The server
+   tells aborts apart by consulting the statement's token. *)
 let execute rt ?bindings ~counters ~through view =
   let t0 = Unix.gettimeofday () in
   let sink, built = Token_stream.building_sink () in
@@ -1572,8 +1577,7 @@ let execute rt ?bindings ~counters ~through view =
       counters.(view.tree.id).c_first_row_ns <-
         (Unix.gettimeofday () -. t0) *. 1e9;
     Ok v
-  | exception Eval_error m -> Error m
-  | exception Cancel.Cancelled m -> Error m
+  | exception e -> Error (failure_message e)
 
 let eval rt ?bindings e =
   let view = Plan_ir.compile rt.registry e in
@@ -1590,5 +1594,4 @@ let call_function rt ~through fn args =
     let cx = { rt; depth = 0; counters = [||]; params = [||] } in
     match build (fun sink -> call cx (through sink) None fd args) with
     | v -> Ok v
-    | exception Eval_error m -> Error m
-    | exception Cancel.Cancelled m -> Error m)
+    | exception e -> Error (failure_message e))

@@ -102,6 +102,11 @@ val disjunctive_select :
     [col IN (?1, .., ?m)] when [m > 1] and stays [col = ?] for one
     tuple. *)
 
+val failure_message : exn -> string
+(** The one failure-to-message rule of every entry point: the cause an
+    {!Eval_error} or {!Aldsp_concurrency.Cancel.Cancelled} carries, and
+    [Printexc.to_string] of any other exception. *)
+
 val execute :
   rt ->
   ?bindings:(Cexpr.var * Item.sequence) list ->
@@ -114,7 +119,9 @@ val execute :
     items built, counted into [counters] (from {!Plan_ir.new_run} on the
     same view); folding them into a view is the caller's choice. The
     root's time-to-first-row is stamped when the whole result is ready.
-    A call that runs a function body runs the runtime's [body_plan]. *)
+    A call that runs a function body runs the runtime's [body_plan].
+    Every failure, whatever it raised, is [Error] with its
+    {!failure_message}. *)
 
 val emit :
   rt ->
@@ -156,4 +163,5 @@ val call_function :
   Item.sequence list ->
   (Item.sequence, string) result
 (** Invokes a registered data-service function directly (the service-call
-    API of §2.2), delivering through [through] as {!execute} does. *)
+    API of §2.2), delivering through [through] and failing as {!execute}
+    does. *)

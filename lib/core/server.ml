@@ -672,27 +672,6 @@ let note_misestimate t ir counters =
   if worst > !(t.worst_misestimate) then t.worst_misestimate := worst;
   Mutex.unlock t.counter_lock
 
-(* One execution into its own counters, folded into the text's view once
-   it ends; a complete run also feeds the misestimate rollup. The user's
-   security filter wraps the building sink, as it wraps a stream's token
-   sink, so a restricted user's audit trail is in document order however
-   the result is delivered. *)
-let execute t ~user compiled =
-  let counters = Plan_ir.new_run compiled.ir in
-  let result =
-    Eval.execute t.runtime ~bindings:compiled.bindings ~counters
-      ~through:(Security.filter_tokens t.security user)
-      compiled.ir
-  in
-  Plan_ir.fold compiled.ir counters;
-  if Result.is_ok result then note_misestimate t compiled.ir counters;
-  (counters, result)
-
-let run t ?(user = Security.admin) source =
-  match compile t source with
-  | Error ds -> Error (diags_to_string ds)
-  | Ok compiled -> snd (execute t ~user compiled)
-
 (* Every result path that serializes or streams tokens counts them here,
    so [st_tokens_streamed] reflects all delivery — streaming sessions,
    file redirect, and materialized results pushed through
@@ -708,70 +687,49 @@ let serialize_result t items =
   count_tokens t (Aldsp_tokens.Token_stream.serialize_items buf items);
   Buffer.contents buf
 
-let call t ?(user = Security.admin) fn args =
-  match Security.check_call t.security user fn with
-  | Error _ as e -> e
-  | Ok () ->
-    Eval.call_function t.runtime
-      ~through:(Security.filter_tokens t.security user)
-      fn args
-
 (* ------------------------------------------------------------------ *)
-(* Serving layer: admission, deadlines, sessions, drain                *)
-
-(* Waits for an executing slot. Called with [adm_mutex] held; returns
-   with it held. The wait goes through {!Cancel.wait}, so a cancel or
-   the token's deadline wakes the waiter, which then reports [`Expired]. *)
-let rec await_slot adm tok =
-  if adm.adm_active < adm.adm_max_active then begin
-    adm.adm_active <- adm.adm_active + 1;
-    if adm.adm_active > adm.adm_peak_active then
-      adm.adm_peak_active <- adm.adm_active;
-    `Admitted
-  end
-  else if Cancel.cancelled tok then `Expired
-  else begin
-    Cancel.wait tok adm.adm_mutex adm.adm_slot_free;
-    await_slot adm tok
-  end
+(* Serving layer: admission, statements, deadlines, sessions, drain     *)
 
 let signal_if_idle adm =
   if adm.adm_active = 0 && adm.adm_waiting = 0 then
     Condition.broadcast adm.adm_idle
 
-(* Admission decision for one submission. [`Admitted] holds an executing
-   slot that [release_slot] must give back. *)
+(* Admission decision for one submission. A submitter that finds every
+   slot taken queues; it waits through {!Cancel.wait}, so a cancel or the
+   token's deadline wakes it, and it then reports [`Expired].
+   [`Admitted] holds an executing slot that [release_slot] must give
+   back. *)
 let admit adm tok =
   Mutex.lock adm.adm_mutex;
   adm.adm_submitted <- adm.adm_submitted + 1;
+  let queued = adm.adm_active >= adm.adm_max_active in
   let outcome =
-    if adm.adm_draining then begin
-      adm.adm_rejected <- adm.adm_rejected + 1;
-      `Rejected
-    end
-    else if adm.adm_active < adm.adm_max_active then begin
-      adm.adm_active <- adm.adm_active + 1;
-      if adm.adm_active > adm.adm_peak_active then
-        adm.adm_peak_active <- adm.adm_active;
-      adm.adm_admitted <- adm.adm_admitted + 1;
-      `Admitted
-    end
-    else if adm.adm_waiting >= adm.adm_max_queue then begin
+    if adm.adm_draining || (queued && adm.adm_waiting >= adm.adm_max_queue)
+    then begin
       adm.adm_rejected <- adm.adm_rejected + 1;
       `Rejected
     end
     else begin
-      adm.adm_waiting <- adm.adm_waiting + 1;
-      if adm.adm_waiting > adm.adm_peak_waiting then
-        adm.adm_peak_waiting <- adm.adm_waiting;
-      let r = await_slot adm tok in
-      adm.adm_waiting <- adm.adm_waiting - 1;
-      (match r with
-      | `Admitted -> adm.adm_admitted <- adm.adm_admitted + 1
-      | `Expired ->
+      if queued then begin
+        adm.adm_waiting <- adm.adm_waiting + 1;
+        adm.adm_peak_waiting <- Int.max adm.adm_peak_waiting adm.adm_waiting
+      end;
+      while adm.adm_active >= adm.adm_max_active && not (Cancel.cancelled tok)
+      do
+        Cancel.wait tok adm.adm_mutex adm.adm_slot_free
+      done;
+      if queued then adm.adm_waiting <- adm.adm_waiting - 1;
+      if adm.adm_active >= adm.adm_max_active then begin
         adm.adm_deadline_aborts <- adm.adm_deadline_aborts + 1;
-        signal_if_idle adm);
-      r
+        signal_if_idle adm;
+        `Expired
+      end
+      else begin
+        adm.adm_active <- adm.adm_active + 1;
+        adm.adm_peak_active <- Int.max adm.adm_peak_active adm.adm_active;
+        adm.adm_admitted <- adm.adm_admitted + 1;
+        `Admitted
+      end
     end
   in
   Mutex.unlock adm.adm_mutex;
@@ -787,45 +745,111 @@ let release_slot adm ~outcome =
   signal_if_idle adm;
   Mutex.unlock adm.adm_mutex
 
-(* Runs [f] once [admit] gives it an executing slot, which [f] must
-   release; otherwise says why none was given. *)
-let with_slot t tok f =
-  match admit t.admission tok with
+(* One execution of one text, whatever sink drains it, ended by [close]
+   exactly once on every path. The user's security filter wraps that
+   sink, so a restricted user's audit trail is in document order however
+   the result is delivered. Only a stream can be closed from two threads,
+   and it closes under its own lock. *)
+type statement = {
+  sm_server : t;
+  sm_user : Security.user;
+  sm_token : Cancel.t;
+  sm_slot : bool;  (* holds an admission slot *)
+  sm_compiled : compiled;
+  sm_counters : Plan_ir.run;  (* this execution's; [close] folds them *)
+  mutable sm_closed : bool;
+  mutable sm_unhook : unit -> unit;  (* unregisters a stream's cancel hook *)
+}
+
+(* A failure under a fired token is a cancellation, whatever raised. *)
+let failure tok m = if Cancel.cancelled tok then Cancelled m else Failed m
+
+(* The slot half of every ending, also of an open that fails before its
+   plan exists: a run cut short under a fired token is a deadline abort. *)
+let give_back t ~slot tok ~complete =
+  let fired = (not complete) && Cancel.cancelled tok in
+  if slot then
+    release_slot t.admission ~outcome:(if fired then `Deadline else `Completed)
+
+let close sm ~complete =
+  if not sm.sm_closed then begin
+    sm.sm_closed <- true;
+    Plan_ir.fold sm.sm_compiled.ir sm.sm_counters;
+    if complete then
+      note_misestimate sm.sm_server sm.sm_compiled.ir sm.sm_counters;
+    give_back sm.sm_server ~slot:sm.sm_slot sm.sm_token ~complete;
+    sm.sm_unhook ()
+  end
+
+(* The token exists before the slot is asked for, so a deadline covers
+   queue wait plus execution; a fired token and a compile error surface
+   here, before anything runs. *)
+let open_statement t ~user ~admitted tok source =
+  match if admitted then admit t.admission tok else `Admitted with
   | `Rejected -> Error Overloaded
   | `Expired -> Error (Cancelled "deadline exceeded while queued")
-  | `Admitted -> f ()
+  | `Admitted -> (
+    let compiled =
+      match Cancel.check tok; compile t source with
+      | r -> Result.map_error diags_to_string r
+      | exception e -> Error (Eval.failure_message e)
+    in
+    match compiled with
+    | Ok compiled ->
+      Ok
+        { sm_server = t;
+          sm_user = user;
+          sm_token = tok;
+          sm_slot = admitted;
+          sm_compiled = compiled;
+          sm_counters = Plan_ir.new_run compiled.ir;
+          sm_closed = false;
+          sm_unhook = ignore }
+    | Error m ->
+      give_back t ~slot:admitted tok ~complete:false;
+      Error (failure tok m))
 
-(* The deadline covers queue wait plus execution: the token is created
-   before [admit], so time spent waiting for a slot counts against it. *)
+(* {!Eval.execute} returns every failure as [Error]. *)
+let drain_items sm =
+  let t = sm.sm_server and c = sm.sm_compiled in
+  let result =
+    Cancel.with_token sm.sm_token (fun () ->
+        Eval.execute t.runtime ~bindings:c.bindings ~counters:sm.sm_counters
+          ~through:(Security.filter_tokens t.security sm.sm_user) c.ir)
+  in
+  close sm ~complete:(Result.is_ok result);
+  Result.map_error (failure sm.sm_token) result
+
+(* [run], [call] and [explain] are not admitted: they run under the
+   caller's ambient token. *)
+let run t ?(user = Security.admin) source =
+  Result.map_error submit_error_to_string
+    (Result.bind
+       (open_statement t ~user ~admitted:false (Cancel.current ()) source)
+       drain_items)
+
+(* A direct call has no plan root to count into, so it is no statement:
+   it runs through [Eval.call_function], with a statement's security
+   filter and [Eval.failure_message], so it cannot raise either. *)
+let call t ?(user = Security.admin) fn args =
+  match Security.check_call t.security user fn with
+  | Error _ as e -> e
+  | Ok () ->
+    Eval.call_function t.runtime
+      ~through:(Security.filter_tokens t.security user)
+      fn args
+
+let query_token ~cancellable = function
+  | Some seconds -> Cancel.with_deadline seconds
+  | None -> if cancellable then Cancel.make () else Cancel.none
+
 let submit t ?(user = Security.admin) ?deadline ?token source =
   let tok =
     match token with
     | Some tok -> tok
-    | None -> (
-      match deadline with
-      | Some seconds -> Cancel.with_deadline seconds
-      | None -> Cancel.none)
+    | None -> query_token ~cancellable:false deadline
   in
-  with_slot t tok @@ fun () ->
-  match Cancel.with_token tok (fun () -> run t ~user source) with
-  | Ok items ->
-    release_slot t.admission ~outcome:`Completed;
-    Ok items
-  | Error m ->
-    (* an Error with a fired token is a cancellation surfacing as an
-       evaluation error, not a query bug *)
-    if Cancel.cancelled tok then begin
-      release_slot t.admission ~outcome:`Deadline;
-      Error (Cancelled m)
-    end
-    else begin
-      release_slot t.admission ~outcome:`Completed;
-      Error (Failed m)
-    end
-  | exception e ->
-    release_slot t.admission
-      ~outcome:(if Cancel.cancelled tok then `Deadline else `Completed);
-    raise e
+  Result.bind (open_statement t ~user ~admitted:true tok source) drain_items
 
 let drain t =
   let adm = t.admission in
@@ -850,39 +874,29 @@ type session = {
   ses_server : t;
   ses_user : Security.user;
   ses_deadline : float option;
-  ses_lock : Mutex.t;
-  mutable ses_current : Cancel.t;
+  ses_current : Cancel.t Stdlib.Atomic.t;
 }
 
 let session t ?(user = Security.admin) ?deadline () =
   { ses_server = t;
     ses_user = user;
     ses_deadline = deadline;
-    ses_lock = Mutex.create ();
-    ses_current = Cancel.none }
+    ses_current = Stdlib.Atomic.make Cancel.none }
 
 (* A session query's token, under the call's deadline or else the
    session's, published as the one [session_cancel] fires. *)
 let session_token s deadline =
-  let deadline = match deadline with Some _ as d -> d | None -> s.ses_deadline in
   let tok =
-    match deadline with
-    | Some seconds -> Cancel.with_deadline seconds
-    | None -> Cancel.make ()
+    query_token ~cancellable:true
+      (match deadline with None -> s.ses_deadline | d -> d)
   in
-  Mutex.lock s.ses_lock;
-  s.ses_current <- tok;
-  Mutex.unlock s.ses_lock;
+  Stdlib.Atomic.set s.ses_current tok;
   tok
 
 let session_run s ?deadline source =
   submit s.ses_server ~user:s.ses_user ~token:(session_token s deadline) source
 
-let session_cancel s =
-  Mutex.lock s.ses_lock;
-  let tok = s.ses_current in
-  Mutex.unlock s.ses_lock;
-  Cancel.cancel tok
+let session_cancel s = Cancel.cancel (Stdlib.Atomic.get s.ses_current)
 
 (* ------------------------------------------------------------------ *)
 (* Streamed session delivery: the reader runs the plan's token emitter on
@@ -891,13 +905,13 @@ let session_cancel s =
    the refill's handler keeps the emitter's continuation and returns, and
    the next refill resumes it. Reads hand the chunk out token by token,
    so at most one chunk is live between the executor and the reader,
-   also inside a tuple wider than a chunk. The admission slot goes back
-   exactly once: the refill that drains or fails the stream releases it,
-   and so does the first one to end after a cancel or deadline. A stream
-   nobody is reading is freed by its [on_cancel] hook, run by
-   [Cancel.cancel] or the deadline thread. [str_lock] and the
-   reading/released flags keep the reader and the hook from both
-   releasing. Only a refill ever resumes the emitter, and none does once
+   also inside a tuple wider than a chunk. The refill that drains or
+   fails the stream closes its statement, and so does the first one to
+   end after a cancel or deadline. A stream nobody is reading is closed
+   by its [on_cancel] hook, run by [Cancel.cancel] or the deadline
+   thread. [str_lock] and the reading flag keep the reader and the hook
+   from both closing: the statement's closed flag is read and written
+   under it. Only a refill ever resumes the emitter, and none does once
    the stream has ended. *)
 
 let stream_chunk = 64
@@ -912,70 +926,46 @@ type next =
   | Stopped  (* ended, failed, or running in a refill *)
 
 type stream = {
-  str_server : t;
-  str_token : Cancel.t;
-  str_ir : Plan_ir.t;
-  str_counters : Plan_ir.run;  (* folded into [str_ir] on release *)
+  str_statement : statement;
   mutable str_next : next;
   str_chunk : Aldsp_tokens.Token.t array;
   mutable str_len : int;  (* tokens the last refill put in [str_chunk] *)
   mutable str_pos : int;  (* next token of [str_chunk] to hand out *)
   mutable str_done : bool;  (* no refill follows *)
   mutable str_peak : int;
-  mutable str_unhook : unit -> unit;
   str_lock : Mutex.t;
   mutable str_reading : bool;  (* a refill is running; under [str_lock] *)
-  mutable str_released : bool;  (* the slot went back; under [str_lock] *)
 }
 
-(* Called with [str_lock] held. *)
-let release_stream st outcome =
-  if not st.str_released then begin
-    st.str_released <- true;
-    Plan_ir.fold st.str_ir st.str_counters;
-    release_slot st.str_server.admission ~outcome
-  end
+let stream_of sm =
+  let t = sm.sm_server and c = sm.sm_compiled in
+  let emit push =
+    Eval.emit t.runtime ~bindings:c.bindings ~counters:sm.sm_counters c.ir
+      (Security.filter_tokens t.security sm.sm_user
+         (Aldsp_tokens.Token_stream.token_sink push))
+  in
+  let st =
+    { str_statement = sm;
+      str_next = Start emit;
+      str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
+      str_len = 0;
+      str_pos = 0;
+      str_done = false;
+      str_peak = 0;
+      str_lock = Mutex.create ();
+      str_reading = false }
+  in
+  sm.sm_unhook <-
+    Cancel.on_cancel sm.sm_token (fun () ->
+        Mutex.lock st.str_lock;
+        if not st.str_reading then close sm ~complete:false;
+        Mutex.unlock st.str_lock);
+  st
 
 let session_run_stream s ?deadline source =
-  let server = s.ses_server in
-  let tok = session_token s deadline in
-  with_slot server tok @@ fun () ->
-  (* compile on the caller's thread so compilation errors surface as a
-     plain [Error] instead of a one-token failed stream *)
-  match compile server source with
-  | Error ds ->
-    release_slot server.admission ~outcome:`Completed;
-    Error (Failed (diags_to_string ds))
-  | Ok compiled ->
-    let counters = Plan_ir.new_run compiled.ir in
-    let emit push =
-      Eval.emit server.runtime ~bindings:compiled.bindings ~counters
-        compiled.ir
-        (Security.filter_tokens server.security s.ses_user
-           (Aldsp_tokens.Token_stream.token_sink push))
-    in
-    let st =
-      { str_server = server;
-        str_token = tok;
-        str_ir = compiled.ir;
-        str_counters = counters;
-        str_next = Start emit;
-        str_chunk = Array.make stream_chunk Aldsp_tokens.Token.End_element;
-        str_len = 0;
-        str_pos = 0;
-        str_done = false;
-        str_peak = 0;
-        str_unhook = ignore;
-        str_lock = Mutex.create ();
-        str_reading = false;
-        str_released = false }
-    in
-    st.str_unhook <-
-      Cancel.on_cancel tok (fun () ->
-          Mutex.lock st.str_lock;
-          if not st.str_reading then release_stream st `Deadline;
-          Mutex.unlock st.str_lock);
-    Ok st
+  Result.map stream_of
+    (open_statement s.ses_server ~user:s.ses_user ~admitted:true
+       (session_token s deadline) source)
 
 let push st token =
   st.str_chunk.(st.str_len) <- token;
@@ -984,18 +974,19 @@ let push st token =
 
 (* Runs the emitter until it fills the chunk ([true]) or ends ([false]).
    Raises [Cancelled] before running on a fired token, so nothing
-   executes after the slot went back. Every token pushed counts in
+   executes after the statement closed. Every token pushed counts in
    [st_tokens_streamed], once per refill, also when the emitter fails
    part way. *)
 let refill st =
-  Cancel.check st.str_token;
+  let sm = st.str_statement in
+  Cancel.check sm.sm_token;
   let next = st.str_next in
   st.str_next <- Stopped;
   st.str_len <- 0;
   st.str_pos <- 0;
   Fun.protect
     ~finally:(fun () ->
-      count_tokens st.str_server st.str_len;
+      count_tokens sm.sm_server st.str_len;
       st.str_peak <- max st.str_peak st.str_len)
     (fun () ->
       match next with
@@ -1019,41 +1010,32 @@ let refill st =
    holds the next tokens (possibly none), and [str_done] says whether
    another refill follows. A failed refill hands out none of its tokens. *)
 let advance st =
+  let sm = st.str_statement in
   Mutex.lock st.str_lock;
   st.str_reading <- true;
   Mutex.unlock st.str_lock;
   let pulled =
-    match Cancel.with_token st.str_token (fun () -> refill st) with
+    match Cancel.with_token sm.sm_token (fun () -> refill st) with
     | more -> Ok more
     | exception e -> Error e
   in
   Mutex.lock st.str_lock;
   st.str_reading <- false;
-  (* a cancel during the refill found the reader busy and left the
-     slot to it *)
-  let cancelled = Cancel.cancelled st.str_token in
+  (* a cancel during the refill found the reader busy and left the close
+     to it *)
   (match pulled with
-  | Ok true -> if cancelled then release_stream st `Deadline
-  | Ok false -> release_stream st `Completed
-  | Error _ -> release_stream st (if cancelled then `Deadline else `Completed));
-  let released = st.str_released in
+  | Ok true -> if Cancel.cancelled sm.sm_token then close sm ~complete:false
+  | Ok false -> close sm ~complete:true
+  | Error _ -> close sm ~complete:false);
   Mutex.unlock st.str_lock;
-  if released then st.str_unhook ();
   match pulled with
-  | Ok true -> Ok ()
-  | Ok false ->
-    note_misestimate st.str_server st.str_ir st.str_counters;
-    st.str_done <- true;
+  | Ok more ->
+    st.str_done <- not more;
     Ok ()
   | Error e ->
     st.str_done <- true;
     st.str_len <- 0;
-    let m =
-      match e with
-      | Eval.Eval_error m | Cancel.Cancelled m -> m
-      | e -> Printexc.to_string e
-    in
-    if cancelled then Error (Cancelled m) else Error (Failed m)
+    Error (failure sm.sm_token (Eval.failure_message e))
 
 let rec stream_read st =
   if st.str_pos < st.str_len then begin
@@ -1064,25 +1046,15 @@ let rec stream_read st =
   else if st.str_done then Ok None
   else Result.bind (advance st) (fun () -> stream_read st)
 
-let stream_cancel st = Cancel.cancel st.str_token
+let stream_cancel st = Cancel.cancel st.str_statement.sm_token
 
 let stream_peak_buffered st = st.str_peak
 
-(* Ends a stream on the reader's side: no refill follows, and the slot
-   goes back unless it already has. *)
-let abandon st =
-  st.str_next <- Stopped;
-  st.str_done <- true;
-  st.str_pos <- st.str_len;
-  Mutex.lock st.str_lock;
-  release_stream st `Completed;
-  Mutex.unlock st.str_lock;
-  st.str_unhook ()
-
 (* The rest of the stream, serialized. Tokens that [stream_read] already
    handed out are not written, so after a read that stopped inside an
-   element the writer meets an end tag it never saw open: that fails the
-   stream. *)
+   element the writer meets an end tag it never saw open: that abandons
+   the stream, no refill follows, and its statement closes unless it
+   already has. *)
 let stream_serialize st out =
   let w = Aldsp_tokens.Token_stream.chunk_writer out in
   let rec drain () =
@@ -1102,29 +1074,36 @@ let stream_serialize st out =
   | result -> result
   | exception Invalid_argument m ->
     Aldsp_tokens.Token_stream.chunk_flush w;
-    abandon st;
-    Error (Failed m)
+    st.str_next <- Stopped;
+    st.str_done <- true;
+    st.str_pos <- st.str_len;
+    Mutex.lock st.str_lock;
+    close st.str_statement ~complete:false;
+    Mutex.unlock st.str_lock;
+    Error (failure st.str_statement.sm_token m)
 
+(* A static EXPLAIN closes its statement unrun, so it renders zero
+   counters. *)
 let explain t ?(analyze = true) ?(timings = false) source =
-  match compile t source with
-  | Error ds -> Error (diags_to_string ds)
-  | Ok compiled ->
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      (Printf.sprintf "static type: %s\n"
-         (Stype.to_string compiled.static_type));
-    let counters, result =
-      if analyze then execute t ~user:Security.admin compiled
-      else (Plan_ir.new_run compiled.ir, Ok [])
+  match
+    open_statement t ~user:Security.admin ~admitted:false (Cancel.current ())
+      source
+  with
+  | Error e -> Error (submit_error_to_string e)
+  | Ok sm ->
+    let c = sm.sm_compiled in
+    let error =
+      if not analyze then (close sm ~complete:false; "")
+      else
+        match drain_items sm with
+        | Ok _ -> ""
+        | Error e -> "error: " ^ submit_error_to_string e ^ "\n"
     in
-    Result.iter_error
-      (fun m -> Buffer.add_string buf (Printf.sprintf "error: %s\n" m))
-      result;
-    Buffer.add_string buf "plan:\n";
-    Buffer.add_string buf
-      (Plan_ir.render ~timings ~bindings:compiled.bindings ~counters
-         compiled.ir);
-    Ok (Buffer.contents buf)
+    Ok
+      (Printf.sprintf "static type: %s\n%splan:\n%s"
+         (Stype.to_string c.static_type) error
+         (Plan_ir.render ~timings ~bindings:c.bindings ~counters:sm.sm_counters
+            c.ir))
 
 let plan_cache_hits t = Stdlib.Atomic.get t.compile_hits
 let plan_cache_misses t = Stdlib.Atomic.get t.compile_misses

@@ -207,7 +207,11 @@ val run :
   t -> ?user:Security.user -> string -> (Item.sequence, string) result
 (** Compile (through the plan cache) and execute, materializing the result
     (the stateless client API). The user's {!Security.filter_tokens}
-    wraps the building sink. *)
+    wraps the building sink. Not admitted: it runs under the calling
+    thread's ambient token. Never raises: a compile error, an evaluation
+    error, a fired token or any exception a function raises is [Error]
+    with its message. Complete or not, the execution's counters fold into
+    the text's view once, as on every entry point. *)
 
 val serialize_result : t -> Item.sequence -> string
 (** Serializes a materialized result with the token serializer's writer
@@ -248,7 +252,9 @@ val submit :
 (** Admission-controlled {!run}. [deadline] is seconds from now and
     covers queue wait plus execution. [token] supplies a caller-managed
     cancellation token instead (so another thread can cancel this query);
-    when given, [deadline] is ignored — encode it in the token. *)
+    when given, [deadline] is ignored — encode it in the token. A failure
+    is [Error], never an exception: [Cancelled] once the token has fired
+    (also before the query compiled), [Failed] otherwise. *)
 
 val drain : t -> unit
 (** Graceful shutdown of the serving layer: new submissions are rejected
@@ -283,14 +289,17 @@ type stream
     resumes it, on whichever thread reads. No other thread runs the
     query, and at most one chunk is live between executor and reader, so
     a slow consumer holds one chunk instead of the materialized result.
-    The stream holds its admission slot until it drains, fails or is
-    cancelled. *)
+    The stream holds its admission slot and counters until it drains,
+    fails, is cancelled or is abandoned by {!stream_serialize}; the first
+    of these, on whichever thread, folds the counters and frees the slot,
+    once. *)
 
 val session_run_stream :
   session -> ?deadline:float -> string -> (stream, submit_error) result
 (** Admission-controlled streamed execution as this session's user.
-    Admission and compilation happen here (so {!Overloaded} and compile
-    failures surface immediately); execution starts with the first
+    Admission, the token check and compilation happen here (so
+    {!Overloaded}, compile failures and a fired token, [Cancelled] as on
+    every path, surface immediately); execution starts with the first
     {!stream_read}. The plan runs through {!Eval.emit} into a token
     sink, as {!run}'s runs into a building sink, and every token passes
     through {!Security.filter_tokens} for the session's user — the same

@@ -991,6 +991,219 @@ let test_sharing_freshness_property =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* One statement lifecycle: every entry point against every ending     *)
+
+(* Each row runs one entry point on a fresh server and then asserts the
+   result class (never an exception), the admission identity, and that
+   no Cancel waiter or armed deadline is left. The text whose custom
+   function raises must move its view's totals by the same amount on
+   every entry point that runs it. *)
+
+type outcome = Done | Failed | Cancelled
+
+let outcome_name = function
+  | Done -> "Ok"
+  | Failed -> "Failed"
+  | Cancelled -> "Cancelled"
+
+type ending =
+  | Completes
+  | Compile_error
+  | Raising  (* a custom function that raises [Failure] *)
+  | Fired  (* the token fired before the statement opened *)
+  | Cancel_mid_stream
+  | Abandon  (* the serializer meets an end tag it never saw open *)
+
+let ending_name = function
+  | Completes -> "completes"
+  | Compile_error -> "compile error"
+  | Raising -> "raising function"
+  | Fired -> "fired token"
+  | Cancel_mid_stream -> "cancel mid-stream"
+  | Abandon -> "serializer abandon"
+
+let boom = Qname.local "boom"
+let rows_text = "for $c in CUSTOMER() return <R>{$c/CID}{$c/LAST_NAME}</R>"
+let raising_text = "for $c in CUSTOMER() return boom(1)"
+
+let text_of = function
+  | Compile_error -> "for $c in"
+  | Raising -> raising_text
+  | Completes | Fired | Cancel_mid_stream | Abandon -> rows_text
+
+let lifecycle_server () =
+  let server =
+    (* 300 rows fill more than one of the serializer's 4 KiB chunks *)
+    (Aldsp_demo.Demo.create ~customers:300 ~orders_per_customer:0 ())
+      .Aldsp_demo.Demo.server
+  in
+  let registry = Server.registry server in
+  let custom = Metadata.custom_registry registry in
+  Aldsp_services.Custom_function.register custom ~name:boom
+    ~params:[ Atomic.T_integer ] ~returns:Atomic.T_integer (fun _ ->
+      failwith "boom");
+  Metadata.add_function registry
+    { Metadata.fd_name = boom;
+      fd_params = [ ("x", Stype.atomic Atomic.T_integer) ];
+      fd_return = Stype.atomic Atomic.T_integer;
+      fd_impl = Metadata.External (Metadata.External_custom custom);
+      fd_kind = Metadata.Library;
+      fd_cacheable = false;
+      fd_pragmas = [] };
+  server
+
+let of_submit_error = function
+  | Server.Cancelled _ -> Cancelled
+  | Server.Failed _ -> Failed
+  | Server.Overloaded -> Alcotest.fail "rejected at admission"
+
+(* a string-result entry point names a cancellation by its cause *)
+let of_message = function
+  | "deadline exceeded" | "cancelled" -> Cancelled
+  | _ -> Failed
+
+(* the unadmitted entry points run under the caller's ambient token *)
+let ambient ending f =
+  if ending = Fired then Cancel.with_token (Cancel.with_deadline 0.) f else f ()
+
+let deadline_of ending = if ending = Fired then Some 0. else None
+
+let entry_run server ending =
+  ambient ending (fun () ->
+      match Server.run server (text_of ending) with
+      | Ok _ -> Done
+      | Error m -> of_message m)
+
+let entry_session_run server ending =
+  match
+    Server.session_run (Server.session server ()) ?deadline:(deadline_of ending)
+      (text_of ending)
+  with
+  | Ok _ -> Done
+  | Error e -> of_submit_error e
+
+let open_stream server ending f =
+  match
+    Server.session_run_stream (Server.session server ())
+      ?deadline:(deadline_of ending) (text_of ending)
+  with
+  | Error e -> of_submit_error e
+  | Ok stream -> f stream
+
+(* reads to the end; a mid-stream cancel comes after the tenth token *)
+let entry_stream_read server ending =
+  open_stream server ending @@ fun stream ->
+  let rec go n =
+    match Server.stream_read stream with
+    | Ok (Some _) ->
+      if ending = Cancel_mid_stream && n = 10 then Server.stream_cancel stream;
+      go (n + 1)
+    | Ok None -> Done
+    | Error e -> of_submit_error e
+  in
+  go 1
+
+(* a mid-stream cancel comes with the first written chunk; an abandon
+   follows three reads that stop inside the first <R> *)
+let entry_serialize server ending =
+  open_stream server ending @@ fun stream ->
+  if ending = Abandon then
+    for _ = 1 to 3 do
+      ignore (Server.stream_read stream)
+    done;
+  let write _ = if ending = Cancel_mid_stream then Server.stream_cancel stream in
+  match Server.stream_serialize stream write with
+  | Ok () -> Done
+  | Error e -> of_submit_error e
+
+(* EXPLAIN ANALYZE reports an execution's failure on an [error:] line *)
+let entry_explain server ending =
+  ambient ending (fun () ->
+      match Server.explain server (text_of ending) with
+      | Error m -> of_message m
+      | Ok out -> (
+        match
+          List.find_opt
+            (fun l -> String.length l > 7 && String.sub l 0 7 = "error: ")
+            (String.split_on_char '\n' out)
+        with
+        | None -> Done
+        | Some l -> of_message (String.sub l 7 (String.length l - 7))))
+
+(* a direct call compiles nothing: an unknown function stands in for the
+   compile error *)
+let entry_call server ending =
+  let name, args =
+    match ending with
+    | Raising -> (boom, [ [ Item.Atom (Atomic.Integer 1) ] ])
+    | Compile_error -> (Qname.local "no_such_function", [])
+    | _ -> (Qname.make ~uri:"fn" "getCustomerNames", [])
+  in
+  match Server.call server name args with
+  | Ok _ -> Done
+  | Error m -> of_message m
+
+let lifecycle_entries =
+  let common = [ Completes; Compile_error; Raising; Fired ] in
+  [ ("run", entry_run, common);
+    ("session_run", entry_session_run, common);
+    ("session_run_stream read", entry_stream_read, common @ [ Cancel_mid_stream ]);
+    ("stream_serialize", entry_serialize, common @ [ Cancel_mid_stream; Abandon ]);
+    ("explain", entry_explain, common);
+    ("call", entry_call, [ Completes; Compile_error; Raising ]) ]
+
+let expected_outcome = function
+  | Completes -> Done
+  | Compile_error | Raising | Abandon -> Failed
+  | Fired | Cancel_mid_stream -> Cancelled
+
+(* starts plus roundtrips over the view of [raising_text] *)
+let raising_totals server =
+  match Server.compile server raising_text with
+  | Error _ -> Alcotest.fail "the raising text does not compile"
+  | Ok c ->
+    Array.fold_left
+      (fun n k -> n + k.Plan_ir.c_starts + k.Plan_ir.c_roundtrips)
+      0 c.Server.ir.Plan_ir.totals
+
+let test_one_lifecycle () =
+  let deltas = ref [] in
+  List.iter
+    (fun (entry, run, endings) ->
+      List.iter
+        (fun ending ->
+          let row = entry ^ ", " ^ ending_name ending ^ ": " in
+          let server = lifecycle_server () in
+          let before = raising_totals server in
+          let got =
+            match run server ending with
+            | o -> outcome_name o
+            | exception e -> "raised " ^ Printexc.to_string e
+          in
+          Alcotest.(check string) (row ^ "result class")
+            (outcome_name (expected_outcome ending)) got;
+          let adm = Server.admission_stats server in
+          check_int (row ^ "admitted = completed + deadline aborts")
+            adm.Server.ad_admitted
+            (adm.Server.ad_completed + adm.Server.ad_deadline_aborts);
+          check_int (row ^ "no slot held") 0 adm.Server.ad_active;
+          check_int (row ^ "no waiter left") 0 (Cancel.waiters ());
+          check_int (row ^ "no deadline left armed") 0
+            (Cancel.armed_deadlines ());
+          if ending = Raising && entry <> "call" then
+            deltas := (entry, raising_totals server - before) :: !deltas)
+        endings)
+    lifecycle_entries;
+  match List.rev !deltas with
+  | [] -> Alcotest.fail "no entry point ran the raising text"
+  | (_, first) :: _ as all ->
+    check_bool "the raising text counts into its view" true (first > 0);
+    List.iter
+      (fun (entry, delta) ->
+        check_int (entry ^ ": the raising text's totals delta") first delta)
+      all
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "concurrency"
@@ -1058,4 +1271,7 @@ let () =
           Alcotest.test_case "batch member deadline" `Quick
             test_batch_member_deadline;
           Alcotest.test_case "admission waiter deadline" `Quick
-            test_admission_deadline_in_queue ] ) ]
+            test_admission_deadline_in_queue ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "one lifecycle on every entry point" `Quick
+            test_one_lifecycle ] ) ]

@@ -4,8 +4,8 @@
 # Lines are compared with whitespace runs collapsed and ends trimmed, and
 # every line of a window must be longer than 3 characters, so blank
 # lines, lone `in`s and closing brackets never make a window. Prints one
-# line per pair of files: where their first shared window starts, and how
-# many shared windows they have. Read-only. Run from the repository root.
+# line per maximal shared run of lines: where it starts in both places,
+# and how many lines it spans. Read-only. Run from the repository root.
 set -eu
 # shellcheck disable=SC2046
 awk -v w=6 '
@@ -28,15 +28,21 @@ awk -v w=6 '
     }
     # a window may not repeat one it overlaps
     if (first[key] == FILENAME && start - first_line[key] < w) next
-    pair = first[key] " and " FILENAME
-    if (!(pair in count)) {
-      where[pair] = first[key] ":" first_line[key] " and " FILENAME ":" start
-      order[++pairs] = pair
+    # a window one line on from the last window of a run extends it
+    here = first[key] SUBSEP first_line[key] SUBSEP FILENAME SUBSEP start
+    prev = first[key] SUBSEP (first_line[key] - 1) SUBSEP FILENAME SUBSEP (start - 1)
+    if (prev in run_of) {
+      id = run_of[prev]
+      delete run_of[prev]
+    } else {
+      id = ++runs
+      where[id] = first[key] ":" first_line[key] " and " FILENAME ":" start
     }
-    count[pair]++
+    windows[id]++
+    run_of[here] = id
   }
   END {
-    for (p = 1; p <= pairs; p++)
-      printf "%s: %d shared %d-line windows\n", where[order[p]], count[order[p]], w
-    exit pairs > 0
+    for (r = 1; r <= runs; r++)
+      printf "%s: %d shared lines\n", where[r], windows[r] + w - 1
+    exit runs > 0
   }' $(git ls-files 'lib/*.ml')
